@@ -166,8 +166,8 @@ inline std::int64_t fused_dot_i16_scalar(const std::int16_t* kr,
 /// sum_i u[i]*w[i] with u unsigned 8-bit and w signed 8-bit — the vpdpbusd
 /// operand convention of the int8 MLP (activations carry a +128 bias that
 /// the caller corrects with a per-row constant). The int32 accumulator is
-/// exact for n <= 65807 (n * 255 * 128 < 2^31); Quantized8Mlp bounds layer
-/// widths far below that.
+/// exact for n <= 65807 (n * 255 * 128 < 2^31); the int8 MLP heads bound
+/// layer widths below that (QuantizedCodeTraits<std::int8_t>).
 inline std::int32_t dot_u8i8_scalar(const std::uint8_t* u, const std::int8_t* w,
                                     std::size_t n) {
   std::int32_t acc = 0;

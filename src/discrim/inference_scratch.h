@@ -40,21 +40,18 @@ struct InferenceScratch {
   std::vector<float> logits;
   std::vector<float> activations;
 
-  /// Integer-path buffers (QuantizedProposedDiscriminator): the raw trace
-  /// converted to fixed-point I/Q codes, the merged feature codes, the
-  /// integer logit accumulators, and the int16 activation ping-pong pair
-  /// (activation codes are <= 16 bits wide; the narrow type feeds the
-  /// widening int16 SIMD dot products directly).
+  /// Integer-path buffers (QuantizedProposedOf, both head widths): the raw
+  /// trace converted to fixed-point I/Q codes and the merged feature codes.
+  /// Then each width's head buffers, in the operand types its SIMD dot
+  /// kernel reads (QuantizedCodeTraits): int16 logits and activation
+  /// ping-pong pair...
   std::vector<std::int16_t> int_trace_i;
   std::vector<std::int16_t> int_trace_q;
   std::vector<std::int32_t> int_features;
   std::vector<std::int64_t> int_logits;
   std::vector<std::int16_t> int_act_a;
   std::vector<std::int16_t> int_act_b;
-
-  /// Int8-path per-shot buffers (Quantized8ProposedDiscriminator): biased
-  /// uint8 activation ping-pong pair and int32 logit accumulators. Feature
-  /// extraction reuses int_features.
+  /// ...and the int8 heads' biased-uint8 activation pair and int32 logits.
   std::vector<std::uint8_t> u8_act_a;
   std::vector<std::uint8_t> u8_act_b;
   std::vector<std::int32_t> i32_logits;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/parallel.h"
 
 namespace mlqr {
 
@@ -84,32 +83,6 @@ double FidelityReport::mean_fidelity_excluding(
 double FidelityReport::readout_error_excluding(
     std::span<const std::size_t> excluded) const {
   return 1.0 - mean_fidelity_excluding(excluded);
-}
-
-FidelityReport evaluate_classifier(const ShotClassifier& classify,
-                                   const ShotSet& shots,
-                                   std::span<const std::size_t> subset) {
-  shots.validate();
-  MLQR_CHECK(!subset.empty());
-
-  // Per-shot predictions in parallel, then a serial reduction.
-  std::vector<std::vector<int>> predictions(subset.size());
-  parallel_for(0, subset.size(), [&](std::size_t i) {
-    predictions[i] = classify(shots.traces[subset[i]]);
-  });
-
-  FidelityReport report;
-  report.per_qubit.resize(shots.n_qubits);
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    MLQR_CHECK_MSG(predictions[i].size() == shots.n_qubits,
-                   "classifier returned " << predictions[i].size()
-                                          << " labels for " << shots.n_qubits
-                                          << " qubits");
-    const std::span<const int> truth = shots.shot_labels(subset[i]);
-    for (std::size_t q = 0; q < shots.n_qubits; ++q)
-      report.per_qubit[q].add(truth[q], predictions[i][q]);
-  }
-  return report;
 }
 
 }  // namespace mlqr

@@ -9,12 +9,9 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "discrim/shot_set.h"
 #include "sim/chip_profile.h"
 
 namespace mlqr {
@@ -54,15 +51,5 @@ struct FidelityReport {
   /// 1 - mean_fidelity_excluding — the paper's "Error(%)" column.
   double readout_error_excluding(std::span<const std::size_t> excluded) const;
 };
-
-/// Classifier adapter: anything mapping a multiplexed trace to per-qubit
-/// levels can be scored (used for every design, NN-based or Gaussian).
-using ShotClassifier = std::function<std::vector<int>(const IqTrace&)>;
-
-/// Scores `classify` on the chosen shots against ground-truth labels,
-/// parallel over shots. `classify` must be thread-safe (pure).
-FidelityReport evaluate_classifier(const ShotClassifier& classify,
-                                   const ShotSet& shots,
-                                   std::span<const std::size_t> subset);
 
 }  // namespace mlqr

@@ -1,96 +1,6 @@
-// Int8 fixed-point twin of the proposed discriminator — the W=8 point of
-// the paper's quantization ablation (Fig 6) promoted from an offline study
-// to a first-class serving datapath.
-//
-// The front-end is the same fused int16 demod+matched-filter engine as the
-// int16 design (QuantizedFrontend — its kernel/trace grids are calibrated
-// independently of the head width); only the per-qubit heads narrow to
-// int8 weights and 8-bit activation codes running on simd::dot_u8i8
-// (vpdpbusd on VNNI hosts). Per-shot inference is pure integer arithmetic,
-// so labels are bit-identical across batch sizes, thread counts, shards
-// and SIMD tiers.
+// The int8 datapath, Quantized8ProposedDiscriminator (`OURS-INT8`), is the
+// int8 instantiation of QuantizedProposedOf and is declared with it; this
+// header remains so existing includes of the int8 design keep compiling.
 #pragma once
 
-#include <cstddef>
-#include <iosfwd>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "common/fixed_point.h"
-#include "discrim/inference_scratch.h"
-#include "discrim/proposed.h"
 #include "discrim/quantized_proposed.h"
-#include "discrim/shot_set.h"
-#include "dsp/quantized_frontend.h"
-#include "nn/quantized8_mlp.h"
-
-namespace mlqr {
-
-/// Trained-then-quantized int8 instance of the proposed design.
-class Quantized8ProposedDiscriminator {
- public:
-  /// The narrow-datapath defaults: 8-bit weight and activation codes, a
-  /// 24-bit saturating accumulator (the Fig 6 ablation's W=8 grid with the
-  /// accumulator sized so int32 holds every logit).
-  static QuantizationConfig default_config() {
-    QuantizationConfig cfg;
-    cfg.weight_bits = 8;
-    cfg.activation_bits = 8;
-    cfg.accum_bits = 24;
-    return cfg;
-  }
-
-  /// Quantizes a trained float discriminator through the same calibration
-  /// recipe as the int16 twin (identical code minting at equal widths),
-  /// then narrows the heads to the int8 datapath. cfg must satisfy the
-  /// Quantized8Mlp width contract (weight/activation bits in [2, 8],
-  /// accum_bits in [8, 31]).
-  static Quantized8ProposedDiscriminator quantize(
-      const ProposedDiscriminator& d, const ShotSet& calib,
-      std::span<const std::size_t> calib_idx,
-      const QuantizationConfig& cfg = default_config());
-
-  /// Per-qubit level predictions for one multiplexed trace. Thread-safe.
-  std::vector<int> classify(const IqTrace& trace) const;
-
-  /// Allocation-free int8 path: raw trace -> fused int front-end -> int8
-  /// heads, entirely inside `scratch`'s reused buffers. `out` must hold
-  /// num_qubits() entries. Thread-safe for distinct scratches.
-  void classify_into(const IqTrace& trace, InferenceScratch& scratch,
-                     std::span<int> out) const;
-
-  /// Batched classify over shots [lo, hi): feature codes gathered into a
-  /// row-major tile, each int8 head swept weight-row-outer over the whole
-  /// tile (Quantized8Mlp::classify_batch_into), labels scattered back
-  /// through `labels_at(s)`. Integer arithmetic is exact, so labels are
-  /// bit-identical to classify_into. Thread-safe for distinct scratches.
-  void classify_batch_into(std::size_t lo, std::size_t hi,
-                           const ShotFrameAt& frame_at,
-                           InferenceScratch& scratch,
-                           const ShotLabelsAt& labels_at) const;
-
-  std::string name() const { return "OURS-INT8"; }
-
-  std::size_t num_qubits() const { return heads_.size(); }
-  std::size_t samples_used() const { return frontend_.n_samples(); }
-  std::size_t feature_dim() const { return frontend_.n_filters(); }
-  const QuantizedFrontend& frontend() const { return frontend_; }
-  const Quantized8Mlp& head(std::size_t q) const { return heads_.at(q); }
-  const QuantizationConfig& config() const { return cfg_; }
-
-  /// Binary little-endian persistence of the complete int8 datapath
-  /// (config, fused front-end tables, per-qubit int8 heads). A reloaded
-  /// instance classifies bit-identically. Prefer pipeline/snapshot.h's
-  /// save_backend / load_backend wrappers, which add the magic+version
-  /// header.
-  void save(std::ostream& os) const;
-  static Quantized8ProposedDiscriminator load(std::istream& is);
-
- private:
-  QuantizationConfig cfg_;
-  QuantizedFrontend frontend_;
-  std::vector<Quantized8Mlp> heads_;  ///< One int8 head per qubit.
-};
-
-}  // namespace mlqr

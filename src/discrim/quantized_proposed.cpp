@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/serialize.h"
@@ -9,7 +11,44 @@
 
 namespace mlqr {
 
-QuantizedProposedDiscriminator QuantizedProposedDiscriminator::quantize(
+namespace {
+
+constexpr std::size_t kBatchTile = 128;
+
+/// The per-shot head buffers InferenceScratch keeps for each code width:
+/// (logits, act_a, act_b).
+template <typename Code>
+auto head_buffers(InferenceScratch& s) {
+  if constexpr (std::is_same_v<Code, std::int16_t>)
+    return std::tie(s.int_logits, s.int_act_a, s.int_act_b);
+  else
+    return std::tie(s.i32_logits, s.u8_act_a, s.u8_act_b);
+}
+
+/// Same for the batched tile buffers: (act_a, act_b, logits).
+template <typename Code>
+auto batch_head_buffers(InferenceScratch& s) {
+  if constexpr (std::is_same_v<Code, std::int16_t>)
+    return std::tie(s.batch_i16_act_a, s.batch_i16_act_b, s.batch_i64_logits);
+  else
+    return std::tie(s.batch_u8_act_a, s.batch_u8_act_b, s.batch_i32_logits);
+}
+
+}  // namespace
+
+template <typename Code>
+QuantizationConfig QuantizedProposedOf<Code>::default_config() {
+  QuantizationConfig cfg;
+  if constexpr (std::is_same_v<Code, std::int8_t>) {
+    cfg.weight_bits = 8;
+    cfg.activation_bits = 8;
+    cfg.accum_bits = 24;
+  }
+  return cfg;
+}
+
+template <typename Code>
+QuantizedProposedOf<Code> QuantizedProposedOf<Code>::quantize(
     const ProposedDiscriminator& d, const ShotSet& calib,
     std::span<const std::size_t> calib_idx, const QuantizationConfig& cfg) {
   MLQR_CHECK(d.num_qubits() > 0);
@@ -55,7 +94,7 @@ QuantizedProposedDiscriminator QuantizedProposedDiscriminator::quantize(
   const FixedPointFormat feature_fmt =
       saturating_format(-feat_bound, feat_bound, cfg.activation_bits);
 
-  QuantizedProposedDiscriminator q;
+  QuantizedProposedOf q;
   q.cfg_ = cfg;
   q.frontend_ =
       QuantizedFrontend::build(d.demodulator(), d.mf_bank(), d.normalizer(),
@@ -63,11 +102,12 @@ QuantizedProposedDiscriminator QuantizedProposedDiscriminator::quantize(
   q.heads_.reserve(d.num_qubits());
   for (std::size_t qubit = 0; qubit < d.num_qubits(); ++qubit)
     q.heads_.push_back(
-        QuantizedMlp::quantize(d.qubit_model(qubit), feats, feature_fmt, cfg));
+        Head::quantize(d.qubit_model(qubit), feats, feature_fmt, cfg));
   return q;
 }
 
-std::vector<int> QuantizedProposedDiscriminator::classify(
+template <typename Code>
+std::vector<int> QuantizedProposedOf<Code>::classify(
     const IqTrace& trace) const {
   InferenceScratch scratch;
   std::vector<int> out(heads_.size());
@@ -75,22 +115,24 @@ std::vector<int> QuantizedProposedDiscriminator::classify(
   return out;
 }
 
-void QuantizedProposedDiscriminator::classify_into(const IqTrace& trace,
-                                                   InferenceScratch& scratch,
-                                                   std::span<int> out) const {
+template <typename Code>
+void QuantizedProposedOf<Code>::classify_into(const IqTrace& trace,
+                                              InferenceScratch& scratch,
+                                              std::span<int> out) const {
   MLQR_CHECK(out.size() == heads_.size());
   frontend_.features_into(trace, scratch);
+  auto [logits, act_a, act_b] = head_buffers<Code>(scratch);
   for (std::size_t q = 0; q < heads_.size(); ++q)
-    out[q] = heads_[q].predict(scratch.int_features, scratch.int_logits,
-                               scratch.int_act_a, scratch.int_act_b);
+    out[q] = heads_[q].predict(scratch.int_features, logits, act_a, act_b);
 }
 
-void QuantizedProposedDiscriminator::classify_batch_into(
+template <typename Code>
+void QuantizedProposedOf<Code>::classify_batch_into(
     std::size_t lo, std::size_t hi, const ShotFrameAt& frame_at,
     InferenceScratch& scratch, const ShotLabelsAt& labels_at) const {
   const std::size_t n_qubits = heads_.size();
   const std::size_t feat_dim = frontend_.n_filters();
-  constexpr std::size_t kBatchTile = 128;
+  auto [act_a, act_b, logits] = batch_head_buffers<Code>(scratch);
   for (std::size_t base = lo; base < hi; base += kBatchTile) {
     const std::size_t tile = std::min(kBatchTile, hi - base);
     scratch.batch_int_features.resize(tile * feat_dim);
@@ -100,10 +142,9 @@ void QuantizedProposedDiscriminator::classify_batch_into(
                                   scratch.batch_int_features.data(), feat_dim);
     scratch.batch_labels.resize(tile * n_qubits);
     for (std::size_t q = 0; q < n_qubits; ++q)
-      heads_[q].classify_batch_into(
-          tile, scratch.batch_int_features.data(), scratch.batch_i16_act_a,
-          scratch.batch_i16_act_b, scratch.batch_i64_logits,
-          scratch.batch_labels.data() + q, n_qubits);
+      heads_[q].classify_batch_into(tile, scratch.batch_int_features.data(),
+                                    act_a, act_b, logits,
+                                    scratch.batch_labels.data() + q, n_qubits);
     for (std::size_t s = 0; s < tile; ++s) {
       const std::span<int> out = labels_at(base + s);
       MLQR_CHECK(out.size() == n_qubits);
@@ -113,28 +154,37 @@ void QuantizedProposedDiscriminator::classify_batch_into(
   }
 }
 
-void QuantizedProposedDiscriminator::save(std::ostream& os) const {
+template <typename Code>
+std::string QuantizedProposedOf<Code>::name() const {
+  if constexpr (std::is_same_v<Code, std::int8_t>)
+    return "OURS-INT8";
+  else
+    return "OURS-INT" + std::to_string(cfg_.weight_bits);
+}
+
+template <typename Code>
+void QuantizedProposedOf<Code>::save(std::ostream& os) const {
   MLQR_CHECK_MSG(!heads_.empty(), "cannot save an uncalibrated discriminator");
   save_quantization_config(os, cfg_);
   frontend_.save(os);
   io::write_u64(os, heads_.size());
-  for (const QuantizedMlp& h : heads_) h.save(os);
+  for (const Head& h : heads_) h.save(os);
 }
 
-QuantizedProposedDiscriminator QuantizedProposedDiscriminator::load(
-    std::istream& is) {
-  QuantizedProposedDiscriminator q;
+template <typename Code>
+QuantizedProposedOf<Code> QuantizedProposedOf<Code>::load(std::istream& is) {
+  QuantizedProposedOf q;
   q.cfg_ = load_quantization_config(is);
   q.frontend_ = QuantizedFrontend::load(is);
   const std::size_t n_heads = io::read_count(is, 4096);
   q.heads_.reserve(n_heads);
   for (std::size_t h = 0; h < n_heads; ++h)
-    q.heads_.push_back(QuantizedMlp::load(is));
+    q.heads_.push_back(Head::load(is));
 
   MLQR_CHECK_MSG(n_heads == q.frontend_.num_qubits(),
                  "snapshot has " << n_heads << " integer heads for "
                                  << q.frontend_.num_qubits() << " qubits");
-  for (const QuantizedMlp& h : q.heads_) {
+  for (const Head& h : q.heads_) {
     MLQR_CHECK_MSG(h.input_size() == q.frontend_.n_filters(),
                    "snapshot integer head reads " << h.input_size()
                        << " features, front-end emits "
@@ -156,7 +206,8 @@ QuantizedProposedDiscriminator QuantizedProposedDiscriminator::load(
   return q;
 }
 
-CalibratedFormats QuantizedProposedDiscriminator::calibrated_formats() const {
+template <typename Code>
+CalibratedFormats QuantizedProposedOf<Code>::calibrated_formats() const {
   CalibratedFormats fmts;
   fmts.trace = frontend_.trace_format();
   fmts.feature = frontend_.feature_format();
@@ -166,27 +217,31 @@ CalibratedFormats QuantizedProposedDiscriminator::calibrated_formats() const {
   int min_frac = 48;
   for (std::size_t f = 0; f < frontend_.n_filters(); ++f)
     min_frac = std::min(min_frac, frontend_.kernel_format(f).frac_bits);
-  for (const QuantizedMlp& head : heads_)
-    for (const QuantizedDenseLayer& l : head.layers())
+  for (const Head& head : heads_)
+    for (const typename Head::Layer& l : head.layers())
       min_frac = std::min(min_frac, l.weight_fmt.frac_bits);
   fmts.min_weight_frac_bits = min_frac;
   return fmts;
 }
 
-DesignSpec QuantizedProposedDiscriminator::design_spec() const {
+template <typename Code>
+DesignSpec QuantizedProposedOf<Code>::design_spec() const {
   DesignSpec spec;
   spec.name = name();
   spec.demod_channels = num_qubits();
   spec.matched_filters = frontend_.n_filters();
   spec.mf_kernel_len = frontend_.n_samples();
-  for (const QuantizedMlp& head : heads_) {
+  for (const Head& head : heads_) {
     std::vector<std::size_t> sizes;
     sizes.push_back(head.input_size());
-    for (const QuantizedDenseLayer& l : head.layers()) sizes.push_back(l.out);
+    for (const typename Head::Layer& l : head.layers()) sizes.push_back(l.out);
     spec.nns.push_back(std::move(sizes));
   }
   spec.hls = hls_config_from_formats(cfg_.weight_bits, cfg_.accum_bits);
   return spec;
 }
+
+template class QuantizedProposedOf<std::int16_t>;
+template class QuantizedProposedOf<std::int8_t>;
 
 }  // namespace mlqr

@@ -8,8 +8,8 @@
 // rows driven by simd::fused_dot_f32 versus int16 code rows driven by
 // simd::fused_dot_i16 with the madd-safety invariant (no -2^15 code).
 // FusedSampleTraits captures exactly those differences; FusedKernelTable
-// is everything else, written once, so the ROADMAP's int8 datapath adds a
-// traits specialization instead of a third front-end copy. Serialization
+// is everything else, written once (both integer head widths share the
+// int16 front-end, so there is no int8 table). Serialization
 // delegates to the same write_vec_* calls the front-ends used directly —
 // the on-disk byte layout is unchanged.
 #pragma once

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/serialize.h"
@@ -20,15 +22,108 @@ int int_bits_for(double bound) {
   return bits;
 }
 
+/// Each width's SIMD kernel: the exact sum_i w[i] * a[i] over the stored
+/// activation operands (biased at int8; the caller adds corr).
+std::int64_t dot_codes(const std::int16_t* w, const std::int16_t* a,
+                       std::size_t n) {
+  return simd::dot_i16(w, a, n);
+}
+std::int64_t dot_codes(const std::int8_t* w, const std::uint8_t* a,
+                       std::size_t n) {
+  return simd::dot_u8i8(a, w, n);
+}
+
+/// Code and bias vectors travel at their storage width, so each width's
+/// payload keeps the byte layout its snapshot kind has always had.
+template <typename T>
+void write_codes(std::ostream& os, const std::vector<T>& v) {
+  if constexpr (std::is_same_v<T, std::int8_t>) {
+    io::write_vec_i8(os, v);
+  } else if constexpr (std::is_same_v<T, std::int16_t>) {
+    io::write_vec_i16(os, v);
+  } else if constexpr (std::is_same_v<T, std::int32_t>) {
+    io::write_vec_i32(os, v);
+  } else {
+    static_assert(std::is_same_v<T, std::int64_t>);
+    io::write_vec_i64(os, v);
+  }
+}
+
+template <typename T>
+std::vector<T> read_codes(std::istream& is) {
+  if constexpr (std::is_same_v<T, std::int8_t>) {
+    return io::read_vec_i8(is);
+  } else if constexpr (std::is_same_v<T, std::int16_t>) {
+    return io::read_vec_i16(is);
+  } else if constexpr (std::is_same_v<T, std::int32_t>) {
+    return io::read_vec_i32(is);
+  } else {
+    static_assert(std::is_same_v<T, std::int64_t>);
+    return io::read_vec_i64(is);
+  }
+}
+
+template <typename Code>
+constexpr const char* kNetName =
+    sizeof(Code) == 1 ? "int8 MLP" : "int16 MLP";
+
+template <typename Code>
+void check_config(const QuantizationConfig& cfg) {
+  constexpr int kBits = QuantizedMlpOf<Code>::kCodeBits;
+  constexpr int kMaxAccum = QuantizedCodeTraits<Code>::kMaxAccumBits;
+  MLQR_CHECK_MSG(cfg.weight_bits >= 2 && cfg.weight_bits <= kBits,
+                 kNetName<Code> << " needs weight_bits in [2, " << kBits
+                                << "], got " << cfg.weight_bits);
+  MLQR_CHECK_MSG(cfg.activation_bits >= 2 && cfg.activation_bits <= kBits,
+                 kNetName<Code> << " needs activation_bits in [2, " << kBits
+                                << "], got " << cfg.activation_bits);
+  MLQR_CHECK_MSG(cfg.accum_bits >= 8 && cfg.accum_bits <= kMaxAccum,
+                 kNetName<Code> << " needs accum_bits in [8, " << kMaxAccum
+                                << "], got " << cfg.accum_bits);
+}
+
+/// The invariants the forward passes rely on, pinned where codes are
+/// minted and again on every (untrusted) load, then the derived
+/// bias-correction row:
+///  - formats no wider than the code storage (the int32 -> Act staging is
+///    value-preserving, and the batch path's strip bound cannot overflow);
+///  - layer widths the width's dot kernel sums exactly;
+///  - no weight code at the type minimum: fit_format over a symmetric range
+///    keeps |code| <= 2^(W-1)-1, and simd::dot_i16's madd pairs rely on the
+///    weight operand never being -2^15.
+template <typename Code>
+void finish_layer(QuantizedDenseLayerOf<Code>& l) {
+  using Traits = QuantizedCodeTraits<Code>;
+  constexpr int kBits = QuantizedMlpOf<Code>::kCodeBits;
+  MLQR_CHECK_MSG(l.in_fmt.total_bits <= kBits && l.weight_fmt.total_bits <= kBits,
+                 kNetName<Code> << " layer grids <" << l.in_fmt.total_bits
+                                << "-bit activations, "
+                                << l.weight_fmt.total_bits
+                                << "-bit weights> exceed the code width");
+  MLQR_CHECK_MSG(l.in <= Traits::kMaxLayerWidth,
+                 kNetName<Code> << " layer width " << l.in
+                                << " exceeds the exact dot bound ("
+                                << Traits::kMaxLayerWidth << ')');
+  for (const Code w : l.w)
+    MLQR_CHECK_MSG(w > std::numeric_limits<Code>::min(),
+                   kNetName<Code> << " weight code " << static_cast<int>(w)
+                                  << " is not representable");
+  l.corr.assign(l.out, 0);
+  for (std::size_t j = 0; j < l.out; ++j) {
+    const Code* row = l.w.data() + j * l.in;
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < l.in; ++i) sum += row[i];
+    l.corr[j] = static_cast<std::int32_t>(-Traits::kActBias * sum);
+  }
+}
+
 }  // namespace
 
-QuantizedMlp QuantizedMlp::quantize(const Mlp& mlp,
-                                    std::span<const float> calib_features,
-                                    const FixedPointFormat& input_fmt,
-                                    const QuantizationConfig& cfg) {
-  MLQR_CHECK(cfg.weight_bits >= 2 && cfg.weight_bits <= 16);
-  MLQR_CHECK(cfg.activation_bits >= 2 && cfg.activation_bits <= 16);
-  MLQR_CHECK(cfg.accum_bits >= 8 && cfg.accum_bits <= 63);
+template <typename Code>
+QuantizedMlpOf<Code> QuantizedMlpOf<Code>::quantize(
+    const Mlp& mlp, std::span<const float> calib_features,
+    const FixedPointFormat& input_fmt, const QuantizationConfig& cfg) {
+  check_config<Code>(cfg);
   const std::vector<DenseLayer>& fl = mlp.layers();
   MLQR_CHECK(!fl.empty());
   const std::size_t in_dim = mlp.input_size();
@@ -61,12 +156,12 @@ QuantizedMlp QuantizedMlp::quantize(const Mlp& mlp,
     }
   }
 
-  QuantizedMlp q;
+  QuantizedMlpOf q;
   q.cfg_ = cfg;
   q.layers_.reserve(fl.size());
   for (std::size_t l = 0; l < fl.size(); ++l) {
     const DenseLayer& layer = fl[l];
-    QuantizedDenseLayer ql;
+    Layer ql;
     ql.in = layer.in;
     ql.out = layer.out;
 
@@ -100,144 +195,141 @@ QuantizedMlp QuantizedMlp::quantize(const Mlp& mlp,
     ql.weight_fmt.frac_bits =
         std::min(ql.weight_fmt.frac_bits, frac_budget - ql.in_fmt.frac_bits);
 
+    // weight_bits <= kCodeBits, so every minted code fits Code.
     ql.w.resize(layer.w.size());
-    for (std::size_t i = 0; i < layer.w.size(); ++i) {
-      const std::int64_t code =
-          to_code(static_cast<double>(layer.w[i]), ql.weight_fmt);
-      // fit_format over a symmetric range keeps |code| <= 2^(W-1)-1;
-      // simd::dot_i16's madd path relies on the weight operand never being
-      // -2^15, so pin the invariant where the codes are minted.
-      MLQR_CHECK(code > INT16_MIN);
-      ql.w[i] = static_cast<std::int16_t>(code);
-    }
+    for (std::size_t i = 0; i < layer.w.size(); ++i)
+      ql.w[i] = static_cast<Code>(
+          to_code(static_cast<double>(layer.w[i]), ql.weight_fmt));
+    // accum_bits <= kMaxAccumBits, so every saturated bias fits Logit.
     const int bias_frac = ql.in_fmt.frac_bits + ql.weight_fmt.frac_bits;
     ql.b.resize(layer.b.size());
     for (std::size_t i = 0; i < layer.b.size(); ++i)
-      ql.b[i] = saturate_to_bits(
+      ql.b[i] = static_cast<Logit>(saturate_to_bits(
           static_cast<std::int64_t>(round_half_even(
               std::ldexp(static_cast<double>(layer.b[i]), bias_frac))),
-          cfg.accum_bits);
-
+          cfg.accum_bits));
+    finish_layer(ql);
     q.layers_.push_back(std::move(ql));
   }
   return q;
 }
 
-void QuantizedMlp::save(std::ostream& os) const {
+template <typename Code>
+void QuantizedMlpOf<Code>::save(std::ostream& os) const {
   save_quantization_config(os, cfg_);
   io::write_u64(os, layers_.size());
-  for (const QuantizedDenseLayer& l : layers_) {
+  for (const Layer& l : layers_) {
     io::write_u64(os, l.in);
     io::write_u64(os, l.out);
     save_format(os, l.weight_fmt);
     save_format(os, l.in_fmt);
-    io::write_vec_i16(os, l.w);
-    io::write_vec_i64(os, l.b);
+    write_codes(os, l.w);
+    write_codes(os, l.b);
   }
 }
 
-QuantizedMlp QuantizedMlp::load(std::istream& is) {
-  QuantizedMlp q;
+template <typename Code>
+QuantizedMlpOf<Code> QuantizedMlpOf<Code>::load(std::istream& is) {
+  QuantizedMlpOf q;
   q.cfg_ = load_quantization_config(is);
+  check_config<Code>(q.cfg_);
   const std::size_t n_layers = io::read_count(is, 64);
-  MLQR_CHECK_MSG(n_layers > 0, "corrupt quantized MLP: zero layers");
+  MLQR_CHECK_MSG(n_layers > 0, "corrupt " << kNetName<Code> << ": zero layers");
   q.layers_.resize(n_layers);
   std::size_t prev_out = 0;
-  for (QuantizedDenseLayer& l : q.layers_) {
+  for (Layer& l : q.layers_) {
     l.in = io::read_count(is);
     l.out = io::read_count(is);
     l.weight_fmt = load_format(is);
     l.in_fmt = load_format(is);
-    l.w = io::read_vec_i16(is);
-    l.b = io::read_vec_i64(is);
-    check_layer_chain(l, prev_out, "quantized MLP");
+    l.w = read_codes<Code>(is);
+    l.b = read_codes<Logit>(is);
+    check_layer_chain(l, prev_out, kNetName<Code>);
+    finish_layer(l);
     prev_out = l.out;
-    // simd::dot_i16's madd path requires weight codes != -2^15 — the same
-    // invariant quantize() pins at build time, re-pinned on the load path
-    // so a corrupt snapshot cannot smuggle the one forbidden code in.
-    for (std::int16_t w : l.w)
-      MLQR_CHECK_MSG(w > INT16_MIN,
-                     "quantized MLP weight code -32768 is not representable");
   }
   return q;
 }
 
-std::size_t QuantizedMlp::input_size() const {
+template <typename Code>
+std::size_t QuantizedMlpOf<Code>::input_size() const {
   return stack_input_size(layers_);
 }
 
-std::size_t QuantizedMlp::output_size() const {
+template <typename Code>
+std::size_t QuantizedMlpOf<Code>::output_size() const {
   return stack_output_size(layers_);
 }
 
-std::size_t QuantizedMlp::parameter_count() const {
+template <typename Code>
+std::size_t QuantizedMlpOf<Code>::parameter_count() const {
   return stack_parameter_count(layers_);
 }
 
-void QuantizedMlp::logits_into(std::span<const std::int32_t> x,
-                               std::vector<std::int64_t>& logits,
-                               std::vector<std::int16_t>& act_a,
-                               std::vector<std::int16_t>& act_b) const {
+template <typename Code>
+void QuantizedMlpOf<Code>::logits_into(std::span<const std::int32_t> x,
+                                       std::vector<Logit>& logits,
+                                       std::vector<Act>& act_a,
+                                       std::vector<Act>& act_b) const {
   MLQR_CHECK_MSG(x.size() == input_size(),
                  "input size " << x.size() << " != " << input_size());
-  // Input codes live on the first layer's in_fmt grid (total_bits <= 16 by
-  // QuantizationConfig contract), so the int32 -> int16 narrowing is
-  // value-preserving; it stages the activations for the widening int16
-  // multiply-add dot products.
+  // Input codes live on the first layer's in_fmt grid (at most kCodeBits
+  // wide), so the staging into the kernel's operand type is
+  // value-preserving.
   act_a.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)
-    act_a[i] = static_cast<std::int16_t>(x[i]);
-  std::vector<std::int16_t>* cur = &act_a;
-  std::vector<std::int16_t>* next = &act_b;
+    act_a[i] = static_cast<Act>(x[i] + Traits::kActBias);
+  std::vector<Act>* cur = &act_a;
+  std::vector<Act>* next = &act_b;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const QuantizedDenseLayer& layer = layers_[l];
+    const Layer& layer = layers_[l];
     const bool last = l + 1 == layers_.size();
-    const std::int16_t* in_codes = cur->data();
+    const Act* in_codes = cur->data();
     if (last) {
       logits.resize(layer.out);
     } else {
-      next->assign(layer.out, 0);
+      next->resize(layer.out);
     }
     const int shift =
         last ? 0
              : layer.in_fmt.frac_bits + layer.weight_fmt.frac_bits -
                    layers_[l + 1].in_fmt.frac_bits;
     for (std::size_t j = 0; j < layer.out; ++j) {
-      // Exact int64 accumulation: simd::dot_i16 is bit-identical to the
-      // scalar loop, so the saturate/shift requant chain below sees the
-      // same accumulator on every tier.
+      // Exact accumulation: the SIMD dots are bit-identical to their scalar
+      // loops, and the biased dot plus corr equals sum_i code_i * w_i by
+      // linearity, so the saturate/shift requant chain below sees the same
+      // accumulator on every tier.
       std::int64_t acc =
-          layer.b[j] + simd::dot_i16(layer.w.data() + j * layer.in, in_codes,
-                                     layer.in);
+          static_cast<std::int64_t>(layer.b[j]) + layer.corr[j] +
+          dot_codes(layer.w.data() + j * layer.in, in_codes, layer.in);
       acc = saturate_to_bits(acc, cfg_.accum_bits);
       if (last) {
-        logits[j] = acc;
+        logits[j] = static_cast<Logit>(acc);
       } else {
         if (acc < 0) acc = 0;  // ReLU in the integer domain.
         const std::int64_t code = saturate_to_bits(
             shift_round_half_even(acc, shift), cfg_.activation_bits);
-        (*next)[j] = static_cast<std::int16_t>(code);
+        (*next)[j] = static_cast<Act>(code + Traits::kActBias);
       }
     }
     std::swap(cur, next);
   }
 }
 
-int QuantizedMlp::predict(std::span<const std::int32_t> x,
-                          std::vector<std::int64_t>& logits,
-                          std::vector<std::int16_t>& act_a,
-                          std::vector<std::int16_t>& act_b) const {
+template <typename Code>
+int QuantizedMlpOf<Code>::predict(std::span<const std::int32_t> x,
+                                  std::vector<Logit>& logits,
+                                  std::vector<Act>& act_a,
+                                  std::vector<Act>& act_b) const {
   logits_into(x, logits, act_a, act_b);
-  return argmax_tie_low(std::span<const std::int64_t>(logits));
+  return argmax_tie_low(std::span<const Logit>(logits));
 }
 
-void QuantizedMlp::classify_batch_into(std::size_t batch,
-                                       const std::int32_t* features,
-                                       std::vector<std::int16_t>& act_a,
-                                       std::vector<std::int16_t>& act_b,
-                                       std::vector<std::int64_t>& logits,
-                                       int* labels,
-                                       std::size_t label_stride) const {
+template <typename Code>
+void QuantizedMlpOf<Code>::classify_batch_into(
+    std::size_t batch, const std::int32_t* features, std::vector<Act>& act_a,
+    std::vector<Act>& act_b, std::vector<Logit>& logits, int* labels,
+    std::size_t label_stride) const {
   if (batch == 0) return;
   const std::size_t in_dim = input_size();
   const std::size_t out_dim = output_size();
@@ -253,65 +345,78 @@ void QuantizedMlp::classify_batch_into(std::size_t batch,
   constexpr std::size_t kShotBlock = 128;
 
   std::size_t max_dim = in_dim;
-  for (const QuantizedDenseLayer& layer : layers_)
-    max_dim = std::max(max_dim, layer.out);
+  for (const Layer& layer : layers_) max_dim = std::max(max_dim, layer.out);
   act_a.resize(max_dim * kShotBlock);
   act_b.resize(max_dim * kShotBlock);
   logits.resize(out_dim * kShotBlock);
 
   for (std::size_t s0 = 0; s0 < batch; s0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, batch - s0);
-    // Stage the block transposed, with the same value-preserving
-    // int32 -> int16 narrowing as logits_into.
+    // Stage the block transposed, with the same value-preserving staging
+    // as logits_into.
     for (std::size_t i = 0; i < in_dim; ++i)
       for (std::size_t s = 0; s < nb; ++s)
-        act_a[i * kShotBlock + s] =
-            static_cast<std::int16_t>(features[(s0 + s) * in_dim + i]);
-    std::vector<std::int16_t>* cur = &act_a;
-    std::vector<std::int16_t>* next = &act_b;
+        act_a[i * kShotBlock + s] = static_cast<Act>(
+            features[(s0 + s) * in_dim + i] + Traits::kActBias);
+    std::vector<Act>* cur = &act_a;
+    std::vector<Act>* next = &act_b;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-      const QuantizedDenseLayer& layer = layers_[l];
+      const Layer& layer = layers_[l];
       const bool last = l + 1 == layers_.size();
       const int shift =
           last ? 0
                : layer.in_fmt.frac_bits + layer.weight_fmt.frac_bits -
                      layers_[l + 1].in_fmt.frac_bits;
       // int32 lane accumulators stay exact for `strip` consecutive
-      // inputs: |w| <= 2^(Tw-1) and |act| <= 2^(Ta-1) bound every
-      // product, and the strip flushes into the int64 accumulator
-      // before the partial sum can reach 2^31.
+      // inputs: |w| <= 2^(Tw-1) and |act| <= 2^(Ta-1) + kActBias bound
+      // every product, and the strip flushes into the int64 accumulator
+      // before the partial sum can reach 2^31. At int8 one strip covers
+      // every admissible layer width; at full-range int16 grids (W = A =
+      // 16) the strip is 1, and since a lone product still fits int32 each
+      // one widens straight into int64 — a one-element strip would pay
+      // three passes per input for the same sum.
       const std::int64_t max_prod =
           (std::int64_t{1} << (layer.weight_fmt.total_bits - 1)) *
-          (std::int64_t{1} << (layer.in_fmt.total_bits - 1));
+          ((std::int64_t{1} << (layer.in_fmt.total_bits - 1)) +
+           Traits::kActBias);
       const std::size_t strip = static_cast<std::size_t>(
           std::max<std::int64_t>(1, (std::int64_t{1} << 31) / max_prod - 1));
       for (std::size_t j = 0; j < layer.out; ++j) {
-        const std::int16_t* wrow = layer.w.data() + j * layer.in;
+        const Code* wrow = layer.w.data() + j * layer.in;
         std::int64_t acc64[kShotBlock];
         std::int32_t acc32[kShotBlock];
         std::fill(acc64, acc64 + nb, std::int64_t{0});
-        for (std::size_t i0 = 0; i0 < layer.in; i0 += strip) {
-          const std::size_t ie = std::min(layer.in, i0 + strip);
-          std::fill(acc32, acc32 + nb, 0);
-          for (std::size_t i = i0; i < ie; ++i) {
+        if (strip == 1) {
+          for (std::size_t i = 0; i < layer.in; ++i) {
             const std::int32_t w = wrow[i];
-            const std::int16_t* in_row = cur->data() + i * kShotBlock;
-            for (std::size_t s = 0; s < nb; ++s)
-              acc32[s] += w * in_row[s];
+            const Act* in_row = cur->data() + i * kShotBlock;
+            for (std::size_t s = 0; s < nb; ++s) acc64[s] += w * in_row[s];
           }
-          for (std::size_t s = 0; s < nb; ++s) acc64[s] += acc32[s];
+        } else {
+          for (std::size_t i0 = 0; i0 < layer.in; i0 += strip) {
+            const std::size_t ie = std::min(layer.in, i0 + strip);
+            std::fill(acc32, acc32 + nb, 0);
+            for (std::size_t i = i0; i < ie; ++i) {
+              const std::int32_t w = wrow[i];
+              const Act* in_row = cur->data() + i * kShotBlock;
+              for (std::size_t s = 0; s < nb; ++s) acc32[s] += w * in_row[s];
+            }
+            for (std::size_t s = 0; s < nb; ++s) acc64[s] += acc32[s];
+          }
         }
         // Epilogue: the exact per-(shot, output) chain of logits_into.
+        const std::int64_t init =
+            static_cast<std::int64_t>(layer.b[j]) + layer.corr[j];
         for (std::size_t s = 0; s < nb; ++s) {
-          std::int64_t acc = layer.b[j] + acc64[s];
-          acc = saturate_to_bits(acc, cfg_.accum_bits);
+          std::int64_t acc = saturate_to_bits(init + acc64[s], cfg_.accum_bits);
           if (last) {
-            logits[j * kShotBlock + s] = acc;
+            logits[j * kShotBlock + s] = static_cast<Logit>(acc);
           } else {
             if (acc < 0) acc = 0;  // ReLU in the integer domain.
             const std::int64_t code = saturate_to_bits(
                 shift_round_half_even(acc, shift), cfg_.activation_bits);
-            (*next)[j * kShotBlock + s] = static_cast<std::int16_t>(code);
+            (*next)[j * kShotBlock + s] =
+                static_cast<Act>(code + Traits::kActBias);
           }
         }
       }
@@ -329,14 +434,19 @@ void QuantizedMlp::classify_batch_into(std::size_t batch,
   }
 }
 
-int QuantizedMlp::logit_frac_bits() const {
+template <typename Code>
+int QuantizedMlpOf<Code>::logit_frac_bits() const {
   MLQR_CHECK(!layers_.empty());
-  const QuantizedDenseLayer& last = layers_.back();
+  const Layer& last = layers_.back();
   return last.in_fmt.frac_bits + last.weight_fmt.frac_bits;
 }
 
-double QuantizedMlp::logit_resolution() const {
+template <typename Code>
+double QuantizedMlpOf<Code>::logit_resolution() const {
   return std::ldexp(1.0, -logit_frac_bits());
 }
+
+template class QuantizedMlpOf<std::int16_t>;
+template class QuantizedMlpOf<std::int8_t>;
 
 }  // namespace mlqr

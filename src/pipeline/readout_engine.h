@@ -257,8 +257,8 @@ class ReadoutEngine {
                                std::uint64_t seed,
                                std::vector<ShotRecord>* records = nullptr);
 
-  /// Batched replacement for evaluate_classifier: classifies the subset and
-  /// scores it against the ShotSet's ground-truth labels.
+  /// Classifies the subset and scores it against the ShotSet's ground-truth
+  /// labels — the one fidelity evaluator every design and bench uses.
   FidelityReport evaluate(const ShotSet& shots,
                           std::span<const std::size_t> subset);
 

@@ -15,7 +15,6 @@
 #include "discrim/gaussian_discriminator.h"
 #include "discrim/herqules_baseline.h"
 #include "discrim/proposed.h"
-#include "discrim/quantized8_proposed.h"
 #include "discrim/quantized_proposed.h"
 #include "pipeline/snapshot.h"
 #include "pipeline/streaming_engine.h"

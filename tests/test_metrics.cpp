@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
+#include "pipeline/readout_engine.h"
 
 namespace mlqr {
 namespace {
@@ -63,18 +65,23 @@ TEST(Metrics, ExclusionFollowsPaperConvention) {
   EXPECT_LT(r.mean_fidelity_excluding({}), 1.0);
 }
 
+/// A backend that answers level 0 for every qubit of every shot.
+EngineBackend constant_backend(std::size_t n_qubits) {
+  return EngineBackend("constant", n_qubits,
+                       [](const IqTrace&, InferenceScratch&, std::span<int> out) {
+                         std::fill(out.begin(), out.end(), 0);
+                       });
+}
+
 TEST(Metrics, EvaluateClassifierCountsPerQubit) {
   ShotSet shots;
   shots.n_qubits = 2;
   shots.traces.resize(4, IqTrace(8));
   shots.labels = {0, 1, 1, 0, 2, 2, 0, 0};
 
-  // A classifier that always answers {0, 0}.
-  const ShotClassifier constant = [](const IqTrace&) {
-    return std::vector<int>{0, 0};
-  };
   const std::vector<std::size_t> all{0, 1, 2, 3};
-  const FidelityReport r = evaluate_classifier(constant, shots, all);
+  ReadoutEngine engine(constant_backend(2));
+  const FidelityReport r = engine.evaluate(shots, all);
   // Qubit 0 truths: 0,1,2,0 -> correct 2 of the 0s, miss 1 and 2.
   EXPECT_EQ(r.per_qubit[0].counts[0][0], 2u);
   EXPECT_EQ(r.per_qubit[0].counts[1][0], 1u);
@@ -88,11 +95,10 @@ TEST(Metrics, MismatchedClassifierOutputThrows) {
   shots.n_qubits = 2;
   shots.traces.resize(1, IqTrace(4));
   shots.labels = {0, 0};
-  const ShotClassifier bad = [](const IqTrace&) {
-    return std::vector<int>{0};
-  };
+  // A one-qubit backend cannot score a two-qubit shot set.
   const std::vector<std::size_t> all{0};
-  EXPECT_THROW(evaluate_classifier(bad, shots, all), Error);
+  ReadoutEngine engine(constant_backend(1));
+  EXPECT_THROW(engine.evaluate(shots, all), Error);
 }
 
 }  // namespace

@@ -144,9 +144,14 @@ TEST(Pipeline, EvaluateMatchesClassifierEvaluation) {
   ReadoutEngine engine(make_backend(fx.proposed));
   const FidelityReport via_engine =
       engine.evaluate(fx.ds.shots, fx.ds.test_idx);
-  const FidelityReport via_function = evaluate_classifier(
-      [&](const IqTrace& t) { return fx.proposed.classify(t); }, fx.ds.shots,
-      fx.ds.test_idx);
+  // Independent serial scoring of the per-shot classify() path.
+  FidelityReport via_function;
+  via_function.per_qubit.resize(fx.ds.shots.n_qubits);
+  for (std::size_t idx : fx.ds.test_idx) {
+    const std::vector<int> got = fx.proposed.classify(fx.ds.shots.traces[idx]);
+    for (std::size_t q = 0; q < got.size(); ++q)
+      via_function.per_qubit[q].add(fx.ds.shots.label(idx, q), got[q]);
+  }
   ASSERT_EQ(via_engine.per_qubit.size(), via_function.per_qubit.size());
   for (std::size_t q = 0; q < via_engine.per_qubit.size(); ++q)
     EXPECT_EQ(via_engine.per_qubit[q].counts, via_function.per_qubit[q].counts)

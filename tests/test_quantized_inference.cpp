@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cmath>
 #include <cstdlib>
@@ -222,6 +223,103 @@ TEST(QuantizedInference, MlpForwardBitExactVsNaiveReference) {
     for (std::size_t j = 0; j < cur.size(); ++j)
       EXPECT_EQ(logits[j], cur[j]) << "shot " << s << " logit " << j;
   }
+}
+
+template <typename Code>
+void expect_batch_matches_per_shot(const QuantizedProposedOf<Code>& d,
+                                   const ReadoutDataset& ds) {
+  // 200 shots: one full 128-shot lane block plus a ragged tail.
+  const std::size_t n = 200;
+  const std::size_t dim = d.feature_dim();
+  InferenceScratch scratch;
+  std::vector<std::int32_t> feats(n * dim);
+  for (std::size_t s = 0; s < n; ++s) {
+    d.frontend().features_into(ds.shots.traces[s], scratch);
+    std::copy(scratch.int_features.begin(), scratch.int_features.end(),
+              feats.begin() + s * dim);
+  }
+  using Head = typename QuantizedProposedOf<Code>::Head;
+  std::vector<typename Head::Logit> logits;
+  std::vector<typename Head::Act> a, b;
+  for (std::size_t q = 0; q < d.num_qubits(); ++q) {
+    std::vector<int> batched(n);
+    d.head(q).classify_batch_into(n, feats.data(), a, b, logits,
+                                  batched.data(), 1);
+    for (std::size_t s = 0; s < n; ++s)
+      ASSERT_EQ(batched[s],
+                d.head(q).predict({feats.data() + s * dim, dim}, logits, a, b))
+          << d.name() << " W=" << d.config().weight_bits
+          << " A=" << d.config().activation_bits << " qubit " << q
+          << " shot " << s;
+  }
+}
+
+TEST(QuantizedInference, HeadBatchMatchesPerShotAtEveryStrip) {
+  // The shot-lane batch path picks its int32 strip from the code widths:
+  // 1 at full-range int16 (direct widening), several strips per layer at
+  // 16/14, one strip covering the layer at 8/8 and at int8. Every schedule
+  // must reproduce the per-shot labels exactly.
+  const Fixture& fx = Fixture::get();
+  expect_batch_matches_per_shot(fx.quantized, fx.ds);
+  QuantizationConfig w16a14;
+  w16a14.activation_bits = 14;
+  QuantizationConfig w8;
+  w8.weight_bits = 8;
+  w8.activation_bits = 8;
+  for (const QuantizationConfig& cfg : {w16a14, w8})
+    expect_batch_matches_per_shot(
+        QuantizedProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
+                                                 fx.ds.train_idx, cfg),
+        fx.ds);
+  expect_batch_matches_per_shot(
+      Quantized8ProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
+                                                fx.ds.train_idx),
+      fx.ds);
+}
+
+TEST(QuantizedInference, Int8HeadsShareTheInt16Calibration) {
+  // One calibration mints both widths: at an int8-compatible config the
+  // int16 and int8 designs carry the same front-end, formats and codes,
+  // and therefore classify identically.
+  const Fixture& fx = Fixture::get();
+  const QuantizationConfig cfg = Quantized8ProposedDiscriminator::default_config();
+  const QuantizedProposedDiscriminator wide = QuantizedProposedDiscriminator::quantize(
+      fx.proposed, fx.ds.shots, fx.ds.train_idx, cfg);
+  const Quantized8ProposedDiscriminator narrow =
+      Quantized8ProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
+                                                fx.ds.train_idx);
+  EXPECT_EQ(narrow.name(), "OURS-INT8");
+  for (std::size_t q = 0; q < wide.num_qubits(); ++q) {
+    const auto& wl = wide.head(q).layers();
+    const auto& nl = narrow.head(q).layers();
+    ASSERT_EQ(wl.size(), nl.size());
+    for (std::size_t l = 0; l < wl.size(); ++l) {
+      EXPECT_EQ(wl[l].weight_fmt.frac_bits, nl[l].weight_fmt.frac_bits);
+      EXPECT_EQ(wl[l].in_fmt.frac_bits, nl[l].in_fmt.frac_bits);
+      EXPECT_TRUE(std::equal(wl[l].w.begin(), wl[l].w.end(), nl[l].w.begin(),
+                             nl[l].w.end()));
+      EXPECT_TRUE(std::equal(wl[l].b.begin(), wl[l].b.end(), nl[l].b.begin(),
+                             nl[l].b.end()));
+    }
+  }
+  for (std::size_t s = 0; s < 50; ++s)
+    EXPECT_EQ(wide.classify(fx.ds.shots.traces[s]),
+              narrow.classify(fx.ds.shots.traces[s]))
+        << "shot " << s;
+}
+
+TEST(QuantizedInference, Int8RejectsWidthsItCannotStore) {
+  const Fixture& fx = Fixture::get();
+  QuantizationConfig too_wide = Quantized8ProposedDiscriminator::default_config();
+  too_wide.weight_bits = 12;
+  EXPECT_THROW(Quantized8ProposedDiscriminator::quantize(
+                   fx.proposed, fx.ds.shots, fx.ds.train_idx, too_wide),
+               Error);
+  too_wide = Quantized8ProposedDiscriminator::default_config();
+  too_wide.accum_bits = 40;  // Logits would not fit int32.
+  EXPECT_THROW(Quantized8ProposedDiscriminator::quantize(
+                   fx.proposed, fx.ds.shots, fx.ds.train_idx, too_wide),
+               Error);
 }
 
 TEST(QuantizedInference, TraceCodesMatchToCode) {

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -178,6 +181,52 @@ TEST(Snapshot, ComponentStreamsRejectDimensionMismatch) {
   bytes[28] = static_cast<char>(bytes[28] + 1);
   std::stringstream tampered(bytes);
   EXPECT_THROW(QuantizedMlp::load(tampered), Error);
+}
+
+TEST(Snapshot, HeadStreamsRejectGridsWiderThanTheirCodes) {
+  // A head's formats are untrusted input: a weight or activation grid
+  // wider than the code storage would overflow the batch path's strip
+  // bound, so both widths refuse it on load.
+  const Fixture& fx = Fixture::get();
+  const Quantized8ProposedDiscriminator q8 =
+      Quantized8ProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
+                                                fx.ds.train_idx);
+  std::stringstream s16, s8;
+  fx.quantized.head(0).save(s16);
+  q8.head(0).save(s8);
+  // First layer: 20-byte config, 8-byte layer count, in and out (8 bytes
+  // each), then weight_fmt {total_bits, frac_bits} and in_fmt, as i32s.
+  constexpr std::size_t kWeightBits = 44;
+  constexpr std::size_t kInBits = 52;
+  for (const std::size_t offset : {kWeightBits, kInBits}) {
+    std::string b16 = s16.str();
+    b16[offset] = 40;
+    std::stringstream t16(b16);
+    EXPECT_THROW(QuantizedMlp::load(t16), Error) << "int16 offset " << offset;
+    std::string b8 = s8.str();
+    b8[offset] = 12;
+    std::stringstream t8(b8);
+    EXPECT_THROW(QuantizedMlpOf<std::int8_t>::load(t8), Error)
+        << "int8 offset " << offset;
+  }
+}
+
+TEST(Snapshot, CheckedInCorpusResavesByteIdentically) {
+  // The checked-in seed corpus (one valid snapshot per kind) pins the wire
+  // format: every file loads and saves back to exactly its own bytes.
+  for (const char* stem :
+       {"float", "int16", "fnn", "herqules", "lda", "qda", "int8"}) {
+    const std::string path = std::string(MLQR_CORPUS_DIR) + "/" + stem + ".snap";
+    std::ifstream file(path, std::ios::binary);
+    ASSERT_TRUE(file.good()) << path;
+    const std::string bytes((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    std::stringstream in(bytes);
+    const BackendSnapshot snap = load_backend(in);
+    std::stringstream out;
+    snap.save(out);
+    EXPECT_EQ(out.str(), bytes) << path;
+  }
 }
 
 TEST(Snapshot, SwapShardServesReloadedCalibrationWithoutStopping) {
