@@ -1,12 +1,12 @@
 // Asynchronous streaming-engine serving benchmark: Poisson shot arrivals
 // (the paper's Sec. 7(b) QEC-cycle serving shape — shots trickle in per
 // cycle rather than arriving as preassembled batches) pushed through
-// StreamingEngine::submit/wait across a load x shard grid.
+// StreamingEngine::submit/wait_result across a load x shard grid.
 //
 // For each configuration the bench runs an open-loop producer (exponential
 // inter-arrival times at a target rate, hybrid sleep+spin pacing) against
 // an in-order consumer, and reports sustained shots/s plus p50/p99
-// queue-to-result latency — submit() return to wait() return, i.e. ring
+// queue-to-result latency — submit() return to wait_result() return, i.e. ring
 // wait + micro-batch formation + classification. Rates are chosen relative
 // to the synchronous process_batch peak measured first on the same
 // machine, so the grid covers light load (latency dominated by the
@@ -21,7 +21,7 @@
 //
 // Soak mode (--soak-seconds=N) replaces the grid with a sustained
 // resilience run: open-loop Poisson traffic with bounded-blocking
-// admission (submit_for; overflow is rejected, not queued), per-shot
+// admission (a submit timeout; overflow is rejected, not queued), per-shot
 // deadline shedding, a hot-swap thread cycling shard calibrations, and —
 // with --inject-faults — FaultyBackend shards throwing, stalling, and
 // corrupting on a seeded, deterministic schedule so circuit breakers trip
@@ -120,7 +120,7 @@ ConfigResult run_config(const EngineBackend& backend, std::size_t shards,
 
   std::vector<int> labels(engine.num_qubits());
   for (std::size_t s = 0; s < total; ++s) {
-    engine.wait(s, labels);
+    (void)engine.wait_result(s, labels);  // Healthy grid: always kDone.
     micros[s] = std::chrono::duration<double, std::micro>(Clock::now() -
                                                           submitted[s])
                     .count();
@@ -130,10 +130,10 @@ ConfigResult run_config(const EngineBackend& backend, std::size_t shards,
   ConfigResult r;
   r.target_rate = rate;
   r.achieved_rate = wall > 0.0 ? static_cast<double>(total) / wall : 0.0;
-  r.mean_batch = engine.batches_dispatched() > 0
-                     ? static_cast<double>(total) /
-                           static_cast<double>(engine.batches_dispatched())
-                     : 0.0;
+  const std::uint64_t batches = engine.stats().batches;
+  r.mean_batch = batches > 0 ? static_cast<double>(total) /
+                                   static_cast<double>(batches)
+                             : 0.0;
   r.lat = summarize_latency(std::move(micros));
   return r;
 }
@@ -226,8 +226,8 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
       // the producer's cycle.
       submitted[accepted] = Clock::now();
       if (engine
-              .submit_for(frames[accepted % frames.size()],
-                          std::chrono::microseconds(2000))
+              .submit(frames[accepted % frames.size()],
+                      {.timeout = std::chrono::microseconds(2000)})
               .has_value()) {
         ++accepted;
         n_submitted.store(accepted, std::memory_order_release);
@@ -655,8 +655,10 @@ int run_drift_soak(const SoakOptions& opt) {
       // Bounded-blocking admission proves ingest never pauses (the gate
       // below requires zero rejections even across retrains and swaps).
       if (engine
-              .submit_reference_for(pool.frames[shot], key++, truth,
-                                    std::chrono::microseconds(100000))
+              .submit(pool.frames[shot],
+                      {.key = key++,
+                       .expected = truth,
+                       .timeout = std::chrono::microseconds(100000)})
               .has_value()) {
         controller.reservoir().push(pool.frames[shot], truth);
         ++accepted;

@@ -166,19 +166,25 @@ int main(int argc, char** argv) {
   const std::size_t half = ds.shots.size() / 2;
   std::vector<StreamingEngine::Ticket> tickets;
   for (std::size_t s = 0; s < half; ++s)
-    tickets.push_back(engine.submit(ds.shots.traces[s]));
+    tickets.push_back(*engine.submit(ds.shots.traces[s]));
   engine.drain();
   engine.swap_shard(0, int16_snap.backend());
   engine.swap_shard(1, int8_snap.backend());
   for (std::size_t s = half; s < ds.shots.size(); ++s)
-    tickets.push_back(engine.submit(ds.shots.traces[s]));
+    tickets.push_back(*engine.submit(ds.shots.traces[s]));
   engine.drain();
   std::vector<int> labels(engine.num_qubits());
-  for (const auto t : tickets) engine.wait(t, labels);
-  std::cout << "[snapshot] hot swap: " << engine.shots_completed()
-            << " shots served across " << engine.batches_dispatched()
-            << " micro-batches, " << engine.shards_swapped()
-            << " shard swaps, zero dropped tickets\n"
+  std::size_t not_done = 0;
+  for (const auto t : tickets)
+    if (engine.wait_result(t, labels) != ShotStatus::kDone) ++not_done;
+  if (not_done != 0) {
+    std::cerr << "hot swap left " << not_done << " tickets unserved\n";
+    return 1;
+  }
+  const StreamingStats st = engine.stats();
+  std::cout << "[snapshot] hot swap: " << st.completed
+            << " shots served across " << st.batches << " micro-batches, "
+            << st.swaps << " shard swaps, zero dropped tickets\n"
             << "\nServe these calibrations in the benches with:\n"
             << "  MLQR_SNAPSHOT=calibration ./pipeline_throughput\n";
   return 0;

@@ -1,8 +1,6 @@
 #include "pipeline/streaming_engine.h"
 
 #include <algorithm>
-#include <cmath>
-#include <string>
 
 #include "common/error.h"
 
@@ -10,42 +8,60 @@ namespace mlqr {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+std::vector<EngineBackend> checked_shards(std::vector<EngineBackend> shards) {
+  MLQR_CHECK_MSG(!shards.empty(), "streaming engine needs >= 1 shard");
+  for (const EngineBackend& s : shards) {
+    MLQR_CHECK_MSG(s.valid(), "streaming engine got an invalid shard");
+    MLQR_CHECK_MSG(s.num_qubits() > 0, "shard reports zero qubits");
+    MLQR_CHECK_MSG(s.num_qubits() == shards.front().num_qubits(),
+                   "shards disagree on qubit count ("
+                       << s.num_qubits() << " vs "
+                       << shards.front().num_qubits() << ')');
+  }
+  return shards;
+}
+
+/// The one timeout -> deadline conversion behind timed submits and waits.
+/// nullopt means "no deadline, block": no timeout was given, or it reaches
+/// past the clock's range (now() + microseconds::max() would overflow the
+/// nanosecond representation). timeout <= 0 yields an already-expired
+/// deadline, i.e. try once.
+std::optional<Clock::time_point> deadline_after(
+    std::optional<std::chrono::microseconds> timeout) {
+  if (!timeout) return std::nullopt;
+  if (timeout->count() <= 0) return Clock::time_point{};
+  const Clock::time_point now = Clock::now();
+  if (*timeout >= std::chrono::duration_cast<std::chrono::microseconds>(
+                      Clock::time_point::max() - now))
+    return std::nullopt;
+  return now + *timeout;
+}
 }  // namespace
 
 StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
                                  StreamingConfig cfg)
-    : cfg_(cfg), core_(cfg.engine), shards_(std::move(shards)) {
-  MLQR_CHECK_MSG(!shards_.empty(), "streaming engine needs >= 1 shard");
-  for (const EngineBackend& s : shards_) {
-    MLQR_CHECK_MSG(s.valid(), "streaming engine got an invalid shard");
-    MLQR_CHECK_MSG(s.num_qubits() > 0, "shard reports zero qubits");
-    MLQR_CHECK_MSG(s.num_qubits() == shards_.front().num_qubits(),
-                   "shards disagree on qubit count ("
-                       << s.num_qubits() << " vs "
-                       << shards_.front().num_qubits() << ')');
-  }
+    : cfg_(cfg),
+      core_(cfg.engine),
+      shards_(checked_shards(std::move(shards))),
+      breaker_(shards_.size(), cfg.quarantine_after,
+               std::chrono::microseconds(cfg.probe_backoff_us),
+               cfg.probe_shots),
+      drift_(shards_.size(), DriftMonitor(cfg.drift)) {
   n_qubits_ = shards_.front().num_qubits();
   shards_count_ = shards_.size();
-  fallback_ = cfg_.fallback;
-  if (fallback_.valid()) {
-    MLQR_CHECK_MSG(fallback_.num_qubits() == n_qubits_,
-                   "fallback backend reports " << fallback_.num_qubits()
+  if (cfg_.fallback.valid()) {
+    MLQR_CHECK_MSG(cfg_.fallback.num_qubits() == n_qubits_,
+                   "fallback backend reports " << cfg_.fallback.num_qubits()
                        << " qubits, shards serve " << n_qubits_);
   }
   cfg_.queue_capacity = std::max<std::size_t>(cfg_.queue_capacity, 1);
   cfg_.batch_max =
       std::clamp<std::size_t>(cfg_.batch_max, 1, cfg_.queue_capacity);
-  cfg_.probe_shots = std::max<std::size_t>(cfg_.probe_shots, 1);
-  cfg_.drift.alpha = std::clamp(cfg_.drift.alpha, 1e-6, 1.0);
-  cfg_.drift.baseline_shots = std::max<std::size_t>(cfg_.drift.baseline_shots, 1);
-  cfg_.drift.baseline_signal =
-      std::max<std::size_t>(cfg_.drift.baseline_signal, 1);
   cfg_.drift.confidence_sample =
       std::max<std::size_t>(cfg_.drift.confidence_sample, 1);
   ring_.resize(cfg_.queue_capacity);
   for (Slot& s : ring_) s.labels.assign(n_qubits_, 0);
-  health_.assign(shards_.size(), ShardState{});
-  drift_.assign(shards_.size(), DriftMonitor{});
   score_counter_.assign(shards_.size(), 0);
   drift_labels_.assign(n_qubits_, 0);
   batch_tickets_.reserve(cfg_.batch_max);
@@ -56,10 +72,7 @@ StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
 
 StreamingEngine::StreamingEngine(const EngineBackend& backend,
                                  std::size_t n_shards, StreamingConfig cfg)
-    : StreamingEngine(
-          std::vector<EngineBackend>(std::max<std::size_t>(n_shards, 1),
-                                     backend),
-          cfg) {}
+    : StreamingEngine(std::vector<EngineBackend>(n_shards, backend), cfg) {}
 
 StreamingEngine::~StreamingEngine() {
   {
@@ -70,89 +83,16 @@ StreamingEngine::~StreamingEngine() {
   // dispatcher_ (last member) joins on destruction after draining the ring.
 }
 
-StreamingEngine::Ticket StreamingEngine::submit(const IqTrace& frame) {
-  // Blocking admission never rejects, so the optional is always engaged.
-  return *submit_routed(frame, /*keyed=*/false, 0, /*expected=*/nullptr,
-                        /*deadline=*/nullptr);
-}
-
-StreamingEngine::Ticket StreamingEngine::submit(const IqTrace& frame,
-                                                std::uint64_t channel_key) {
-  return *submit_routed(frame, /*keyed=*/true, channel_key,
-                        /*expected=*/nullptr, /*deadline=*/nullptr);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::try_submit(
-    const IqTrace& frame) {
-  const TimePoint expired{};  // Epoch: any wait times out immediately.
-  return submit_routed(frame, /*keyed=*/false, 0, /*expected=*/nullptr,
-                       &expired);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::try_submit(
-    const IqTrace& frame, std::uint64_t channel_key) {
-  const TimePoint expired{};
-  return submit_routed(frame, /*keyed=*/true, channel_key,
-                       /*expected=*/nullptr, &expired);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::submit_for(
-    const IqTrace& frame, std::chrono::microseconds timeout) {
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
-  return submit_routed(frame, /*keyed=*/false, 0, /*expected=*/nullptr,
-                       &deadline);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::submit_for(
-    const IqTrace& frame, std::uint64_t channel_key,
-    std::chrono::microseconds timeout) {
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
-  return submit_routed(frame, /*keyed=*/true, channel_key,
-                       /*expected=*/nullptr, &deadline);
-}
-
-StreamingEngine::Ticket StreamingEngine::submit_reference(
-    const IqTrace& frame, std::span<const int> expected) {
-  MLQR_CHECK_MSG(expected.size() == n_qubits_,
-                 "submit_reference expected-label span has "
-                     << expected.size() << " entries, engine serves "
-                     << n_qubits_ << " qubits");
-  return *submit_routed(frame, /*keyed=*/false, 0, expected.data(),
-                        /*deadline=*/nullptr);
-}
-
-StreamingEngine::Ticket StreamingEngine::submit_reference(
-    const IqTrace& frame, std::uint64_t channel_key,
-    std::span<const int> expected) {
-  MLQR_CHECK_MSG(expected.size() == n_qubits_,
-                 "submit_reference expected-label span has "
-                     << expected.size() << " entries, engine serves "
-                     << n_qubits_ << " qubits");
-  return *submit_routed(frame, /*keyed=*/true, channel_key, expected.data(),
-                        /*deadline=*/nullptr);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::submit_reference_for(
-    const IqTrace& frame, std::uint64_t channel_key,
-    std::span<const int> expected, std::chrono::microseconds timeout) {
-  MLQR_CHECK_MSG(expected.size() == n_qubits_,
-                 "submit_reference expected-label span has "
-                     << expected.size() << " entries, engine serves "
-                     << n_qubits_ << " qubits");
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
-  return submit_routed(frame, /*keyed=*/true, channel_key, expected.data(),
-                       &deadline);
-}
-
-std::optional<StreamingEngine::Ticket> StreamingEngine::submit_routed(
-    const IqTrace& frame, bool keyed, std::uint64_t key, const int* expected,
-    const TimePoint* deadline) {
+std::optional<StreamingEngine::Ticket> StreamingEngine::submit(
+    const IqTrace& frame, SubmitOptions opts) {
   frame.check_consistent();
+  MLQR_CHECK_MSG(opts.expected.empty() || opts.expected.size() == n_qubits_,
+                 "reference shot has " << opts.expected.size()
+                     << " expected labels, engine serves " << n_qubits_
+                     << " qubits");
+  const std::optional<TimePoint> deadline = deadline_after(opts.timeout);
   MutexLock lock(mutex_);
-  // Backpressure: the next ticket's slot must have been consumed by wait().
+  // Backpressure: the next ticket's slot must have been consumed by a wait.
   while (slot_of(next_ticket_).state != SlotState::kFree) {
     if (!deadline) {
       space_cv_.wait(mutex_);
@@ -166,8 +106,7 @@ std::optional<StreamingEngine::Ticket> StreamingEngine::submit_routed(
   Slot& slot = slot_of(t);
   slot.state = SlotState::kReserved;
   slot.ticket = t;
-  slot.shard = keyed ? static_cast<std::size_t>(key % shards_.size())
-                     : static_cast<std::size_t>(t % shards_.size());
+  slot.shard = static_cast<std::size_t>(opts.key.value_or(t) % shards_.size());
   lock.unlock();
   // Copy outside the lock: concurrent producers fill distinct slots in
   // parallel (the kReserved custody hand-off — see Slot). assign() reuses
@@ -175,8 +114,7 @@ std::optional<StreamingEngine::Ticket> StreamingEngine::submit_routed(
   // of this length.
   slot.frame.i.assign(frame.i.begin(), frame.i.end());
   slot.frame.q.assign(frame.q.begin(), frame.q.end());
-  slot.is_reference = expected != nullptr;
-  if (expected) slot.expected.assign(expected, expected + n_qubits_);
+  slot.expected.assign(opts.expected.begin(), opts.expected.end());
   slot.arrival = Clock::now();
   lock.lock();
   slot.state = SlotState::kQueued;
@@ -205,172 +143,16 @@ void StreamingEngine::extend_queued_run() {
   }
 }
 
-std::size_t StreamingEngine::route_shot(Slot& slot, TimePoint now) {
-  slot.probe = false;
-  slot.served_by = slot.shard;
-  if (cfg_.quarantine_after == 0) return slot.served_by;  // Breaker off.
-  ShardState& st = health_[slot.shard];
-  if (!st.quarantined) return slot.served_by;
-  // Half-open probe: once the back-off has elapsed, let a bounded number
-  // of live shots test the shard (the first success re-admits it).
-  if (now >= st.retry_at && st.probe_in_flight < cfg_.probe_shots) {
-    ++st.probe_in_flight;
-    ++probes_;
-    slot.probe = true;
-    return slot.served_by;
-  }
-  // Quarantined: divert to the next healthy shard (deterministic scan
-  // order keeps rerouting reproducible for a given failure pattern).
-  for (std::size_t k = 1; k < shards_.size(); ++k) {
-    const std::size_t cand = (slot.shard + k) % shards_.size();
-    if (!health_[cand].quarantined) {
-      slot.served_by = cand;
-      ++rerouted_;
-      return slot.served_by;
-    }
-  }
-  if (fallback_.valid()) {
-    slot.served_by = kFallbackShard;
-    ++rerouted_;
-    return slot.served_by;
-  }
-  // Every shard quarantined and no fallback: last resort, serve on the
-  // target anyway — a success recovers it, a failure restarts its
-  // back-off, and either way the ticket resolves instead of stranding.
-  return slot.served_by;
-}
-
-void StreamingEngine::record_shot_result(const Slot& slot, bool shot_failed,
-                                         TimePoint now) {
-  if (cfg_.quarantine_after == 0 || slot.served_by == kFallbackShard) return;
-  ShardState& st = health_[slot.served_by];
-  if (slot.probe && st.probe_in_flight > 0) --st.probe_in_flight;
-  if (shot_failed) {
-    if (!st.quarantined) {
-      if (++st.consecutive_failures >= cfg_.quarantine_after) {
-        st.quarantined = true;
-        ++quarantines_;
-        st.retry_at = now + std::chrono::microseconds(cfg_.probe_backoff_us);
-      }
-    } else {
-      // A failed probe (or last-resort traffic on an all-quarantined
-      // engine): stay quarantined and restart the back-off window.
-      st.retry_at = now + std::chrono::microseconds(cfg_.probe_backoff_us);
-    }
-  } else {
-    st.consecutive_failures = 0;
-    if (st.quarantined) {
-      // Any success on a quarantined shard — probe or last-resort — means
-      // it is serving correct labels again: re-admit it.
-      st.quarantined = false;
-      ++recoveries_;
-    }
-  }
-}
-
-void StreamingEngine::SignalTrack::update(double x, std::size_t baseline_n,
-                                          double alpha) {
-  ++count;
-  if (!frozen) {
-    // Baseline phase: plain mean over the first baseline_n samples, then
-    // freeze and seed the EWMA from it so the first post-baseline report
-    // starts exactly at "no drift".
-    baseline_sum += x;
-    if (count >= baseline_n) {
-      baseline = baseline_sum / static_cast<double>(count);
-      value = baseline;
-      frozen = true;
-    }
-  } else {
-    value = (1.0 - alpha) * value + alpha * x;
-  }
-}
-
-void StreamingEngine::observe_ok_shot(const Slot& slot, float conf) {
-  const DriftConfig& dc = cfg_.drift;
-  DriftMonitor& m = drift_[slot.served_by];
-  ++m.samples;
-
-  // Label mix: this shot's per-level occupancy, averaged over qubits so
-  // every shot contributes unit mass regardless of register width.
-  std::array<double, kDriftLabelBins> frac{};
-  const double w = 1.0 / static_cast<double>(slot.labels.size());
-  for (const int l : slot.labels)
-    frac[static_cast<std::size_t>(
-        std::clamp<int>(l, 0, static_cast<int>(kDriftLabelBins) - 1))] += w;
-  ++m.label_count;
-  if (!m.label_frozen) {
-    for (std::size_t i = 0; i < kDriftLabelBins; ++i)
-      m.label_base_sum[i] += frac[i];
-    if (m.label_count >= dc.baseline_shots) {
-      for (std::size_t i = 0; i < kDriftLabelBins; ++i) {
-        m.label_base[i] =
-            m.label_base_sum[i] / static_cast<double>(m.label_count);
-        m.label_ewma[i] = m.label_base[i];
-      }
-      m.label_frozen = true;
-    }
-  } else {
-    for (std::size_t i = 0; i < kDriftLabelBins; ++i)
-      m.label_ewma[i] = (1.0 - dc.alpha) * m.label_ewma[i] + dc.alpha * frac[i];
-  }
-
-  if (conf >= 0.0f) {
-    ++m.scored;
-    ++scored_shots_;
-    m.confidence.update(conf, dc.baseline_signal, dc.alpha);
-  }
-
-  if (slot.is_reference) {
-    ++m.reference;
-    ++reference_shots_;
-    std::size_t match = 0;
-    for (std::size_t q = 0; q < slot.labels.size(); ++q)
-      if (slot.labels[q] == slot.expected[q]) ++match;
-    m.fidelity.update(
-        static_cast<double>(match) / static_cast<double>(slot.labels.size()),
-        dc.baseline_signal, dc.alpha);
-  }
-}
-
-DriftReport StreamingEngine::report_of(const DriftMonitor& m) const {
-  const DriftConfig& dc = cfg_.drift;
-  DriftReport r;
-  r.samples = m.samples;
-  r.scored = m.scored;
-  r.reference = m.reference;
-  if (m.confidence.frozen) {
-    r.confidence = m.confidence.value;
-    r.baseline_confidence = m.confidence.baseline;
-  }
-  if (m.fidelity.frozen) {
-    r.fidelity = m.fidelity.value;
-    r.baseline_fidelity = m.fidelity.baseline;
-  }
-  if (m.label_frozen)
-    for (std::size_t i = 0; i < kDriftLabelBins; ++i)
-      r.label_l1 += std::abs(m.label_ewma[i] - m.label_base[i]);
-  r.ready = dc.enabled && m.samples >= dc.min_samples &&
-            (m.confidence.frozen || m.fidelity.frozen || m.label_frozen);
-  if (!r.ready) return r;
-  const bool conf_drift =
-      m.confidence.frozen &&
-      r.confidence < r.baseline_confidence * (1.0 - dc.confidence_drop);
-  const bool fid_drift =
-      m.fidelity.frozen &&
-      (r.fidelity < r.baseline_fidelity - dc.fidelity_drop ||
-       (dc.min_fidelity > 0.0 && r.fidelity < dc.min_fidelity));
-  const bool label_drift = m.label_frozen && r.label_l1 > dc.label_l1;
-  r.drifted = conf_drift || fid_drift || label_drift;
-  return r;
+void StreamingEngine::check_shard(std::size_t shard, const char* what) const {
+  MLQR_CHECK_MSG(shard < shards_count_,
+                 what << " index " << shard << " out of range (engine has "
+                      << shards_count_ << " shards)");
 }
 
 DriftReport StreamingEngine::drift(std::size_t shard) const {
+  check_shard(shard, "drift");
   MutexLock lock(mutex_);
-  MLQR_CHECK_MSG(shard < drift_.size(),
-                 "drift index " << shard << " out of range (engine has "
-                                << drift_.size() << " shards)");
-  return report_of(drift_[shard]);
+  return drift_[shard].report(cfg_.drift);
 }
 
 void StreamingEngine::dispatch_loop() {
@@ -411,14 +193,16 @@ void StreamingEngine::dispatch_loop() {
           claim_now - slot.arrival >
               std::chrono::microseconds(cfg_.shot_deadline_us)) {
         slot.state = SlotState::kDone;
-        slot.outcome = SlotOutcome::kShed;
-        slot.error = nullptr;
+        slot.outcome = ShotStatus::kShed;
         ++shed_;
         ++completed_;
         any_shed = true;
       } else {
         slot.state = SlotState::kInFlight;
-        route_shot(slot, claim_now);
+        slot.route = breaker_.enabled()
+                         ? breaker_.route(slot.shard, cfg_.fallback.valid(),
+                                          claim_now)
+                         : ShardBreaker::Route{slot.shard, false};
         batch_tickets_.push_back(t0 + i);
       }
     }
@@ -426,7 +210,7 @@ void StreamingEngine::dispatch_loop() {
     const std::size_t b = batch_tickets_.size();
     if (b == 0) continue;  // Everything shed: nothing to classify.
     batch_errors_.assign(b, std::exception_ptr{});
-    batch_conf_.assign(b, -1.0f);  // -1: no confidence sample this shot.
+    batch_conf_.assign(b, std::nullopt);
     dispatching_ = true;
     // Custody hand-off: snapshot the (never-resized) ring, shard, ticket
     // and error tables under the lock, then classify through the
@@ -438,7 +222,7 @@ void StreamingEngine::dispatch_loop() {
     Slot* const ring = ring_.data();
     const std::size_t cap = ring_.size();
     const EngineBackend* const shards = shards_.data();
-    const EngineBackend* const fallback = &fallback_;
+    const EngineBackend* const fallback = &cfg_.fallback;
     const Ticket* const tickets = batch_tickets_.data();
     std::exception_ptr* const errors = batch_errors_.data();
     lock.unlock();
@@ -458,9 +242,8 @@ void StreamingEngine::dispatch_loop() {
           },
           [ring, cap, shards, fallback,
            tickets](std::size_t s) -> const EngineBackend& {
-            const Slot& slot = ring[tickets[s] % cap];
-            return slot.served_by == kFallbackShard ? *fallback
-                                                    : shards[slot.served_by];
+            const std::size_t by = ring[tickets[s] % cap].route.shard;
+            return by == ShardBreaker::kFallback ? *fallback : shards[by];
           },
           [ring, cap, tickets](std::size_t s) -> std::span<int> {
             Slot& slot = ring[tickets[s] % cap];
@@ -482,8 +265,8 @@ void StreamingEngine::dispatch_loop() {
       for (std::size_t s = 0; s < b; ++s) {
         if (errors[s]) continue;
         const Slot& slot = ring[tickets[s] % cap];
-        const std::size_t sb = slot.served_by;
-        if (sb == kFallbackShard) continue;
+        const std::size_t sb = slot.route.shard;
+        if (sb == ShardBreaker::kFallback) continue;
         if (score_counter_[sb]++ % cfg_.drift.confidence_sample != 0) continue;
         if (!shards[sb].supports_scored()) continue;
         try {
@@ -501,46 +284,51 @@ void StreamingEngine::dispatch_loop() {
     const TimePoint done_now = Clock::now();
     for (std::size_t s = 0; s < b; ++s) {
       Slot& slot = slot_of(batch_tickets_[s]);
-      std::exception_ptr err = batch_errors_[s];
-      if (batch_error && !err) err = batch_error;
+      const std::exception_ptr& err =
+          batch_errors_[s] ? batch_errors_[s] : batch_error;
       slot.state = SlotState::kDone;
       if (err) {
-        slot.outcome = SlotOutcome::kFailed;
-        slot.error = err;
+        slot.outcome = ShotStatus::kFailed;
         ++failed_total_;
         ++failed_unconsumed_;
         if (!first_error_) first_error_ = err;
       } else {
-        slot.outcome = SlotOutcome::kOk;
-        slot.error = nullptr;
-        if (cfg_.drift.enabled && slot.served_by != kFallbackShard)
-          observe_ok_shot(slot, batch_conf_[s]);
+        slot.outcome = ShotStatus::kDone;
+        if (cfg_.drift.enabled && slot.route.shard != ShardBreaker::kFallback) {
+          drift_[slot.route.shard].observe(slot.labels, batch_conf_[s],
+                                           slot.expected);
+          if (batch_conf_[s]) ++scored_shots_;
+          if (!slot.expected.empty()) ++reference_shots_;
+        }
       }
-      record_shot_result(slot, static_cast<bool>(err), done_now);
+      if (breaker_.enabled())
+        breaker_.record(slot.route.shard, slot.route.probe,
+                        static_cast<bool>(err), done_now);
     }
     completed_ += b;
     ++batches_;
     done_cv_.notify_all();
     // Wake a swapper (or producers racing the swap gate) parked on
-    // work_cv_ — done_cv_ only covers wait()/drain().
+    // work_cv_ — done_cv_ only covers waits and drain().
     if (swaps_pending_ > 0) work_cv_.notify_all();
   }
 }
 
-ShotStatus StreamingEngine::wait_impl(Ticket t, std::span<int> out,
-                                      const TimePoint* deadline,
-                                      std::exception_ptr* error) {
+ShotStatus StreamingEngine::wait_impl(
+    Ticket t, std::span<int> out,
+    std::optional<std::chrono::microseconds> timeout) {
   MLQR_CHECK_MSG(out.size() == n_qubits_,
-                 "wait() output span has " << out.size() << " slots, engine "
-                                           << n_qubits_ << " qubits");
+                 "wait output span has " << out.size() << " slots, engine "
+                                         << n_qubits_ << " qubits");
+  const std::optional<TimePoint> deadline = deadline_after(timeout);
   MutexLock lock(mutex_);
   MLQR_CHECK_MSG(t != kNoTicket, "wait on invalid ticket");
   // A ticket a full ring ahead of the next unissued one cannot resolve
   // until this caller's own waits free slots — blocking on it is the
-  // never-submitted-ticket foot-gun, so indefinite waits refuse it.
-  // Timed waits fall through: they have a guaranteed exit (kTimedOut) and
+  // never-submitted-ticket foot-gun, so untimed waits refuse it. Timed
+  // waits fall through: they have a guaranteed exit (kTimedOut) and
   // legitimately poll tickets that may be issued later.
-  if (!deadline) {
+  if (!timeout) {
     MLQR_CHECK_MSG(
         t < next_ticket_ + ring_.size(),
         "wait on ticket " << t << " would block forever: only " << next_ticket_
@@ -564,62 +352,35 @@ ShotStatus StreamingEngine::wait_impl(Ticket t, std::span<int> out,
         slot.ticket == kNoTicket || slot.ticket < t ||
             (slot.ticket == t && slot.state != SlotState::kFree),
         "ticket " << t << " was already waited (each ticket is one-shot)");
-    if (deadline) {
-      if (done_cv_.wait_until(mutex_, *deadline) == std::cv_status::timeout &&
-          !(slot.ticket == t && slot.state == SlotState::kDone))
-        return ShotStatus::kTimedOut;  // Not consumed: still waitable later.
-    } else {
+    if (!deadline) {
       done_cv_.wait(mutex_);
+    } else if (done_cv_.wait_until(mutex_, *deadline) ==
+                   std::cv_status::timeout &&
+               !(slot.ticket == t && slot.state == SlotState::kDone)) {
+      return ShotStatus::kTimedOut;  // Not consumed: still waitable later.
     }
   }
-  ShotStatus status = ShotStatus::kDone;
-  if (slot.outcome == SlotOutcome::kFailed) {
-    // The backend threw classifying this ticket: the labels are invalid.
-    // Consume the ticket (one-shot contract unchanged), free the slot, and
-    // hand the failure to this waiter.
-    status = ShotStatus::kFailed;
-    std::exception_ptr err;
-    std::swap(err, slot.error);
-    --failed_unconsumed_;
-    if (failed_unconsumed_ == 0) first_error_ = nullptr;
-    if (error) *error = std::move(err);
-  } else if (slot.outcome == SlotOutcome::kShed) {
-    status = ShotStatus::kShed;
-  } else {
+  if (slot.outcome == ShotStatus::kFailed) {
+    // The failure details stay with drain() until every failed ticket has
+    // been consumed.
+    if (--failed_unconsumed_ == 0) first_error_ = nullptr;
+  } else if (slot.outcome == ShotStatus::kDone) {
     std::copy(slot.labels.begin(), slot.labels.end(), out.begin());
   }
   slot.state = SlotState::kFree;  // ticket stays == t: marks "consumed".
+  const ShotStatus status = slot.outcome;
   lock.unlock();
   space_cv_.notify_all();
   return status;
 }
 
-void StreamingEngine::wait(Ticket t, std::span<int> out) {
-  std::exception_ptr err;
-  const ShotStatus status = wait_impl(t, out, /*deadline=*/nullptr, &err);
-  if (status == ShotStatus::kFailed) std::rethrow_exception(err);
-  if (status == ShotStatus::kShed)
-    throw Error("ticket " + std::to_string(t) +
-                " was shed by admission control (older than "
-                "StreamingConfig::shot_deadline_us at dispatch); consumers "
-                "that expect shedding should use wait_result()");
-}
-
-std::vector<int> StreamingEngine::wait(Ticket t) {
-  std::vector<int> out(n_qubits_, 0);
-  wait(t, out);
-  return out;
-}
-
 ShotStatus StreamingEngine::wait_result(Ticket t, std::span<int> out) {
-  return wait_impl(t, out, /*deadline=*/nullptr, /*error=*/nullptr);
+  return wait_impl(t, out, std::nullopt);
 }
 
 ShotStatus StreamingEngine::wait_for(Ticket t, std::span<int> out,
                                      std::chrono::microseconds timeout) {
-  const TimePoint deadline =
-      timeout.count() > 0 ? Clock::now() + timeout : TimePoint{};
-  return wait_impl(t, out, &deadline, /*error=*/nullptr);
+  return wait_impl(t, out, timeout);
 }
 
 void StreamingEngine::drain() {
@@ -631,9 +392,9 @@ void StreamingEngine::drain() {
   work_cv_.notify_all();
   while (completed_ < target) done_cv_.wait(mutex_);
   // Surface classify failures to flush-and-check callers that never wait
-  // individual tickets. The failed tickets stay retrievable: each wait()
-  // still rethrows, and once all are consumed drain() goes quiet again.
-  // Shed tickets are a reported outcome, not a failure — no throw.
+  // individual tickets. The failed tickets stay retrievable (each wait
+  // still reports kFailed), and once all are consumed drain() goes quiet
+  // again. Shed tickets are a reported outcome, not a failure — no throw.
   if (failed_unconsumed_ > 0) std::rethrow_exception(first_error_);
 }
 
@@ -642,10 +403,8 @@ void StreamingEngine::swap_shard(std::size_t shard, EngineBackend backend) {
   MLQR_CHECK_MSG(backend.num_qubits() == n_qubits_,
                  "swap_shard backend reports " << backend.num_qubits()
                      << " qubits, engine serves " << n_qubits_);
+  check_shard(shard, "swap_shard");
   MutexLock lock(mutex_);
-  MLQR_CHECK_MSG(shard < shards_.size(),
-                 "swap_shard index " << shard << " out of range (engine has "
-                                     << shards_.size() << " shards)");
   // Park until the dispatcher is between micro-batches; the pending-swap
   // count makes it yield the next claim to us, so this is bounded by one
   // batch even under saturation.
@@ -653,12 +412,12 @@ void StreamingEngine::swap_shard(std::size_t shard, EngineBackend backend) {
   while (dispatching_) done_cv_.wait(mutex_);
   shards_[shard] = std::move(backend);
   // Fresh calibration means fresh health: a quarantined shard re-enters
-  // service immediately (no probe_in_flight can be pending here — probes
-  // only live while dispatching_ is true). The drift monitor resets too —
-  // the new backend earns its own baselines (score_counter_ is untouched:
-  // it is dispatcher-only sampling phase, not monitor state).
-  health_[shard] = ShardState{};
-  drift_[shard] = DriftMonitor{};
+  // service immediately (no probe can be in flight here — probes only
+  // live while dispatching_ is true). The drift monitor resets too — the
+  // new backend earns its own baselines (score_counter_ is untouched: it
+  // is dispatcher-only sampling phase, not monitor state).
+  breaker_.reset(shard);
+  drift_[shard] = DriftMonitor(cfg_.drift);
   ++swaps_;
   --swaps_pending_;
   lock.unlock();
@@ -666,14 +425,9 @@ void StreamingEngine::swap_shard(std::size_t shard, EngineBackend backend) {
 }
 
 ShardHealth StreamingEngine::shard_health(std::size_t shard) const {
+  check_shard(shard, "shard_health");
   MutexLock lock(mutex_);
-  MLQR_CHECK_MSG(shard < health_.size(),
-                 "shard_health index " << shard << " out of range (engine has "
-                                       << health_.size() << " shards)");
-  const ShardState& st = health_[shard];
-  if (!st.quarantined) return ShardHealth::kHealthy;
-  return st.probe_in_flight > 0 ? ShardHealth::kProbing
-                                : ShardHealth::kQuarantined;
+  return breaker_.health(shard);
 }
 
 StreamingStats StreamingEngine::stats() const {
@@ -685,16 +439,15 @@ StreamingStats StreamingEngine::stats() const {
   s.shed = shed_;
   s.batches = batches_;
   s.swaps = swaps_;
-  s.rerouted = rerouted_;
-  s.quarantines = quarantines_;
-  s.probes = probes_;
-  s.recoveries = recoveries_;
+  s.rerouted = breaker_.rerouted();
+  s.quarantines = breaker_.quarantines();
+  s.probes = breaker_.probes();
+  s.recoveries = breaker_.recoveries();
   s.reference_shots = reference_shots_;
   s.scored_shots = scored_shots_;
-  for (const ShardState& st : health_)
-    if (st.quarantined) ++s.shards_quarantined;
+  s.shards_quarantined = breaker_.quarantined();
   for (const DriftMonitor& m : drift_)
-    if (report_of(m).drifted) ++s.shards_drifted;
+    if (m.report(cfg_.drift).drifted) ++s.shards_drifted;
   return s;
 }
 

@@ -13,12 +13,12 @@
 //     feedline/chip). Shots route round-robin by default or by an explicit
 //     channel key (key % shards), so a multi-feedline fan-in keeps each
 //     feedline's calibration on its own shard.
-//   * Producers call submit(frame) -> Ticket. Frames land in a bounded
-//     ring (StreamingConfig::queue_capacity); when the ring is full,
-//     submit blocks — backpressure, not unbounded memory. try_submit()
-//     rejects instead of blocking and submit_for() blocks with a bound,
-//     so admission control can live in the caller when blocking is not
-//     an option (a QEC control loop cannot stall its cycle).
+//   * Producers call submit(frame, SubmitOptions) -> optional<Ticket>.
+//     Frames land in a bounded ring (StreamingConfig::queue_capacity);
+//     when the ring is full, submit blocks — backpressure, not unbounded
+//     memory — or, given a timeout, rejects (nullopt) once it expires, so
+//     admission control can live in the caller when blocking is not an
+//     option (a QEC control loop cannot stall its cycle).
 //   * A resident dispatcher thread micro-batches ingest: it launches a
 //     classification batch once batch_max frames are pending or
 //     deadline_us has elapsed since the oldest pending frame arrived,
@@ -33,40 +33,39 @@
 //     wrong one). Stale tickets complete immediately with
 //     ShotStatus::kShed — reported, never silently dropped — and the
 //     backlog drains at shed speed instead of classify speed.
-//   * wait(ticket) blocks until that shot's labels are ready and releases
-//     its ring slot; wait_result(ticket) is the non-throwing variant that
-//     reports ShotStatus (done/failed/shed), wait_for(ticket, timeout)
-//     additionally bounds the block (kTimedOut leaves the ticket
-//     consumable later). drain() blocks until everything submitted so far
-//     has resolved. Tickets complete in arbitrary shard order but every
-//     ticket is individually awaitable (out-of-order completion is pinned
-//     by tests/test_streaming.cpp). Every submitted ticket resolves to
-//     exactly one of done / failed / shed — none are ever lost.
+//   * wait_result(ticket) blocks until that shot resolves, reports its
+//     ShotStatus (done/failed/shed) and releases its ring slot;
+//     wait_for(ticket, timeout) additionally bounds the block (kTimedOut
+//     leaves the ticket consumable later). drain() blocks until everything
+//     submitted so far has resolved. Tickets complete in arbitrary shard
+//     order but every ticket is individually awaitable (out-of-order
+//     completion is pinned by tests/test_streaming.cpp). Every submitted
+//     ticket resolves to exactly one of done / failed / shed — none are
+//     ever lost.
 //   * A backend that throws does not kill the engine: per-shot failure
-//     capture marks exactly the throwing shots failed (wait() rethrows
-//     the stored exception per ticket, drain() surfaces it while failed
-//     tickets remain unconsumed) and the dispatcher keeps serving.
-//   * Shard health: with quarantine_after set, a shard that fails that
-//     many consecutive shots is quarantined — its traffic reroutes to the
-//     next healthy shard (or the optional fallback backend) within one
-//     micro-batch. After probe_backoff_us a half-open probe routes up to
-//     probe_shots live shots back; the first success re-admits the shard,
-//     a failure restarts the back-off. swap_shard on a quarantined shard
-//     resets it to healthy immediately (fresh calibration, fresh health —
-//     the hook a drift-recalibration loop needs).
+//     capture marks exactly the throwing shots kFailed, drain() rethrows
+//     the failure while failed tickets remain unconsumed, and the
+//     dispatcher keeps serving.
+//   * Shard health (pipeline/shard_breaker.h): with quarantine_after set,
+//     a shard that fails that many consecutive shots is quarantined — its
+//     traffic reroutes within one micro-batch — and half-open probes
+//     re-admit it once it serves correctly again.
 //   * swap_shard(shard, backend) hot-swaps one shard's calibration between
 //     micro-batches — the drift-recalibration path (typically fed by a
 //     pipeline/snapshot.h BackendSnapshot) — without dropping or
-//     rerouting tickets.
-//   * Drift monitoring (StreamingConfig::drift): each shard tracks a
-//     frozen baseline plus an EWMA of three passive signals — sampled
-//     softmax confidence (on backends that support scoring), live
-//     fidelity of interleaved submit_reference() shots against their
-//     known expected labels, and the served label mix. drift(shard)
-//     snapshots them as a DriftReport; a recalibration controller
-//     (pipeline/recalibration.h) closes the loop by retraining and
-//     swap_shard-ing flagged shards. Monitoring never alters routing,
+//     rerouting tickets. It also resets the shard's breaker and drift
+//     monitor: fresh calibration, fresh health, fresh baselines.
+//   * Drift monitoring (StreamingConfig::drift, pipeline/drift_monitor.h):
+//     each shard tracks sampled softmax confidence, live fidelity of
+//     reference shots (SubmitOptions::expected) and the served label mix.
+//     drift(shard) snapshots them as a DriftReport; a recalibration
+//     controller (pipeline/recalibration.h) closes the loop by retraining
+//     and swap_shard-ing flagged shards. Monitoring never alters routing,
 //     labels, or ticket outcomes.
+//
+// The breaker and the drift monitors are pure single-threaded values
+// driven under the engine mutex with `now` passed in; the engine itself
+// keeps only the ring, dispatch, slot custody and the swap gate.
 //
 // Steady state allocates nothing: ring slots reuse their frame/label
 // capacity, scratch lives per worker slot, and the dispatcher loop reuses
@@ -74,17 +73,16 @@
 //
 // Locking contract (compile-time checked on Clang, see
 // common/annotations.h): every bookkeeping member — the ring vector, the
-// shard and health tables, tickets, counters, and the dispatcher/swap gate
-// flags — is MLQR_GUARDED_BY(mutex_), and the dispatcher-side helpers
-// carry MLQR_REQUIRES(mutex_). The one thing the analysis cannot express
-// is the slot custody hand-off: a producer fills a kReserved slot's frame
-// and the dispatcher reads kInFlight slots' frames / writes their labels
-// and per-batch error slots outside the lock, via pointers snapshotted
-// under it. That protocol is documented on Slot below and stays covered
-// by TSan.
+// shard table, breaker, drift monitors, tickets, counters, and the
+// dispatcher/swap gate flags — is MLQR_GUARDED_BY(mutex_), and the
+// dispatcher-side helpers carry MLQR_REQUIRES(mutex_). The one thing the
+// analysis cannot express is the slot custody hand-off: a producer fills a
+// kReserved slot's frame and the dispatcher reads kInFlight slots' frames
+// / writes their labels and per-batch error slots outside the lock, via
+// pointers snapshotted under it. That protocol is documented on Slot below
+// and stays covered by TSan.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -94,66 +92,15 @@
 #include <vector>
 
 #include "common/annotations.h"
+#include "pipeline/drift_monitor.h"
 #include "pipeline/readout_engine.h"
+#include "pipeline/shard_breaker.h"
 
 namespace mlqr {
 
-/// Knobs for the per-shard drift monitors (StreamingEngine::drift()).
-/// Monitoring is passive — it never alters routing, labels, or ticket
-/// outcomes. Three signals are tracked per shard, each as a frozen
-/// baseline (mean over the first baseline window) plus an EWMA:
-///   * confidence — softmax p_max of the winning labels, re-scored on the
-///     dispatcher thread every confidence_sample-th OK shot (only on
-///     backends whose supports_scored() is true).
-///   * fidelity — fraction of qubits matching the caller-supplied
-///     expected labels on submit_reference() shots (interleaved
-///     calibration probes with known ground truth).
-///   * label mix — per-level occupancy histogram of the served labels
-///     (catches population drift even without scoring or references).
-struct DriftConfig {
-  /// Master switch; when false no monitor state is ever touched.
-  bool enabled = false;
-  /// EWMA smoothing factor for the post-baseline trackers, in (0, 1].
-  double alpha = 0.02;
-  /// OK shots of label-mix baseline before that tracker goes live.
-  std::size_t baseline_shots = 256;
-  /// Scored / reference shots of baseline for confidence and fidelity.
-  std::size_t baseline_signal = 16;
-  /// Score every Nth OK shot per shard (1 = every shot). Scoring re-runs
-  /// inference serially on the dispatcher thread, so keep it sparse when
-  /// ingest is saturating the classifier.
-  std::size_t confidence_sample = 16;
-  /// Relative confidence drop vs baseline that flags drift.
-  double confidence_drop = 0.05;
-  /// Absolute reference-fidelity drop vs baseline that flags drift.
-  double fidelity_drop = 0.02;
-  /// Absolute reference-fidelity floor (0 disables the floor check).
-  double min_fidelity = 0.0;
-  /// L1 distance between the label-mix EWMA and its baseline that flags
-  /// drift (2.0 would mean totally disjoint distributions).
-  double label_l1 = 0.25;
-  /// Minimum OK shots on a shard before any signal may flag drift.
-  std::size_t min_samples = 64;
-};
-
-/// One shard's drift-monitor snapshot (StreamingEngine::drift()). Signal
-/// fields are zero until their baseline froze.
-struct DriftReport {
-  bool ready = false;    ///< A baseline froze and min_samples was reached.
-  bool drifted = false;  ///< At least one signal crossed its threshold.
-  std::uint64_t samples = 0;    ///< OK shots observed on this shard.
-  std::uint64_t scored = 0;     ///< Shots with a sampled confidence.
-  std::uint64_t reference = 0;  ///< Reference shots with expected labels.
-  double confidence = 0.0;           ///< Confidence EWMA.
-  double baseline_confidence = 0.0;  ///< Frozen confidence baseline.
-  double fidelity = 0.0;             ///< Reference-fidelity EWMA.
-  double baseline_fidelity = 0.0;    ///< Frozen fidelity baseline.
-  double label_l1 = 0.0;  ///< L1(label-mix EWMA, baseline mix).
-};
-
 struct StreamingConfig {
   /// Ring capacity: bounds in-flight shots (submitted, not yet waited).
-  /// submit() blocks while the ring is full, wait() frees slots.
+  /// submit() blocks while the ring is full, waits free slots.
   std::size_t queue_capacity = 1024;
   /// Micro-batch cap: the dispatcher launches at most this many shots per
   /// classification batch.
@@ -196,6 +143,24 @@ struct StreamingConfig {
   EngineConfig engine;
 };
 
+/// What one submit() call asks for. The defaults — no key, no expected
+/// labels, no timeout — mean round-robin routing, a regular shot, and
+/// blocking while the ring is full.
+struct SubmitOptions {
+  /// Keyed routing: the shot classifies on shard `*key % num_shards()`.
+  /// nullopt routes round-robin by ticket.
+  std::optional<std::uint64_t> key{};
+  /// Non-empty marks a reference shot: its known ground-truth labels
+  /// (size num_qubits()) feed the drift fidelity monitor. Classification
+  /// and ticket semantics are unchanged. Interleave these sparsely (e.g.
+  /// calibration shots with known prepared states) among regular traffic.
+  std::span<const int> expected{};
+  /// Admission bound while the ring is full: nullopt blocks; <= 0 tries
+  /// once; otherwise waits up to this long, then rejects (nullopt ticket,
+  /// no side effects). A timeout past the clock's range blocks.
+  std::optional<std::chrono::microseconds> timeout{};
+};
+
 /// Terminal status of one ticket, as reported by wait_result()/wait_for().
 enum class ShotStatus : std::uint8_t {
   kDone,      ///< Labels valid and copied out.
@@ -205,16 +170,8 @@ enum class ShotStatus : std::uint8_t {
               ///< and remains consumable by a later wait.
 };
 
-/// Externally visible health of one shard (see shard_health()).
-enum class ShardHealth : std::uint8_t {
-  kHealthy,      ///< Serving its own traffic.
-  kProbing,      ///< Quarantined, with a half-open probe shot in flight.
-  kQuarantined,  ///< Not serving; traffic reroutes until a probe succeeds
-                 ///< or swap_shard installs a fresh backend.
-};
-
 /// One consistent snapshot of every engine counter, taken under a single
-/// lock acquisition (the per-counter getters are thin wrappers over this).
+/// lock acquisition.
 struct StreamingStats {
   std::uint64_t submitted = 0;  ///< Tickets issued.
   std::uint64_t completed = 0;  ///< Resolved tickets: done + failed + shed.
@@ -234,29 +191,28 @@ struct StreamingStats {
 
 /// Asynchronous sharded engine: submit/wait/drain over a bounded MPSC
 /// ring, micro-batched dispatch through EngineCore, deadline-aware
-/// shedding and per-shard circuit breakers. Producer-side calls
-/// (submit/try_submit/submit_for) are safe from multiple threads;
-/// wait*/drain/stats are safe from any thread. One dispatcher thread per
-/// engine.
+/// shedding and per-shard circuit breakers. submit is safe from multiple
+/// producer threads; waits, drain and stats are safe from any thread. One
+/// dispatcher thread per engine.
 class StreamingEngine {
  public:
   /// Monotonic per-engine shot id; ticket t is the t-th submitted frame.
   using Ticket = std::uint64_t;
 
-  /// Heterogeneous shards: one backend per feedline/chip. All shards must
-  /// be valid and report the same qubit count (as must cfg.fallback when
-  /// set).
+  /// Heterogeneous shards: one backend per feedline/chip. There must be at
+  /// least one; all must be valid and report the same qubit count (as
+  /// must cfg.fallback when set).
   explicit StreamingEngine(std::vector<EngineBackend> shards,
                            StreamingConfig cfg = {});
 
-  /// Homogeneous convenience: n_shards copies of one backend.
+  /// Homogeneous convenience: n_shards (>= 1) copies of one backend.
   StreamingEngine(const EngineBackend& backend, std::size_t n_shards,
                   StreamingConfig cfg = {});
 
   /// Drains outstanding work and stops the dispatcher. No other thread may
   /// still be calling submit/wait when destruction starts. Unconsumed
-  /// tickets — including failed and shed ones — are released with their
-  /// stored state; nothing leaks and nothing blocks.
+  /// tickets — including failed and shed ones — are released; nothing
+  /// leaks and nothing blocks.
   ~StreamingEngine();
 
   StreamingEngine(const StreamingEngine&) = delete;
@@ -266,93 +222,49 @@ class StreamingEngine {
   std::size_t num_qubits() const { return n_qubits_; }
   const StreamingConfig& config() const { return cfg_; }
 
-  /// Enqueues a copy of `frame` (slot buffers reuse their capacity), routed
-  /// round-robin across shards. Blocks while the ring is full.
-  Ticket submit(const IqTrace& frame) MLQR_EXCLUDES(mutex_);
-
-  /// Keyed routing: the shot classifies on shard `channel_key % shards`.
-  Ticket submit(const IqTrace& frame, std::uint64_t channel_key)
+  /// Enqueues a copy of `frame` (slot buffers reuse their capacity) and
+  /// returns its ticket, or nullopt when opts.timeout expired with the
+  /// ring still full. Without a timeout the result is always engaged.
+  /// Throws Error when opts.expected is non-empty but not num_qubits()
+  /// long.
+  std::optional<Ticket> submit(const IqTrace& frame, SubmitOptions opts = {})
       MLQR_EXCLUDES(mutex_);
 
-  /// Non-blocking admission: like submit, but a full ring rejects the
-  /// frame (nullopt) instead of blocking. The caller owns the overload
-  /// policy — drop, retry, or spill.
-  std::optional<Ticket> try_submit(const IqTrace& frame) MLQR_EXCLUDES(mutex_);
-  std::optional<Ticket> try_submit(const IqTrace& frame,
-                                   std::uint64_t channel_key)
-      MLQR_EXCLUDES(mutex_);
+  /// Blocking keyed submit. It remains so the perfbench/ harness, which
+  /// calls it, keeps compiling; other callers pass SubmitOptions{.key}.
+  Ticket submit(const IqTrace& frame, std::uint64_t key) MLQR_EXCLUDES(mutex_) {
+    return *submit(frame, SubmitOptions{.key = key});
+  }
 
-  /// Bounded-blocking admission: waits up to `timeout` for a ring slot,
-  /// then rejects (nullopt). timeout <= 0 behaves like try_submit.
-  std::optional<Ticket> submit_for(const IqTrace& frame,
-                                   std::chrono::microseconds timeout)
-      MLQR_EXCLUDES(mutex_);
-  std::optional<Ticket> submit_for(const IqTrace& frame,
-                                   std::uint64_t channel_key,
-                                   std::chrono::microseconds timeout)
-      MLQR_EXCLUDES(mutex_);
-
-  /// Reference-shot admission: like submit, but tags the shot with its
-  /// known ground-truth labels (`expected`, size num_qubits()) so the
-  /// drift monitors can track live serving fidelity. Classification and
-  /// ticket semantics are unchanged — the expected labels feed monitoring
-  /// only, and wait() returns the backend's labels as usual. Interleave
-  /// these sparsely (e.g. calibration shots with known prepared states)
-  /// among regular traffic.
-  Ticket submit_reference(const IqTrace& frame, std::span<const int> expected)
-      MLQR_EXCLUDES(mutex_);
-  Ticket submit_reference(const IqTrace& frame, std::uint64_t channel_key,
-                          std::span<const int> expected) MLQR_EXCLUDES(mutex_);
-  /// Bounded-blocking reference admission (submit_for semantics).
-  std::optional<Ticket> submit_reference_for(const IqTrace& frame,
-                                             std::uint64_t channel_key,
-                                             std::span<const int> expected,
-                                             std::chrono::microseconds timeout)
-      MLQR_EXCLUDES(mutex_);
-
-  /// Blocks until ticket `t` resolves, copies its labels into `out` (size
-  /// num_qubits()) and releases the ring slot. Each ticket can be waited
-  /// exactly once; waiting a released ticket throws Error. Tickets are
-  /// issued sequentially from 0, so a pipelined consumer may wait a ticket
-  /// its producer has not submitted yet — the call blocks until it is.
-  /// A ticket at least ring-capacity ahead of the next unissued one
-  /// (t >= shots_submitted() + queue_capacity) cannot resolve before this
-  /// caller itself would deadlock waiting, so wait() throws Error for it
-  /// instead of blocking forever (the classic never-submitted-ticket
-  /// foot-gun); wait_for() is the non-throwing escape for genuinely
-  /// speculative waits.
-  ///
-  /// If the backend threw while classifying this ticket, the slot is
-  /// released (ticket consumed) and the stored exception is rethrown
-  /// instead of copying labels. If admission control shed the ticket, the
-  /// slot is released and Error is thrown — wait() has no status channel;
-  /// consumers that expect shedding use wait_result() instead.
-  void wait(Ticket t, std::span<int> out) MLQR_EXCLUDES(mutex_);
-
-  /// Allocating convenience wrapper around wait(t, out).
-  std::vector<int> wait(Ticket t) MLQR_EXCLUDES(mutex_);
-
-  /// Status-reporting wait: blocks until ticket `t` resolves and consumes
-  /// it, returning kDone (labels copied into `out`), kFailed (backend
-  /// threw; the stored exception is discarded) or kShed. Never returns
-  /// kTimedOut. Throws Error only for contract violations (double wait,
-  /// wrong span size, unsatisfiable ticket — same rules as wait()).
+  /// Blocks until ticket `t` resolves and consumes it: kDone copies its
+  /// labels into `out` (size num_qubits()), kFailed (the backend threw)
+  /// and kShed leave `out` untouched. Releases the ring slot either way;
+  /// never returns kTimedOut. Each ticket can be waited exactly once.
+  /// Tickets are issued sequentially from 0, so a pipelined consumer may
+  /// wait a ticket its producer has not submitted yet — the call blocks
+  /// until it is. Throws Error for contract violations: a wrong span size,
+  /// a ticket already waited, or a ticket at least ring-capacity ahead of
+  /// the next unissued one (it cannot resolve before this caller itself
+  /// would deadlock waiting — the classic never-submitted-ticket
+  /// foot-gun; wait_for() is the escape for genuinely speculative waits).
   ShotStatus wait_result(Ticket t, std::span<int> out) MLQR_EXCLUDES(mutex_);
 
   /// Timed wait_result: additionally returns kTimedOut once `timeout` has
   /// elapsed without the ticket resolving — the ticket is NOT consumed and
   /// stays waitable (including tickets never submitted yet, which is why
-  /// this variant skips the unsatisfiable-ticket throw).
+  /// this variant skips the unsatisfiable-ticket throw). A timeout past
+  /// the clock's range waits without a deadline.
   ShotStatus wait_for(Ticket t, std::span<int> out,
                       std::chrono::microseconds timeout) MLQR_EXCLUDES(mutex_);
 
   /// Blocks until every ticket issued so far has resolved (results stay
-  /// retrievable via wait afterwards). If any completed-but-unwaited
-  /// ticket failed, rethrows the earliest such shot's exception (without
-  /// consuming the tickets — each failed ticket still rethrows from its
-  /// own wait()); once every failed ticket has been waited, drain()
-  /// returns normally again. Shed tickets never make drain() throw — they
-  /// are a reported outcome, not an engine failure.
+  /// retrievable by a wait afterwards). While any completed-but-unwaited
+  /// ticket failed, rethrows the backend exception of the first failure
+  /// since the failed count was last zero — without consuming tickets;
+  /// once every failed ticket has been waited, drain() returns normally
+  /// again. This is where failure details stay reachable: the waits only
+  /// report kFailed. Shed tickets never make drain() throw — they are a
+  /// reported outcome, not an engine failure.
   void drain() MLQR_EXCLUDES(mutex_);
 
   /// Atomically replaces one shard's backend between micro-batches: blocks
@@ -360,14 +272,15 @@ class StreamingEngine {
   /// next batch to a pending swap, so this is bounded by one micro-batch
   /// even under saturation), then installs the new backend under the
   /// engine lock. Queued and future tickets routed to `shard` classify on
-  /// the new backend; no ticket is dropped or rerouted. A quarantined
-  /// shard is reset to healthy — fresh calibration means fresh health, so
-  /// a recalibration loop re-admits a drifted shard by swapping it. The
-  /// backend must be valid and agree on the qubit count (throws Error
-  /// otherwise). Pass an owning backend (e.g. BackendSnapshot::backend())
-  /// or keep the wrapped discriminator alive for the engine's lifetime.
-  /// Safe to call concurrently with submit/wait/drain from any thread, but
-  /// not while the engine is being destroyed.
+  /// the new backend; no ticket is dropped or rerouted. The shard's
+  /// breaker and drift monitor reset — fresh calibration means fresh
+  /// health, so a recalibration loop re-admits a drifted shard by swapping
+  /// it. The backend must be valid and agree on the qubit count (throws
+  /// Error otherwise). Pass an owning backend (e.g.
+  /// BackendSnapshot::backend()) or keep the wrapped discriminator alive
+  /// for the engine's lifetime. Safe to call concurrently with
+  /// submit/wait/drain from any thread, but not while the engine is being
+  /// destroyed.
   void swap_shard(std::size_t shard, EngineBackend backend)
       MLQR_EXCLUDES(mutex_);
 
@@ -375,19 +288,12 @@ class StreamingEngine {
   /// breaker is disabled).
   ShardHealth shard_health(std::size_t shard) const MLQR_EXCLUDES(mutex_);
 
-  /// Snapshot of one shard's drift monitor (all-zero / never ready while
-  /// cfg.drift.enabled is false). swap_shard resets the shard's monitor —
-  /// fresh calibration means fresh baselines.
+  /// Snapshot of one shard's drift monitor (never ready while
+  /// cfg.drift.enabled is false).
   DriftReport drift(std::size_t shard) const MLQR_EXCLUDES(mutex_);
 
   /// Every counter in one consistent snapshot (single lock acquisition).
   StreamingStats stats() const MLQR_EXCLUDES(mutex_);
-
-  /// Legacy per-counter getters, now thin wrappers over stats().
-  std::uint64_t shots_submitted() const { return stats().submitted; }
-  std::uint64_t shots_completed() const { return stats().completed; }
-  std::uint64_t batches_dispatched() const { return stats().batches; }
-  std::uint64_t shards_swapped() const { return stats().swaps; }
 
  private:
   using TimePoint = std::chrono::steady_clock::time_point;
@@ -400,148 +306,74 @@ class StreamingEngine {
     kDone,      ///< Outcome valid; waiting for a wait to consume.
   };
 
-  /// How a kDone slot resolved (mirrors the consumable ShotStatus values).
-  enum class SlotOutcome : std::uint8_t { kOk, kFailed, kShed };
-
   /// Slot.ticket value before any shot has occupied the slot (a real
   /// ticket can never reach it).
   static constexpr Ticket kNoTicket = ~Ticket{0};
 
-  /// Slot.served_by value for shots classified on cfg_.fallback rather
-  /// than a shard.
-  static constexpr std::size_t kFallbackShard = ~std::size_t{0};
-
-  /// One ring entry. The state/ticket/shard/outcome/error fields
-  /// transition only under the engine mutex; frame, labels and arrival
-  /// follow the custody protocol instead (Clang TSA cannot express
+  /// One ring entry. The state/ticket/shard/route/outcome fields
+  /// transition only under the engine mutex; frame, expected, labels and
+  /// arrival follow the custody protocol instead (Clang TSA cannot express
   /// ownership hand-off, so these accesses are deliberately outside the
   /// capability model):
-  ///   * kReserved: the submitting producer exclusively fills frame and
-  ///     arrival outside the lock; its kQueued transition (under the
-  ///     lock) publishes the writes to the dispatcher.
+  ///   * kReserved: the submitting producer exclusively fills frame,
+  ///     expected and arrival outside the lock; its kQueued transition
+  ///     (under the lock) publishes the writes to the dispatcher.
   ///   * kInFlight: the dispatcher exclusively reads frame and writes
   ///     labels outside the lock; its kDone transition publishes them to
   ///     the waiter.
-  ///   * kDone -> kFree: wait() copies labels out under the lock.
+  ///   * kDone -> kFree: a wait copies labels out under the lock.
   struct Slot {
     IqTrace frame;
     std::vector<int> labels;
+    /// Reference-shot ground truth (SubmitOptions::expected); empty for
+    /// regular shots.
+    std::vector<int> expected;
     Ticket ticket = kNoTicket;
     /// Target shard chosen at submit time (round-robin or channel key).
     std::size_t shard = 0;
-    /// Shard that actually classified the shot (claim-time routing may
-    /// divert quarantined traffic); kFallbackShard for the fallback.
-    std::size_t served_by = 0;
-    /// True when this shot was a half-open probe of a quarantined shard.
-    bool probe = false;
-    /// Reference-shot tagging: when is_reference, `expected` holds the
-    /// caller's ground-truth labels for the fidelity monitor. Both follow
-    /// the kReserved custody protocol (filled by the producer outside the
-    /// lock, like frame); `expected` may hold stale data whenever
-    /// is_reference is false.
-    bool is_reference = false;
-    std::vector<int> expected;
+    /// Where the shot actually classified: claim-time routing may divert
+    /// quarantined traffic (ShardBreaker::kFallback for the fallback).
+    ShardBreaker::Route route;
     SlotState state = SlotState::kFree;
-    SlotOutcome outcome = SlotOutcome::kOk;
-    std::chrono::steady_clock::time_point arrival{};
-    /// Set when the backend threw classifying this shot (outcome kFailed);
-    /// the labels are invalid and wait() rethrows instead of copying.
-    std::exception_ptr error;
+    ShotStatus outcome = ShotStatus::kDone;  ///< Valid once kDone.
+    TimePoint arrival{};
   };
 
-  /// Circuit-breaker bookkeeping for one shard.
-  struct ShardState {
-    std::size_t consecutive_failures = 0;
-    std::size_t probe_in_flight = 0;
-    bool quarantined = false;
-    /// Earliest time a half-open probe may route traffic back.
-    TimePoint retry_at{};
-  };
-
-  /// Shared admission machinery. `expected` non-null marks a reference
-  /// shot (n_qubits_ ground-truth labels copied into the slot).
-  std::optional<Ticket> submit_routed(const IqTrace& frame, bool keyed,
-                                      std::uint64_t key, const int* expected,
-                                      const TimePoint* deadline)
+  /// The one body behind wait_result (timeout nullopt: block, and throw
+  /// for provably unsatisfiable tickets) and wait_for.
+  ShotStatus wait_impl(Ticket t, std::span<int> out,
+                       std::optional<std::chrono::microseconds> timeout)
       MLQR_EXCLUDES(mutex_);
-  /// Shared wait machinery. deadline == nullptr blocks indefinitely (and
-  /// throws for provably unsatisfiable tickets); otherwise returns
-  /// kTimedOut once the deadline passes. On kFailed the stored exception
-  /// moves into *error when non-null (discarded otherwise).
-  ShotStatus wait_impl(Ticket t, std::span<int> out, const TimePoint* deadline,
-                       std::exception_ptr* error) MLQR_EXCLUDES(mutex_);
   void dispatch_loop();
   /// Dispatchable micro-batch size: the contiguous queued run from head_
   /// capped at batch_max. O(1) — queued_run_ is maintained incrementally.
   std::size_t ready_run() const MLQR_REQUIRES(mutex_);
   /// Extends queued_run_ past newly queued slots (amortized O(1)/shot).
   void extend_queued_run() MLQR_REQUIRES(mutex_);
-  /// Claim-time routing: where slot's shot should classify given current
-  /// shard health (identity when the breaker is disabled or the shard is
-  /// healthy). Marks probe shots and bumps reroute/probe counters.
-  std::size_t route_shot(Slot& slot, TimePoint now) MLQR_REQUIRES(mutex_);
-  /// Completion-time breaker bookkeeping for one classified shot: failure
-  /// counting, quarantine transitions, probe evaluation, recovery.
-  void record_shot_result(const Slot& slot, bool shot_failed, TimePoint now)
-      MLQR_REQUIRES(mutex_);
+  /// Throws Error unless `shard` indexes a shard; `what` names the call.
+  void check_shard(std::size_t shard, const char* what) const;
   Slot& slot_of(Ticket t) MLQR_REQUIRES(mutex_) {
     return ring_[t % ring_.size()];
   }
 
-  /// Label bins tracked by the mix monitor; labels clamp into the last
-  /// bin, so any level count up to (and beyond) 3 is representable.
-  static constexpr std::size_t kDriftLabelBins = 4;
-
-  /// Baseline-then-EWMA tracker for one scalar drift signal.
-  struct SignalTrack {
-    std::uint64_t count = 0;
-    double baseline_sum = 0.0;
-    double baseline = 0.0;  ///< Mean of the first baseline_n samples.
-    double value = 0.0;     ///< EWMA, seeded from the frozen baseline.
-    bool frozen = false;
-    void update(double x, std::size_t baseline_n, double alpha);
-  };
-
-  /// Per-shard drift bookkeeping (see DriftConfig for the model).
-  struct DriftMonitor {
-    std::uint64_t samples = 0;    ///< OK shots observed.
-    std::uint64_t scored = 0;     ///< Shots with a sampled confidence.
-    std::uint64_t reference = 0;  ///< Reference shots observed.
-    SignalTrack confidence;
-    SignalTrack fidelity;
-    std::uint64_t label_count = 0;
-    bool label_frozen = false;
-    std::array<double, kDriftLabelBins> label_base_sum{};
-    std::array<double, kDriftLabelBins> label_base{};
-    std::array<double, kDriftLabelBins> label_ewma{};
-  };
-
-  /// Folds one OK (non-fallback) shot into its shard's monitor. conf < 0
-  /// means no confidence sample was taken for this shot.
-  void observe_ok_shot(const Slot& slot, float conf) MLQR_REQUIRES(mutex_);
-  /// Evaluates one monitor against cfg_.drift thresholds.
-  DriftReport report_of(const DriftMonitor& m) const MLQR_REQUIRES(mutex_);
-
-  StreamingConfig cfg_;
+  StreamingConfig cfg_;  ///< Immutable after construction (incl. fallback).
   std::size_t n_qubits_ = 0;      ///< Immutable after construction.
   std::size_t shards_count_ = 0;  ///< Immutable after construction.
-  /// Immutable after construction; shots route here when their shard is
-  /// quarantined and no healthy shard remains. Invalid when unset.
-  EngineBackend fallback_;
   EngineCore core_;  ///< Dispatcher-thread only (scratch pool inside).
 
   mutable Mutex mutex_;
   CondVar space_cv_;  ///< Producers waiting for a free slot.
   CondVar work_cv_;   ///< Dispatcher waiting for shots/stop/swap gate.
-  CondVar done_cv_;   ///< wait()/drain()/swappers waiting on the dispatcher.
+  CondVar done_cv_;   ///< Waits/drain()/swappers waiting on the dispatcher.
   /// Never resized after construction; elements follow Slot's custody
   /// protocol once handed off (pointers snapshotted under the lock).
   std::vector<Slot> ring_ MLQR_GUARDED_BY(mutex_);
   /// Stable while dispatching_ is true: swap_shard waits for the gap
   /// between micro-batches before mutating an element.
   std::vector<EngineBackend> shards_ MLQR_GUARDED_BY(mutex_);
-  /// Parallel to shards_: per-shard circuit-breaker state.
-  std::vector<ShardState> health_ MLQR_GUARDED_BY(mutex_);
+  ShardBreaker breaker_ MLQR_GUARDED_BY(mutex_);
+  /// Parallel to shards_ (swap_shard resets the swapped shard's entry).
+  std::vector<DriftMonitor> drift_ MLQR_GUARDED_BY(mutex_);
   /// Tickets of the micro-batch being classified (shed slots excluded);
   /// dispatcher-only, reused across batches, read outside the lock via a
   /// pointer snapshotted under it (same custody as ring_).
@@ -562,27 +394,21 @@ class StreamingEngine {
   std::uint64_t swaps_ MLQR_GUARDED_BY(mutex_) = 0;
   std::uint64_t failed_total_ MLQR_GUARDED_BY(mutex_) = 0;
   std::uint64_t shed_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t rerouted_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t quarantines_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t probes_ MLQR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t recoveries_ MLQR_GUARDED_BY(mutex_) = 0;
-  /// Parallel to shards_: per-shard drift monitors (swap_shard resets the
-  /// swapped shard's entry).
-  std::vector<DriftMonitor> drift_ MLQR_GUARDED_BY(mutex_);
   std::uint64_t reference_shots_ MLQR_GUARDED_BY(mutex_) = 0;
   std::uint64_t scored_shots_ MLQR_GUARDED_BY(mutex_) = 0;
   /// Dispatcher-thread only (like core_), touched outside the lock while
   /// the batch's slots are in dispatcher custody: confidence-scoring
   /// scratch + label sink, the per-batch confidence samples
-  /// (index-parallel to batch_tickets_, -1 = not sampled), and the
+  /// (index-parallel to batch_tickets_, nullopt = not sampled), and the
   /// per-shard sampling phase counters (deliberately not reset by
   /// swap_shard — they only control sampling cadence).
   InferenceScratch drift_scratch_;
   std::vector<int> drift_labels_;
-  std::vector<float> batch_conf_;
+  std::vector<std::optional<float>> batch_conf_;
   std::vector<std::uint64_t> score_counter_;
-  /// kDone-with-error tickets not yet consumed by a wait, and the earliest
-  /// such shot's exception (what drain() rethrows while any remain).
+  /// kFailed tickets not yet consumed by a wait, and the first such shot's
+  /// exception since the count was last zero (what drain() rethrows while
+  /// any remain).
   std::size_t failed_unconsumed_ MLQR_GUARDED_BY(mutex_) = 0;
   std::exception_ptr first_error_ MLQR_GUARDED_BY(mutex_);
   /// True while the dispatcher runs core_.classify outside the lock (it

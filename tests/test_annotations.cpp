@@ -182,10 +182,10 @@ TEST(Annotations, DrainRacingSwapUnderBackpressureNeitherDeadlocksNorDrops) {
   });
 
   // The consumer frees slots, so the producer's backpressure resolves
-  // only through wait() — exactly the coupling the regression targets.
+  // only through the waits — exactly the coupling the regression targets.
   std::vector<int> out(eng.num_qubits());
   for (std::size_t s = 0; s < n; ++s) {
-    eng.wait(s, out);
+    ASSERT_EQ(eng.wait_result(s, out), ShotStatus::kDone);
     for (std::size_t q = 0; q < eng.num_qubits(); ++q)
       ASSERT_EQ(out[q], fx.sync_labels[s * eng.num_qubits() + q])
           << "shot " << s << " qubit " << q;
@@ -193,9 +193,10 @@ TEST(Annotations, DrainRacingSwapUnderBackpressureNeitherDeadlocksNorDrops) {
   producer.join();
   swapper.join();
   drainer.join();
-  EXPECT_EQ(eng.shots_submitted(), n);
-  EXPECT_EQ(eng.shots_completed(), n);
-  EXPECT_EQ(eng.shards_swapped(), 8u);
+  const StreamingStats st = eng.stats();
+  EXPECT_EQ(st.submitted, n);
+  EXPECT_EQ(st.completed, n);
+  EXPECT_EQ(st.swaps, 8u);
   eng.drain();  // Quiet after the dust settles.
 }
 

@@ -181,12 +181,12 @@ std::vector<int> streamed_labels(const EngineBackend& backend,
   StreamingEngine engine(backend, shards, cfg);
   std::vector<StreamingEngine::Ticket> tickets;
   tickets.reserve(traces.size());
-  for (const IqTrace& t : traces) tickets.push_back(engine.submit(t));
+  for (const IqTrace& t : traces) tickets.push_back(*engine.submit(t));
   engine.drain();
   std::vector<int> labels(traces.size() * engine.num_qubits());
   std::vector<int> shot(engine.num_qubits());
   for (std::size_t s = 0; s < tickets.size(); ++s) {
-    engine.wait(tickets[s], shot);
+    EXPECT_EQ(engine.wait_result(tickets[s], shot), ShotStatus::kDone);
     std::copy(shot.begin(), shot.end(),
               labels.begin() + s * engine.num_qubits());
   }

@@ -154,8 +154,10 @@ TEST(FaultInjection, DefaultPlanIsBitIdenticalThroughStreamingEngine) {
   std::vector<int> b(2);
   for (int s = 0; s < 64; ++s) {
     const float v = static_cast<float>(s % 5);
-    faulty_eng.wait(faulty_eng.submit(frame(v)), a);
-    plain_eng.wait(plain_eng.submit(frame(v)), b);
+    ASSERT_EQ(faulty_eng.wait_result(*faulty_eng.submit(frame(v)), a),
+              ShotStatus::kDone);
+    ASSERT_EQ(plain_eng.wait_result(*plain_eng.submit(frame(v)), b),
+              ShotStatus::kDone);
     ASSERT_EQ(a, b) << "shot " << s;
   }
   const FaultInjectionStats st = fb.stats();
@@ -179,11 +181,17 @@ TEST(FaultInjection, WindowDrivenOutageTripsBreakerThenRecovers) {
   std::vector<EngineBackend> shards{fb.backend(), echo_backend()};
   StreamingEngine eng(std::move(shards), cfg);
   std::vector<int> out(2);
-  EXPECT_THROW(eng.wait(eng.submit(frame(1.0f), /*channel_key=*/0), out),
-               InjectedFault);
-  EXPECT_THROW(eng.wait(eng.submit(frame(1.0f), 0), out), InjectedFault);
+  const SubmitOptions to0{.key = 0};
+  EXPECT_EQ(eng.wait_result(*eng.submit(frame(1.0f), to0), out),
+            ShotStatus::kFailed);
+  EXPECT_EQ(eng.shard_health(0), ShardHealth::kHealthy);
+  // The second failure trips the breaker; drain() carries the details.
+  const auto second = *eng.submit(frame(1.0f), to0);
+  EXPECT_THROW(eng.drain(), InjectedFault);
+  EXPECT_EQ(eng.wait_result(second, out), ShotStatus::kFailed);
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kQuarantined);
-  eng.wait(eng.submit(frame(4.0f), 0), out);
+  ASSERT_EQ(eng.wait_result(*eng.submit(frame(4.0f), to0), out),
+            ShotStatus::kDone);
   EXPECT_EQ(out, (std::vector<int>{4, 5}));
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kHealthy);
   const StreamingStats st = eng.stats();

@@ -2,7 +2,7 @@
 // models, the streaming engine's drift monitors, the hysteresis+cooldown
 // policy, the shot reservoir, and the RecalibrationController end to end
 // (detect -> retrain -> hot-swap, with failure containment). The
-// concurrency tests double as TSan targets: submit_reference, drift(),
+// concurrency tests double as TSan targets: reference submits, drift(),
 // stats(), reservoir pushes, and swap_shard all race on purpose.
 #include "pipeline/recalibration.h"
 
@@ -10,11 +10,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "discrim/proposed.h"
+#include "pipeline/drift_monitor.h"
 #include "pipeline/streaming_engine.h"
 #include "readout/dataset.h"
 #include "sim/chip_profile.h"
@@ -234,7 +236,107 @@ TEST(RecalibrationPolicy, ShardsAreIndependent) {
   EXPECT_EQ(p.observe(1, true, t), Action::kRetrain);
 }
 
-// ---- drift monitors inside the StreamingEngine --------------------------
+// ---- DriftMonitor: a pure value, driven directly -------------------------
+
+DriftConfig fast_drift_config() {
+  DriftConfig cfg;
+  cfg.enabled = true;
+  cfg.alpha = 0.2;  // Fast EWMAs: tests drive with tens of shots.
+  cfg.baseline_shots = 16;
+  cfg.baseline_signal = 16;
+  cfg.min_samples = 16;
+  return cfg;
+}
+
+/// Folds `n` identical OK shots into `m`: served `labels`, an optional
+/// sampled confidence, and reference ground truth (empty = regular shot).
+void observe_n(DriftMonitor& m, std::size_t n, const std::vector<int>& labels,
+               std::optional<float> confidence,
+               const std::vector<int>& expected = {}) {
+  for (std::size_t k = 0; k < n; ++k) m.observe(labels, confidence, expected);
+}
+
+TEST(DriftMonitor, NotReadyBeforeMinSamples) {
+  const DriftConfig cfg = fast_drift_config();
+  DriftMonitor m(cfg);
+  observe_n(m, 4, {0, 0}, 0.9f);
+  const DriftReport r = m.report(cfg);
+  EXPECT_FALSE(r.ready);
+  EXPECT_FALSE(r.drifted);
+  EXPECT_EQ(r.samples, 4u);
+  observe_n(m, 60, {0, 0}, 0.9f);
+  EXPECT_TRUE(m.report(cfg).ready);
+  EXPECT_FALSE(m.report(DriftConfig{}).ready);  // Disabled: never ready.
+}
+
+TEST(DriftMonitor, ConfidenceDropCrossesThreshold) {
+  DriftConfig cfg = fast_drift_config();
+  cfg.confidence_drop = 0.10;  // Relative.
+  DriftMonitor m(cfg);
+
+  observe_n(m, 64, {0, 0}, 0.9f);  // Baseline at confidence 0.9.
+  DriftReport r = m.report(cfg);
+  ASSERT_TRUE(r.ready);
+  EXPECT_FALSE(r.drifted);
+  EXPECT_NEAR(r.baseline_confidence, 0.9, 1e-6);
+  EXPECT_EQ(r.scored, 64u);
+
+  observe_n(m, 64, {0, 0}, 0.6f);  // 33% drop >> 10% threshold.
+  r = m.report(cfg);
+  EXPECT_TRUE(r.drifted);
+  EXPECT_LT(r.confidence, r.baseline_confidence * 0.9);
+}
+
+TEST(DriftMonitor, FidelityDropOnReferenceShots) {
+  DriftConfig cfg = fast_drift_config();
+  cfg.fidelity_drop = 0.05;
+  DriftMonitor m(cfg);
+
+  // Served 0s against expected 0s -> fidelity baseline 1.0.
+  observe_n(m, 64, {0, 0}, std::nullopt, {0, 0});
+  DriftReport r = m.report(cfg);
+  ASSERT_TRUE(r.ready);
+  EXPECT_FALSE(r.drifted);
+  EXPECT_NEAR(r.baseline_fidelity, 1.0, 1e-6);
+  EXPECT_EQ(r.reference, 64u);
+  EXPECT_EQ(r.scored, 0u);
+
+  // Now the device "drifts": half the expected qubits stop matching.
+  observe_n(m, 64, {0, 0}, std::nullopt, {0, 1});
+  r = m.report(cfg);
+  EXPECT_TRUE(r.drifted);
+  EXPECT_LT(r.fidelity, 0.6);
+  EXPECT_EQ(r.reference, 128u);
+}
+
+TEST(DriftMonitor, AbsoluteFidelityFloor) {
+  DriftConfig cfg = fast_drift_config();
+  cfg.fidelity_drop = 1.0;  // Disable the relative check.
+  cfg.min_fidelity = 0.95;
+  DriftMonitor m(cfg);
+
+  observe_n(m, 64, {0, 0}, std::nullopt, {0, 0});
+  EXPECT_FALSE(m.report(cfg).drifted);
+  observe_n(m, 64, {0, 0}, std::nullopt, {1, 1});  // EWMA collapses < 0.95.
+  EXPECT_TRUE(m.report(cfg).drifted);
+}
+
+TEST(DriftMonitor, LabelMixShiftTripsL1) {
+  DriftConfig cfg = fast_drift_config();
+  cfg.confidence_drop = 1.0;  // Isolate the label-mix signal.
+  cfg.fidelity_drop = 1.0;
+  cfg.label_l1 = 0.5;
+  DriftMonitor m(cfg);
+
+  observe_n(m, 64, {0, 0}, 0.9f);  // All-0 labels establish the baseline mix.
+  EXPECT_FALSE(m.report(cfg).drifted);
+  observe_n(m, 64, {1, 1}, 0.9f);  // Served labels flip to all-1.
+  const DriftReport r = m.report(cfg);
+  EXPECT_TRUE(r.drifted);
+  EXPECT_GT(r.label_l1, 0.5);
+}
+
+// ---- drift monitors wired into the StreamingEngine ----------------------
 
 /// Scored two-qubit backend with runtime-adjustable labels + confidence.
 struct FakeKnobs {
@@ -260,12 +362,8 @@ StreamingConfig drifty_config() {
   cfg.queue_capacity = 256;
   cfg.batch_max = 8;
   cfg.deadline_us = 50;
-  cfg.drift.enabled = true;
-  cfg.drift.alpha = 0.2;  // Fast EWMAs: tests drive with tens of shots.
-  cfg.drift.baseline_shots = 16;
-  cfg.drift.baseline_signal = 16;
+  cfg.drift = fast_drift_config();
   cfg.drift.confidence_sample = 1;  // Score every shot.
-  cfg.drift.min_samples = 16;
   return cfg;
 }
 
@@ -273,98 +371,6 @@ void feed(StreamingEngine& eng, std::size_t n) {
   const IqTrace frame(256);
   for (std::size_t k = 0; k < n; ++k) eng.submit(frame);
   eng.drain();
-}
-
-void feed_reference(StreamingEngine& eng, std::size_t n,
-                    const std::vector<int>& expected) {
-  const IqTrace frame(256);
-  for (std::size_t k = 0; k < n; ++k) eng.submit_reference(frame, expected);
-  eng.drain();
-}
-
-TEST(DriftMonitor, NotReadyBeforeMinSamples) {
-  auto knobs = std::make_shared<FakeKnobs>();
-  StreamingEngine eng(fake_scored_backend(knobs), 1, drifty_config());
-  feed(eng, 4);
-  const DriftReport r = eng.drift(0);
-  EXPECT_FALSE(r.ready);
-  EXPECT_FALSE(r.drifted);
-  EXPECT_EQ(r.samples, 4u);
-}
-
-TEST(DriftMonitor, ConfidenceDropCrossesThreshold) {
-  auto knobs = std::make_shared<FakeKnobs>();
-  StreamingConfig cfg = drifty_config();
-  cfg.drift.confidence_drop = 0.10;  // Relative.
-  StreamingEngine eng(fake_scored_backend(knobs), 1, cfg);
-
-  feed(eng, 64);  // Baseline at confidence 0.9.
-  DriftReport r = eng.drift(0);
-  ASSERT_TRUE(r.ready);
-  EXPECT_FALSE(r.drifted);
-  EXPECT_NEAR(r.baseline_confidence, 0.9, 1e-6);
-  EXPECT_GT(r.scored, 0u);
-
-  knobs->confidence.store(0.6f);  // 33% drop >> 10% threshold.
-  feed(eng, 64);
-  r = eng.drift(0);
-  EXPECT_TRUE(r.drifted);
-  EXPECT_LT(r.confidence, r.baseline_confidence * 0.9);
-  EXPECT_EQ(eng.stats().shards_drifted, 1u);
-}
-
-TEST(DriftMonitor, FidelityDropOnReferenceShots) {
-  auto knobs = std::make_shared<FakeKnobs>();
-  StreamingConfig cfg = drifty_config();
-  cfg.drift.fidelity_drop = 0.05;
-  StreamingEngine eng(fake_scored_backend(knobs), 1, cfg);
-
-  // Backend answers 0s; expecting 0s -> fidelity baseline 1.0.
-  feed_reference(eng, 64, {0, 0});
-  DriftReport r = eng.drift(0);
-  ASSERT_TRUE(r.ready);
-  EXPECT_FALSE(r.drifted);
-  EXPECT_NEAR(r.baseline_fidelity, 1.0, 1e-6);
-  EXPECT_EQ(r.reference, 64u);
-
-  // Now the device "drifts": half the expected qubits stop matching.
-  feed_reference(eng, 64, {0, 1});
-  r = eng.drift(0);
-  EXPECT_TRUE(r.drifted);
-  EXPECT_LT(r.fidelity, 0.6);
-  const StreamingStats st = eng.stats();
-  EXPECT_EQ(st.reference_shots, 128u);
-  EXPECT_GT(st.scored_shots, 0u);
-}
-
-TEST(DriftMonitor, AbsoluteFidelityFloor) {
-  auto knobs = std::make_shared<FakeKnobs>();
-  StreamingConfig cfg = drifty_config();
-  cfg.drift.fidelity_drop = 1.0;  // Disable the relative check.
-  cfg.drift.min_fidelity = 0.95;
-  StreamingEngine eng(fake_scored_backend(knobs), 1, cfg);
-
-  feed_reference(eng, 64, {0, 0});
-  EXPECT_FALSE(eng.drift(0).drifted);
-  feed_reference(eng, 64, {1, 1});  // Fidelity EWMA collapses below 0.95.
-  EXPECT_TRUE(eng.drift(0).drifted);
-}
-
-TEST(DriftMonitor, LabelMixShiftTripsL1) {
-  auto knobs = std::make_shared<FakeKnobs>();
-  StreamingConfig cfg = drifty_config();
-  cfg.drift.confidence_drop = 1.0;  // Isolate the label-mix signal.
-  cfg.drift.fidelity_drop = 1.0;
-  cfg.drift.label_l1 = 0.5;
-  StreamingEngine eng(fake_scored_backend(knobs), 1, cfg);
-
-  feed(eng, 64);  // All-0 labels establish the baseline mix.
-  EXPECT_FALSE(eng.drift(0).drifted);
-  knobs->label.store(1);  // Served labels flip to all-1.
-  feed(eng, 64);
-  const DriftReport r = eng.drift(0);
-  EXPECT_TRUE(r.drifted);
-  EXPECT_GT(r.label_l1, 0.5);
 }
 
 TEST(DriftMonitor, SwapShardResetsTheMonitor) {
@@ -377,6 +383,9 @@ TEST(DriftMonitor, SwapShardResetsTheMonitor) {
   knobs->confidence.store(0.5f);
   feed(eng, 64);
   ASSERT_TRUE(eng.drift(0).drifted);
+  const StreamingStats st = eng.stats();
+  EXPECT_EQ(st.shards_drifted, 1u);
+  EXPECT_EQ(st.scored_shots, 128u);
 
   auto fresh = std::make_shared<FakeKnobs>();
   eng.swap_shard(0, fake_scored_backend(fresh));
@@ -397,7 +406,7 @@ TEST(DriftMonitor, ReferenceSubmitRejectsWrongLabelCount) {
   StreamingEngine eng(fake_scored_backend(knobs), 1, drifty_config());
   const IqTrace frame(256);
   const std::vector<int> wrong{0};
-  EXPECT_THROW(eng.submit_reference(frame, wrong), Error);
+  EXPECT_THROW(eng.submit(frame, {.expected = wrong}), Error);
 }
 
 // ---- RecalibrationController end to end ---------------------------------
@@ -496,7 +505,7 @@ TEST(RecalibrationController, FailedRetrainLeavesOldShardServing) {
 
   // Old backend still owns the shard: it answers with its label 7.
   const IqTrace frame(256);
-  const StreamingEngine::Ticket t = eng.submit(frame);
+  const StreamingEngine::Ticket t = *eng.submit(frame);
   std::vector<int> out(2);
   ASSERT_EQ(eng.wait_result(t, out), ShotStatus::kDone);
   EXPECT_EQ(out[0], 7);
@@ -544,7 +553,7 @@ TEST(RecalibrationController, RetrainerSeesReservoirShots) {
   const IqTrace frame(256);
   const std::vector<int> expected{0, 0};
   for (int k = 0; k < 64; ++k) {
-    eng.submit_reference(frame, expected);
+    eng.submit(frame, {.expected = expected});
     ctrl.reservoir().push(frame, expected);
   }
   eng.drain();
@@ -601,7 +610,8 @@ TEST(RecalibrationController, ConcurrentDriftSwapAndIngest) {
       const std::vector<int> expected{0, 0};
       std::uint64_t key = static_cast<std::uint64_t>(p) << 32;
       while (run.load()) {
-        if (eng.submit_reference_for(frame, key++, expected, 1000us)
+        if (eng.submit(frame,
+                       {.key = key++, .expected = expected, .timeout = 1000us})
                 .has_value()) {
           ctrl.reservoir().push(frame, expected);
           accepted.fetch_add(1);

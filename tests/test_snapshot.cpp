@@ -248,23 +248,24 @@ TEST(Snapshot, SwapShardServesReloadedCalibrationWithoutStopping) {
 
   std::vector<StreamingEngine::Ticket> tickets;
   for (std::size_t s = 0; s < half; ++s)
-    tickets.push_back(eng.submit(fx.ds.shots.traces[s]));
+    tickets.push_back(*eng.submit(fx.ds.shots.traces[s]));
   eng.drain();  // Pre-swap shots are classified (float) before the swap.
   eng.swap_shard(0, snap.backend());
   eng.swap_shard(1, snap.backend());
-  EXPECT_EQ(eng.shards_swapped(), 2u);
+  EXPECT_EQ(eng.stats().swaps, 2u);
   for (std::size_t s = half; s < n; ++s)
-    tickets.push_back(eng.submit(fx.ds.shots.traces[s]));
+    tickets.push_back(*eng.submit(fx.ds.shots.traces[s]));
   eng.drain();
 
   const std::size_t nq = eng.num_qubits();
+  std::vector<int> got(nq);
   for (std::size_t s = 0; s < n; ++s) {
-    const std::vector<int> got = eng.wait(tickets[s]);
+    ASSERT_EQ(eng.wait_result(tickets[s], got), ShotStatus::kDone);
     const std::vector<int>& want = s < half ? fx.float_labels : fx.int16_labels;
     for (std::size_t q = 0; q < nq; ++q)
       ASSERT_EQ(got[q], want[s * nq + q]) << "shot " << s << " qubit " << q;
   }
-  EXPECT_EQ(eng.shots_completed(), n);
+  EXPECT_EQ(eng.stats().completed, n);
 }
 
 TEST(Snapshot, SwapShardUnderConcurrentTrafficKeepsTicketFrameBinding) {
@@ -296,13 +297,13 @@ TEST(Snapshot, SwapShardUnderConcurrentTrafficKeepsTicketFrameBinding) {
     const std::size_t nq = eng.num_qubits();
     std::vector<int> out(nq);
     for (std::size_t s = 0; s < n; ++s) {  // Tickets are issued in order.
-      eng.wait(s, out);
+      ASSERT_EQ(eng.wait_result(s, out), ShotStatus::kDone);
       for (std::size_t q = 0; q < nq; ++q)
         ASSERT_EQ(out[q], fx.float_labels[s * nq + q])
             << "shot " << s << " qubit " << q;
     }
   }  // Joins producer and swapper before checking the swap counter.
-  EXPECT_EQ(eng.shards_swapped(), 6u);
+  EXPECT_EQ(eng.stats().swaps, 6u);
 }
 
 TEST(Snapshot, SwapShardValidatesBackendAndIndex) {
@@ -315,7 +316,7 @@ TEST(Snapshot, SwapShardValidatesBackendAndIndex) {
                                          std::span<int>) {})),
       Error);
   EXPECT_THROW(eng.swap_shard(7, make_backend(fx.proposed)), Error);
-  EXPECT_EQ(eng.shards_swapped(), 0u);
+  EXPECT_EQ(eng.stats().swaps, 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <memory>
 #include <semaphore>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,13 +56,21 @@ std::vector<int> stream_all(StreamingEngine& eng,
                             const std::vector<IqTrace>& traces) {
   std::vector<StreamingEngine::Ticket> tickets;
   tickets.reserve(traces.size());
-  for (const IqTrace& t : traces) tickets.push_back(eng.submit(t));
+  for (const IqTrace& t : traces) tickets.push_back(*eng.submit(t));
   eng.drain();
-  std::vector<int> labels(traces.size() * eng.num_qubits(), -1);
+  const std::size_t nq = eng.num_qubits();
+  std::vector<int> labels(traces.size() * nq, -1);
   for (std::size_t s = 0; s < tickets.size(); ++s)
-    eng.wait(tickets[s],
-             {labels.data() + s * eng.num_qubits(), eng.num_qubits()});
+    EXPECT_EQ(eng.wait_result(tickets[s], {labels.data() + s * nq, nq}),
+              ShotStatus::kDone);
   return labels;
+}
+
+/// Waits ticket `t`, expecting kDone, and returns its labels.
+std::vector<int> done_labels(StreamingEngine& eng, StreamingEngine::Ticket t) {
+  std::vector<int> out(eng.num_qubits(), -1);
+  EXPECT_EQ(eng.wait_result(t, out), ShotStatus::kDone) << "ticket " << t;
+  return out;
 }
 
 TEST(Streaming, MatchesSyncAcrossShardCounts) {
@@ -74,7 +83,7 @@ TEST(Streaming, MatchesSyncAcrossShardCounts) {
     EXPECT_EQ(eng.num_shards(), shards);
     EXPECT_EQ(stream_all(eng, fx.ds.shots.traces), fx.sync_labels)
         << shards << " shards";
-    EXPECT_EQ(eng.shots_completed(), fx.ds.shots.size());
+    EXPECT_EQ(eng.stats().completed, fx.ds.shots.size());
   }
 }
 
@@ -91,7 +100,7 @@ TEST(Streaming, MatchesSyncAcrossWorkerAndBatchKnobs) {
       StreamingEngine eng(make_backend(fx.proposed), 2, cfg);
       EXPECT_EQ(stream_all(eng, fx.ds.shots.traces), fx.sync_labels)
           << threads << " threads, batch_max " << batch_max;
-      EXPECT_GE(eng.batches_dispatched(), 1u);
+      EXPECT_GE(eng.stats().batches, 1u);
     }
   }
 }
@@ -104,10 +113,10 @@ TEST(Streaming, KeyedRoutingMatchesSync) {
   const std::vector<IqTrace>& traces = fx.ds.shots.traces;
   std::vector<StreamingEngine::Ticket> tickets;
   for (std::size_t s = 0; s < traces.size(); ++s)
-    tickets.push_back(eng.submit(traces[s], /*channel_key=*/s * 7 + 1));
+    tickets.push_back(*eng.submit(traces[s], {.key = s * 7 + 1}));
   eng.drain();
   for (std::size_t s = 0; s < tickets.size(); ++s) {
-    const std::vector<int> got = eng.wait(tickets[s]);
+    const std::vector<int> got = done_labels(eng, tickets[s]);
     for (std::size_t q = 0; q < eng.num_qubits(); ++q)
       ASSERT_EQ(got[q], fx.sync_labels[s * eng.num_qubits() + q])
           << "shot " << s << " qubit " << q;
@@ -126,11 +135,11 @@ TEST(Streaming, TicketsAwaitableInAnyOrder) {
   const std::size_t n = std::min<std::size_t>(200, fx.ds.shots.size());
   std::vector<StreamingEngine::Ticket> tickets;
   for (std::size_t s = 0; s < n; ++s)
-    tickets.push_back(eng.submit(fx.ds.shots.traces[s]));
+    tickets.push_back(*eng.submit(fx.ds.shots.traces[s]));
   // Reverse wait order: ticket n-1 first, ticket 0 last.
   for (std::size_t r = 0; r < n; ++r) {
     const std::size_t s = n - 1 - r;
-    const std::vector<int> got = eng.wait(tickets[s]);
+    const std::vector<int> got = done_labels(eng, tickets[s]);
     for (std::size_t q = 0; q < eng.num_qubits(); ++q)
       ASSERT_EQ(got[q], fx.sync_labels[s * eng.num_qubits() + q])
           << "shot " << s << " qubit " << q;
@@ -138,7 +147,7 @@ TEST(Streaming, TicketsAwaitableInAnyOrder) {
 }
 
 TEST(Streaming, BoundedRingAppliesBackpressure) {
-  // Ring far smaller than the stream: submit blocks until wait() frees
+  // Ring far smaller than the stream: submit blocks until a wait frees
   // slots, and every label still matches the synchronous path.
   const Fixture& fx = Fixture::get();
   StreamingConfig cfg;
@@ -152,12 +161,12 @@ TEST(Streaming, BoundedRingAppliesBackpressure) {
   });
   std::vector<int> out(eng.num_qubits());
   for (std::size_t s = 0; s < n; ++s) {  // Tickets are issued 0..n-1 in order.
-    eng.wait(s, out);
+    ASSERT_EQ(eng.wait_result(s, out), ShotStatus::kDone);
     for (std::size_t q = 0; q < eng.num_qubits(); ++q)
       ASSERT_EQ(out[q], fx.sync_labels[s * eng.num_qubits() + q])
           << "shot " << s << " qubit " << q;
   }
-  EXPECT_EQ(eng.shots_submitted(), n);
+  EXPECT_EQ(eng.stats().submitted, n);
 }
 
 TEST(Streaming, MultipleProducersKeepTicketFrameBinding) {
@@ -176,7 +185,7 @@ TEST(Streaming, MultipleProducersKeepTicketFrameBinding) {
       producers.emplace_back([&, p] {
         for (std::size_t k = 0; k < per; ++k) {
           const std::size_t shot = p * per + k;
-          submitted[p].emplace_back(eng.submit(fx.ds.shots.traces[shot]),
+          submitted[p].emplace_back(*eng.submit(fx.ds.shots.traces[shot]),
                                     shot);
         }
       });
@@ -184,12 +193,12 @@ TEST(Streaming, MultipleProducersKeepTicketFrameBinding) {
   eng.drain();
   for (const auto& batch : submitted)
     for (const auto& [ticket, shot] : batch) {
-      const std::vector<int> got = eng.wait(ticket);
+      const std::vector<int> got = done_labels(eng, ticket);
       for (std::size_t q = 0; q < eng.num_qubits(); ++q)
         ASSERT_EQ(got[q], fx.sync_labels[shot * eng.num_qubits() + q])
             << "shot " << shot << " qubit " << q;
     }
-  EXPECT_EQ(eng.shots_completed(), kProducers * per);
+  EXPECT_EQ(eng.stats().completed, kProducers * per);
 }
 
 TEST(Streaming, DeadlineFlushesPartialBatches) {
@@ -200,10 +209,10 @@ TEST(Streaming, DeadlineFlushesPartialBatches) {
   cfg.batch_max = 256;
   cfg.deadline_us = 100;
   StreamingEngine eng(make_backend(fx.proposed), 1, cfg);
-  const auto t0 = eng.submit(fx.ds.shots.traces[0]);
-  const auto t1 = eng.submit(fx.ds.shots.traces[1]);
-  const std::vector<int> l0 = eng.wait(t0);
-  const std::vector<int> l1 = eng.wait(t1);
+  const auto t0 = *eng.submit(fx.ds.shots.traces[0]);
+  const auto t1 = *eng.submit(fx.ds.shots.traces[1]);
+  const std::vector<int> l0 = done_labels(eng, t0);
+  const std::vector<int> l1 = done_labels(eng, t1);
   for (std::size_t q = 0; q < eng.num_qubits(); ++q) {
     EXPECT_EQ(l0[q], fx.sync_labels[q]);
     EXPECT_EQ(l1[q], fx.sync_labels[eng.num_qubits() + q]);
@@ -213,26 +222,27 @@ TEST(Streaming, DeadlineFlushesPartialBatches) {
 TEST(Streaming, WaitContractViolationsThrow) {
   const Fixture& fx = Fixture::get();
   StreamingEngine eng(make_backend(fx.proposed), 2);
-  const auto t = eng.submit(fx.ds.shots.traces[0]);
+  const auto t = *eng.submit(fx.ds.shots.traces[0]);
   eng.drain();
   std::vector<int> out(eng.num_qubits());
-  EXPECT_THROW(eng.wait(t, {out.data(), 1}), Error);  // Wrong span size.
-  eng.wait(t, out);
-  EXPECT_THROW(eng.wait(t), Error);  // Tickets are one-shot.
+  EXPECT_THROW(eng.wait_result(t, {out.data(), 1}), Error);  // Wrong span.
+  EXPECT_EQ(eng.wait_result(t, out), ShotStatus::kDone);
+  EXPECT_THROW(eng.wait_result(t, out), Error);  // Tickets are one-shot.
   // A recycled slot also reports the stale ticket as consumed.
   StreamingConfig tiny;
   tiny.queue_capacity = 2;
   StreamingEngine small(make_backend(fx.proposed), 1, tiny);
   for (std::size_t s = 0; s < 6; ++s) {
     small.submit(fx.ds.shots.traces[s]);
-    small.wait(s, out);  // Free the slot so the ring can advance.
+    small.wait_result(s, out);  // Free the slot so the ring can advance.
   }
-  EXPECT_THROW(small.wait(1), Error);  // Slot now owned by ticket 3/5.
+  EXPECT_THROW(small.wait_result(1, out), Error);  // Slot owned by 3/5 now.
 }
 
 TEST(Streaming, RejectsBadShardSets) {
   const Fixture& fx = Fixture::get();
   EXPECT_THROW(StreamingEngine(std::vector<EngineBackend>{}), Error);
+  EXPECT_THROW(StreamingEngine(make_backend(fx.proposed), 0), Error);
   EXPECT_THROW(StreamingEngine(std::vector<EngineBackend>{EngineBackend{}}),
                Error);
   std::vector<EngineBackend> mixed{
@@ -268,23 +278,24 @@ IqTrace poison_frame() {
 TEST(Streaming, ThrowingBackendSurfacesFromWaitAndEngineSurvives) {
   // A backend exception used to escape the dispatcher jthread ->
   // std::terminate with the batch's slots stuck kInFlight. Now the failure
-  // is delivered through the affected ticket's wait() and the dispatcher
-  // keeps serving.
+  // is reported as the affected ticket's kFailed and the dispatcher keeps
+  // serving.
   StreamingConfig cfg;
   cfg.batch_max = 1;  // One ticket per micro-batch: failures stay per-shot.
   cfg.deadline_us = 0;
   StreamingEngine eng(flaky_backend(), 2, cfg);
-  const auto good0 = eng.submit(plain_frame());
-  const auto bad = eng.submit(poison_frame());
-  const auto good1 = eng.submit(plain_frame());
-  EXPECT_EQ(eng.wait(good0), (std::vector<int>{0, 0}));
-  EXPECT_THROW(eng.wait(bad), Error);
-  EXPECT_THROW(eng.wait(bad), Error);  // Consumed: one-shot contract holds.
-  EXPECT_EQ(eng.wait(good1), (std::vector<int>{0, 0}));
+  const auto good0 = *eng.submit(plain_frame());
+  const auto bad = *eng.submit(poison_frame());
+  const auto good1 = *eng.submit(plain_frame());
+  std::vector<int> out(eng.num_qubits());
+  EXPECT_EQ(done_labels(eng, good0), (std::vector<int>{0, 0}));
+  EXPECT_EQ(eng.wait_result(bad, out), ShotStatus::kFailed);
+  EXPECT_THROW(eng.wait_result(bad, out), Error);  // Consumed: one-shot.
+  EXPECT_EQ(done_labels(eng, good1), (std::vector<int>{0, 0}));
   // The engine is still alive for later submissions.
-  const auto good2 = eng.submit(plain_frame());
-  EXPECT_EQ(eng.wait(good2), (std::vector<int>{0, 0}));
-  EXPECT_EQ(eng.shots_completed(), 4u);
+  EXPECT_EQ(done_labels(eng, *eng.submit(plain_frame())),
+            (std::vector<int>{0, 0}));
+  EXPECT_EQ(eng.stats().completed, 4u);
 }
 
 TEST(Streaming, BackendFailureStaysPerShotWithinABatch) {
@@ -297,17 +308,20 @@ TEST(Streaming, BackendFailureStaysPerShotWithinABatch) {
   StreamingEngine eng(flaky_backend(), 1, cfg);
   std::vector<StreamingEngine::Ticket> tickets;
   for (int s = 0; s < 4; ++s)
-    tickets.push_back(eng.submit(s == 2 ? poison_frame() : plain_frame()));
+    tickets.push_back(*eng.submit(s == 2 ? poison_frame() : plain_frame()));
+  std::vector<int> out(eng.num_qubits());
   for (std::size_t s = 0; s < tickets.size(); ++s) {
     if (s == 2) {
-      EXPECT_THROW(eng.wait(tickets[s]), Error);
+      EXPECT_EQ(eng.wait_result(tickets[s], out), ShotStatus::kFailed);
     } else {
-      EXPECT_EQ(eng.wait(tickets[s]), (std::vector<int>{0, 0})) << "shot " << s;
+      EXPECT_EQ(done_labels(eng, tickets[s]), (std::vector<int>{0, 0}))
+          << "shot " << s;
     }
   }
   // The next (clean) batch classifies normally.
-  EXPECT_EQ(eng.wait(eng.submit(plain_frame())), (std::vector<int>{0, 0}));
-  EXPECT_EQ(eng.batches_dispatched(), 2u);
+  EXPECT_EQ(done_labels(eng, *eng.submit(plain_frame())),
+            (std::vector<int>{0, 0}));
+  EXPECT_EQ(eng.stats().batches, 2u);
   EXPECT_EQ(eng.stats().failed, 1u);
 }
 
@@ -316,18 +330,30 @@ TEST(Streaming, DrainSurfacesFailuresUntilTicketsAreConsumed) {
   cfg.batch_max = 1;
   cfg.deadline_us = 0;
   StreamingEngine eng(flaky_backend(), 1, cfg);
-  const auto good = eng.submit(plain_frame());
-  const auto bad = eng.submit(poison_frame());
-  EXPECT_THROW(eng.drain(), Error);
+  const auto good = *eng.submit(plain_frame());
+  const auto bad = *eng.submit(poison_frame());
+  // drain() carries the failure details: the backend's own exception.
+  EXPECT_THROW(
+      {
+        try {
+          eng.drain();
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("poisoned frame"),
+                    std::string::npos);
+          throw;
+        }
+      },
+      Error);
   EXPECT_THROW(eng.drain(), Error);  // Still unconsumed: drain keeps flagging.
-  EXPECT_EQ(eng.wait(good), (std::vector<int>{0, 0}));
-  EXPECT_THROW(eng.wait(bad), Error);
+  EXPECT_EQ(done_labels(eng, good), (std::vector<int>{0, 0}));
+  std::vector<int> out(eng.num_qubits());
+  EXPECT_EQ(eng.wait_result(bad, out), ShotStatus::kFailed);
   EXPECT_NO_THROW(eng.drain());  // All failures delivered: quiet again.
 }
 
 TEST(Streaming, FailuresUnderBackpressureNeitherDeadlockNorLeakSlots) {
   // A tiny ring forces submit() to block on slots held by failed tickets;
-  // wait() must free them (and count exactly the poisoned shots as
+  // waits must free them (and count exactly the poisoned shots as
   // failures) or the producer would hang forever.
   StreamingConfig cfg;
   cfg.queue_capacity = 2;
@@ -341,15 +367,10 @@ TEST(Streaming, FailuresUnderBackpressureNeitherDeadlockNorLeakSlots) {
   });
   std::size_t failures = 0;
   std::vector<int> out(eng.num_qubits());
-  for (std::size_t s = 0; s < kShots; ++s) {
-    try {
-      eng.wait(s, out);
-    } catch (const Error&) {
-      ++failures;
-    }
-  }
+  for (std::size_t s = 0; s < kShots; ++s)
+    if (eng.wait_result(s, out) == ShotStatus::kFailed) ++failures;
   EXPECT_EQ(failures, kShots / 3);
-  EXPECT_EQ(eng.shots_completed(), kShots);
+  EXPECT_EQ(eng.stats().completed, kShots);
   EXPECT_NO_THROW(eng.drain());
 }
 
@@ -415,46 +436,48 @@ EngineBackend controllable_backend(std::shared_ptr<std::atomic<bool>> fail,
       });
 }
 
-TEST(Streaming, TrySubmitAndSubmitForRejectWhileRingStaysFull) {
+TEST(Streaming, TimedSubmitRejectsWhileRingStaysFull) {
   StreamingConfig cfg;
   cfg.queue_capacity = 2;
   cfg.batch_max = 2;
   cfg.deadline_us = 0;
   StreamingEngine eng(flaky_backend(), 1, cfg);
-  const auto t0 = eng.submit(plain_frame());
-  const auto t1 = eng.submit(plain_frame());
+  const auto t0 = *eng.submit(plain_frame());
+  const auto t1 = *eng.submit(plain_frame());
   // Both slots stay occupied (queued / in-flight / done) until a wait
-  // consumes one — admission must reject, not block.
-  EXPECT_FALSE(eng.try_submit(plain_frame()).has_value());
+  // consumes one — admission must reject, not block: a zero timeout tries
+  // once, a positive one gives up when it expires.
+  const SubmitOptions try_once{.timeout = std::chrono::microseconds(0)};
+  EXPECT_FALSE(eng.submit(plain_frame(), try_once).has_value());
   EXPECT_FALSE(
-      eng.submit_for(plain_frame(), std::chrono::microseconds(2000))
+      eng.submit(plain_frame(), {.timeout = std::chrono::microseconds(2000)})
           .has_value());
   std::vector<int> out(eng.num_qubits());
-  eng.wait(t0, out);
-  const auto t2 = eng.try_submit(plain_frame());
+  EXPECT_EQ(eng.wait_result(t0, out), ShotStatus::kDone);
+  const auto t2 = eng.submit(plain_frame(), try_once);
   ASSERT_TRUE(t2.has_value());
   EXPECT_EQ(*t2, t1 + 1);
-  eng.wait(t1, out);
-  eng.wait(*t2, out);
+  EXPECT_EQ(eng.wait_result(t1, out), ShotStatus::kDone);
+  EXPECT_EQ(eng.wait_result(*t2, out), ShotStatus::kDone);
   const StreamingStats st = eng.stats();
   EXPECT_EQ(st.submitted, 3u);
   EXPECT_EQ(st.completed, 3u);
 }
 
 TEST(Streaming, WaitOnProvablyUnsatisfiableTicketThrows) {
-  // A ticket >= shots_submitted() + capacity cannot resolve before the
-  // caller itself deadlocks, so plain wait() refuses it up front; timed
+  // A ticket >= stats().submitted + capacity cannot resolve before the
+  // caller itself deadlocks, so wait_result() refuses it up front; timed
   // wait_for() is the sanctioned way to poll a speculative ticket.
   StreamingConfig cfg;
   cfg.queue_capacity = 4;
   StreamingEngine eng(flaky_backend(), 1, cfg);
   std::vector<int> out(eng.num_qubits());
-  EXPECT_THROW(eng.wait(4, out), Error);
+  EXPECT_THROW(eng.wait_result(4, out), Error);
   EXPECT_EQ(eng.wait_for(4, out, std::chrono::microseconds(1000)),
             ShotStatus::kTimedOut);
-  const auto t0 = eng.submit(plain_frame());  // Frontier moves with submits.
-  EXPECT_THROW(eng.wait(5, out), Error);
-  eng.wait(t0, out);
+  const auto t0 = *eng.submit(plain_frame());  // Frontier moves with submits.
+  EXPECT_THROW(eng.wait_result(5, out), Error);
+  EXPECT_EQ(eng.wait_result(t0, out), ShotStatus::kDone);
 }
 
 TEST(Streaming, WaitForTimesOutWithoutConsumingTheTicket) {
@@ -463,7 +486,7 @@ TEST(Streaming, WaitForTimesOutWithoutConsumingTheTicket) {
   cfg.batch_max = 1;
   cfg.deadline_us = 0;
   StreamingEngine eng(gated_backend(gate), 1, cfg);
-  const auto t0 = eng.submit(plain_frame());
+  const auto t0 = *eng.submit(plain_frame());
   std::vector<int> out(eng.num_qubits());
   EXPECT_EQ(eng.wait_for(t0, out, std::chrono::microseconds(1000)),
             ShotStatus::kTimedOut);
@@ -473,7 +496,76 @@ TEST(Streaming, WaitForTimesOutWithoutConsumingTheTicket) {
   EXPECT_EQ(eng.wait_for(t0, out, std::chrono::microseconds(2000000)),
             ShotStatus::kDone);
   EXPECT_EQ(out, (std::vector<int>{0, 0}));
-  EXPECT_THROW(eng.wait(t0), Error);  // Now consumed: one-shot contract.
+  EXPECT_THROW(eng.wait_result(t0, out), Error);  // Consumed: one-shot.
+}
+
+TEST(Streaming, MaxTimeoutBlocksWithoutADeadline) {
+  // microseconds::max() is the natural "forever", but now() + max()
+  // overflows the clock (UB, in practice a deadline in the past: the timed
+  // submit would reject and wait_for time out at once). It must block with
+  // no deadline instead. The ring holds one shot and the gated backend
+  // keeps each shot in flight for a few ms, so both calls really wait.
+  auto gate = std::make_shared<Gate>();
+  StreamingConfig cfg;
+  cfg.queue_capacity = 1;
+  cfg.batch_max = 1;
+  cfg.deadline_us = 0;
+  StreamingEngine eng(gated_backend(gate), 1, cfg);
+  const auto forever = std::chrono::microseconds::max();
+  const auto t0 = *eng.submit(plain_frame());
+  std::jthread releaser([&] {
+    // t0: hold it in flight, then consume it — that frees the ring's only
+    // slot for the timed submit.
+    gate->started.acquire();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    gate->go.release();
+    std::vector<int> out0(2);
+    EXPECT_EQ(eng.wait_result(t0, out0), ShotStatus::kDone);
+    // t1: hold it in flight too, so wait_for really waits. Bounded, so a
+    // rejected submit fails the test instead of hanging it.
+    (void)gate->started.try_acquire_for(std::chrono::seconds(2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    gate->go.release();
+  });
+  const auto t1 = eng.submit(plain_frame(), {.timeout = forever});
+  ASSERT_TRUE(t1.has_value());
+  std::vector<int> out(eng.num_qubits());
+  EXPECT_EQ(eng.wait_for(*t1, out, forever), ShotStatus::kDone);
+  EXPECT_EQ(out, (std::vector<int>{0, 0}));
+}
+
+TEST(Streaming, OneSubmitOptionsCarriesKeyExpectedLabelsAndTimeout) {
+  // Key, reference labels and admission timeout travel together: the key
+  // routes (round-robin would put the first shot on shard 0), the
+  // expected labels feed shard 1's fidelity monitor, and the timeout
+  // turns a full ring into a rejection.
+  StreamingConfig cfg;
+  cfg.queue_capacity = 2;
+  cfg.batch_max = 1;
+  cfg.deadline_us = 0;
+  cfg.drift.enabled = true;
+  cfg.drift.baseline_signal = 1;
+  StreamingEngine eng(
+      std::vector<EngineBackend>{const_backend("zero", 0),
+                                 const_backend("one", 1)},
+      cfg);
+  const std::vector<int> expected{1, 1};
+  const SubmitOptions opts{.key = 3,
+                           .expected = expected,
+                           .timeout = std::chrono::microseconds(1000)};
+  const auto t0 = eng.submit(plain_frame(), opts);
+  const auto t1 = eng.submit(plain_frame(), opts);
+  ASSERT_TRUE(t0.has_value() && t1.has_value());
+  EXPECT_FALSE(eng.submit(plain_frame(), opts).has_value());  // Ring full.
+  EXPECT_EQ(done_labels(eng, *t0), (std::vector<int>{1, 1}));  // Shard 1.
+  EXPECT_EQ(done_labels(eng, *t1), (std::vector<int>{1, 1}));
+  const DriftReport r = eng.drift(1);
+  EXPECT_EQ(r.reference, 2u);
+  EXPECT_DOUBLE_EQ(r.baseline_fidelity, 1.0);
+  EXPECT_EQ(eng.drift(0).samples, 0u);
+  const StreamingStats st = eng.stats();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.reference_shots, 2u);
 }
 
 TEST(Streaming, StaleFramesShedAndReportViaWaitResult) {
@@ -481,19 +573,21 @@ TEST(Streaming, StaleFramesShedAndReportViaWaitResult) {
   StreamingConfig cfg;
   cfg.batch_max = 1;
   cfg.deadline_us = 0;
-  cfg.shot_deadline_us = 1000;
+  // Far above any dispatcher wake-up, so t0 is always claimed fresh: a
+  // shed t0 would never reach the gate and the test would block forever.
+  cfg.shot_deadline_us = 100000;
   StreamingEngine eng(gated_backend(gate), 1, cfg);
-  const auto t0 = eng.submit(plain_frame());
+  const auto t0 = *eng.submit(plain_frame());
   gate->started.acquire();  // t0 claimed fresh; its batch now sits blocked.
-  const auto t1 = eng.submit(plain_frame());
-  const auto t2 = eng.submit(plain_frame());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // t1/t2 stale.
+  const auto t1 = *eng.submit(plain_frame());
+  const auto t2 = *eng.submit(plain_frame());
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // t1/t2 stale.
   gate->go.release();
   std::vector<int> out(eng.num_qubits());
   EXPECT_EQ(eng.wait_result(t0, out), ShotStatus::kDone);
   EXPECT_EQ(out, (std::vector<int>{0, 0}));
   EXPECT_EQ(eng.wait_result(t1, out), ShotStatus::kShed);
-  EXPECT_THROW(eng.wait(t2, out), Error);  // Plain wait has no shed channel.
+  EXPECT_EQ(eng.wait_result(t2, out), ShotStatus::kShed);
   const StreamingStats st = eng.stats();
   EXPECT_EQ(st.shed, 2u);
   EXPECT_EQ(st.completed, 3u);
@@ -512,15 +606,17 @@ TEST(Streaming, CircuitBreakerQuarantinesReroutesAndSwapResets) {
   StreamingEngine eng(std::move(shards), cfg);
   std::vector<int> out(eng.num_qubits());
   // Two consecutive failures trip shard 0's breaker.
-  EXPECT_THROW(eng.wait(eng.submit(plain_frame(), /*channel_key=*/0), out),
-               Error);
+  const SubmitOptions to0{.key = 0};
+  EXPECT_EQ(eng.wait_result(*eng.submit(plain_frame(), to0), out),
+            ShotStatus::kFailed);
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kHealthy);
-  EXPECT_THROW(eng.wait(eng.submit(plain_frame(), 0), out), Error);
+  EXPECT_EQ(eng.wait_result(*eng.submit(plain_frame(), to0), out),
+            ShotStatus::kFailed);
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kQuarantined);
   EXPECT_EQ(eng.shard_health(1), ShardHealth::kHealthy);
   // The very next shard-0 shot serves on shard 1 (within one micro-batch).
-  eng.wait(eng.submit(plain_frame(), 0), out);
-  EXPECT_EQ(out, (std::vector<int>{1, 1}));
+  EXPECT_EQ(done_labels(eng, *eng.submit(plain_frame(), to0)),
+            (std::vector<int>{1, 1}));
   const StreamingStats mid = eng.stats();
   EXPECT_EQ(mid.failed, 2u);
   EXPECT_EQ(mid.quarantines, 1u);
@@ -529,8 +625,8 @@ TEST(Streaming, CircuitBreakerQuarantinesReroutesAndSwapResets) {
   // swap_shard installs a fresh calibration and resets the breaker.
   eng.swap_shard(0, const_backend("two", 2));
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kHealthy);
-  eng.wait(eng.submit(plain_frame(), 0), out);
-  EXPECT_EQ(out, (std::vector<int>{2, 2}));
+  EXPECT_EQ(done_labels(eng, *eng.submit(plain_frame(), to0)),
+            (std::vector<int>{2, 2}));
   EXPECT_EQ(eng.stats().rerouted, 1u);  // No further diversions.
 }
 
@@ -545,13 +641,15 @@ TEST(Streaming, HalfOpenProbeReadmitsRecoveredShard) {
                                     const_backend("one", 1)};
   StreamingEngine eng(std::move(shards), cfg);
   std::vector<int> out(eng.num_qubits());
-  EXPECT_THROW(eng.wait(eng.submit(plain_frame(), 0), out), Error);
+  const SubmitOptions to0{.key = 0};
+  EXPECT_EQ(eng.wait_result(*eng.submit(plain_frame(), to0), out),
+            ShotStatus::kFailed);
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kQuarantined);
   fail->store(false);
   // The next shard-0 shot routes back as a half-open probe; its success
   // re-admits the shard.
-  eng.wait(eng.submit(plain_frame(), 0), out);
-  EXPECT_EQ(out, (std::vector<int>{0, 0}));
+  EXPECT_EQ(done_labels(eng, *eng.submit(plain_frame(), to0)),
+            (std::vector<int>{0, 0}));
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kHealthy);
   const StreamingStats st = eng.stats();
   EXPECT_GE(st.probes, 1u);
@@ -568,10 +666,11 @@ TEST(Streaming, FallbackBackendServesWhenNoHealthyShardRemains) {
   cfg.fallback = const_backend("fallback", 3);
   StreamingEngine eng(always_throw_backend(), 1, cfg);
   std::vector<int> out(eng.num_qubits());
-  EXPECT_THROW(eng.wait(eng.submit(plain_frame()), out), Error);
+  EXPECT_EQ(eng.wait_result(*eng.submit(plain_frame()), out),
+            ShotStatus::kFailed);
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kQuarantined);
-  eng.wait(eng.submit(plain_frame()), out);
-  EXPECT_EQ(out, (std::vector<int>{3, 3}));
+  EXPECT_EQ(done_labels(eng, *eng.submit(plain_frame())),
+            (std::vector<int>{3, 3}));
   // Fallback service neither fails nor recovers the quarantined shard.
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kQuarantined);
   const StreamingStats st = eng.stats();
@@ -588,14 +687,16 @@ TEST(Streaming, AllQuarantinedWithoutFallbackStillResolvesEveryTicket) {
   cfg.probe_backoff_us = 3600000000ULL;  // No probes: last-resort path only.
   StreamingEngine eng(controllable_backend(fail, 7), 1, cfg);
   std::vector<int> out(eng.num_qubits());
-  EXPECT_THROW(eng.wait(eng.submit(plain_frame()), out), Error);
+  EXPECT_EQ(eng.wait_result(*eng.submit(plain_frame()), out),
+            ShotStatus::kFailed);
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kQuarantined);
   // Still failing: the last-resort shot fails too, but the ticket resolves.
-  EXPECT_THROW(eng.wait(eng.submit(plain_frame()), out), Error);
+  EXPECT_EQ(eng.wait_result(*eng.submit(plain_frame()), out),
+            ShotStatus::kFailed);
   // Recovered: any success on a quarantined shard re-admits it.
   fail->store(false);
-  eng.wait(eng.submit(plain_frame()), out);
-  EXPECT_EQ(out, (std::vector<int>{7, 7}));
+  EXPECT_EQ(done_labels(eng, *eng.submit(plain_frame())),
+            (std::vector<int>{7, 7}));
   EXPECT_EQ(eng.shard_health(0), ShardHealth::kHealthy);
   EXPECT_EQ(eng.stats().recoveries, 1u);
 }
@@ -639,13 +740,13 @@ TEST(Streaming, DestructorReleasesUnconsumedShedTickets) {
   StreamingConfig cfg;
   cfg.batch_max = 1;
   cfg.deadline_us = 0;
-  cfg.shot_deadline_us = 1000;
+  cfg.shot_deadline_us = 100000;  // t0 claimed fresh (see above).
   StreamingEngine eng(gated_backend(gate), 1, cfg);
   eng.submit(plain_frame());
   gate->started.acquire();
   eng.submit(plain_frame());
   eng.submit(plain_frame());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   gate->go.release();
   // Two tickets shed at destructor-drain time, none ever waited.
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lints that neither the compiler nor clang-tidy can express.
 
-Three checks, all cheap enough for every CI run and every pre-commit:
+Four checks, all cheap enough for every CI run and every pre-commit:
 
   1. snapshot-kinds: the SnapshotKind enum in src/pipeline/snapshot.h is an
      on-disk format registry. Its wire values are pinned in
@@ -21,6 +21,14 @@ Three checks, all cheap enough for every CI run and every pre-commit:
      seeded-randomness site (its fault schedules are pure functions of
      (seed, call index)). The wall-clock/random_device ban from check 2
      still applies to those files.
+
+  4. pure-parts: the streaming engine's policy parts — the circuit breaker
+     (src/pipeline/shard_breaker.*) and the drift monitor
+     (src/pipeline/drift_monitor.*) — are single-threaded values driven
+     under the engine's lock with `now` passed in, so tests can drive them
+     with injected times. They may not read a clock (`::now(`), take a lock
+     (Mutex, MutexLock, CondVar, std::mutex, std::condition_variable), or
+     draw from an Rng.
 
 Exit status: 0 = all invariants hold, 1 = violation (details on stderr),
 2 = usage / environment error. `--self-test` proves the checks can fail by
@@ -223,6 +231,43 @@ def check_pipeline_rng(root: pathlib.Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Check 4: the engine's pure policy parts read no clock, take no lock, and
+# draw no random numbers.
+# ---------------------------------------------------------------------------
+
+PURE_PART_GLOBS = ("shard_breaker.*", "drift_monitor.*")
+
+PURE_PART_PATTERNS = [
+    ("a clock read (::now())", re.compile(r"::now\s*\(")),
+    (
+        "a lock",
+        re.compile(r"\b(?:Mutex|MutexLock|CondVar|mutex|condition_variable)\b"),
+    ),
+    ("an Rng", PIPELINE_RNG_RE),
+]
+
+
+def check_pure_parts(root: pathlib.Path) -> list[str]:
+    errors = []
+    pipeline = root / "src" / "pipeline"
+    paths = sorted({p for g in PURE_PART_GLOBS for p in pipeline.glob(g)})
+    for path in paths:
+        if path.suffix not in {".h", ".cpp"}:
+            continue
+        rel = path.relative_to(root)
+        code = strip_comments(path.read_text(encoding="utf-8"))
+        for lineno, line in enumerate(code.splitlines(), 1):
+            for label, pattern in PURE_PART_PATTERNS:
+                if pattern.search(line):
+                    errors.append(
+                        f"{rel}:{lineno}: {label} in a pure policy part — "
+                        f"take `now` as a parameter and let the engine's "
+                        f"lock serialize calls"
+                    )
+    return errors
+
+
+# ---------------------------------------------------------------------------
 # Driver + self-test.
 # ---------------------------------------------------------------------------
 
@@ -232,6 +277,7 @@ def run_checks(root: pathlib.Path) -> int:
         check_snapshot_kinds(root)
         + check_nondeterminism(root)
         + check_pipeline_rng(root)
+        + check_pure_parts(root)
     )
     for e in errors:
         print(f"lint_invariants: {e}", file=sys.stderr)
@@ -338,6 +384,36 @@ def self_test() -> int:
         for name in ("fault_injection.h", "fault_injection.cpp"):
             (root / "src" / "pipeline" / name).unlink()
 
+        # Check 4: an injected clock read, lock or Rng in a pure part must be
+        # caught...
+        pure_snippets = {
+            "Clock::now()": "auto t = Clock::now();\n",
+            "std::chrono::steady_clock::now ()":
+                "auto t = std::chrono::steady_clock::now ();\n",
+            "MutexLock": "void f(Mutex& m) { MutexLock lock(m); }\n",
+            "std::mutex": "std::mutex m;\n",
+            "Rng": "mlqr::Rng rng(7);\n",
+        }
+        for name in ("shard_breaker.cpp", "drift_monitor.h"):
+            pure_probe = root / "src" / "pipeline" / name
+            for label, snippet in pure_snippets.items():
+                pure_probe.write_text(snippet, encoding="utf-8")
+                if not check_pure_parts(root):
+                    failures.append(f"pure-part {label} in {name} not caught")
+            pure_probe.unlink()
+        # ...while a comment naming now(), a `now` parameter and member
+        # names that merely contain the words must not fire.
+        pure_probe = root / "src" / "pipeline" / "shard_breaker.h"
+        pure_probe.write_text(
+            "// The engine calls Clock::now() and holds its Mutex.\n"
+            "void record(bool failed, Clock::time_point now);\n"
+            "int mutex_count = 0; int known_ = 0;\n",
+            encoding="utf-8",
+        )
+        if check_pure_parts(root):
+            failures.append("false positive: comment mentioning now()")
+        pure_probe.unlink()
+
     for f in failures:
         print(f"lint_invariants --self-test: FAIL: {f}", file=sys.stderr)
     if not failures:
@@ -345,7 +421,7 @@ def self_test() -> int:
             f"lint_invariants --self-test: ok "
             f"({len(mutations)} registry mutations, "
             f"{len(nondet_snippets)} nondeterminism probes, and the "
-            f"pipeline-rng probes all caught)"
+            f"pipeline-rng and pure-part probes all caught)"
         )
     return 1 if failures else 0
 
