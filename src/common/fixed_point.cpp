@@ -53,24 +53,6 @@ double from_code(std::int64_t code, const FixedPointFormat& fmt) {
   return std::ldexp(static_cast<double>(code), -fmt.frac_bits);
 }
 
-std::int64_t saturate_to_bits(std::int64_t code, int bits) {
-  MLQR_CHECK(bits >= 2 && bits <= 63);
-  const std::int64_t hi = (std::int64_t{1} << (bits - 1)) - 1;
-  const std::int64_t lo = -(std::int64_t{1} << (bits - 1));
-  return std::clamp(code, lo, hi);
-}
-
-std::int64_t shift_round_half_even(std::int64_t code, int shift) {
-  if (shift <= 0) return code << -shift;
-  MLQR_CHECK(shift < 63);
-  const std::int64_t half = std::int64_t{1} << (shift - 1);
-  const std::int64_t mask = (std::int64_t{1} << shift) - 1;
-  std::int64_t q = code >> shift;  // Arithmetic shift: floor division.
-  const std::int64_t rem = code & mask;
-  if (rem > half || (rem == half && (q & 1))) ++q;
-  return q;
-}
-
 double quantize(double value, const FixedPointFormat& fmt) {
   return from_code(to_code(value, fmt), fmt);
 }

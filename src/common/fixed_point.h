@@ -8,10 +8,13 @@
 // round-half-even — results do not depend on the runtime FP rounding mode.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <vector>
+
+#include "common/error.h"
 
 namespace mlqr {
 
@@ -49,13 +52,28 @@ std::int64_t to_code(double value, const FixedPointFormat& fmt);
 double from_code(std::int64_t code, const FixedPointFormat& fmt);
 
 /// Clamps an integer code into the signed two's-complement range of `bits`
-/// (the saturating behaviour of an ap_fixed accumulator).
-std::int64_t saturate_to_bits(std::int64_t code, int bits);
+/// (the saturating behaviour of an ap_fixed accumulator). Inline: the
+/// integer MLP's requant epilogue runs it per shot and output.
+inline std::int64_t saturate_to_bits(std::int64_t code, int bits) {
+  MLQR_CHECK(bits >= 2 && bits <= 63);
+  const std::int64_t hi = (std::int64_t{1} << (bits - 1)) - 1;
+  const std::int64_t lo = -(std::int64_t{1} << (bits - 1));
+  return std::clamp(code, lo, hi);
+}
 
 /// Drops `shift` fractional bits from a fixed-point code with
 /// round-half-even (the inter-layer requantization step of the integer
 /// MLP). `shift` < 0 shifts left. Deterministic, no FP involved.
-std::int64_t shift_round_half_even(std::int64_t code, int shift);
+inline std::int64_t shift_round_half_even(std::int64_t code, int shift) {
+  if (shift <= 0) return code << -shift;
+  MLQR_CHECK(shift < 63);
+  const std::int64_t half = std::int64_t{1} << (shift - 1);
+  const std::int64_t mask = (std::int64_t{1} << shift) - 1;
+  std::int64_t q = code >> shift;  // Arithmetic shift: floor division.
+  const std::int64_t rem = code & mask;
+  if (rem > half || (rem == half && (q & 1))) ++q;
+  return q;
+}
 
 /// Rounds to nearest representable value, saturating at the format bounds.
 double quantize(double value, const FixedPointFormat& fmt);

@@ -5,13 +5,15 @@
 // Both front-ends hold the same thing: an SoA pair of filter-major rows
 // (Re R and Im R of every kernel pre-rotated by its qubit's LO) streamed
 // by a fused dot product per filter. Only the sample type differs — float
-// rows driven by simd::fused_dot_f32 versus int16 code rows driven by
-// simd::fused_dot_i16 with the madd-safety invariant (no -2^15 code).
-// FusedSampleTraits captures exactly those differences; FusedKernelTable
-// is everything else, written once (both integer head widths share the
-// int16 front-end, so there is no int8 table). Serialization
-// delegates to the same write_vec_* calls the front-ends used directly —
-// the on-disk byte layout is unchanged.
+// rows driven by simd::fused_dot_f32 (accumulate()) versus int16 code rows
+// with the madd-safety invariant (no -2^15 code) and an overflow-safe
+// widening strip, driven by the runtime-picked integer kernels
+// (simd::int_kernels().fused_dot_i16_strip*, which the integer front-end
+// calls itself with strip()). FusedSampleTraits captures exactly those
+// differences; FusedKernelTable is everything else, written once (both
+// integer head widths share the int16 front-end, so there is no int8
+// table). Serialization delegates to the same write_vec_* calls the
+// front-ends used directly — the on-disk byte layout is unchanged.
 #pragma once
 
 #include <algorithm>
@@ -25,8 +27,9 @@
 
 namespace mlqr {
 
-/// The per-sample-type policy: accumulator width, the SIMD fused dot
-/// product, row (de)serialization, and the load-time code validation.
+/// The per-sample-type policy: accumulator width, the widening strip, row
+/// (de)serialization, the load-time code validation, and (float) the SIMD
+/// fused dot product.
 template <typename Sample>
 struct FusedSampleTraits;
 
@@ -59,17 +62,6 @@ template <>
 struct FusedSampleTraits<std::int16_t> {
   using Accum = std::int64_t;
 
-  static Accum fused_dot(const std::int16_t* kr, const std::int16_t* ki,
-                         const std::int16_t* xi, const std::int16_t* xq,
-                         std::size_t n, std::size_t strip) {
-    return simd::fused_dot_i16_strip(kr, ki, xi, xq, n, strip);
-  }
-  static void fused_dot_x4(const std::int16_t* kr, const std::int16_t* ki,
-                           const std::int16_t* const* xi,
-                           const std::int16_t* const* xq, std::size_t n,
-                           std::size_t strip, Accum* out) {
-    simd::fused_dot_i16_strip_x4(kr, ki, xi, xq, n, strip, out);
-  }
   /// Largest strip (madd blocks accumulated per int32 lane before the
   /// int64 flush) the kernel-code magnitudes provably cannot overflow:
   /// strip * 2 * max|code| * 2^15 <= 2^31 - 1, trace codes assumed
@@ -137,19 +129,14 @@ class FusedKernelTable {
   }
 
   /// Filter f's fused score over the raw sample streams:
-  /// sum_t [ Re R(t) * xi(t) - Im R(t) * xq(t) ], SIMD per sample type.
+  /// sum_t [ Re R(t) * xi(t) - Im R(t) * xq(t) ] (float rows; the integer
+  /// front-end drives its rows through simd::int_kernels() with strip()).
   Accum accumulate(std::size_t f, const Sample* xi, const Sample* xq) const {
     return Traits::fused_dot(row_r(f), row_i(f), xi, xq, n_samples_, strip_);
   }
 
-  /// Four-stream accumulate for the blocked front-end: filter f's fused
-  /// score for four sample streams sharing one kernel-row pass. Integer
-  /// exactness makes it bit-identical to four accumulate() calls; only
-  /// instantiated for sample types whose traits provide fused_dot_x4.
-  void accumulate4(std::size_t f, const Sample* const* xi,
-                   const Sample* const* xq, Accum* out) const {
-    Traits::fused_dot_x4(row_r(f), row_i(f), xi, xq, n_samples_, strip_, out);
-  }
+  /// The overflow-safe widening strip (see finalize_strip()).
+  std::size_t strip() const { return strip_; }
 
   /// Recomputes the overflow-safe widening strip from the current codes.
   /// Builders call this once after minting rows through row_r()/row_i();

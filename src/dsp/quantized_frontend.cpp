@@ -75,7 +75,7 @@ QuantizedFrontend QuantizedFrontend::build(const Demodulator& demod,
         const std::int64_t cr = to_code(rotated[t].real(), kfmt);
         const std::int64_t ci = to_code(rotated[t].imag(), kfmt);
         // fit_format over a symmetric range keeps |code| <= 2^(W-1)-1;
-        // simd::fused_dot_i16's madd path relies on the kernel operand
+        // the integer kernels' madd pairing relies on the kernel operand
         // never being -2^15, so pin that invariant where the codes are
         // minted.
         MLQR_CHECK(cr > INT16_MIN && ci > INT16_MIN);
@@ -160,11 +160,12 @@ void QuantizedFrontend::features_into(const IqTrace& trace,
   // fesetround-immunity contract holds on both paths.
   scratch.int_trace_i.resize(n);
   scratch.int_trace_q.resize(n);
+  const simd::IntKernels& k = simd::int_kernels();
   const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
   const auto lo_code = static_cast<std::int32_t>(trace_fmt_.min_code());
   const auto hi_code = static_cast<std::int32_t>(trace_fmt_.max_code());
   const auto quantize_codes = std::fegetround() == FE_TONEAREST
-                                  ? simd::quantize_codes_i16
+                                  ? k.quantize_codes_i16
                                   : simd::quantize_codes_i16_scalar;
   quantize_codes(trace.i.data(), n, code_scale, lo_code, hi_code,
                  scratch.int_trace_i.data());
@@ -172,15 +173,16 @@ void QuantizedFrontend::features_into(const IqTrace& trace,
                  scratch.int_trace_q.data());
 
   // Pass 1: every filter is two int16 dot products against the raw codes
-  // (simd::fused_dot_i16 — widening multiply-add into int64 lanes); the
-  // int64 accumulator is exact, so the vector reassociation is
-  // bit-identical to the scalar loop and the trailing affine requant
-  // (double on an exactly-representable integer) is bit-deterministic.
+  // (widening multiply-add into int64 lanes); the int64 accumulator is
+  // exact, so the vector reassociation is bit-identical to the scalar loop
+  // on every tier and the trailing affine requant (double on an
+  // exactly-representable integer) is bit-deterministic.
   const std::int16_t* xi = scratch.int_trace_i.data();
   const std::int16_t* xq = scratch.int_trace_q.data();
   scratch.int_features.resize(n_filters());
   for (std::size_t f = 0; f < n_filters(); ++f) {
-    const std::int64_t acc = table_.accumulate(f, xi, xq);
+    const std::int64_t acc = k.fused_dot_i16_strip(
+        table_.row_r(f), table_.row_i(f), xi, xq, n, table_.strip());
     double z = static_cast<double>(acc) * scale_[f] + offset_[f];
     z = std::clamp(z, -static_cast<double>(kMaxAbsFeatureZ),
                    static_cast<double>(kMaxAbsFeatureZ));
@@ -202,11 +204,13 @@ void QuantizedFrontend::features_block_into(std::size_t block,
   constexpr std::size_t kShotBlock = 8;
   scratch.block_trace_i.resize(kShotBlock * n);
   scratch.block_trace_q.resize(kShotBlock * n);
+  const simd::IntKernels& k = simd::int_kernels();
+  const std::size_t strip = table_.strip();
   const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
   const auto lo_code = static_cast<std::int32_t>(trace_fmt_.min_code());
   const auto hi_code = static_cast<std::int32_t>(trace_fmt_.max_code());
   const auto quantize_codes = std::fegetround() == FE_TONEAREST
-                                  ? simd::quantize_codes_i16
+                                  ? k.quantize_codes_i16
                                   : simd::quantize_codes_i16_scalar;
   for (std::size_t b0 = 0; b0 < block; b0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, block - b0);
@@ -228,14 +232,18 @@ void QuantizedFrontend::features_block_into(std::size_t block,
       xq_ptr[s] = scratch.block_trace_q.data() + s * n;
     }
     for (std::size_t f = 0; f < n_filters(); ++f) {
-      // One kernel-row pass scores four shots at a time (accumulate4);
-      // the int64 sums are exact, so every score — and the double requant
-      // below — is identical to the per-shot features_into chain.
+      // One kernel-row pass scores four shots at a time; the int64 sums
+      // are exact, so every score — and the double requant below — is
+      // identical to the per-shot features_into chain.
+      const std::int16_t* kr = table_.row_r(f);
+      const std::int16_t* ki = table_.row_i(f);
       std::int64_t accs[kShotBlock];
       std::size_t s = 0;
       for (; s + 4 <= nb; s += 4)
-        table_.accumulate4(f, xi_ptr + s, xq_ptr + s, accs + s);
-      for (; s < nb; ++s) accs[s] = table_.accumulate(f, xi_ptr[s], xq_ptr[s]);
+        k.fused_dot_i16_strip_x4(kr, ki, xi_ptr + s, xq_ptr + s, n, strip,
+                                 accs + s);
+      for (; s < nb; ++s)
+        accs[s] = k.fused_dot_i16_strip(kr, ki, xi_ptr[s], xq_ptr[s], n, strip);
       for (s = 0; s < nb; ++s) {
         double z = static_cast<double>(accs[s]) * scale_[f] + offset_[f];
         z = std::clamp(z, -static_cast<double>(kMaxAbsFeatureZ),

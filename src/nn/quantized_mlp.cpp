@@ -22,15 +22,26 @@ int int_bits_for(double bound) {
   return bits;
 }
 
-/// Each width's SIMD kernel: the exact sum_i w[i] * a[i] over the stored
-/// activation operands (biased at int8; the caller adds corr).
-std::int64_t dot_codes(const std::int16_t* w, const std::int16_t* a,
-                       std::size_t n) {
-  return simd::dot_i16(w, a, n);
+/// Each width's SIMD kernels: the exact sum_i w[i] * a[i] over the stored
+/// activation operands (biased at int8; the caller adds corr), per shot
+/// (dot_codes) and across a transposed shot block (lane_dot_codes).
+std::int64_t dot_codes(const simd::IntKernels& k, const std::int16_t* w,
+                       const std::int16_t* a, std::size_t n) {
+  return k.dot_i16(w, a, n);
 }
-std::int64_t dot_codes(const std::int8_t* w, const std::uint8_t* a,
-                       std::size_t n) {
-  return simd::dot_u8i8(a, w, n);
+std::int64_t dot_codes(const simd::IntKernels& k, const std::int8_t* w,
+                       const std::uint8_t* a, std::size_t n) {
+  return k.dot_u8i8(a, w, n);
+}
+void lane_dot_codes(const simd::IntKernels& k, const std::int16_t* w,
+                    std::size_t in, const std::int16_t* act, std::size_t nb,
+                    std::size_t strip, std::int64_t* acc) {
+  k.lane_dot_i16(w, in, act, nb, strip, acc);
+}
+void lane_dot_codes(const simd::IntKernels& k, const std::int8_t* w,
+                    std::size_t in, const std::uint8_t* act, std::size_t nb,
+                    std::size_t strip, std::int64_t* acc) {
+  k.lane_dot_u8i8(w, in, act, nb, strip, acc);
 }
 
 /// Code and bias vectors travel at their storage width, so each width's
@@ -89,8 +100,8 @@ void check_config(const QuantizationConfig& cfg) {
 ///    value-preserving, and the batch path's strip bound cannot overflow);
 ///  - layer widths the width's dot kernel sums exactly;
 ///  - no weight code at the type minimum: fit_format over a symmetric range
-///    keeps |code| <= 2^(W-1)-1, and simd::dot_i16's madd pairs rely on the
-///    weight operand never being -2^15.
+///    keeps |code| <= 2^(W-1)-1, and the int16 dot kernel's madd pairs rely
+///    on the weight operand never being -2^15.
 template <typename Code>
 void finish_layer(QuantizedDenseLayerOf<Code>& l) {
   using Traits = QuantizedCodeTraits<Code>;
@@ -279,6 +290,7 @@ void QuantizedMlpOf<Code>::logits_into(std::span<const std::int32_t> x,
   act_a.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)
     act_a[i] = static_cast<Act>(x[i] + Traits::kActBias);
+  const simd::IntKernels& k = simd::int_kernels();
   std::vector<Act>* cur = &act_a;
   std::vector<Act>* next = &act_b;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -301,7 +313,7 @@ void QuantizedMlpOf<Code>::logits_into(std::span<const std::int32_t> x,
       // accumulator on every tier.
       std::int64_t acc =
           static_cast<std::int64_t>(layer.b[j]) + layer.corr[j] +
-          dot_codes(layer.w.data() + j * layer.in, in_codes, layer.in);
+          dot_codes(k, layer.w.data() + j * layer.in, in_codes, layer.in);
       acc = saturate_to_bits(acc, cfg_.accum_bits);
       if (last) {
         logits[j] = static_cast<Logit>(acc);
@@ -342,13 +354,14 @@ void QuantizedMlpOf<Code>::classify_batch_into(
   // shots every lane is full regardless of layer width. Integer
   // arithmetic is exact, so the reordering is bit-identical to
   // logits_into by construction.
-  constexpr std::size_t kShotBlock = 128;
+  constexpr std::size_t kShotBlock = simd::kLaneShots;
 
   std::size_t max_dim = in_dim;
   for (const Layer& layer : layers_) max_dim = std::max(max_dim, layer.out);
   act_a.resize(max_dim * kShotBlock);
   act_b.resize(max_dim * kShotBlock);
   logits.resize(out_dim * kShotBlock);
+  const simd::IntKernels& k = simd::int_kernels();
 
   for (std::size_t s0 = 0; s0 < batch; s0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, batch - s0);
@@ -367,14 +380,12 @@ void QuantizedMlpOf<Code>::classify_batch_into(
           last ? 0
                : layer.in_fmt.frac_bits + layer.weight_fmt.frac_bits -
                      layers_[l + 1].in_fmt.frac_bits;
-      // int32 lane accumulators stay exact for `strip` consecutive
-      // inputs: |w| <= 2^(Tw-1) and |act| <= 2^(Ta-1) + kActBias bound
-      // every product, and the strip flushes into the int64 accumulator
+      // The lane kernel's int32 accumulators stay exact for `strip`
+      // consecutive inputs: |w| <= 2^(Tw-1) and |act| <= 2^(Ta-1) +
+      // kActBias bound every product, and the strip flushes into int64
       // before the partial sum can reach 2^31. At int8 one strip covers
       // every admissible layer width; at full-range int16 grids (W = A =
-      // 16) the strip is 1, and since a lone product still fits int32 each
-      // one widens straight into int64 — a one-element strip would pay
-      // three passes per input for the same sum.
+      // 16) the strip is 1 and the kernel widens every madd pair.
       const std::int64_t max_prod =
           (std::int64_t{1} << (layer.weight_fmt.total_bits - 1)) *
           ((std::int64_t{1} << (layer.in_fmt.total_bits - 1)) +
@@ -382,28 +393,9 @@ void QuantizedMlpOf<Code>::classify_batch_into(
       const std::size_t strip = static_cast<std::size_t>(
           std::max<std::int64_t>(1, (std::int64_t{1} << 31) / max_prod - 1));
       for (std::size_t j = 0; j < layer.out; ++j) {
-        const Code* wrow = layer.w.data() + j * layer.in;
         std::int64_t acc64[kShotBlock];
-        std::int32_t acc32[kShotBlock];
-        std::fill(acc64, acc64 + nb, std::int64_t{0});
-        if (strip == 1) {
-          for (std::size_t i = 0; i < layer.in; ++i) {
-            const std::int32_t w = wrow[i];
-            const Act* in_row = cur->data() + i * kShotBlock;
-            for (std::size_t s = 0; s < nb; ++s) acc64[s] += w * in_row[s];
-          }
-        } else {
-          for (std::size_t i0 = 0; i0 < layer.in; i0 += strip) {
-            const std::size_t ie = std::min(layer.in, i0 + strip);
-            std::fill(acc32, acc32 + nb, 0);
-            for (std::size_t i = i0; i < ie; ++i) {
-              const std::int32_t w = wrow[i];
-              const Act* in_row = cur->data() + i * kShotBlock;
-              for (std::size_t s = 0; s < nb; ++s) acc32[s] += w * in_row[s];
-            }
-            for (std::size_t s = 0; s < nb; ++s) acc64[s] += acc32[s];
-          }
-        }
+        lane_dot_codes(k, layer.w.data() + j * layer.in, layer.in,
+                       cur->data(), nb, strip, acc64);
         // Epilogue: the exact per-(shot, output) chain of logits_into.
         const std::int64_t init =
             static_cast<std::int64_t>(layer.b[j]) + layer.corr[j];

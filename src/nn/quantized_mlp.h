@@ -11,11 +11,12 @@
 // thread counts, shards and SIMD tiers by construction.
 //
 // Two code widths run that one chain (QuantizedCodeTraits):
-//   int16 — int16 weight and activation codes on simd::dot_i16's widening
-//           multiply-add, exact int64 accumulators and logits;
+//   int16 — int16 weight and activation codes on the dot_i16 /
+//           lane_dot_i16 kernels (common/simd_int.h's IntKernels table),
+//           exact int64 accumulators and logits;
 //   int8  — the W=8 point of the paper's quantization ablation: int8
-//           weights on simd::dot_u8i8 (vpdpbusd on VNNI hosts) and int32
-//           logits. The kernel's unsigned-times-signed operand convention
+//           weights on the dot_u8i8 / lane_dot_u8i8 kernels and int32
+//           logits. The kernels' unsigned-times-signed operand convention
 //           stores activations biased, u = code + 128 in a uint8, and the
 //           bias is removed exactly with a per-output-row constant
 //               corr[j] = -128 * sum_i w[j][i]
@@ -54,7 +55,8 @@ struct QuantizedCodeTraits<std::int16_t> {
   using Logit = std::int64_t;
   static constexpr int kMaxAccumBits = 63;
   static constexpr std::int32_t kActBias = 0;
-  /// simd::dot_i16 accumulates in int64: no width bound.
+  /// The int16 kernels (IntKernels::dot_i16 / lane_dot_i16) accumulate
+  /// in int64: no width bound.
   static constexpr std::size_t kMaxLayerWidth =
       std::numeric_limits<std::size_t>::max();
 };
@@ -65,7 +67,7 @@ struct QuantizedCodeTraits<std::int8_t> {
   using Logit = std::int32_t;  ///< accum_bits <= 31 fits every logit and bias.
   static constexpr int kMaxAccumBits = 31;
   static constexpr std::int32_t kActBias = 128;
-  /// simd::dot_u8i8's int32 sum is exact while n * 255 * 128 < 2^31.
+  /// IntKernels::dot_u8i8's int32 sum is exact while n * 255 * 128 < 2^31.
   static constexpr std::size_t kMaxLayerWidth = std::size_t{1} << 15;
 };
 

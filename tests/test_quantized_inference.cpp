@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "common/error.h"
+#include "common/simd.h"
 #include "nn/trainer.h"
 #include "pipeline/readout_engine.h"
 #include "readout/dataset.h"
@@ -97,6 +98,43 @@ TEST(QuantizedInference, BitIdenticalAcrossThreadCounts) {
   const EngineBatch a = one.process_batch(fx.ds.shots.traces);
   const EngineBatch b = many.process_batch(fx.ds.shots.traces);
   EXPECT_EQ(a.labels, b.labels);
+}
+
+TEST(QuantizedInference, LabelsIdenticalOnEveryIntegerTier) {
+  // The integer kernels are picked at runtime; exact sums make every tier
+  // an implementation detail. Pin the base tier and compare it with the
+  // dispatched one through the whole int16 and int8 backends, at batch
+  // sizes on both sides of the per-shot / batched switch, the front-end's
+  // four-shot and eight-shot blocks, and the head's 128-shot lane block.
+  const Fixture& fx = Fixture::get();
+  const Quantized8ProposedDiscriminator int8 =
+      Quantized8ProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
+                                                fx.ds.train_idx);
+  const simd::IntKernels& base = *simd::compiled_int_tiers().front();
+  const simd::IntKernels& dispatched = simd::int_kernels();
+  EngineConfig serial;
+  serial.threads = 1;
+  ReadoutEngine int16_engine(make_backend(fx.quantized), serial);
+  ReadoutEngine int8_engine(make_backend(int8), serial);
+  // The fixture holds fewer than 1024 shots; cycle through them.
+  std::vector<IqTrace> traces;
+  for (std::size_t s = 0; s < 1024; ++s)
+    traces.push_back(fx.ds.shots.traces[s % fx.ds.shots.traces.size()]);
+  for (const std::size_t n : {1, 3, 4, 5, 8, 127, 128, 129, 1024}) {
+    const std::span<const IqTrace> batch(traces.data(), n);
+    for (ReadoutEngine* engine : {&int16_engine, &int8_engine}) {
+      const char* width = engine == &int16_engine ? "int16" : "int8";
+      std::vector<int> base_labels;
+      {
+        simd::ScopedIntTier pin(base);
+        base_labels = engine->process_batch(batch).labels;
+      }
+      ASSERT_EQ(&simd::int_kernels(), &dispatched);
+      EXPECT_EQ(engine->process_batch(batch).labels, base_labels)
+          << width << " batch " << n << ": " << base.name
+          << " vs " << dispatched.name;
+    }
+  }
 }
 
 TEST(QuantizedInference, ClassifyMatchesClassifyInto) {

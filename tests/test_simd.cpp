@@ -1,17 +1,20 @@
-// SIMD-vs-scalar parity for common/simd.h — the contract the inference
-// rewrite rests on: integer kernels are bit-exact against the scalar
-// twins (exact int64 accumulators survive any vector reassociation),
-// float kernels stay within a small relative error of a double-precision
-// reference, and the trace-code quantizer matches to_code()'s
-// round-half-even semantics bit for bit. The scalar twins are compiled on
-// every platform, so this suite exercises both sides of the dispatch
-// regardless of the build's tier.
+// SIMD-vs-scalar parity for common/simd.h and common/simd_int.h — the
+// contract the inference rewrite rests on: integer kernels are bit-exact
+// against the scalar twins (exact int64 accumulators survive any vector
+// reassociation) on every compiled tier the host can run, float kernels
+// stay within a small relative error of a double-precision reference, and
+// the trace-code quantizer matches to_code()'s round-half-even semantics
+// bit for bit. The scalar twins are compiled on every platform, so this
+// suite exercises both sides of the dispatch regardless of the build's
+// tier; tiers the host cannot run are skipped, not failed.
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -22,8 +25,9 @@ namespace mlqr {
 namespace {
 
 // Vector-width tails matter most: cover below/at/above every tier's lane
-// count (4, 8, 16) plus the production kernel length.
-const std::size_t kLengths[] = {0, 1, 3, 4, 7, 8, 15, 16, 17, 31, 33, 500};
+// count (4, 8, 16, 32 and 64 bytes) plus the production kernel length.
+const std::size_t kLengths[] = {0,  1,  3,  4,  7,  8,   15,  16,  17,
+                                31, 32, 33, 63, 64, 65, 129, 500};
 
 std::vector<float> random_floats(Rng& rng, std::size_t n, double scale = 1.0) {
   std::vector<float> v(n);
@@ -41,56 +45,162 @@ std::vector<std::int16_t> random_codes(Rng& rng, std::size_t n, int lo,
   return v;
 }
 
-TEST(Simd, TierIsKnown) {
-  const std::string t = simd::tier();
-  EXPECT_TRUE(t == "avx512-vnni" || t == "avx-vnni" || t == "avx2" ||
-              t == "sse2" || t == "neon" || t == "scalar")
-      << t;
+bool known_tier(const std::string& t) {
+  return t == "avx512-vnni" || t == "avx-vnni" || t == "avx2" ||
+         t == "sse2" || t == "neon" || t == "scalar";
 }
 
-TEST(Simd, DotI16BitExact) {
+TEST(Simd, TierIsKnown) {
+  EXPECT_TRUE(known_tier(simd::tier())) << simd::tier();
+  for (const simd::IntKernels* k : simd::compiled_int_tiers())
+    EXPECT_TRUE(known_tier(k->name)) << k->name;
+}
+
+TEST(Simd, DispatchPicksTheWidestTierTheHostRuns) {
+  const auto tiers = simd::compiled_int_tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front()->needs, 0u) << "the base tier must run anywhere";
+  const simd::IntKernels* best = tiers.front();
+  for (const simd::IntKernels* k : tiers)
+    if (simd::host_runs(*k)) best = k;
+  EXPECT_EQ(&simd::int_kernels(), best);
+  EXPECT_STREQ(simd::int_tier(), best->name);
+}
+
+TEST(Simd, ScopedIntTierPinsAndRestores) {
+  const simd::IntKernels& before = simd::int_kernels();
+  const simd::IntKernels& base = *simd::compiled_int_tiers().front();
+  {
+    simd::ScopedIntTier pin(base);
+    EXPECT_EQ(&simd::int_kernels(), &base);
+  }
+  EXPECT_EQ(&simd::int_kernels(), &before);
+}
+
+#if defined(MLQR_LIBRARY_FILE)
+TEST(Simd, TierObjectsDefineNoSharedSymbolsOutsideTheirNamespace) {
+  // A tier object compiled with wider ISA flags must not define any global
+  // or weak symbol another object could bind to — above all no copy of an
+  // inline function from a shared header, which the linker may pick for a
+  // baseline caller. Only the tier's own namespace may appear.
+  const std::string cmd =
+      std::string("nm -C --defined-only '") + MLQR_LIBRARY_FILE + "' 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string member, tier_ns;
+  std::size_t tier_objects = 0, tier_symbols = 0;
+  char line[4096];
+  while (std::fgets(line, sizeof line, pipe) != nullptr) {
+    std::string l(line);
+    while (!l.empty() && (l.back() == '\n' || l.back() == '\r')) l.pop_back();
+    if (l.size() > 1 && l.back() == ':') {  // "simd_tier_avx2.cpp.o:"
+      member = l.substr(0, l.size() - 1);
+      const std::size_t at = member.find("simd_tier_");
+      tier_ns.clear();
+      if (at != std::string::npos) {
+        const std::size_t end = member.find('.', at);
+        tier_ns = "mlqr::simd::tier_" +
+                  member.substr(at + 10, end - at - 10) + "::";
+        ++tier_objects;
+      }
+      continue;
+    }
+    if (tier_ns.empty()) continue;
+    // "<address> <type> <name>"; lower-case types are local, except the
+    // weak and unique-global ones.
+    const std::size_t sp = l.find(' ');
+    if (sp == std::string::npos || sp + 3 > l.size()) continue;
+    const char type = l[sp + 1];
+    const std::string name = l.substr(sp + 3);
+    const bool shared = (type >= 'A' && type <= 'Z' && type != 'U') ||
+                        type == 'u' || type == 'v' || type == 'w';
+    // Sanitizer and coverage instrumentation emit their own bookkeeping,
+    // and unwind tables a weak pointer to the C++ personality routine
+    // (data, identical in every object: no code to mix up).
+    const bool bookkeeping = name.rfind("__asan", 0) == 0 ||
+                             name.rfind("__odr_asan", 0) == 0 ||
+                             name.rfind("__sancov", 0) == 0 ||
+                             name.rfind("__tsan", 0) == 0 ||
+                             name.rfind("DW.ref.", 0) == 0;
+    if (!shared || bookkeeping) continue;
+    ++tier_symbols;
+    EXPECT_EQ(name.rfind(tier_ns, 0), 0u)
+        << member << " defines shared symbol '" << name << "' (" << type
+        << ") outside " << tier_ns;
+  }
+  const int status = pclose(pipe);
+  if (status != 0 && tier_objects == 0) GTEST_SKIP() << "nm unavailable";
+  EXPECT_EQ(tier_objects, simd::compiled_int_tiers().size());
+  EXPECT_EQ(tier_symbols, tier_objects) << "one kernel table per tier";
+}
+#endif
+
+/// Runs an integer case once per compiled tier; tiers the host cannot run
+/// are skipped.
+class SimdInt : public ::testing::TestWithParam<const simd::IntKernels*> {
+ protected:
+  void SetUp() override {
+    if (!simd::host_runs(k()))
+      GTEST_SKIP() << "host lacks the " << k().name << " instructions";
+  }
+  const simd::IntKernels& k() const { return *GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, SimdInt,
+    ::testing::ValuesIn(simd::compiled_int_tiers().begin(),
+                        simd::compiled_int_tiers().end()),
+    [](const ::testing::TestParamInfo<const simd::IntKernels*>& info) {
+      std::string name = std::to_string(info.index) + "_" + info.param->name;
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
+
+TEST_P(SimdInt, DotI16BitExact) {
   Rng rng(11);
   for (std::size_t n : kLengths) {
     // `a` models kernel/weight codes: fit_format keeps them off -2^15.
     const std::vector<std::int16_t> a = random_codes(rng, n, -32767, 32767);
     const std::vector<std::int16_t> b = random_codes(rng, n, -32768, 32767);
-    EXPECT_EQ(simd::dot_i16(a.data(), b.data(), n),
+    EXPECT_EQ(k().dot_i16(a.data(), b.data(), n),
               simd::dot_i16_scalar(a.data(), b.data(), n))
         << "n=" << n;
   }
 }
 
-TEST(Simd, DotI16ExtremeOperandsBitExact) {
+TEST_P(SimdInt, DotI16ExtremeOperandsBitExact) {
   // Worst case the contract admits: every product is 32767 * -32768 — the
   // most negative reachable madd pair sums, across a length long enough
   // that int32 lane accumulation (if any crept in) would wrap.
   const std::size_t n = 4096;
   std::vector<std::int16_t> a(n, 32767), b(n, -32768);
-  EXPECT_EQ(simd::dot_i16(a.data(), b.data(), n),
+  EXPECT_EQ(k().dot_i16(a.data(), b.data(), n),
             simd::dot_i16_scalar(a.data(), b.data(), n));
-  EXPECT_EQ(simd::dot_i16(a.data(), b.data(), n),
+  EXPECT_EQ(k().dot_i16(a.data(), b.data(), n),
             static_cast<std::int64_t>(n) * (32767LL * -32768LL));
   // And the most positive: -32767 * -32768.
   for (auto& x : a) x = -32767;
-  EXPECT_EQ(simd::dot_i16(a.data(), b.data(), n),
+  EXPECT_EQ(k().dot_i16(a.data(), b.data(), n),
             static_cast<std::int64_t>(n) * (32767LL * 32768LL));
 }
 
-TEST(Simd, FusedDotI16BitExact) {
+TEST_P(SimdInt, FusedDotI16BitExact) {
   Rng rng(12);
   for (std::size_t n : kLengths) {
     const std::vector<std::int16_t> kr = random_codes(rng, n, -32767, 32767);
     const std::vector<std::int16_t> ki = random_codes(rng, n, -32767, 32767);
     const std::vector<std::int16_t> xi = random_codes(rng, n, -32768, 32767);
     const std::vector<std::int16_t> xq = random_codes(rng, n, -32768, 32767);
-    EXPECT_EQ(simd::fused_dot_i16(kr.data(), ki.data(), xi.data(), xq.data(), n),
+    EXPECT_EQ(k().fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
+                                      xq.data(), n, 0),
               simd::fused_dot_i16_scalar(kr.data(), ki.data(), xi.data(),
                                          xq.data(), n))
         << "n=" << n;
   }
 }
 
-TEST(Simd, FusedDotI16StripBitExact) {
+TEST_P(SimdInt, FusedDotI16StripBitExact) {
   // The strip-mined widening must be bit-identical to the scalar loop for
   // every strip the caller contract admits: kernel codes bounded by
   // max_abs, strip * 2 * max_abs * 2^15 <= 2^31 - 1. Cover narrow codes
@@ -100,7 +210,8 @@ TEST(Simd, FusedDotI16StripBitExact) {
   const struct {
     std::int16_t max_abs;
     std::size_t strip;
-  } kCases[] = {{2047, 16}, {2047, 7}, {127, 256}, {32767, 1}, {511, 3}};
+  } kCases[] = {{2047, 16}, {2047, 7}, {127, 256}, {32767, 1}, {511, 3},
+                {16383, 2}};
   for (const auto& c : kCases) {
     for (std::size_t n : kLengths) {
       const std::vector<std::int16_t> kr =
@@ -109,7 +220,7 @@ TEST(Simd, FusedDotI16StripBitExact) {
           random_codes(rng, n, -c.max_abs, c.max_abs);
       const std::vector<std::int16_t> xi = random_codes(rng, n, -32768, 32767);
       const std::vector<std::int16_t> xq = random_codes(rng, n, -32768, 32767);
-      EXPECT_EQ(simd::fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
+      EXPECT_EQ(k().fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
                                           xq.data(), n, c.strip),
                 simd::fused_dot_i16_scalar(kr.data(), ki.data(), xi.data(),
                                            xq.data(), n))
@@ -118,7 +229,7 @@ TEST(Simd, FusedDotI16StripBitExact) {
   }
 }
 
-TEST(Simd, FusedDotI16StripExtremeOperandsBitExact) {
+TEST_P(SimdInt, FusedDotI16StripExtremeOperandsBitExact) {
   // Saturate the strip bound exactly: max_abs = 2047 admits strip 16
   // (16 * 2 * 2047 * 32768 = 2146435072 <= 2^31 - 1). Every product at
   // the extreme corner so any premature int32 wrap would show.
@@ -127,23 +238,42 @@ TEST(Simd, FusedDotI16StripExtremeOperandsBitExact) {
   std::vector<std::int16_t> xi(n, -32768), xq(n, -32768);
   const std::int64_t expect =
       static_cast<std::int64_t>(n) * (2047LL * -32768LL - 2047LL * 32768LL);
-  EXPECT_EQ(simd::fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
+  EXPECT_EQ(k().fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
                                       xq.data(), n, 16),
             expect);
-  EXPECT_EQ(simd::fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
+  EXPECT_EQ(k().fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
                                       xq.data(), n, 16),
             simd::fused_dot_i16_scalar(kr.data(), ki.data(), xi.data(),
                                        xq.data(), n));
+  const std::int16_t* xi4[4] = {xi.data(), xi.data(), xi.data(), xi.data()};
+  const std::int16_t* xq4[4] = {xq.data(), xq.data(), xq.data(), xq.data()};
+  std::int64_t out[4];
+  k().fused_dot_i16_strip_x4(kr.data(), ki.data(), xi4, xq4, n, 16, out);
+  for (int s = 0; s < 4; ++s) EXPECT_EQ(out[s], expect) << "x4 strip 16";
+  // And the full-range corner at strip 1: each madd pair is
+  // 2 * 32767 * -32768, one step from int32's edge, so nothing may sum two
+  // of them before widening.
+  std::fill(kr.begin(), kr.end(), std::int16_t{32767});
+  std::fill(ki.begin(), ki.end(), std::int16_t{-32767});
+  const std::int64_t wide =
+      static_cast<std::int64_t>(n) * (32767LL * -32768LL - 32767LL * 32768LL);
+  EXPECT_EQ(k().fused_dot_i16_strip(kr.data(), ki.data(), xi.data(),
+                                      xq.data(), n, 1),
+            wide);
+  k().fused_dot_i16_strip_x4(kr.data(), ki.data(), xi4, xq4, n, 1, out);
+  for (int s = 0; s < 4; ++s) EXPECT_EQ(out[s], wide) << "x4 strip 1";
 }
 
-TEST(Simd, FusedDotI16StripX4BitExact) {
+TEST_P(SimdInt, FusedDotI16StripX4BitExact) {
   // The four-stream kernel must emit exactly what four scalar calls emit,
-  // for deep strips, the strip < 4 fallback, and full-range trace codes.
+  // for deep strips, the shallowest paired strip (2), the full-range
+  // direct-widening schedule (strip 0 / 1), and full-range trace codes.
   Rng rng(22);
   const struct {
     std::int16_t max_abs;
     std::size_t strip;
-  } kCases[] = {{2047, 16}, {511, 3}, {32767, 1}, {127, 256}};
+  } kCases[] = {{2047, 16}, {511, 3},    {32767, 1},
+                {127, 256}, {16383, 2}, {32767, 0}};
   for (const auto& c : kCases) {
     for (std::size_t n : kLengths) {
       const std::vector<std::int16_t> kr =
@@ -160,7 +290,7 @@ TEST(Simd, FusedDotI16StripX4BitExact) {
         xq_ptr[s] = xq[s].data();
       }
       std::int64_t out[4];
-      simd::fused_dot_i16_strip_x4(kr.data(), ki.data(), xi_ptr, xq_ptr, n,
+      k().fused_dot_i16_strip_x4(kr.data(), ki.data(), xi_ptr, xq_ptr, n,
                                    c.strip, out);
       for (int s = 0; s < 4; ++s)
         EXPECT_EQ(out[s], simd::fused_dot_i16_scalar(kr.data(), ki.data(),
@@ -170,7 +300,7 @@ TEST(Simd, FusedDotI16StripX4BitExact) {
   }
 }
 
-TEST(Simd, DotU8I8BitExact) {
+TEST_P(SimdInt, DotU8I8BitExact) {
   Rng rng(15);
   for (std::size_t n : kLengths) {
     std::vector<std::uint8_t> u(n);
@@ -179,33 +309,108 @@ TEST(Simd, DotU8I8BitExact) {
       x = static_cast<std::uint8_t>(rng.uniform() * 256.0);
     for (auto& x : w)
       x = static_cast<std::int8_t>(-128 + static_cast<int>(rng.uniform() * 256.0));
-    EXPECT_EQ(simd::dot_u8i8(u.data(), w.data(), n),
+    EXPECT_EQ(k().dot_u8i8(u.data(), w.data(), n),
               simd::dot_u8i8_scalar(u.data(), w.data(), n))
         << "n=" << n;
   }
 }
 
-TEST(Simd, DotU8I8ExtremeOperandsBitExact) {
+TEST_P(SimdInt, DotU8I8ExtremeOperandsBitExact) {
   // Worst cases the int8 datapath admits: u = 255 against w = -128 / 127,
   // long enough that a saturating maddubs-style intermediate (the AVX2
   // trap) or int16 lane accumulation would diverge from the exact sum.
   const std::size_t n = 4096;
   std::vector<std::uint8_t> u(n, 255);
   std::vector<std::int8_t> w(n, -128);
-  EXPECT_EQ(simd::dot_u8i8(u.data(), w.data(), n),
+  EXPECT_EQ(k().dot_u8i8(u.data(), w.data(), n),
             static_cast<std::int32_t>(n) * (255 * -128));
-  EXPECT_EQ(simd::dot_u8i8(u.data(), w.data(), n),
+  EXPECT_EQ(k().dot_u8i8(u.data(), w.data(), n),
             simd::dot_u8i8_scalar(u.data(), w.data(), n));
   for (auto& x : w) x = 127;
-  EXPECT_EQ(simd::dot_u8i8(u.data(), w.data(), n),
+  EXPECT_EQ(k().dot_u8i8(u.data(), w.data(), n),
             static_cast<std::int32_t>(n) * (255 * 127));
-  EXPECT_EQ(simd::dot_u8i8(u.data(), w.data(), n),
+  EXPECT_EQ(k().dot_u8i8(u.data(), w.data(), n),
             simd::dot_u8i8_scalar(u.data(), w.data(), n));
   // Alternating extremes exercise in-register pair summation order.
   for (std::size_t i = 0; i < n; ++i)
     w[i] = (i & 1) ? std::int8_t{127} : std::int8_t{-128};
-  EXPECT_EQ(simd::dot_u8i8(u.data(), w.data(), n),
+  EXPECT_EQ(k().dot_u8i8(u.data(), w.data(), n),
             simd::dot_u8i8_scalar(u.data(), w.data(), n));
+}
+
+/// acc[s] = sum_i w[i] * act[i * kLaneShots + s], the lane kernels'
+/// definition, for s < nb.
+template <typename W, typename A>
+std::vector<std::int64_t> lane_reference(const std::vector<W>& w,
+                                         const std::vector<A>& act,
+                                         std::size_t nb) {
+  std::vector<std::int64_t> ref(nb, 0);
+  for (std::size_t i = 0; i < w.size(); ++i)
+    for (std::size_t s = 0; s < nb; ++s)
+      ref[s] += static_cast<std::int64_t>(w[i]) * act[i * simd::kLaneShots + s];
+  return ref;
+}
+
+TEST_P(SimdInt, LaneDotMatchesReference) {
+  // One head output row across a transposed shot block, at the strips the
+  // head certifies: 1 at full-range int16 (direct widening), several per
+  // row on narrower grids, one covering the row at int8 — for layer widths
+  // and shot counts around every vector width.
+  Rng rng(23);
+  const std::size_t S = simd::kLaneShots;
+  for (std::size_t in : {1, 2, 7, 45, 64}) {
+    for (std::size_t nb : {1, 3, 4, 5, 8, 31, 32, 33, 127, 128}) {
+      std::vector<std::int64_t> acc(S);
+      const std::vector<std::int16_t> w16 = random_codes(rng, in, -32767, 32767);
+      const std::vector<std::int16_t> a16 =
+          random_codes(rng, in * S, -32768, 32767);
+      k().lane_dot_i16(w16.data(), in, a16.data(), nb, 1, acc.data());
+      const std::vector<std::int64_t> ref16 = lane_reference(w16, a16, nb);
+      for (std::size_t s = 0; s < nb; ++s)
+        ASSERT_EQ(acc[s], ref16[s]) << "int16 strip 1 in=" << in << " s=" << s;
+      // 12-bit codes: 2^11 * 2^11 per product certifies strip 511.
+      const std::vector<std::int16_t> w12 = random_codes(rng, in, -2047, 2047);
+      const std::vector<std::int16_t> a12 = random_codes(rng, in * S, -2048, 2047);
+      const std::vector<std::int64_t> ref12 = lane_reference(w12, a12, nb);
+      for (std::size_t strip : {2, 3, 511}) {
+        k().lane_dot_i16(w12.data(), in, a12.data(), nb, strip, acc.data());
+        for (std::size_t s = 0; s < nb; ++s)
+          ASSERT_EQ(acc[s], ref12[s])
+              << "int16 strip " << strip << " in=" << in << " s=" << s;
+      }
+      std::vector<std::int8_t> w8(in);
+      std::vector<std::uint8_t> a8(in * S);
+      for (auto& x : w8)
+        x = static_cast<std::int8_t>(-127 + static_cast<int>(rng.uniform() * 255.0));
+      for (auto& x : a8) x = static_cast<std::uint8_t>(rng.uniform() * 256.0);
+      const std::vector<std::int64_t> ref8 = lane_reference(w8, a8, nb);
+      for (std::size_t strip : {1, 7, 65535}) {
+        k().lane_dot_u8i8(w8.data(), in, a8.data(), nb, strip, acc.data());
+        for (std::size_t s = 0; s < nb; ++s)
+          ASSERT_EQ(acc[s], ref8[s])
+              << "int8 strip " << strip << " in=" << in << " s=" << s;
+      }
+    }
+  }
+}
+
+TEST_P(SimdInt, LaneDotExtremeOperandsBitExact) {
+  // Every product at the int16 corner (32767 * -32768): two of them already
+  // leave int32, so strip 1 must widen each one.
+  const std::size_t S = simd::kLaneShots;
+  const std::size_t in = 96;
+  const std::vector<std::int16_t> w(in, 32767);
+  const std::vector<std::int16_t> act(in * S, -32768);
+  std::vector<std::int64_t> acc(S);
+  k().lane_dot_i16(w.data(), in, act.data(), S, 1, acc.data());
+  for (std::size_t s = 0; s < S; ++s)
+    ASSERT_EQ(acc[s], static_cast<std::int64_t>(in) * (32767LL * -32768LL));
+  // int8 corner: u = 255 against w = -127 across the widest strip.
+  const std::vector<std::int8_t> w8(in, -127);
+  const std::vector<std::uint8_t> a8(in * S, 255);
+  k().lane_dot_u8i8(w8.data(), in, a8.data(), S, 65535, acc.data());
+  for (std::size_t s = 0; s < S; ++s)
+    ASSERT_EQ(acc[s], static_cast<std::int64_t>(in) * (255 * -127));
 }
 
 TEST(Simd, AddBiasVariantsMatchScalar) {
@@ -323,7 +528,7 @@ TEST(Simd, Dot4MatchesSingleDots) {
   }
 }
 
-TEST(Simd, QuantizeCodesMatchesToCode) {
+TEST_P(SimdInt, QuantizeCodesMatchesToCode) {
   // The vector quantizer must reproduce to_code()'s round-half-even and
   // saturation exactly (under the default FP environment, which the
   // caller guards). Mix normal values, halfway ties and out-of-range
@@ -342,7 +547,7 @@ TEST(Simd, QuantizeCodesMatchesToCode) {
       }
     }
     std::vector<std::int16_t> fast(n), slow(n);
-    simd::quantize_codes_i16(x.data(), n, scale,
+    k().quantize_codes_i16(x.data(), n, scale,
                              static_cast<std::int32_t>(fmt.min_code()),
                              static_cast<std::int32_t>(fmt.max_code()),
                              fast.data());

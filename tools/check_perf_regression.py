@@ -9,10 +9,14 @@ fresh set of those reports against the checked-in per-tier baseline
 than the threshold (default 15%) — shots/sec falling or p99 latency
 rising.
 
-Baselines are recorded per SIMD tier (`context.simd_tier`): an sse2 run is
-never compared against avx512-vnni numbers.  Reports from a tier the
-baseline has no entry for are skipped with a warning, so a new
-microarchitecture cannot fail CI before a baseline exists for it.
+Baselines are recorded per SIMD tier: an sse2 run is never compared
+against avx512-vnni numbers.  The tier key is the compile-time float tier
+(`context.simd_tier`), joined as "<simd_tier>/<simd_int_tier>" with the
+runtime-picked integer tier when the report carries one (the integer
+kernels follow the host, not the build flags, so one binary measures
+different code on different machines).  Reports from a tier the baseline
+has no entry for are skipped with a warning, so a new microarchitecture
+cannot fail CI before a baseline exists for it.
 
 Absolute shots/sec depends on the machine, so by default the gate first
 estimates a per-metric machine-speed factor — the *median* of
@@ -51,6 +55,13 @@ import sys
 DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "perf_baseline.json")
 DEFAULT_THRESHOLD = 0.15
+
+# Tier keys a default (non-native) x86 build reports on AVX2 and AVX-512
+# VNNI hosts: the float tier is fixed at SSE2 by the build, the integer
+# tier follows the host.  The checked-in baseline must cover every one of
+# them for both benches, or the CI gate would skip on that runner class
+# (the self-test checks it).
+DEFAULT_BUILD_TIERS = ("sse2/avx2", "sse2/avx512-vnni")
 
 # Per-bench gating schema.  `key` names the row fields that identify a
 # configuration; `higher_better` / `lower_better` name the gated metrics;
@@ -91,6 +102,16 @@ def load_report(path):
     return doc
 
 
+def tier_key(ctx):
+    """The baseline table a report belongs to: the float tier, plus the
+    integer tier when the report records one ("sse2/avx512-vnni")."""
+    tier = ctx.get("simd_tier")
+    if not tier:
+        return None
+    int_tier = ctx.get("simd_int_tier")
+    return f"{tier}/{int_tier}" if int_tier else tier
+
+
 def report_to_entry(doc):
     """Reduces a BENCH report to the (bench, tier, keyed rows) the gate
     needs, or None when the report is not gateable under its schema."""
@@ -102,7 +123,7 @@ def report_to_entry(doc):
     for k, v in schema["gate_context"].items():
         if ctx.get(k) != v:
             return None
-    tier = ctx.get("simd_tier")
+    tier = tier_key(ctx)
     if not tier:
         return None
     rows = {}
@@ -265,7 +286,7 @@ def update_baseline(report_paths, baseline_path, out=print):
 
 # ---- self-test ------------------------------------------------------------
 
-def _synthetic_report(tier="sse2", scale=1.0, mutate=None):
+def _synthetic_report(tier="sse2", scale=1.0, mutate=None, int_tier=None):
     """A small but structurally faithful pipeline_throughput report.
     `scale` models machine speed (multiplies every rate, divides every
     latency); `mutate(rows)` injects a targeted regression."""
@@ -285,9 +306,11 @@ def _synthetic_report(tier="sse2", scale=1.0, mutate=None):
                     })
     if mutate:
         mutate(rows)
-    return {"context": {"bench": "pipeline_throughput", "git_sha": "selftest",
-                        "simd_tier": tier, "fast_mode": True},
-            "rows": rows}
+    ctx = {"bench": "pipeline_throughput", "git_sha": "selftest",
+           "simd_tier": tier, "fast_mode": True}
+    if int_tier:
+        ctx["simd_int_tier"] = int_tier
+    return {"context": ctx, "rows": rows}
 
 
 def self_test(out=print):
@@ -368,11 +391,45 @@ def self_test(out=print):
         checks.append(("unknown tier skips",
                        gate(_synthetic_report(tier="riscv-rvv")) == 0))
 
+        # Reports that record their integer tier key on both tiers: a
+        # regression gates against the matching integer tier's baseline,
+        # and is never compared with another integer tier's numbers (nor
+        # with the float-tier-only entry).
+        ref_int = write(_synthetic_report(int_tier="avx2"), d, "ref_int.json")
+        assert update_baseline([ref_int], baseline_path, out=quiet) == 0
+        with open(baseline_path, "r", encoding="utf-8") as f:
+            tiers = set(json.load(f)["tiers"])
+        checks.append(("integer tier recorded as its own key",
+                       tiers == {"sse2", "sse2/avx2"}))
+        checks.append(("same integer tier, 20% drop fails",
+                       gate(_synthetic_report(mutate=drop_tput,
+                                              int_tier="avx2")) == 1))
+        checks.append(("same integer tier, identical run passes",
+                       gate(_synthetic_report(int_tier="avx2")) == 0))
+        def halve_integer_rows(rows):
+            for r in rows:
+                if r["backend"] != "OURS":
+                    r["shots_per_sec"] *= 0.5
+        halved = _synthetic_report(int_tier="avx512-vnni",
+                                   mutate=halve_integer_rows)
+        checks.append(("other integer tier skips",
+                       gate(halved, absolute=True) == 0))
+        checks.append(("float-tier-only report still gates",
+                       gate(_synthetic_report(mutate=drop_tput)) == 1))
+
         # fast_mode mismatch skips (full-scale rows vs CI-scale baseline
         # measure different work).
         full = _synthetic_report()
         full["context"]["fast_mode"] = False
         checks.append(("fast_mode mismatch skips", gate(full) == 0))
+
+    # The checked-in baseline gates a default build on every integer tier
+    # it can pick on an AVX2-or-better runner.
+    with open(DEFAULT_BASELINE, "r", encoding="utf-8") as f:
+        checked_in = json.load(f).get("tiers", {})
+    for tier in DEFAULT_BUILD_TIERS:
+        checks.append((f"checked-in baseline covers {tier}",
+                       all(b in checked_in.get(tier, {}) for b in SCHEMAS)))
 
     ok = all(passed for _, passed in checks)
     for name, passed in checks:

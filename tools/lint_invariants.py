@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lints that neither the compiler nor clang-tidy can express.
 
-Four checks, all cheap enough for every CI run and every pre-commit:
+Five checks, all cheap enough for every CI run and every pre-commit:
 
   1. snapshot-kinds: the SnapshotKind enum in src/pipeline/snapshot.h is an
      on-disk format registry. Its wire values are pinned in
@@ -29,6 +29,16 @@ Four checks, all cheap enough for every CI run and every pre-commit:
      with injected times. They may not read a clock (`::now(`), take a lock
      (Mutex, MutexLock, CondVar, std::mutex, std::condition_variable), or
      draw from an Rng.
+
+  5. isa-dispatch: CPU-feature probes (`__builtin_cpu_supports`),
+     per-function ISA overrides (`__attribute__((target...` /
+     `[[gnu::target...`) and the AVX umbrella headers (`<immintrin.h>`,
+     `<x86intrin.h>`) appear only in src/common/simd* — the float kernels
+     and the runtime-dispatched integer tiers (src/common/simd_tier_*),
+     whose objects are checked to export nothing outside their own
+     namespace. Anywhere else, wider instructions would reach code no
+     dispatch guards, and an inline function compiled with them could be
+     handed by the linker to a baseline caller.
 
 Exit status: 0 = all invariants hold, 1 = violation (details on stderr),
 2 = usage / environment error. `--self-test` proves the checks can fail by
@@ -179,7 +189,7 @@ def strip_comments(text: str) -> str:
 def check_nondeterminism(root: pathlib.Path) -> list[str]:
     errors = []
     for path in sorted((root / "src").rglob("*")):
-        if path.suffix not in {".h", ".cpp"}:
+        if path.suffix not in {".h", ".cpp", ".inc"}:
             continue
         rel = path.relative_to(root)
         if rel in NONDET_EXEMPT:
@@ -268,6 +278,53 @@ def check_pure_parts(root: pathlib.Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Check 5: ISA selection stays inside the SIMD layer.
+# ---------------------------------------------------------------------------
+
+# Every C++ source tree of the repository; src/common/simd* is the one
+# place allowed to probe the CPU or compile for wider instruction sets.
+ISA_SCAN_DIRS = ("src", "tests", "bench", "examples", "fuzz", "perfbench")
+ISA_SUFFIXES = {".h", ".hpp", ".cpp", ".cc", ".inc"}
+ISA_PATTERNS = [
+    ("a CPU-feature probe (__builtin_cpu_supports)",
+     re.compile(r"\b__builtin_cpu_supports\b")),
+    ("a per-function ISA override (target attribute)",
+     re.compile(r"__attribute__\s*\(\(\s*(?:__)?target(?:_clones)?\b|"
+                r"\[\[\s*gnu::target(?:_clones)?\b")),
+    ("an AVX intrinsics header (<immintrin.h> / <x86intrin.h>)",
+     re.compile(r"#\s*include\s*<(?:imm|x86)intrin\.h>")),
+]
+
+
+def isa_exempt(rel: pathlib.Path) -> bool:
+    return rel.parent == pathlib.Path("src/common") and rel.name.startswith(
+        "simd"
+    )
+
+
+def check_isa_dispatch(root: pathlib.Path) -> list[str]:
+    errors = []
+    for top in ISA_SCAN_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in ISA_SUFFIXES or not path.is_file():
+                continue
+            rel = path.relative_to(root)
+            if isa_exempt(rel):
+                continue
+            code = strip_comments(path.read_text(encoding="utf-8"))
+            for lineno, line in enumerate(code.splitlines(), 1):
+                for label, pattern in ISA_PATTERNS:
+                    if pattern.search(line):
+                        errors.append(
+                            f"{rel}:{lineno}: {label} outside "
+                            f"src/common/simd* — put wide-ISA code in an "
+                            f"integer tier (src/common/simd_tier_kernels.inc)"
+                            f" or a float kernel in src/common/simd.h"
+                        )
+    return errors
+
+
+# ---------------------------------------------------------------------------
 # Driver + self-test.
 # ---------------------------------------------------------------------------
 
@@ -278,6 +335,7 @@ def run_checks(root: pathlib.Path) -> int:
         + check_nondeterminism(root)
         + check_pipeline_rng(root)
         + check_pure_parts(root)
+        + check_isa_dispatch(root)
     )
     for e in errors:
         print(f"lint_invariants: {e}", file=sys.stderr)
@@ -414,6 +472,48 @@ def self_test() -> int:
             failures.append("false positive: comment mentioning now()")
         pure_probe.unlink()
 
+        # Check 5: ISA selection outside src/common/simd* must be caught in
+        # any source tree...
+        isa_snippets = {
+            "__builtin_cpu_supports":
+                "bool f() { return __builtin_cpu_supports(\"avx2\"); }\n",
+            "__attribute__((target))":
+                "__attribute__((target(\"avx2\"))) int f() { return 1; }\n",
+            "[[gnu::target]]": "[[gnu::target(\"avx512f\")]] int f();\n",
+            "<immintrin.h>": "#include <immintrin.h>\n",
+            "<x86intrin.h>": "#  include <x86intrin.h>\n",
+        }
+        for where in ("src/dsp/selftest_probe.cpp",
+                      "tests/selftest_probe.cpp",
+                      "src/common/selftest_probe.h"):
+            isa_probe = root / where
+            isa_probe.parent.mkdir(parents=True, exist_ok=True)
+            for label, snippet in isa_snippets.items():
+                isa_probe.write_text(snippet, encoding="utf-8")
+                if not check_isa_dispatch(root):
+                    failures.append(f"isa-dispatch {label} in {where} "
+                                    f"not caught")
+            isa_probe.unlink()
+        # ...while the SIMD layer itself, comments naming the probe, and
+        # the SSE2-only header stay legal.
+        for name in ("simd_tier_avx2.cpp", "simd.cpp", "simd.h",
+                     "simd_tier_kernels.inc"):
+            (src_common / name).write_text(
+                "".join(isa_snippets.values()), encoding="utf-8"
+            )
+        benign = root / "src" / "nn" / "selftest_probe.cpp"
+        benign.parent.mkdir(parents=True, exist_ok=True)
+        benign.write_text(
+            "// __builtin_cpu_supports and <immintrin.h> live in simd*.\n"
+            "#include <emmintrin.h>\n"
+            "int retarget_count = 0;\n",
+            encoding="utf-8",
+        )
+        if check_isa_dispatch(root):
+            failures.append("false positive: simd* files, comments or "
+                            "<emmintrin.h>")
+        benign.unlink()
+
     for f in failures:
         print(f"lint_invariants --self-test: FAIL: {f}", file=sys.stderr)
     if not failures:
@@ -421,7 +521,7 @@ def self_test() -> int:
             f"lint_invariants --self-test: ok "
             f"({len(mutations)} registry mutations, "
             f"{len(nondet_snippets)} nondeterminism probes, and the "
-            f"pipeline-rng and pure-part probes all caught)"
+            f"pipeline-rng, pure-part and isa-dispatch probes all caught)"
         )
     return 1 if failures else 0
 
