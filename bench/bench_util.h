@@ -1,7 +1,7 @@
 // Shared helpers for the table/figure benches: standard dataset sizing,
 // per-qubit fidelity rows, paper-vs-measured table assembly, and the
-// machine-readable BENCH_*.json perf records that track the throughput
-// trajectory across commits.
+// machine-readable BENCH_*.json records the streaming soaks write.
+// Performance itself is measured by perfbench/, not here.
 #pragma once
 
 #include <cmath>
@@ -38,10 +38,10 @@ inline const char* build_git_sha() {
 #endif
 }
 
-/// One machine-readable perf record: BENCH_<name>.json in the working
+/// One machine-readable run record: BENCH_<name>.json in the working
 /// directory — a flat `context` object (git sha, the compile-time float
 /// SIMD tier and the runtime-picked integer tier, knob values)
-/// plus one flat object per swept configuration. Values are scalars only,
+/// plus one flat object per row. Values are scalars only,
 /// so downstream tooling can load the series with nothing but a JSON
 /// parser and a group-by.
 class BenchReport {
@@ -126,50 +126,25 @@ class BenchReport {
   std::vector<Fields> rows_;
 };
 
-/// The proposed float (and optionally int16) serving backends for a
-/// throughput bench, with MLQR_SNAPSHOT support: when the env var is set
-/// (a path prefix), ${MLQR_SNAPSHOT}.float.snap / .int16.snap are loaded
-/// via pipeline/snapshot.h instead of retraining — a bench or serving
-/// restart then starts in seconds. Missing snapshot files are trained
-/// once and written to those paths, so the first run seeds the cache.
-/// Without MLQR_SNAPSHOT the bench trains fresh, as before. The struct
-/// owns whichever representation (trained or loaded) backs the
-/// EngineBackends, so keep it alive while serving.
-struct ServingBackends {
-  /// Owning backends (BackendSnapshot::backend() semantics): safe to copy
-  /// around and to hand to swap_shard; the snapshots below are the
-  /// canonical owners either way (trained results are wrapped in one).
-  EngineBackend float_backend;
-  EngineBackend int16_backend;  ///< Only when requested.
-  EngineBackend int8_backend;   ///< Only when requested.
-  BackendSnapshot float_snap;
-  BackendSnapshot int16_snap;
-  BackendSnapshot int8_snap;
-};
-
-inline ServingBackends make_serving_backends(const ReadoutDataset& ds,
-                                             const ProposedConfig& pcfg,
-                                             bool want_int16,
-                                             const char* tag,
-                                             bool want_int8 = false) {
-  ServingBackends sb;
+/// The proposed float serving backend for a soak, with MLQR_SNAPSHOT
+/// support: when the env var is set (a path prefix),
+/// ${MLQR_SNAPSHOT}.float.snap is loaded via pipeline/snapshot.h instead of
+/// retraining, so a restart starts in seconds. A missing snapshot file is
+/// trained once and written to that path, so the first run seeds the cache.
+/// Without MLQR_SNAPSHOT the backend trains fresh. The returned snapshot
+/// owns the discriminator; its backend() copies are safe to hand to
+/// engines and swap_shard.
+inline BackendSnapshot make_serving_backend(const ReadoutDataset& ds,
+                                            const ProposedConfig& pcfg,
+                                            const char* tag) {
   const char* prefix = std::getenv("MLQR_SNAPSHOT");
-  const bool use_snapshots = prefix && *prefix;
-  std::string float_path, int16_path, int8_path;
-  if (use_snapshots) {
-    float_path = prefix;
-    float_path += ".float.snap";
-    int16_path = prefix;
-    int16_path += ".int16.snap";
-    int8_path = prefix;
-    int8_path += ".int8.snap";
-  }
-  const auto exists = [](const std::string& p) {
-    return !p.empty() && std::ifstream(p, std::ios::binary).good();
-  };
-  const auto check_loaded = [&](const BackendSnapshot& snap,
-                                const std::string& path, SnapshotKind kind) {
-    MLQR_CHECK_MSG(snap.kind() == kind,
+  const std::string path =
+      prefix && *prefix ? std::string(prefix) + ".float.snap" : std::string();
+  if (!path.empty() && std::ifstream(path, std::ios::binary).good()) {
+    std::cout << '[' << tag << "] MLQR_SNAPSHOT=" << prefix
+              << ": loading calibration instead of retraining...\n";
+    BackendSnapshot snap = load_backend_file(path);
+    MLQR_CHECK_MSG(snap.kind() == SnapshotKind::kFloat,
                    "snapshot " << path << " holds a \"" << snap.name()
                        << "\" backend — wrong kind for this path (renamed "
                        << "file?)");
@@ -177,57 +152,18 @@ inline ServingBackends make_serving_backends(const ReadoutDataset& ds,
                    "snapshot " << path << " serves " << snap.num_qubits()
                                << " qubits, dataset has "
                                << ds.chip.num_qubits());
-  };
-
-  if (use_snapshots && exists(float_path) &&
-      (!want_int16 || exists(int16_path)) &&
-      (!want_int8 || exists(int8_path))) {
-    std::cout << '[' << tag << "] MLQR_SNAPSHOT=" << prefix
-              << ": loading calibration instead of retraining...\n";
-    sb.float_snap = load_backend_file(float_path);
-    check_loaded(sb.float_snap, float_path, SnapshotKind::kFloat);
-    sb.float_backend = sb.float_snap.backend();
-    if (want_int16) {
-      sb.int16_snap = load_backend_file(int16_path);
-      check_loaded(sb.int16_snap, int16_path, SnapshotKind::kInt16);
-      sb.int16_backend = sb.int16_snap.backend();
-    }
-    if (want_int8) {
-      sb.int8_snap = load_backend_file(int8_path);
-      check_loaded(sb.int8_snap, int8_path, SnapshotKind::kInt8);
-      sb.int8_backend = sb.int8_snap.backend();
-    }
-    return sb;
+    return snap;
   }
 
   std::cout << '[' << tag << "] training proposed discriminator...\n";
-  sb.float_snap = BackendSnapshot::wrap(ProposedDiscriminator::train(
+  BackendSnapshot snap = BackendSnapshot::wrap(ProposedDiscriminator::train(
       ds.shots, ds.training_labels, ds.train_idx, ds.chip, pcfg));
-  sb.float_backend = sb.float_snap.backend();
-  if (want_int16) {
-    std::cout << '[' << tag << "] calibrating int16 backend...\n";
-    sb.int16_snap =
-        BackendSnapshot::wrap(QuantizedProposedDiscriminator::quantize(
-            *sb.float_snap.as<ProposedDiscriminator>(), ds.shots,
-            ds.train_idx));
-    sb.int16_backend = sb.int16_snap.backend();
+  if (!path.empty()) {
+    save_backend_file(path, snap);
+    std::cout << '[' << tag << "] saved calibration snapshot " << path
+              << " (next run loads instead of training)\n";
   }
-  if (want_int8) {
-    std::cout << '[' << tag << "] calibrating int8 backend...\n";
-    sb.int8_snap =
-        BackendSnapshot::wrap(Quantized8ProposedDiscriminator::quantize(
-            *sb.float_snap.as<ProposedDiscriminator>(), ds.shots,
-            ds.train_idx));
-    sb.int8_backend = sb.int8_snap.backend();
-  }
-  if (use_snapshots) {
-    save_backend_file(float_path, sb.float_snap);
-    if (want_int16) save_backend_file(int16_path, sb.int16_snap);
-    if (want_int8) save_backend_file(int8_path, sb.int8_snap);
-    std::cout << '[' << tag << "] saved calibration snapshot(s) under prefix "
-              << prefix << " (next run loads instead of training)\n";
-  }
-  return sb;
+  return snap;
 }
 
 /// Standard dataset sizing for the table benches. Full runs use 400 shots

@@ -1,35 +1,19 @@
-// Asynchronous streaming-engine serving benchmark: Poisson shot arrivals
-// (the paper's Sec. 7(b) QEC-cycle serving shape — shots trickle in per
-// cycle rather than arriving as preassembled batches) pushed through
-// StreamingEngine::submit/wait_result across a load x shard grid.
+// StreamingEngine soaks: two sustained, seeded correctness gates for the
+// asynchronous serving path (the paper's Sec. 7(b) QEC-cycle serving
+// shape — shots trickle in per cycle rather than arriving as preassembled
+// batches). Both exit non-zero when their gate fails. Throughput and
+// latency are measured by perfbench/ (workload qec_stream), not here.
 //
-// For each configuration the bench runs an open-loop producer (exponential
-// inter-arrival times at a target rate, hybrid sleep+spin pacing) against
-// an in-order consumer, and reports sustained shots/s plus p50/p99
-// queue-to-result latency — submit() return to wait_result() return, i.e. ring
-// wait + micro-batch formation + classification. Rates are chosen relative
-// to the synchronous process_batch peak measured first on the same
-// machine, so the grid covers light load (latency dominated by the
-// micro-batch deadline), heavy load (batches fill, throughput approaches
-// the sync peak) and an unpaced max-rate row. Shard counts model the
-// multi-feedline fan-in: one backend per feedline, round-robin routing.
+// Fault soak (--soak-seconds=N): open-loop Poisson traffic with
+// bounded-blocking admission (a submit timeout; overflow is rejected, not
+// queued), per-shot deadline shedding, a hot-swap thread cycling shard
+// calibrations, and — with --inject-faults — FaultyBackend shards
+// throwing, stalling, and corrupting on a seeded, deterministic schedule
+// so circuit breakers trip and recover throughout the run. Every ticket is
+// accounted for (done/failed/shed — zero lost, exit 1 otherwise) and the
+// tallies land in BENCH_streaming_soak.json.
 //
-// Besides the console table and streaming_throughput.csv, the grid lands
-// in BENCH_streaming_throughput.json (context: git sha, SIMD tier, knobs;
-// rows: shards x target rate) — archived by CI next to the
-// pipeline_throughput baseline.
-//
-// Soak mode (--soak-seconds=N) replaces the grid with a sustained
-// resilience run: open-loop Poisson traffic with bounded-blocking
-// admission (a submit timeout; overflow is rejected, not queued), per-shot
-// deadline shedding, a hot-swap thread cycling shard calibrations, and —
-// with --inject-faults — FaultyBackend shards throwing, stalling, and
-// corrupting on a seeded, deterministic schedule so circuit breakers trip
-// and recover throughout the run. Every ticket is accounted for
-// (done/failed/shed — zero lost, exit 1 otherwise) and the tallies land in
-// BENCH_streaming_throughput.json with context.mode = "soak".
-//
-// Drift soak mode (--drift, with --soak-seconds=N) runs the full
+// Drift soak (--drift, optionally with --soak-seconds=N) runs the full
 // closed-loop recalibration demo instead: a two-qubit chip whose
 // resonator responses rotate mid-run (sim ChipDrift phase ramp), every
 // shot submitted as a ground-truth reference shot, the engine's drift
@@ -43,20 +27,21 @@
 // problem, asserting bit-identical weights) and lands everything in
 // BENCH_streaming_drift.json.
 //
+// Both soaks serve 64-shot micro-batches with a 100 us batch deadline.
+// With no mode flag the binary prints its usage and exits 2.
+//
 //   MLQR_THREADS caps the classification fan-out; MLQR_SHOTS sizes the
-//   calibration dataset; MLQR_STREAM_SHOTS caps shots per config;
-//   MLQR_STREAM_BATCH_MAX / MLQR_STREAM_DEADLINE_US tune the micro-batch;
-//   MLQR_SOAK_RATE sets the soak arrival rate (shots/s);
-//   MLQR_DRIFT_RATE the drift-soak arrival rate; MLQR_DRIFT_STRICT=0
-//   drops the drift soak's timing-dependent trajectory gates (sanitizer
-//   legs), keeping the accounting + bit-identity ones;
-//   MLQR_SNAPSHOT=<prefix> loads <prefix>.float.snap instead of retraining
-//   (first run trains and writes it); MLQR_FAST=1 shrinks everything to CI
-//   scale. Flags: --soak-seconds=N --inject-faults --drift --seed=N.
+//   fault soak's calibration dataset; MLQR_SOAK_RATE sets the fault-soak
+//   arrival rate (shots/s); MLQR_DRIFT_RATE the drift-soak arrival rate;
+//   MLQR_DRIFT_STRICT=0 drops the drift soak's timing-dependent trajectory
+//   gates (sanitizer legs), keeping the accounting + bit-identity ones;
+//   MLQR_SNAPSHOT=<prefix> makes the fault soak load <prefix>.float.snap
+//   instead of retraining (first run trains and writes it); MLQR_FAST=1
+//   shrinks the calibration to CI scale.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <numeric>
 #include <sstream>
@@ -65,7 +50,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/csv.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -81,65 +65,17 @@ namespace {
 using namespace mlqr;
 using Clock = std::chrono::steady_clock;
 
-struct ConfigResult {
-  double target_rate = 0.0;  ///< shots/s; 0 = unpaced.
-  double achieved_rate = 0.0;
-  double mean_batch = 0.0;
-  LatencyStats lat;
-};
+/// Micro-batch shape both soaks serve with.
+constexpr std::size_t kBatchMax = 64;
+constexpr std::size_t kDeadlineUs = 100;
 
-ConfigResult run_config(const EngineBackend& backend, std::size_t shards,
-                        const std::vector<IqTrace>& frames, double rate,
-                        std::size_t total, const StreamingConfig& scfg) {
-  StreamingEngine engine(backend, shards, scfg);
-
-  std::vector<Clock::time_point> submitted(total);
-  std::vector<double> micros(total, 0.0);
-  Rng rng(0xBEEF ^ shards ^ static_cast<std::uint64_t>(rate));
-
-  const auto start = Clock::now();
-  std::jthread producer([&] {
-    auto next = Clock::now();
-    for (std::size_t s = 0; s < total; ++s) {
-      if (rate > 0.0) {
-        next += std::chrono::nanoseconds(
-            static_cast<std::int64_t>(rng.exponential(rate) * 1e9));
-        // Coarse sleep only — no spin (a spinning producer starves the
-        // classifier on small machines). Arrivals past due by the time we
-        // wake submit immediately as a burst, so the long-run rate holds
-        // even where OS sleep granularity exceeds the inter-arrival gap.
-        if (Clock::now() < next) std::this_thread::sleep_until(next);
-      }
-      // Stamp before submit: the sample then covers admission (possible
-      // backpressure block) + ring wait + micro-batching + classification,
-      // and the consumer can never read an unwritten stamp.
-      submitted[s] = Clock::now();
-      engine.submit(frames[s % frames.size()]);
-    }
-  });
-
-  std::vector<int> labels(engine.num_qubits());
-  for (std::size_t s = 0; s < total; ++s) {
-    (void)engine.wait_result(s, labels);  // Healthy grid: always kDone.
-    micros[s] = std::chrono::duration<double, std::micro>(Clock::now() -
-                                                          submitted[s])
-                    .count();
-  }
-  const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-
-  ConfigResult r;
-  r.target_rate = rate;
-  r.achieved_rate = wall > 0.0 ? static_cast<double>(total) / wall : 0.0;
-  const std::uint64_t batches = engine.stats().batches;
-  r.mean_batch = batches > 0 ? static_cast<double>(total) /
-                                   static_cast<double>(batches)
-                             : 0.0;
-  r.lat = summarize_latency(std::move(micros));
-  return r;
-}
+constexpr const char* kUsage =
+    "usage: streaming_throughput --soak-seconds=N [--inject-faults] "
+    "[--seed=N]\n"
+    "       streaming_throughput --drift [--soak-seconds=N] [--seed=N]\n";
 
 struct SoakOptions {
-  std::size_t seconds = 0;  ///< 0 = grid mode.
+  std::size_t seconds = 0;  ///< Fault soak length; 0 = not requested.
   bool inject_faults = false;
   bool drift = false;  ///< Closed-loop recalibration soak (own dataset).
   std::uint64_t seed = 20250807;
@@ -157,10 +93,8 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
 
   StreamingConfig scfg;
   scfg.queue_capacity = 4096;
-  scfg.batch_max =
-      static_cast<std::size_t>(env_int("MLQR_STREAM_BATCH_MAX", 64));
-  scfg.deadline_us =
-      static_cast<std::size_t>(env_int("MLQR_STREAM_DEADLINE_US", 100));
+  scfg.batch_max = kBatchMax;
+  scfg.deadline_us = kDeadlineUs;
   scfg.shot_deadline_us = 20000;  // Shed anything older than 20 ms.
   scfg.quarantine_after = 3;
   scfg.probe_backoff_us = 2000;
@@ -315,7 +249,7 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
             << " shots/s, p50 " << Table::num(lat.p50_us, 1) << " us, p99 "
             << Table::num(lat.p99_us, 1) << " us\n";
 
-  BenchReport report("streaming_throughput");
+  BenchReport report("streaming_soak");
   report.context("mode", std::string("soak"));
   report.context("soak_seconds", static_cast<std::int64_t>(opt.seconds));
   report.context("inject_faults", opt.inject_faults);
@@ -543,10 +477,8 @@ int run_drift_soak(const SoakOptions& opt) {
   // ---- engine with drift monitors on ----------------------------------
   StreamingConfig scfg;
   scfg.queue_capacity = 4096;
-  scfg.batch_max =
-      static_cast<std::size_t>(env_int("MLQR_STREAM_BATCH_MAX", 64));
-  scfg.deadline_us =
-      static_cast<std::size_t>(env_int("MLQR_STREAM_DEADLINE_US", 100));
+  scfg.batch_max = kBatchMax;
+  scfg.deadline_us = kDeadlineUs;
   // Thresholds sized against EWMA noise. Every submitted shot is a
   // reference shot here, so at alpha = 0.001 the fidelity EWMA averages
   // ~1000 shots (a fraction of a second) — its noise is dominated by the
@@ -876,9 +808,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--seed=", 0) == 0) {
       soak.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
     } else {
-      std::cerr << "unknown flag " << arg
-                << " (expected --soak-seconds=N, --inject-faults, --drift, "
-                   "--seed=N)\n";
+      std::cerr << "unknown flag " << arg << "\n" << kUsage;
       return 2;
     }
   }
@@ -888,6 +818,10 @@ int main(int argc, char** argv) {
   if (soak.drift) {
     if (soak.seconds == 0) soak.seconds = 20;
     return run_drift_soak(soak);
+  }
+  if (soak.seconds == 0) {
+    std::cerr << kUsage;
+    return 2;
   }
 
   DatasetConfig dcfg;
@@ -899,11 +833,8 @@ int main(int argc, char** argv) {
 
   ProposedConfig pcfg;
   pcfg.trainer.epochs = fast_mode() ? 8 : 20;
-  // MLQR_SNAPSHOT=<prefix> serves from <prefix>.float.snap instead of
-  // retraining (the first run trains and writes it).
-  const ServingBackends serving = make_serving_backends(
-      ds, pcfg, /*want_int16=*/false, "streaming_throughput");
-  const EngineBackend& backend = serving.float_backend;
+  const BackendSnapshot serving =
+      make_serving_backend(ds, pcfg, "streaming_throughput");
 
   std::vector<IqTrace> frames;
   frames.reserve(std::max<std::size_t>(ds.test_idx.size(), 1024));
@@ -911,113 +842,5 @@ int main(int argc, char** argv) {
   while (frames.size() < 1024)
     frames.push_back(frames[frames.size() % ds.test_idx.size()]);
 
-  if (soak.seconds > 0) return run_soak(backend, frames, soak);
-
-  // Reference point: the synchronous engine at full tilt on this machine.
-  const std::size_t sync_total = fast_scaled(
-      static_cast<std::size_t>(env_int("MLQR_BENCH_SHOTS", 16384)), 4, 2048);
-  double sync_peak = 0.0;
-  {
-    ReadoutEngine sync(backend);
-    std::size_t done = 0, offset = 0;
-    Timer wall;
-    while (done < sync_total) {
-      const std::size_t n = std::min(frames.size() - offset, sync_total - done);
-      sync.process_batch({frames.data() + offset, n});
-      done += n;
-      offset = (offset + n) % frames.size();
-    }
-    sync_peak = static_cast<double>(sync_total) / wall.seconds();
-  }
-  std::cout << "[streaming_throughput] sync process_batch peak: "
-            << Table::num(sync_peak, 0) << " shots/s\n";
-
-  StreamingConfig scfg;
-  scfg.queue_capacity = 4096;
-  scfg.batch_max =
-      static_cast<std::size_t>(env_int("MLQR_STREAM_BATCH_MAX", 64));
-  scfg.deadline_us =
-      static_cast<std::size_t>(env_int("MLQR_STREAM_DEADLINE_US", 100));
-
-  const std::size_t shot_cap = fast_scaled(
-      static_cast<std::size_t>(env_int("MLQR_STREAM_SHOTS", 8192)), 4, 1024);
-  const double load_fractions[] = {0.25, 0.5, 0.8};
-  const std::size_t shard_counts[] = {1, 2, 4};
-
-  Table table("Streaming engine serving grid (Poisson arrivals, " +
-              std::to_string(scfg.batch_max) + "-shot micro-batches, " +
-              std::to_string(scfg.deadline_us) + " us deadline)");
-  table.set_header({"Shards", "Load", "Target shots/s", "Achieved", "Batch",
-                    "p50 (us)", "p99 (us)"});
-  CsvWriter csv("streaming_throughput.csv");
-  csv.write_row(std::vector<std::string>{"shards", "target_rate",
-                                         "achieved_rate", "mean_batch",
-                                         "p50_us", "p99_us"});
-  BenchReport report("streaming_throughput");
-  report.context("mode", std::string("grid"));
-  report.context("threads_max",
-                 static_cast<std::int64_t>(parallel_thread_count()));
-  report.context("sync_peak_shots_per_sec", sync_peak);
-  report.context("queue_capacity",
-                 static_cast<std::int64_t>(scfg.queue_capacity));
-  report.context("batch_max", static_cast<std::int64_t>(scfg.batch_max));
-  report.context("deadline_us", static_cast<std::int64_t>(scfg.deadline_us));
-  report.context("shots_per_basis_state",
-                 static_cast<std::int64_t>(dcfg.shots_per_basis_state));
-
-  for (std::size_t shards : shard_counts) {
-    for (double frac : load_fractions) {
-      const double rate = frac * sync_peak;
-      // Aim for ~0.4 s of traffic per paced row so light loads don't
-      // dominate the bench wall time.
-      const std::size_t total = std::clamp<std::size_t>(
-          static_cast<std::size_t>(rate * 0.4), 512, shot_cap);
-      const ConfigResult r =
-          run_config(backend, shards, frames, rate, total, scfg);
-      table.add_row({std::to_string(shards),
-                     Table::num(frac, 2),
-                     Table::num(r.target_rate, 0),
-                     Table::num(r.achieved_rate, 0),
-                     Table::num(r.mean_batch, 1),
-                     Table::num(r.lat.p50_us, 1),
-                     Table::num(r.lat.p99_us, 1)});
-      csv.write_row(std::vector<std::string>{
-          std::to_string(shards), Table::num(r.target_rate, 1),
-          Table::num(r.achieved_rate, 1), Table::num(r.mean_batch, 2),
-          Table::num(r.lat.p50_us, 2), Table::num(r.lat.p99_us, 2)});
-      report.add_row({{"shards", static_cast<std::int64_t>(shards)},
-                      {"load_fraction", frac},
-                      {"target_rate", r.target_rate},
-                      {"achieved_rate", r.achieved_rate},
-                      {"mean_batch", r.mean_batch},
-                      {"p50_us", r.lat.p50_us},
-                      {"p99_us", r.lat.p99_us}});
-    }
-    // Unpaced row: the producer submits as fast as backpressure allows.
-    const ConfigResult r =
-        run_config(backend, shards, frames, 0.0, shot_cap, scfg);
-    table.add_row({std::to_string(shards), "max", "-",
-                   Table::num(r.achieved_rate, 0), Table::num(r.mean_batch, 1),
-                   Table::num(r.lat.p50_us, 1), Table::num(r.lat.p99_us, 1)});
-    csv.write_row(std::vector<std::string>{
-        std::to_string(shards), "0", Table::num(r.achieved_rate, 1),
-        Table::num(r.mean_batch, 2), Table::num(r.lat.p50_us, 2),
-        Table::num(r.lat.p99_us, 2)});
-    report.add_row({{"shards", static_cast<std::int64_t>(shards)},
-                    {"load_fraction", 1.0},
-                    {"target_rate", 0.0},
-                    {"achieved_rate", r.achieved_rate},
-                    {"mean_batch", r.mean_batch},
-                    {"p50_us", r.lat.p50_us},
-                    {"p99_us", r.lat.p99_us}});
-  }
-  table.print();
-  const std::string json_path = report.save();
-  std::cout << "\nSync peak " << Table::num(sync_peak, 0)
-            << " shots/s; the unpaced streaming rows should approach it while"
-               " the paced rows trade throughput for bounded p99 (deadline "
-            << scfg.deadline_us << " us; SIMD tier " << simd::tier()
-            << ").\nSeries written to streaming_throughput.csv and "
-            << json_path << "\n";
-  return 0;
+  return run_soak(serving.backend(), frames, soak);
 }

@@ -9,6 +9,8 @@
 // With MLQR_FAST=1 the run shrinks to CI scale.
 #include <cstdlib>
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/table.h"
@@ -52,19 +54,20 @@ int main(int argc, char** argv) {
             << result.proposed->parameter_count() << '\n';
 
   // Streaming inference through the batched engine: the same trained model
-  // behind the process_batch API every deployment path uses. Two passes,
-  // like bench/pipeline_throughput: throughput with per-shot timers off,
-  // then a latency-instrumented pass for the percentiles.
-  const EngineBackend backend = make_backend(*result.proposed);
-  ReadoutEngine engine(backend);
+  // behind the process_batch API every deployment path uses. Two passes:
+  // the whole test split as one batch for throughput, then one
+  // batch-of-1 call per shot (the QEC-cycle serving shape) for the
+  // per-shot latency percentiles.
+  ReadoutEngine engine(make_backend(*result.proposed));
   const EngineBatch batch =
       engine.process_batch(result.dataset.shots, result.dataset.test_idx);
-  EngineConfig lat_cfg;
-  lat_cfg.record_shot_latency = true;
-  ReadoutEngine lat_engine(backend, lat_cfg);
-  const LatencyStats lat = summarize_latency(
-      lat_engine.process_batch(result.dataset.shots, result.dataset.test_idx)
-          .shot_micros);
+  std::vector<double> micros;
+  micros.reserve(result.dataset.test_idx.size());
+  for (const std::size_t& idx : result.dataset.test_idx)
+    micros.push_back(
+        engine.process_batch(result.dataset.shots, {&idx, 1}).wall_seconds *
+        1e6);
+  const LatencyStats lat = summarize_latency(std::move(micros));
   std::cout << "\nReadoutEngine (" << engine.backend().name() << ", "
             << parallel_thread_count() << " worker cap): " << batch.n_shots
             << " shots in " << batch.wall_seconds << " s = "

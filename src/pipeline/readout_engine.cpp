@@ -32,7 +32,7 @@ LatencyStats summarize_latency(std::vector<double> micros) {
 
 void EngineCore::classify(std::size_t n, const FrameAt& frame_at,
                           const BackendAt& backend_at,
-                          const LabelsAt& labels_at, double* micros,
+                          const LabelsAt& labels_at,
                           std::exception_ptr* errors) {
   if (n == 0) return;
   // Worker budget: the configured cap, shrunk so every worker has at least
@@ -44,42 +44,24 @@ void EngineCore::classify(std::size_t n, const FrameAt& frame_at,
                                     std::max<std::size_t>(n / per_thread, 1));
   if (scratch_.size() < workers) scratch_.resize(workers);
 
-  // Per-shot latency sampling has no batched meaning, so micros forces the
-  // per-shot schedule. Labels are bit-identical either way.
-  const bool batched = cfg_.batched_inference && micros == nullptr;
-
   parallel_for_slots(
       0, n, workers, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
         InferenceScratch& scratch = scratch_[slot];
         const auto run_per_shot = [&](std::size_t b, std::size_t e) {
           for (std::size_t s = b; s < e; ++s) {
-            const auto run_shot = [&] {
-              if (micros) {
-                Timer shot_timer;
-                backend_at(s).classify_into(frame_at(s), scratch,
-                                            labels_at(s));
-                micros[s] = shot_timer.seconds() * 1e6;
-              } else {
-                backend_at(s).classify_into(frame_at(s), scratch,
-                                            labels_at(s));
-              }
-            };
             if (errors) {
               try {
-                run_shot();
+                backend_at(s).classify_into(frame_at(s), scratch,
+                                            labels_at(s));
               } catch (...) {
                 errors[s] = std::current_exception();
               }
             } else {
-              run_shot();
+              backend_at(s).classify_into(frame_at(s), scratch, labels_at(s));
             }
           }
         };
 
-        if (!batched) {
-          run_per_shot(lo, hi);
-          return;
-        }
         // Group contiguous runs served by the same backend instance (the
         // BackendAt contract returns stable references, so the address
         // identifies the shard) and push each large-enough group through
@@ -121,20 +103,16 @@ EngineBatch ReadoutEngine::run(
   batch.n_shots = n;
   batch.n_qubits = n_qubits;
   batch.labels.assign(n * n_qubits, 0);
-  if (core_.config().record_shot_latency) batch.shot_micros.assign(n, 0.0);
   if (n == 0) return batch;
 
   int* labels = batch.labels.data();
-  double* micros =
-      core_.config().record_shot_latency ? batch.shot_micros.data() : nullptr;
   Timer wall;
   core_.classify(
       n, frame_at,
       [this](std::size_t) -> const EngineBackend& { return backend_; },
       [labels, n_qubits](std::size_t s) -> std::span<int> {
         return {labels + s * n_qubits, n_qubits};
-      },
-      micros);
+      });
   batch.wall_seconds = wall.seconds();
   total_shots_ += n;
   total_seconds_ += batch.wall_seconds;

@@ -52,17 +52,6 @@ struct EngineConfig {
   /// Batches smaller than threads * min_shots_per_thread stay on fewer
   /// workers — thread spawn overhead dominates tiny batches.
   std::size_t min_shots_per_thread = 8;
-  /// Record a per-shot wall-clock sample (two steady_clock reads per shot)
-  /// for LatencyStats. Off for peak throughput.
-  bool record_shot_latency = false;
-  /// Serve backends that support it (BatchedReadoutBackend) through their
-  /// batched-GEMM path: contiguous same-backend shot runs inside a worker's
-  /// range classify as one tile instead of shot-by-shot. Labels are
-  /// bit-identical either way (the batch contract); this knob exists so
-  /// benches can measure per-shot vs batched and tests can pin the
-  /// equivalence. record_shot_latency forces the per-shot path — a batch
-  /// has no per-shot wall clock.
-  bool batched_inference = true;
 };
 
 /// One processed batch: per-qubit level assignments for every frame, flat
@@ -72,8 +61,6 @@ struct EngineBatch {
   std::size_t n_shots = 0;
   std::size_t n_qubits = 0;
   double wall_seconds = 0.0;
-  /// Per-shot latency samples (only when cfg.record_shot_latency).
-  std::vector<double> shot_micros;
 
   std::span<const int> shot_labels(std::size_t shot) const {
     return {labels.data() + shot * n_qubits, n_qubits};
@@ -199,17 +186,16 @@ class EngineCore {
 
   /// Classifies shots 0..n-1: backend_at(s) picks the (shard) backend for
   /// shot s, frame_at(s) its trace, labels_at(s) the destination span.
-  /// micros (nullable) receives one per-shot latency sample each. Shots
-  /// fan out over at most the configured worker budget, shrunk so every
-  /// worker gets >= min_shots_per_thread shots; each worker slot reuses
-  /// its own scratch, so steady-state calls allocate nothing.
+  /// Shots fan out over at most the configured worker budget, shrunk so
+  /// every worker gets >= min_shots_per_thread shots; each worker slot
+  /// reuses its own scratch, so steady-state calls allocate nothing.
   ///
-  /// When cfg.batched_inference is set and micros is null, contiguous runs
-  /// of shots sharing one batch-capable backend (same EngineBackend
-  /// address) inside a worker's range classify through the batched-GEMM
-  /// path instead of shot-by-shot; groups under kMinGroupForGemm and
-  /// backends without a batch path stay per-shot. Labels are bit-identical
-  /// either way (the BatchedReadoutBackend contract).
+  /// Contiguous runs of shots sharing one batch-capable backend (same
+  /// EngineBackend address) inside a worker's range classify through the
+  /// batched-GEMM path instead of shot-by-shot; groups under
+  /// kMinGroupForGemm and backends without a batch path stay per-shot.
+  /// Labels are bit-identical either way (the BatchedReadoutBackend
+  /// contract).
   ///
   /// When `errors` is non-null it must point at n entries; a backend that
   /// throws classifying shot s fails only that shot — the exception lands
@@ -223,7 +209,7 @@ class EngineCore {
   /// not its whole micro-batch.
   void classify(std::size_t n, const FrameAt& frame_at,
                 const BackendAt& backend_at, const LabelsAt& labels_at,
-                double* micros, std::exception_ptr* errors = nullptr);
+                std::exception_ptr* errors = nullptr);
 
  private:
   EngineConfig cfg_;

@@ -249,7 +249,7 @@ void StreamingEngine::dispatch_loop() {
             Slot& slot = ring[tickets[s] % cap];
             return {slot.labels.data(), slot.labels.size()};
           },
-          /*micros=*/nullptr, errors);
+          errors);
     } catch (...) {
       batch_error = std::current_exception();
     }

@@ -150,17 +150,15 @@ std::vector<int> reference_labels(const D& d,
 }
 
 /// Labels through ReadoutEngine with an explicit worker budget, assembled
-/// from sub-batches of at most `batch` shots. `batched` selects between
-/// the per-shot GEMV schedule and the batched-GEMM schedule — the labels
-/// must not depend on the choice.
+/// from sub-batches of at most `batch` shots. Sub-batches under
+/// EngineCore::kMinGroupForGemm run the engine's per-shot schedule, larger
+/// ones its batched-GEMM schedule — the labels must not depend on which.
 std::vector<int> engine_labels(const EngineBackend& backend,
                                const std::vector<IqTrace>& traces,
-                               std::size_t batch, std::size_t threads,
-                               bool batched = true) {
+                               std::size_t batch, std::size_t threads) {
   EngineConfig cfg;
   cfg.threads = threads;
   cfg.min_shots_per_thread = 1;
-  cfg.batched_inference = batched;
   ReadoutEngine engine(backend, cfg);
   std::vector<int> labels;
   for (std::size_t start = 0; start < traces.size(); start += batch) {
@@ -197,15 +195,15 @@ template <ReadoutBackend D>
 void expect_bit_identical_across_knobs(const D& d, const char* what) {
   const std::vector<IqTrace>& traces = Fixture::get().ds.shots.traces;
   const std::vector<int> ref = reference_labels(d, traces);
+  // Batches of 1 and 7 stay under kMinGroupForGemm (the per-shot arm); 64
+  // and the full set reach the batch arm at every worker count here.
+  static_assert(EngineCore::kMinGroupForGemm > 7 &&
+                EngineCore::kMinGroupForGemm <= 64 / 4);
   for (std::size_t batch :
        {std::size_t{1}, std::size_t{7}, std::size_t{64}, traces.size()})
     for (std::size_t threads : {1u, 2u, 4u})
-      for (bool batched : {false, true})
-        EXPECT_EQ(
-            engine_labels(make_backend(d), traces, batch, threads, batched),
-            ref)
-            << what << ": batch " << batch << ", " << threads << " threads, "
-            << (batched ? "batched" : "per-shot");
+      EXPECT_EQ(engine_labels(make_backend(d), traces, batch, threads), ref)
+          << what << ": batch " << batch << ", " << threads << " threads";
   for (std::size_t shards : {1u, 2u, 3u})
     EXPECT_EQ(streamed_labels(make_backend(d), traces, shards), ref)
         << what << ": " << shards << " shards";

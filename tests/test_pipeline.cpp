@@ -187,22 +187,13 @@ TEST(Pipeline, ProcessPreparedRunsFullPath) {
   EXPECT_EQ(batch.labels, again.labels);
 }
 
-TEST(Pipeline, LatencyRecordingAndStats) {
+TEST(Pipeline, BatchReportsThroughput) {
   const Fixture& fx = Fixture::get();
-  EngineConfig cfg;
-  cfg.record_shot_latency = true;
-  ReadoutEngine engine(make_backend(fx.proposed), cfg);
+  ReadoutEngine engine(make_backend(fx.proposed));
   const EngineBatch batch = engine.process_batch(
       std::span<const IqTrace>(fx.ds.shots.traces.data(), 100));
-  ASSERT_EQ(batch.shot_micros.size(), 100u);
-  const LatencyStats stats = summarize_latency(batch.shot_micros);
-  EXPECT_EQ(stats.count, 100u);
-  EXPECT_GT(stats.p50_us, 0.0);
-  EXPECT_LE(stats.p50_us, stats.p99_us);
-  EXPECT_LE(stats.p99_us, stats.max_us);
+  EXPECT_EQ(batch.n_shots, 100u);
   EXPECT_GT(batch.shots_per_second(), 0.0);
-
-  EXPECT_EQ(summarize_latency({}).count, 0u);
 }
 
 TEST(Pipeline, SummarizeLatencyEmptyIsAllZero) {
