@@ -27,7 +27,10 @@ int main() {
 
   std::cout << "\nHERQULES joint-head 243-way output vs per-qubit macro "
                "fidelity: the |2> level has almost no joint-class training "
-               "support, so its per-level recall collapses (see "
-               "EXPERIMENTS.md).\n";
+               "support, so its per-level recall collapses.\n"
+               "Deviation from the paper: both baselines train on ~100x "
+               "fewer traces than its 1.6M, and to compensate weight their "
+               "joint classes by capped inverse frequency (cap 64), which "
+               "the paper's baselines do not.\n";
   return 0;
 }

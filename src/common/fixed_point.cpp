@@ -57,18 +57,6 @@ double quantize(double value, const FixedPointFormat& fmt) {
   return from_code(to_code(value, fmt), fmt);
 }
 
-void quantize_in_place(std::span<float> values, const FixedPointFormat& fmt) {
-  for (float& v : values) v = static_cast<float>(quantize(v, fmt));
-}
-
-double max_quantization_error(std::span<const float> values,
-                              const FixedPointFormat& fmt) {
-  double worst = 0.0;
-  for (float v : values)
-    worst = std::max(worst, std::abs(static_cast<double>(v) - quantize(v, fmt)));
-  return worst;
-}
-
 namespace {
 
 /// Widest fraction whose max_value still covers `bound` (min_value is one

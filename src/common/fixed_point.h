@@ -9,10 +9,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
-#include <vector>
 
 #include "common/error.h"
 
@@ -77,14 +76,6 @@ inline std::int64_t shift_round_half_even(std::int64_t code, int shift) {
 
 /// Rounds to nearest representable value, saturating at the format bounds.
 double quantize(double value, const FixedPointFormat& fmt);
-
-/// Quantizes a whole buffer in place.
-void quantize_in_place(std::span<float> values, const FixedPointFormat& fmt);
-
-/// Worst-case absolute quantization error over a buffer (for tests and the
-/// quantization-impact ablation).
-double max_quantization_error(std::span<const float> values,
-                              const FixedPointFormat& fmt);
 
 /// Picks the smallest fractional width (given total bits) such that every
 /// value in [lo, hi] fits without saturation. Throws when no such format

@@ -44,10 +44,6 @@ double Rng::uniform() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) {
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   MLQR_CHECK(n > 0);
   // Rejection sampling to avoid modulo bias.
@@ -86,21 +82,6 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-std::size_t Rng::discrete(std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    MLQR_CHECK_MSG(w >= 0.0, "discrete() weight must be non-negative");
-    total += w;
-  }
-  MLQR_CHECK_MSG(total > 0.0, "discrete() needs a positive weight sum");
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return i;
-  }
-  return weights.size() - 1;  // Floating-point slack lands on the last bin.
-}
-
 double Rng::exponential(double rate) {
   MLQR_CHECK(rate > 0.0);
   double u = 0.0;
@@ -118,12 +99,6 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
     std::swap(p[i - 1], p[j]);
   }
   return p;
-}
-
-Rng Rng::split() {
-  Rng child;
-  child.reseed(next() ^ 0xd2b74407b1ce6e93ULL);
-  return child;
 }
 
 }  // namespace mlqr

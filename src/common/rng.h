@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace mlqr {
@@ -32,9 +31,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform();
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
-
   /// Uniform integer in [0, n) — n must be > 0.
   std::uint64_t uniform_index(std::uint64_t n);
 
@@ -47,19 +43,11 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
-  /// Samples an index from unnormalized non-negative weights.
-  /// Throws if the weight sum is not positive.
-  std::size_t discrete(std::span<const double> weights);
-
   /// Exponentially distributed waiting time with the given rate (>0).
   double exponential(double rate);
 
   /// Fisher–Yates shuffle of an index permutation [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
-
-  /// Derives an independent child generator (for per-thread / per-shot
-  /// streams) without consuming much parent state.
-  Rng split();
 
  private:
   std::uint64_t next();

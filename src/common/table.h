@@ -34,8 +34,6 @@ class Table {
   /// Renders to stdout.
   void print() const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

@@ -8,13 +8,6 @@
 
 namespace mlqr {
 
-
-std::vector<float> FnnDiscriminator::raw_features(const IqTrace& trace) const {
-  std::vector<float> x;
-  raw_features_into(trace, x);
-  return x;
-}
-
 void FnnDiscriminator::raw_features_into(const IqTrace& trace,
                                          std::vector<float>& x) const {
   MLQR_CHECK(trace.size() >= samples_used_);
@@ -54,8 +47,9 @@ FnnDiscriminator FnnDiscriminator::train(const ShotSet& shots,
   const std::size_t in_dim = 2 * d.samples_used_;
   std::vector<float> features(usable.size() * in_dim);
   std::vector<int> joint(usable.size());
+  std::vector<float> x;
   for (std::size_t i = 0; i < usable.size(); ++i) {
-    const std::vector<float> x = d.raw_features(shots.traces[usable[i]]);
+    d.raw_features_into(shots.traces[usable[i]], x);
     std::copy(x.begin(), x.end(), features.begin() + i * in_dim);
     joint[i] = static_cast<int>(encode_joint(
         labels_flat.subspan(usable[i] * shots.n_qubits, shots.n_qubits),
@@ -82,13 +76,6 @@ FnnDiscriminator FnnDiscriminator::train(const ShotSet& shots,
   }
   train_classifier(d.model_, features, joint, tcfg);
   return d;
-}
-
-std::vector<int> FnnDiscriminator::classify(const IqTrace& trace) const {
-  InferenceScratch scratch;
-  std::vector<int> out(n_qubits_);
-  classify_into(trace, scratch, out);
-  return out;
 }
 
 void FnnDiscriminator::classify_into(const IqTrace& trace,

@@ -44,7 +44,8 @@ struct FnnConfig {
   /// trains on 1.6M traces where leakage-bearing joint classes have
   /// thousands of examples; at this repo's ~100x smaller dataset the same
   /// classes have a handful, so weighting compensates for scale (applied
-  /// identically to HERQULES; see EXPERIMENTS.md).
+  /// identically to HERQULES). This is a deviation from the paper, whose
+  /// baselines train unweighted.
   bool balance_classes = true;
   float class_weight_cap = 64.0f;
 };
@@ -55,9 +56,6 @@ class FnnDiscriminator {
                                 std::span<const int> labels_flat,
                                 std::span<const std::size_t> train_idx,
                                 const ChipProfile& chip, const FnnConfig& cfg);
-
-  /// Per-qubit level predictions (argmax joint class, base-k decoded).
-  std::vector<int> classify(const IqTrace& trace) const;
 
   /// Allocation-free classify (see InferenceScratch). `out` must hold one
   /// entry per qubit.
@@ -88,7 +86,6 @@ class FnnDiscriminator {
   std::size_t samples_used() const { return samples_used_; }
   std::size_t parameter_count() const { return model_.parameter_count(); }
   const Mlp& model() const { return model_; }
-  std::size_t input_dim() const { return model_.input_size(); }
 
   /// Binary little-endian persistence of the inference state (level count,
   /// dims, normalizer, network) — the FNN's calibration snapshot payload.
@@ -98,11 +95,9 @@ class FnnDiscriminator {
   static FnnDiscriminator load(std::istream& is);
 
  private:
-  /// Raw-trace feature vector: [I(0..n-1), Q(0..n-1)].
-  std::vector<float> raw_features(const IqTrace& trace) const;
-
-  /// Same layout written into a reused buffer — the single source of truth
-  /// shared by training and the scratch inference path.
+  /// Raw-trace feature vector [I(0..n-1), Q(0..n-1)] written into a reused
+  /// buffer — the single source of truth shared by training and the
+  /// scratch inference path.
   void raw_features_into(const IqTrace& trace, std::vector<float>& x) const;
 
   FnnConfig cfg_;

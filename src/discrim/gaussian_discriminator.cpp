@@ -46,14 +46,6 @@ GaussianShotDiscriminator GaussianShotDiscriminator::train(
   return d;
 }
 
-std::vector<int> GaussianShotDiscriminator::classify(
-    const IqTrace& trace) const {
-  InferenceScratch scratch;
-  std::vector<int> out(per_qubit_.size());
-  classify_into(trace, scratch, out);
-  return out;
-}
-
 void GaussianShotDiscriminator::classify_into(const IqTrace& trace,
                                               InferenceScratch& scratch,
                                               std::span<int> out) const {

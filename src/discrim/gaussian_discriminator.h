@@ -42,9 +42,6 @@ class GaussianShotDiscriminator {
                                          const ChipProfile& chip,
                                          const GaussianDiscriminatorConfig& cfg);
 
-  /// Per-qubit level predictions for one multiplexed trace. Thread-safe.
-  std::vector<int> classify(const IqTrace& trace) const;
-
   /// Classify reusing the scratch's baseband buffer (the per-shot heap
   /// traffic that matters; the 2-4-dim MTV features stay on the stack-ish
   /// small-vector path). `out` must hold one entry per qubit.

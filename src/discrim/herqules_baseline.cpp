@@ -129,13 +129,6 @@ HerqulesDiscriminator HerqulesDiscriminator::train(
   return d;
 }
 
-std::vector<int> HerqulesDiscriminator::classify(const IqTrace& trace) const {
-  InferenceScratch scratch;
-  std::vector<int> out(n_qubits_);
-  classify_into(trace, scratch, out);
-  return out;
-}
-
 void HerqulesDiscriminator::classify_into(const IqTrace& trace,
                                           InferenceScratch& scratch,
                                           std::span<int> out) const {

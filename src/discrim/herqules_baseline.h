@@ -57,8 +57,6 @@ class HerqulesDiscriminator {
                                      const ChipProfile& chip,
                                      const HerqulesConfig& cfg);
 
-  std::vector<int> classify(const IqTrace& trace) const;
-
   /// Allocation-free classify (see InferenceScratch). `out` must hold one
   /// entry per qubit.
   void classify_into(const IqTrace& trace, InferenceScratch& scratch,

@@ -1,11 +1,11 @@
 // Reusable per-worker scratch buffers for the allocation-free inference
 // paths (the *_into methods on every discriminator).
 //
-// The per-shot classify() entry points allocate baseband traces, feature
-// vectors and MLP activations on every call — fine for a table bench, a
-// throughput killer for the streaming engine. Each engine worker owns one
-// InferenceScratch; after the first shot of a batch every buffer has grown
-// to its steady-state size and the hot loop performs zero heap allocations.
+// Classifying a shot needs baseband traces, feature vectors and MLP
+// activations; allocating them per call would throttle the streaming
+// engine. Each engine worker owns one InferenceScratch; after the first
+// shot of a batch every buffer has grown to its steady-state size and the
+// hot loop performs zero heap allocations.
 #pragma once
 
 #include <cstdint>

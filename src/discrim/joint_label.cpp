@@ -31,13 +31,6 @@ std::size_t encode_joint(std::span<const int> levels, int n_levels) {
   return joint;
 }
 
-std::vector<int> decode_joint(std::size_t joint, std::size_t n_qubits,
-                              int n_levels) {
-  std::vector<int> levels(n_qubits);
-  decode_joint_into(joint, n_levels, levels);
-  return levels;
-}
-
 void decode_joint_into(std::size_t joint, int n_levels, std::span<int> out) {
   const std::size_t total = joint_class_count(out.size(), n_levels);
   MLQR_CHECK_MSG(joint < total, "joint index " << joint << " out of range");

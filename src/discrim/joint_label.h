@@ -18,11 +18,8 @@ std::size_t joint_class_count(std::size_t n_qubits, int n_levels);
 /// Encodes per-qubit levels into a joint class index.
 std::size_t encode_joint(std::span<const int> levels, int n_levels);
 
-/// Decodes a joint class index into per-qubit levels.
-std::vector<int> decode_joint(std::size_t joint, std::size_t n_qubits,
-                              int n_levels);
-
-/// Allocation-free decode into a caller-provided span of size n_qubits.
+/// Decodes a joint class index into per-qubit levels, written into a
+/// caller-provided span of size n_qubits (allocation-free).
 void decode_joint_into(std::size_t joint, int n_levels, std::span<int> out);
 
 }  // namespace mlqr

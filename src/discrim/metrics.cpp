@@ -13,13 +13,6 @@ void QubitConfusion::add(int true_level, int assigned) {
   ++counts[true_level][assigned];
 }
 
-std::size_t QubitConfusion::total() const {
-  std::size_t n = 0;
-  for (const auto& row : counts)
-    for (std::size_t c : row) n += c;
-  return n;
-}
-
 std::size_t QubitConfusion::row_total(int true_level) const {
   MLQR_CHECK(true_level >= 0 && true_level < kNumLevels);
   std::size_t n = 0;
@@ -43,14 +36,6 @@ double QubitConfusion::macro_fidelity() const {
   }
   MLQR_CHECK_MSG(present > 0, "confusion matrix is empty");
   return acc / present;
-}
-
-double QubitConfusion::micro_fidelity() const {
-  const std::size_t n = total();
-  MLQR_CHECK(n > 0);
-  std::size_t hits = 0;
-  for (int l = 0; l < kNumLevels; ++l) hits += counts[l][l];
-  return static_cast<double>(hits) / static_cast<double>(n);
 }
 
 double FidelityReport::qubit_fidelity(std::size_t q) const {

@@ -21,7 +21,6 @@ struct QubitConfusion {
   std::array<std::array<std::size_t, kNumLevels>, kNumLevels> counts{};
 
   void add(int true_level, int assigned);
-  std::size_t total() const;
   std::size_t row_total(int true_level) const;
 
   /// P(assigned == l | true == l); returns 1 for levels absent in the data
@@ -30,9 +29,6 @@ struct QubitConfusion {
 
   /// Macro-average over levels present in the data.
   double macro_fidelity() const;
-
-  /// Plain assignment accuracy.
-  double micro_fidelity() const;
 };
 
 /// Whole-register evaluation result.

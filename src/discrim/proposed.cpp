@@ -192,13 +192,6 @@ void ProposedDiscriminator::features_into_reference(
   normalizer_.apply(scratch.features);
 }
 
-std::vector<int> ProposedDiscriminator::classify(const IqTrace& trace) const {
-  InferenceScratch scratch;
-  std::vector<int> out(models_.size());
-  classify_into(trace, scratch, out);
-  return out;
-}
-
 void ProposedDiscriminator::classify_into(const IqTrace& trace,
                                           InferenceScratch& scratch,
                                           std::span<int> out) const {

@@ -63,9 +63,6 @@ class ProposedDiscriminator {
                                      const ChipProfile& chip,
                                      const ProposedConfig& cfg);
 
-  /// Per-qubit level predictions for one multiplexed trace. Thread-safe.
-  std::vector<int> classify(const IqTrace& trace) const;
-
   /// Allocation-free classify: demod -> matched filters -> per-qubit heads
   /// entirely inside `scratch`'s reused buffers. `out` must hold
   /// num_qubits() entries. Thread-safe as long as each thread owns its
@@ -114,7 +111,6 @@ class ProposedDiscriminator {
   std::size_t parameter_count() const;
 
   const Mlp& qubit_model(std::size_t q) const { return models_.at(q); }
-  Mlp& mutable_qubit_model(std::size_t q) { return models_.at(q); }
   const ChipMfBank& mf_bank() const { return bank_; }
   const Demodulator& demodulator() const { return demod_; }
   const FeatureNormalizer& normalizer() const { return normalizer_; }

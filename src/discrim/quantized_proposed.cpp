@@ -107,15 +107,6 @@ QuantizedProposedOf<Code> QuantizedProposedOf<Code>::quantize(
 }
 
 template <typename Code>
-std::vector<int> QuantizedProposedOf<Code>::classify(
-    const IqTrace& trace) const {
-  InferenceScratch scratch;
-  std::vector<int> out(heads_.size());
-  classify_into(trace, scratch, out);
-  return out;
-}
-
-template <typename Code>
 void QuantizedProposedOf<Code>::classify_into(const IqTrace& trace,
                                               InferenceScratch& scratch,
                                               std::span<int> out) const {
@@ -204,24 +195,6 @@ QuantizedProposedOf<Code> QuantizedProposedOf<Code>::load(std::istream& is) {
                        << q.frontend_.feature_format().frac_bits << '>');
   }
   return q;
-}
-
-template <typename Code>
-CalibratedFormats QuantizedProposedOf<Code>::calibrated_formats() const {
-  CalibratedFormats fmts;
-  fmts.trace = frontend_.trace_format();
-  fmts.feature = frontend_.feature_format();
-  fmts.weight_bits = cfg_.weight_bits;
-  fmts.activation_bits = cfg_.activation_bits;
-  fmts.accum_bits = cfg_.accum_bits;
-  int min_frac = 48;
-  for (std::size_t f = 0; f < frontend_.n_filters(); ++f)
-    min_frac = std::min(min_frac, frontend_.kernel_format(f).frac_bits);
-  for (const Head& head : heads_)
-    for (const typename Head::Layer& l : head.layers())
-      min_frac = std::min(min_frac, l.weight_fmt.frac_bits);
-  fmts.min_weight_frac_bits = min_frac;
-  return fmts;
 }
 
 template <typename Code>

@@ -41,19 +41,6 @@
 
 namespace mlqr {
 
-/// Summary of the calibrated fixed-point formats across the whole design —
-/// what the FPGA resource model consumes instead of assumed widths.
-struct CalibratedFormats {
-  FixedPointFormat trace;    ///< ADC-side I/Q code grid.
-  FixedPointFormat feature;  ///< Merged-feature / NN-input grid.
-  int weight_bits = 0;       ///< Kernel + NN weight code width.
-  int activation_bits = 0;   ///< Inter-layer activation code width.
-  int accum_bits = 0;        ///< Saturating MAC accumulator width.
-  /// Narrowest weight fraction actually calibrated across kernels and NN
-  /// layers (the effective precision floor of the datapath).
-  int min_weight_frac_bits = 0;
-};
-
 /// Trained-then-quantized instance of the proposed design with heads of
 /// code type `Code` (std::int16_t or std::int8_t).
 template <typename Code>
@@ -75,9 +62,6 @@ class QuantizedProposedOf {
       const ProposedDiscriminator& d, const ShotSet& calib,
       std::span<const std::size_t> calib_idx,
       const QuantizationConfig& cfg = default_config());
-
-  /// Per-qubit level predictions for one multiplexed trace. Thread-safe.
-  std::vector<int> classify(const IqTrace& trace) const;
 
   /// Allocation-free integer path: raw trace -> fused int front-end ->
   /// integer heads, entirely inside `scratch`'s reused buffers. `out` must
@@ -107,10 +91,8 @@ class QuantizedProposedOf {
   const Head& head(std::size_t q) const { return heads_.at(q); }
   const QuantizationConfig& config() const { return cfg_; }
 
-  CalibratedFormats calibrated_formats() const;
-
   /// DesignSpec of this exact instance — topology from the trained heads,
-  /// HLS precision knobs from the calibrated formats (see
+  /// HLS precision knobs from the configured code widths (see
   /// hls_config_from_formats) rather than assumed deployment widths.
   DesignSpec design_spec() const;
 

@@ -10,11 +10,6 @@ int ShotSet::label(std::size_t shot, std::size_t qubit) const {
   return labels[shot * n_qubits + qubit];
 }
 
-std::span<const int> ShotSet::shot_labels(std::size_t shot) const {
-  MLQR_CHECK(shot < traces.size());
-  return {labels.data() + shot * n_qubits, n_qubits};
-}
-
 void ShotSet::validate() const {
   MLQR_CHECK(n_qubits > 0);
   MLQR_CHECK_MSG(labels.size() == traces.size() * n_qubits,

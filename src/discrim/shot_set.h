@@ -23,7 +23,6 @@ struct ShotSet {
   bool empty() const { return traces.empty(); }
 
   int label(std::size_t shot, std::size_t qubit) const;
-  std::span<const int> shot_labels(std::size_t shot) const;
 
   /// Shape invariants; throws on violation.
   void validate() const;

@@ -72,13 +72,4 @@ void Demodulator::demodulate_into(const IqTrace& trace, std::size_t qubit,
   }
 }
 
-std::vector<BasebandTrace> Demodulator::demodulate_all(
-    const IqTrace& trace, std::size_t max_samples) const {
-  std::vector<BasebandTrace> out;
-  out.reserve(tone_step_.size());
-  for (std::size_t q = 0; q < tone_step_.size(); ++q)
-    out.push_back(demodulate(trace, q, max_samples));
-  return out;
-}
-
 }  // namespace mlqr

@@ -37,10 +37,6 @@ class Demodulator {
   void demodulate_into(const IqTrace& trace, std::size_t qubit,
                        std::size_t max_samples, BasebandTrace& out) const;
 
-  /// All qubits at once.
-  std::vector<BasebandTrace> demodulate_all(const IqTrace& trace,
-                                            std::size_t max_samples = 0) const;
-
   /// Exact LO phasor exp(-i*2*pi*f_q*dt*t) for qubit `q` at sample `t`,
   /// computed directly from the phase angle (no accumulated recurrence
   /// error). The quantized front-end builds its LO lookup tables and

@@ -1,7 +1,5 @@
 #include "dsp/filters.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace mlqr {
@@ -21,27 +19,6 @@ Complexd window_mean(const BasebandTrace& trace, std::size_t begin,
   Complexd acc{0.0, 0.0};
   for (std::size_t t = begin; t < end; ++t) acc += trace[t];
   return acc / static_cast<double>(end - begin);
-}
-
-BasebandTrace boxcar(const BasebandTrace& trace, std::size_t width) {
-  MLQR_CHECK(width > 0);
-  BasebandTrace out(trace.size());
-  Complexd acc{0.0, 0.0};
-  for (std::size_t t = 0; t < trace.size(); ++t) {
-    acc += trace[t];
-    if (t >= width) acc -= trace[t - width];
-    const std::size_t n = std::min(t + 1, width);
-    out[t] = acc / static_cast<double>(n);
-  }
-  return out;
-}
-
-BasebandTrace decimate(const BasebandTrace& trace, std::size_t factor) {
-  MLQR_CHECK(factor > 0);
-  BasebandTrace out;
-  out.reserve(trace.size() / factor + 1);
-  for (std::size_t t = 0; t < trace.size(); t += factor) out.push_back(trace[t]);
-  return out;
 }
 
 }  // namespace mlqr

@@ -16,12 +16,4 @@ Complexd mean_trace_value(const BasebandTrace& trace);
 Complexd window_mean(const BasebandTrace& trace, std::size_t begin,
                      std::size_t end);
 
-/// Boxcar (moving-average) filter with the given width; output has the same
-/// length (edges use the available prefix).
-BasebandTrace boxcar(const BasebandTrace& trace, std::size_t width);
-
-/// Decimates by keeping every `factor`-th sample (anti-aliasing is the
-/// boxcar's job; factor must divide nothing in particular).
-BasebandTrace decimate(const BasebandTrace& trace, std::size_t factor);
-
 }  // namespace mlqr

@@ -32,9 +32,4 @@ std::size_t design_latency_cycles(const DesignSpec& spec) {
   return front_end + worst_nn;
 }
 
-double cycles_to_ns(std::size_t cycles, double clock_ghz) {
-  MLQR_CHECK(clock_ghz > 0.0);
-  return static_cast<double>(cycles) / clock_ghz;
-}
-
 }  // namespace mlqr

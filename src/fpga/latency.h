@@ -24,7 +24,4 @@ std::size_t nn_latency_cycles(const std::vector<std::size_t>& layer_sizes,
 /// with trace streaming (they add only a drain cycle).
 std::size_t design_latency_cycles(const DesignSpec& spec);
 
-/// Convenience: cycles -> nanoseconds at the given clock.
-double cycles_to_ns(std::size_t cycles, double clock_ghz);
-
 }  // namespace mlqr

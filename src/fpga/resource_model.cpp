@@ -132,11 +132,4 @@ Utilization utilization(const ResourceEstimate& est, const FpgaDevice& dev) {
   return u;
 }
 
-std::vector<std::size_t> layer_sizes(const Mlp& mlp) {
-  std::vector<std::size_t> sizes;
-  sizes.push_back(mlp.input_size());
-  for (const DenseLayer& l : mlp.layers()) sizes.push_back(l.out);
-  return sizes;
-}
-
 }  // namespace mlqr

@@ -96,7 +96,4 @@ struct DesignSpec {
 ResourceEstimate estimate_design(const DesignSpec& spec);
 Utilization utilization(const ResourceEstimate& est, const FpgaDevice& dev);
 
-/// Convenience: layer size list of a trained Mlp ({in, h1, ..., out}).
-std::vector<std::size_t> layer_sizes(const Mlp& mlp);
-
 }  // namespace mlqr

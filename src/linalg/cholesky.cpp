@@ -26,27 +26,6 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a, double jitter) {
   return Cholesky(std::move(l));
 }
 
-std::vector<double> Cholesky::solve(std::span<const double> b) const {
-  const std::size_t n = l_.rows();
-  MLQR_CHECK(b.size() == n);
-  // Forward: L y = b.
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l_(i, k) * y[k];
-    y[i] = sum / l_(i, i);
-  }
-  // Back: L^T x = y.
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= l_(k, i) * x[k];
-    x[i] = sum / l_(i, i);
-  }
-  return x;
-}
-
 double Cholesky::log_det() const {
   double acc = 0.0;
   for (std::size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));
@@ -67,8 +46,8 @@ Cholesky Cholesky::load(std::istream& is) {
                      << entries.size() << " entries for n=" << n << ')');
   Matrix l(n, n, 0.0);
   std::copy(entries.begin(), entries.end(), l.data().begin());
-  // Every solve divides by the diagonal and assumes the strict upper part
-  // is zero; reject any stream where that does not hold.
+  // Every substitution divides by the diagonal and assumes the strict upper
+  // part is zero; reject any stream where that does not hold.
   for (std::size_t i = 0; i < n; ++i) {
     MLQR_CHECK_MSG(std::isfinite(l(i, i)) && l(i, i) > 0.0,
                    "Cholesky factor diagonal is not positive finite");

@@ -18,9 +18,6 @@ class Cholesky {
   /// sample covariances from small trace counts).
   static std::optional<Cholesky> factor(const Matrix& a, double jitter = 0.0);
 
-  /// Solves A x = b via forward/back substitution.
-  std::vector<double> solve(std::span<const double> b) const;
-
   /// log(det A) = 2 * sum(log L_ii) — used by the QDA discriminant.
   double log_det() const;
 
@@ -33,8 +30,8 @@ class Cholesky {
   /// leaf: exact f64 bit patterns of L). load throws mlqr::Error unless
   /// the stream decodes to a well-formed factor — square, lower-triangular
   /// with an all-zero strict upper part, and a positive finite diagonal —
-  /// so a corrupt snapshot cannot smuggle in a factor solve() would choke
-  /// on (division by a zero/NaN pivot).
+  /// so a corrupt snapshot cannot smuggle in a factor mahalanobis_squared()
+  /// would choke on (division by a zero/NaN pivot).
   void save(std::ostream& os) const;
   static Cholesky load(std::istream& is);
 

@@ -19,15 +19,6 @@ std::vector<double> column_mean(std::span<const double> data, std::size_t dim,
   return mu;
 }
 
-std::vector<double> column_mean(std::span<const double> data,
-                                std::size_t dim) {
-  MLQR_CHECK(dim > 0 && data.size() % dim == 0);
-  const std::size_t n = data.size() / dim;
-  std::vector<std::size_t> rows(n);
-  for (std::size_t i = 0; i < n; ++i) rows[i] = i;
-  return column_mean(data, dim, rows);
-}
-
 Matrix covariance(std::span<const double> data, std::size_t dim,
                   std::span<const std::size_t> rows,
                   std::span<const double> mean_vec) {

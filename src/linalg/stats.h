@@ -14,9 +14,6 @@ namespace mlqr {
 std::vector<double> column_mean(std::span<const double> data, std::size_t dim,
                                 std::span<const std::size_t> rows);
 
-/// Convenience overload over every row.
-std::vector<double> column_mean(std::span<const double> data, std::size_t dim);
-
 /// Sample covariance (denominator n-1; n-0 when only one row) over the
 /// selected rows, centered at `mean`.
 Matrix covariance(std::span<const double> data, std::size_t dim,

@@ -6,7 +6,8 @@
 // (The paper's Eq. writes a variance *difference* in the denominator; with
 // state-independent amplifier noise that difference is ~0 and the kernel
 // diverges, so we use the standard SNR-optimal variance-sum form — the
-// ISCA'23 HERQULES construction — and note the deviation in EXPERIMENTS.md.)
+// ISCA'23 HERQULES construction. This is a deliberate deviation from the
+// paper's equation.)
 //
 // Applying a filter is a single complex dot product against the baseband
 // trace; the real part is the decision score. Kernels are affinely
@@ -53,10 +54,6 @@ class MatchedFilter {
   /// this into their requantization step).
   double bias() const { return bias_; }
 
-  /// Raw (pre-normalization) separation between the training centroids —
-  /// a filter-quality diagnostic (~SNR in kernel units).
-  double training_separation() const { return separation_; }
-
   /// Binary little-endian persistence (calibration snapshot leaf): the
   /// conjugated kernel, bias and separation travel as exact f64 bit
   /// patterns, so a reloaded filter scores every trace bit-identically.
@@ -66,6 +63,9 @@ class MatchedFilter {
  private:
   std::vector<Complexd> kernel_;  ///< Conjugated, scaled kernel.
   double bias_ = 0.0;             ///< Subtracted after projection.
+  /// Raw (pre-normalization) separation between the training centroids
+  /// (~SNR in kernel units). Nothing reads it back, but it stays: it is
+  /// part of the snapshot wire format.
   double separation_ = 0.0;
 };
 

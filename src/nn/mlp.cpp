@@ -44,12 +44,6 @@ std::size_t Mlp::parameter_count() const {
   return stack_parameter_count(layers_);
 }
 
-std::vector<float> Mlp::logits(std::span<const float> x) const {
-  std::vector<float> out, scratch;
-  logits_into(x, out, scratch);
-  return out;
-}
-
 void Mlp::logits_into(std::span<const float> x, std::vector<float>& out,
                       std::vector<float>& scratch) const {
   MLQR_CHECK_MSG(x.size() == input_size(),
@@ -72,11 +66,6 @@ void Mlp::logits_into(std::span<const float> x, std::vector<float>& out,
   if (cur != &out) std::swap(out, scratch);
 }
 
-int Mlp::predict(std::span<const float> x) const {
-  const std::vector<float> z = logits(x);
-  return argmax_tie_low(std::span<const float>(z));
-}
-
 int Mlp::predict_reusing(std::span<const float> x, std::vector<float>& out,
                          std::vector<float>& scratch) const {
   logits_into(x, out, scratch);
@@ -97,34 +86,6 @@ int Mlp::predict_scored_reusing(std::span<const float> x,
   for (const float z : out) total += std::exp(z - z_max);
   p_max = 1.0f / total;
   return label;
-}
-
-std::vector<float> Mlp::forward_batch(std::span<const float> x,
-                                      std::size_t batch) const {
-  MLQR_CHECK(batch > 0 && x.size() == batch * input_size());
-  std::vector<float> act(x.begin(), x.end());
-  std::size_t act_dim = input_size();
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const DenseLayer& layer = layers_[l];
-    std::vector<float> z(batch * layer.out);
-    // Z = A * W^T.
-    sgemm(false, true, batch, layer.out, layer.in, 1.0f, act.data(), act_dim,
-          layer.w.data(), layer.in, 0.0f, z.data(), layer.out);
-    // One vectorized pass per row folds the bias broadcast and the ReLU
-    // together (simd::add_bias_relu_f32) instead of the old scalar double
-    // loop plus a second sweep.
-    const bool last = l + 1 == layers_.size();
-    for (std::size_t r = 0; r < batch; ++r) {
-      float* zrow = z.data() + r * layer.out;
-      if (last)
-        simd::add_bias_f32(zrow, layer.b.data(), layer.out);
-      else
-        simd::add_bias_relu_f32(zrow, layer.b.data(), layer.out);
-    }
-    act = std::move(z);
-    act_dim = layer.out;
-  }
-  return act;
 }
 
 void Mlp::classify_batch_into(std::size_t batch, const float* features,
@@ -163,22 +124,6 @@ void Mlp::classify_batch_into(std::size_t batch, const float* features,
         argmax_tie_low(std::span<const float>(cur + r * out_dim, out_dim));
 }
 
-void Mlp::quantize(const FixedPointFormat& fmt) {
-  for (DenseLayer& l : layers_) {
-    quantize_in_place(l.w, fmt);
-    quantize_in_place(l.b, fmt);
-  }
-}
-
-float Mlp::max_abs_weight() const {
-  float worst = 0.0f;
-  for (const DenseLayer& l : layers_) {
-    for (float w : l.w) worst = std::max(worst, std::abs(w));
-    for (float b : l.b) worst = std::max(worst, std::abs(b));
-  }
-  return worst;
-}
-
 void Mlp::save(std::ostream& os) const {
   // Explicit little-endian layout (common/serialize.h): layer count, then
   // per layer the dims and the exact f32 bit patterns of weights/biases —
@@ -208,19 +153,6 @@ Mlp Mlp::load(std::istream& is) {
     prev_out = l.out;
   }
   return mlp;
-}
-
-std::vector<float> softmax(std::span<const float> logits) {
-  MLQR_CHECK(!logits.empty());
-  const float peak = *std::max_element(logits.begin(), logits.end());
-  std::vector<float> p(logits.size());
-  float total = 0.0f;
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    p[i] = std::exp(logits[i] - peak);
-    total += p[i];
-  }
-  for (float& v : p) v /= total;
-  return p;
 }
 
 }  // namespace mlqr

@@ -2,8 +2,8 @@
 //
 // Small enough to hand to the FPGA resource estimator layer-by-layer, yet
 // fast enough (via linalg/gemm.h) to train the 686 k-parameter FNN
-// baseline. Weights are float; quantize() rounds them to an ap_fixed-style
-// grid for the quantization-impact study.
+// baseline. Weights are float; the integer datapath (nn/quantized_mlp.h) is
+// calibrated from a trained instance.
 #pragma once
 
 #include <cstddef>
@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "common/fixed_point.h"
 #include "common/rng.h"
 
 namespace mlqr {
@@ -45,19 +44,14 @@ class Mlp {
   const std::vector<DenseLayer>& layers() const { return layers_; }
   std::vector<DenseLayer>& mutable_layers() { return layers_; }
 
-  /// Logits for a single sample (x.size() == input_size()).
-  std::vector<float> logits(std::span<const float> x) const;
-
-  /// Allocation-free logits: the result lands in `out`; `scratch` holds the
-  /// intermediate activations. Both reuse their capacity call-to-call —
-  /// the streaming engine's per-worker scratch path.
+  /// Logits for a single sample (x.size() == input_size()): the result
+  /// lands in `out`; `scratch` holds the intermediate activations. Both
+  /// reuse their capacity call-to-call — the streaming engine's per-worker
+  /// scratch path.
   void logits_into(std::span<const float> x, std::vector<float>& out,
                    std::vector<float>& scratch) const;
 
-  /// argmax of logits(x).
-  int predict(std::span<const float> x) const;
-
-  /// argmax via logits_into — allocation-free predict.
+  /// argmax of the logits (lowest index on ties), via logits_into.
   int predict_reusing(std::span<const float> x, std::vector<float>& out,
                       std::vector<float>& scratch) const;
 
@@ -67,11 +61,6 @@ class Mlp {
   /// monitoring never disagrees with the serving path about the label.
   int predict_scored_reusing(std::span<const float> x, std::vector<float>& out,
                              std::vector<float>& scratch, float& p_max) const;
-
-  /// Batch forward: X is row-major (batch x in); returns row-major logits
-  /// (batch x out). Scratch buffers are caller-invisible.
-  std::vector<float> forward_batch(std::span<const float> x,
-                                   std::size_t batch) const;
 
   /// Batched argmax classify: one serial GEMM per layer over `batch`
   /// feature rows (row-major, batch x input_size()) with a shared
@@ -87,13 +76,6 @@ class Mlp {
                            std::vector<float>& act_b, int* labels,
                            std::size_t label_stride) const;
 
-  /// Rounds every weight and bias onto the fixed-point grid (in place).
-  void quantize(const FixedPointFormat& fmt);
-
-  /// Largest |weight| across the network — used to pick a fixed-point
-  /// format that avoids saturation.
-  float max_abs_weight() const;
-
   /// Binary little-endian serialization (layer dims + exact f32 weight bit
   /// patterns; calibration snapshot leaf). load throws mlqr::Error on a
   /// truncated stream or inconsistent layer chain.
@@ -103,8 +85,5 @@ class Mlp {
  private:
   std::vector<DenseLayer> layers_;
 };
-
-/// Numerically stable softmax over a logits vector.
-std::vector<float> softmax(std::span<const float> logits);
 
 }  // namespace mlqr

@@ -1,7 +1,6 @@
 #include "pipeline/readout_engine.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -114,8 +113,6 @@ EngineBatch ReadoutEngine::run(
         return {labels + s * n_qubits, n_qubits};
       });
   batch.wall_seconds = wall.seconds();
-  total_shots_ += n;
-  total_seconds_ += batch.wall_seconds;
   return batch;
 }
 
@@ -130,19 +127,6 @@ EngineBatch ReadoutEngine::process_batch(
   return run(subset.size(), [&shots, subset](std::size_t s) -> const IqTrace& {
     return shots.traces[subset[s]];
   });
-}
-
-EngineBatch ReadoutEngine::process_prepared(
-    const ReadoutSimulator& sim,
-    const std::vector<std::vector<int>>& prepared, std::uint64_t seed,
-    std::vector<ShotRecord>* records) {
-  std::vector<ShotRecord> shots = sim.simulate_batch(prepared, seed);
-  EngineBatch batch =
-      run(shots.size(), [&shots](std::size_t s) -> const IqTrace& {
-        return shots[s].trace;
-      });
-  if (records) *records = std::move(shots);
-  return batch;
 }
 
 FidelityReport ReadoutEngine::evaluate(const ShotSet& shots,

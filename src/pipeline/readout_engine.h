@@ -16,11 +16,11 @@
 // machinery.
 #pragma once
 
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "discrim/inference_scratch.h"
@@ -28,7 +28,6 @@
 #include "discrim/shot_set.h"
 #include "pipeline/backend_trait.h"
 #include "sim/iq.h"
-#include "sim/readout_simulator.h"
 
 namespace mlqr {
 
@@ -132,35 +131,45 @@ class EngineBackend {
   ClassifyScoredInto scored_fn_;
 };
 
-/// Wraps any ReadoutBackend in a type-erased EngineBackend. Non-owning:
-/// `d` must outlive the result (discriminators are heavy to copy; the
-/// snapshot layer's BackendSnapshot::backend() builds the owning variant).
-/// This one template replaced five identical per-type overloads — a new
-/// design plugs into batching, streaming shards, and swap_shard by
-/// satisfying the concept, with no engine-side registration.
-template <ReadoutBackend D>
-EngineBackend make_backend(const D& d) {
+/// Binds a ReadoutBackend reached through `p` into a type-erased
+/// EngineBackend: the one place that decides which optional paths
+/// (BatchedReadoutBackend, ScoredReadoutBackend) a design exposes. Every
+/// lambda captures `p` by value, so the handle sets the lifetime — a raw
+/// `const D*` for make_backend, a `shared_ptr<const D>` for the owning
+/// BackendSnapshot::backend(). A new design plugs into batching, streaming
+/// shards, and swap_shard by satisfying the concept, with no engine-side
+/// registration.
+template <ReadoutBackend D, typename Ptr>
+EngineBackend bind_backend(Ptr p) {
   EngineBackend::ClassifyBatchInto batch_fn;
   if constexpr (BatchedReadoutBackend<D>) {
-    batch_fn = [&d](std::size_t lo, std::size_t hi,
-                    const ShotFrameAt& frame_at, InferenceScratch& s,
-                    const ShotLabelsAt& labels_at) {
-      d.classify_batch_into(lo, hi, frame_at, s, labels_at);
+    batch_fn = [p](std::size_t lo, std::size_t hi,
+                   const ShotFrameAt& frame_at, InferenceScratch& s,
+                   const ShotLabelsAt& labels_at) {
+      p->classify_batch_into(lo, hi, frame_at, s, labels_at);
     };
   }
   EngineBackend::ClassifyScoredInto scored_fn;
   if constexpr (ScoredReadoutBackend<D>) {
-    scored_fn = [&d](const IqTrace& t, InferenceScratch& s,
-                     std::span<int> out) {
-      return d.classify_scored_into(t, s, out);
+    scored_fn = [p](const IqTrace& t, InferenceScratch& s,
+                    std::span<int> out) {
+      return p->classify_scored_into(t, s, out);
     };
   }
   return EngineBackend(
-      d.name(), d.num_qubits(),
-      [&d](const IqTrace& t, InferenceScratch& s, std::span<int> out) {
-        d.classify_into(t, s, out);
+      p->name(), p->num_qubits(),
+      [p](const IqTrace& t, InferenceScratch& s, std::span<int> out) {
+        p->classify_into(t, s, out);
       },
       std::move(batch_fn), std::move(scored_fn));
+}
+
+/// Wraps any ReadoutBackend in a type-erased EngineBackend. Non-owning:
+/// `d` must outlive the result (discriminators are heavy to copy; the
+/// snapshot layer's BackendSnapshot::backend() builds the owning variant).
+template <ReadoutBackend D>
+EngineBackend make_backend(const D& d) {
+  return bind_backend<D>(&d);
 }
 
 /// The classification machinery shared by the synchronous ReadoutEngine
@@ -234,28 +243,10 @@ class ReadoutEngine {
   EngineBatch process_batch(const ShotSet& shots,
                             std::span<const std::size_t> subset);
 
-  /// Full simulate -> demod -> filter -> classify path: synthesizes the
-  /// prepared states' frames with `sim`, then classifies them. The shot
-  /// records are returned through `records` when non-null (ground truth for
-  /// closed-loop studies).
-  EngineBatch process_prepared(const ReadoutSimulator& sim,
-                               const std::vector<std::vector<int>>& prepared,
-                               std::uint64_t seed,
-                               std::vector<ShotRecord>* records = nullptr);
-
   /// Classifies the subset and scores it against the ShotSet's ground-truth
   /// labels — the one fidelity evaluator every design and bench uses.
   FidelityReport evaluate(const ShotSet& shots,
                           std::span<const std::size_t> subset);
-
-  /// Cumulative counters across all process_* calls on this engine.
-  std::size_t total_shots() const { return total_shots_; }
-  double total_seconds() const { return total_seconds_; }
-  double cumulative_shots_per_second() const {
-    return total_seconds_ > 0.0
-               ? static_cast<double>(total_shots_) / total_seconds_
-               : 0.0;
-  }
 
  private:
   /// Shared fan-out: frame_at(i) must be valid for i in [0, n).
@@ -264,8 +255,6 @@ class ReadoutEngine {
 
   EngineBackend backend_;
   EngineCore core_;
-  std::size_t total_shots_ = 0;
-  double total_seconds_ = 0.0;
 };
 
 }  // namespace mlqr

@@ -137,27 +137,7 @@ class BackendSnapshot {
     snap.n_qubits_ = p->num_qubits();
     snap.n_samples_ = p->samples_used();
     snap.type_ = &typeid(D);
-    EngineBackend::ClassifyBatchInto batch_fn;
-    if constexpr (BatchedReadoutBackend<D>) {
-      batch_fn = [p](std::size_t lo, std::size_t hi,
-                     const ShotFrameAt& frame_at, InferenceScratch& s,
-                     const ShotLabelsAt& labels_at) {
-        p->classify_batch_into(lo, hi, frame_at, s, labels_at);
-      };
-    }
-    EngineBackend::ClassifyScoredInto scored_fn;
-    if constexpr (ScoredReadoutBackend<D>) {
-      scored_fn = [p](const IqTrace& t, InferenceScratch& s,
-                      std::span<int> out) {
-        return p->classify_scored_into(t, s, out);
-      };
-    }
-    snap.backend_ = EngineBackend(
-        p->name(), p->num_qubits(),
-        [p](const IqTrace& t, InferenceScratch& s, std::span<int> out) {
-          p->classify_into(t, s, out);
-        },
-        std::move(batch_fn), std::move(scored_fn));
+    snap.backend_ = bind_backend<D>(p);
     snap.save_ = [](std::ostream& os, const void* raw) {
       save_backend(os, *static_cast<const D*>(raw));
     };

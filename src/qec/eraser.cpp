@@ -1,6 +1,8 @@
 #include "qec/eraser.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 
 #include "common/error.h"
 #include "common/parallel.h"

@@ -47,9 +47,4 @@ SurfaceCode::SurfaceCode(std::size_t distance) : d_(distance) {
     for (std::size_t q : stabilizers_[a].data) data_to_stab_[q].push_back(a);
 }
 
-std::size_t SurfaceCode::data_index(std::size_t row, std::size_t col) const {
-  MLQR_CHECK(row < d_ && col < d_);
-  return row * d_ + col;
-}
-
 }  // namespace mlqr

@@ -41,9 +41,6 @@ class SurfaceCode {
     return data_to_stab_.at(q);
   }
 
-  /// Data-qubit index for grid position (row, col).
-  std::size_t data_index(std::size_t row, std::size_t col) const;
-
  private:
   std::size_t d_ = 0;
   std::vector<Stabilizer> stabilizers_;

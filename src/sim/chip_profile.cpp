@@ -178,13 +178,6 @@ DriftSchedule DriftSchedule::ramp(double t0, double v0, double t1, double v1) {
   return s;
 }
 
-DriftSchedule DriftSchedule::step(double at, double before, double after) {
-  DriftSchedule s;
-  s.add_knot(at, before);
-  s.add_knot(at, after);  // Duplicate time: the later knot wins from `at` on.
-  return s;
-}
-
 void DriftSchedule::add_knot(double t, double v) {
   const auto pos = std::upper_bound(
       knots_.begin(), knots_.end(), t,

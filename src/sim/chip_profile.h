@@ -89,9 +89,9 @@ struct ChipProfile {
   /// otherwise round(duration/dt) — nearest, not truncation, so a duration
   /// that is an exact multiple of a non-representable dt (e.g. 10/3 ns at
   /// 300 MS/s) never loses its last sample to floating-point
-  /// representation error. Every duration-aware stage (Channelizer and all
-  /// discriminators) resolves through this one helper so they agree on the
-  /// window. Throws when the result is 0 or exceeds n_samples.
+  /// representation error. Every duration-aware discriminator resolves
+  /// through this one helper so they agree on the window. Throws when the
+  /// result is 0 or exceeds n_samples.
   std::size_t window_samples(double duration_ns) const;
 
   /// Validates invariants (Nyquist, crosstalk shape, level ordering).
@@ -111,8 +111,8 @@ struct ChipProfile {
 /// (units of `t` are whatever the caller uses consistently — the drift
 /// soak uses seconds). Values clamp outside the knot range and
 /// interpolate linearly inside it; with duplicate-time knots the later
-/// knot wins from that time on, which is how step() encodes a
-/// discontinuity. An empty schedule is identically 0 (no drift).
+/// knot wins from that time on, which encodes a discontinuity. An empty
+/// schedule is identically 0 (no drift).
 class DriftSchedule {
  public:
   DriftSchedule() = default;
@@ -121,8 +121,6 @@ class DriftSchedule {
   static DriftSchedule constant(double v);
   /// v0 before t0, linear to v1 over [t0, t1], v1 after (t1 >= t0).
   static DriftSchedule ramp(double t0, double v0, double t1, double v1);
-  /// `before` for t < at, `after` from t = at on.
-  static DriftSchedule step(double at, double before, double after);
 
   /// Inserts a knot, keeping knots sorted by time (stable for ties: a
   /// knot added later at the same time supersedes the earlier one).

@@ -1,6 +1,5 @@
 #include "sim/transmon.h"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -8,27 +7,8 @@
 
 namespace mlqr {
 
-int LevelTrajectory::level_at(double t_ns) const {
-  int level = initial_level;
-  for (const auto& j : jumps) {
-    if (j.t_ns > t_ns) break;
-    level = j.to;
-  }
-  return level;
-}
-
 int LevelTrajectory::final_level() const {
   return jumps.empty() ? initial_level : jumps.back().to;
-}
-
-bool LevelTrajectory::has_relaxation() const {
-  return std::any_of(jumps.begin(), jumps.end(),
-                     [](const LevelJump& j) { return j.to < j.from; });
-}
-
-bool LevelTrajectory::has_excitation() const {
-  return std::any_of(jumps.begin(), jumps.end(),
-                     [](const LevelJump& j) { return j.to > j.from; });
 }
 
 TransitionRates TransitionRates::from_profile(const QubitProfile& q,

@@ -26,14 +26,8 @@ struct LevelTrajectory {
   int initial_level = 0;
   std::vector<LevelJump> jumps;  ///< Sorted by time.
 
-  /// Level occupied at time t (ns).
-  int level_at(double t_ns) const;
-
   /// Final level at the end of the window.
   int final_level() const;
-
-  bool has_relaxation() const;  ///< Any downward jump.
-  bool has_excitation() const;  ///< Any upward jump.
 };
 
 /// Per-transition rates (1/ns) derived from a QubitProfile and the readout

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -137,7 +138,7 @@ struct Fixture {
   }
 };
 
-/// Reference labels: the per-shot classify() path, one shot at a time.
+/// Reference labels: the per-shot classify_into path, one shot at a time.
 template <ReadoutBackend D>
 std::vector<int> reference_labels(const D& d,
                                   const std::vector<IqTrace>& traces) {
@@ -267,6 +268,64 @@ TEST(BackendTrait, ScoredSupportPropagatesThroughErasure) {
   EXPECT_EQ(scored, plain);
   EXPECT_GT(conf, 0.0f);
   EXPECT_LE(conf, 1.0f);
+}
+
+// ---- one binder behind make_backend and BackendSnapshot::wrap ----------
+
+/// The non-owning and the owning erasure must expose the same optional
+/// paths and serve the same labels through each of them.
+template <RegisteredSnapshotBackend D>
+void expect_same_binding(const D& d, const char* what) {
+  const std::vector<IqTrace>& traces = Fixture::get().ds.shots.traces;
+  const EngineBackend plain = make_backend(d);
+  const EngineBackend owned = BackendSnapshot::wrap(d).backend();
+  EXPECT_EQ(plain.name(), owned.name()) << what;
+  EXPECT_EQ(plain.num_qubits(), owned.num_qubits()) << what;
+  EXPECT_EQ(plain.supports_batch(), owned.supports_batch()) << what;
+  EXPECT_EQ(plain.supports_scored(), owned.supports_scored()) << what;
+  EXPECT_EQ(plain.supports_batch(), BatchedReadoutBackend<D>) << what;
+  EXPECT_EQ(plain.supports_scored(), ScoredReadoutBackend<D>) << what;
+
+  constexpr std::size_t kShots = 12;
+  ASSERT_GE(traces.size(), kShots);
+  const std::size_t nq = d.num_qubits();
+  const std::vector<int> ref = reference_labels(
+      d, std::vector<IqTrace>(traces.begin(), traces.begin() + kShots));
+  InferenceScratch scratch;
+  for (const EngineBackend* be : {&plain, &owned}) {
+    std::vector<int> labels(kShots * nq, -1);
+    for (std::size_t s = 0; s < kShots; ++s)
+      be->classify_into(traces[s], scratch, {labels.data() + s * nq, nq});
+    EXPECT_EQ(labels, ref) << what << " per-shot";
+    if (be->supports_scored()) {
+      std::fill(labels.begin(), labels.end(), -1);
+      for (std::size_t s = 0; s < kShots; ++s)
+        be->classify_scored_into(traces[s], scratch,
+                                 {labels.data() + s * nq, nq});
+      EXPECT_EQ(labels, ref) << what << " scored";
+    }
+    if (be->supports_batch()) {
+      std::fill(labels.begin(), labels.end(), -1);
+      be->classify_batch_into(
+          0, kShots,
+          [&](std::size_t s) -> const IqTrace& { return traces[s]; }, scratch,
+          [&](std::size_t s) -> std::span<int> {
+            return {labels.data() + s * nq, nq};
+          });
+      EXPECT_EQ(labels, ref) << what << " batched";
+    }
+  }
+}
+
+TEST(BackendTrait, MakeBackendAndWrapBindTheSamePaths) {
+  const Fixture& fx = Fixture::get();
+  expect_same_binding(fx.proposed, "float");
+  expect_same_binding(fx.quantized, "int16");
+  expect_same_binding(fx.quantized8, "int8");
+  expect_same_binding(fx.fnn, "fnn");
+  expect_same_binding(fx.herqules, "herqules");
+  expect_same_binding(fx.lda, "lda");
+  expect_same_binding(fx.qda, "qda");
 }
 
 // ---- snapshot round trips for the kinds the registry gained -------------

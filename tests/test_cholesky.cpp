@@ -27,16 +27,6 @@ TEST(Cholesky, FactorReconstructs) {
   EXPECT_LT(recon.frobenius_distance(a), 1e-8);
 }
 
-TEST(Cholesky, SolveMatchesDirect) {
-  const Matrix a = random_spd(4, 13);
-  const auto chol = Cholesky::factor(a);
-  ASSERT_TRUE(chol.has_value());
-  const std::vector<double> b{1.0, -2.0, 0.5, 3.0};
-  const std::vector<double> x = chol->solve(b);
-  const std::vector<double> ax = a.multiply(x);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(ax[i], b[i], 1e-9);
-}
-
 TEST(Cholesky, LogDetMatchesKnown) {
   Matrix a(2, 2, 0.0);
   a(0, 0) = 4.0;

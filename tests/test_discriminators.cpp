@@ -77,7 +77,7 @@ TEST(Discriminators, FnnTrainsAndDecodesJointClasses) {
   cfg.trainer.epochs = 6;  // Light training: integration smoke, not a bench.
   const FnnDiscriminator fnn = FnnDiscriminator::train(
       ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg);
-  EXPECT_EQ(fnn.input_dim(), 1000u);
+  EXPECT_EQ(fnn.model().input_size(), 1000u);
   EXPECT_GT(fnn.parameter_count(), 600000u);
 
   const FidelityReport r = evaluate_on_test(fnn, ds);
@@ -108,7 +108,9 @@ TEST(Discriminators, HerqulesTwoLevelModeUsesReducedLayout) {
       ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg);
   EXPECT_EQ(h.model().input_size(), 10u);  // 2 filters x 5 qubits.
   EXPECT_EQ(h.model().output_size(), 32u);
-  const std::vector<int> out = h.classify(ds.shots.traces[0]);
+  InferenceScratch scratch;
+  std::vector<int> out(h.num_qubits());
+  h.classify_into(ds.shots.traces[0], scratch, out);
   for (int l : out) EXPECT_LT(l, 2);
 }
 

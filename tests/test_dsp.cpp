@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "common/error.h"
-#include "dsp/channelizer.h"
 #include "dsp/demodulator.h"
 #include "dsp/filters.h"
 #include "sim/readout_simulator.h"
@@ -93,6 +92,25 @@ TEST(Demodulator, TruncationLimitsSamples) {
   EXPECT_EQ(bb.size(), 100u);
 }
 
+TEST(Demodulator, DemodulateIntoMatchesAndReusesCapacity) {
+  const ChipProfile chip = noiseless_chip();
+  const ReadoutSimulator sim(chip);
+  const Demodulator demod(chip);
+  Rng rng(7);
+  const IqTrace a = sim.simulate_shot({1, 0}, rng).trace;
+  const IqTrace b = sim.simulate_shot({0, 1}, rng).trace;
+
+  BasebandTrace out;
+  demod.demodulate_into(a, 1, 0, out);
+  EXPECT_EQ(out, demod.demodulate(a, 1, 0));
+  // Steady state: a reused buffer keeps its storage, and a shorter window
+  // (a readout-duration sweep) truncates in place.
+  const Complexd* before = out.data();
+  demod.demodulate_into(b, 1, 100, out);
+  EXPECT_EQ(out.data(), before);
+  EXPECT_EQ(out, demod.demodulate(b, 1, 100));
+}
+
 TEST(Demodulator, OutOfRangeQubitThrows) {
   const Demodulator demod(ChipProfile::test_two_qubit());
   IqTrace trace(16);
@@ -111,118 +129,6 @@ TEST(Filters, WindowMeanSubrange) {
   EXPECT_DOUBLE_EQ(window_mean(tr, 1, 3).real(), 3.0);
   EXPECT_THROW(window_mean(tr, 2, 2), Error);
   EXPECT_THROW(window_mean(tr, 0, 5), Error);
-}
-
-TEST(Filters, BoxcarSmoothsStep) {
-  BasebandTrace tr(20, {0.0, 0.0});
-  for (std::size_t t = 10; t < 20; ++t) tr[t] = {1.0, 0.0};
-  const BasebandTrace sm = boxcar(tr, 4);
-  EXPECT_DOUBLE_EQ(sm[9].real(), 0.0);
-  EXPECT_DOUBLE_EQ(sm[10].real(), 0.25);
-  EXPECT_DOUBLE_EQ(sm[13].real(), 1.0);
-  EXPECT_EQ(sm.size(), tr.size());
-}
-
-TEST(Filters, DecimateKeepsEveryNth) {
-  BasebandTrace tr;
-  for (int i = 0; i < 10; ++i) tr.push_back({static_cast<double>(i), 0.0});
-  const BasebandTrace d = decimate(tr, 3);
-  ASSERT_EQ(d.size(), 4u);
-  EXPECT_DOUBLE_EQ(d[1].real(), 3.0);
-  EXPECT_DOUBLE_EQ(d[3].real(), 9.0);
-}
-
-TEST(Channelizer, ProducesPerQubitChannels) {
-  const ChipProfile chip = noiseless_chip();
-  const ReadoutSimulator sim(chip);
-  Rng rng(2);
-  const ShotRecord shot = sim.simulate_shot({1, 0}, rng);
-
-  const Channelizer chan(chip);
-  const ChannelizedShot ch = chan.channelize(shot.trace);
-  EXPECT_EQ(ch.baseband.size(), 2u);
-  EXPECT_EQ(ch.baseband[0].size(), chip.n_samples);
-}
-
-TEST(Channelizer, DurationTruncates) {
-  const ChipProfile chip = noiseless_chip();
-  const Channelizer chan(chip, 200.0);  // 200 ns at 2 ns/sample -> 100.
-  EXPECT_EQ(chan.samples_used(), 100u);
-  EXPECT_DOUBLE_EQ(chan.duration_ns(), 200.0);
-}
-
-TEST(Channelizer, ExactMultipleOfNonRepresentableDtKeepsAllSamples) {
-  // dt = 10/3 ns is not representable in binary floating point, so a
-  // duration that is an exact multiple of dt can sit one ulp below the
-  // integer after duration/dt. Truncation mapped ~1 in 4 of these windows
-  // to k-1 samples (silently dropping the last sample); round-to-nearest
-  // must recover every k.
-  ChipProfile chip = noiseless_chip();
-  chip.sample_rate_msps = 300.0;  // dt = 10/3 ns.
-  for (std::size_t k = 1; k <= chip.n_samples; ++k) {
-    const double duration_ns = static_cast<double>(k) * 1e3 / 300.0;
-    const Channelizer chan(chip, duration_ns);
-    ASSERT_EQ(chan.samples_used(), k) << "duration " << duration_ns << " ns";
-  }
-}
-
-TEST(Channelizer, InvalidDurationThrows) {
-  const ChipProfile chip = noiseless_chip();
-  EXPECT_THROW(Channelizer(chip, 1e9), Error);
-  EXPECT_THROW(Channelizer(chip, 0.5), Error);  // Below one sample.
-}
-
-TEST(Channelizer, ChannelizeIntoMatchesAndReusesCapacity) {
-  const ChipProfile chip = noiseless_chip();
-  const ReadoutSimulator sim(chip);
-  Rng rng(7);
-  const IqTrace a = sim.simulate_shot({1, 0}, rng).trace;
-  const IqTrace b = sim.simulate_shot({0, 1}, rng).trace;
-
-  const Channelizer chan(chip);
-  ChannelizedShot scratch;
-  chan.channelize_into(a, scratch);
-  const ChannelizedShot direct = chan.channelize(a);
-  ASSERT_EQ(scratch.baseband.size(), direct.baseband.size());
-  for (std::size_t q = 0; q < direct.baseband.size(); ++q)
-    EXPECT_EQ(scratch.baseband[q], direct.baseband[q]) << "qubit " << q;
-
-  // Steady state: a reused ChannelizedShot keeps its buffers — same data
-  // pointers, no reallocation on the second shot.
-  std::vector<const Complexd*> before;
-  for (const BasebandTrace& ch : scratch.baseband) before.push_back(ch.data());
-  chan.channelize_into(b, scratch);
-  for (std::size_t q = 0; q < scratch.baseband.size(); ++q) {
-    EXPECT_EQ(scratch.baseband[q].data(), before[q]) << "qubit " << q;
-    EXPECT_EQ(scratch.baseband[q], chan.channelize(b).baseband[q]);
-  }
-}
-
-TEST(Channelizer, ChannelizeIntoHonoursDuration) {
-  const ChipProfile chip = noiseless_chip();
-  const ReadoutSimulator sim(chip);
-  Rng rng(8);
-  const IqTrace tr = sim.simulate_shot({1, 1}, rng).trace;
-  const Channelizer chan(chip, 200.0);
-  ChannelizedShot out;
-  chan.channelize_into(tr, out);
-  for (const BasebandTrace& ch : out.baseband)
-    EXPECT_EQ(ch.size(), chan.samples_used());
-}
-
-TEST(Channelizer, BatchMatchesSingle) {
-  const ChipProfile chip = noiseless_chip();
-  const ReadoutSimulator sim(chip);
-  Rng rng(3);
-  std::vector<IqTrace> traces;
-  for (int s = 0; s < 5; ++s)
-    traces.push_back(sim.simulate_shot({0, 1}, rng).trace);
-  const Channelizer chan(chip);
-  const auto batch = chan.channelize_batch(traces);
-  ASSERT_EQ(batch.size(), 5u);
-  const ChannelizedShot single = chan.channelize(traces[3]);
-  for (std::size_t t = 0; t < single.baseband[0].size(); ++t)
-    EXPECT_EQ(batch[3].baseband[0][t], single.baseband[0][t]);
 }
 
 }  // namespace

@@ -31,19 +31,19 @@ TEST(FixedPoint, QuantizeSaturates) {
   EXPECT_DOUBLE_EQ(quantize(-1000.0, fmt), fmt.min_value());
 }
 
-TEST(FixedPoint, MaxErrorBoundedByHalfStep) {
+TEST(FixedPoint, ErrorBoundedByHalfStep) {
   const FixedPointFormat fmt{12, 8};
-  std::vector<float> xs;
-  for (int i = 0; i < 1000; ++i) xs.push_back(-3.0f + 0.006f * i);
-  EXPECT_LE(max_quantization_error(xs, fmt), 0.5 * fmt.resolution() + 1e-12);
+  for (int i = 0; i < 1000; ++i) {
+    const double x = -3.0 + 0.006 * i;
+    EXPECT_LE(std::abs(x - quantize(x, fmt)), 0.5 * fmt.resolution() + 1e-12)
+        << x;
+  }
 }
 
-TEST(FixedPoint, QuantizeInPlace) {
+TEST(FixedPoint, QuantizeLandsOnGrid) {
   const FixedPointFormat fmt{6, 2};
-  std::vector<float> xs{0.13f, -0.61f, 5.0f};
-  quantize_in_place(xs, fmt);
-  for (float x : xs) {
-    const double steps = x / fmt.resolution();
+  for (const double x : {0.13, -0.61, 5.0}) {
+    const double steps = quantize(x, fmt) / fmt.resolution();
     EXPECT_NEAR(steps, std::round(steps), 1e-6);
   }
 }

@@ -94,7 +94,6 @@ TEST(Fpga, ProposedLatencyIsFiveCycles) {
       nn_latency_cycles(ours.nns.front(), ours.hls);
   EXPECT_EQ(nn_only, 6u);  // 3 MAC stages + 2 activations + output reg.
   EXPECT_LE(design_latency_cycles(ours), 8u);
-  EXPECT_NEAR(cycles_to_ns(5, 1.0), 5.0, 1e-12);
 }
 
 TEST(Fpga, FoldedFnnIsOrdersOfMagnitudeSlower) {
@@ -135,7 +134,6 @@ TEST(Fpga, InvalidInputsThrow) {
   HlsConfig hls;
   EXPECT_THROW(estimate_dense_layer(0, 4, hls), Error);
   EXPECT_THROW(mac_energy_joules(0, 45.0), Error);
-  EXPECT_THROW(cycles_to_ns(5, 0.0), Error);
 }
 
 }  // namespace

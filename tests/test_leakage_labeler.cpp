@@ -50,7 +50,7 @@ TEST(LeakageLabeler, RelaxationChordIsNotLeakage) {
   c.add({-1.0, 0.0}, 0.08, 1, 1, 800);
   // Relaxed traces: MTVs spread along the chord between the two states.
   for (int i = 0; i < 60; ++i) {
-    const double t = c.rng.uniform(-0.8, 0.8);
+    const double t = -0.8 + 1.6 * c.rng.uniform();
     c.mtv.emplace_back(t + c.rng.normal(0.0, 0.08),
                        c.rng.normal(0.0, 0.08));
     c.prepared.push_back(1);

@@ -3,12 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/error.h"
 
 namespace mlqr {
 namespace {
+
+std::vector<float> logits_of(const Mlp& m, std::span<const float> x) {
+  std::vector<float> out, scratch;
+  m.logits_into(x, out, scratch);
+  return out;
+}
+
+int predict_of(const Mlp& m, std::span<const float> x) {
+  std::vector<float> out, scratch;
+  return m.predict_reusing(x, out, scratch);
+}
 
 TEST(Mlp, TopologyAndParameterCount) {
   const Mlp m({45, 22, 11, 3});
@@ -40,28 +53,34 @@ TEST(Mlp, ForwardMatchesManualComputation) {
   const std::vector<float> x{2.0f, 0.5f};
   // Layer0: (2, -0.5) -> ReLU -> (2, 0).
   // Layer1: (1*2+2*0+0.5, 3*2+4*0-0.5) = (2.5, 5.5).
-  const std::vector<float> z = m.logits(x);
+  const std::vector<float> z = logits_of(m, x);
   EXPECT_FLOAT_EQ(z[0], 2.5f);
   EXPECT_FLOAT_EQ(z[1], 5.5f);
-  EXPECT_EQ(m.predict(x), 1);
+  EXPECT_EQ(predict_of(m, x), 1);
 }
 
 TEST(Mlp, BatchForwardMatchesSingle) {
-  Mlp m({4, 6, 3});
+  // The batched head the engines serve must give predict_reusing's label
+  // on every row, written at the requested stride.
+  Mlp m({16, 12, 6, 5});
   Rng rng(71);
   m.init_weights(rng);
-  std::vector<float> batch;
-  std::vector<std::vector<float>> singles;
-  for (int s = 0; s < 5; ++s) {
-    std::vector<float> x(4);
-    for (auto& v : x) v = static_cast<float>(rng.normal());
-    batch.insert(batch.end(), x.begin(), x.end());
-    singles.push_back(m.logits(x));
+  constexpr std::size_t kRows = 37;
+  constexpr std::size_t kStride = 2;
+  std::vector<float> batch(kRows * m.input_size());
+  for (auto& v : batch) v = static_cast<float>(rng.normal());
+  std::vector<float> act_a, act_b;
+  std::vector<int> labels(kRows * kStride, -1);
+  m.classify_batch_into(kRows, batch.data(), act_a, act_b, labels.data(),
+                        kStride);
+  std::vector<float> out, scratch;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::span<const float> row(batch.data() + r * m.input_size(),
+                                     m.input_size());
+    EXPECT_EQ(labels[r * kStride], m.predict_reusing(row, out, scratch))
+        << "row " << r;
+    EXPECT_EQ(labels[r * kStride + 1], -1) << "stride gap written, row " << r;
   }
-  const std::vector<float> out = m.forward_batch(batch, 5);
-  for (int s = 0; s < 5; ++s)
-    for (int c = 0; c < 3; ++c)
-      EXPECT_NEAR(out[s * 3 + c], singles[s][c], 1e-4);
 }
 
 TEST(Mlp, InitWeightsDeterministic) {
@@ -81,36 +100,20 @@ TEST(Mlp, SaveLoadRoundTrip) {
   const Mlp loaded = Mlp::load(ss);
   EXPECT_EQ(loaded.parameter_count(), m.parameter_count());
   std::vector<float> x(10, 0.3f);
-  EXPECT_EQ(loaded.logits(x), m.logits(x));
+  EXPECT_EQ(logits_of(loaded, x), logits_of(m, x));
 }
 
-TEST(Mlp, QuantizeBoundsOutputChange) {
-  Mlp m({16, 8, 3});
-  Rng rng(79);
-  m.init_weights(rng);
-  Mlp q = m;
-  const float bound = q.max_abs_weight();
-  q.quantize(fit_format(-bound, bound, 12));
-
-  std::vector<float> x(16);
-  for (auto& v : x) v = static_cast<float>(rng.normal());
-  const auto z0 = m.logits(x);
-  const auto z1 = q.logits(x);
-  for (std::size_t c = 0; c < z0.size(); ++c)
-    EXPECT_NEAR(z0[c], z1[c], 0.1f);
-}
-
-TEST(Mlp, SoftmaxIsNormalizedAndStable) {
-  const std::vector<float> logits{1000.0f, 1001.0f, 999.0f};
-  const std::vector<float> p = softmax(logits);
-  float total = 0.0f;
-  for (float v : p) {
-    EXPECT_TRUE(std::isfinite(v));
-    total += v;
-  }
-  EXPECT_NEAR(total, 1.0f, 1e-5);
-  EXPECT_GT(p[1], p[0]);
-  EXPECT_GT(p[0], p[2]);
+TEST(Mlp, ScoredConfidenceIsStableSoftmax) {
+  // One linear layer that passes its bias through: logits (1000, 1001,
+  // 999) would overflow a naive exp, the anchored softmax must not.
+  Mlp m({1, 3});
+  m.mutable_layers()[0].b = {1000.0f, 1001.0f, 999.0f};
+  const std::vector<float> x{0.0f};
+  std::vector<float> out, scratch;
+  float p_max = 0.0f;
+  EXPECT_EQ(m.predict_scored_reusing(x, out, scratch, p_max), 1);
+  EXPECT_TRUE(std::isfinite(p_max));
+  EXPECT_NEAR(p_max, 1.0 / (1.0 + std::exp(-1.0) + std::exp(-2.0)), 1e-6);
 }
 
 TEST(Mlp, InvalidConstructionThrows) {
@@ -121,7 +124,7 @@ TEST(Mlp, InvalidConstructionThrows) {
 TEST(Mlp, WrongInputSizeThrows) {
   const Mlp m({4, 2});
   std::vector<float> x(3, 0.0f);
-  EXPECT_THROW(m.logits(x), Error);
+  EXPECT_THROW(logits_of(m, x), Error);
 }
 
 TEST(Mlp, CorruptStreamThrows) {

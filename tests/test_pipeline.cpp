@@ -39,13 +39,23 @@ struct Fixture {
   }
 };
 
-/// Reference labels via the one-shot-at-a-time allocating path.
+/// One shot through classify_into on a fresh scratch.
+template <typename D>
+std::vector<int> classify_one(const D& d, const IqTrace& trace) {
+  InferenceScratch scratch;
+  std::vector<int> out(d.num_qubits());
+  d.classify_into(trace, scratch, out);
+  return out;
+}
+
+/// Reference labels, one shot at a time outside the engine.
 std::vector<int> reference_labels(const Fixture& fx) {
-  std::vector<int> labels;
-  for (const IqTrace& t : fx.ds.shots.traces) {
-    const std::vector<int> shot = fx.proposed.classify(t);
-    labels.insert(labels.end(), shot.begin(), shot.end());
-  }
+  const std::size_t n_qubits = fx.proposed.num_qubits();
+  std::vector<int> labels(fx.ds.shots.size() * n_qubits);
+  InferenceScratch scratch;
+  for (std::size_t s = 0; s < fx.ds.shots.size(); ++s)
+    fx.proposed.classify_into(fx.ds.shots.traces[s], scratch,
+                              {labels.data() + s * n_qubits, n_qubits});
   return labels;
 }
 
@@ -73,7 +83,6 @@ TEST(Pipeline, BatchSizeDoesNotChangeLabels) {
     streamed.insert(streamed.end(), one.labels.begin(), one.labels.end());
   }
   EXPECT_EQ(big.labels, streamed);
-  EXPECT_EQ(stream.total_shots(), traces.size());
 }
 
 TEST(Pipeline, ThreadCountDoesNotChangeLabels) {
@@ -144,11 +153,12 @@ TEST(Pipeline, EvaluateMatchesClassifierEvaluation) {
   ReadoutEngine engine(make_backend(fx.proposed));
   const FidelityReport via_engine =
       engine.evaluate(fx.ds.shots, fx.ds.test_idx);
-  // Independent serial scoring of the per-shot classify() path.
+  // Independent serial scoring of the per-shot classify_into path.
   FidelityReport via_function;
   via_function.per_qubit.resize(fx.ds.shots.n_qubits);
   for (std::size_t idx : fx.ds.test_idx) {
-    const std::vector<int> got = fx.proposed.classify(fx.ds.shots.traces[idx]);
+    const std::vector<int> got =
+        classify_one(fx.proposed, fx.ds.shots.traces[idx]);
     for (std::size_t q = 0; q < got.size(); ++q)
       via_function.per_qubit[q].add(fx.ds.shots.label(idx, q), got[q]);
   }
@@ -165,26 +175,13 @@ TEST(Pipeline, GaussianBackendMatchesClassify) {
   ReadoutEngine engine(make_backend(fx.lda));
   const EngineBatch batch = engine.process_batch(fx.ds.shots.traces);
   for (std::size_t s = 0; s < 25; ++s) {
-    const std::vector<int> expected = fx.lda.classify(fx.ds.shots.traces[s]);
+    const std::vector<int> expected =
+        classify_one(fx.lda, fx.ds.shots.traces[s]);
     const std::span<const int> got = batch.shot_labels(s);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t q = 0; q < expected.size(); ++q)
       EXPECT_EQ(got[q], expected[q]) << "shot " << s << " qubit " << q;
   }
-}
-
-TEST(Pipeline, ProcessPreparedRunsFullPath) {
-  const Fixture& fx = Fixture::get();
-  ReadoutSimulator sim(fx.ds.chip);
-  ReadoutEngine engine(make_backend(fx.proposed));
-  const std::vector<std::vector<int>> prepared(32, {1, 0});
-  std::vector<ShotRecord> records;
-  const EngineBatch batch = engine.process_prepared(sim, prepared, 99, &records);
-  EXPECT_EQ(batch.n_shots, prepared.size());
-  ASSERT_EQ(records.size(), prepared.size());
-  // Same seed -> same frames -> same labels, regardless of batch history.
-  const EngineBatch again = engine.process_prepared(sim, prepared, 99);
-  EXPECT_EQ(batch.labels, again.labels);
 }
 
 TEST(Pipeline, BatchReportsThroughput) {
@@ -243,7 +240,6 @@ TEST(Pipeline, EmptyBatchIsWellFormed) {
   const EngineBatch batch = engine.process_batch(std::span<const IqTrace>{});
   EXPECT_EQ(batch.n_shots, 0u);
   EXPECT_TRUE(batch.labels.empty());
-  EXPECT_EQ(engine.total_shots(), 0u);
 }
 
 }  // namespace

@@ -21,6 +21,15 @@
 namespace mlqr {
 namespace {
 
+/// One shot through classify_into on a fresh scratch.
+template <typename D>
+std::vector<int> classify_one(const D& d, const IqTrace& trace) {
+  InferenceScratch scratch;
+  std::vector<int> out(d.num_qubits());
+  d.classify_into(trace, scratch, out);
+  return out;
+}
+
 /// Shared small two-qubit dataset + trained float design + W=16 integer
 /// twin (training dominates runtime, so it happens once).
 struct Fixture {
@@ -137,13 +146,14 @@ TEST(QuantizedInference, LabelsIdenticalOnEveryIntegerTier) {
   }
 }
 
-TEST(QuantizedInference, ClassifyMatchesClassifyInto) {
+TEST(QuantizedInference, EngineMatchesPerShotClassify) {
   const Fixture& fx = Fixture::get();
   ReadoutEngine engine(make_backend(fx.quantized));
   const EngineBatch batch = engine.process_batch(
       std::span<const IqTrace>(fx.ds.shots.traces.data(), 25));
   for (std::size_t s = 0; s < 25; ++s) {
-    const std::vector<int> expected = fx.quantized.classify(fx.ds.shots.traces[s]);
+    const std::vector<int> expected =
+        classify_one(fx.quantized, fx.ds.shots.traces[s]);
     const std::span<const int> got = batch.shot_labels(s);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t q = 0; q < expected.size(); ++q)
@@ -202,6 +212,7 @@ TEST(QuantizedInference, QuantizedMlpTracksFloatLogits) {
   std::vector<std::int32_t> codes(4);
   std::vector<std::int64_t> logits;
   std::vector<std::int16_t> a, b;
+  std::vector<float> f, f_scratch;
   for (int r = 0; r < 64; ++r) {
     std::vector<float> row(calib.begin() + r * 4, calib.begin() + (r + 1) * 4);
     // Feed the float path the decoded codes so both see the same inputs.
@@ -209,7 +220,7 @@ TEST(QuantizedInference, QuantizedMlpTracksFloatLogits) {
       codes[c] = static_cast<std::int32_t>(to_code(row[c], in_fmt));
       row[c] = static_cast<float>(from_code(codes[c], in_fmt));
     }
-    const std::vector<float> f = mlp.logits(row);
+    mlp.logits_into(row, f, f_scratch);
     q.logits_into(codes, logits, a, b);
     ASSERT_EQ(logits.size(), f.size());
     for (std::size_t j = 0; j < f.size(); ++j)
@@ -341,8 +352,8 @@ TEST(QuantizedInference, Int8HeadsShareTheInt16Calibration) {
     }
   }
   for (std::size_t s = 0; s < 50; ++s)
-    EXPECT_EQ(wide.classify(fx.ds.shots.traces[s]),
-              narrow.classify(fx.ds.shots.traces[s]))
+    EXPECT_EQ(classify_one(wide, fx.ds.shots.traces[s]),
+              classify_one(narrow, fx.ds.shots.traces[s]))
         << "shot " << s;
 }
 
@@ -413,11 +424,12 @@ TEST(QuantizedInference, RejectsTooNarrowAccumulator) {
 
 TEST(QuantizedInference, CalibratedFormatsFeedResourceModel) {
   const Fixture& fx = Fixture::get();
-  const CalibratedFormats fmts = fx.quantized.calibrated_formats();
-  EXPECT_EQ(fmts.weight_bits, 16);
-  EXPECT_EQ(fmts.accum_bits, 32);
-  EXPECT_EQ(fmts.trace.total_bits, 16);
-  EXPECT_GE(fmts.min_weight_frac_bits, 0);
+  EXPECT_EQ(fx.quantized.config().weight_bits, 16);
+  EXPECT_EQ(fx.quantized.config().accum_bits, 32);
+  EXPECT_EQ(fx.quantized.frontend().trace_format().total_bits, 16);
+  for (std::size_t q = 0; q < fx.quantized.num_qubits(); ++q)
+    for (const auto& l : fx.quantized.head(q).layers())
+      EXPECT_GE(l.weight_fmt.frac_bits, 0);
 
   const DesignSpec spec = fx.quantized.design_spec();
   EXPECT_EQ(spec.hls.weight_bits, 16);
@@ -446,8 +458,8 @@ TEST(QuantizedInference, NarrowWidthsStillClassify) {
   const QuantizedProposedDiscriminator q8 =
       QuantizedProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
                                                fx.ds.train_idx, w8);
-  const std::vector<int> once = q8.classify(fx.ds.shots.traces[0]);
-  const std::vector<int> twice = q8.classify(fx.ds.shots.traces[0]);
+  const std::vector<int> once = classify_one(q8, fx.ds.shots.traces[0]);
+  const std::vector<int> twice = classify_one(q8, fx.ds.shots.traces[0]);
   EXPECT_EQ(once, twice);
   for (int level : once) {
     EXPECT_GE(level, 0);

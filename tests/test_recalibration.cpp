@@ -56,8 +56,10 @@ TEST(DriftSchedule, RampRejectsBackwardsTime) {
   EXPECT_THROW(DriftSchedule::ramp(5.0, 0.0, 4.0, 1.0), Error);
 }
 
-TEST(DriftSchedule, StepIsDiscontinuousAtTheKnot) {
-  const DriftSchedule s = DriftSchedule::step(3.0, 1.0, 7.0);
+TEST(DriftSchedule, DuplicateKnotIsAStep) {
+  DriftSchedule s;
+  s.add_knot(3.0, 1.0);
+  s.add_knot(3.0, 7.0);
   EXPECT_EQ(s.at(2.999), 1.0);
   EXPECT_EQ(s.at(3.0), 7.0);  // Later duplicate-time knot wins from t on.
   EXPECT_EQ(s.at(10.0), 7.0);

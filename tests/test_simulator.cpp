@@ -134,5 +134,32 @@ TEST(Simulator, MultiplexedToneContainsBothFrequencies) {
   EXPECT_GT(p1, 10.0 * off);
 }
 
+TEST(ChipProfile, WindowSamplesMapsDurationToSamples) {
+  const ChipProfile chip = ChipProfile::test_two_qubit();
+  EXPECT_EQ(chip.window_samples(0.0), chip.n_samples);  // 0 = full trace.
+  EXPECT_EQ(chip.window_samples(200.0), 100u);  // 200 ns at 2 ns/sample.
+}
+
+TEST(ChipProfile, WindowSamplesKeepsExactMultiplesOfNonRepresentableDt) {
+  // dt = 10/3 ns is not representable in binary floating point, so a
+  // duration that is an exact multiple of dt can sit one ulp below the
+  // integer after duration/dt. Truncation mapped ~1 in 4 of these windows
+  // to k-1 samples (silently dropping the last sample); round-to-nearest
+  // must recover every k.
+  ChipProfile chip = ChipProfile::test_two_qubit();
+  chip.sample_rate_msps = 300.0;  // dt = 10/3 ns.
+  for (std::size_t k = 1; k <= chip.n_samples; ++k) {
+    const double duration_ns = static_cast<double>(k) * 1e3 / 300.0;
+    ASSERT_EQ(chip.window_samples(duration_ns), k)
+        << "duration " << duration_ns << " ns";
+  }
+}
+
+TEST(ChipProfile, WindowSamplesRejectsInvalidDurations) {
+  const ChipProfile chip = ChipProfile::test_two_qubit();
+  EXPECT_THROW(chip.window_samples(1e9), Error);  // Beyond the trace.
+  EXPECT_THROW(chip.window_samples(0.5), Error);  // Below one sample.
+}
+
 }  // namespace
 }  // namespace mlqr

@@ -95,14 +95,21 @@ TEST(Snapshot, Int16RoundTripBitIdentical) {
   const auto reloaded = snap.as<QuantizedProposedDiscriminator>();
   ASSERT_TRUE(reloaded);
   EXPECT_FALSE(snap.as<ProposedDiscriminator>());
-  // The calibrated formats round-trip exactly — what the FPGA resource
-  // model reads from a reloaded calibration.
-  const CalibratedFormats a = fx.quantized.calibrated_formats();
-  const CalibratedFormats b = reloaded->calibrated_formats();
-  EXPECT_EQ(a.trace.total_bits, b.trace.total_bits);
-  EXPECT_EQ(a.trace.frac_bits, b.trace.frac_bits);
-  EXPECT_EQ(a.feature.frac_bits, b.feature.frac_bits);
-  EXPECT_EQ(a.min_weight_frac_bits, b.min_weight_frac_bits);
+  // The calibrated formats round-trip exactly.
+  const QuantizedFrontend& a = fx.quantized.frontend();
+  const QuantizedFrontend& b = reloaded->frontend();
+  EXPECT_EQ(a.trace_format().total_bits, b.trace_format().total_bits);
+  EXPECT_EQ(a.trace_format().frac_bits, b.trace_format().frac_bits);
+  EXPECT_EQ(a.feature_format().frac_bits, b.feature_format().frac_bits);
+  for (std::size_t f = 0; f < a.n_filters(); ++f)
+    EXPECT_EQ(a.kernel_format(f).frac_bits, b.kernel_format(f).frac_bits);
+  for (std::size_t q = 0; q < fx.quantized.num_qubits(); ++q) {
+    const auto& la = fx.quantized.head(q).layers();
+    const auto& lb = reloaded->head(q).layers();
+    ASSERT_EQ(la.size(), lb.size());
+    for (std::size_t l = 0; l < la.size(); ++l)
+      EXPECT_EQ(la[l].weight_fmt.frac_bits, lb[l].weight_fmt.frac_bits);
+  }
   for (std::size_t threads : {1u, 4u})
     EXPECT_EQ(classify_all(snap.backend(), threads), fx.int16_labels)
         << threads << " threads";

@@ -16,13 +16,6 @@ TEST(Stats, ColumnMeanSelectedRows) {
   EXPECT_DOUBLE_EQ(mu[1], 4.0);
 }
 
-TEST(Stats, ColumnMeanAllRows) {
-  const std::vector<double> data{1, 10, 3, 30};
-  const auto mu = column_mean(data, 2);
-  EXPECT_DOUBLE_EQ(mu[0], 2.0);
-  EXPECT_DOUBLE_EQ(mu[1], 20.0);
-}
-
 TEST(Stats, CovarianceKnownValues) {
   // Two perfectly correlated columns.
   const std::vector<double> data{0, 0, 1, 2, 2, 4};

@@ -65,8 +65,8 @@ TEST(SurfaceCode, Distance3HandChecked) {
   const SurfaceCode code(3);
   EXPECT_EQ(code.num_data(), 9u);
   EXPECT_EQ(code.num_stabilizers(), 8u);
-  // The center data qubit (1,1) touches 4 stabilizers.
-  EXPECT_EQ(code.stabilizers_of_data(code.data_index(1, 1)).size(), 4u);
+  // The center data qubit (1,1), row-major index 4, touches 4 stabilizers.
+  EXPECT_EQ(code.stabilizers_of_data(4).size(), 4u);
 }
 
 TEST(SurfaceCode, InvalidDistanceThrows) {

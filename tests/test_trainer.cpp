@@ -85,10 +85,11 @@ TEST(Trainer, ClassWeightsRescueMinorityClass) {
   // Fresh minority samples must be mostly recovered.
   int hits = 0;
   Rng fresh(103);
+  std::vector<float> out, scratch;
   for (int i = 0; i < 300; ++i) {
     std::vector<float> p{static_cast<float>(fresh.normal(0.5, 0.6)),
                          static_cast<float>(fresh.normal(2.0, 0.6))};
-    if (mw.predict(p) == 2) ++hits;
+    if (mw.predict_reusing(p, out, scratch) == 2) ++hits;
   }
   EXPECT_GT(hits, 180);
 }
@@ -278,8 +279,9 @@ TEST(Trainer, ParallelEvalMatchesSerial) {
   train_classifier(m, x, y, cfg);
 
   std::size_t hits = 0;
+  std::vector<float> out, scratch;
   for (std::size_t s = 0; s < y.size(); ++s)
-    if (m.predict({x.data() + 2 * s, 2}) == y[s]) ++hits;
+    if (m.predict_reusing({x.data() + 2 * s, 2}, out, scratch) == y[s]) ++hits;
   const double serial = static_cast<double>(hits) / static_cast<double>(y.size());
   EXPECT_EQ(evaluate_accuracy(m, x, y, 1), serial);
   EXPECT_EQ(evaluate_accuracy(m, x, y, 4), serial);

@@ -56,8 +56,9 @@ TEST(Transmon, ExcitationProbabilityPerWindow) {
   int excited = 0;
   const int shots = 50000;
   for (int s = 0; s < shots; ++s) {
+    // From |0> every trajectory's first jump, if any, is an excitation.
     const LevelTrajectory traj = sample_trajectory(0, window, rates, rng);
-    if (traj.has_excitation()) ++excited;
+    if (!traj.jumps.empty()) ++excited;
   }
   EXPECT_NEAR(static_cast<double>(excited) / shots, 0.05, 0.005);
 }
@@ -92,15 +93,12 @@ TEST(Transmon, JumpsAreOrderedAndConsistent) {
   }
 }
 
-TEST(Transmon, LevelAtWalksTheTrajectory) {
+TEST(Transmon, FinalLevelIsTheLastJumpTarget) {
   LevelTrajectory traj;
   traj.initial_level = 1;
+  EXPECT_EQ(traj.final_level(), 1);  // No jumps: the initial level.
   traj.jumps = {{100.0, 1, 0}, {300.0, 0, 2}};
-  EXPECT_EQ(traj.level_at(50.0), 1);
-  EXPECT_EQ(traj.level_at(150.0), 0);
-  EXPECT_EQ(traj.level_at(500.0), 2);
-  EXPECT_TRUE(traj.has_relaxation());
-  EXPECT_TRUE(traj.has_excitation());
+  EXPECT_EQ(traj.final_level(), 2);
 }
 
 TEST(Transmon, InvalidInputsThrow) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lints that neither the compiler nor clang-tidy can express.
 
-Five checks, all cheap enough for every CI run and every pre-commit:
+Six checks, all cheap enough for every CI run and every pre-commit:
 
   1. snapshot-kinds: the SnapshotKind enum in src/pipeline/snapshot.h is an
      on-disk format registry. Its wire values are pinned in
@@ -39,6 +39,12 @@ Five checks, all cheap enough for every CI run and every pre-commit:
      namespace. Anywhere else, wider instructions would reach code no
      dispatch guards, and an inline function compiled with them could be
      handed by the linker to a baseline caller.
+
+  6. no-test-only-module: every header under src/ is included by something
+     that ships — another file in src/ (not the header's own .cpp), or a
+     file in bench/, examples/, perfbench/ or fuzz/. A header only tests
+     include is a module nothing serves: delete it, or wire it into a
+     caller in the same change.
 
 Exit status: 0 = all invariants hold, 1 = violation (details on stderr),
 2 = usage / environment error. `--self-test` proves the checks can fail by
@@ -325,6 +331,49 @@ def check_isa_dispatch(root: pathlib.Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Check 6: every src/ header has a caller that is not a test.
+# ---------------------------------------------------------------------------
+
+# Trees whose includes count as a caller; tests/ is deliberately absent.
+SERVING_DIRS = ("src", "bench", "examples", "perfbench", "fuzz")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+
+
+def quoted_includes(path: pathlib.Path) -> list[str]:
+    """`#include "..."` targets of a file, ignoring commented-out lines."""
+    text = BLOCK_COMMENT_RE.sub("", path.read_text(encoding="utf-8"))
+    text = "\n".join(
+        ln for ln in text.splitlines() if not ln.lstrip().startswith("//")
+    )
+    return INCLUDE_RE.findall(text)
+
+
+def check_test_only_modules(root: pathlib.Path) -> list[str]:
+    src = root / "src"
+    headers = {p.resolve() for p in src.rglob("*.h")}
+    included: set[pathlib.Path] = set()
+    for top in SERVING_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in ISA_SUFFIXES or not path.is_file():
+                continue
+            for target in quoted_includes(path):
+                for base in (src, path.parent):
+                    hit = (base / target).resolve()
+                    if hit not in headers:
+                        continue
+                    # A header's own .cpp (or the header itself) is no caller.
+                    if path.resolve() in (hit, hit.with_suffix(".cpp")):
+                        continue
+                    included.add(hit)
+    return [
+        f"{h.relative_to(root.resolve())}: included by no file in "
+        f"{', '.join(d + '/' for d in SERVING_DIRS)} (its own .cpp does not "
+        f"count) — a module only tests reach; delete it or give it a caller"
+        for h in sorted(headers - included)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Driver + self-test.
 # ---------------------------------------------------------------------------
 
@@ -336,6 +385,7 @@ def run_checks(root: pathlib.Path) -> int:
         + check_pipeline_rng(root)
         + check_pure_parts(root)
         + check_isa_dispatch(root)
+        + check_test_only_modules(root)
     )
     for e in errors:
         print(f"lint_invariants: {e}", file=sys.stderr)
@@ -514,6 +564,43 @@ def self_test() -> int:
                             "<emmintrin.h>")
         benign.unlink()
 
+    # Check 6 gets a tree of its own: a header only its .cpp and a test
+    # include must be caught...
+    with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
+        root = pathlib.Path(tmp)
+        for d in ("src/dsp", "src/nn", "tests", "bench"):
+            (root / d).mkdir(parents=True)
+        (root / "src/dsp/orphan.h").write_text("#pragma once\n",
+                                               encoding="utf-8")
+        (root / "src/dsp/orphan.cpp").write_text(
+            '#include "dsp/orphan.h"\n', encoding="utf-8")
+        (root / "tests/test_orphan.cpp").write_text(
+            '#include "dsp/orphan.h"\n', encoding="utf-8")
+        (root / "bench/table.cpp").write_text(
+            '// #include "dsp/orphan.h"\n/* #include "dsp/orphan.h" */\n',
+            encoding="utf-8")
+        if not check_test_only_modules(root):
+            failures.append("test-only header (own .cpp, a test and a "
+                            "commented-out include) not caught")
+        # ...while a bench include and a src include by path each count as
+        # a caller...
+        for caller, target in (("bench/table.cpp", "dsp/orphan.h"),
+                               ("src/nn/user.cpp", "dsp/orphan.h")):
+            (root / caller).write_text(f'#include "{target}"\n',
+                                       encoding="utf-8")
+            if check_test_only_modules(root):
+                failures.append(f"false positive: {caller} includes "
+                                f"{target}")
+            (root / caller).unlink()
+        # ...and so does a same-directory include from a served header.
+        (root / "bench/table.cpp").write_text('#include "dsp/user.h"\n',
+                                              encoding="utf-8")
+        (root / "src/dsp/user.h").write_text('#include "orphan.h"\n',
+                                             encoding="utf-8")
+        if check_test_only_modules(root):
+            failures.append("false positive: header reached through a "
+                            "served header")
+
     for f in failures:
         print(f"lint_invariants --self-test: FAIL: {f}", file=sys.stderr)
     if not failures:
@@ -521,7 +608,8 @@ def self_test() -> int:
             f"lint_invariants --self-test: ok "
             f"({len(mutations)} registry mutations, "
             f"{len(nondet_snippets)} nondeterminism probes, and the "
-            f"pipeline-rng, pure-part and isa-dispatch probes all caught)"
+            f"pipeline-rng, pure-part, isa-dispatch and test-only-module "
+            f"probes all caught)"
         )
     return 1 if failures else 0
 
