@@ -39,10 +39,9 @@ inline const char* build_git_sha() {
 }
 
 /// One machine-readable run record: BENCH_<name>.json in the working
-/// directory — a flat `context` object (git sha, the compile-time float
-/// SIMD tier and the runtime-picked integer tier, knob values)
-/// plus one flat object per row. Values are scalars only,
-/// so downstream tooling can load the series with nothing but a JSON
+/// directory — a flat `context` object (git sha, the runtime-picked SIMD
+/// tier, knob values) plus one flat object per row. Values are scalars
+/// only, so downstream tooling can load the series with nothing but a JSON
 /// parser and a group-by.
 class BenchReport {
  public:
@@ -53,7 +52,6 @@ class BenchReport {
     context("bench", name_);
     context("git_sha", std::string(build_git_sha()));
     context("simd_tier", std::string(simd::tier()));
-    context("simd_int_tier", std::string(simd::int_tier()));
     context("fast_mode", fast_mode());
   }
 

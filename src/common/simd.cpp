@@ -1,42 +1,42 @@
-// Integer tier selection (common/simd_int.h) and the exact scalar
-// references the tiers fall back on. Compiled at the build's baseline
-// flags: the CPU probe must run on any host the binary starts on.
+// Tier selection (common/simd_dispatch.h) and the scalar references the
+// tiers fall back on. Compiled at the build's baseline flags: the CPU
+// probe must run on any host the binary starts on.
 #include <atomic>
 
 #include "common/error.h"
 #include "common/fixed_point.h"
-#include "common/simd_int.h"
+#include "common/simd_dispatch.h"
 
 namespace mlqr::simd {
 
 namespace tier_base {
-extern const IntKernels kKernels;
+extern const Kernels kKernels;
 }
-#if defined(MLQR_SIMD_INT_DISPATCH)
+#if defined(MLQR_SIMD_DISPATCH)
 namespace tier_avx2 {
-extern const IntKernels kKernels;
+extern const Kernels kKernels;
 }
 namespace tier_avx512 {
-extern const IntKernels kKernels;
+extern const Kernels kKernels;
 }
 #endif
 
 namespace {
 
-constexpr const IntKernels* kCompiled[] = {
+constexpr const Kernels* kCompiled[] = {
     &tier_base::kKernels,
-#if defined(MLQR_SIMD_INT_DISPATCH)
+#if defined(MLQR_SIMD_DISPATCH)
     &tier_avx2::kKernels,
     &tier_avx512::kKernels,
 #endif
 };
 
-/// The IntTierNeeds bits this CPU provides. __builtin_cpu_supports reports
+/// The TierNeeds bits this CPU provides. __builtin_cpu_supports reports
 /// a feature only when the OS also saves its register state (XCR0), so a
 /// kernel that hides AVX-512 from user space is treated as lacking it.
 unsigned host_features() {
   unsigned have = 0;
-#if defined(MLQR_SIMD_INT_DISPATCH)
+#if defined(MLQR_SIMD_DISPATCH)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) have |= kNeedsAvx2;
   if (__builtin_cpu_supports("avx512f") &&
@@ -50,42 +50,69 @@ unsigned host_features() {
 
 /// The last compiled tier the host runs: kCompiled is ordered narrow to
 /// wide.
-const IntKernels* best_tier() {
-  const IntKernels* best = kCompiled[0];
-  for (const IntKernels* k : kCompiled)
+const Kernels* best_tier() {
+  const Kernels* best = kCompiled[0];
+  for (const Kernels* k : kCompiled)
     if (host_runs(*k)) best = k;
   return best;
 }
 
-std::atomic<const IntKernels*>& active_tier() {
-  static std::atomic<const IntKernels*> active{best_tier()};
+std::atomic<const Kernels*>& active_tier() {
+  static std::atomic<const Kernels*> active{best_tier()};
   return active;
 }
 
 }  // namespace
 
-const IntKernels& int_kernels() {
+const Kernels& kernels() {
   return *active_tier().load(std::memory_order_acquire);
 }
 
-const char* int_tier() { return int_kernels().name; }
+const char* tier() { return kernels().name; }
 
-std::span<const IntKernels* const> compiled_int_tiers() { return kCompiled; }
+std::span<const Kernels* const> compiled_tiers() { return kCompiled; }
 
-bool host_runs(const IntKernels& k) {
+bool host_runs(const Kernels& k) {
   static const unsigned have = host_features();
   return (k.needs & ~have) == 0;
 }
 
-ScopedIntTier::ScopedIntTier(const IntKernels& k)
-    : prev_(&int_kernels()) {
+ScopedTier::ScopedTier(const Kernels& k) : prev_(&kernels()) {
   MLQR_CHECK_MSG(host_runs(k), "this host cannot run the " << k.name
-                                                           << " integer tier");
+                                                           << " tier");
   active_tier().store(&k, std::memory_order_release);
 }
 
-ScopedIntTier::~ScopedIntTier() {
+ScopedTier::~ScopedTier() {
   active_tier().store(prev_, std::memory_order_release);
+}
+
+float fused_dot_f32_scalar(const float* kr, const float* ki, const float* xi,
+                           const float* xq, std::size_t n) {
+  float pr[16] = {}, pi[16] = {};
+  std::size_t t = 0;
+  for (; t + 16 <= n; t += 16) {
+    for (std::size_t j = 0; j < 16; ++j) {
+      pr[j] += kr[t + j] * xi[t + j];
+      pi[j] += ki[t + j] * xq[t + j];
+    }
+  }
+  float ar[4], ai[4];
+  for (std::size_t j = 0; j < 4; ++j) {
+    ar[j] = (pr[j] + pr[4 + j]) + (pr[8 + j] + pr[12 + j]);
+    ai[j] = (pi[j] + pi[4 + j]) + (pi[8 + j] + pi[12 + j]);
+  }
+  for (; t + 4 <= n; t += 4) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      ar[j] += kr[t + j] * xi[t + j];
+      ai[j] += ki[t + j] * xq[t + j];
+    }
+  }
+  float d[4];
+  for (std::size_t j = 0; j < 4; ++j) d[j] = ar[j] - ai[j];
+  float sum = (d[0] + d[2]) + (d[1] + d[3]);
+  for (; t < n; ++t) sum += kr[t] * xi[t] - ki[t] * xq[t];
+  return sum;
 }
 
 std::int64_t dot_i16_scalar(const std::int16_t* a, const std::int16_t* b,

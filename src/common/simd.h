@@ -1,20 +1,19 @@
-// Portable float SIMD kernels for the inference hot paths, plus the
-// integer kernel table (common/simd_int.h).
+// Portable float SIMD kernels for the MLP heads and training (sgemm /
+// sgemv), plus the runtime-dispatched kernel table (common/simd_dispatch.h:
+// the float front-end's fused dot products and every integer kernel).
 //
-// The float kernels use compile-time dispatch: AVX2 -> SSE2 -> NEON ->
-// scalar, selected by the predefined ISA macros of the active -march flags
-// (the MLQR_NATIVE CMake option turns them on; the default x86-64 build
-// gets SSE2, which every 64-bit x86 guarantees). They stay compile-time on
-// purpose: a vector float sum reassociates per register width, so a
-// runtime pick would make float features — and labels — depend on the
-// host. tier() reports the compiled float tier so bench records say what
-// they measured; the integer kernels are picked at runtime instead and
-// report through int_tier().
+// These kernels are chosen at compile time: SSE2 on x86 (every 64-bit x86
+// has it, and MLQR_NATIVE builds take the same path), NEON on ARM, scalar
+// elsewhere. They add each rounded product at 128 bits in a fixed order
+// (the library builds with -ffp-contract=off), so an x86 build returns the
+// same floats whatever its -march. tier() reports the runtime-picked tier
+// of the dispatched table.
 //
 // Every kernel also has an always-compiled *_scalar twin. The scalar
 // versions are the semantic reference: tests pin the vector paths against
-// them (bounded relative error for float, bit-exact for the integer
-// kernels), and they are reachable on every platform regardless of tier.
+// them (bounded relative error for the reductions, bit for bit for the
+// element-wise epilogues), and they are reachable on every platform
+// regardless of tier.
 //
 // Integer contract — the part the fixed-point requantization relies on:
 // the int16 kernels accumulate exact int64 sums of int16 x int16
@@ -35,11 +34,6 @@
 // largest kernel-code magnitude. Narrow kernel grids (the common case)
 // thus amortize the widening over many blocks; strip <= 1 widens every
 // block. Every sum is exact, so all variants and tiers are bit-identical.
-//
-// Float contract: vector kernels reassociate the sum (lane-striped
-// partial accumulators), so results differ from the scalar loop by
-// O(n * eps) — callers that need reproducibility across *tiers* must use
-// the scalar variants; within one build the kernels are deterministic.
 #pragma once
 
 #include <algorithm>
@@ -47,12 +41,9 @@
 #include <cstdint>
 
 #include "common/fixed_point.h"
-#include "common/simd_int.h"
+#include "common/simd_dispatch.h"
 
-#if defined(__AVX2__)
-#define MLQR_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64) || \
+#if defined(__SSE2__) || defined(_M_X64) || \
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define MLQR_SIMD_SSE2 1
 #include <emmintrin.h>
@@ -65,42 +56,11 @@
 
 namespace mlqr::simd {
 
-/// Compiled float tier: "avx512-vnni", "avx-vnni", "avx2", "sse2", "neon"
-/// or "scalar". The VNNI names mark AVX2 builds whose flags also enable
-/// vpdpbusd (AVX-512 VNNI with F and BW, or AVX-VNNI), which the base
-/// integer tier then uses.
-inline const char* tier() {
-#if defined(MLQR_SIMD_AVX2) && defined(__AVX512VNNI__) && \
-    defined(__AVX512F__) && defined(__AVX512BW__)
-  return "avx512-vnni";
-#elif defined(MLQR_SIMD_AVX2) && \
-    (defined(__AVXVNNI__) || (defined(__AVX512VNNI__) && defined(__AVX512VL__)))
-  return "avx-vnni";
-#elif defined(MLQR_SIMD_AVX2)
-  return "avx2";
-#elif defined(MLQR_SIMD_SSE2)
-  return "sse2";
-#elif defined(MLQR_SIMD_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
 // ------------------------------------------------------------------ scalar --
 
 inline float dot_f32_scalar(const float* a, const float* b, std::size_t n) {
   float acc = 0.0f;
   for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-/// sum_t kr[t]*xi[t] - ki[t]*xq[t] — one fused front-end filter.
-inline float fused_dot_f32_scalar(const float* kr, const float* ki,
-                                  const float* xi, const float* xq,
-                                  std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t t = 0; t < n; ++t) acc += kr[t] * xi[t] - ki[t] * xq[t];
   return acc;
 }
 
@@ -149,160 +109,9 @@ inline void add_bias_relu_f32_scalar(float* z, const float* b, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
 }
 
-// --------------------------------------------------------------- x86 tiers --
+// -------------------------------------------------------------------- SSE2 --
 
-#if defined(MLQR_SIMD_AVX2)
-
-namespace detail {
-
-inline float hsum_f32(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  __m128 sh = _mm_movehl_ps(lo, lo);
-  lo = _mm_add_ps(lo, sh);
-  sh = _mm_shuffle_ps(lo, lo, 0x55);
-  lo = _mm_add_ss(lo, sh);
-  return _mm_cvtss_f32(lo);
-}
-
-inline __m256 fmadd(__m256 a, __m256 b, __m256 c) {
-#if defined(__FMA__)
-  return _mm256_fmadd_ps(a, b, c);
-#else
-  return _mm256_add_ps(_mm256_mul_ps(a, b), c);
-#endif
-}
-
-}  // namespace detail
-
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    acc = detail::fmadd(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
-  float sum = detail::hsum_f32(acc);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-inline float fused_dot_f32(const float* kr, const float* ki, const float* xi,
-                           const float* xq, std::size_t n) {
-  // Four accumulator chains per stream: one fmadd chain is bound by the
-  // 4-cycle fmadd latency, leaving the FMA ports ~75% idle on the long
-  // front-end rows this kernel exists for; four independent chains keep
-  // them fed. The deeper reassociation changes nothing contractual (the
-  // float kernels already reassociate, see the header comment).
-  __m256 r0 = _mm256_setzero_ps(), r1 = _mm256_setzero_ps();
-  __m256 r2 = _mm256_setzero_ps(), r3 = _mm256_setzero_ps();
-  __m256 i0 = _mm256_setzero_ps(), i1 = _mm256_setzero_ps();
-  __m256 i2 = _mm256_setzero_ps(), i3 = _mm256_setzero_ps();
-  std::size_t t = 0;
-  for (; t + 32 <= n; t += 32) {
-    r0 = detail::fmadd(_mm256_loadu_ps(kr + t), _mm256_loadu_ps(xi + t), r0);
-    i0 = detail::fmadd(_mm256_loadu_ps(ki + t), _mm256_loadu_ps(xq + t), i0);
-    r1 = detail::fmadd(_mm256_loadu_ps(kr + t + 8), _mm256_loadu_ps(xi + t + 8),
-                       r1);
-    i1 = detail::fmadd(_mm256_loadu_ps(ki + t + 8), _mm256_loadu_ps(xq + t + 8),
-                       i1);
-    r2 = detail::fmadd(_mm256_loadu_ps(kr + t + 16),
-                       _mm256_loadu_ps(xi + t + 16), r2);
-    i2 = detail::fmadd(_mm256_loadu_ps(ki + t + 16),
-                       _mm256_loadu_ps(xq + t + 16), i2);
-    r3 = detail::fmadd(_mm256_loadu_ps(kr + t + 24),
-                       _mm256_loadu_ps(xi + t + 24), r3);
-    i3 = detail::fmadd(_mm256_loadu_ps(ki + t + 24),
-                       _mm256_loadu_ps(xq + t + 24), i3);
-  }
-  __m256 accr = _mm256_add_ps(_mm256_add_ps(r0, r1), _mm256_add_ps(r2, r3));
-  __m256 acci = _mm256_add_ps(_mm256_add_ps(i0, i1), _mm256_add_ps(i2, i3));
-  for (; t + 8 <= n; t += 8) {
-    accr =
-        detail::fmadd(_mm256_loadu_ps(kr + t), _mm256_loadu_ps(xi + t), accr);
-    acci =
-        detail::fmadd(_mm256_loadu_ps(ki + t), _mm256_loadu_ps(xq + t), acci);
-  }
-  float sum = detail::hsum_f32(_mm256_sub_ps(accr, acci));
-  for (; t < n; ++t) sum += kr[t] * xi[t] - ki[t] * xq[t];
-  return sum;
-}
-
-inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        y + i, detail::fmadd(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-inline void axpy4_f32(std::size_t n, const float* a, const float* x0,
-                      const float* x1, const float* x2, const float* x3,
-                      float* y) {
-  const __m256 a0 = _mm256_set1_ps(a[0]);
-  const __m256 a1 = _mm256_set1_ps(a[1]);
-  const __m256 a2 = _mm256_set1_ps(a[2]);
-  const __m256 a3 = _mm256_set1_ps(a[3]);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 acc = _mm256_loadu_ps(y + i);
-    acc = detail::fmadd(a0, _mm256_loadu_ps(x0 + i), acc);
-    acc = detail::fmadd(a1, _mm256_loadu_ps(x1 + i), acc);
-    acc = detail::fmadd(a2, _mm256_loadu_ps(x2 + i), acc);
-    acc = detail::fmadd(a3, _mm256_loadu_ps(x3 + i), acc);
-    _mm256_storeu_ps(y + i, acc);
-  }
-  for (; i < n; ++i)
-    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
-}
-
-inline void dot4_f32(const float* shared, const float* b0, const float* b1,
-                     const float* b2, const float* b3, std::size_t n,
-                     float* out) {
-  __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-  __m256 s2 = _mm256_setzero_ps(), s3 = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 s = _mm256_loadu_ps(shared + i);
-    s0 = detail::fmadd(s, _mm256_loadu_ps(b0 + i), s0);
-    s1 = detail::fmadd(s, _mm256_loadu_ps(b1 + i), s1);
-    s2 = detail::fmadd(s, _mm256_loadu_ps(b2 + i), s2);
-    s3 = detail::fmadd(s, _mm256_loadu_ps(b3 + i), s3);
-  }
-  out[0] = detail::hsum_f32(s0);
-  out[1] = detail::hsum_f32(s1);
-  out[2] = detail::hsum_f32(s2);
-  out[3] = detail::hsum_f32(s3);
-  for (; i < n; ++i) {
-    const float s = shared[i];
-    out[0] += s * b0[i];
-    out[1] += s * b1[i];
-    out[2] += s * b2[i];
-    out[3] += s * b3[i];
-  }
-}
-
-inline void add_bias_f32(float* z, const float* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        z + i, _mm256_add_ps(_mm256_loadu_ps(z + i), _mm256_loadu_ps(b + i)));
-  for (; i < n; ++i) z[i] += b[i];
-}
-
-inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(
-        z + i,
-        _mm256_max_ps(
-            _mm256_add_ps(_mm256_loadu_ps(z + i), _mm256_loadu_ps(b + i)),
-            zero));
-  for (; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
-}
-
-#elif defined(MLQR_SIMD_SSE2)
+#if defined(MLQR_SIMD_SSE2)
 
 namespace detail {
 
@@ -323,45 +132,6 @@ inline float dot_f32(const float* a, const float* b, std::size_t n) {
     acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
   float sum = detail::hsum_f32(acc);
   for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-inline float fused_dot_f32(const float* kr, const float* ki, const float* xi,
-                           const float* xq, std::size_t n) {
-  // Four accumulator chains per stream, mirroring the AVX2 kernel: a
-  // single addps chain is latency-bound (3-4 cycles) on the long
-  // front-end rows; independent chains keep the multiply port busy.
-  __m128 r0 = _mm_setzero_ps(), r1 = _mm_setzero_ps();
-  __m128 r2 = _mm_setzero_ps(), r3 = _mm_setzero_ps();
-  __m128 i0 = _mm_setzero_ps(), i1 = _mm_setzero_ps();
-  __m128 i2 = _mm_setzero_ps(), i3 = _mm_setzero_ps();
-  std::size_t t = 0;
-  for (; t + 16 <= n; t += 16) {
-    r0 = _mm_add_ps(r0, _mm_mul_ps(_mm_loadu_ps(kr + t), _mm_loadu_ps(xi + t)));
-    i0 = _mm_add_ps(i0, _mm_mul_ps(_mm_loadu_ps(ki + t), _mm_loadu_ps(xq + t)));
-    r1 = _mm_add_ps(
-        r1, _mm_mul_ps(_mm_loadu_ps(kr + t + 4), _mm_loadu_ps(xi + t + 4)));
-    i1 = _mm_add_ps(
-        i1, _mm_mul_ps(_mm_loadu_ps(ki + t + 4), _mm_loadu_ps(xq + t + 4)));
-    r2 = _mm_add_ps(
-        r2, _mm_mul_ps(_mm_loadu_ps(kr + t + 8), _mm_loadu_ps(xi + t + 8)));
-    i2 = _mm_add_ps(
-        i2, _mm_mul_ps(_mm_loadu_ps(ki + t + 8), _mm_loadu_ps(xq + t + 8)));
-    r3 = _mm_add_ps(
-        r3, _mm_mul_ps(_mm_loadu_ps(kr + t + 12), _mm_loadu_ps(xi + t + 12)));
-    i3 = _mm_add_ps(
-        i3, _mm_mul_ps(_mm_loadu_ps(ki + t + 12), _mm_loadu_ps(xq + t + 12)));
-  }
-  __m128 accr = _mm_add_ps(_mm_add_ps(r0, r1), _mm_add_ps(r2, r3));
-  __m128 acci = _mm_add_ps(_mm_add_ps(i0, i1), _mm_add_ps(i2, i3));
-  for (; t + 4 <= n; t += 4) {
-    accr = _mm_add_ps(accr,
-                      _mm_mul_ps(_mm_loadu_ps(kr + t), _mm_loadu_ps(xi + t)));
-    acci = _mm_add_ps(acci,
-                      _mm_mul_ps(_mm_loadu_ps(ki + t), _mm_loadu_ps(xq + t)));
-  }
-  float sum = detail::hsum_f32(_mm_sub_ps(accr, acci));
-  for (; t < n; ++t) sum += kr[t] * xi[t] - ki[t] * xq[t];
   return sum;
 }
 
@@ -464,30 +234,6 @@ inline float dot_f32(const float* a, const float* b, std::size_t n) {
   return sum;
 }
 
-inline float fused_dot_f32(const float* kr, const float* ki, const float* xi,
-                           const float* xq, std::size_t n) {
-  // Two accumulator chains per stream to cover the fused-MLA latency on
-  // the long front-end rows (see the x86 kernels for the rationale).
-  float32x4_t r0 = vdupq_n_f32(0.0f), r1 = vdupq_n_f32(0.0f);
-  float32x4_t i0 = vdupq_n_f32(0.0f), i1 = vdupq_n_f32(0.0f);
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8) {
-    r0 = vmlaq_f32(r0, vld1q_f32(kr + t), vld1q_f32(xi + t));
-    i0 = vmlaq_f32(i0, vld1q_f32(ki + t), vld1q_f32(xq + t));
-    r1 = vmlaq_f32(r1, vld1q_f32(kr + t + 4), vld1q_f32(xi + t + 4));
-    i1 = vmlaq_f32(i1, vld1q_f32(ki + t + 4), vld1q_f32(xq + t + 4));
-  }
-  float32x4_t accr = vaddq_f32(r0, r1);
-  float32x4_t acci = vaddq_f32(i0, i1);
-  for (; t + 4 <= n; t += 4) {
-    accr = vmlaq_f32(accr, vld1q_f32(kr + t), vld1q_f32(xi + t));
-    acci = vmlaq_f32(acci, vld1q_f32(ki + t), vld1q_f32(xq + t));
-  }
-  float sum = detail::hsum_f32(vsubq_f32(accr, acci));
-  for (; t < n; ++t) sum += kr[t] * xi[t] - ki[t] * xq[t];
-  return sum;
-}
-
 inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
   const float32x4_t va = vdupq_n_f32(a);
   std::size_t i = 0;
@@ -558,10 +304,6 @@ inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
 
 inline float dot_f32(const float* a, const float* b, std::size_t n) {
   return dot_f32_scalar(a, b, n);
-}
-inline float fused_dot_f32(const float* kr, const float* ki, const float* xi,
-                           const float* xq, std::size_t n) {
-  return fused_dot_f32_scalar(kr, ki, xi, xq, n);
 }
 inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
   axpy_f32_scalar(n, a, x, y);

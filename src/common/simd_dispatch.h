@@ -1,8 +1,10 @@
-// Runtime-dispatched integer SIMD kernels.
+// Runtime-dispatched SIMD kernels: the float front-end's fused dot
+// products and every integer kernel.
 //
-// The fixed-point datapath (dsp/quantized_frontend, nn/quantized_mlp) runs
-// on a table of integer kernels compiled once per instruction-set tier and
-// picked once, at first use, for the running host:
+// The fused front-ends (dsp/fused_frontend, dsp/quantized_frontend) and
+// the integer heads (nn/quantized_mlp) run on one table of kernels
+// compiled once per instruction-set tier and picked once, at first use,
+// for the running host:
 //
 //   tier           compiled with                      needs
 //   base           the build's own flags (SSE2 on a   nothing beyond the
@@ -18,14 +20,15 @@
 // defines no shared-linkage symbol outside it — so the linker can never
 // hand a wider tier's copy of an inline function to a baseline caller.
 //
-// Every kernel sums integers exactly, so all tiers return bit-identical
-// results (the *_scalar functions below are the reference). Float
-// kernels deliberately stay compile-time (common/simd.h): their vector
-// reassociation differs per width, and a runtime pick would make float
-// labels depend on the host.
+// Every tier returns bit-identical results, so labels do not depend on the
+// host. The integer kernels sum exactly; the float kernels all compute the
+// one evaluation order Kernels::fused_dot_f32 spells out, with every
+// product rounded before its add (the library builds with
+// -ffp-contract=off, so no compiler fuses them into an FMA). The *_scalar
+// functions below are the references.
 //
-// Callers fetch the table once per call (int_kernels()) and make one
-// indirect call per filter row or head output row, never per sample.
+// Callers fetch the table once per call (kernels()) and make one indirect
+// call per filter row or head output row, never per sample.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +37,8 @@
 
 namespace mlqr::simd {
 
-/// CPU features a tier needs beyond the build's baseline (IntKernels::needs).
-enum IntTierNeeds : unsigned {
+/// CPU features a tier needs beyond the build's baseline (Kernels::needs).
+enum TierNeeds : unsigned {
   kNeedsAvx2 = 1u << 0,
   kNeedsAvx512Vnni = 1u << 1,  ///< AVX-512 F, BW, VL and VNNI.
 };
@@ -44,7 +47,17 @@ enum IntTierNeeds : unsigned {
 /// lane_dot_*'s `act` operand and its largest shot count.
 inline constexpr std::size_t kLaneShots = 128;
 
-/// One tier's integer kernels. Contracts (shared by every tier):
+/// One tier's kernels. Contracts (shared by every tier):
+///  - fused_dot_f32: sum_t kr[t]*xi[t] - ki[t]*xq[t] in this float order:
+///    1. while t + 16 <= n: pr[t % 16] += kr[t]*xi[t] and
+///       pi[t % 16] += ki[t]*xq[t] (16 partials per stream, from zero);
+///    2. ar[j] = (pr[j] + pr[4+j]) + (pr[8+j] + pr[12+j]) for j < 4, ai
+///       likewise;
+///    3. while t + 4 <= n: ar[t % 4] += kr[t]*xi[t], ai[t % 4] likewise;
+///    4. d = ar - ai; s = (d[0] + d[2]) + (d[1] + d[3]);
+///    5. for the remaining t: s += kr[t]*xi[t] - ki[t]*xq[t].
+///    fused_dot_f32_scalar is this order written out.
+///  - fused_dot_f32_x4: out[s] = fused_dot_f32(kr, ki, xi[s], xq[s], n).
 ///  - dot_i16 / fused_dot_i16_strip / fused_dot_i16_strip_x4 return exact
 ///    int64 sums of int16 products. The madd pairing needs the first
 ///    (kernel / weight) operand free of -32768; the second may use the full
@@ -62,9 +75,15 @@ inline constexpr std::size_t kLaneShots = 128;
 ///    Weights must not hold the type minimum (the madd pairing again).
 ///    Every act row is read kLaneShots entries wide; acc is written only
 ///    below nb.
-struct IntKernels {
+struct Kernels {
   const char* name;  ///< "sse2", "avx2", "avx512-vnni", "neon", ...
-  unsigned needs;    ///< IntTierNeeds bits the host must have.
+  unsigned needs;    ///< TierNeeds bits the host must have.
+  float (*fused_dot_f32)(const float* kr, const float* ki, const float* xi,
+                         const float* xq, std::size_t n);
+  /// Four trace streams against one kernel row: out[s] for xi[s], xq[s].
+  void (*fused_dot_f32_x4)(const float* kr, const float* ki,
+                           const float* const* xi, const float* const* xq,
+                           std::size_t n, float* out);
   std::int64_t (*dot_i16)(const std::int16_t* a, const std::int16_t* b,
                           std::size_t n);
   std::int64_t (*fused_dot_i16_strip)(const std::int16_t* kr,
@@ -91,36 +110,41 @@ struct IntKernels {
                         std::size_t strip, std::int64_t* acc);
 };
 
-/// The kernels every integer datapath call uses: the widest compiled tier
-/// the host runs, picked on first use (or the tier a live ScopedIntTier
-/// pinned).
-const IntKernels& int_kernels();
+/// The kernels every dispatched call uses: the widest compiled tier the
+/// host runs, picked on first use (or the tier a live ScopedTier pinned).
+const Kernels& kernels();
 
-/// int_kernels().name — the integer tier bench reports record.
-const char* int_tier();
+/// kernels().name — the tier bench reports record.
+const char* tier();
 
 /// Every tier compiled into this build, base tier first.
-std::span<const IntKernels* const> compiled_int_tiers();
+std::span<const Kernels* const> compiled_tiers();
 
 /// Whether the running CPU (and OS register state) can execute `k`.
-bool host_runs(const IntKernels& k);
+bool host_runs(const Kernels& k);
 
-/// Test hook: pins int_kernels() to `k` for this object's lifetime, so
-/// tests can compare tiers through the full datapath. Throws when the host
-/// cannot run `k`. Not for concurrent use with inference on other threads.
-class ScopedIntTier {
+/// Test and measurement hook: pins kernels() to `k` for this object's
+/// lifetime, so tests can compare tiers through the full datapath. Throws
+/// when the host cannot run `k`. Not for concurrent use with inference on
+/// other threads.
+class ScopedTier {
  public:
-  explicit ScopedIntTier(const IntKernels& k);
-  ~ScopedIntTier();
-  ScopedIntTier(const ScopedIntTier&) = delete;
-  ScopedIntTier& operator=(const ScopedIntTier&) = delete;
+  explicit ScopedTier(const Kernels& k);
+  ~ScopedTier();
+  ScopedTier(const ScopedTier&) = delete;
+  ScopedTier& operator=(const ScopedTier&) = delete;
 
  private:
-  const IntKernels* prev_;
+  const Kernels* prev_;
 };
 
-// Exact scalar references for the integer kernels (defined out of line so
-// the tier translation units can call them without emitting copies).
+// Scalar references (defined out of line so the tier translation units can
+// call them without emitting copies).
+
+/// Kernels::fused_dot_f32's evaluation order in plain float arithmetic —
+/// what every tier returns, bit for bit.
+float fused_dot_f32_scalar(const float* kr, const float* ki, const float* xi,
+                           const float* xq, std::size_t n);
 std::int64_t dot_i16_scalar(const std::int16_t* a, const std::int16_t* b,
                             std::size_t n);
 /// sum_t kr[t]*xi[t] - ki[t]*xq[t] with an exact int64 accumulator.

@@ -1,5 +1,6 @@
-// The AVX2 integer tier (compiled with -mavx2; x86 default builds only).
-// See common/simd_int.h; the kernel bodies are common/simd_tier_kernels.inc.
+// The AVX2 kernel tier (compiled with -mavx2; x86 default builds only).
+// See common/simd_dispatch.h; the kernel bodies are
+// common/simd_tier_kernels.inc.
 #define MLQR_SIMD_TIER_NS tier_avx2
 #define MLQR_SIMD_TIER_NEEDS kNeedsAvx2
 #include "common/simd_tier_kernels.inc"

@@ -84,11 +84,13 @@ void FusedFrontend::features_into(const IqTrace& trace,
   MLQR_CHECK_MSG(trace.size() >= n_samples_,
                  "trace shorter than front-end window: "
                      << trace.size() << " < " << n_samples_);
+  const simd::Kernels& k = simd::kernels();
   const float* xi = trace.i.data();
   const float* xq = trace.q.data();
   scratch.features.resize(n_filters());
   for (std::size_t f = 0; f < n_filters(); ++f) {
-    const float acc = table_.accumulate(f, xi, xq);
+    const float acc =
+        k.fused_dot_f32(table_.row_r(f), table_.row_i(f), xi, xq, n_samples_);
     const float z = acc * scale_[f] + offset_[f];
     scratch.features[f] = std::clamp(z, -kMaxAbsFeatureZ, kMaxAbsFeatureZ);
   }
@@ -107,22 +109,35 @@ void FusedFrontend::features_block_into(std::size_t block,
   // larger blocks evict the traces and re-stream them per filter, which
   // merely trades table traffic for trace traffic.
   constexpr std::size_t kShotBlock = 4;
+  const simd::Kernels& k = simd::kernels();
   for (std::size_t b0 = 0; b0 < block; b0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, block - b0);
+    const float* xi[kShotBlock];
+    const float* xq[kShotBlock];
     for (std::size_t s = 0; s < nb; ++s) {
       const IqTrace& trace = *traces[b0 + s];
       trace.check_consistent();
       MLQR_CHECK_MSG(trace.size() >= n_samples_,
                      "trace shorter than front-end window: "
                          << trace.size() << " < " << n_samples_);
+      xi[s] = trace.i.data();
+      xq[s] = trace.q.data();
     }
     for (std::size_t f = 0; f < n_filters(); ++f) {
+      // A full block scores its four shots in one kernel-row pass; every
+      // tier computes each score in features_into's order, so the values
+      // — and the affine chain below — are bit-identical to it.
+      const float* kr = table_.row_r(f);
+      const float* ki = table_.row_i(f);
+      float accs[kShotBlock];
+      if (nb == kShotBlock) {
+        k.fused_dot_f32_x4(kr, ki, xi, xq, n_samples_, accs);
+      } else {
+        for (std::size_t s = 0; s < nb; ++s)
+          accs[s] = k.fused_dot_f32(kr, ki, xi[s], xq[s], n_samples_);
+      }
       for (std::size_t s = 0; s < nb; ++s) {
-        const IqTrace& trace = *traces[b0 + s];
-        // Identical per-(filter, shot) chain to features_into.
-        const float acc =
-            table_.accumulate(f, trace.i.data(), trace.q.data());
-        const float z = acc * scale_[f] + offset_[f];
+        const float z = accs[s] * scale_[f] + offset_[f];
         out[(b0 + s) * out_stride + f] =
             std::clamp(z, -kMaxAbsFeatureZ, kMaxAbsFeatureZ);
       }

@@ -10,17 +10,20 @@
 // R_{q,f}(t) = K_f(t) * lo_q(t), turns the whole front-end into
 //     score_f = sum_t [ Re R(t) * I(t) - Im R(t) * Q(t) ]
 // — one pass over the raw float trace per filter, float SIMD throughout
-// (simd::fused_dot_f32), no intermediate baseband buffer at all. The
-// per-filter MF bias and the feature normalizer's (x - mean)/std fold
-// into one trailing affine map, clamped at the shared winsorization bound
-// exactly like FeatureNormalizer::apply.
+// (simd::kernels().fused_dot_f32*, picked per host at runtime), no
+// intermediate baseband buffer at all. The per-filter MF bias and the
+// feature normalizer's (x - mean)/std fold into one trailing affine map,
+// clamped at the shared winsorization bound exactly like
+// FeatureNormalizer::apply.
 //
 // Numerics: kernels are rotated in double then stored as float, the
-// accumulation runs in float vector lanes, and the LO comes from the
-// exact polar form rather than the demodulator's resync'd recurrence —
-// features therefore differ from the reference path by normal float
-// rounding (tests pin the parity with a small tolerance; the reference
-// path stays available as ProposedDiscriminator::features_into_reference).
+// accumulation runs in float vector lanes in the one order every SIMD
+// tier shares (so features do not depend on the host), and the LO comes
+// from the exact polar form rather than the demodulator's resync'd
+// recurrence — features therefore differ from the reference path by
+// normal float rounding (tests pin the parity with a small tolerance; the
+// reference path stays available as
+// ProposedDiscriminator::features_into_reference).
 #pragma once
 
 #include <cstddef>
@@ -55,11 +58,11 @@ class FusedFrontend {
   void features_into(const IqTrace& trace, InferenceScratch& scratch) const;
 
   /// Feature extraction for `block` traces at once, writing shot s's
-  /// features to out[s * out_stride + f]. Per (filter, shot) this runs
-  /// the identical accumulate + affine chain of features_into — only the
-  /// loop order differs — so the values are bit-identical. The win is
-  /// cache reuse: the pre-rotated kernel table (n_filters x n_samples x 2
-  /// rows) streams once per small shot block instead of once per shot.
+  /// features to out[s * out_stride + f]. Per (filter, shot) this computes
+  /// the score in features_into's order and runs the same affine chain,
+  /// so the values are bit-identical. The win is reuse: each kernel row
+  /// loads once per four shots (fused_dot_f32_x4), and the whole table
+  /// streams once per four-shot block instead of once per shot.
   void features_block_into(std::size_t block, const IqTrace* const* traces,
                            float* out, std::size_t out_stride) const;
 

@@ -4,16 +4,15 @@
 //
 // Both front-ends hold the same thing: an SoA pair of filter-major rows
 // (Re R and Im R of every kernel pre-rotated by its qubit's LO) streamed
-// by a fused dot product per filter. Only the sample type differs — float
-// rows driven by simd::fused_dot_f32 (accumulate()) versus int16 code rows
-// with the madd-safety invariant (no -2^15 code) and an overflow-safe
-// widening strip, driven by the runtime-picked integer kernels
-// (simd::int_kernels().fused_dot_i16_strip*, which the integer front-end
-// calls itself with strip()). FusedSampleTraits captures exactly those
-// differences; FusedKernelTable is everything else, written once (both
-// integer head widths share the int16 front-end, so there is no int8
-// table). Serialization delegates to the same write_vec_* calls the
-// front-ends used directly — the on-disk byte layout is unchanged.
+// by a fused dot product per filter, from the runtime-picked kernel table
+// (simd::kernels().fused_dot_f32* for float rows, fused_dot_i16_strip*
+// for int16 code rows). Only the sample type differs: int16 rows carry the
+// madd-safety invariant (no -2^15 code) and an overflow-safe widening
+// strip. FusedSampleTraits captures exactly those differences;
+// FusedKernelTable is everything else, written once (both integer head
+// widths share the int16 front-end, so there is no int8 table).
+// Serialization delegates to the same write_vec_* calls the front-ends
+// used directly — the on-disk byte layout is unchanged.
 #pragma once
 
 #include <algorithm>
@@ -23,25 +22,16 @@
 
 #include "common/error.h"
 #include "common/serialize.h"
-#include "common/simd.h"
 
 namespace mlqr {
 
-/// The per-sample-type policy: accumulator width, the widening strip, row
-/// (de)serialization, the load-time code validation, and (float) the SIMD
-/// fused dot product.
+/// The per-sample-type policy: the widening strip, row (de)serialization
+/// and the load-time code validation.
 template <typename Sample>
 struct FusedSampleTraits;
 
 template <>
 struct FusedSampleTraits<float> {
-  using Accum = float;
-
-  static Accum fused_dot(const float* kr, const float* ki, const float* xi,
-                         const float* xq, std::size_t n,
-                         std::size_t /*strip*/) {
-    return simd::fused_dot_f32(kr, ki, xi, xq, n);
-  }
   /// Float accumulation has no overflow notion; strip is unused.
   static std::size_t compute_strip(const std::vector<float>&,
                                    const std::vector<float>&) {
@@ -60,8 +50,6 @@ struct FusedSampleTraits<float> {
 
 template <>
 struct FusedSampleTraits<std::int16_t> {
-  using Accum = std::int64_t;
-
   /// Largest strip (madd blocks accumulated per int32 lane before the
   /// int64 flush) the kernel-code magnitudes provably cannot overflow:
   /// strip * 2 * max|code| * 2^15 <= 2^31 - 1, trace codes assumed
@@ -105,7 +93,6 @@ template <typename Sample>
 class FusedKernelTable {
  public:
   using Traits = FusedSampleTraits<Sample>;
-  using Accum = typename Traits::Accum;
 
   FusedKernelTable() = default;
 
@@ -126,13 +113,6 @@ class FusedKernelTable {
   }
   const Sample* row_i(std::size_t f) const {
     return ki_.data() + f * n_samples_;
-  }
-
-  /// Filter f's fused score over the raw sample streams:
-  /// sum_t [ Re R(t) * xi(t) - Im R(t) * xq(t) ] (float rows; the integer
-  /// front-end drives its rows through simd::int_kernels() with strip()).
-  Accum accumulate(std::size_t f, const Sample* xi, const Sample* xq) const {
-    return Traits::fused_dot(row_r(f), row_i(f), xi, xq, n_samples_, strip_);
   }
 
   /// The overflow-safe widening strip (see finalize_strip()).

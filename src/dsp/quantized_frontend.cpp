@@ -160,7 +160,7 @@ void QuantizedFrontend::features_into(const IqTrace& trace,
   // fesetround-immunity contract holds on both paths.
   scratch.int_trace_i.resize(n);
   scratch.int_trace_q.resize(n);
-  const simd::IntKernels& k = simd::int_kernels();
+  const simd::Kernels& k = simd::kernels();
   const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
   const auto lo_code = static_cast<std::int32_t>(trace_fmt_.min_code());
   const auto hi_code = static_cast<std::int32_t>(trace_fmt_.max_code());
@@ -204,7 +204,7 @@ void QuantizedFrontend::features_block_into(std::size_t block,
   constexpr std::size_t kShotBlock = 8;
   scratch.block_trace_i.resize(kShotBlock * n);
   scratch.block_trace_q.resize(kShotBlock * n);
-  const simd::IntKernels& k = simd::int_kernels();
+  const simd::Kernels& k = simd::kernels();
   const std::size_t strip = table_.strip();
   const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
   const auto lo_code = static_cast<std::int32_t>(trace_fmt_.min_code());

@@ -25,20 +25,20 @@ int int_bits_for(double bound) {
 /// Each width's SIMD kernels: the exact sum_i w[i] * a[i] over the stored
 /// activation operands (biased at int8; the caller adds corr), per shot
 /// (dot_codes) and across a transposed shot block (lane_dot_codes).
-std::int64_t dot_codes(const simd::IntKernels& k, const std::int16_t* w,
+std::int64_t dot_codes(const simd::Kernels& k, const std::int16_t* w,
                        const std::int16_t* a, std::size_t n) {
   return k.dot_i16(w, a, n);
 }
-std::int64_t dot_codes(const simd::IntKernels& k, const std::int8_t* w,
+std::int64_t dot_codes(const simd::Kernels& k, const std::int8_t* w,
                        const std::uint8_t* a, std::size_t n) {
   return k.dot_u8i8(a, w, n);
 }
-void lane_dot_codes(const simd::IntKernels& k, const std::int16_t* w,
+void lane_dot_codes(const simd::Kernels& k, const std::int16_t* w,
                     std::size_t in, const std::int16_t* act, std::size_t nb,
                     std::size_t strip, std::int64_t* acc) {
   k.lane_dot_i16(w, in, act, nb, strip, acc);
 }
-void lane_dot_codes(const simd::IntKernels& k, const std::int8_t* w,
+void lane_dot_codes(const simd::Kernels& k, const std::int8_t* w,
                     std::size_t in, const std::uint8_t* act, std::size_t nb,
                     std::size_t strip, std::int64_t* acc) {
   k.lane_dot_u8i8(w, in, act, nb, strip, acc);
@@ -290,7 +290,7 @@ void QuantizedMlpOf<Code>::logits_into(std::span<const std::int32_t> x,
   act_a.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i)
     act_a[i] = static_cast<Act>(x[i] + Traits::kActBias);
-  const simd::IntKernels& k = simd::int_kernels();
+  const simd::Kernels& k = simd::kernels();
   std::vector<Act>* cur = &act_a;
   std::vector<Act>* next = &act_b;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -361,7 +361,7 @@ void QuantizedMlpOf<Code>::classify_batch_into(
   act_a.resize(max_dim * kShotBlock);
   act_b.resize(max_dim * kShotBlock);
   logits.resize(out_dim * kShotBlock);
-  const simd::IntKernels& k = simd::int_kernels();
+  const simd::Kernels& k = simd::kernels();
 
   for (std::size_t s0 = 0; s0 < batch; s0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, batch - s0);

@@ -12,7 +12,7 @@
 //
 // Two code widths run that one chain (QuantizedCodeTraits):
 //   int16 — int16 weight and activation codes on the dot_i16 /
-//           lane_dot_i16 kernels (common/simd_int.h's IntKernels table),
+//           lane_dot_i16 kernels (common/simd_dispatch.h's Kernels table),
 //           exact int64 accumulators and logits;
 //   int8  — the W=8 point of the paper's quantization ablation: int8
 //           weights on the dot_u8i8 / lane_dot_u8i8 kernels and int32
@@ -55,7 +55,7 @@ struct QuantizedCodeTraits<std::int16_t> {
   using Logit = std::int64_t;
   static constexpr int kMaxAccumBits = 63;
   static constexpr std::int32_t kActBias = 0;
-  /// The int16 kernels (IntKernels::dot_i16 / lane_dot_i16) accumulate
+  /// The int16 kernels (Kernels::dot_i16 / lane_dot_i16) accumulate
   /// in int64: no width bound.
   static constexpr std::size_t kMaxLayerWidth =
       std::numeric_limits<std::size_t>::max();
@@ -67,7 +67,7 @@ struct QuantizedCodeTraits<std::int8_t> {
   using Logit = std::int32_t;  ///< accum_bits <= 31 fits every logit and bias.
   static constexpr int kMaxAccumBits = 31;
   static constexpr std::int32_t kActBias = 128;
-  /// IntKernels::dot_u8i8's int32 sum is exact while n * 255 * 128 < 2^31.
+  /// Kernels::dot_u8i8's int32 sum is exact while n * 255 * 128 < 2^31.
   static constexpr std::size_t kMaxLayerWidth = std::size_t{1} << 15;
 };
 

@@ -1,7 +1,10 @@
 // The integer datapath's contract: at W=16 it tracks the float path's
 // fidelity within 0.5% absolute, its labels are bit-identical across batch
 // sizes and thread counts through ReadoutEngine, and its calibrated
-// formats — not assumed widths — feed the FPGA resource model.
+// formats — not assumed widths — feed the FPGA resource model. On the
+// same fixture, the float, int16 and int8 labels are identical on every
+// SIMD tier, and the float features and labels match a checksum pinned
+// from the default build.
 #include "discrim/quantized_proposed.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +12,9 @@
 #include <algorithm>
 #include <cfenv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 
 #include "common/error.h"
 #include "common/simd.h"
@@ -109,41 +114,109 @@ TEST(QuantizedInference, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.labels, b.labels);
 }
 
-TEST(QuantizedInference, LabelsIdenticalOnEveryIntegerTier) {
-  // The integer kernels are picked at runtime; exact sums make every tier
-  // an implementation detail. Pin the base tier and compare it with the
-  // dispatched one through the whole int16 and int8 backends, at batch
-  // sizes on both sides of the per-shot / batched switch, the front-end's
-  // four-shot and eight-shot blocks, and the head's 128-shot lane block.
+TEST(QuantizedInference, LabelsIdenticalOnEveryTier) {
+  // The SIMD kernels are picked at runtime; exact integer sums and the one
+  // float evaluation order make every tier an implementation detail. Pin
+  // the base tier and compare it with the dispatched one through the whole
+  // float, int16 and int8 backends — per shot, and batched at sizes on
+  // both sides of the per-shot / batched switch, the front-ends' four-shot
+  // blocks and their remainders, and the head's 128-shot lane block.
   const Fixture& fx = Fixture::get();
   const Quantized8ProposedDiscriminator int8 =
       Quantized8ProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
                                                 fx.ds.train_idx);
-  const simd::IntKernels& base = *simd::compiled_int_tiers().front();
-  const simd::IntKernels& dispatched = simd::int_kernels();
+  const simd::Kernels& base = *simd::compiled_tiers().front();
+  const simd::Kernels& dispatched = simd::kernels();
   EngineConfig serial;
   serial.threads = 1;
+  ReadoutEngine float_engine(make_backend(fx.proposed), serial);
   ReadoutEngine int16_engine(make_backend(fx.quantized), serial);
   ReadoutEngine int8_engine(make_backend(int8), serial);
+  const struct {
+    const char* width;
+    ReadoutEngine* engine;
+    std::function<std::vector<int>(const IqTrace&)> classify;
+  } kBackends[] = {
+      {"float", &float_engine,
+       [&](const IqTrace& t) { return classify_one(fx.proposed, t); }},
+      {"int16", &int16_engine,
+       [&](const IqTrace& t) { return classify_one(fx.quantized, t); }},
+      {"int8", &int8_engine,
+       [&](const IqTrace& t) { return classify_one(int8, t); }},
+  };
   // The fixture holds fewer than 1024 shots; cycle through them.
   std::vector<IqTrace> traces;
   for (std::size_t s = 0; s < 1024; ++s)
     traces.push_back(fx.ds.shots.traces[s % fx.ds.shots.traces.size()]);
+  const auto per_shot = [&](const auto& backend) {
+    std::vector<int> labels;
+    for (const IqTrace& t : traces) {
+      const std::vector<int> one = backend.classify(t);
+      labels.insert(labels.end(), one.begin(), one.end());
+    }
+    return labels;
+  };
+  for (const auto& backend : kBackends) {
+    std::vector<int> base_labels;
+    {
+      simd::ScopedTier pin(base);
+      base_labels = per_shot(backend);
+    }
+    ASSERT_EQ(&simd::kernels(), &dispatched);
+    EXPECT_EQ(per_shot(backend), base_labels)
+        << backend.width << " per shot: " << base.name << " vs "
+        << dispatched.name;
+  }
   for (const std::size_t n : {1, 3, 4, 5, 8, 127, 128, 129, 1024}) {
     const std::span<const IqTrace> batch(traces.data(), n);
-    for (ReadoutEngine* engine : {&int16_engine, &int8_engine}) {
-      const char* width = engine == &int16_engine ? "int16" : "int8";
+    for (const auto& backend : kBackends) {
       std::vector<int> base_labels;
       {
-        simd::ScopedIntTier pin(base);
-        base_labels = engine->process_batch(batch).labels;
+        simd::ScopedTier pin(base);
+        base_labels = backend.engine->process_batch(batch).labels;
       }
-      ASSERT_EQ(&simd::int_kernels(), &dispatched);
-      EXPECT_EQ(engine->process_batch(batch).labels, base_labels)
-          << width << " batch " << n << ": " << base.name
-          << " vs " << dispatched.name;
+      ASSERT_EQ(&simd::kernels(), &dispatched);
+      EXPECT_EQ(backend.engine->process_batch(batch).labels, base_labels)
+          << backend.width << " batch " << n << ": " << base.name << " vs "
+          << dispatched.name;
     }
   }
+}
+
+/// 64-bit FNV-1a over `bytes`, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* bytes, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+
+TEST(FloatDatapath, ChecksumMatchesTheDefaultBuild) {
+  // The float features and labels of the shared fixture, hashed bit for
+  // bit and pinned to the value a default x86-64 Release build computes.
+  // Every SIMD tier and every -march (MLQR_NATIVE included) must reproduce
+  // it: the dispatched front-end kernels share one evaluation order, the
+  // compile-time head kernels run at 128 bits everywhere on x86, and the
+  // build forbids FMA contraction. Other architectures order the head's
+  // float sums differently, so the pin holds on x86-64 only.
+#if !defined(__x86_64__) && !defined(_M_X64)
+  GTEST_SKIP() << "pinned on x86-64";
+#endif
+  const Fixture& fx = Fixture::get();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  InferenceScratch scratch;
+  std::vector<int> labels(fx.proposed.num_qubits());
+  for (const IqTrace& trace : fx.ds.shots.traces) {
+    fx.proposed.features_into(trace, scratch);
+    h = fnv1a(h, scratch.features.data(),
+              scratch.features.size() * sizeof(float));
+    fx.proposed.classify_into(trace, scratch, labels);
+    h = fnv1a(h, labels.data(), labels.size() * sizeof(int));
+  }
+  ReadoutEngine engine(make_backend(fx.proposed));
+  const EngineBatch batch = engine.process_batch(fx.ds.shots.traces);
+  h = fnv1a(h, batch.labels.data(), batch.labels.size() * sizeof(int));
+  EXPECT_EQ(h, 0xb97f9723671545bcull)
+      << std::hex << "checksum 0x" << h << " on tier " << simd::tier();
 }
 
 TEST(QuantizedInference, EngineMatchesPerShotClassify) {

@@ -1,17 +1,20 @@
-// SIMD-vs-scalar parity for common/simd.h and common/simd_int.h — the
-// contract the inference rewrite rests on: integer kernels are bit-exact
-// against the scalar twins (exact int64 accumulators survive any vector
-// reassociation) on every compiled tier the host can run, float kernels
-// stay within a small relative error of a double-precision reference, and
-// the trace-code quantizer matches to_code()'s round-half-even semantics
-// bit for bit. The scalar twins are compiled on every platform, so this
-// suite exercises both sides of the dispatch regardless of the build's
-// tier; tiers the host cannot run are skipped, not failed.
+// SIMD-vs-scalar parity for common/simd.h and common/simd_dispatch.h —
+// the contract the inference rewrite rests on. On every compiled tier the
+// host can run: integer kernels are bit-exact against the scalar twins
+// (exact int64 accumulators survive any vector reassociation), the float
+// front-end kernels return the base tier's and the scalar reference's
+// float bit for bit (one fixed evaluation order), and the trace-code
+// quantizer matches to_code()'s round-half-even semantics bit for bit.
+// The compile-time float head kernels stay within a small relative error
+// of a double-precision reference. The scalar twins are compiled on every
+// platform, so this suite exercises both sides of the dispatch regardless
+// of the build's tier; tiers the host cannot run are skipped, not failed.
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cfenv>
 #include <cmath>
 #include <cstdio>
@@ -52,29 +55,30 @@ bool known_tier(const std::string& t) {
 
 TEST(Simd, TierIsKnown) {
   EXPECT_TRUE(known_tier(simd::tier())) << simd::tier();
-  for (const simd::IntKernels* k : simd::compiled_int_tiers())
+  for (const simd::Kernels* k : simd::compiled_tiers())
     EXPECT_TRUE(known_tier(k->name)) << k->name;
 }
 
 TEST(Simd, DispatchPicksTheWidestTierTheHostRuns) {
-  const auto tiers = simd::compiled_int_tiers();
+  const auto tiers = simd::compiled_tiers();
   ASSERT_FALSE(tiers.empty());
   EXPECT_EQ(tiers.front()->needs, 0u) << "the base tier must run anywhere";
-  const simd::IntKernels* best = tiers.front();
-  for (const simd::IntKernels* k : tiers)
+  const simd::Kernels* best = tiers.front();
+  for (const simd::Kernels* k : tiers)
     if (simd::host_runs(*k)) best = k;
-  EXPECT_EQ(&simd::int_kernels(), best);
-  EXPECT_STREQ(simd::int_tier(), best->name);
+  EXPECT_EQ(&simd::kernels(), best);
+  EXPECT_STREQ(simd::tier(), best->name);
 }
 
-TEST(Simd, ScopedIntTierPinsAndRestores) {
-  const simd::IntKernels& before = simd::int_kernels();
-  const simd::IntKernels& base = *simd::compiled_int_tiers().front();
+TEST(Simd, ScopedTierPinsAndRestores) {
+  const simd::Kernels& before = simd::kernels();
+  const simd::Kernels& base = *simd::compiled_tiers().front();
   {
-    simd::ScopedIntTier pin(base);
-    EXPECT_EQ(&simd::int_kernels(), &base);
+    simd::ScopedTier pin(base);
+    EXPECT_EQ(&simd::kernels(), &base);
+    EXPECT_STREQ(simd::tier(), base.name);
   }
-  EXPECT_EQ(&simd::int_kernels(), &before);
+  EXPECT_EQ(&simd::kernels(), &before);
 }
 
 #if defined(MLQR_LIBRARY_FILE)
@@ -130,34 +134,37 @@ TEST(Simd, TierObjectsDefineNoSharedSymbolsOutsideTheirNamespace) {
   }
   const int status = pclose(pipe);
   if (status != 0 && tier_objects == 0) GTEST_SKIP() << "nm unavailable";
-  EXPECT_EQ(tier_objects, simd::compiled_int_tiers().size());
+  EXPECT_EQ(tier_objects, simd::compiled_tiers().size());
   EXPECT_EQ(tier_symbols, tier_objects) << "one kernel table per tier";
 }
 #endif
 
-/// Runs an integer case once per compiled tier; tiers the host cannot run
+/// Runs a kernel case once per compiled tier; tiers the host cannot run
 /// are skipped.
-class SimdInt : public ::testing::TestWithParam<const simd::IntKernels*> {
+class SimdTier : public ::testing::TestWithParam<const simd::Kernels*> {
  protected:
   void SetUp() override {
     if (!simd::host_runs(k()))
       GTEST_SKIP() << "host lacks the " << k().name << " instructions";
   }
-  const simd::IntKernels& k() const { return *GetParam(); }
+  const simd::Kernels& k() const { return *GetParam(); }
+  static const simd::Kernels& base() {
+    return *simd::compiled_tiers().front();
+  }
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Tiers, SimdInt,
-    ::testing::ValuesIn(simd::compiled_int_tiers().begin(),
-                        simd::compiled_int_tiers().end()),
-    [](const ::testing::TestParamInfo<const simd::IntKernels*>& info) {
+    Tiers, SimdTier,
+    ::testing::ValuesIn(simd::compiled_tiers().begin(),
+                        simd::compiled_tiers().end()),
+    [](const ::testing::TestParamInfo<const simd::Kernels*>& info) {
       std::string name = std::to_string(info.index) + "_" + info.param->name;
       for (char& c : name)
         if (c == '-') c = '_';
       return name;
     });
 
-TEST_P(SimdInt, DotI16BitExact) {
+TEST_P(SimdTier, DotI16BitExact) {
   Rng rng(11);
   for (std::size_t n : kLengths) {
     // `a` models kernel/weight codes: fit_format keeps them off -2^15.
@@ -169,7 +176,7 @@ TEST_P(SimdInt, DotI16BitExact) {
   }
 }
 
-TEST_P(SimdInt, DotI16ExtremeOperandsBitExact) {
+TEST_P(SimdTier, DotI16ExtremeOperandsBitExact) {
   // Worst case the contract admits: every product is 32767 * -32768 — the
   // most negative reachable madd pair sums, across a length long enough
   // that int32 lane accumulation (if any crept in) would wrap.
@@ -185,7 +192,7 @@ TEST_P(SimdInt, DotI16ExtremeOperandsBitExact) {
             static_cast<std::int64_t>(n) * (32767LL * 32768LL));
 }
 
-TEST_P(SimdInt, FusedDotI16BitExact) {
+TEST_P(SimdTier, FusedDotI16BitExact) {
   Rng rng(12);
   for (std::size_t n : kLengths) {
     const std::vector<std::int16_t> kr = random_codes(rng, n, -32767, 32767);
@@ -200,7 +207,7 @@ TEST_P(SimdInt, FusedDotI16BitExact) {
   }
 }
 
-TEST_P(SimdInt, FusedDotI16StripBitExact) {
+TEST_P(SimdTier, FusedDotI16StripBitExact) {
   // The strip-mined widening must be bit-identical to the scalar loop for
   // every strip the caller contract admits: kernel codes bounded by
   // max_abs, strip * 2 * max_abs * 2^15 <= 2^31 - 1. Cover narrow codes
@@ -229,7 +236,7 @@ TEST_P(SimdInt, FusedDotI16StripBitExact) {
   }
 }
 
-TEST_P(SimdInt, FusedDotI16StripExtremeOperandsBitExact) {
+TEST_P(SimdTier, FusedDotI16StripExtremeOperandsBitExact) {
   // Saturate the strip bound exactly: max_abs = 2047 admits strip 16
   // (16 * 2 * 2047 * 32768 = 2146435072 <= 2^31 - 1). Every product at
   // the extreme corner so any premature int32 wrap would show.
@@ -264,7 +271,7 @@ TEST_P(SimdInt, FusedDotI16StripExtremeOperandsBitExact) {
   for (int s = 0; s < 4; ++s) EXPECT_EQ(out[s], wide) << "x4 strip 1";
 }
 
-TEST_P(SimdInt, FusedDotI16StripX4BitExact) {
+TEST_P(SimdTier, FusedDotI16StripX4BitExact) {
   // The four-stream kernel must emit exactly what four scalar calls emit,
   // for deep strips, the shallowest paired strip (2), the full-range
   // direct-widening schedule (strip 0 / 1), and full-range trace codes.
@@ -300,7 +307,82 @@ TEST_P(SimdInt, FusedDotI16StripX4BitExact) {
   }
 }
 
-TEST_P(SimdInt, DotU8I8BitExact) {
+/// Floats whose magnitudes span 10^-3 .. 10^3 around `scale`: partial sums
+/// of such terms round differently under any other grouping.
+std::vector<float> mixed_floats(Rng& rng, std::size_t n, double scale) {
+  std::vector<float> v(n);
+  for (float& x : v)
+    x = static_cast<float>(scale * rng.normal() *
+                           std::pow(10.0, 6.0 * rng.uniform() - 3.0));
+  return v;
+}
+
+std::uint32_t float_bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+/// kLengths plus lengths on both sides of the 16-sample block, the 4-sample
+/// block and the scalar tail of the float order, and a long row.
+std::vector<std::size_t> float_lengths() {
+  std::vector<std::size_t> n(std::begin(kLengths), std::end(kLengths));
+  n.insert(n.end(), {19, 20, 35, 499, 501, 1100});
+  return n;
+}
+
+TEST_P(SimdTier, FusedDotF32BitIdenticalToBaseTier) {
+  // Every tier computes one evaluation order, so the float must match the
+  // base tier (and the scalar reference that spells the order out) bit for
+  // bit — not within a relative error. Kernels at two scales against
+  // traces of mixed magnitude make any regrouping of the sum visible.
+  Rng rng(24);
+  for (const double kernel_scale : {1e3, 1e-2}) {
+    for (const std::size_t n : float_lengths()) {
+      const std::vector<float> kr = mixed_floats(rng, n, kernel_scale);
+      const std::vector<float> ki = mixed_floats(rng, n, kernel_scale);
+      const std::vector<float> xi = mixed_floats(rng, n, 1.0);
+      const std::vector<float> xq = mixed_floats(rng, n, 1.0);
+      const float got =
+          k().fused_dot_f32(kr.data(), ki.data(), xi.data(), xq.data(), n);
+      EXPECT_EQ(float_bits(got),
+                float_bits(base().fused_dot_f32(kr.data(), ki.data(),
+                                                xi.data(), xq.data(), n)))
+          << "n=" << n << " kernel scale " << kernel_scale << " vs "
+          << base().name;
+      EXPECT_EQ(float_bits(got),
+                float_bits(simd::fused_dot_f32_scalar(kr.data(), ki.data(),
+                                                      xi.data(), xq.data(), n)))
+          << "n=" << n << " kernel scale " << kernel_scale << " vs scalar";
+    }
+  }
+}
+
+TEST_P(SimdTier, FusedDotF32X4MatchesSingleCalls) {
+  // Four trace streams against one kernel row: each output is exactly the
+  // single-stream kernel's float.
+  Rng rng(25);
+  for (const double kernel_scale : {1e3, 1e-2}) {
+    for (const std::size_t n : float_lengths()) {
+      const std::vector<float> kr = mixed_floats(rng, n, kernel_scale);
+      const std::vector<float> ki = mixed_floats(rng, n, kernel_scale);
+      std::vector<float> xi[4], xq[4];
+      const float* xi_ptr[4];
+      const float* xq_ptr[4];
+      for (int s = 0; s < 4; ++s) {
+        xi[s] = mixed_floats(rng, n, 1.0);
+        xq[s] = mixed_floats(rng, n, 1.0);
+        xi_ptr[s] = xi[s].data();
+        xq_ptr[s] = xq[s].data();
+      }
+      float out[4];
+      k().fused_dot_f32_x4(kr.data(), ki.data(), xi_ptr, xq_ptr, n, out);
+      for (int s = 0; s < 4; ++s)
+        EXPECT_EQ(float_bits(out[s]),
+                  float_bits(k().fused_dot_f32(kr.data(), ki.data(), xi_ptr[s],
+                                               xq_ptr[s], n)))
+            << "n=" << n << " s=" << s << " kernel scale " << kernel_scale;
+    }
+  }
+}
+
+TEST_P(SimdTier, DotU8I8BitExact) {
   Rng rng(15);
   for (std::size_t n : kLengths) {
     std::vector<std::uint8_t> u(n);
@@ -315,7 +397,7 @@ TEST_P(SimdInt, DotU8I8BitExact) {
   }
 }
 
-TEST_P(SimdInt, DotU8I8ExtremeOperandsBitExact) {
+TEST_P(SimdTier, DotU8I8ExtremeOperandsBitExact) {
   // Worst cases the int8 datapath admits: u = 255 against w = -128 / 127,
   // long enough that a saturating maddubs-style intermediate (the AVX2
   // trap) or int16 lane accumulation would diverge from the exact sum.
@@ -351,7 +433,7 @@ std::vector<std::int64_t> lane_reference(const std::vector<W>& w,
   return ref;
 }
 
-TEST_P(SimdInt, LaneDotMatchesReference) {
+TEST_P(SimdTier, LaneDotMatchesReference) {
   // One head output row across a transposed shot block, at the strips the
   // head certifies: 1 at full-range int16 (direct widening), several per
   // row on narrower grids, one covering the row at int8 — for layer widths
@@ -394,7 +476,7 @@ TEST_P(SimdInt, LaneDotMatchesReference) {
   }
 }
 
-TEST_P(SimdInt, LaneDotExtremeOperandsBitExact) {
+TEST_P(SimdTier, LaneDotExtremeOperandsBitExact) {
   // Every product at the int16 corner (32767 * -32768): two of them already
   // leave int32, so strip 1 must widen each one.
   const std::size_t S = simd::kLaneShots;
@@ -470,7 +552,8 @@ TEST(Simd, FusedDotF32WithinRelativeError) {
                  std::abs(static_cast<double>(ki[t]) * xq[t]);
     }
     const double tol = 1e-5 * abs_sum;
-    EXPECT_NEAR(simd::fused_dot_f32(kr.data(), ki.data(), xi.data(), xq.data(), n),
+    EXPECT_NEAR(simd::kernels().fused_dot_f32(kr.data(), ki.data(), xi.data(),
+                                              xq.data(), n),
                 ref, tol)
         << "n=" << n;
     EXPECT_NEAR(simd::fused_dot_f32_scalar(kr.data(), ki.data(), xi.data(),
@@ -528,7 +611,7 @@ TEST(Simd, Dot4MatchesSingleDots) {
   }
 }
 
-TEST_P(SimdInt, QuantizeCodesMatchesToCode) {
+TEST_P(SimdTier, QuantizeCodesMatchesToCode) {
   // The vector quantizer must reproduce to_code()'s round-half-even and
   // saturation exactly (under the default FP environment, which the
   // caller guards). Mix normal values, halfway ties and out-of-range

@@ -33,8 +33,8 @@ Six checks, all cheap enough for every CI run and every pre-commit:
   5. isa-dispatch: CPU-feature probes (`__builtin_cpu_supports`),
      per-function ISA overrides (`__attribute__((target...` /
      `[[gnu::target...`) and the AVX umbrella headers (`<immintrin.h>`,
-     `<x86intrin.h>`) appear only in src/common/simd* — the float kernels
-     and the runtime-dispatched integer tiers (src/common/simd_tier_*),
+     `<x86intrin.h>`) appear only in src/common/simd* — the compile-time
+     head kernels and the runtime-dispatched tiers (src/common/simd_tier_*),
      whose objects are checked to export nothing outside their own
      namespace. Anywhere else, wider instructions would reach code no
      dispatch guards, and an inline function compiled with them could be
@@ -323,9 +323,9 @@ def check_isa_dispatch(root: pathlib.Path) -> list[str]:
                     if pattern.search(line):
                         errors.append(
                             f"{rel}:{lineno}: {label} outside "
-                            f"src/common/simd* — put wide-ISA code in an "
-                            f"integer tier (src/common/simd_tier_kernels.inc)"
-                            f" or a float kernel in src/common/simd.h"
+                            f"src/common/simd* — put wide-ISA code in a "
+                            f"dispatched tier "
+                            f"(src/common/simd_tier_kernels.inc)"
                         )
     return errors
 
