@@ -1,6 +1,7 @@
 // Tier selection (common/simd_dispatch.h) and the scalar references the
 // tiers fall back on. Compiled at the build's baseline flags: the CPU
 // probe must run on any host the binary starts on.
+#include <algorithm>
 #include <atomic>
 
 #include "common/error.h"
@@ -41,6 +42,7 @@ unsigned host_features() {
   if (__builtin_cpu_supports("avx2")) have |= kNeedsAvx2;
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") &&
       __builtin_cpu_supports("avx512vl") &&
       __builtin_cpu_supports("avx512vnni"))
     have |= kNeedsAvx512Vnni;
@@ -152,6 +154,62 @@ void quantize_codes_i16_scalar(const float* x, std::size_t n, double scale,
                                                    : r;
     out[i] = static_cast<std::int16_t>(c);
   }
+}
+
+void requant_features_scalar(const std::int64_t* acc, std::size_t n,
+                             const double* scale, const double* offset,
+                             double z_bound, double code_scale,
+                             std::int32_t lo, std::int32_t hi,
+                             std::int32_t* out) {
+  for (std::size_t f = 0; f < n; ++f) {
+    const double z = std::clamp(
+        static_cast<double>(acc[f]) * scale[f] + offset[f], -z_bound, z_bound);
+    // to_code's chain: scaling by 2^F is exact, round_half_even is
+    // mode-independent, and the clamp at the (integer) code bounds comes
+    // after the rounding.
+    const double r = round_half_even(z * code_scale);
+    out[f] = r <= static_cast<double>(lo)   ? lo
+             : r >= static_cast<double>(hi) ? hi
+                                            : static_cast<std::int32_t>(r);
+  }
+}
+
+namespace {
+
+template <typename Act, typename Logit>
+void requant_lanes_reference(const std::int64_t* acc, std::size_t nb,
+                             std::int64_t init, int accum_bits, int shift,
+                             int act_bits, std::int32_t act_bias, Act* act,
+                             Logit* logit) {
+  for (std::size_t s = 0; s < nb; ++s) {
+    const std::int64_t a = saturate_to_bits(init + acc[s], accum_bits);
+    if (logit != nullptr) {
+      logit[s] = static_cast<Logit>(a);
+    } else {
+      const std::int64_t code = saturate_to_bits(
+          shift_round_half_even(std::max<std::int64_t>(a, 0), shift),
+          act_bits);
+      act[s] = static_cast<Act>(code + act_bias);
+    }
+  }
+}
+
+}  // namespace
+
+void requant_lanes_i16_scalar(const std::int64_t* acc, std::size_t nb,
+                              std::int64_t init, int accum_bits, int shift,
+                              int act_bits, std::int16_t* act,
+                              std::int64_t* logit) {
+  requant_lanes_reference(acc, nb, init, accum_bits, shift, act_bits, 0, act,
+                          logit);
+}
+
+void requant_lanes_u8_scalar(const std::int64_t* acc, std::size_t nb,
+                             std::int64_t init, int accum_bits, int shift,
+                             int act_bits, std::uint8_t* act,
+                             std::int32_t* logit) {
+  requant_lanes_reference(acc, nb, init, accum_bits, shift, act_bits, 128,
+                          act, logit);
 }
 
 }  // namespace mlqr::simd

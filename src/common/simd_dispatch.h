@@ -1,5 +1,5 @@
 // Runtime-dispatched SIMD kernels: the float front-end's fused dot
-// products and every integer kernel.
+// products and every integer kernel, requantization included.
 //
 // The fused front-ends (dsp/fused_frontend, dsp/quantized_frontend) and
 // the integer heads (nn/quantized_mlp) run on one table of kernels
@@ -11,7 +11,8 @@
 //                  default x86-64 build; native under  build itself
 //                  MLQR_NATIVE; NEON / scalar else)
 //   avx2           -mavx2                             AVX2
-//   avx512-vnni    -mavx512f/bw/vl/vnni               AVX-512 F+BW+VL+VNNI
+//   avx512-vnni    -mavx512f/bw/dq/vl/vnni            AVX-512 F+BW+DQ+VL+
+//                                                      VNNI
 //
 // The avx2 and avx512-vnni tiers exist only in default x86 builds; non-x86
 // and MLQR_NATIVE builds carry the base tier alone. Each tier lives in its
@@ -24,11 +25,14 @@
 // host. The integer kernels sum exactly; the float kernels all compute the
 // one evaluation order Kernels::fused_dot_f32 spells out, with every
 // product rounded before its add (the library builds with
-// -ffp-contract=off, so no compiler fuses them into an FMA). The *_scalar
-// functions below are the references.
+// -ffp-contract=off, so no compiler fuses them into an FMA); the requant
+// kernels round as their scalar references do (the double-domain ones
+// under the default round-to-nearest mode). The *_scalar functions below
+// are the references.
 //
 // Callers fetch the table once per call (kernels()) and make one indirect
-// call per filter row or head output row, never per sample.
+// call per filter row, head output row or shot's feature requant, never
+// per sample.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +44,7 @@ namespace mlqr::simd {
 /// CPU features a tier needs beyond the build's baseline (Kernels::needs).
 enum TierNeeds : unsigned {
   kNeedsAvx2 = 1u << 0,
-  kNeedsAvx512Vnni = 1u << 1,  ///< AVX-512 F, BW, VL and VNNI.
+  kNeedsAvx512Vnni = 1u << 1,  ///< AVX-512 F, BW, DQ, VL and VNNI.
 };
 
 /// Shot lanes of the head's transposed activation block: the row stride of
@@ -75,6 +79,24 @@ inline constexpr std::size_t kLaneShots = 128;
 ///    Weights must not hold the type minimum (the madd pairing again).
 ///    Every act row is read kLaneShots entries wide; acc is written only
 ///    below nb.
+///  - requant_features: the integer front-end's per-filter requant, for
+///    f < n: z = clamp(double(acc[f]) * scale[f] + offset[f], -z_bound,
+///    z_bound) with the product rounded before the add, then out[f] =
+///    clamp(round_half_even(z * code_scale), lo, hi) — to_code(z, fmt) for
+///    code_scale = 2^fmt.frac_bits, lo / hi = fmt's code bounds. Scales,
+///    offsets and z_bound must be finite and lo <= hi; the conversion
+///    of acc is correctly rounded for every int64 (exact below 2^53).
+///    Bit-identical only under the default round-to-nearest FP
+///    environment: callers guard it and fall back to
+///    requant_features_scalar otherwise.
+///  - requant_lanes_i16 / requant_lanes_u8: a head layer's epilogue for
+///    one output row across nb <= kLaneShots shots, from the lane kernel's
+///    sums: a = saturate(init + acc[s], accum_bits). On the last layer
+///    (logit non-null) logit[s] = a. Otherwise act[s] =
+///    saturate(shift_round_half_even(max(a, 0), shift), act_bits) +
+///    kActBias (0 at int16, 128 into uint8). Needs 2 <= accum_bits <= 63,
+///    -63 < shift < 63, and 2 <= act_bits <= 16 (int16) or 8 (uint8);
+///    logits need accum_bits <= 32 at int32. Writes only below nb.
 struct Kernels {
   const char* name;  ///< "sse2", "avx2", "avx512-vnni", "neon", ...
   unsigned needs;    ///< TierNeeds bits the host must have.
@@ -108,6 +130,20 @@ struct Kernels {
   void (*lane_dot_u8i8)(const std::int8_t* w, std::size_t in,
                         const std::uint8_t* act, std::size_t nb,
                         std::size_t strip, std::int64_t* acc);
+  void (*requant_features)(const std::int64_t* acc, std::size_t n,
+                           const double* scale, const double* offset,
+                           double z_bound, double code_scale, std::int32_t lo,
+                           std::int32_t hi, std::int32_t* out);
+  /// The int16 heads: int16 activations, int64 logits.
+  void (*requant_lanes_i16)(const std::int64_t* acc, std::size_t nb,
+                            std::int64_t init, int accum_bits, int shift,
+                            int act_bits, std::int16_t* act,
+                            std::int64_t* logit);
+  /// The int8 heads: biased uint8 activations, int32 logits.
+  void (*requant_lanes_u8)(const std::int64_t* acc, std::size_t nb,
+                           std::int64_t init, int accum_bits, int shift,
+                           int act_bits, std::uint8_t* act,
+                           std::int32_t* logit);
 };
 
 /// The kernels every dispatched call uses: the widest compiled tier the
@@ -163,5 +199,23 @@ std::int32_t dot_u8i8_scalar(const std::uint8_t* u, const std::int8_t* w,
 void quantize_codes_i16_scalar(const float* x, std::size_t n, double scale,
                                std::int32_t lo, std::int32_t hi,
                                std::int16_t* out);
+/// Kernels::requant_features with round_half_even as the code rounding, so
+/// only the affine step (as in any double arithmetic) follows the runtime
+/// FP rounding mode.
+void requant_features_scalar(const std::int64_t* acc, std::size_t n,
+                             const double* scale, const double* offset,
+                             double z_bound, double code_scale,
+                             std::int32_t lo, std::int32_t hi,
+                             std::int32_t* out);
+/// Kernels::requant_lanes_* as the per-shot chain of
+/// QuantizedMlpOf::logits_into (saturate_to_bits, shift_round_half_even).
+void requant_lanes_i16_scalar(const std::int64_t* acc, std::size_t nb,
+                              std::int64_t init, int accum_bits, int shift,
+                              int act_bits, std::int16_t* act,
+                              std::int64_t* logit);
+void requant_lanes_u8_scalar(const std::int64_t* acc, std::size_t nb,
+                             std::int64_t init, int accum_bits, int shift,
+                             int act_bits, std::uint8_t* act,
+                             std::int32_t* logit);
 
 }  // namespace mlqr::simd

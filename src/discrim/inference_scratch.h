@@ -78,6 +78,9 @@ struct InferenceScratch {
   /// while the kernel code table streams across the block.
   std::vector<std::int16_t> block_trace_i;  ///< shot-block x n_samples.
   std::vector<std::int16_t> block_trace_q;
+  /// The integer front-end's exact filter sums before their requant
+  /// (QuantizedFrontend::features_into / features_block_into).
+  std::vector<std::int64_t> feature_accs;  ///< shot-block x n_filters.
 };
 
 }  // namespace mlqr

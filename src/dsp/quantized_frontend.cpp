@@ -140,55 +140,83 @@ QuantizedFrontend QuantizedFrontend::load(std::istream& is) {
                  "quantized front-end tables do not match their dims ("
                      << n_filters << " filters x " << fe.n_samples_
                      << " samples, " << fe.n_qubits_ << " qubits)");
+  // The requant constants are untrusted too: a NaN would reach an
+  // undefined float -> int conversion, and the int32 feature codes need a
+  // grid that fits them.
+  for (std::size_t f = 0; f < n_filters; ++f)
+    MLQR_CHECK_MSG(std::isfinite(fe.scale_[f]) && fe.scale_[f] > 0.0 &&
+                       std::isfinite(fe.offset_[f]),
+                   "quantized front-end filter " << f << " has requant scale "
+                                                 << fe.scale_[f] << ", offset "
+                                                 << fe.offset_[f]);
+  MLQR_CHECK_MSG(fe.feature_fmt_.total_bits <= 32,
+                 "quantized front-end feature grid is "
+                     << fe.feature_fmt_.total_bits << " bits wide");
   return fe;
+}
+
+// The front-end's two rounding stages, the trace quantizer and the feature
+// requant, run on the dispatched tier when `nearest`. Their vector kernels
+// round with the MXCSR, so they match round_half_even only under the
+// default round-to-nearest FP environment; the callers test it once per
+// call, and any other mode takes the scalar references, which keep
+// to_code()'s fesetround immunity.
+
+void QuantizedFrontend::quantize_trace(bool nearest, const IqTrace& trace,
+                                       std::int16_t* xi,
+                                       std::int16_t* xq) const {
+  trace.check_consistent();
+  MLQR_CHECK_MSG(trace.size() >= n_samples_,
+                 "trace shorter than front-end window: " << trace.size()
+                                                         << " < " << n_samples_);
+  // Scaling by 2^F is exact, so rounding happens only in the round-half-
+  // even step (deterministic).
+  const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
+  const auto lo = static_cast<std::int32_t>(trace_fmt_.min_code());
+  const auto hi = static_cast<std::int32_t>(trace_fmt_.max_code());
+  const auto quantize_codes = nearest ? simd::kernels().quantize_codes_i16
+                                      : simd::quantize_codes_i16_scalar;
+  quantize_codes(trace.i.data(), n_samples_, code_scale, lo, hi, xi);
+  quantize_codes(trace.q.data(), n_samples_, code_scale, lo, hi, xq);
+}
+
+void QuantizedFrontend::requant(bool nearest, const std::int64_t* accs,
+                                std::int32_t* out) const {
+  // z = acc * scale + offset in double from the exact integer sum, clamped
+  // and rounded onto the feature grid: to_code(clamp(z), feature_fmt_).
+  const auto requant_features = nearest ? simd::kernels().requant_features
+                                        : simd::requant_features_scalar;
+  requant_features(accs, n_filters(), scale_.data(), offset_.data(),
+                   static_cast<double>(kMaxAbsFeatureZ),
+                   std::ldexp(1.0, feature_fmt_.frac_bits),
+                   static_cast<std::int32_t>(feature_fmt_.min_code()),
+                   static_cast<std::int32_t>(feature_fmt_.max_code()), out);
 }
 
 void QuantizedFrontend::features_into(const IqTrace& trace,
                                       InferenceScratch& scratch) const {
   MLQR_CHECK(n_samples_ > 0);
-  trace.check_consistent();
-  MLQR_CHECK_MSG(trace.size() >= n_samples_,
-                 "trace shorter than front-end window: " << trace.size()
-                                                         << " < " << n_samples_);
   const std::size_t n = n_samples_;
-
-  // Pass 0: raw floats -> saturating ADC-grid codes. Scaling by 2^F is
-  // exact, so rounding happens only in the round-half-even step
-  // (deterministic). The vector kernel is only bit-identical to
-  // round_half_even under the default FP environment, so a non-default
-  // rounding mode falls back to the scalar twin — to_code()'s
-  // fesetround-immunity contract holds on both paths.
+  const bool nearest = std::fegetround() == FE_TONEAREST;
+  // Pass 0: raw floats -> saturating ADC-grid codes.
   scratch.int_trace_i.resize(n);
   scratch.int_trace_q.resize(n);
-  const simd::Kernels& k = simd::kernels();
-  const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
-  const auto lo_code = static_cast<std::int32_t>(trace_fmt_.min_code());
-  const auto hi_code = static_cast<std::int32_t>(trace_fmt_.max_code());
-  const auto quantize_codes = std::fegetround() == FE_TONEAREST
-                                  ? k.quantize_codes_i16
-                                  : simd::quantize_codes_i16_scalar;
-  quantize_codes(trace.i.data(), n, code_scale, lo_code, hi_code,
-                 scratch.int_trace_i.data());
-  quantize_codes(trace.q.data(), n, code_scale, lo_code, hi_code,
+  quantize_trace(nearest, trace, scratch.int_trace_i.data(),
                  scratch.int_trace_q.data());
 
   // Pass 1: every filter is two int16 dot products against the raw codes
   // (widening multiply-add into int64 lanes); the int64 accumulator is
   // exact, so the vector reassociation is bit-identical to the scalar loop
-  // on every tier and the trailing affine requant (double on an
-  // exactly-representable integer) is bit-deterministic.
+  // on every tier. Pass 2 requants the whole row of sums at once.
+  const simd::Kernels& k = simd::kernels();
   const std::int16_t* xi = scratch.int_trace_i.data();
   const std::int16_t* xq = scratch.int_trace_q.data();
-  scratch.int_features.resize(n_filters());
-  for (std::size_t f = 0; f < n_filters(); ++f) {
-    const std::int64_t acc = k.fused_dot_i16_strip(
+  scratch.feature_accs.resize(n_filters());
+  for (std::size_t f = 0; f < n_filters(); ++f)
+    scratch.feature_accs[f] = k.fused_dot_i16_strip(
         table_.row_r(f), table_.row_i(f), xi, xq, n, table_.strip());
-    double z = static_cast<double>(acc) * scale_[f] + offset_[f];
-    z = std::clamp(z, -static_cast<double>(kMaxAbsFeatureZ),
-                   static_cast<double>(kMaxAbsFeatureZ));
-    scratch.int_features[f] =
-        static_cast<std::int32_t>(to_code(z, feature_fmt_));
-  }
+  scratch.int_features.resize(n_filters());
+  requant(nearest, scratch.feature_accs.data(), scratch.int_features.data());
 }
 
 void QuantizedFrontend::features_block_into(std::size_t block,
@@ -198,60 +226,47 @@ void QuantizedFrontend::features_block_into(std::size_t block,
                                             std::size_t out_stride) const {
   MLQR_CHECK(n_samples_ > 0);
   const std::size_t n = n_samples_;
+  const std::size_t n_f = n_filters();
   // Small shot blocks keep the quantized codes (2 x n int16 per shot) L1
   // resident while one kernel row pair streams across them; the full code
   // table then loads once per block of shots instead of once per shot.
   constexpr std::size_t kShotBlock = 8;
   scratch.block_trace_i.resize(kShotBlock * n);
   scratch.block_trace_q.resize(kShotBlock * n);
+  scratch.feature_accs.resize(kShotBlock * n_f);
+  const bool nearest = std::fegetround() == FE_TONEAREST;
   const simd::Kernels& k = simd::kernels();
   const std::size_t strip = table_.strip();
-  const double code_scale = std::ldexp(1.0, trace_fmt_.frac_bits);
-  const auto lo_code = static_cast<std::int32_t>(trace_fmt_.min_code());
-  const auto hi_code = static_cast<std::int32_t>(trace_fmt_.max_code());
-  const auto quantize_codes = std::fegetround() == FE_TONEAREST
-                                  ? k.quantize_codes_i16
-                                  : simd::quantize_codes_i16_scalar;
   for (std::size_t b0 = 0; b0 < block; b0 += kShotBlock) {
     const std::size_t nb = std::min(kShotBlock, block - b0);
-    for (std::size_t s = 0; s < nb; ++s) {
-      const IqTrace& trace = *traces[b0 + s];
-      trace.check_consistent();
-      MLQR_CHECK_MSG(trace.size() >= n,
-                     "trace shorter than front-end window: " << trace.size()
-                                                             << " < " << n);
-      quantize_codes(trace.i.data(), n, code_scale, lo_code, hi_code,
-                     scratch.block_trace_i.data() + s * n);
-      quantize_codes(trace.q.data(), n, code_scale, lo_code, hi_code,
-                     scratch.block_trace_q.data() + s * n);
-    }
     const std::int16_t* xi_ptr[kShotBlock];
     const std::int16_t* xq_ptr[kShotBlock];
     for (std::size_t s = 0; s < nb; ++s) {
-      xi_ptr[s] = scratch.block_trace_i.data() + s * n;
-      xq_ptr[s] = scratch.block_trace_q.data() + s * n;
+      std::int16_t* xi = scratch.block_trace_i.data() + s * n;
+      std::int16_t* xq = scratch.block_trace_q.data() + s * n;
+      quantize_trace(nearest, *traces[b0 + s], xi, xq);
+      xi_ptr[s] = xi;
+      xq_ptr[s] = xq;
     }
-    for (std::size_t f = 0; f < n_filters(); ++f) {
-      // One kernel-row pass scores four shots at a time; the int64 sums
-      // are exact, so every score — and the double requant below — is
-      // identical to the per-shot features_into chain.
+    // One kernel-row pass scores four shots at a time; the int64 sums are
+    // exact, so every score — and each shot's requant — is identical to
+    // the per-shot features_into chain.
+    std::int64_t* accs = scratch.feature_accs.data();
+    for (std::size_t f = 0; f < n_f; ++f) {
       const std::int16_t* kr = table_.row_r(f);
       const std::int16_t* ki = table_.row_i(f);
-      std::int64_t accs[kShotBlock];
+      std::int64_t x4[4];
       std::size_t s = 0;
-      for (; s + 4 <= nb; s += 4)
-        k.fused_dot_i16_strip_x4(kr, ki, xi_ptr + s, xq_ptr + s, n, strip,
-                                 accs + s);
-      for (; s < nb; ++s)
-        accs[s] = k.fused_dot_i16_strip(kr, ki, xi_ptr[s], xq_ptr[s], n, strip);
-      for (s = 0; s < nb; ++s) {
-        double z = static_cast<double>(accs[s]) * scale_[f] + offset_[f];
-        z = std::clamp(z, -static_cast<double>(kMaxAbsFeatureZ),
-                       static_cast<double>(kMaxAbsFeatureZ));
-        out[(b0 + s) * out_stride + f] =
-            static_cast<std::int32_t>(to_code(z, feature_fmt_));
+      for (; s + 4 <= nb; s += 4) {
+        k.fused_dot_i16_strip_x4(kr, ki, xi_ptr + s, xq_ptr + s, n, strip, x4);
+        for (std::size_t j = 0; j < 4; ++j) accs[(s + j) * n_f + f] = x4[j];
       }
+      for (; s < nb; ++s)
+        accs[s * n_f + f] =
+            k.fused_dot_i16_strip(kr, ki, xi_ptr[s], xq_ptr[s], n, strip);
     }
+    for (std::size_t s = 0; s < nb; ++s)
+      requant(nearest, accs + s * n_f, out + (b0 + s) * out_stride);
   }
 }
 

@@ -95,6 +95,15 @@ class QuantizedFrontend {
   static QuantizedFrontend load(std::istream& is);
 
  private:
+  // Both rounding stages run their vector kernels only when `nearest`
+  // (the FP environment rounds to nearest; see quantized_frontend.cpp).
+  /// Pass 0 for one trace: its first n_samples() I/Q pairs as trace codes.
+  void quantize_trace(bool nearest, const IqTrace& trace, std::int16_t* xi,
+                      std::int16_t* xq) const;
+  /// One shot's filter sums -> its feature codes.
+  void requant(bool nearest, const std::int64_t* accs,
+               std::int32_t* out) const;
+
   std::size_t n_samples_ = 0;
   std::size_t n_qubits_ = 0;
   FixedPointFormat trace_fmt_;

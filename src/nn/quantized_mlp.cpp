@@ -43,6 +43,20 @@ void lane_dot_codes(const simd::Kernels& k, const std::int8_t* w,
                     std::size_t strip, std::int64_t* acc) {
   k.lane_dot_u8i8(w, in, act, nb, strip, acc);
 }
+/// ...and the epilogue that requants those sums into the next layer's
+/// activation operands, or into the logits on the last layer.
+void requant_lanes(const simd::Kernels& k, const std::int64_t* acc,
+                   std::size_t nb, std::int64_t init, int accum_bits,
+                   int shift, int act_bits, std::int16_t* act,
+                   std::int64_t* logit) {
+  k.requant_lanes_i16(acc, nb, init, accum_bits, shift, act_bits, act, logit);
+}
+void requant_lanes(const simd::Kernels& k, const std::int64_t* acc,
+                   std::size_t nb, std::int64_t init, int accum_bits,
+                   int shift, int act_bits, std::uint8_t* act,
+                   std::int32_t* logit) {
+  k.requant_lanes_u8(acc, nb, init, accum_bits, shift, act_bits, act, logit);
+}
 
 /// Code and bias vectors travel at their storage width, so each width's
 /// payload keeps the byte layout its snapshot kind has always had.
@@ -392,25 +406,23 @@ void QuantizedMlpOf<Code>::classify_batch_into(
            Traits::kActBias);
       const std::size_t strip = static_cast<std::size_t>(
           std::max<std::int64_t>(1, (std::int64_t{1} << 31) / max_prod - 1));
+      // The epilogue kernel's shifts need |shift| < 63 (as
+      // shift_round_half_even does).
+      MLQR_CHECK_MSG(shift > -63 && shift < 63,
+                     kNetName<Code> << " layer " << l << " requant shift "
+                                    << shift << " is out of range");
       for (std::size_t j = 0; j < layer.out; ++j) {
         std::int64_t acc64[kShotBlock];
         lane_dot_codes(k, layer.w.data() + j * layer.in, layer.in,
                        cur->data(), nb, strip, acc64);
-        // Epilogue: the exact per-(shot, output) chain of logits_into.
+        // Epilogue: the exact per-(shot, output) chain of logits_into —
+        // saturate, then on hidden layers ReLU, shift and saturate again.
         const std::int64_t init =
             static_cast<std::int64_t>(layer.b[j]) + layer.corr[j];
-        for (std::size_t s = 0; s < nb; ++s) {
-          std::int64_t acc = saturate_to_bits(init + acc64[s], cfg_.accum_bits);
-          if (last) {
-            logits[j * kShotBlock + s] = static_cast<Logit>(acc);
-          } else {
-            if (acc < 0) acc = 0;  // ReLU in the integer domain.
-            const std::int64_t code = saturate_to_bits(
-                shift_round_half_even(acc, shift), cfg_.activation_bits);
-            (*next)[j * kShotBlock + s] =
-                static_cast<Act>(code + Traits::kActBias);
-          }
-        }
+        requant_lanes(k, acc64, nb, init, cfg_.accum_bits, shift,
+                      cfg_.activation_bits,
+                      last ? nullptr : next->data() + j * kShotBlock,
+                      last ? logits.data() + j * kShotBlock : nullptr);
       }
       std::swap(cur, next);
     }

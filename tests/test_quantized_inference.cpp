@@ -3,8 +3,9 @@
 // sizes and thread counts through ReadoutEngine, and its calibrated
 // formats — not assumed widths — feed the FPGA resource model. On the
 // same fixture, the float, int16 and int8 labels are identical on every
-// SIMD tier, and the float features and labels match a checksum pinned
-// from the default build.
+// SIMD tier, the float features and labels match a checksum pinned from
+// the default build, and the integer feature codes and labels match one
+// pinned before their requant stages were vectorized.
 #include "discrim/quantized_proposed.h"
 
 #include <gtest/gtest.h>
@@ -217,6 +218,50 @@ TEST(FloatDatapath, ChecksumMatchesTheDefaultBuild) {
   h = fnv1a(h, batch.labels.data(), batch.labels.size() * sizeof(int));
   EXPECT_EQ(h, 0xb97f9723671545bcull)
       << std::hex << "checksum 0x" << h << " on tier " << simd::tier();
+}
+
+/// Folds one integer design's feature codes (per shot and blocked) and
+/// labels (per shot and batched through the engine) into `h`.
+template <typename Code>
+std::uint64_t hash_integer_datapath(std::uint64_t h,
+                                    const QuantizedProposedOf<Code>& d,
+                                    const std::vector<IqTrace>& traces) {
+  InferenceScratch scratch;
+  std::vector<int> labels(d.num_qubits());
+  for (const IqTrace& trace : traces) {
+    d.frontend().features_into(trace, scratch);
+    h = fnv1a(h, scratch.int_features.data(),
+              scratch.int_features.size() * sizeof(std::int32_t));
+    d.classify_into(trace, scratch, labels);
+    h = fnv1a(h, labels.data(), labels.size() * sizeof(int));
+  }
+  std::vector<const IqTrace*> ptrs;
+  for (const IqTrace& trace : traces) ptrs.push_back(&trace);
+  const std::size_t dim = d.feature_dim();
+  std::vector<std::int32_t> block(ptrs.size() * dim);
+  d.frontend().features_block_into(ptrs.size(), ptrs.data(), scratch,
+                                   block.data(), dim);
+  h = fnv1a(h, block.data(), block.size() * sizeof(std::int32_t));
+  ReadoutEngine engine(make_backend(d));
+  const EngineBatch batch = engine.process_batch(traces);
+  return fnv1a(h, batch.labels.data(), batch.labels.size() * sizeof(int));
+}
+
+TEST(QuantizedDatapath, ChecksumMatchesTheParent) {
+  // The int16 and int8 feature codes and labels of the shared fixture,
+  // hashed and pinned. Every step is exact integer arithmetic or a
+  // correctly rounded double chain, so the pin holds on every tier and
+  // architecture: a change to the integer kernels or their requant stages
+  // that moves one code or label fails it.
+  const Fixture& fx = Fixture::get();
+  const Quantized8ProposedDiscriminator int8 =
+      Quantized8ProposedDiscriminator::quantize(fx.proposed, fx.ds.shots,
+                                                fx.ds.train_idx);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  h = hash_integer_datapath(h, fx.quantized, fx.ds.shots.traces);
+  h = hash_integer_datapath(h, int8, fx.ds.shots.traces);
+  EXPECT_EQ(h, 0xf60c7e9e53ae4d11ull) << std::hex << "checksum 0x" << h << " on tier "
+                       << simd::tier();
 }
 
 TEST(QuantizedInference, EngineMatchesPerShotClassify) {
@@ -468,9 +513,11 @@ TEST(QuantizedInference, TraceCodesMatchToCode) {
 }
 
 TEST(QuantizedInference, FrontendImmuneToRoundingMode) {
-  // features_into guards its vector quantizer on the FP environment; a
-  // hostile rounding mode must fall back to the scalar twin and produce
-  // bit-identical features (to_code's fesetround-immunity contract).
+  // Both front-end paths guard their vector trace quantizer and feature
+  // requant on the FP environment; a hostile rounding mode must fall back
+  // to the scalar twins and produce bit-identical codes (to_code's
+  // fesetround-immunity contract) — per shot, and blocked at sizes that
+  // leave a ragged four-shot group and span two shot blocks.
   const Fixture& fx = Fixture::get();
   const QuantizedFrontend& fe = fx.quantized.frontend();
   InferenceScratch nearest, upward;
@@ -482,6 +529,19 @@ TEST(QuantizedInference, FrontendImmuneToRoundingMode) {
   EXPECT_EQ(nearest.int_trace_i, upward.int_trace_i);
   EXPECT_EQ(nearest.int_trace_q, upward.int_trace_q);
   EXPECT_EQ(nearest.int_features, upward.int_features);
+
+  const std::size_t dim = fe.n_filters();
+  for (const std::size_t block : {5, 13}) {
+    std::vector<const IqTrace*> traces;
+    for (std::size_t s = 0; s < block; ++s)
+      traces.push_back(&fx.ds.shots.traces[s]);
+    std::vector<std::int32_t> want(block * dim), got(block * dim);
+    fe.features_block_into(block, traces.data(), nearest, want.data(), dim);
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    fe.features_block_into(block, traces.data(), upward, got.data(), dim);
+    ASSERT_EQ(std::fesetround(FE_TONEAREST), 0);
+    EXPECT_EQ(got, want) << "block " << block;
+  }
 }
 
 TEST(QuantizedInference, RejectsTooNarrowAccumulator) {

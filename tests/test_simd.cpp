@@ -3,8 +3,10 @@
 // host can run: integer kernels are bit-exact against the scalar twins
 // (exact int64 accumulators survive any vector reassociation), the float
 // front-end kernels return the base tier's and the scalar reference's
-// float bit for bit (one fixed evaluation order), and the trace-code
-// quantizer matches to_code()'s round-half-even semantics bit for bit.
+// float bit for bit (one fixed evaluation order), the trace-code
+// quantizer and the feature requant match to_code()'s round-half-even
+// semantics bit for bit, and the heads' requant epilogue matches its
+// scalar reference.
 // The compile-time float head kernels stay within a small relative error
 // of a double-precision reference. The scalar twins are compiled on every
 // platform, so this suite exercises both sides of the dispatch regardless
@@ -20,9 +22,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/normalizer.h"
 
 namespace mlqr {
 namespace {
@@ -644,6 +648,193 @@ TEST_P(SimdTier, QuantizeCodesMatchesToCode) {
                              to_code(static_cast<double>(x[i]), fmt)))
           << "n=" << n << " i=" << i << " x=" << x[i];
     }
+  }
+}
+
+/// to_code(clamp(double(acc) * scale + offset, +-kMaxAbsFeatureZ), fmt):
+/// the integer front-end's requant, spelled with the library's semantics.
+std::int32_t feature_code(std::int64_t acc, double scale, double offset,
+                          const FixedPointFormat& fmt) {
+  const double bound = static_cast<double>(kMaxAbsFeatureZ);
+  const double z =
+      std::clamp(static_cast<double>(acc) * scale + offset, -bound, bound);
+  return static_cast<std::int32_t>(to_code(z, fmt));
+}
+
+TEST_P(SimdTier, RequantFeaturesMatchesToCode) {
+  // Every tail length; exact half-code ties; values past the z bound and
+  // past the code bounds (an 8-bit grid saturates inside +-kMaxAbsFeatureZ,
+  // a 16-bit one only at it); the largest sum the front-end can produce,
+  // 500 samples x 2 products x 2^15 x 2^15; and sums beyond 2^53, where
+  // the conversion must round as the scalar one does.
+  const std::int64_t kMaxAcc = 500LL * 2 * 32768 * 32768;
+  Rng rng(31);
+  for (const FixedPointFormat fmt :
+       {FixedPointFormat{16, 11}, FixedPointFormat{8, 4}}) {
+    const double code_scale = std::ldexp(1.0, fmt.frac_bits);
+    // Scale 2^-(F+1) with offsets on the same grid makes z * 2^F a
+    // multiple of 1/2: every odd numerator is an exact tie.
+    const double tie_scale = std::ldexp(1.0, -fmt.frac_bits - 1);
+    for (const std::size_t n : kLengths) {
+      std::vector<std::int64_t> acc(n);
+      std::vector<double> scale(n), offset(n);
+      for (std::size_t f = 0; f < n; ++f) {
+        switch (f % 6) {
+          case 0:  // Ordinary sums.
+            acc[f] = static_cast<std::int64_t>(rng.normal(0.0, 1e9));
+            scale[f] = 1e-9 * (0.5 + rng.uniform());
+            offset[f] = rng.normal(0.0, 2.0);
+            break;
+          case 1:  // Exact ties of both parities, and odd offsets.
+            acc[f] = static_cast<std::int64_t>(rng.uniform_index(4001)) - 2000;
+            scale[f] = tie_scale;
+            offset[f] = tie_scale *
+                        (static_cast<double>(rng.uniform_index(9)) - 4.0);
+            break;
+          case 2:  // Past the z bound on either side.
+            acc[f] = static_cast<std::int64_t>(rng.normal(0.0, 1e11));
+            scale[f] = 1e-9;
+            offset[f] = 0.0;
+            break;
+          case 3:  // The front-end's extreme sums.
+            acc[f] = (f % 4 == 3 ? kMaxAcc : -kMaxAcc) +
+                     static_cast<std::int64_t>(rng.uniform_index(3)) - 1;
+            scale[f] = 1.1e-11;
+            offset[f] = rng.normal(0.0, 0.1);
+            break;
+          case 4:  // Beyond 2^53: the int64 -> double conversion rounds.
+            acc[f] = static_cast<std::int64_t>(rng() >> 1) *
+                     (f % 4 == 0 ? 1 : -1);
+            scale[f] = std::ldexp(1.0, -60);
+            offset[f] = 0.0;
+            break;
+          default:  // Between the grids' bounds: 7.9 < |z| < 12.
+            acc[f] = static_cast<std::int64_t>(rng.normal(0.0, 1.0) * 1e6);
+            scale[f] = 1e-6;
+            offset[f] = (rng.uniform() < 0.5 ? -1.0 : 1.0) * 10.0;
+        }
+      }
+      std::vector<std::int32_t> fast(n + 1, -7), slow(n + 1, -7);
+      const auto run = [&](auto requant, std::vector<std::int32_t>& out) {
+        requant(acc.data(), n, scale.data(), offset.data(),
+                static_cast<double>(kMaxAbsFeatureZ), code_scale,
+                static_cast<std::int32_t>(fmt.min_code()),
+                static_cast<std::int32_t>(fmt.max_code()), out.data());
+      };
+      run(k().requant_features, fast);
+      run(simd::requant_features_scalar, slow);
+      for (std::size_t f = 0; f < n; ++f) {
+        const std::int32_t want = feature_code(acc[f], scale[f], offset[f], fmt);
+        EXPECT_EQ(fast[f], want) << "n=" << n << " f=" << f << " acc=" << acc[f]
+                                 << " W=" << fmt.total_bits;
+        EXPECT_EQ(slow[f], want) << "n=" << n << " f=" << f << " acc=" << acc[f]
+                                 << " W=" << fmt.total_bits << " (scalar)";
+      }
+      EXPECT_EQ(fast[n], -7) << "wrote past n=" << n;
+    }
+  }
+}
+
+TEST_P(SimdTier, RequantLanesMatchScalar) {
+  // A head layer's epilogue over every shot count of a lane block: shifts
+  // left, none and right, with exact halves of both quotient parities;
+  // sums that saturate the accumulator and codes that saturate the
+  // activation grid; both activation widths, and on the last layer both
+  // logit widths.
+  const std::size_t S = simd::kLaneShots;
+  Rng rng(32);
+  const struct {
+    int accum_bits;
+    int shift;
+    int act_bits;
+  } kCases[] = {{32, 12, 16}, {32, 1, 8},  {24, 0, 8},  {32, -3, 16},
+                {48, 20, 12}, {63, 40, 16}, {31, 9, 6},  {20, 5, 8}};
+  for (const auto& c : kCases) {
+    const std::int64_t acc_max = (std::int64_t{1} << (c.accum_bits - 1)) - 1;
+    for (std::size_t nb = 1; nb <= S; ++nb) {
+      const std::int64_t init = static_cast<std::int64_t>(
+          rng.normal(0.0, static_cast<double>(acc_max) / 64));
+      std::vector<std::int64_t> acc(S);
+      for (std::size_t s = 0; s < nb; ++s) {
+        std::int64_t a;  // The value init + acc[s] should take.
+        switch (s % 5) {
+          case 0:  // Past the accumulator bounds.
+            a = (s % 2 ? acc_max : -acc_max) +
+                static_cast<std::int64_t>(rng.uniform_index(1000));
+            break;
+          case 1:
+          case 2:  // Exact halves: q * 2^shift + 2^(shift - 1), q odd / even.
+            if (c.shift > 0) {
+              const std::int64_t q =
+                  2 * static_cast<std::int64_t>(rng.uniform_index(1000)) +
+                  static_cast<std::int64_t>(s % 5 == 1);
+              a = (q << c.shift) + (std::int64_t{1} << (c.shift - 1));
+              break;
+            }
+            [[fallthrough]];
+          default:  // Anywhere in range, activation saturation included.
+            a = static_cast<std::int64_t>(
+                (2.0 * rng.uniform() - 1.0) * static_cast<double>(acc_max));
+        }
+        acc[s] = a - init;
+      }
+      const auto check = [&](auto kernel, auto reference, auto* act_tag,
+                             auto* logit_tag, bool last, const char* what) {
+        using Act = std::remove_pointer_t<decltype(act_tag)>;
+        using Logit = std::remove_pointer_t<decltype(logit_tag)>;
+        std::vector<Act> act_fast(S, Act{7}), act_slow(S, Act{7});
+        std::vector<Logit> logit_fast(S, 7), logit_slow(S, 7);
+        kernel(acc.data(), nb, init, c.accum_bits, c.shift, c.act_bits,
+               last ? nullptr : act_fast.data(),
+               last ? logit_fast.data() : nullptr);
+        reference(acc.data(), nb, init, c.accum_bits, c.shift, c.act_bits,
+                  last ? nullptr : act_slow.data(),
+                  last ? logit_slow.data() : nullptr);
+        EXPECT_EQ(act_fast, act_slow)
+            << what << " nb=" << nb << " accum " << c.accum_bits << " shift "
+            << c.shift << " act " << c.act_bits;
+        EXPECT_EQ(logit_fast, logit_slow)
+            << what << " nb=" << nb << " accum " << c.accum_bits;
+      };
+      if (c.act_bits <= 16) {
+        check(k().requant_lanes_i16, simd::requant_lanes_i16_scalar,
+              static_cast<std::int16_t*>(nullptr),
+              static_cast<std::int64_t*>(nullptr), false, "int16 act");
+        check(k().requant_lanes_i16, simd::requant_lanes_i16_scalar,
+              static_cast<std::int16_t*>(nullptr),
+              static_cast<std::int64_t*>(nullptr), true, "int64 logit");
+      }
+      if (c.act_bits <= 8)
+        check(k().requant_lanes_u8, simd::requant_lanes_u8_scalar,
+              static_cast<std::uint8_t*>(nullptr),
+              static_cast<std::int32_t*>(nullptr), false, "uint8 act");
+      if (c.accum_bits <= 32)
+        check(k().requant_lanes_u8, simd::requant_lanes_u8_scalar,
+              static_cast<std::uint8_t*>(nullptr),
+              static_cast<std::int32_t*>(nullptr), true, "int32 logit");
+    }
+  }
+}
+
+TEST(Simd, RequantLanesScalarIsThePerShotChain) {
+  // The reference against fixed_point.h's per-shot chain, which the
+  // integer heads' logits_into runs.
+  Rng rng(33);
+  const std::int64_t init = -12345;
+  std::vector<std::int64_t> acc(64);
+  for (std::int64_t& a : acc)
+    a = static_cast<std::int64_t>(rng.normal(0.0, 1e9));
+  std::vector<std::int16_t> act(acc.size());
+  std::vector<std::uint8_t> act8(acc.size());
+  simd::requant_lanes_i16_scalar(acc.data(), acc.size(), init, 32, 14, 16,
+                                 act.data(), nullptr);
+  simd::requant_lanes_u8_scalar(acc.data(), acc.size(), init, 32, 20, 8,
+                                act8.data(), nullptr);
+  for (std::size_t s = 0; s < acc.size(); ++s) {
+    const std::int64_t a =
+        std::max<std::int64_t>(saturate_to_bits(init + acc[s], 32), 0);
+    EXPECT_EQ(act[s], saturate_to_bits(shift_round_half_even(a, 14), 16));
+    EXPECT_EQ(act8[s], saturate_to_bits(shift_round_half_even(a, 20), 8) + 128);
   }
 }
 

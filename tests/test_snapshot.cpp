@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -216,6 +217,52 @@ TEST(Snapshot, HeadStreamsRejectGridsWiderThanTheirCodes) {
     EXPECT_THROW(QuantizedMlpOf<std::int8_t>::load(t8), Error)
         << "int8 offset " << offset;
   }
+}
+
+TEST(Snapshot, FrontendRejectsNonFiniteRequantConstants) {
+  // The int16 front-end's per-filter requant scale and offset are
+  // untrusted doubles: a NaN would reach an undefined float -> int
+  // conversion, so load refuses NaN, infinite and non-positive scales and
+  // non-finite offsets.
+  const Fixture& fx = Fixture::get();
+  const QuantizedFrontend& fe = fx.quantized.frontend();
+  std::stringstream ss;
+  fe.save(ss);
+  const std::string bytes = ss.str();
+  // n_samples, n_qubits, three formats, the kernel format count and one
+  // format per filter, then the real and imaginary int16 row tables (each
+  // length-prefixed), then scale and offset as length-prefixed f64s.
+  const std::size_t filters = fe.n_filters();
+  const std::size_t rows = filters * fe.n_samples();
+  const std::size_t scale_at =
+      8 + 8 + 3 * 8 + 8 + 8 * filters + 2 * (8 + 2 * rows) + 8;
+  const std::size_t offset_at = scale_at + 8 * filters + 8;
+  ASSERT_LT(offset_at + 8, bytes.size());
+  const auto f64_at = [&](std::size_t at) {
+    std::stringstream s(bytes.substr(at, 8));
+    return io::read_f64(s);
+  };
+  ASSERT_GT(f64_at(scale_at), 0.0) << "layout drifted";
+  ASSERT_GT(f64_at(scale_at + 8 * (filters - 1)), 0.0) << "layout drifted";
+  const auto with_f64 = [&](std::size_t at, double x) {
+    std::stringstream s;
+    io::write_f64(s, x);
+    std::string b = bytes;
+    b.replace(at, 8, s.str());
+    return b;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t last_scale = scale_at + 8 * (filters - 1);
+  for (const std::string& b :
+       {with_f64(scale_at, nan), with_f64(last_scale, inf),
+        with_f64(scale_at, 0.0), with_f64(scale_at, -1e-3),
+        with_f64(offset_at, nan), with_f64(offset_at, -inf)}) {
+    std::stringstream tampered(b);
+    EXPECT_THROW(QuantizedFrontend::load(tampered), Error);
+  }
+  std::stringstream untouched(bytes);
+  EXPECT_NO_THROW(QuantizedFrontend::load(untouched));
 }
 
 TEST(Snapshot, CheckedInCorpusResavesByteIdentically) {
