@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 #include "common/fixed_point.h"
+#include "discrim/quantized_proposed.h"
 #include "fpga/resource_model.h"
 
 int main() {

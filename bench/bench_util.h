@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -23,7 +22,6 @@
 #include "common/simd.h"
 #include "common/table.h"
 #include "discrim/metrics.h"
-#include "pipeline/snapshot.h"
 #include "readout/experiment.h"
 
 namespace mlqr::bench {
@@ -123,46 +121,6 @@ class BenchReport {
   Fields context_;
   std::vector<Fields> rows_;
 };
-
-/// The proposed float serving backend for a soak, with MLQR_SNAPSHOT
-/// support: when the env var is set (a path prefix),
-/// ${MLQR_SNAPSHOT}.float.snap is loaded via pipeline/snapshot.h instead of
-/// retraining, so a restart starts in seconds. A missing snapshot file is
-/// trained once and written to that path, so the first run seeds the cache.
-/// Without MLQR_SNAPSHOT the backend trains fresh. The returned snapshot
-/// owns the discriminator; its backend() copies are safe to hand to
-/// engines and swap_shard.
-inline BackendSnapshot make_serving_backend(const ReadoutDataset& ds,
-                                            const ProposedConfig& pcfg,
-                                            const char* tag) {
-  const char* prefix = std::getenv("MLQR_SNAPSHOT");
-  const std::string path =
-      prefix && *prefix ? std::string(prefix) + ".float.snap" : std::string();
-  if (!path.empty() && std::ifstream(path, std::ios::binary).good()) {
-    std::cout << '[' << tag << "] MLQR_SNAPSHOT=" << prefix
-              << ": loading calibration instead of retraining...\n";
-    BackendSnapshot snap = load_backend_file(path);
-    MLQR_CHECK_MSG(snap.kind() == SnapshotKind::kFloat,
-                   "snapshot " << path << " holds a \"" << snap.name()
-                       << "\" backend — wrong kind for this path (renamed "
-                       << "file?)");
-    MLQR_CHECK_MSG(snap.num_qubits() == ds.chip.num_qubits(),
-                   "snapshot " << path << " serves " << snap.num_qubits()
-                               << " qubits, dataset has "
-                               << ds.chip.num_qubits());
-    return snap;
-  }
-
-  std::cout << '[' << tag << "] training proposed discriminator...\n";
-  BackendSnapshot snap = BackendSnapshot::wrap(ProposedDiscriminator::train(
-      ds.shots, ds.training_labels, ds.train_idx, ds.chip, pcfg));
-  if (!path.empty()) {
-    save_backend_file(path, snap);
-    std::cout << '[' << tag << "] saved calibration snapshot " << path
-              << " (next run loads instead of training)\n";
-  }
-  return snap;
-}
 
 /// Standard dataset sizing for the table benches. Full runs use 400 shots
 /// per basis state (12.8k shots); MLQR_FAST shrinks via

@@ -11,8 +11,7 @@ int main() {
   using namespace mlqr;
 
   const CnotLeakageModel model;
-  const std::size_t shots = fast_scaled(
-      static_cast<std::size_t>(env_int("MLQR_TRIALS", 10000)), 10, 500);
+  const std::size_t shots = fast_scaled(10000, 10, 500);
 
   const auto base = run_repeated_cnot(model, 12, shots, false, 1);
   const auto leak = run_repeated_cnot(model, 12, shots, true, 1);

@@ -4,14 +4,17 @@
 // batches). Both exit non-zero when their gate fails. Throughput and
 // latency are measured by perfbench/ (workload qec_stream), not here.
 //
-// Fault soak (--soak-seconds=N): open-loop Poisson traffic with
+// Both soaks run on one open-loop driver: Poisson arrivals with
 // bounded-blocking admission (a submit timeout; overflow is rejected, not
-// queued), per-shot deadline shedding, a hot-swap thread cycling shard
-// calibrations, and — with --inject-faults — FaultyBackend shards
-// throwing, stalling, and corrupting on a seeded, deterministic schedule
-// so circuit breakers trip and recover throughout the run. Every ticket is
-// accounted for (done/failed/shed — zero lost, exit 1 otherwise) and the
-// tallies land in BENCH_streaming_soak.json.
+// queued) and an in-order consumer that waits every ticket, so any lost
+// ticket hangs the run and unbalanced books fail it.
+//
+// Fault soak (--soak-seconds=N): per-shot deadline shedding, a hot-swap
+// thread cycling shard calibrations, and FaultyBackend shards throwing,
+// stalling, and corrupting on a seeded, deterministic schedule so circuit
+// breakers trip and recover throughout the run. Every ticket is accounted
+// for (done/failed/shed — zero lost, exit 1 otherwise) and the tallies
+// land in BENCH_streaming_soak.json.
 //
 // Drift soak (--drift, optionally with --soak-seconds=N) runs the full
 // closed-loop recalibration demo instead: a two-qubit chip whose
@@ -22,29 +25,25 @@
 // hot-swapping both shards live — ingest never pauses. The run gates on
 // detect -> retrain -> recover: the per-second fidelity series must dip
 // during the ramp and the post-swap window must return to within 0.5% of
-// the pre-drift baseline, with zero lost/rejected/shed tickets. The same
-// run measures the data-parallel trainer (threads 1/2/4 on one synthetic
-// problem, asserting bit-identical weights) and lands everything in
-// BENCH_streaming_drift.json.
+// the pre-drift baseline, with zero lost/rejected/shed tickets. The
+// series lands in BENCH_streaming_drift.json.
 //
 // Both soaks serve 64-shot micro-batches with a 100 us batch deadline.
 // With no mode flag the binary prints its usage and exits 2.
 //
-//   MLQR_THREADS caps the classification fan-out; MLQR_SHOTS sizes the
-//   fault soak's calibration dataset; MLQR_SOAK_RATE sets the fault-soak
-//   arrival rate (shots/s); MLQR_DRIFT_RATE the drift-soak arrival rate;
-//   MLQR_DRIFT_STRICT=0 drops the drift soak's timing-dependent trajectory
-//   gates (sanitizer legs), keeping the accounting + bit-identity ones;
-//   MLQR_SNAPSHOT=<prefix> makes the fault soak load <prefix>.float.snap
-//   instead of retraining (first run trains and writes it); MLQR_FAST=1
-//   shrinks the calibration to CI scale.
+// A ThreadSanitizer build serves ~10x slower, so it runs both soaks at a
+// reduced arrival rate (10000 and 1500 shots/s instead of 20000 and 4000)
+// and skips the drift soak's timing-dependent trajectory gates, keeping
+// the accounting ones. MLQR_THREADS caps the classification fan-out;
+// MLQR_FAST=1 shrinks the calibration to CI scale.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <numeric>
-#include <sstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,43 +52,195 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "nn/trainer.h"
 #include "pipeline/fault_injection.h"
 #include "pipeline/recalibration.h"
+#include "pipeline/snapshot.h"
 #include "pipeline/streaming_engine.h"
 #include "readout/dataset.h"
 #include "sim/readout_simulator.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define SOAK_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SOAK_UNDER_TSAN 1
+#endif
+#endif
+#ifndef SOAK_UNDER_TSAN
+#define SOAK_UNDER_TSAN 0
+#endif
 
 namespace {
 
 using namespace mlqr;
 using Clock = std::chrono::steady_clock;
 
+constexpr bool kUnderTsan = SOAK_UNDER_TSAN != 0;
+
 /// Micro-batch shape both soaks serve with.
 constexpr std::size_t kBatchMax = 64;
 constexpr std::size_t kDeadlineUs = 100;
 
 constexpr const char* kUsage =
-    "usage: streaming_throughput --soak-seconds=N [--inject-faults] "
-    "[--seed=N]\n"
+    "usage: streaming_throughput --soak-seconds=N [--seed=N]\n"
     "       streaming_throughput --drift [--soak-seconds=N] [--seed=N]\n";
 
 struct SoakOptions {
   std::size_t seconds = 0;  ///< Fault soak length; 0 = not requested.
-  bool inject_faults = false;
   bool drift = false;  ///< Closed-loop recalibration soak (own dataset).
   std::uint64_t seed = 20250807;
 };
 
+/// What one open-loop run left behind: the consumer's tallies, the
+/// admission rejections and the served tickets' latencies.
+struct Traffic {
+  std::uint64_t done = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t rejected = 0;  ///< Dropped at admission, never ticketed.
+  std::size_t waited = 0;      ///< Tickets the consumer waited on.
+  double wall_s = 0.0;
+  LatencyStats latency;
+
+  std::uint64_t resolved() const { return done + failed + shed; }
+  double achieved_rate() const {
+    return wall_s > 0.0 ? static_cast<double>(resolved()) / wall_s : 0.0;
+  }
+};
+
+/// Offers arrival `ticket` (the count admitted so far) `at` its offset from
+/// the start of the run; returns whether the engine admitted it.
+using SubmitFn = std::function<bool(std::size_t ticket, Clock::duration at)>;
+/// Sees each served ticket's labels, with the same `at` its submit saw.
+using DoneFn = std::function<void(std::size_t ticket, Clock::duration at,
+                                  std::span<const int> labels)>;
+
+/// The open-loop driver both soaks share. A producer thread offers Poisson
+/// arrivals at `rate` for `seconds` through `submit`, whose timeout bounds
+/// admission: a full ring past it drops the arrival at the door (counted,
+/// never ticketed) instead of stalling the producer's cycle. The calling
+/// thread consumes in order: every admitted ticket is waited exactly once,
+/// so a lost ticket shows up as a hang (and the final books as a mismatch).
+Traffic drive(StreamingEngine& engine, double rate, std::size_t seconds,
+              std::uint64_t rng_seed, const SubmitFn& submit,
+              const DoneFn& on_done = {}) {
+  // Stamp buffer sized for the whole run (append-only by the one producer;
+  // the consumer reads entries below n_submitted, published with release
+  // ordering, so no resize may ever happen mid-run).
+  const std::size_t cap = std::min<std::size_t>(
+      static_cast<std::size_t>(rate * static_cast<double>(seconds)) * 2 +
+          65536,
+      std::size_t{1} << 23);
+  std::vector<Clock::time_point> stamps(cap);
+  std::atomic<std::size_t> n_submitted{0};
+  std::atomic<bool> producer_done{false};
+  Traffic t;
+
+  const auto t_start = Clock::now();
+  const auto t_end = t_start + std::chrono::seconds(seconds);
+  std::jthread producer([&] {
+    Rng rng(rng_seed);
+    std::size_t accepted = 0;
+    auto next = Clock::now();
+    while (Clock::now() < t_end && accepted < cap) {
+      next += std::chrono::nanoseconds(
+          static_cast<std::int64_t>(rng.exponential(rate) * 1e9));
+      if (Clock::now() < next) std::this_thread::sleep_until(next);
+      stamps[accepted] = Clock::now();
+      if (submit(accepted, stamps[accepted] - t_start)) {
+        ++accepted;
+        n_submitted.store(accepted, std::memory_order_release);
+      } else {
+        ++t.rejected;  // Producer-only until the join below.
+      }
+    }
+    producer_done.store(true);
+  });
+
+  std::vector<double> micros;
+  micros.reserve(cap);
+  std::vector<int> labels(engine.num_qubits());
+  for (;;) {
+    const std::size_t avail = n_submitted.load(std::memory_order_acquire);
+    if (t.waited == avail) {
+      if (producer_done.load()) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      continue;
+    }
+    for (; t.waited < avail; ++t.waited) {
+      switch (engine.wait_result(t.waited, labels)) {
+        case ShotStatus::kDone:
+          ++t.done;
+          micros.push_back(std::chrono::duration<double, std::micro>(
+                               Clock::now() - stamps[t.waited])
+                               .count());
+          if (on_done) on_done(t.waited, stamps[t.waited] - t_start, labels);
+          break;
+        case ShotStatus::kFailed:
+          ++t.failed;
+          break;
+        case ShotStatus::kShed:
+          ++t.shed;
+          break;
+        default:
+          break;  // Unreachable: wait_result never times out.
+      }
+    }
+  }
+  producer.join();
+  t.wall_s = std::chrono::duration<double>(Clock::now() - t_start).count();
+  t.latency = summarize_latency(std::move(micros));
+  return t;
+}
+
+/// One soak's acceptance gate: prints every failed expectation and turns
+/// the verdict into the process exit code.
+class Gate {
+ public:
+  explicit Gate(const char* soak) : soak_(soak) {}
+
+  void expect(bool cond, const char* what) {
+    if (cond) return;
+    std::cerr << "[streaming_throughput] " << soak_ << " FAILURE: " << what
+              << "\n";
+    ok_ = false;
+  }
+
+  /// The books both soaks must balance: zero lost tickets, and the
+  /// consumer's tallies equal the engine's counters.
+  void books(const Traffic& t, const StreamingStats& st) {
+    expect(st.submitted == t.waited, "every issued ticket was waited");
+    expect(t.resolved() == st.submitted,
+           "every ticket resolved done/failed/shed");
+    expect(st.completed == st.submitted, "engine books balance");
+    expect(st.shed == t.shed, "shed tally matches engine counter");
+    expect(st.failed == t.failed, "failure tally matches engine counter");
+  }
+
+  int exit_code(const char* ok_line) const {
+    std::cout << "[streaming_throughput] ";
+    if (ok_)
+      std::cout << ok_line << "\n";
+    else
+      std::cout << soak_ << " FAILED\n";
+    return ok_ ? 0 : 1;
+  }
+
+ private:
+  const char* soak_;
+  bool ok_ = true;
+};
+
 /// Sustained resilience run: Poisson traffic with bounded-blocking
-/// admission, deadline shedding, concurrent hot-swaps, and (optionally)
-/// seeded fault injection on every shard. Returns the process exit code:
-/// nonzero when any ticket is lost or the books do not balance.
+/// admission, deadline shedding, concurrent hot-swaps, and seeded fault
+/// injection on every shard. Returns the process exit code: nonzero when
+/// any ticket is lost, the books do not balance, or the faults never trip
+/// and recover a breaker.
 int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
              const SoakOptions& opt) {
   using namespace mlqr::bench;
   const std::size_t n_shards = 2;
-  const double rate = static_cast<double>(env_int("MLQR_SOAK_RATE", 20000));
+  const double rate = kUnderTsan ? 10000.0 : 20000.0;
 
   StreamingConfig scfg;
   scfg.queue_capacity = 4096;
@@ -100,18 +251,14 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
   scfg.probe_backoff_us = 2000;
   scfg.fallback = clean;  // Serves while every shard is quarantined.
 
-  // Shard backends: plain copies, or FaultyBackend decorators whose
-  // schedules stagger deterministic outage bursts (8 consecutive throws —
-  // enough to trip quarantine_after = 3) across the two shards, on top of
-  // low background throw/delay/corrupt rates. Every decision is a pure
-  // function of (seed, call index): same seed, same fault sequence.
+  // Shard backends: FaultyBackend decorators whose schedules stagger
+  // deterministic outage bursts (8 consecutive throws — enough to trip
+  // quarantine_after = 3) across the two shards, on top of low background
+  // throw/delay/corrupt rates. Every decision is a pure function of
+  // (seed, call index): same seed, same fault sequence.
   std::vector<FaultyBackend> faulty;
   std::vector<EngineBackend> shards;
   for (std::size_t s = 0; s < n_shards; ++s) {
-    if (!opt.inject_faults) {
-      shards.push_back(clean);
-      continue;
-    }
     FaultPlan plan;
     plan.seed = opt.seed + s;
     plan.throw_rate = 0.002;
@@ -128,131 +275,55 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
   const std::vector<EngineBackend> swap_pool = shards;  // Same fault state.
   StreamingEngine engine(std::move(shards), scfg);
 
-  // Stamp buffer sized for the whole run (append-only by the one producer;
-  // the consumer reads entries below n_submitted, published with release
-  // ordering, so no resize may ever happen mid-run).
-  const std::size_t cap = std::min<std::size_t>(
-      static_cast<std::size_t>(rate * static_cast<double>(opt.seconds)) * 2 +
-          65536,
-      std::size_t{1} << 23);
-  std::vector<Clock::time_point> submitted(cap);
-  std::atomic<std::size_t> n_submitted{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<bool> producer_done{false};
-
   std::cout << "[streaming_throughput] soak: " << opt.seconds << " s at "
-            << rate << " shots/s, faults "
-            << (opt.inject_faults ? "on" : "off") << ", seed " << opt.seed
-            << "\n";
-  const auto t_start = Clock::now();
-  const auto t_end = t_start + std::chrono::seconds(opt.seconds);
-
-  std::jthread producer([&] {
-    Rng rng(opt.seed ^ 0x50A4ULL);
-    std::size_t accepted = 0;
-    auto next = Clock::now();
-    while (Clock::now() < t_end && accepted < cap) {
-      next += std::chrono::nanoseconds(
-          static_cast<std::int64_t>(rng.exponential(rate) * 1e9));
-      if (Clock::now() < next) std::this_thread::sleep_until(next);
-      // Bounded-blocking admission: a full ring past the timeout drops the
-      // arrival at the door (counted, never ticketed) instead of stalling
-      // the producer's cycle.
-      submitted[accepted] = Clock::now();
-      if (engine
-              .submit(frames[accepted % frames.size()],
-                      {.timeout = std::chrono::microseconds(2000)})
-              .has_value()) {
-        ++accepted;
-        n_submitted.store(accepted, std::memory_order_release);
-      } else {
-        rejected.fetch_add(1, std::memory_order_relaxed);
+            << rate << " shots/s, seed " << opt.seed << "\n";
+  Traffic traffic;
+  {
+    std::jthread swapper([&](std::stop_token stop) {
+      for (std::size_t k = 0; !stop.stop_requested(); ++k) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(250));
+        engine.swap_shard(k % n_shards, swap_pool[k % n_shards]);
       }
-    }
-    producer_done.store(true);
-  });
-
-  std::jthread swapper([&] {
-    std::size_t k = 0;
-    while (!producer_done.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(250));
-      engine.swap_shard(k % n_shards, swap_pool[k % n_shards]);
-      ++k;
-    }
-  });
-
-  // In-order consumer: every issued ticket is waited exactly once, so any
-  // lost ticket shows up as a hang (and the final books as a mismatch).
-  std::uint64_t done = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t shed = 0;
-  std::vector<double> micros;
-  micros.reserve(cap);
-  std::vector<int> labels(engine.num_qubits());
-  std::size_t consumed = 0;
-  for (;;) {
-    const std::size_t avail = n_submitted.load(std::memory_order_acquire);
-    if (consumed == avail) {
-      if (producer_done.load()) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      continue;
-    }
-    while (consumed < avail) {
-      switch (engine.wait_result(consumed, labels)) {
-        case ShotStatus::kDone:
-          ++done;
-          micros.push_back(std::chrono::duration<double, std::micro>(
-                               Clock::now() - submitted[consumed])
-                               .count());
-          break;
-        case ShotStatus::kFailed:
-          ++failed;
-          break;
-        case ShotStatus::kShed:
-          ++shed;
-          break;
-        default:
-          break;  // Unreachable: wait_result never times out.
-      }
-      ++consumed;
-    }
-  }
-  producer.join();
-  swapper.join();
+    });
+    const auto submit = [&](std::size_t ticket, Clock::duration) {
+      return engine
+          .submit(frames[ticket % frames.size()],
+                  {.timeout = std::chrono::microseconds(2000)})
+          .has_value();
+    };
+    traffic = drive(engine, rate, opt.seconds, opt.seed ^ 0x50A4ULL, submit);
+  }  // The swapper stops and joins here.
   engine.drain();  // Every ticket already consumed: must not throw.
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - t_start).count();
 
   const StreamingStats st = engine.stats();
-  const LatencyStats lat = summarize_latency(std::move(micros));
-  const std::uint64_t resolved = done + failed + shed;
+  const LatencyStats& lat = traffic.latency;
 
-  Table table("Streaming soak (" + std::to_string(opt.seconds) +
-              " s Poisson @ " + Table::num(rate, 0) + "/s, faults " +
-              (opt.inject_faults ? "on" : "off") + ")");
+  // One list feeds the printed table and the report row.
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"submitted", st.submitted}, {"done", traffic.done},
+      {"failed", traffic.failed}, {"shed", traffic.shed},
+      {"rejected", traffic.rejected}, {"rerouted", st.rerouted},
+      {"quarantines", st.quarantines}, {"probes", st.probes},
+      {"recoveries", st.recoveries}, {"swaps", st.swaps}};
+  Table table("Streaming fault soak (" + std::to_string(opt.seconds) +
+              " s Poisson @ " + Table::num(rate, 0) + "/s)");
   table.set_header({"Metric", "Count"});
-  const auto row = [&table](const char* k, std::uint64_t v) {
-    table.add_row({k, std::to_string(v)});
-  };
-  row("submitted", st.submitted);
-  row("done", done);
-  row("failed", failed);
-  row("shed", shed);
-  row("rejected at admission", rejected.load());
-  row("rerouted", st.rerouted);
-  row("quarantines", st.quarantines);
-  row("probes", st.probes);
-  row("recoveries", st.recoveries);
-  row("hot swaps", st.swaps);
+  BenchReport::Fields row{{"shards", static_cast<std::int64_t>(n_shards)},
+                          {"achieved_rate", traffic.achieved_rate()}};
+  for (const auto& [name, count] : counts) {
+    table.add_row({name, std::to_string(count)});
+    row.emplace_back(name, static_cast<std::int64_t>(count));
+  }
+  row.emplace_back("p50_us", lat.p50_us);
+  row.emplace_back("p99_us", lat.p99_us);
   table.print();
-  std::cout << "  achieved " << Table::num(resolved / wall, 0)
+  std::cout << "  achieved " << Table::num(traffic.achieved_rate(), 0)
             << " shots/s, p50 " << Table::num(lat.p50_us, 1) << " us, p99 "
             << Table::num(lat.p99_us, 1) << " us\n";
 
   BenchReport report("streaming_soak");
   report.context("mode", std::string("soak"));
   report.context("soak_seconds", static_cast<std::int64_t>(opt.seconds));
-  report.context("inject_faults", opt.inject_faults);
   report.context("seed", static_cast<std::int64_t>(opt.seed));
   report.context("target_rate", rate);
   report.context("threads_max",
@@ -263,114 +334,16 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
   report.context("deadline_us", static_cast<std::int64_t>(scfg.deadline_us));
   report.context("shot_deadline_us",
                  static_cast<std::int64_t>(scfg.shot_deadline_us));
-  report.add_row({{"shards", static_cast<std::int64_t>(n_shards)},
-                  {"achieved_rate", wall > 0.0 ? resolved / wall : 0.0},
-                  {"submitted", static_cast<std::int64_t>(st.submitted)},
-                  {"done", static_cast<std::int64_t>(done)},
-                  {"failed", static_cast<std::int64_t>(failed)},
-                  {"shed", static_cast<std::int64_t>(shed)},
-                  {"rejected", static_cast<std::int64_t>(rejected.load())},
-                  {"rerouted", static_cast<std::int64_t>(st.rerouted)},
-                  {"quarantines", static_cast<std::int64_t>(st.quarantines)},
-                  {"probes", static_cast<std::int64_t>(st.probes)},
-                  {"recoveries", static_cast<std::int64_t>(st.recoveries)},
-                  {"swaps", static_cast<std::int64_t>(st.swaps)},
-                  {"p50_us", lat.p50_us},
-                  {"p99_us", lat.p99_us}});
+  report.add_row(std::move(row));
   const std::string json_path = report.save();
   std::cout << "  report written to " << json_path << "\n";
 
-  // The acceptance gate: zero lost tickets, books balanced.
-  bool ok = true;
-  const auto expect = [&ok](bool cond, const char* what) {
-    if (!cond) {
-      std::cerr << "[streaming_throughput] SOAK FAILURE: " << what << "\n";
-      ok = false;
-    }
-  };
-  expect(st.submitted == consumed, "every issued ticket was waited");
-  expect(resolved == st.submitted, "every ticket resolved done/failed/shed");
-  expect(st.completed == st.submitted, "engine books balance");
-  expect(st.shed == shed, "shed tally matches engine counter");
-  expect(st.failed == failed, "failure tally matches engine counter");
-  if (opt.inject_faults) {
-    expect(st.failed > 0, "injected faults produced failures");
-    expect(st.quarantines > 0, "outage bursts tripped the breaker");
-    expect(st.recoveries > 0, "probes re-admitted recovered shards");
-  }
-  std::cout << (ok ? "[streaming_throughput] soak OK: zero lost tickets\n"
-                   : "[streaming_throughput] soak FAILED\n");
-  return ok ? 0 : 1;
-}
-
-/// Serialized weights of one Mlp — bit-identity comparisons without
-/// caring about the layer layout.
-std::string weight_bits(const Mlp& m) {
-  std::ostringstream os;
-  m.save(os);
-  return os.str();
-}
-
-/// Data-parallel trainer scaling rows for the drift report: one synthetic
-/// classification problem trained with threads = 1 / 2 / 4, asserting
-/// bit-identical weights across worker counts and recording wall time.
-/// Returns false when any run's weights diverge from the 1-worker run.
-bool add_trainer_scaling_rows(mlqr::bench::BenchReport& report,
-                              std::uint64_t seed) {
-  using namespace mlqr::bench;
-  const std::size_t dim = 32;
-  const std::size_t classes = 3;
-  const std::size_t per_class = fast_scaled(4096, 4, 512);
-  const std::size_t n = per_class * classes;
-  std::vector<float> x(n * dim);
-  std::vector<int> y(n);
-  Rng rng(seed ^ 0x7A11ULL);
-  for (std::size_t s = 0; s < n; ++s) {
-    const int c = static_cast<int>(s % classes);
-    y[s] = c;
-    for (std::size_t d = 0; d < dim; ++d)
-      x[s * dim + d] = static_cast<float>(rng.normal()) +
-                       (d % classes == static_cast<std::size_t>(c) ? 2.0f : 0.0f);
-  }
-
-  TrainerConfig tcfg;
-  tcfg.epochs = 3;
-  tcfg.batch_size = 64;
-  tcfg.seed = seed;
-  tcfg.validation_fraction = 0.0f;
-
-  std::string reference;
-  double t1_seconds = 0.0;
-  bool identical = true;
-  for (const std::size_t workers : {1, 2, 4}) {
-    Mlp model({dim, 64, 32, classes});
-    Rng init(seed ^ 0x1234ULL);
-    model.init_weights(init);
-    tcfg.threads = workers;
-    Timer timer;
-    train_classifier(model, x, y, tcfg);
-    const double secs = timer.seconds();
-    const std::string bits = weight_bits(model);
-    if (workers == 1) {
-      reference = bits;
-      t1_seconds = secs;
-    } else if (bits != reference) {
-      identical = false;
-    }
-    report.add_row(
-        {{"kind", std::string("trainer_scaling")},
-         {"threads", static_cast<std::int64_t>(workers)},
-         {"train_seconds", secs},
-         {"speedup_vs_1", secs > 0.0 ? t1_seconds / secs : 0.0},
-         {"samples", static_cast<std::int64_t>(n)},
-         {"bit_identical", workers == 1 || bits == reference}});
-    std::cout << "  trainer threads=" << workers << ": "
-              << Table::num(secs * 1e3, 1) << " ms"
-              << (workers > 1 && bits != reference ? "  ** WEIGHTS DIVERGED **"
-                                                   : "")
-              << "\n";
-  }
-  return identical;
+  Gate gate("SOAK");
+  gate.books(traffic, st);
+  gate.expect(st.failed > 0, "injected faults produced failures");
+  gate.expect(st.quarantines > 0, "outage bursts tripped the breaker");
+  gate.expect(st.recoveries > 0, "probes re-admitted recovered shards");
+  return gate.exit_code("soak OK: zero lost tickets");
 }
 
 /// Closed-loop drift recalibration soak (--drift): simulate a chip whose
@@ -383,7 +356,7 @@ bool add_trainer_scaling_rows(mlqr::bench::BenchReport& report,
 int run_drift_soak(const SoakOptions& opt) {
   using namespace mlqr::bench;
   const std::size_t seconds = std::max<std::size_t>(opt.seconds, 8);
-  const double rate = static_cast<double>(env_int("MLQR_DRIFT_RATE", 4000));
+  const double rate = kUnderTsan ? 1500.0 : 4000.0;
   const std::size_t n_shards = 2;
 
   // ---- clean calibration on the two-qubit test chip -------------------
@@ -546,117 +519,53 @@ int run_drift_soak(const SoakOptions& opt) {
   RecalibrationController controller(engine, retrainer, rcfg);
 
   // ---- traffic ---------------------------------------------------------
-  const std::size_t cap = std::min<std::size_t>(
-      static_cast<std::size_t>(rate * static_cast<double>(seconds)) * 2 +
-          65536,
-      std::size_t{1} << 23);
-  std::vector<Clock::time_point> submitted(cap);
-  std::vector<std::uint32_t> rec_pool(cap, 0);
-  std::vector<std::uint32_t> rec_shot(cap, 0);
-  std::atomic<std::size_t> n_submitted{0};
-  std::atomic<std::uint64_t> rejected{0};
-  std::atomic<bool> producer_done{false};
-
-  const auto t_start = Clock::now();
-  const auto t_end = t_start + std::chrono::seconds(seconds);
-
-  std::jthread producer([&] {
-    Rng rng(opt.seed ^ 0xD21F7ULL);
-    std::size_t accepted = 0;
-    std::uint64_t key = 0;
-    auto next = Clock::now();
-    while (Clock::now() < t_end && accepted < cap) {
-      next += std::chrono::nanoseconds(
-          static_cast<std::int64_t>(rng.exponential(rate) * 1e9));
-      if (Clock::now() < next) std::this_thread::sleep_until(next);
-      const auto now = Clock::now();
-      const std::size_t sec = std::min<std::size_t>(
-          static_cast<std::size_t>(
-              std::chrono::duration_cast<std::chrono::seconds>(now - t_start)
-                  .count()),
-          seconds - 1);
-      const EpochPool& pool = pools[sec];
-      const std::size_t shot = accepted % pool_shots;
-      const std::span<const int> truth{pool.labels.data() + shot * n_qubits,
-                                       n_qubits};
-      submitted[accepted] = now;
-      rec_pool[accepted] = static_cast<std::uint32_t>(sec);
-      rec_shot[accepted] = static_cast<std::uint32_t>(shot);
-      // Every shot is a reference shot: the drift monitors see live
-      // fidelity, and the reservoir accumulates the labeled retrain set.
-      // Bounded-blocking admission proves ingest never pauses (the gate
-      // below requires zero rejections even across retrains and swaps).
-      if (engine
-              .submit(pool.frames[shot],
-                      {.key = key++,
-                       .expected = truth,
-                       .timeout = std::chrono::microseconds(100000)})
-              .has_value()) {
-        controller.reservoir().push(pool.frames[shot], truth);
-        ++accepted;
-        n_submitted.store(accepted, std::memory_order_release);
-      } else {
-        rejected.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    producer_done.store(true);
-  });
-
-  // In-order consumer bucketing serving fidelity per wall second.
-  std::uint64_t done = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t shed = 0;
+  // Ticket i serves shot i % pool_shots of the pool for the wall second it
+  // was submitted in; the consumer buckets serving fidelity by that second.
+  const auto second_of = [seconds](Clock::duration at) {
+    return std::min<std::size_t>(
+        static_cast<std::size_t>(
+            std::chrono::duration_cast<std::chrono::seconds>(at).count()),
+        seconds - 1);
+  };
+  std::uint64_t key = 0;
+  const auto submit = [&](std::size_t ticket, Clock::duration at) {
+    const EpochPool& pool = pools[second_of(at)];
+    const std::size_t shot = ticket % pool_shots;
+    const std::span<const int> truth{pool.labels.data() + shot * n_qubits,
+                                     n_qubits};
+    // Every shot is a reference shot: the drift monitors see live
+    // fidelity, and the reservoir accumulates the labeled retrain set.
+    // Bounded-blocking admission proves ingest never pauses (the gate
+    // below requires zero rejections even across retrains and swaps).
+    if (!engine
+             .submit(pool.frames[shot],
+                     {.key = key++,
+                      .expected = truth,
+                      .timeout = std::chrono::microseconds(100000)})
+             .has_value())
+      return false;
+    controller.reservoir().push(pool.frames[shot], truth);
+    return true;
+  };
   std::vector<double> sec_match(seconds, 0.0);
   std::vector<double> sec_total(seconds, 0.0);
-  std::vector<double> micros;
-  micros.reserve(cap);
-  std::vector<int> labels(engine.num_qubits());
-  std::size_t consumed = 0;
-  for (;;) {
-    const std::size_t avail = n_submitted.load(std::memory_order_acquire);
-    if (consumed == avail) {
-      if (producer_done.load()) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      continue;
-    }
-    while (consumed < avail) {
-      switch (engine.wait_result(consumed, labels)) {
-        case ShotStatus::kDone: {
-          ++done;
-          micros.push_back(std::chrono::duration<double, std::micro>(
-                               Clock::now() - submitted[consumed])
-                               .count());
-          const std::size_t sec = rec_pool[consumed];
-          const int* truth = pools[sec].labels.data() +
-                             static_cast<std::size_t>(rec_shot[consumed]) *
-                                 n_qubits;
-          for (std::size_t q = 0; q < n_qubits; ++q)
-            if (labels[q] == truth[q]) sec_match[sec] += 1.0;
-          sec_total[sec] += static_cast<double>(n_qubits);
-          break;
-        }
-        case ShotStatus::kFailed:
-          ++failed;
-          break;
-        case ShotStatus::kShed:
-          ++shed;
-          break;
-        default:
-          break;  // Unreachable: wait_result never times out.
-      }
-      ++consumed;
-    }
-  }
-  producer.join();
+  const auto on_done = [&](std::size_t ticket, Clock::duration at,
+                           std::span<const int> labels) {
+    const std::size_t sec = second_of(at);
+    const int* truth =
+        pools[sec].labels.data() + (ticket % pool_shots) * n_qubits;
+    for (std::size_t q = 0; q < n_qubits; ++q)
+      if (labels[q] == truth[q]) sec_match[sec] += 1.0;
+    sec_total[sec] += static_cast<double>(n_qubits);
+  };
+  const Traffic traffic =
+      drive(engine, rate, seconds, opt.seed ^ 0xD21F7ULL, submit, on_done);
   engine.drain();
   controller.stop();
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - t_start).count();
 
   const StreamingStats st = engine.stats();
   const RecalibrationStats rs = controller.stats();
-  const LatencyStats lat = summarize_latency(std::move(micros));
-  const std::uint64_t resolved = done + failed + shed;
+  const LatencyStats& lat = traffic.latency;
 
   // ---- fidelity trajectory ---------------------------------------------
   const std::size_t drift_start = static_cast<std::size_t>(ramp_t0);
@@ -723,12 +632,12 @@ int run_drift_soak(const SoakOptions& opt) {
                   {"baseline_fidelity", f_base},
                   {"min_fidelity", f_min},
                   {"recovered_fidelity", f_recovered},
-                  {"achieved_rate", wall > 0.0 ? resolved / wall : 0.0},
+                  {"achieved_rate", traffic.achieved_rate()},
                   {"submitted", static_cast<std::int64_t>(st.submitted)},
-                  {"done", static_cast<std::int64_t>(done)},
-                  {"failed", static_cast<std::int64_t>(failed)},
-                  {"shed", static_cast<std::int64_t>(shed)},
-                  {"rejected", static_cast<std::int64_t>(rejected.load())},
+                  {"done", static_cast<std::int64_t>(traffic.done)},
+                  {"failed", static_cast<std::int64_t>(traffic.failed)},
+                  {"shed", static_cast<std::int64_t>(traffic.shed)},
+                  {"rejected", static_cast<std::int64_t>(traffic.rejected)},
                   {"reference_shots",
                    static_cast<std::int64_t>(st.reference_shots)},
                   {"scored_shots", static_cast<std::int64_t>(st.scored_shots)},
@@ -740,54 +649,36 @@ int run_drift_soak(const SoakOptions& opt) {
                   {"retrain_seconds", retrain_seconds.load()},
                   {"p50_us", lat.p50_us},
                   {"p99_us", lat.p99_us}});
-
-  std::cout << "\n  data-parallel trainer scaling (bit-identity pinned):\n";
-  const bool trainer_identical = add_trainer_scaling_rows(report, opt.seed);
-
   const std::string json_path = report.save();
   std::cout << "  report written to " << json_path << "\n";
 
   // ---- acceptance gates -------------------------------------------------
-  bool ok = true;
-  const auto expect = [&ok](bool cond, const char* what) {
-    if (!cond) {
-      std::cerr << "[streaming_throughput] DRIFT SOAK FAILURE: " << what
-                << "\n";
-      ok = false;
-    }
-  };
-  // MLQR_DRIFT_STRICT=0 keeps only the correctness/accounting gates and
-  // drops the timing-dependent trajectory ones (dip depth, recovery
-  // deadline, swap count, zero-rejection ingest). Sanitizer CI legs use
-  // it: TSan slows the classify path ~10x and the 40-epoch retrain more,
-  // so the loop still runs end to end but on a stretched clock.
-  const bool strict = env_int("MLQR_DRIFT_STRICT", 1) != 0;
-  expect(st.submitted == consumed, "every issued ticket was waited");
-  expect(resolved == st.submitted, "every ticket resolved done/failed/shed");
-  expect(st.completed == st.submitted, "engine books balance");
-  expect(shed == 0, "no shot was shed");
-  expect(failed == 0, "no shot failed");
-  expect(st.reference_shots > 0, "drift monitors saw reference shots");
-  expect(st.scored_shots > 0, "drift monitors sampled confidence");
-  expect(rs.failures == 0, "no retrain failed");
-  expect(trainer_identical,
-         "trainer weights bit-identical across 1/2/4 workers");
-  if (strict) {
-    expect(rejected.load() == 0, "ingest never paused (zero rejections)");
-    expect(rs.retrains >= 1, "controller retrained at least once");
-    expect(rs.swaps >= 1, "controller hot-swapped at least once");
-    expect(f_base > 0.8, "pre-drift baseline fidelity is sane");
-    expect(f_min < f_base - 0.01,
-           "the drift produced a visible fidelity dip");
-    expect(f_recovered >= f_base - 0.005,
-           "post-swap fidelity recovered to within 0.5% of baseline");
+  Gate gate("DRIFT SOAK");
+  gate.books(traffic, st);
+  gate.expect(traffic.shed == 0, "no shot was shed");
+  gate.expect(traffic.failed == 0, "no shot failed");
+  gate.expect(st.reference_shots > 0, "drift monitors saw reference shots");
+  gate.expect(st.scored_shots > 0, "drift monitors sampled confidence");
+  gate.expect(rs.failures == 0, "no retrain failed");
+  // The trajectory gates (dip depth, recovery deadline, swap count,
+  // zero-rejection ingest) depend on timing. A ThreadSanitizer build slows
+  // the classify path ~10x and the 40-epoch retrain more, so the loop
+  // still runs end to end there but on a stretched clock, and only the
+  // accounting gates above apply.
+  if (kUnderTsan) {
+    std::cout << "  (ThreadSanitizer build: trajectory gates skipped)\n";
   } else {
-    std::cout << "  (MLQR_DRIFT_STRICT=0: trajectory gates skipped)\n";
+    gate.expect(traffic.rejected == 0, "ingest never paused (zero rejections)");
+    gate.expect(rs.retrains >= 1, "controller retrained at least once");
+    gate.expect(rs.swaps >= 1, "controller hot-swapped at least once");
+    gate.expect(f_base > 0.8, "pre-drift baseline fidelity is sane");
+    gate.expect(f_min < f_base - 0.01,
+                "the drift produced a visible fidelity dip");
+    gate.expect(f_recovered >= f_base - 0.005,
+                "post-swap fidelity recovered to within 0.5% of baseline");
   }
-  std::cout << (ok ? "[streaming_throughput] drift soak OK: detect -> "
-                     "retrain -> recover closed the loop\n"
-                   : "[streaming_throughput] drift soak FAILED\n");
-  return ok ? 0 : 1;
+  return gate.exit_code(
+      "drift soak OK: detect -> retrain -> recover closed the loop");
 }
 
 }  // namespace
@@ -801,8 +692,6 @@ int main(int argc, char** argv) {
     if (arg.rfind("--soak-seconds=", 0) == 0) {
       soak.seconds = static_cast<std::size_t>(
           std::strtoull(arg.c_str() + 15, nullptr, 10));
-    } else if (arg == "--inject-faults") {
-      soak.inject_faults = true;
     } else if (arg == "--drift") {
       soak.drift = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
@@ -825,16 +714,17 @@ int main(int argc, char** argv) {
   }
 
   DatasetConfig dcfg;
-  dcfg.shots_per_basis_state =
-      fast_scaled(static_cast<std::size_t>(env_int("MLQR_SHOTS", 200)), 2, 80);
+  dcfg.shots_per_basis_state = fast_scaled(200, 2, 80);
   std::cout << "[streaming_throughput] generating dataset ("
             << dcfg.shots_per_basis_state << " shots/state)...\n";
   const ReadoutDataset ds = generate_dataset(dcfg);
 
   ProposedConfig pcfg;
   pcfg.trainer.epochs = fast_mode() ? 8 : 20;
+  std::cout << "[streaming_throughput] training proposed discriminator...\n";
   const BackendSnapshot serving =
-      make_serving_backend(ds, pcfg, "streaming_throughput");
+      BackendSnapshot::wrap(ProposedDiscriminator::train(
+          ds.shots, ds.training_labels, ds.train_idx, ds.chip, pcfg));
 
   std::vector<IqTrace> frames;
   frames.reserve(std::max<std::size_t>(ds.test_idx.size(), 1024));

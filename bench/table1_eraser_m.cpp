@@ -14,8 +14,7 @@ int main() {
   const SurfaceCode code(7);
   const LeakageRates rates;
   const std::size_t cycles = 10;
-  const std::size_t trials = fast_scaled(
-      static_cast<std::size_t>(env_int("MLQR_TRIALS", 4000)), 10, 200);
+  const std::size_t trials = fast_scaled(4000, 10, 200);
 
   EraserConfig base_cfg;
   const SpeculationStats base = run_eraser(code, rates, MultiLevelReadout{},

@@ -21,8 +21,7 @@ int main() {
   const SurfaceCode code(7);
   const LeakageRates rates;
   const std::size_t cycles = 10;
-  const std::size_t trials = fast_scaled(
-      static_cast<std::size_t>(env_int("MLQR_TRIALS", 3000)), 10, 200);
+  const std::size_t trials = fast_scaled(3000, 10, 200);
   const std::size_t exclude[] = {1};  // Qubit 2 (index 1).
 
   Table table("Table VI — readout quality vs leakage speculation (d=7)");

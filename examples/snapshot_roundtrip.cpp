@@ -7,10 +7,8 @@
 //   ./snapshot_roundtrip [shots_per_basis_state]
 //
 // Writes calibration.{float,int16,int8}.snap in the working
-// directory. Point MLQR_SNAPSHOT=calibration at them to make the
-// bench/streaming_throughput fault soak serve from the saved float
-// calibration instead of retraining. MLQR_FAST=1 shrinks the run to CI
-// scale.
+// directory; load_backend_file reloads any of them in another process.
+// MLQR_FAST=1 shrinks the run to CI scale.
 //
 // MLQR_CORPUS_DIR=<dir> switches to seed-corpus mode: train every
 // registered snapshot kind on a tiny two-qubit dataset, write one valid
@@ -184,9 +182,6 @@ int main(int argc, char** argv) {
   const StreamingStats st = engine.stats();
   std::cout << "[snapshot] hot swap: " << st.completed
             << " shots served across " << st.batches << " micro-batches, "
-            << st.swaps << " shard swaps, zero dropped tickets\n"
-            << "\nServe the float calibration in the fault soak with:\n"
-            << "  MLQR_SNAPSHOT=calibration ./streaming_throughput "
-               "--soak-seconds=20 --inject-faults\n";
+            << st.swaps << " shard swaps, zero dropped tickets\n";
   return 0;
 }

@@ -1,56 +1,17 @@
 #include "common/thread_pool.h"
 
-#include <cstdio>
-
-#include "common/env.h"
 #include "common/parallel.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace mlqr {
 
 namespace {
 thread_local bool t_inside_worker = false;
-
-/// Opt-in worker pinning (MLQR_AFFINITY=1): worker t goes to core
-/// t % hardware_concurrency. Off by default — pinning helps steady
-/// throughput benches (no migration, stable caches) but hurts a shared
-/// machine, so it must be asked for. Linux-only; a no-op elsewhere.
-bool affinity_requested() {
-  static const bool on = env_int("MLQR_AFFINITY", 0) == 1;
-  return on;
-}
-
-void pin_to_core([[maybe_unused]] std::size_t worker_index) {
-#if defined(__linux__)
-  const unsigned n_cores = std::thread::hardware_concurrency();
-  if (n_cores == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(worker_index % n_cores, &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    // A constrained cpuset (container, taskset) can reject the mask; serve
-    // unpinned rather than fail, but say so once.
-    static WarnOnce warned;
-    if (warned.first())
-      std::fprintf(stderr,
-                   "[mlqr] MLQR_AFFINITY=1 but pinning failed; workers run "
-                   "unpinned\n");
-  }
-#endif
-}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
   threads_.reserve(n_threads);
   for (std::size_t t = 0; t < n_threads; ++t)
-    threads_.emplace_back([this, t] {
-      if (affinity_requested()) pin_to_core(t);
-      worker_loop();
-    });
+    threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {

@@ -179,29 +179,52 @@ std::string weight_bits(const Mlp& m) {
 
 // The data-parallel trainer's contract: the gradient shard partition is
 // fixed (not thread-count-dependent) and shards reduce in index order, so
-// the trained weights are bit-identical for every worker count.
+// the trained weights are bit-identical for every worker count. Two
+// inputs: the 2-16-3 blobs net, and a 32-64-32-3 net on 32-wide features
+// whose dots run the SIMD kernels' vector bodies (2-wide ones reach only
+// their scalar tails) and whose backward pass crosses a hidden-to-hidden
+// layer.
 TEST(Trainer, ThreadCountBitIdentity) {
-  std::vector<float> x;
-  std::vector<int> y;
-  make_blobs(x, y, 200, 311);
-  TrainerConfig cfg;
-  cfg.epochs = 5;
-  cfg.validation_fraction = 0.0f;
-  cfg.weight_decay = 0.01f;
-
-  std::string reference;
-  for (const std::size_t workers : {1, 2, 4}) {
-    Mlp m({2, 16, 3});
-    Rng rng(42);
-    m.init_weights(rng);
-    cfg.threads = workers;
-    train_classifier(m, x, y, cfg);
-    if (workers == 1)
-      reference = weight_bits(m);
-    else
-      EXPECT_EQ(weight_bits(m), reference) << "workers=" << workers;
+  struct Input {
+    const char* name;
+    std::vector<std::size_t> shape;
+    int epochs;
+    float weight_decay;
+    std::vector<float> x;
+    std::vector<int> y;
+  };
+  Input blobs{"blobs", {2, 16, 3}, 5, 0.01f, {}, {}};
+  make_blobs(blobs.x, blobs.y, 200, 311);
+  // Class c lifts every third of the 32 features by 2.
+  Input wide{"wide", {32, 64, 32, 3}, 3, 0.0f, {}, {}};
+  Rng data(0x7A11);
+  for (int s = 0; s < 300; ++s) {
+    wide.y.push_back(s % 3);
+    for (int d = 0; d < 32; ++d)
+      wide.x.push_back(static_cast<float>(data.normal()) +
+                       (d % 3 == s % 3 ? 2.0f : 0.0f));
   }
-  ASSERT_FALSE(reference.empty());
+
+  for (const Input* in : {&blobs, &wide}) {
+    TrainerConfig cfg;
+    cfg.epochs = in->epochs;
+    cfg.validation_fraction = 0.0f;
+    cfg.weight_decay = in->weight_decay;
+    std::string reference;
+    for (const std::size_t workers : {1, 2, 4}) {
+      Mlp m(in->shape);
+      Rng rng(42);
+      m.init_weights(rng);
+      cfg.threads = workers;
+      train_classifier(m, in->x, in->y, cfg);
+      if (workers == 1)
+        reference = weight_bits(m);
+      else
+        EXPECT_EQ(weight_bits(m), reference)
+            << in->name << ", workers=" << workers;
+    }
+    ASSERT_FALSE(reference.empty()) << in->name;
+  }
 }
 
 // Warm-start seam: a saved optimizer + model resumed from a checkpoint

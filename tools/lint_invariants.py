@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lints that neither the compiler nor clang-tidy can express.
 
-Six checks, all cheap enough for every CI run and every pre-commit:
+Seven checks, all cheap enough for every CI run and every pre-commit:
 
   1. snapshot-kinds: the SnapshotKind enum in src/pipeline/snapshot.h is an
      on-disk format registry. Its wire values are pinned in
@@ -45,6 +45,11 @@ Six checks, all cheap enough for every CI run and every pre-commit:
      file in bench/, examples/, perfbench/ or fuzz/. A header only tests
      include is a module nothing serves: delete it, or wire it into a
      caller in the same change.
+
+  7. documented-knobs: every `MLQR_*` environment variable that code in
+     src/, bench/, examples/ or fuzz/ reads (a `getenv("MLQR_...")` or
+     `env_*("MLQR_...", ...)` call with a literal name) has a row in the
+     knob table of README.md. tests/ may read scratch variables of its own.
 
 Exit status: 0 = all invariants hold, 1 = violation (details on stderr),
 2 = usage / environment error. `--self-test` proves the checks can fail by
@@ -374,6 +379,71 @@ def check_test_only_modules(root: pathlib.Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Check 7: every MLQR_* environment variable the code reads is documented.
+# ---------------------------------------------------------------------------
+
+README = pathlib.Path("README.md")
+KNOB_SCAN_DIRS = ("src", "bench", "examples", "fuzz")
+# Strings and char literals are kept, comments blanked (newlines survive).
+TOKEN_RE = re.compile(
+    r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'|//[^\n]*|/\*.*?\*/',
+    re.DOTALL,
+)
+ENV_READ_RE = re.compile(r'\b(?:getenv|env_\w+)\s*\(\s*"(?P<name>MLQR_\w+)"')
+KNOB_ROW_RE = re.compile(r"^\|\s*`(?P<name>MLQR_\w+)")
+
+
+def blank_comments(text: str) -> str:
+    def keep_strings(m: re.Match[str]) -> str:
+        tok = m.group(0)
+        return tok if tok[0] in "\"'" else re.sub(r"[^\n]", " ", tok)
+
+    return TOKEN_RE.sub(keep_strings, text)
+
+
+def documented_knobs(readme_text: str) -> set[str]:
+    """Environment variables named in the first cell of the knob table."""
+    lines = readme_text.splitlines()
+    try:
+        start = next(i for i, ln in enumerate(lines)
+                     if re.match(r"^\|\s*Knob\s*\|", ln))
+    except StopIteration:
+        raise SystemExit(
+            f"error: no `| Knob | Effect |` table in {README} — if the "
+            f"knob table moved, update tools/lint_invariants.py alongside it"
+        )
+    names = set()
+    for ln in lines[start + 1:]:
+        if not ln.startswith("|"):
+            break
+        m = KNOB_ROW_RE.match(ln)
+        if m:
+            names.add(m.group("name"))
+    return names
+
+
+def check_documented_knobs(root: pathlib.Path) -> list[str]:
+    documented = documented_knobs((root / README).read_text(encoding="utf-8"))
+    errors = []
+    for top in KNOB_SCAN_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in ISA_SUFFIXES or not path.is_file():
+                continue
+            code = blank_comments(path.read_text(encoding="utf-8"))
+            for m in ENV_READ_RE.finditer(code):
+                if m.group("name") in documented:
+                    continue
+                lineno = code.count("\n", 0, m.start()) + 1
+                errors.append(
+                    f"{path.relative_to(root)}:{lineno}: reads environment "
+                    f"variable {m.group('name')}, which has no row in the "
+                    f"knob table of {README} — document it there, or delete "
+                    f"the read"
+                )
+    return errors
+
+
+# ---------------------------------------------------------------------------
 # Driver + self-test.
 # ---------------------------------------------------------------------------
 
@@ -386,6 +456,7 @@ def run_checks(root: pathlib.Path) -> int:
         + check_pure_parts(root)
         + check_isa_dispatch(root)
         + check_test_only_modules(root)
+        + check_documented_knobs(root)
     )
     for e in errors:
         print(f"lint_invariants: {e}", file=sys.stderr)
@@ -601,6 +672,47 @@ def self_test() -> int:
             failures.append("false positive: header reached through a "
                             "served header")
 
+    # Check 7 gets a tree of its own: an undocumented read must be caught
+    # in every scanned tree and through either reader...
+    with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
+        root = pathlib.Path(tmp)
+        for d in ("src/common", "bench", "examples", "fuzz", "tests"):
+            (root / d).mkdir(parents=True)
+        (root / README).write_text(
+            "| Knob | Effect |\n| --- | --- |\n"
+            "| `MLQR_FAST=1` | CI scale |\n"
+            "| `-DMLQR_NATIVE=ON` | native build |\n\n"
+            "Prose naming `MLQR_LATER` documents nothing.\n",
+            encoding="utf-8",
+        )
+        undocumented = {
+            "src/common/probe.cpp": 'auto v = std::getenv("MLQR_LATER");\n',
+            "bench/probe.cpp": 'int n = env_int("MLQR_LATER", 4);\n',
+            "examples/probe.h": 'bool b = env_int(\n    "MLQR_NATIVE", 0);\n',
+            "fuzz/probe.cpp": 'const char* v = getenv("MLQR_LATER");\n',
+        }
+        for where, snippet in undocumented.items():
+            (root / where).write_text(snippet, encoding="utf-8")
+            if not check_documented_knobs(root):
+                failures.append(f"undocumented env read in {where} not "
+                                f"caught")
+            (root / where).unlink()
+        # ...while a documented read, reads in comments or tests/, and a
+        # string that merely names a variable must not fire.
+        (root / "src/common/probe.cpp").write_text(
+            'bool fast = std::getenv("MLQR_FAST") != nullptr;\n'
+            '// std::getenv("MLQR_LATER") once lived here.\n'
+            '/* env_int("MLQR_LATER", 0) */\n'
+            'const char* hint = "set MLQR_LATER";\n',
+            encoding="utf-8",
+        )
+        (root / "tests/test_probe.cpp").write_text(
+            'int v = env_int("MLQR_TEST_ONLY", 1);\n', encoding="utf-8"
+        )
+        if check_documented_knobs(root):
+            failures.append("false positive: documented read, comment, "
+                            "test or plain string")
+
     for f in failures:
         print(f"lint_invariants --self-test: FAIL: {f}", file=sys.stderr)
     if not failures:
@@ -608,8 +720,8 @@ def self_test() -> int:
             f"lint_invariants --self-test: ok "
             f"({len(mutations)} registry mutations, "
             f"{len(nondet_snippets)} nondeterminism probes, and the "
-            f"pipeline-rng, pure-part, isa-dispatch and test-only-module "
-            f"probes all caught)"
+            f"pipeline-rng, pure-part, isa-dispatch, test-only-module and "
+            f"documented-knob probes all caught)"
         )
     return 1 if failures else 0
 
