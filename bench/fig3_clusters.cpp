@@ -58,9 +58,7 @@ int main() {
       pts.push_back(mtv[s].real());
       pts.push_back(mtv[s].imag());
     }
-    SpectralConfig scfg;
-    scfg.n_clusters = 3;
-    const std::vector<int> labels = spectral_cluster(pts, 2, scfg, rng);
+    const std::vector<int> labels = spectral_cluster(pts, 2, rng);
     CsvWriter csv("fig3b_spectral_clusters.csv");
     csv.write_row(std::vector<std::string>{"re", "im", "cluster",
                                            "true_level"});

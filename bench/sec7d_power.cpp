@@ -10,8 +10,6 @@
 int main() {
   using namespace mlqr;
 
-  PowerConfig cfg;  // 1 GHz, 45 nm, 8-bit MACs.
-
   DesignSpec head = proposed_design_spec(5, 3, 500);
   head.name = "OURS (per-qubit head)";
   head.nns.resize(1);
@@ -30,7 +28,7 @@ int main() {
                     "Static (mW)", "Total (mW)"});
   for (const DesignSpec& spec : designs) {
     const std::size_t cycles = design_latency_cycles(spec);
-    const PowerEstimate p = estimate_power(spec, cycles, cfg);
+    const PowerEstimate p = estimate_power(spec, cycles);
     table.add_row({spec.name, std::to_string(spec.total_nn_parameters()),
                    std::to_string(cycles), Table::num(p.dynamic_mw, 3),
                    Table::num(p.static_mw, 3), Table::num(p.total_mw(), 3)});

@@ -410,9 +410,8 @@ int run_drift_soak(const SoakOptions& opt) {
   const double ramp_t1 = 0.45 * static_cast<double>(seconds);
   const double phase_deg = 60.0;
   ChipDrift drift_model;
-  drift_model.qubits.resize(n_qubits);
-  for (QubitDrift& q : drift_model.qubits)
-    q.phase_deg = DriftSchedule::ramp(ramp_t0, 0.0, ramp_t1, phase_deg);
+  drift_model.phase_deg.assign(
+      n_qubits, DriftSchedule::ramp(ramp_t0, 0.0, ramp_t1, phase_deg));
 
   // Pool size bounds the per-second fidelity noise floor: each pool shot
   // is resubmitted rate/pool_shots times, so the per-second estimate
@@ -594,9 +593,9 @@ int run_drift_soak(const SoakOptions& opt) {
   table.set_header({"Second", "Fidelity", "Phase (deg)"});
   for (std::size_t t = 0; t < seconds; ++t)
     table.add_row({std::to_string(t), Table::num(fidelity[t], 4),
-                   Table::num(drift_model.qubits[0].phase_deg.at(
-                                  static_cast<double>(t)),
-                              1)});
+                   Table::num(
+                       drift_model.phase_deg[0].at(static_cast<double>(t)),
+                       1)});
   table.print();
   std::cout << "  holdout f0 " << Table::num(f0, 4) << ", floor "
             << Table::num(scfg.drift.min_fidelity, 4) << "\n";
@@ -626,8 +625,8 @@ int run_drift_soak(const SoakOptions& opt) {
         {{"kind", std::string("fidelity")},
          {"second", static_cast<std::int64_t>(t)},
          {"fidelity", fidelity[t]},
-         {"phase_deg", drift_model.qubits[0].phase_deg.at(
-                           static_cast<double>(t))}});
+         {"phase_deg",
+          drift_model.phase_deg[0].at(static_cast<double>(t))}});
   report.add_row({{"kind", std::string("summary")},
                   {"baseline_fidelity", f_base},
                   {"min_fidelity", f_min},

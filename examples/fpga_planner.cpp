@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
     const ResourceEstimate est = estimate_design(spec);
     const Utilization util = utilization(est, device);
     const std::size_t cycles = design_latency_cycles(spec);
-    PowerConfig pcfg;
-    const PowerEstimate power = estimate_power(spec, cycles, pcfg);
+    const PowerEstimate power = estimate_power(spec, cycles);
     table.add_row({spec.name, std::to_string(spec.total_nn_parameters()),
                    Table::pct(util.lut), Table::pct(util.ff),
                    Table::pct(util.bram), Table::pct(util.dsp),

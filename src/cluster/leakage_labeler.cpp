@@ -10,6 +10,18 @@ namespace mlqr {
 
 namespace {
 
+/// A point is a leakage candidate when it is farther than this many robust
+/// scales from *both* computational centroids...
+constexpr double kOutlierSigma = 3.5;
+/// ...and farther than this many scales from the 0-1 relaxation chord.
+constexpr double kChordSigma = 3.0;
+/// Below this many candidates the qubit is declared leakage-free.
+constexpr std::size_t kMinLeakCandidates = 3;
+/// Final assignment: a trace is labeled |2> only when it is nearest the
+/// leak centroid and still this many scales away from both computational
+/// centroids (keeps relaxed-tail traces computational).
+constexpr double kAssignSigma = 2.5;
+
 double median(std::vector<double> xs) {
   MLQR_CHECK(!xs.empty());
   const std::size_t mid = xs.size() / 2;
@@ -38,8 +50,7 @@ std::complex<double> component_median(
 }  // namespace
 
 LeakageLabeling label_natural_leakage(
-    std::span<const std::complex<double>> mtv, std::span<const int> prepared,
-    const LeakageLabelerConfig& cfg) {
+    std::span<const std::complex<double>> mtv, std::span<const int> prepared) {
   MLQR_CHECK(mtv.size() == prepared.size());
   MLQR_CHECK_MSG(mtv.size() >= 30, "too few traces to mine leakage");
   const std::size_t n = mtv.size();
@@ -83,7 +94,7 @@ LeakageLabeling label_natural_leakage(
   // chord itself (a low-SNR qubit would otherwise classify the whole plane
   // as "on chord" and mining could never fire).
   const double chord_halfwidth =
-      std::min(cfg.chord_sigma * s_max, 0.35 * chord_len);
+      std::min(kChordSigma * s_max, 0.35 * chord_len);
   auto on_chord = [&](const std::complex<double>& z) {
     const auto [along, perp] = chord_coords(z);
     return perp <= chord_halfwidth && along >= -3.0 * s_max &&
@@ -100,13 +111,13 @@ LeakageLabeling label_natural_leakage(
   // labels get noisier, which is exactly the degradation the paper reports
   // for that qubit.
   std::vector<std::size_t> candidates;
-  for (double sigma = cfg.outlier_sigma;
-       sigma >= 0.7 * cfg.outlier_sigma - 1e-9; sigma -= 0.15 * cfg.outlier_sigma) {
+  for (double sigma = kOutlierSigma; sigma >= 0.7 * kOutlierSigma - 1e-9;
+       sigma -= 0.15 * kOutlierSigma) {
     candidates.clear();
     for (std::size_t s = 0; s < n; ++s)
       if (outlier_score(mtv[s]) > sigma && !on_chord(mtv[s]))
         candidates.push_back(s);
-    if (candidates.size() >= cfg.min_leak_candidates) break;
+    if (candidates.size() >= kMinLeakCandidates) break;
   }
 
   LeakageLabeling out;
@@ -119,7 +130,7 @@ LeakageLabeling label_natural_leakage(
     return std::abs(z - centroid[0]) <= std::abs(z - centroid[1]) ? 0 : 1;
   };
 
-  if (candidates.size() < cfg.min_leak_candidates) {
+  if (candidates.size() < kMinLeakCandidates) {
     for (std::size_t s = 0; s < n; ++s)
       out.levels[s] = nearest_computational(mtv[s]);
     return out;
@@ -139,7 +150,7 @@ LeakageLabeling label_natural_leakage(
     for (std::size_t s : candidates)
       if (std::abs(mtv[s] - leak_centroid) <= 3.0 * leak_scale)
         core.push_back(s);
-    if (core.size() >= cfg.min_leak_candidates)
+    if (core.size() >= kMinLeakCandidates)
       leak_centroid = component_median(mtv, core);
   }
   out.centroids[2] = leak_centroid;
@@ -149,7 +160,7 @@ LeakageLabeling label_natural_leakage(
     const double d_leak = std::abs(z - leak_centroid);
     const bool nearest_is_leak = d_leak < std::abs(z - centroid[0]) &&
                                  d_leak < std::abs(z - centroid[1]);
-    if (nearest_is_leak && outlier_score(z) > cfg.assign_sigma &&
+    if (nearest_is_leak && outlier_score(z) > kAssignSigma &&
         !on_chord(z)) {
       out.levels[s] = 2;
       ++out.leakage_count;

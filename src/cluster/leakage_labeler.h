@@ -23,20 +23,6 @@
 
 namespace mlqr {
 
-struct LeakageLabelerConfig {
-  /// A point is a leakage candidate when it is farther than this many
-  /// robust scales from *both* computational centroids...
-  double outlier_sigma = 3.5;
-  /// ...and farther than this many scales from the 0-1 relaxation chord.
-  double chord_sigma = 3.0;
-  /// Below this many candidates the qubit is declared leakage-free.
-  std::size_t min_leak_candidates = 3;
-  /// Final assignment: a trace is labeled |2> only when it is nearest the
-  /// leak centroid and still this many scales away from both
-  /// computational centroids (keeps relaxed-tail traces computational).
-  double assign_sigma = 2.5;
-};
-
 /// Output of the labeler for one qubit.
 struct LeakageLabeling {
   std::vector<int> levels;  ///< Estimated level (0/1/2) per trace.
@@ -51,7 +37,6 @@ struct LeakageLabeling {
 /// calibration data. `mtv` and `prepared` are parallel arrays; `prepared`
 /// entries must be 0 or 1.
 LeakageLabeling label_natural_leakage(
-    std::span<const std::complex<double>> mtv, std::span<const int> prepared,
-    const LeakageLabelerConfig& cfg = {});
+    std::span<const std::complex<double>> mtv, std::span<const int> prepared);
 
 }  // namespace mlqr

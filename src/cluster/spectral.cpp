@@ -11,16 +11,24 @@
 
 namespace mlqr {
 
+namespace {
+
+constexpr std::size_t kClusters = 3;
+constexpr std::size_t kNeighbors = 12;
+constexpr int kKmeansMaxIter = 100;
+constexpr int kKmeansRestarts = 4;
+
+}  // namespace
+
 std::vector<int> spectral_cluster(std::span<const double> points,
-                                  std::size_t dim, const SpectralConfig& cfg,
-                                  Rng& rng) {
+                                  std::size_t dim, Rng& rng) {
   MLQR_CHECK(dim > 0 && points.size() % dim == 0);
   const std::size_t n = points.size() / dim;
-  MLQR_CHECK_MSG(n >= cfg.n_clusters, "spectral_cluster: too few points");
+  MLQR_CHECK_MSG(n >= kClusters, "spectral_cluster: too few points");
   MLQR_CHECK_MSG(n <= 2000, "spectral_cluster is dense O(n^3); subsample "
                             "above ~2000 points (got " << n << ')');
 
-  const std::size_t k_nn = std::min<std::size_t>(cfg.n_neighbors, n - 1);
+  const std::size_t k_nn = std::min<std::size_t>(kNeighbors, n - 1);
 
   // Pairwise squared distances (symmetric, n x n).
   Matrix d2(n, n, 0.0);
@@ -81,8 +89,8 @@ std::vector<int> spectral_cluster(std::span<const double> points,
 
   const EigenDecomposition eig = jacobi_eigen_symmetric(lap, 1e-10, 48);
 
-  // Embedding: bottom n_clusters eigenvectors, rows L2-normalized.
-  const std::size_t kc = cfg.n_clusters;
+  // Embedding: bottom kClusters eigenvectors, rows L2-normalized.
+  const std::size_t kc = kClusters;
   std::vector<double> embedding(n * kc, 0.0);
   for (std::size_t a = 0; a < n; ++a) {
     double norm = 0.0;
@@ -96,8 +104,8 @@ std::vector<int> spectral_cluster(std::span<const double> points,
       for (std::size_t j = 0; j < kc; ++j) embedding[a * kc + j] /= norm;
   }
 
-  KMeansResult km = kmeans(embedding, kc, kc, rng, cfg.kmeans_max_iter,
-                           cfg.kmeans_n_init);
+  KMeansResult km = kmeans(embedding, kc, kc, rng, kKmeansMaxIter,
+                           kKmeansRestarts);
   return km.labels;
 }
 

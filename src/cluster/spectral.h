@@ -4,7 +4,9 @@
 // explicit |2> calibration (paper SSV-A). The pipeline: kNN graph with
 // locally scaled Gaussian weights -> symmetric normalized Laplacian ->
 // bottom-k eigenvectors (dense Jacobi; the input is a few hundred
-// subsampled points) -> row-normalized embedding -> k-means.
+// subsampled points) -> row-normalized embedding -> k-means. It always
+// finds three clusters (levels |0>, |1>, |2>) on a 12-nearest-neighbour
+// graph, with 4 k-means restarts of at most 100 iterations.
 #pragma once
 
 #include <cstddef>
@@ -15,17 +17,9 @@
 
 namespace mlqr {
 
-struct SpectralConfig {
-  std::size_t n_clusters = 3;
-  std::size_t n_neighbors = 12;
-  int kmeans_max_iter = 100;
-  int kmeans_n_init = 4;
-};
-
-/// Clusters row-major points (n x dim). n is expected to be modest
-/// (<= ~800); subsample upstream for larger sets.
+/// Clusters row-major points (n x dim) into three labels. n is expected to
+/// be modest (<= ~800); subsample upstream for larger sets.
 std::vector<int> spectral_cluster(std::span<const double> points,
-                                  std::size_t dim, const SpectralConfig& cfg,
-                                  Rng& rng);
+                                  std::size_t dim, Rng& rng);
 
 }  // namespace mlqr

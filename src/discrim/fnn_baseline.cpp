@@ -30,7 +30,7 @@ FnnDiscriminator FnnDiscriminator::train(const ShotSet& shots,
   FnnDiscriminator d;
   d.cfg_ = cfg;
   d.n_qubits_ = shots.n_qubits;
-  d.samples_used_ = chip.window_samples(cfg.duration_ns);
+  d.samples_used_ = chip.n_samples;
 
   // Two-level mode cannot represent leaked shots; drop them from training
   // (that is exactly what a two-level-era pipeline would do).

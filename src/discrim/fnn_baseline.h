@@ -29,7 +29,6 @@ struct FnnConfig {
   static TrainerConfig default_trainer() {
     TrainerConfig t;
     t.epochs = 12;
-    t.batch_size = 64;
     t.learning_rate = 1e-3f;
     t.seed = 41;
     return t;
@@ -38,8 +37,6 @@ struct FnnConfig {
   /// Levels per qubit: 3 for the paper's study; 2 reproduces the original
   /// two-level FNN (training then drops shots containing leaked qubits).
   int n_levels = 3;
-  /// Readout duration (0 = full trace).
-  double duration_ns = 0.0;
   /// Inverse-frequency weighting of the joint classes (capped). The paper
   /// trains on 1.6M traces where leakage-bearing joint classes have
   /// thousands of examples; at this repo's ~100x smaller dataset the same

@@ -10,11 +10,18 @@
 
 namespace mlqr {
 
+namespace {
+
+/// Diagonal load on every covariance before its Cholesky factorization.
+constexpr double kCovarianceJitter = 1e-9;
+
+}  // namespace
+
 GaussianClassifier GaussianClassifier::fit(std::span<const double> features,
                                            std::size_t dim,
                                            std::span<const int> labels,
                                            std::size_t n_classes,
-                                           GaussianKind kind, double jitter) {
+                                           GaussianKind kind) {
   MLQR_CHECK(dim > 0 && n_classes >= 2);
   MLQR_CHECK(features.size() == labels.size() * dim);
   MLQR_CHECK(!labels.empty());
@@ -39,7 +46,7 @@ GaussianClassifier GaussianClassifier::fit(std::span<const double> features,
       g.present_[c] = true;
       g.means_[c] = column_mean(features, dim, members[c]);
       Matrix cov = covariance(features, dim, members[c], g.means_[c]);
-      auto chol = Cholesky::factor(cov, jitter);
+      auto chol = Cholesky::factor(cov, kCovarianceJitter);
       MLQR_CHECK_MSG(chol.has_value(),
                      "QDA covariance for class " << c << " not PD");
       g.log_dets_.push_back(chol->log_det());
@@ -82,7 +89,7 @@ GaussianClassifier GaussianClassifier::fit(std::span<const double> features,
     MLQR_CHECK_MSG(denom > 0.0, "LDA needs a class with >=2 samples");
     for (std::size_t i = 0; i < dim; ++i)
       for (std::size_t j = 0; j < dim; ++j) pooled(i, j) /= denom;
-    auto chol = Cholesky::factor(pooled, jitter);
+    auto chol = Cholesky::factor(pooled, kCovarianceJitter);
     MLQR_CHECK_MSG(chol.has_value(), "LDA pooled covariance not PD");
     g.log_dets_.assign(1, chol->log_det());
     g.chols_.push_back(std::move(*chol));

@@ -23,11 +23,11 @@ class GaussianClassifier {
  public:
   /// Fits from (n x dim) features and labels in [0, n_classes). Classes
   /// absent from the data keep a -inf discriminant (never predicted).
-  /// `jitter` regularizes covariances from small classes.
+  /// Every covariance gets a 1e-9 diagonal load before its factorization,
+  /// which regularizes covariances from small classes.
   static GaussianClassifier fit(std::span<const double> features,
                                 std::size_t dim, std::span<const int> labels,
-                                std::size_t n_classes, GaussianKind kind,
-                                double jitter = 1e-6);
+                                std::size_t n_classes, GaussianKind kind);
 
   int predict(std::span<const double> x) const;
 

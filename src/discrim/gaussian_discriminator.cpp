@@ -25,7 +25,7 @@ GaussianShotDiscriminator GaussianShotDiscriminator::train(
   GaussianShotDiscriminator d;
   d.cfg_ = cfg;
   d.demod_ = Demodulator(chip);
-  d.samples_used_ = chip.window_samples(cfg.duration_ns);
+  d.samples_used_ = chip.n_samples;
 
   const std::size_t feat_dim = cfg.split_window ? 4 : 2;
   for (std::size_t q = 0; q < shots.n_qubits; ++q) {
@@ -40,8 +40,8 @@ GaussianShotDiscriminator GaussianShotDiscriminator::train(
       features.insert(features.end(), f.begin(), f.end());
       labels.push_back(labels_flat[train_idx[i] * shots.n_qubits + q]);
     }
-    d.per_qubit_.push_back(GaussianClassifier::fit(
-        features, feat_dim, labels, kNumLevels, cfg.kind, cfg.jitter));
+    d.per_qubit_.push_back(GaussianClassifier::fit(features, feat_dim, labels,
+                                                   kNumLevels, cfg.kind));
   }
   return d;
 }

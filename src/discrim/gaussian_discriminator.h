@@ -23,11 +23,8 @@ namespace mlqr {
 
 struct GaussianDiscriminatorConfig {
   GaussianKind kind = GaussianKind::kLda;
-  /// 0 = full trace; otherwise truncate to this readout duration.
-  double duration_ns = 0.0;
   /// Use the 4-D early/late features instead of the 2-D MTV.
   bool split_window = false;
-  double jitter = 1e-9;
 };
 
 /// Whole-register discriminator built from per-qubit Gaussian classifiers.

@@ -38,13 +38,12 @@ HerqulesDiscriminator HerqulesDiscriminator::train(
   d.cfg_ = cfg;
   d.n_qubits_ = shots.n_qubits;
   d.demod_ = Demodulator(chip);
-  d.samples_used_ = chip.window_samples(cfg.duration_ns);
+  d.samples_used_ = chip.n_samples;
 
   MfBankConfig bank_cfg;
   bank_cfg.use_qmf = true;
   bank_cfg.use_rmf = true;
   bank_cfg.use_emf = false;  // HERQULES has no excitation filters.
-  bank_cfg.min_error_traces = cfg.min_error_traces;
 
   const std::span<const std::size_t> active =
       active_filter_indices(cfg.n_levels);

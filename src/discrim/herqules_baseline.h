@@ -30,7 +30,6 @@ struct HerqulesConfig {
   static TrainerConfig default_trainer() {
     TrainerConfig t;
     t.epochs = 30;
-    t.batch_size = 64;
     t.learning_rate = 1e-3f;
     t.seed = 53;
     return t;
@@ -40,9 +39,6 @@ struct HerqulesConfig {
   /// pyramid; 30 -> 60 -> 120 -> 243 at three levels).
   std::vector<std::size_t> hidden{60, 120};
   int n_levels = 3;
-  double duration_ns = 0.0;
-  /// Minimum mined traces for a dedicated relaxation kernel.
-  std::size_t min_error_traces = 8;
   /// Capped inverse-frequency joint-class weighting (same scale
   /// compensation as FnnConfig::balance_classes).
   bool balance_classes = true;

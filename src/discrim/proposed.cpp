@@ -88,9 +88,8 @@ ProposedDiscriminator ProposedDiscriminator::train(
     model.init_weights(init_rng);
     TrainerConfig tcfg = cfg.trainer;
     tcfg.seed = cfg.trainer.seed + 1000 * (q + 1);
-    if (cfg.balance_classes)
-      tcfg.class_weights =
-          inverse_frequency_weights(labels_per_qubit[q], kNumLevels);
+    tcfg.class_weights =
+        inverse_frequency_weights(labels_per_qubit[q], kNumLevels);
     train_classifier(model, features, labels_per_qubit[q], tcfg);
     d.models_.push_back(std::move(model));
   }

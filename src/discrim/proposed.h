@@ -34,7 +34,6 @@ struct ProposedConfig {
   static TrainerConfig default_trainer() {
     TrainerConfig t;
     t.epochs = 40;
-    t.batch_size = 64;
     t.learning_rate = 2e-3f;
     t.seed = 77;
     // The |2> level contributes only a handful of (heavily weighted) mined
@@ -50,8 +49,6 @@ struct ProposedConfig {
   std::vector<std::size_t> hidden;
   /// Readout duration (0 = full trace) — Fig 5(b) sweeps this.
   double duration_ns = 0.0;
-  /// Inverse-frequency class weights for the rare |2> level.
-  bool balance_classes = true;
 };
 
 /// Trained instance of the proposed design.

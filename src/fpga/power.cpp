@@ -12,6 +12,10 @@ namespace {
 constexpr double kBaseMacEnergyJ = 5.0e-15;   // 5 fJ at 8 bits / 45 nm.
 constexpr double kLeakagePerGateW = 0.58e-9;  // 0.58 nW/gate at 45 nm.
 constexpr double kGatesPerMacBit = 52.0;      // NAND2-equivalents per MAC bit.
+// The modelled operating point (see header).
+constexpr double kClockHz = 1e9;
+constexpr int kMacBits = 8;
+constexpr double kTechNm = 45.0;
 }  // namespace
 
 double mac_energy_joules(int bits, double tech_nm) {
@@ -24,20 +28,19 @@ double mac_energy_joules(int bits, double tech_nm) {
 }
 
 PowerEstimate estimate_power(const DesignSpec& spec,
-                             std::size_t latency_cycles,
-                             const PowerConfig& cfg) {
+                             std::size_t latency_cycles) {
   MLQR_CHECK(latency_cycles > 0);
   const double macs = static_cast<double>(spec.total_nn_parameters());
   // One inference consumes ~`macs` MAC operations over `latency_cycles`
-  // cycles; at full occupancy the engine sustains macs/latency per cycle.
-  const double macs_per_second = macs / static_cast<double>(latency_cycles) *
-                                 cfg.clock_ghz * 1e9 * cfg.activity_factor;
+  // cycles; busy every cycle, the engine sustains macs/latency per cycle.
+  const double macs_per_second =
+      macs / static_cast<double>(latency_cycles) * kClockHz;
 
   PowerEstimate p;
   p.dynamic_mw =
-      macs_per_second * mac_energy_joules(cfg.mac_bits, cfg.tech_nm) * 1e3;
-  const double gates = macs * cfg.mac_bits * kGatesPerMacBit;
-  p.static_mw = gates * kLeakagePerGateW * (cfg.tech_nm / 45.0) * 1e3;
+      macs_per_second * mac_energy_joules(kMacBits, kTechNm) * 1e3;
+  const double gates = macs * kMacBits * kGatesPerMacBit;
+  p.static_mw = gates * kLeakagePerGateW * 1e3;
   return p;
 }
 

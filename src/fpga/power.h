@@ -5,7 +5,8 @@
 // from leakage over the synthesized gate count. The energy/MAC constant is
 // calibrated so the proposed design (1,265 8-bit MACs, 5-cycle pipeline,
 // 1 GHz) lands near the paper's 1.561 mW; every other design is then a
-// prediction of the same model.
+// prediction of the same model, at the same operating point: 1 GHz, 45 nm,
+// 8-bit MACs, busy every cycle.
 #pragma once
 
 #include <cstddef>
@@ -14,13 +15,6 @@
 
 namespace mlqr {
 
-struct PowerConfig {
-  double clock_ghz = 1.0;
-  double tech_nm = 45.0;
-  int mac_bits = 8;
-  double activity_factor = 1.0;  ///< Fraction of cycles the engine is busy.
-};
-
 struct PowerEstimate {
   double dynamic_mw = 0.0;
   double static_mw = 0.0;
@@ -28,8 +22,8 @@ struct PowerEstimate {
 };
 
 /// Power for a design given its NN MAC workload and pipeline depth.
-PowerEstimate estimate_power(const DesignSpec& spec, std::size_t latency_cycles,
-                             const PowerConfig& cfg);
+PowerEstimate estimate_power(const DesignSpec& spec,
+                             std::size_t latency_cycles);
 
 /// Energy of a single MAC (J) at the given precision/technology.
 double mac_energy_joules(int bits, double tech_nm);

@@ -32,21 +32,26 @@ void GradientBuffers::add(const GradientBuffers& other) {
 
 namespace {
 
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+
 void adamw_update(std::span<float> param, std::span<const float> grad,
                   std::vector<float>& m, std::vector<float>& v,
-                  const AdamWParams& p, float bias1, float bias2) {
+                  float learning_rate, float weight_decay, float bias1,
+                  float bias2) {
   // AdamW: decoupled weight decay — the decay acts directly on the weights
   // instead of through the adaptive gradient normalization, so its
   // strength is predictable regardless of gradient scale.
-  const float decay = p.learning_rate * p.weight_decay;
+  const float decay = learning_rate * weight_decay;
   for (std::size_t i = 0; i < param.size(); ++i) {
     const float g = grad[i];
-    m[i] = p.beta1 * m[i] + (1.0f - p.beta1) * g;
-    v[i] = p.beta2 * v[i] + (1.0f - p.beta2) * g * g;
+    m[i] = kBeta1 * m[i] + (1.0f - kBeta1) * g;
+    v[i] = kBeta2 * v[i] + (1.0f - kBeta2) * g * g;
     const float mhat = m[i] / bias1;
     const float vhat = v[i] / bias2;
     param[i] -=
-        p.learning_rate * mhat / (std::sqrt(vhat) + p.eps) + decay * param[i];
+        learning_rate * mhat / (std::sqrt(vhat) + kEps) + decay * param[i];
   }
 }
 
@@ -77,16 +82,18 @@ bool AdamWOptimizer::matches(const Mlp& model) const {
 }
 
 void AdamWOptimizer::step(Mlp& model, const GradientBuffers& grads,
-                          const AdamWParams& p) {
+                          float learning_rate, float weight_decay) {
   MLQR_CHECK_MSG(matches(model), "optimizer state does not match the model");
   MLQR_CHECK(grads.dw.size() == mw_.size());
   ++step_;
-  const float bias1 = 1.0f - std::pow(p.beta1, static_cast<float>(step_));
-  const float bias2 = 1.0f - std::pow(p.beta2, static_cast<float>(step_));
+  const float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(step_));
+  const float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(step_));
   auto& layers = model.mutable_layers();
   for (std::size_t l = 0; l < layers.size(); ++l) {
-    adamw_update(layers[l].w, grads.dw[l], mw_[l], vw_[l], p, bias1, bias2);
-    adamw_update(layers[l].b, grads.db[l], mb_[l], vb_[l], p, bias1, bias2);
+    adamw_update(layers[l].w, grads.dw[l], mw_[l], vw_[l], learning_rate,
+                 weight_decay, bias1, bias2);
+    adamw_update(layers[l].b, grads.db[l], mb_[l], vb_[l], learning_rate,
+                 weight_decay, bias1, bias2);
   }
 }
 

@@ -17,15 +17,6 @@
 
 namespace mlqr {
 
-/// Hyper-parameters for one AdamW step (mirrors the TrainerConfig fields).
-struct AdamWParams {
-  float learning_rate = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float eps = 1e-8f;
-  float weight_decay = 0.0f;
-};
-
 /// Per-layer gradient accumulators matching a model's parameter layout.
 /// The data-parallel trainer keeps one per gradient shard and reduces them
 /// in fixed shard order — that fixed order is what keeps training
@@ -60,10 +51,12 @@ class AdamWOptimizer {
 
   long step_count() const { return step_; }
 
-  /// Applies one AdamW update to `model` from `grads`. Advances the step
-  /// counter first; bias correction uses the post-increment count, matching
-  /// the long-standing trainer behaviour.
-  void step(Mlp& model, const GradientBuffers& grads, const AdamWParams& p);
+  /// Applies one AdamW update to `model` from `grads` (beta1 0.9, beta2
+  /// 0.999 and eps 1e-8 are fixed). Advances the step counter first; bias
+  /// correction uses the post-increment count, matching the long-standing
+  /// trainer behaviour.
+  void step(Mlp& model, const GradientBuffers& grads, float learning_rate,
+            float weight_decay);
 
   /// Binary little-endian persistence (exact f32 bit patterns), so a
   /// reloaded optimizer continues bit-identically.

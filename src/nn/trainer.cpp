@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iostream>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -18,6 +17,9 @@ namespace {
 /// gradients and their fixed-order reduction make training bit-identical
 /// for any MLQR_THREADS / TrainerConfig::threads setting.
 constexpr std::size_t kGradShardRows = 16;
+
+/// Minibatch rows (the last minibatch of an epoch may be shorter).
+constexpr std::size_t kBatchRows = 64;
 
 /// Resolves a TrainerConfig::threads-style worker budget.
 std::size_t resolve_workers(std::size_t threads) {
@@ -147,31 +149,6 @@ std::vector<float> inverse_frequency_weights(std::span<const int> labels,
   return weights;
 }
 
-double evaluate_accuracy(const Mlp& model, std::span<const float> features,
-                         std::span<const int> labels, std::size_t threads) {
-  MLQR_CHECK(!labels.empty());
-  const std::size_t in = model.input_size();
-  MLQR_CHECK(features.size() == labels.size() * in);
-  const std::size_t workers = resolve_workers(threads);
-  // Per-slot integer hit counts: the sum is order-independent, so the
-  // result matches the old serial loop exactly for every worker count.
-  std::vector<std::size_t> hits(workers, 0);
-  parallel_for_slots(
-      0, labels.size(), workers,
-      [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-        std::vector<float> logits, scratch;
-        std::size_t h = 0;
-        for (std::size_t s = lo; s < hi; ++s)
-          if (model.predict_reusing(features.subspan(s * in, in), logits,
-                                    scratch) == labels[s])
-            ++h;
-        hits[slot] = h;
-      });
-  std::size_t total = 0;
-  for (std::size_t h : hits) total += h;
-  return static_cast<double>(total) / static_cast<double>(labels.size());
-}
-
 double evaluate_balanced_accuracy(const Mlp& model,
                                   std::span<const float> features,
                                   std::span<const int> labels,
@@ -239,8 +216,6 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
   else
     MLQR_CHECK_MSG(opt.matches(model),
                    "resumed optimizer state does not match the model");
-  const AdamWParams params{cfg.learning_rate, cfg.beta1, cfg.beta2,
-                           cfg.adam_eps, cfg.weight_decay};
 
   Rng rng(cfg.seed);
 
@@ -269,7 +244,7 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
   double best_val = -1.0;
 
   std::vector<std::size_t> train_idx(order.begin(), order.begin() + n_train);
-  const std::size_t batch = std::min(cfg.batch_size, n_train);
+  const std::size_t batch = std::min(kBatchRows, n_train);
   const std::size_t max_shards = (batch + kGradShardRows - 1) / kGradShardRows;
   const std::size_t workers = resolve_workers(cfg.threads);
 
@@ -340,7 +315,7 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
         epoch_loss += shard_res[si].loss;
         epoch_weight += shard_res[si].weight;
       }
-      opt.step(model, total, params);
+      opt.step(model, total, cfg.learning_rate, cfg.weight_decay);
     }
 
     history.train_loss.push_back(
@@ -348,21 +323,13 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
 
     if (n_val > 0) {
       const double acc =
-          cfg.balanced_validation
-              ? evaluate_balanced_accuracy(model, val_x, val_y, cfg.threads)
-              : evaluate_accuracy(model, val_x, val_y, cfg.threads);
+          evaluate_balanced_accuracy(model, val_x, val_y, cfg.threads);
       history.val_accuracy.push_back(acc);
       if (acc > best_val) {
         best_val = acc;
         best_weights = model.layers();
         history.best_epoch = epoch;
       }
-      if (cfg.verbose)
-        std::cout << "  epoch " << epoch << " loss "
-                  << history.train_loss.back() << " val_acc " << acc << '\n';
-    } else if (cfg.verbose) {
-      std::cout << "  epoch " << epoch << " loss "
-                << history.train_loss.back() << '\n';
     }
   }
 

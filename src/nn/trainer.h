@@ -24,13 +24,13 @@
 
 namespace mlqr {
 
+/// Minibatches are 64 rows, Adam runs at beta 0.9 / 0.999 and eps 1e-8,
+/// and the validation split selects the best epoch by class-balanced
+/// (macro) accuracy — plain accuracy would reward ignoring a class that is
+/// ~1% of the data (the mined |2> level).
 struct TrainerConfig {
   int epochs = 20;
-  std::size_t batch_size = 64;
   float learning_rate = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float adam_eps = 1e-8f;
   float weight_decay = 0.0f;
   std::uint64_t seed = 1234;
   /// Per-class loss weights (empty = uniform). Size must match the model's
@@ -39,17 +39,11 @@ struct TrainerConfig {
   /// Fraction of the training set held out for validation-based model
   /// selection (best-epoch weights restored). 0 disables.
   float validation_fraction = 0.15f;
-  /// Select the best epoch by class-balanced (macro) validation accuracy
-  /// instead of plain accuracy — essential when one class is ~1% of the
-  /// data (the mined |2> level) and plain accuracy would reward ignoring
-  /// it.
-  bool balanced_validation = true;
   /// Worker budget for gradient shards and epoch evaluation. 0 uses
   /// parallel_thread_count() (the MLQR_THREADS resolution); any value
   /// yields bit-identical training, so this is a throughput knob only —
   /// e.g. a background retrain can leave cores to the serving path.
   std::size_t threads = 0;
-  bool verbose = false;
 };
 
 struct TrainHistory {
@@ -71,16 +65,10 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
                               const TrainerConfig& cfg,
                               AdamWOptimizer* optimizer = nullptr);
 
-/// Plain accuracy of `model` on a labeled set. Evaluated data-parallel on
-/// the thread pool; the per-slot hit counts are integers, so the result is
-/// identical for every `threads` value (0 = parallel_thread_count()).
-double evaluate_accuracy(const Mlp& model, std::span<const float> features,
-                         std::span<const int> labels,
-                         std::size_t threads = 0);
-
 /// Macro-averaged per-class recall (classes absent from `labels` are
-/// skipped). Same deterministic thread-pool evaluation as
-/// evaluate_accuracy.
+/// skipped). Evaluated data-parallel on the thread pool; the per-slot hit
+/// counts are integers, so the result is identical for every `threads`
+/// value (0 = parallel_thread_count()).
 double evaluate_balanced_accuracy(const Mlp& model,
                                   std::span<const float> features,
                                   std::span<const int> labels,

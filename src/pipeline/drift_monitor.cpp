@@ -7,6 +7,14 @@
 
 namespace mlqr {
 
+namespace {
+
+/// L1 distance between the label-mix EWMA and its baseline that flags
+/// drift (2.0 would mean totally disjoint distributions).
+constexpr double kLabelL1Drift = 0.25;
+
+}  // namespace
+
 DriftMonitor::DriftMonitor(const DriftConfig& cfg)
     : alpha_(std::clamp(cfg.alpha, 1e-6, 1.0)),
       baseline_shots_(std::max<std::size_t>(cfg.baseline_shots, 1)),
@@ -102,7 +110,7 @@ DriftReport DriftMonitor::report(const DriftConfig& cfg) const {
       fidelity_.frozen &&
       (r.fidelity < r.baseline_fidelity - cfg.fidelity_drop ||
        (cfg.min_fidelity > 0.0 && r.fidelity < cfg.min_fidelity));
-  const bool label_drift = label_frozen_ && r.label_l1 > cfg.label_l1;
+  const bool label_drift = label_frozen_ && r.label_l1 > kLabelL1Drift;
   r.drifted = conf_drift || fid_drift || label_drift;
   return r;
 }

@@ -25,7 +25,8 @@ namespace mlqr {
 ///     expected labels on reference shots (SubmitOptions::expected:
 ///     interleaved calibration probes with known ground truth).
 ///   * label mix — per-level occupancy histogram of the served labels
-///     (catches population drift even without scoring or references).
+///     (catches population drift even without scoring or references);
+///     an L1 distance above 0.25 from its baseline flags drift.
 struct DriftConfig {
   /// Master switch; when false no monitor state is ever touched.
   bool enabled = false;
@@ -45,9 +46,6 @@ struct DriftConfig {
   double fidelity_drop = 0.02;
   /// Absolute reference-fidelity floor (0 disables the floor check).
   double min_fidelity = 0.0;
-  /// L1 distance between the label-mix EWMA and its baseline that flags
-  /// drift (2.0 would mean totally disjoint distributions).
-  double label_l1 = 0.25;
   /// Minimum OK shots on a shard before any signal may flag drift.
   std::size_t min_samples = 64;
 };

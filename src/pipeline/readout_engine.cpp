@@ -124,6 +124,11 @@ EngineBatch ReadoutEngine::process_batch(std::span<const IqTrace> frames) {
 EngineBatch ReadoutEngine::process_batch(
     const ShotSet& shots, std::span<const std::size_t> subset) {
   MLQR_CHECK(shots.n_qubits == backend_.num_qubits());
+  // Checked once here: the fan-out below indexes without bounds checks.
+  for (const std::size_t s : subset)
+    MLQR_CHECK_MSG(s < shots.size(),
+                   "subset index " << s << " out of range for "
+                                   << shots.size() << " shots");
   return run(subset.size(), [&shots, subset](std::size_t s) -> const IqTrace& {
     return shots.traces[subset[s]];
   });

@@ -239,7 +239,9 @@ class ReadoutEngine {
   /// Hot path: classify a contiguous batch of multiplexed frames.
   EngineBatch process_batch(std::span<const IqTrace> frames);
 
-  /// Indexed variant over a stored ShotSet — no trace copies.
+  /// Indexed variant over a stored ShotSet — no trace copies. Throws
+  /// mlqr::Error, before any shot is classified, on a subset index past
+  /// the ShotSet's end.
   EngineBatch process_batch(const ShotSet& shots,
                             std::span<const std::size_t> subset);
 

@@ -7,11 +7,9 @@
 namespace mlqr {
 
 ShardBreaker::ShardBreaker(std::size_t n_shards, std::size_t quarantine_after,
-                           std::chrono::microseconds probe_backoff,
-                           std::size_t probe_shots)
+                           std::chrono::microseconds probe_backoff)
     : quarantine_after_(quarantine_after),
       probe_backoff_(probe_backoff),
-      probe_shots_(std::max<std::size_t>(probe_shots, 1)),
       shards_(n_shards) {
   MLQR_CHECK_MSG(n_shards > 0, "shard breaker needs >= 1 shard");
 }
@@ -20,10 +18,10 @@ ShardBreaker::Route ShardBreaker::route(std::size_t target, bool has_fallback,
                                         Clock::time_point now) {
   ShardState& st = shards_.at(target);
   if (!enabled() || !st.quarantined) return {target, false};
-  // Half-open probe: once the back-off has elapsed, let a bounded number
-  // of live shots test the shard (the first success re-admits it).
-  if (now >= st.retry_at && st.probe_in_flight < probe_shots_) {
-    ++st.probe_in_flight;
+  // Half-open probe: once the back-off has elapsed, let one live shot at a
+  // time test the shard (a success re-admits it).
+  if (now >= st.retry_at && !st.probe_in_flight) {
+    st.probe_in_flight = true;
     ++probes_;
     return {target, true};
   }
@@ -50,7 +48,7 @@ void ShardBreaker::record(std::size_t served_by, bool probe, bool failed,
                           Clock::time_point now) {
   if (!enabled() || served_by == kFallback) return;
   ShardState& st = shards_.at(served_by);
-  if (probe && st.probe_in_flight > 0) --st.probe_in_flight;
+  if (probe) st.probe_in_flight = false;
   if (!failed) {
     st.consecutive_failures = 0;
     if (st.quarantined) {
@@ -76,8 +74,8 @@ void ShardBreaker::reset(std::size_t shard) { shards_.at(shard) = {}; }
 ShardHealth ShardBreaker::health(std::size_t shard) const {
   const ShardState& st = shards_.at(shard);
   if (!st.quarantined) return ShardHealth::kHealthy;
-  return st.probe_in_flight > 0 ? ShardHealth::kProbing
-                                : ShardHealth::kQuarantined;
+  return st.probe_in_flight ? ShardHealth::kProbing
+                            : ShardHealth::kQuarantined;
 }
 
 std::size_t ShardBreaker::quarantined() const {

@@ -5,9 +5,8 @@
 // to the fallback backend, else — last resort, so no ticket is ever
 // stranded — back onto the quarantined shard itself. Once
 // `probe_backoff` has passed since the quarantine (or since the last
-// failed probe), up to `probe_shots` live shots route back as half-open
-// probes; the first success re-admits the shard, a failure restarts the
-// back-off.
+// failed probe), one live shot at a time routes back as a half-open
+// probe; a success re-admits the shard, a failure restarts the back-off.
 //
 // Like RecalibrationPolicy this is a single-threaded state machine with
 // no lock and no clock of its own: the engine drives it under its mutex
@@ -44,16 +43,15 @@ class ShardBreaker {
   };
 
   /// quarantine_after == 0 disables the breaker: route() is the identity
-  /// and record() a no-op. probe_shots is clamped to >= 1.
+  /// and record() a no-op.
   ShardBreaker(std::size_t n_shards, std::size_t quarantine_after,
-               std::chrono::microseconds probe_backoff,
-               std::size_t probe_shots);
+               std::chrono::microseconds probe_backoff);
 
   bool enabled() const { return quarantine_after_ > 0; }
 
   /// Claim-time routing for a shot targeting `target`. Counts reroutes
-  /// and probes; a probe occupies one of the target's probe slots until
-  /// its record().
+  /// and probes; a probe occupies the target's one probe slot until its
+  /// record().
   Route route(std::size_t target, bool has_fallback, Clock::time_point now);
 
   /// Completion-time bookkeeping for one classified shot: failure
@@ -77,7 +75,7 @@ class ShardBreaker {
  private:
   struct ShardState {
     std::size_t consecutive_failures = 0;
-    std::size_t probe_in_flight = 0;
+    bool probe_in_flight = false;
     bool quarantined = false;
     /// Earliest time a half-open probe may route traffic back.
     Clock::time_point retry_at{};
@@ -85,7 +83,6 @@ class ShardBreaker {
 
   std::size_t quarantine_after_;
   std::chrono::microseconds probe_backoff_;
-  std::size_t probe_shots_;
   std::vector<ShardState> shards_;
   std::uint64_t rerouted_ = 0;     ///< Shots served off their target shard.
   std::uint64_t quarantines_ = 0;  ///< Healthy -> quarantined transitions.

@@ -45,8 +45,7 @@ StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
       core_(cfg.engine),
       shards_(checked_shards(std::move(shards))),
       breaker_(shards_.size(), cfg.quarantine_after,
-               std::chrono::microseconds(cfg.probe_backoff_us),
-               cfg.probe_shots),
+               std::chrono::microseconds(cfg.probe_backoff_us)),
       drift_(shards_.size(), DriftMonitor(cfg.drift)) {
   n_qubits_ = shards_.front().num_qubits();
   shards_count_ = shards_.size();

@@ -126,11 +126,9 @@ struct StreamingConfig {
   std::size_t quarantine_after = 0;
   /// Half-open probe back-off: a quarantined shard receives no traffic
   /// until this much time has passed since it was quarantined (or since
-  /// its last failed probe); then up to probe_shots live shots route back
-  /// to it as probes. The first probe success re-admits the shard.
+  /// its last failed probe); then one live shot at a time routes back to
+  /// it as a probe. A probe success re-admits the shard.
   std::size_t probe_backoff_us = 10000;
-  /// Maximum concurrently in-flight probe shots per quarantined shard.
-  std::size_t probe_shots = 1;
   /// Optional last-resort backend serving traffic whose shard is
   /// quarantined when no healthy shard remains (e.g. a conservative
   /// boxcar/LDA discriminator that never needs recalibration). Must agree

@@ -29,6 +29,18 @@ double SpeculationStats::speculation_accuracy() const {
 
 namespace {
 
+/// Data-qubit speculation: >= kMinActive adjacent stabilizer flips in each
+/// of kWindow consecutive cycles.
+constexpr int kWindow = 2;
+constexpr int kMinActive = 2;
+/// Ancilla speculation (syndrome-only mode): flips in >= kAncFlips of the
+/// last kAncWindow cycles.
+constexpr int kAncWindow = 3;
+constexpr int kAncFlips = 2;
+/// LRC quality.
+constexpr double kLrcFix = 0.98;
+constexpr double kLrcInduce = 0.008;
+
 /// One independent trial; returns partial stats.
 SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
                            const MultiLevelReadout& ml_in,
@@ -79,7 +91,7 @@ SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
       int flipped = 0;
       for (std::size_t a : adjacent) flipped += flips[a];
       const int needed = std::min<int>(
-          cfg.min_active, static_cast<int>((adjacent.size() + 1) / 2));
+          kMinActive, static_cast<int>((adjacent.size() + 1) / 2));
       active[q] = flipped >= needed ? 1 : 0;
     }
     data_active_hist.push_back(active);
@@ -88,11 +100,11 @@ SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
     std::vector<std::uint8_t> spec_data(n_data, 0);
     std::vector<std::uint8_t> spec_anc(n_anc, 0);
 
-    // Data: sustained multi-neighbour activity over `window` cycles ...
-    if (data_active_hist.size() >= static_cast<std::size_t>(cfg.window)) {
+    // Data: sustained multi-neighbour activity over kWindow cycles ...
+    if (data_active_hist.size() >= static_cast<std::size_t>(kWindow)) {
       for (std::size_t q = 0; q < n_data; ++q) {
         bool all_active = true;
-        for (int w = 0; w < cfg.window && all_active; ++w)
+        for (int w = 0; w < kWindow && all_active; ++w)
           all_active = data_active_hist[data_active_hist.size() - 1 - w][q];
         if (all_active) spec_data[q] = 1;
       }
@@ -117,12 +129,12 @@ SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
       anc_read_two_prev = obs.ancilla_reads_two;
     } else {
       // Ancilla: its own syndrome flickers randomly when leaked.
-      if (anc_flip_hist.size() >= static_cast<std::size_t>(cfg.anc_window)) {
+      if (anc_flip_hist.size() >= static_cast<std::size_t>(kAncWindow)) {
         for (std::size_t a = 0; a < n_anc; ++a) {
           int flipped = 0;
-          for (int w = 0; w < cfg.anc_window; ++w)
+          for (int w = 0; w < kAncWindow; ++w)
             flipped += anc_flip_hist[anc_flip_hist.size() - 1 - w][a];
-          if (flipped >= cfg.anc_flips) spec_anc[a] = 1;
+          if (flipped >= kAncFlips) spec_anc[a] = 1;
         }
       }
     }
@@ -165,12 +177,11 @@ SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
     };
     score_and_fix(post_data, spec_data, data_in_episode, data_episode_hit,
                   data_episode_start, [&](std::size_t q) {
-                    sim.apply_lrc_data(q, cfg.p_lrc_fix, cfg.p_lrc_induce);
+                    sim.apply_lrc_data(q, kLrcFix, kLrcInduce);
                   });
     score_and_fix(post_anc, spec_anc, anc_in_episode, anc_episode_hit,
                   anc_episode_start, [&](std::size_t a) {
-                    sim.apply_lrc_ancilla(a, cfg.p_lrc_fix,
-                                          cfg.p_lrc_induce);
+                    sim.apply_lrc_ancilla(a, kLrcFix, kLrcInduce);
                   });
     ++current_cycle;
   }
@@ -179,7 +190,7 @@ SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
   // fewer cycles than the policy's own detection window are censored (the
   // policy never had a chance) — detected ones still count.
   const std::size_t min_observed =
-      static_cast<std::size_t>(std::max(cfg.window, cfg.anc_window)) + 2;
+      static_cast<std::size_t>(std::max(kWindow, kAncWindow)) + 2;
   auto flush = [&](const std::vector<std::uint8_t>& in_episode,
                    const std::vector<std::uint8_t>& hit,
                    const std::vector<std::size_t>& started) {

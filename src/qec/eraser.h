@@ -8,6 +8,12 @@
 // three-level readout (with the discriminator's measured detection/false-
 // positive rates) and uses leakage transport as evidence for data qubits.
 // Speculated qubits receive an (imperfect) LRC.
+//
+// The policy's thresholds are fixed: a data qubit is speculated after two
+// consecutive cycles in which at least two adjacent stabilizers flipped
+// (at least half, for a boundary qubit); in syndrome-only mode an ancilla is
+// speculated after flips in two of its last three cycles. An LRC fixes a
+// leaked qubit with probability 0.98 and leaks a healthy one with 0.008.
 #pragma once
 
 #include <cstdint>
@@ -20,17 +26,6 @@ namespace mlqr {
 
 struct EraserConfig {
   bool multi_level = false;  ///< false = ERASER, true = ERASER+M.
-  /// Data-qubit speculation: require >= min_active adjacent stabilizer
-  /// flips in each of `window` consecutive cycles.
-  int window = 2;
-  int min_active = 2;
-  /// Ancilla speculation (syndrome-only mode): flips in >= `anc_flips` of
-  /// the last `anc_window` cycles.
-  int anc_window = 3;
-  int anc_flips = 2;
-  /// LRC quality.
-  double p_lrc_fix = 0.98;
-  double p_lrc_induce = 0.008;
 };
 
 /// Aggregate results of a speculation run.

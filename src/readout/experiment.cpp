@@ -45,19 +45,16 @@ SuiteResult run_suite(const SuiteConfig& cfg_in) {
 
   SuiteResult result;
   Timer timer;
-  if (cfg.verbose)
-    std::cout << "[suite] generating dataset: "
+  std::cout << "[suite] generating dataset: "
               << cfg.dataset.shots_per_basis_state << " shots x "
               << (std::size_t{1} << cfg.dataset.chip.num_qubits())
               << " basis states...\n";
   result.dataset = generate_dataset(cfg.dataset);
   const ReadoutDataset& ds = result.dataset;
-  if (cfg.verbose) {
-    std::cout << "[suite] dataset ready in " << timer.seconds() << " s ("
-              << ds.shots.size() << " shots); mined |2> traces per qubit:";
-    for (std::size_t c : ds.mined_leakage_per_qubit) std::cout << ' ' << c;
-    std::cout << '\n';
-  }
+  std::cout << "[suite] dataset ready in " << timer.seconds() << " s ("
+            << ds.shots.size() << " shots); mined |2> traces per qubit:";
+  for (std::size_t c : ds.mined_leakage_per_qubit) std::cout << ' ' << c;
+  std::cout << '\n';
 
   const ChipProfile& chip = ds.chip;
   const std::vector<int>& labels = ds.training_labels;
@@ -69,8 +66,7 @@ SuiteResult run_suite(const SuiteConfig& cfg_in) {
                                                    cfg.proposed);
     result.train_seconds_proposed = timer.seconds();
     result.proposed_report = evaluate_on_test(make_backend(*result.proposed), ds);
-    if (cfg.verbose)
-      std::cout << "[suite] proposed trained in "
+    std::cout << "[suite] proposed trained in "
                 << result.train_seconds_proposed << " s, F5Q = "
                 << result.proposed_report->geometric_mean_fidelity() << '\n';
   }
@@ -80,8 +76,7 @@ SuiteResult run_suite(const SuiteConfig& cfg_in) {
         FnnDiscriminator::train(ds.shots, labels, ds.train_idx, chip, cfg.fnn);
     result.train_seconds_fnn = timer.seconds();
     result.fnn_report = evaluate_on_test(make_backend(*result.fnn), ds);
-    if (cfg.verbose)
-      std::cout << "[suite] FNN trained in " << result.train_seconds_fnn
+    std::cout << "[suite] FNN trained in " << result.train_seconds_fnn
                 << " s, F5Q = "
                 << result.fnn_report->geometric_mean_fidelity() << '\n';
   }
@@ -93,8 +88,7 @@ SuiteResult run_suite(const SuiteConfig& cfg_in) {
     result.train_seconds_herqules = timer.seconds();
     result.herqules_report =
         evaluate_on_test(make_backend(*result.herqules), ds);
-    if (cfg.verbose)
-      std::cout << "[suite] HERQULES trained in "
+    std::cout << "[suite] HERQULES trained in "
                 << result.train_seconds_herqules << " s, F5Q = "
                 << result.herqules_report->geometric_mean_fidelity() << '\n';
   }
@@ -105,8 +99,7 @@ SuiteResult run_suite(const SuiteConfig& cfg_in) {
     result.qda = GaussianShotDiscriminator::train(ds.shots, labels,
                                                   ds.train_idx, chip, cfg.qda);
     result.qda_report = evaluate_on_test(make_backend(*result.qda), ds);
-    if (cfg.verbose)
-      std::cout << "[suite] LDA F5Q = "
+    std::cout << "[suite] LDA F5Q = "
                 << result.lda_report->geometric_mean_fidelity()
                 << ", QDA F5Q = "
                 << result.qda_report->geometric_mean_fidelity() << '\n';

@@ -30,7 +30,6 @@ struct SuiteConfig {
   bool train_fnn = true;
   bool train_herqules = true;
   bool train_gaussian = true;
-  bool verbose = true;
 
   SuiteConfig() {
     lda.kind = GaussianKind::kLda;

@@ -203,17 +203,12 @@ double DriftSchedule::at(double t) const {
 ChipProfile ChipDrift::apply(const ChipProfile& base, double t) const {
   ChipProfile out = base;
   const double rad = std::numbers::pi / 180.0;
-  const std::size_t n = std::min(qubits.size(), out.qubits.size());
+  const std::size_t n = std::min(phase_deg.size(), out.qubits.size());
   for (std::size_t q = 0; q < n; ++q) {
-    const QubitDrift& d = qubits[q];
     QubitProfile& qp = out.qubits[q];
-    const std::complex<double> rot =
-        std::polar(1.0, d.phase_deg.at(t) * rad);
-    const double amp = 1.0 + d.amp_scale.at(t);
-    for (int l = 0; l < kNumLevels; ++l) qp.alpha[l] *= rot * amp;
-    qp.if_freq_mhz += d.if_offset_mhz.at(t);
+    const std::complex<double> rot = std::polar(1.0, phase_deg[q].at(t) * rad);
+    for (int l = 0; l < kNumLevels; ++l) qp.alpha[l] *= rot;
   }
-  out.noise_sigma *= 1.0 + noise_scale.at(t);
   out.validate();
   return out;
 }

@@ -89,8 +89,8 @@ struct ChipProfile {
   /// otherwise round(duration/dt) — nearest, not truncation, so a duration
   /// that is an exact multiple of a non-representable dt (e.g. 10/3 ns at
   /// 300 MS/s) never loses its last sample to floating-point
-  /// representation error. Every duration-aware discriminator resolves
-  /// through this one helper so they agree on the window. Throws when the
+  /// representation error. Every duration-aware caller resolves through
+  /// this one helper so they agree on the window. Throws when the
   /// result is 0 or exceeds n_samples.
   std::size_t window_samples(double duration_ns) const;
 
@@ -135,30 +135,17 @@ class DriftSchedule {
   std::vector<std::pair<double, double>> knots_;  ///< Sorted by time.
 };
 
-/// Drift trajectories for one qubit's readout channel. All terms default
-/// to "no drift"; fractional terms apply as a (1 + value) factor.
-struct QubitDrift {
-  /// Additive rotation (degrees) of every level's resonator response —
-  /// the signature of a drifting resonator frequency relative to its
-  /// probe tone. Rotates the IQ constellation without changing SNR.
-  DriftSchedule phase_deg;
-  /// Fractional response-amplitude change (SNR drift): alpha *= 1 + v.
-  DriftSchedule amp_scale;
-  /// Additive intermediate-frequency offset in MHz (LO/resonator pulling).
-  DriftSchedule if_offset_mhz;
-};
-
-/// Chip-level drift model: per-qubit channel trajectories plus a global
-/// noise ramp. apply() materializes the drifted profile at one instant;
-/// feed it to a fresh ReadoutSimulator (the simulator precomputes its
+/// Chip-level drift model: per-qubit resonator phase trajectories.
+/// apply() materializes the drifted profile at one instant; feed it to a fresh ReadoutSimulator (the simulator precomputes its
 /// response tables at construction, so a drifted profile needs a new
 /// instance).
 struct ChipDrift {
-  /// Per-qubit trajectories; entries beyond this vector's length (or the
-  /// whole chip, when empty) are undrifted.
-  std::vector<QubitDrift> qubits;
-  /// Fractional amplifier-noise change: noise_sigma *= 1 + v.
-  DriftSchedule noise_scale;
+  /// Per-qubit additive rotation (degrees) of every level's resonator
+  /// response — the signature of a drifting resonator frequency relative
+  /// to its probe tone. Rotates the IQ constellation without changing SNR.
+  /// Qubits beyond this vector's length (or the whole chip, when empty)
+  /// are undrifted.
+  std::vector<DriftSchedule> phase_deg;
 
   /// The drifted profile at time t (validated before returning).
   ChipProfile apply(const ChipProfile& base, double t) const;

@@ -17,7 +17,6 @@ TEST(ExperimentSuite, RunsEndToEndAtSmallScale) {
   cfg.dataset.seed = 777;
   cfg.train_fnn = false;       // The heavy baselines have their own
   cfg.train_herqules = false;  // integration tests and benches.
-  cfg.verbose = false;
 
   const SuiteResult result = run_suite(cfg);
   ASSERT_TRUE(result.proposed.has_value());

@@ -112,8 +112,7 @@ TEST(Fpga, PowerNearPaperOperatingPoint) {
   head.nns.resize(1);
   head.demod_channels = 0;
   head.matched_filters = 0;
-  PowerConfig cfg;  // 1 GHz, 45 nm, 8-bit.
-  const PowerEstimate p = estimate_power(head, 5, cfg);
+  const PowerEstimate p = estimate_power(head, 5);  // 1 GHz, 45 nm, 8-bit.
   EXPECT_GT(p.total_mw(), 1.0);
   EXPECT_LT(p.total_mw(), 2.2);
   EXPECT_GT(p.dynamic_mw, p.static_mw * 0.5);
@@ -121,7 +120,7 @@ TEST(Fpga, PowerNearPaperOperatingPoint) {
   // The whole five-head chip costs ~5x that; the FNN orders of magnitude
   // more MACs per inference.
   const DesignSpec ours = proposed_design_spec(5, 3, 500);
-  const PowerEstimate chip = estimate_power(ours, 5, cfg);
+  const PowerEstimate chip = estimate_power(ours, 5);
   EXPECT_GT(chip.total_mw(), 4.0 * p.total_mw());
 }
 

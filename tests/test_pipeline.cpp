@@ -234,6 +234,17 @@ TEST(Pipeline, RejectsMismatchedShotSet) {
   EXPECT_THROW(engine.process_batch(wrong, subset), Error);
 }
 
+TEST(Pipeline, RejectsOutOfRangeSubset) {
+  const Fixture& fx = Fixture::get();
+  ReadoutEngine engine(make_backend(fx.proposed));
+  const std::size_t n = fx.ds.shots.size();
+  const std::size_t subset[] = {0, n - 1, n};  // The last is one past.
+  EXPECT_THROW(engine.process_batch(fx.ds.shots, subset), Error);
+  EXPECT_THROW(engine.evaluate(fx.ds.shots, subset), Error);
+  const std::size_t far[] = {n + 1000000};
+  EXPECT_THROW(engine.process_batch(fx.ds.shots, far), Error);
+}
+
 TEST(Pipeline, EmptyBatchIsWellFormed) {
   const Fixture& fx = Fixture::get();
   ReadoutEngine engine(make_backend(fx.proposed));

@@ -23,7 +23,7 @@ void fail_n(ShardBreaker& b, std::size_t shard, std::size_t n,
 }
 
 TEST(ShardBreaker, QuarantinesAtExactlyQuarantineAfterFailures) {
-  ShardBreaker b(2, /*quarantine_after=*/3, 1ms, 1);
+  ShardBreaker b(2, /*quarantine_after=*/3, 1ms);
   fail_n(b, 0, 2);
   EXPECT_EQ(b.health(0), ShardHealth::kHealthy);
   EXPECT_EQ(b.quarantines(), 0u);
@@ -35,7 +35,7 @@ TEST(ShardBreaker, QuarantinesAtExactlyQuarantineAfterFailures) {
 }
 
 TEST(ShardBreaker, SuccessResetsTheStreak) {
-  ShardBreaker b(1, 3, 1ms, 1);
+  ShardBreaker b(1, 3, 1ms);
   fail_n(b, 0, 2);
   b.record(0, false, /*failed=*/false, t0);
   fail_n(b, 0, 2);
@@ -45,7 +45,7 @@ TEST(ShardBreaker, SuccessResetsTheStreak) {
 }
 
 TEST(ShardBreaker, NoProbeBeforeTheBackoff) {
-  ShardBreaker b(2, 1, /*probe_backoff=*/1000us, 1);
+  ShardBreaker b(2, 1, /*probe_backoff=*/1000us);
   fail_n(b, 0, 1);
   const Route early = b.route(0, false, t0 + 999us);
   EXPECT_EQ(early.shard, 1u);
@@ -62,23 +62,23 @@ TEST(ShardBreaker, NoProbeBeforeTheBackoff) {
   EXPECT_EQ(b.recoveries(), 1u);
 }
 
-TEST(ShardBreaker, AtMostProbeShotsInFlight) {
-  ShardBreaker b(2, 1, 0us, /*probe_shots=*/2);
+TEST(ShardBreaker, AtMostOneProbeInFlight) {
+  ShardBreaker b(2, 1, 0us);
   fail_n(b, 0, 1);
   EXPECT_TRUE(b.route(0, false, t0).probe);
-  EXPECT_TRUE(b.route(0, false, t0).probe);
-  const Route third = b.route(0, false, t0);  // Both probe slots taken.
-  EXPECT_FALSE(third.probe);
-  EXPECT_EQ(third.shard, 1u);
-  EXPECT_EQ(b.probes(), 2u);
-  // A resolved probe frees its slot (a failure keeps the shard out).
+  const Route second = b.route(0, false, t0);  // The probe slot is taken.
+  EXPECT_FALSE(second.probe);
+  EXPECT_EQ(second.shard, 1u);
+  EXPECT_EQ(b.probes(), 1u);
+  // A resolved probe frees the slot (a failure keeps the shard out).
   b.record(0, true, true, t0);
+  EXPECT_EQ(b.health(0), ShardHealth::kQuarantined);
   EXPECT_TRUE(b.route(0, false, t0).probe);
-  EXPECT_EQ(b.probes(), 3u);
+  EXPECT_EQ(b.probes(), 2u);
 }
 
 TEST(ShardBreaker, FailedProbeRestartsTheBackoff) {
-  ShardBreaker b(2, 1, 1000us, 1);
+  ShardBreaker b(2, 1, 1000us);
   fail_n(b, 0, 1);
   ASSERT_TRUE(b.route(0, false, t0 + 1000us).probe);
   const auto failed_at = t0 + 1500us;
@@ -90,7 +90,7 @@ TEST(ShardBreaker, FailedProbeRestartsTheBackoff) {
 }
 
 TEST(ShardBreaker, RerouteOrderIsNextHealthyThenFallbackThenTarget) {
-  ShardBreaker b(3, 1, 1h, 1);  // No probes during the test.
+  ShardBreaker b(3, 1, 1h);  // No probes during the test.
   fail_n(b, 2, 1);
   EXPECT_EQ(b.route(2, true, t0).shard, 0u);  // Scan wraps past the end.
   fail_n(b, 0, 1);
@@ -114,7 +114,7 @@ TEST(ShardBreaker, RerouteOrderIsNextHealthyThenFallbackThenTarget) {
 }
 
 TEST(ShardBreaker, ResetRestoresHealthAndKeepsCounters) {
-  ShardBreaker b(2, 2, 1h, 1);
+  ShardBreaker b(2, 2, 1h);
   fail_n(b, 0, 2);
   ASSERT_EQ(b.health(0), ShardHealth::kQuarantined);
   EXPECT_EQ(b.route(0, false, t0).shard, 1u);
@@ -128,7 +128,7 @@ TEST(ShardBreaker, ResetRestoresHealthAndKeepsCounters) {
 }
 
 TEST(ShardBreaker, DisabledIsTheIdentity) {
-  ShardBreaker b(2, /*quarantine_after=*/0, 0us, 1);
+  ShardBreaker b(2, /*quarantine_after=*/0, 0us);
   EXPECT_FALSE(b.enabled());
   fail_n(b, 0, 100);
   EXPECT_EQ(b.health(0), ShardHealth::kHealthy);
@@ -139,8 +139,8 @@ TEST(ShardBreaker, DisabledIsTheIdentity) {
 }
 
 TEST(ShardBreaker, RejectsZeroShardsAndBadIndices) {
-  EXPECT_THROW(ShardBreaker(0, 1, 0us, 1), Error);
-  ShardBreaker b(2, 1, 0us, 1);
+  EXPECT_THROW(ShardBreaker(0, 1, 0us), Error);
+  ShardBreaker b(2, 1, 0us);
   EXPECT_ANY_THROW(b.health(2));
 }
 

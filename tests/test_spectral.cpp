@@ -22,9 +22,7 @@ TEST(Spectral, SeparatesThreeBlobs) {
       pts.push_back(rng.normal(cy, 0.4));
     }
 
-  SpectralConfig cfg;
-  cfg.n_clusters = 3;
-  const std::vector<int> labels = spectral_cluster(pts, 2, cfg, rng);
+  const std::vector<int> labels = spectral_cluster(pts, 2, rng);
 
   for (int blob = 0; blob < 3; ++blob) {
     std::array<int, 3> counts{};
@@ -48,9 +46,7 @@ TEST(Spectral, HandlesImbalancedClusterSizes) {
   blob(6.0, 0.0, 150, 0.4);
   blob(3.0, -6.0, 12, 0.4);
 
-  SpectralConfig cfg;
-  cfg.n_clusters = 3;
-  const std::vector<int> labels = spectral_cluster(pts, 2, cfg, rng);
+  const std::vector<int> labels = spectral_cluster(pts, 2, rng);
   // The 12 tail points must share one label distinct from the blobs.
   std::array<int, 3> tail_counts{};
   for (std::size_t i = 300; i < 312; ++i) ++tail_counts[labels[i]];
@@ -68,16 +64,13 @@ TEST(Spectral, HandlesImbalancedClusterSizes) {
 TEST(Spectral, RejectsOversizedInput) {
   Rng rng(59);
   std::vector<double> pts(2 * 3000, 0.0);
-  SpectralConfig cfg;
-  EXPECT_THROW(spectral_cluster(pts, 2, cfg, rng), Error);
+  EXPECT_THROW(spectral_cluster(pts, 2, rng), Error);
 }
 
 TEST(Spectral, RejectsTooFewPoints) {
   Rng rng(61);
   std::vector<double> pts{0.0, 0.0, 1.0, 1.0};
-  SpectralConfig cfg;
-  cfg.n_clusters = 3;
-  EXPECT_THROW(spectral_cluster(pts, 2, cfg, rng), Error);
+  EXPECT_THROW(spectral_cluster(pts, 2, rng), Error);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -26,6 +28,18 @@ void make_blobs(std::vector<float>& x, std::vector<int>& y, int per_class,
   }
 }
 
+/// Plain accuracy of `m` on a labeled set (serial argmax sweep).
+double accuracy(const Mlp& m, const std::vector<float>& x,
+                const std::vector<int>& y) {
+  const std::size_t in = m.input_size();
+  std::size_t hits = 0;
+  std::vector<float> out, scratch;
+  for (std::size_t s = 0; s < y.size(); ++s)
+    if (m.predict_reusing({x.data() + in * s, in}, out, scratch) == y[s])
+      ++hits;
+  return static_cast<double>(hits) / static_cast<double>(y.size());
+}
+
 TEST(Trainer, LearnsSeparableBlobs) {
   std::vector<float> x;
   std::vector<int> y;
@@ -37,7 +51,7 @@ TEST(Trainer, LearnsSeparableBlobs) {
   cfg.epochs = 50;
   cfg.validation_fraction = 0.0f;
   const TrainHistory h = train_classifier(m, x, y, cfg);
-  EXPECT_GT(evaluate_accuracy(m, x, y), 0.97);
+  EXPECT_GT(accuracy(m, x, y), 0.97);
   EXPECT_LT(h.train_loss.back(), h.train_loss.front());
 }
 
@@ -52,7 +66,7 @@ TEST(Trainer, GeneralizesToFreshData) {
   TrainerConfig cfg;
   cfg.epochs = 30;
   train_classifier(m, x, y, cfg);
-  EXPECT_GT(evaluate_accuracy(m, xt, yt), 0.95);
+  EXPECT_GT(accuracy(m, xt, yt), 0.95);
 }
 
 TEST(Trainer, ClassWeightsRescueMinorityClass) {
@@ -111,7 +125,7 @@ TEST(Trainer, BalancedAccuracyWeighsClassesEqually) {
     x.push_back(0.0f);
     y.push_back(1);
   }
-  EXPECT_NEAR(evaluate_accuracy(m, x, y), 0.9, 1e-12);
+  EXPECT_NEAR(accuracy(m, x, y), 0.9, 1e-12);
   EXPECT_NEAR(evaluate_balanced_accuracy(m, x, y), 0.5, 1e-12);
 }
 
@@ -287,8 +301,71 @@ TEST(Trainer, WarmStartDiffersFromColdRestart) {
   EXPECT_NE(weight_bits(warm), weight_bits(cold));
 }
 
+/// 64-bit FNV-1a over `bytes`, folded into `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* bytes, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(bytes);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+
+/// Folds a trained model's weight bit patterns and its history into `h`.
+std::uint64_t hash_run(std::uint64_t h, const Mlp& m, const TrainHistory& t) {
+  for (const DenseLayer& l : m.layers()) {
+    h = fnv1a(h, l.w.data(), l.w.size() * sizeof(float));
+    h = fnv1a(h, l.b.data(), l.b.size() * sizeof(float));
+  }
+  h = fnv1a(h, t.train_loss.data(), t.train_loss.size() * sizeof(double));
+  h = fnv1a(h, t.val_accuracy.data(), t.val_accuracy.size() * sizeof(double));
+  return fnv1a(h, &t.best_epoch, sizeof(t.best_epoch));
+}
+
+// Two small runs, hashed bit for bit and pinned, so a change to the
+// trainer's arithmetic or to any of its fixed hyper-parameters (batch 64,
+// Adam 0.9 / 0.999 / 1e-8, balanced validation) fails. Run one takes the
+// defaults on unequal, overlapping classes, so it holds out a 15%
+// validation split, selects by balanced accuracy and restores an earlier
+// best epoch; run two adds inverse-frequency class weights and weight
+// decay. libm's exp / log and the head kernels' float order are x86-64's,
+// so the pin holds there.
+TEST(Trainer, ChecksumMatchesTheParent) {
+#if !defined(__x86_64__) && !defined(_M_X64)
+  GTEST_SKIP() << "pinned on x86-64";
+#endif
+  std::vector<float> x;
+  std::vector<int> y;
+  Rng data(0x5EED);
+  const double cx[3] = {-1.0, 1.0, 0.0};
+  const double cy[3] = {0.0, 0.0, 1.2};
+  const int count[3] = {240, 120, 30};
+  for (int c = 0; c < 3; ++c)
+    for (int i = 0; i < count[c]; ++i) {
+      x.push_back(static_cast<float>(data.normal(cx[c], 0.9)));
+      x.push_back(static_cast<float>(data.normal(cy[c], 0.9)));
+      y.push_back(c);
+    }
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  TrainerConfig defaults;
+  Mlp m1({2, 12, 3});
+  Rng r1(21);
+  m1.init_weights(r1);
+  const TrainHistory t1 = train_classifier(m1, x, y, defaults);
+  ASSERT_EQ(t1.val_accuracy.size(), static_cast<std::size_t>(defaults.epochs));
+  EXPECT_LT(t1.best_epoch, defaults.epochs - 1);  // Restore is exercised.
+  h = hash_run(h, m1, t1);
+
+  TrainerConfig weighted;
+  weighted.class_weights = inverse_frequency_weights(y, 3);
+  weighted.weight_decay = 1e-2f;
+  Mlp m2({2, 12, 3});
+  Rng r2(22);
+  m2.init_weights(r2);
+  h = hash_run(h, m2, train_classifier(m2, x, y, weighted));
+  EXPECT_EQ(h, 0x78af8fbb77357ef5ull) << std::hex << "checksum 0x" << h;
+}
+
 // Parallel evaluation reduces integer hit counts, so it is exactly equal
-// for every thread count — and pinned against a serial argmax sweep.
+// for every thread count — and pinned against a serial per-class sweep.
 TEST(Trainer, ParallelEvalMatchesSerial) {
   std::vector<float> x;
   std::vector<int> y;
@@ -301,15 +378,19 @@ TEST(Trainer, ParallelEvalMatchesSerial) {
   cfg.validation_fraction = 0.0f;
   train_classifier(m, x, y, cfg);
 
-  std::size_t hits = 0;
+  std::array<std::size_t, 3> hits{}, totals{};
   std::vector<float> out, scratch;
-  for (std::size_t s = 0; s < y.size(); ++s)
-    if (m.predict_reusing({x.data() + 2 * s, 2}, out, scratch) == y[s]) ++hits;
-  const double serial = static_cast<double>(hits) / static_cast<double>(y.size());
-  EXPECT_EQ(evaluate_accuracy(m, x, y, 1), serial);
-  EXPECT_EQ(evaluate_accuracy(m, x, y, 4), serial);
-  EXPECT_EQ(evaluate_balanced_accuracy(m, x, y, 1),
-            evaluate_balanced_accuracy(m, x, y, 4));
+  for (std::size_t s = 0; s < y.size(); ++s) {
+    ++totals[y[s]];
+    if (m.predict_reusing({x.data() + 2 * s, 2}, out, scratch) == y[s])
+      ++hits[y[s]];
+  }
+  double serial = 0.0;
+  for (int c = 0; c < 3; ++c)
+    serial += static_cast<double>(hits[c]) / static_cast<double>(totals[c]);
+  serial /= 3.0;
+  EXPECT_EQ(evaluate_balanced_accuracy(m, x, y, 1), serial);
+  EXPECT_EQ(evaluate_balanced_accuracy(m, x, y, 4), serial);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-invariant lints that neither the compiler nor clang-tidy can express.
 
-Seven checks, all cheap enough for every CI run and every pre-commit:
+Eight checks, all cheap enough for every CI run and every pre-commit:
 
   1. snapshot-kinds: the SnapshotKind enum in src/pipeline/snapshot.h is an
      on-disk format registry. Its wire values are pinned in
@@ -50,6 +50,21 @@ Seven checks, all cheap enough for every CI run and every pre-commit:
      src/, bench/, examples/ or fuzz/ reads (a `getenv("MLQR_...")` or
      `env_*("MLQR_...", ...)` call with a literal name) has a row in the
      knob table of README.md. tests/ may read scratch variables of its own.
+
+  8. settable-fields: every data member of a `struct *Config` / `struct
+     *Params` under src/ is assigned (`.name =`, `->name =`, a compound
+     assignment or a designated initializer) by some file in src/, bench/,
+     examples/, perfbench/ or fuzz/ other than its declaring header. A
+     field only tests set is a knob no caller turns: make it a constant at
+     its point of use. A snapshot load restoring the field
+     (`x.name = io::read_*(...)`) is no setter: it replays what a caller
+     once set. SETTABLE_FIELD_ALLOWLIST names the fields kept on purpose,
+     each with its reason. Known blind spots: the check matches names, so
+     a field that shares its name with a field some caller does assign
+     (e.g. ProposedConfig::duration_ns covers the baselines' old
+     duration_ns) escapes it, and so does a field a caller assigns only
+     its default value, sets only through positional aggregate
+     initialization, or that a load restores through a local variable.
 
 Exit status: 0 = all invariants hold, 1 = violation (details on stderr),
 2 = usage / environment error. `--self-test` proves the checks can fail by
@@ -444,6 +459,131 @@ def check_documented_knobs(root: pathlib.Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Check 8: every Config / Params field is set by something that ships.
+# ---------------------------------------------------------------------------
+
+# Assignments in SERVING_DIRS count as a caller setting a field (tests/ is
+# deliberately absent, as in check 6); a load path's `= io::read_*(` does
+# not.
+CONFIG_NAME = r"\w+(?:Config|Params)"
+CONFIG_STRUCT_RE = re.compile(rf"\bstruct\s+(?P<name>{CONFIG_NAME})\s*\{{")
+MEMBER_RE = re.compile(
+    r"^(?P<type>[\w:<>,\s*&]+?)\s*\b(?P<name>[A-Za-z_]\w*)\s*"
+    r"(?:=.*|\{\})?$",
+    re.DOTALL,
+)
+NOT_A_MEMBER_RE = re.compile(
+    r"^(?:static|using|friend|typedef|struct|class|enum|union|template)\b"
+)
+
+# "Struct::field": why the field stays although no caller sets it.
+SETTABLE_FIELD_ALLOWLIST = {
+    "FnnConfig::balance_classes":
+        "the baseline joint-class weighting study (ROADMAP item 1) needs "
+        "the weighting off as its second value",
+    "FnnConfig::class_weight_cap":
+        "the same weighting study varies the cap",
+    "HerqulesConfig::balance_classes":
+        "the same weighting study, on the HERQULES baseline",
+    "HerqulesConfig::class_weight_cap":
+        "the same weighting study varies the cap",
+    "EngineConfig::min_shots_per_thread":
+        "tests lower it to force the worker fan-out on small fixtures",
+    # Snapshot wire fields: each is written and read back by a calibration
+    # payload, and the checked-in fuzz/corpus is pinned byte-identical.
+    "MfBankConfig::min_error_traces": "on the MF-bank snapshot wire",
+    "MfBankConfig::kernel_smooth_window": "on the MF-bank snapshot wire",
+    "ErrorMinerConfig::early_fraction": "on the MF-bank snapshot wire",
+    "ErrorMinerConfig::late_fraction": "on the MF-bank snapshot wire",
+    "ErrorMinerConfig::margin": "on the MF-bank snapshot wire",
+    "QuantizationConfig::max_calibration_shots":
+        "on the quantized designs' snapshot wire",
+    "GaussianDiscriminatorConfig::split_window":
+        "on the LDA/QDA snapshot wire; nothing sets it true, so the 4-D "
+        "features are a follow-up to retire (ROADMAP item 5)",
+}
+
+
+def past_block(text: str, i: int) -> int:
+    """Index just past the `}` closing the block whose `{` precedes i."""
+    depth = 1
+    while i < len(text) and depth:
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        i += 1
+    return i
+
+
+def struct_fields(body: str) -> list[tuple[str, str]]:
+    """(type, name) of each data member declared directly in a struct body."""
+    fields, stmt, i = [], "", 0
+    while i < len(body):
+        c = body[i]
+        if c == "{":
+            i = past_block(body, i + 1)
+            if ")" in stmt:  # A member function or constructor body.
+                stmt = ""
+            else:            # A brace initializer or a nested type.
+                stmt += "{}"
+            continue
+        if c == ";":
+            decl = re.sub(r"^\s*(?:public|private|protected)\s*:", "",
+                          stmt).strip()
+            head = decl.split("=", 1)[0]
+            m = MEMBER_RE.match(decl)
+            if m and "(" not in head and not NOT_A_MEMBER_RE.match(decl):
+                fields.append((m.group("type").strip(), m.group("name")))
+            stmt = ""
+        else:
+            stmt += c
+        i += 1
+    return fields
+
+
+def config_fields(root: pathlib.Path) -> list[tuple[pathlib.Path, str, str]]:
+    """(declaring header, struct, field) for every Config / Params field. A
+    member that is itself a Config / Params struct (ProposedConfig::trainer)
+    is no knob of its own: callers set its fields, which are checked."""
+    out, nested = [], set()
+    for path in sorted((root / "src").rglob("*.h")):
+        code = strip_comments(path.read_text(encoding="utf-8"))
+        for m in CONFIG_STRUCT_RE.finditer(code):
+            body = code[m.end():past_block(code, m.end()) - 1]
+            for ftype, field in struct_fields(body):
+                if re.fullmatch(CONFIG_NAME, ftype.split("::")[-1]):
+                    nested.add((m.group("name"), field))
+                out.append((path.relative_to(root), m.group("name"), field))
+    return [f for f in out if (f[1], f[2]) not in nested]
+
+
+def check_settable_fields(root: pathlib.Path) -> list[str]:
+    fields = config_fields(root)
+    sources = []
+    for top in SERVING_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix in ISA_SUFFIXES and path.is_file():
+                sources.append((path.relative_to(root),
+                                strip_comments(path.read_text(
+                                    encoding="utf-8"))))
+    errors = []
+    for header, struct, field in fields:
+        if f"{struct}::{field}" in SETTABLE_FIELD_ALLOWLIST:
+            continue
+        assign = re.compile(
+            rf"(?:\.|->)\s*{field}\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)"
+            r"(?!\s*(?:io::)?read_\w*\s*\()")
+        if any(rel != header and assign.search(code)
+               for rel, code in sources):
+            continue
+        errors.append(
+            f"{header}: {struct}::{field} is set by no file in "
+            f"{', '.join(d + '/' for d in SERVING_DIRS)} (its declaring "
+            f"header does not count) — a knob only tests turn; make it a "
+            f"constant at its point of use, or allowlist it with a reason"
+        )
+    return errors
+
+
+# ---------------------------------------------------------------------------
 # Driver + self-test.
 # ---------------------------------------------------------------------------
 
@@ -457,6 +597,7 @@ def run_checks(root: pathlib.Path) -> int:
         + check_isa_dispatch(root)
         + check_test_only_modules(root)
         + check_documented_knobs(root)
+        + check_settable_fields(root)
     )
     for e in errors:
         print(f"lint_invariants: {e}", file=sys.stderr)
@@ -713,6 +854,78 @@ def self_test() -> int:
             failures.append("false positive: documented read, comment, "
                             "test or plain string")
 
+    # Check 8 gets a tree of its own: the parser must find exactly the data
+    # members (not member functions, constructors, static helpers or a
+    # nested Config member)...
+    with tempfile.TemporaryDirectory(prefix="lint_selftest_") as tmp:
+        root = pathlib.Path(tmp)
+        for d in ("src/x", "src/y", "bench", "examples", "perfbench", "fuzz",
+                  "tests"):
+            (root / d).mkdir(parents=True)
+        (root / "src/x/foo.h").write_text(
+            "struct BarConfig {\n  double c = 0.0;  ///< Doc; not a { brace.\n};\n"
+            "struct FooConfig {\n"
+            "  /// The `a` knob.\n  int a = 1;\n"
+            "  std::vector<std::size_t> b{1, 2};\n"
+            "  BarConfig bar;\n"
+            "  static FooConfig preset() {\n"
+            "    FooConfig f;\n    f.b = {3};\n    return f;\n  }\n"
+            "  FooConfig() { a = 2; }\n"
+            "  std::size_t width() const;\n"
+            "};\n",
+            encoding="utf-8",
+        )
+        found = {(st, f) for _, st, f in config_fields(root)}
+        want = {("BarConfig", "c"), ("FooConfig", "a"), ("FooConfig", "b")}
+        if found != want:
+            failures.append(f"settable-fields parser found {sorted(found)}, "
+                            f"want {sorted(want)}")
+        # ...a field set only by tests, only by its declaring header, only
+        # by a load restoring it, or only in a comparison, comment or
+        # string must be caught...
+        setters = {
+            "bench/probe.cpp": "void f(FooConfig& f) { f.a = 3; }\n",
+            "fuzz/probe.cpp": "void g(FooConfig* f) { f->bar.c += 1.0; }\n",
+        }
+        for where, text in setters.items():
+            (root / where).write_text(text, encoding="utf-8")
+        unset_b = {
+            "a test": ("tests/test_probe.cpp", "void t(FooConfig& f) "
+                       "{ f.b = {}; }\n"),
+            "a snapshot load": ("src/y/load.cpp", "void l(FooConfig& f) "
+                                "{ f.b = io::read_vec(is); }\n"),
+            "a comparison, comment or string": (
+                "examples/probe.cpp",
+                "bool e(const FooConfig& f) { return f.b == f.b; }\n"
+                "// f.b = {4};\nconst char* s = \"f.b = {4}\";\n"),
+        }
+        for label, (where, text) in unset_b.items():
+            (root / where).write_text(text, encoding="utf-8")
+            errors = check_settable_fields(root)
+            if len(errors) != 1 or "FooConfig::b " not in errors[0]:
+                failures.append(f"field set only by {label} (or by its "
+                                f"declaring header) not caught: {errors}")
+            (root / where).unlink()
+        # ...while a plain, arrow, nested, compound or designated-
+        # initializer write anywhere that ships sets the field...
+        (root / "perfbench/probe.cpp").write_text(
+            "FooConfig h() { return FooConfig{.b = {}}; }\n", encoding="utf-8")
+        if check_settable_fields(root):
+            failures.append("false positive: designated initializer")
+        (root / "perfbench/probe.cpp").unlink()
+        (root / "src/y/use.cpp").write_text(
+            "void u(FooConfig& f) { f.b = {}; }\n", encoding="utf-8")
+        if check_settable_fields(root):
+            failures.append("false positive: write from another src/ file")
+        (root / "src/y/use.cpp").unlink()
+        # ...and an allowlisted field stays legal.
+        SETTABLE_FIELD_ALLOWLIST["FooConfig::b"] = "self-test"
+        try:
+            if check_settable_fields(root):
+                failures.append("settable-field allowlist not honoured")
+        finally:
+            del SETTABLE_FIELD_ALLOWLIST["FooConfig::b"]
+
     for f in failures:
         print(f"lint_invariants --self-test: FAIL: {f}", file=sys.stderr)
     if not failures:
@@ -720,8 +933,8 @@ def self_test() -> int:
             f"lint_invariants --self-test: ok "
             f"({len(mutations)} registry mutations, "
             f"{len(nondet_snippets)} nondeterminism probes, and the "
-            f"pipeline-rng, pure-part, isa-dispatch, test-only-module and "
-            f"documented-knob probes all caught)"
+            f"pipeline-rng, pure-part, isa-dispatch, test-only-module, "
+            f"documented-knob and settable-field probes all caught)"
         )
     return 1 if failures else 0
 
