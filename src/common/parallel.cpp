@@ -39,7 +39,7 @@ std::size_t parallel_thread_count() {
 
 void parallel_for_slots(
     std::size_t begin, std::size_t end, std::size_t workers,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+    FunctionRef<void(std::size_t, std::size_t, std::size_t)> body) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   if (workers == 0) workers = parallel_thread_count();
@@ -62,9 +62,8 @@ void parallel_for_slots(
   });
 }
 
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body) {
+void parallel_for_chunked(std::size_t begin, std::size_t end,
+                          FunctionRef<void(std::size_t, std::size_t)> body) {
   parallel_for_slots(begin, end, 0,
                      [&](std::size_t, std::size_t lo, std::size_t hi) {
                        body(lo, hi);
@@ -72,7 +71,7 @@ void parallel_for_chunked(
 }
 
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
+                  FunctionRef<void(std::size_t)> body) {
   parallel_for_chunked(begin, end, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) body(i);
   });

@@ -11,7 +11,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+
+#include "common/function_ref.h"
 
 namespace mlqr {
 
@@ -38,14 +39,15 @@ std::size_t parallel_thread_count();
 /// Invokes body(i) for every i in [begin, end), distributed over worker
 /// threads in contiguous chunks. Falls back to a serial loop for small
 /// ranges. The body must be safe to invoke concurrently for distinct i.
+/// Every body is a non-owning FunctionRef: the call returns only after
+/// the last invocation, so the caller's lambda outlives them all.
 void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body);
+                  FunctionRef<void(std::size_t)> body);
 
 /// Chunked variant: body(chunk_begin, chunk_end) per worker — useful when
 /// per-thread scratch state amortizes across a whole chunk.
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body);
+void parallel_for_chunked(std::size_t begin, std::size_t end,
+                          FunctionRef<void(std::size_t, std::size_t)> body);
 
 /// Worker-slot variant with an explicit worker budget: the range is split
 /// into at most `workers` contiguous chunks and body(slot, lo, hi) runs one
@@ -53,9 +55,10 @@ void parallel_for_chunked(
 /// callers keep stable per-worker scratch pools (the streaming engine's
 /// allocation-free hot path). workers == 0 means parallel_thread_count();
 /// workers == 1 (or a tiny range) runs inline on the calling thread with
-/// slot 0.
+/// slot 0 and allocates nothing; a pooled fan-out allocates the one Job
+/// that ThreadPool::run shares with its workers.
 void parallel_for_slots(
     std::size_t begin, std::size_t end, std::size_t workers,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+    FunctionRef<void(std::size_t, std::size_t, std::size_t)> body);
 
 }  // namespace mlqr

@@ -36,7 +36,7 @@ ThreadPool& ThreadPool::shared() {
 void ThreadPool::execute(Job& job, std::size_t index) {
   std::exception_ptr error;
   try {
-    (*job.task)(index);
+    job.task(index);
   } catch (...) {
     error = std::current_exception();
   }
@@ -73,8 +73,7 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::run(std::size_t count,
-                     const std::function<void(std::size_t)>& task) {
+void ThreadPool::run(std::size_t count, FunctionRef<void(std::size_t)> task) {
   if (count == 0) return;
   if (count == 1 || threads_.empty()) {
     // Nothing to fan out (or nobody to fan out to): run inline with the
@@ -90,7 +89,7 @@ void ThreadPool::run(std::size_t count,
     if (first_error) std::rethrow_exception(first_error);
     return;
   }
-  const auto job = std::make_shared<Job>(count, &task);
+  const auto job = std::make_shared<Job>(count, task);
   {
     MutexLock lock(mutex_);
     jobs_.push_back(job);

@@ -27,12 +27,12 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/annotations.h"
+#include "common/function_ref.h"
 
 namespace mlqr {
 
@@ -58,8 +58,11 @@ class ThreadPool {
   /// the remaining tasks finish — the pool itself stays healthy. Safe to
   /// call concurrently from multiple threads and recursively from inside a
   /// task (the caller always drains its own job, so nested fan-outs cannot
-  /// deadlock even with zero idle workers).
-  void run(std::size_t count, const std::function<void(std::size_t)>& task)
+  /// deadlock even with zero idle workers). `task` is a non-owning
+  /// reference, valid because run() outlives every task. A single task (or
+  /// a pool without workers) runs inline and allocates nothing; a pooled
+  /// fan-out allocates one shared Job, which its workers keep alive.
+  void run(std::size_t count, FunctionRef<void(std::size_t)> task)
       MLQR_EXCLUDES(mutex_);
 
   /// Process-wide pool used by parallel_for*: lazily constructed on first
@@ -74,7 +77,7 @@ class ThreadPool {
  private:
   /// One run() invocation: a batch of `count` tasks claimed by index.
   struct Job {
-    Job(std::size_t n, const std::function<void(std::size_t)>* t)
+    Job(std::size_t n, FunctionRef<void(std::size_t)> t)
         : count(n), task(t), remaining(n) {}
 
     const std::size_t count;
@@ -83,7 +86,7 @@ class ThreadPool {
     /// the contract is enforced at the access sites (all of which hold
     /// the pool lock via claim_front / run's claim loop).
     std::size_t next = 0;
-    const std::function<void(std::size_t)>* const task;
+    const FunctionRef<void(std::size_t)> task;
     Mutex done_mutex;
     CondVar done_cv;
     std::size_t remaining MLQR_GUARDED_BY(done_mutex);

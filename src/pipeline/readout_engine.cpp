@@ -29,9 +29,8 @@ LatencyStats summarize_latency(std::vector<double> micros) {
   return stats;
 }
 
-void EngineCore::classify(std::size_t n, const FrameAt& frame_at,
-                          const BackendAt& backend_at,
-                          const LabelsAt& labels_at,
+void EngineCore::classify(std::size_t n, FrameAt frame_at,
+                          BackendAt backend_at, LabelsAt labels_at,
                           std::exception_ptr* errors) {
   if (n == 0) return;
   // Worker budget: the configured cap, shrunk so every worker has at least
@@ -74,7 +73,10 @@ void EngineCore::classify(std::size_t n, const FrameAt& frame_at,
           while (e < hi && &backend_at(e) == &be) ++e;
           if (be.supports_batch() && e - s >= kMinGroupForGemm) {
             try {
-              be.classify_batch_into(s, e, frame_at, scratch, labels_at);
+              // A FunctionRef is two pointers, so these std::function
+              // wrappers fit its small buffer and allocate nothing.
+              be.classify_batch_into(s, e, ShotFrameAt(frame_at), scratch,
+                                     ShotLabelsAt(labels_at));
             } catch (...) {
               if (!errors) throw;
               run_per_shot(s, e);
@@ -93,9 +95,7 @@ ReadoutEngine::ReadoutEngine(EngineBackend backend, EngineConfig cfg)
   MLQR_CHECK_MSG(backend_.num_qubits() > 0, "backend reports zero qubits");
 }
 
-EngineBatch ReadoutEngine::run(
-    std::size_t n,
-    const std::function<const IqTrace&(std::size_t)>& frame_at) {
+EngineBatch ReadoutEngine::run(std::size_t n, EngineCore::FrameAt frame_at) {
   const std::size_t n_qubits = backend_.num_qubits();
 
   EngineBatch batch;

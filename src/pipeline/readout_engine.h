@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "discrim/inference_scratch.h"
 #include "discrim/metrics.h"
 #include "discrim/shot_set.h"
@@ -189,15 +190,19 @@ class EngineCore {
   /// saves under a handful of shots.
   static constexpr std::size_t kMinGroupForGemm = 8;
 
-  using FrameAt = ShotFrameAt;
-  using BackendAt = std::function<const EngineBackend&(std::size_t)>;
-  using LabelsAt = ShotLabelsAt;
+  /// Non-owning accessors, valid for the duration of one classify() call.
+  using FrameAt = FunctionRef<const IqTrace&(std::size_t)>;
+  using BackendAt = FunctionRef<const EngineBackend&(std::size_t)>;
+  using LabelsAt = FunctionRef<std::span<int>(std::size_t)>;
 
   /// Classifies shots 0..n-1: backend_at(s) picks the (shard) backend for
   /// shot s, frame_at(s) its trace, labels_at(s) the destination span.
   /// Shots fan out over at most the configured worker budget, shrunk so
   /// every worker gets >= min_shots_per_thread shots; each worker slot
-  /// reuses its own scratch, so steady-state calls allocate nothing.
+  /// reuses its own scratch. Once that scratch has grown, a call served by
+  /// one worker allocates nothing (tests/test_allocations.cpp pins it); a
+  /// call fanned out over the pool allocates the one Job ThreadPool::run
+  /// shares with its workers.
   ///
   /// Contiguous runs of shots sharing one batch-capable backend (same
   /// EngineBackend address) inside a worker's range classify through the
@@ -216,9 +221,8 @@ class EngineCore {
   /// synchronous ReadoutEngine keeps that contract; the StreamingEngine
   /// dispatcher passes a sink so one faulty shard shot poisons one ticket,
   /// not its whole micro-batch.
-  void classify(std::size_t n, const FrameAt& frame_at,
-                const BackendAt& backend_at, const LabelsAt& labels_at,
-                std::exception_ptr* errors = nullptr);
+  void classify(std::size_t n, FrameAt frame_at, BackendAt backend_at,
+                LabelsAt labels_at, std::exception_ptr* errors = nullptr);
 
  private:
   EngineConfig cfg_;
@@ -252,8 +256,7 @@ class ReadoutEngine {
 
  private:
   /// Shared fan-out: frame_at(i) must be valid for i in [0, n).
-  EngineBatch run(std::size_t n,
-                  const std::function<const IqTrace&(std::size_t)>& frame_at);
+  EngineBatch run(std::size_t n, EngineCore::FrameAt frame_at);
 
   EngineBackend backend_;
   EngineCore core_;

@@ -37,7 +37,51 @@ std::optional<Clock::time_point> deadline_after(
     return std::nullopt;
   return now + *timeout;
 }
+
+/// Spin-loop hint: lets the sibling hyperthread run and saves power while
+/// a waiter polls.
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 }  // namespace
+
+void StreamingEngine::EpochCondVar::notify_all(Mutex& /*mu*/) {
+  // Under mu: a waiter between its last epoch check and its park holds mu,
+  // so this bump lands either before that check or after the park.
+  epoch_.fetch_add(1, std::memory_order_relaxed);
+  cv_.notify_all();
+}
+
+bool StreamingEngine::EpochCondVar::spin(Mutex& mu, TimePoint until) {
+  const std::uint64_t seen = epoch_.load(std::memory_order_relaxed);
+  mu.unlock();
+  while (epoch_.load(std::memory_order_relaxed) == seen &&
+         Clock::now() < until) {
+    cpu_pause();
+    // Yield too: with more runnable threads than CPUs, a spinner that
+    // only pauses holds the CPU the notifying thread needs.
+    std::this_thread::yield();
+  }
+  mu.lock();
+  return epoch_.load(std::memory_order_relaxed) != seen;
+}
+
+void StreamingEngine::EpochCondVar::wait(Mutex& mu) {
+  if (!spin(mu, Clock::now() + kSpinWindow)) cv_.wait(mu);
+}
+
+std::cv_status StreamingEngine::EpochCondVar::wait_until(Mutex& mu,
+                                                         TimePoint deadline) {
+  const TimePoint now = Clock::now();
+  if (now >= deadline) return std::cv_status::timeout;
+  if (spin(mu, std::min(now + kSpinWindow, deadline)))
+    return std::cv_status::no_timeout;
+  return cv_.wait_until(mu, deadline);
+}
 
 StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
                                  StreamingConfig cfg)
@@ -77,8 +121,8 @@ StreamingEngine::~StreamingEngine() {
   {
     MutexLock lock(mutex_);
     stop_ = true;
+    work_cv_.notify_all(mutex_);
   }
-  work_cv_.notify_all();
   // dispatcher_ (last member) joins on destruction after draining the ring.
 }
 
@@ -118,8 +162,7 @@ std::optional<StreamingEngine::Ticket> StreamingEngine::submit(
   lock.lock();
   slot.state = SlotState::kQueued;
   extend_queued_run();
-  lock.unlock();
-  work_cv_.notify_one();
+  work_cv_.notify_all(mutex_);
   return t;
 }
 
@@ -205,7 +248,7 @@ void StreamingEngine::dispatch_loop() {
         batch_tickets_.push_back(t0 + i);
       }
     }
-    if (any_shed) done_cv_.notify_all();
+    if (any_shed) done_cv_.notify_all(mutex_);
     const std::size_t b = batch_tickets_.size();
     if (b == 0) continue;  // Everything shed: nothing to classify.
     batch_errors_.assign(b, std::exception_ptr{});
@@ -306,10 +349,7 @@ void StreamingEngine::dispatch_loop() {
     }
     completed_ += b;
     ++batches_;
-    done_cv_.notify_all();
-    // Wake a swapper (or producers racing the swap gate) parked on
-    // work_cv_ — done_cv_ only covers waits and drain().
-    if (swaps_pending_ > 0) work_cv_.notify_all();
+    done_cv_.notify_all(mutex_);  // Waits, drain() and swappers.
   }
 }
 
@@ -340,7 +380,7 @@ ShotStatus StreamingEngine::wait_impl(
   // the micro-batch deadline while the classifier sits idle.
   if (flush_ <= t) {
     flush_ = t + 1;
-    work_cv_.notify_all();
+    work_cv_.notify_all(mutex_);
   }
   for (;;) {
     if (slot.ticket == t && slot.state == SlotState::kDone) break;
@@ -388,7 +428,7 @@ void StreamingEngine::drain() {
   // Everything already submitted should dispatch now rather than ride out
   // the micro-batch deadline.
   flush_ = std::max(flush_, target);
-  work_cv_.notify_all();
+  work_cv_.notify_all(mutex_);
   while (completed_ < target) done_cv_.wait(mutex_);
   // Surface classify failures to flush-and-check callers that never wait
   // individual tickets. The failed tickets stay retrievable (each wait
@@ -419,8 +459,7 @@ void StreamingEngine::swap_shard(std::size_t shard, EngineBackend backend) {
   drift_[shard] = DriftMonitor(cfg_.drift);
   ++swaps_;
   --swaps_pending_;
-  lock.unlock();
-  work_cv_.notify_all();  // Release the dispatcher's swap gate.
+  work_cv_.notify_all(mutex_);  // Release the dispatcher's swap gate.
 }
 
 ShardHealth StreamingEngine::shard_health(std::size_t shard) const {

@@ -67,9 +67,26 @@
 // driven under the engine mutex with `now` passed in; the engine itself
 // keeps only the ring, dispatch, slot custody and the swap gate.
 //
-// Steady state allocates nothing: ring slots reuse their frame/label
-// capacity, scratch lives per worker slot, and the dispatcher loop reuses
-// its per-batch ticket/error buffers.
+// Wait policy: spin, then park. At QEC rates nearly every micro-batch is a
+// single shot, so each shot crosses two thread hand-offs — submit wakes
+// the dispatcher, batch completion wakes the consumer — and a wake-up from
+// a parked condition variable costs several microseconds each. So the
+// dispatcher's work wait and every done wait (wait_result, wait_for,
+// drain, swap_shard) first poll for up to kSpinWindow, pausing and
+// yielding the CPU between polls, and park only if nothing happened. A
+// timed wait never polls past its own deadline, and a wait_for with a
+// timeout <= 0 does not poll at all. The cost is CPU: an idle dispatcher,
+// and every waiter, burns up to one spin window of CPU per wait before it
+// parks. The yield keeps that safe on an oversubscribed host — a pure
+// spinner there starves the very thread it waits for.
+//
+// Allocations: once every ring slot has held a frame of the served length
+// (slots reuse their frame/label capacity), a micro-batch that classifies
+// on one worker allocates nothing — scratch lives per worker slot, the
+// dispatcher reuses its per-batch ticket/error buffers, and the classify
+// callbacks are non-owning references (tests/test_allocations.cpp pins
+// this). A micro-batch fanned out over the pool allocates the one Job
+// ThreadPool::run shares with its workers.
 //
 // Locking contract (compile-time checked on Clang, see
 // common/annotations.h): every bookkeeping member — the ring vector, the
@@ -80,9 +97,12 @@
 // kReserved slot's frame and the dispatcher reads kInFlight slots' frames
 // / writes their labels and per-batch error slots outside the lock, via
 // pointers snapshotted under it. That protocol is documented on Slot below
-// and stays covered by TSan.
+// and stays covered by TSan. The spin-then-park epochs are atomics outside
+// the capability model: they only say "something changed, re-check under
+// the lock" and never carry data (see EpochCondVar).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -197,6 +217,14 @@ class StreamingEngine {
   /// Monotonic per-engine shot id; ticket t is the t-th submitted frame.
   using Ticket = std::uint64_t;
 
+  /// How long the dispatcher's work wait and each done wait poll before
+  /// they park (the wait policy above). A constant, not a knob. Swept on
+  /// perfbench qec_stream, 4-vCPU x86 host: at its 20k shots/s (a shot
+  /// every 50 us on average) 50 us parks too often (p50 ~15 us, against
+  /// ~10 us here), while 1000 us takes under 1 us more off p50 for five
+  /// times the CPU an idle engine burns per wait.
+  static constexpr std::chrono::microseconds kSpinWindow{200};
+
   /// Heterogeneous shards: one backend per feedline/chip. There must be at
   /// least one; all must be valid and report the same qubit count (as
   /// must cfg.fallback when set).
@@ -296,6 +324,31 @@ class StreamingEngine {
  private:
   using TimePoint = std::chrono::steady_clock::time_point;
 
+  /// A CondVar whose waits poll before they park (the wait policy above).
+  /// notify_all() bumps a change epoch, with the engine mutex held, and
+  /// then signals. A wait reads the epoch under the mutex, releases it,
+  /// polls the epoch for up to kSpinWindow (never past its own deadline),
+  /// re-locks, and parks only if the epoch has not moved. No notify is
+  /// lost between the poll and the park: it needs the mutex, which the
+  /// waiter holds from its final epoch check until the CondVar parks it.
+  /// Like CondVar's, the waits may return without a notify; callers loop
+  /// on their predicate.
+  class EpochCondVar {
+   public:
+    void notify_all(Mutex& mu) MLQR_REQUIRES(mu);
+    void wait(Mutex& mu) MLQR_REQUIRES(mu);
+    std::cv_status wait_until(Mutex& mu, TimePoint deadline)
+        MLQR_REQUIRES(mu);
+
+   private:
+    /// Releases mu, polls until the epoch moves or `until` passes, then
+    /// re-locks; true when the epoch moved since the call began.
+    bool spin(Mutex& mu, TimePoint until) MLQR_REQUIRES(mu);
+
+    std::atomic<std::uint64_t> epoch_{0};
+    CondVar cv_;
+  };
+
   enum class SlotState : std::uint8_t {
     kFree,      ///< Reusable; ticket field holds the last consumed ticket.
     kReserved,  ///< A producer is copying its frame in (outside the lock).
@@ -360,9 +413,9 @@ class StreamingEngine {
   EngineCore core_;  ///< Dispatcher-thread only (scratch pool inside).
 
   mutable Mutex mutex_;
-  CondVar space_cv_;  ///< Producers waiting for a free slot.
-  CondVar work_cv_;   ///< Dispatcher waiting for shots/stop/swap gate.
-  CondVar done_cv_;   ///< Waits/drain()/swappers waiting on the dispatcher.
+  CondVar space_cv_;      ///< Producers waiting for a free slot.
+  EpochCondVar work_cv_;  ///< Dispatcher waiting for shots/stop/swap gate.
+  EpochCondVar done_cv_;  ///< Waits/drain()/swappers waiting on the dispatcher.
   /// Never resized after construction; elements follow Slot's custody
   /// protocol once handed off (pointers snapshotted under the lock).
   std::vector<Slot> ring_ MLQR_GUARDED_BY(mutex_);

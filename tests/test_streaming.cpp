@@ -10,7 +10,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <semaphore>
 #include <string>
 #include <thread>
@@ -798,6 +802,182 @@ TEST(Streaming, DrainConcurrentWithQuarantineTransitions) {
   EXPECT_EQ(eng.stats().completed, kShots);
   EXPECT_GE(eng.stats().quarantines, 1u);
   EXPECT_NO_THROW(eng.drain());
+}
+
+// ---------------------------------------------------------------------------
+// Spin-then-park hand-offs (the wait policy in pipeline/streaming_engine.h).
+// A lost wake-up must fail these tests, not hang them (see
+// StreamingHandOff).
+
+using SteadyClock = std::chrono::steady_clock;
+
+/// Comfortably past the spin window: a waiter has parked by then.
+constexpr auto kPastSpin = StreamingEngine::kSpinWindow * 20;
+
+/// Bound on any single hand-off; a correct engine takes microseconds.
+constexpr auto kHandOffBound = std::chrono::seconds(5);
+
+/// The hand-off tests. Their waits are timed, and a watchdog aborts the
+/// binary if a test body (its engine destructors included) runs past
+/// kWatchdog: a destructor or swap_shard has no timeout of its own, so a
+/// lost wake-up there would otherwise hang the suite.
+class StreamingHandOff : public ::testing::Test {
+ protected:
+  static constexpr auto kWatchdog = std::chrono::seconds(120);
+
+  void TearDown() override {
+    {
+      std::lock_guard lock(mu_);
+      finished_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool finished_ = false;
+  std::jthread watchdog_{[this] {
+    std::unique_lock lock(mu_);
+    if (!cv_.wait_for(lock, kWatchdog, [this] { return finished_; })) {
+      std::fprintf(stderr, "hand-off test hung: a wake-up was lost\n");
+      std::abort();
+    }
+  }};
+};
+
+/// The fastest of `trials` runs of `timed` (which returns its own
+/// duration): a correct engine meets the bounds below on some run even on
+/// a busy host, while a waiter that rides out the spin window misses them
+/// on every run.
+template <typename Timed>
+SteadyClock::duration fastest_of(int trials, Timed&& timed) {
+  SteadyClock::duration best = SteadyClock::duration::max();
+  for (int i = 0; i < trials; ++i) best = std::min(best, timed());
+  return best;
+}
+
+TEST_F(StreamingHandOff, ParkedDispatcherWakesOnSubmit) {
+  // Nothing waits the tickets (a wait would flush them and wake the
+  // dispatcher itself), so each shot completes only if the parked
+  // dispatcher hears its submit.
+  StreamingConfig cfg;
+  cfg.deadline_us = 0;
+  StreamingEngine eng(const_backend("c", 3), 1, cfg);
+  for (std::uint64_t shot = 1; shot <= 3; ++shot) {
+    std::this_thread::sleep_for(kPastSpin);
+    eng.submit(plain_frame());
+    const auto give_up = SteadyClock::now() + kHandOffBound;
+    while (eng.stats().completed < shot && SteadyClock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    ASSERT_EQ(eng.stats().completed, shot) << "submit lost its wake-up";
+  }
+  std::vector<int> out(eng.num_qubits());
+  for (StreamingEngine::Ticket t = 0; t < 3; ++t) {
+    EXPECT_EQ(eng.wait_for(t, out, kHandOffBound), ShotStatus::kDone);
+    EXPECT_EQ(out, (std::vector<int>{3, 3}));
+  }
+}
+
+TEST_F(StreamingHandOff, ParkedWaiterWakesOnBatchCompletion) {
+  auto gate = std::make_shared<Gate>();
+  StreamingConfig cfg;
+  cfg.deadline_us = 0;
+  StreamingEngine eng(gated_backend(gate), 1, cfg);
+  std::vector<int> out(eng.num_qubits());
+  for (int round = 0; round < 3; ++round) {
+    const auto t = *eng.submit(plain_frame());
+    ASSERT_TRUE(gate->started.try_acquire_for(kHandOffBound));
+    std::jthread releaser([&] {
+      std::this_thread::sleep_for(kPastSpin);
+      gate->go.release();
+    });
+    // A waiter that missed the wake-up still finds the shot done when its
+    // timeout re-checks, so the time it took is what tells.
+    const auto start = SteadyClock::now();
+    EXPECT_EQ(eng.wait_for(t, out, kHandOffBound), ShotStatus::kDone);
+    EXPECT_LT(SteadyClock::now() - start, kHandOffBound / 2)
+        << "batch completion lost its wake-up";
+  }
+}
+
+TEST_F(StreamingHandOff, ShortTimedWaitsStopPollingAtTheirDeadline) {
+  // The shot is held in flight, so nothing notifies: each timed wait ends
+  // only at its own deadline. A wait that polled on to the end of the spin
+  // window would make 100 of them take 100 windows.
+  auto gate = std::make_shared<Gate>();
+  StreamingEngine eng(gated_backend(gate), 1);
+  const auto t = *eng.submit(plain_frame());
+  ASSERT_TRUE(gate->started.try_acquire_for(kHandOffBound));
+  std::vector<int> out(eng.num_qubits());
+  for (const auto timeout :
+       {std::chrono::microseconds(1), std::chrono::microseconds(0)}) {
+    std::size_t timed_out = 0;
+    const auto took = fastest_of(10, [&] {
+      const auto start = SteadyClock::now();
+      for (int i = 0; i < 100; ++i)
+        timed_out += eng.wait_for(t, out, timeout) == ShotStatus::kTimedOut;
+      return SteadyClock::now() - start;
+    });
+    EXPECT_EQ(timed_out, 1000u);
+    EXPECT_LT(took, 100 * StreamingEngine::kSpinWindow / 2)
+        << "timeout " << timeout.count() << " us";
+  }
+  gate->go.release();
+  EXPECT_EQ(eng.wait_for(t, out, kHandOffBound), ShotStatus::kDone);
+}
+
+TEST_F(StreamingHandOff, IdleDispatcherStopsWithoutRidingOutTheSpinWindow) {
+  // A dispatcher that rode out its spin window would make the destructor
+  // take a whole window longer. The bound is half a window, or the cost of
+  // destroying an engine whose dispatcher has already parked (wake it, join
+  // it) where that is larger, as it is under sanitizers.
+  StreamingConfig cfg;
+  cfg.queue_capacity = 4;
+  cfg.deadline_us = 0;
+  const EngineBackend backend = const_backend("c", 1);
+  const auto destroy = [&](bool let_it_park) {
+    auto eng = std::make_unique<StreamingEngine>(backend, 1, cfg);
+    eng->submit(plain_frame());
+    // Busy-poll rather than wait: a wait of our own would poll the spin
+    // window away too. The dispatcher left the lock that completed the
+    // shot by entering its wait, so from here on it is polling for work.
+    const auto give_up = SteadyClock::now() + kHandOffBound;
+    while (eng->stats().completed == 0 && SteadyClock::now() < give_up) {
+    }
+    EXPECT_EQ(eng->stats().completed, 1u);
+    if (let_it_park) std::this_thread::sleep_for(kPastSpin);
+    const auto start = SteadyClock::now();
+    eng.reset();
+    return SteadyClock::now() - start;
+  };
+  const auto parked = fastest_of(20, [&] { return destroy(true); });
+  const auto polling = fastest_of(20, [&] { return destroy(false); });
+  EXPECT_LT(polling, std::max<SteadyClock::duration>(
+                         parked, StreamingEngine::kSpinWindow / 2))
+      << "parked " << std::chrono::duration<double, std::micro>(parked).count()
+      << " us, polling "
+      << std::chrono::duration<double, std::micro>(polling).count() << " us";
+}
+
+TEST_F(StreamingHandOff, SwapShardOnAnIdleDispatcherReturnsAtOnce) {
+  StreamingConfig cfg;
+  cfg.deadline_us = 0;
+  StreamingEngine eng(const_backend("old", 1), 1, cfg);
+  const EngineBackend fresh = const_backend("new", 2);
+  std::vector<int> out(eng.num_qubits());
+  const auto took = fastest_of(20, [&] {
+    EXPECT_EQ(eng.wait_for(*eng.submit(plain_frame()), out, kHandOffBound),
+              ShotStatus::kDone);
+    const auto start = SteadyClock::now();
+    eng.swap_shard(0, fresh);
+    return SteadyClock::now() - start;
+  });
+  EXPECT_LT(took, StreamingEngine::kSpinWindow / 2);
+  // The swap released the dispatcher's gate: it serves the new backend.
+  EXPECT_EQ(eng.wait_for(*eng.submit(plain_frame()), out, kHandOffBound),
+            ShotStatus::kDone);
+  EXPECT_EQ(out, (std::vector<int>{2, 2}));
 }
 
 }  // namespace
