@@ -1,12 +1,12 @@
-// Tier selection (common/simd_dispatch.h) and the scalar references the
-// tiers fall back on. Compiled at the build's baseline flags: the CPU
+// Tier selection (common/simd.h) and the scalar references the tiers
+// fall back on. Compiled at the build's baseline flags: the CPU
 // probe must run on any host the binary starts on.
 #include <algorithm>
 #include <atomic>
 
 #include "common/error.h"
 #include "common/fixed_point.h"
-#include "common/simd_dispatch.h"
+#include "common/simd.h"
 
 namespace mlqr::simd {
 
@@ -87,6 +87,52 @@ ScopedTier::ScopedTier(const Kernels& k) : prev_(&kernels()) {
 
 ScopedTier::~ScopedTier() {
   active_tier().store(prev_, std::memory_order_release);
+}
+
+float dot_f32_scalar(const float* a, const float* b, std::size_t n) {
+  float lane[4] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    for (std::size_t j = 0; j < 4; ++j) lane[j] += a[i + j] * b[i + j];
+  float sum = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+void dot4_f32_scalar(const float* shared, const float* b0, const float* b1,
+                     const float* b2, const float* b3, std::size_t n,
+                     float* out) {
+  out[0] = dot_f32_scalar(shared, b0, n);
+  out[1] = dot_f32_scalar(shared, b1, n);
+  out[2] = dot_f32_scalar(shared, b2, n);
+  out[3] = dot_f32_scalar(shared, b3, n);
+}
+
+void axpy_f32_scalar(std::size_t n, float a, const float* x, float* y) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+void axpy4_f32_scalar(std::size_t n, const float* a, const float* x0,
+                      const float* x1, const float* x2, const float* x3,
+                      float* y) {
+  const std::size_t blocked = n - n % 4;
+  std::size_t i = 0;
+  for (; i < blocked; ++i)
+    y[i] = (((y[i] + a[0] * x0[i]) + a[1] * x1[i]) + a[2] * x2[i]) +
+           a[3] * x3[i];
+  for (; i < n; ++i)
+    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
+}
+
+void add_bias_f32_scalar(float* z, const float* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) z[i] += b[i];
+}
+
+void add_bias_relu_f32_scalar(float* z, const float* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float s = z[i] + b[i];
+    z[i] = s > 0.0f ? s : 0.0f;
+  }
 }
 
 float fused_dot_f32_scalar(const float* kr, const float* ki, const float* xi,

@@ -1,19 +1,34 @@
-// Portable float SIMD kernels for the MLP heads and training (sgemm /
-// sgemv), plus the runtime-dispatched kernel table (common/simd_dispatch.h:
-// the float front-end's fused dot products and every integer kernel).
+// The runtime-dispatched SIMD kernels: every hot float and integer loop
+// of the library — the float front-end's fused dot products, the float
+// head and training kernels under sgemm / sgemv, and every integer kernel,
+// requantization included.
 //
-// These kernels are chosen at compile time: SSE2 on x86 (every 64-bit x86
-// has it, and MLQR_NATIVE builds take the same path), NEON on ARM, scalar
-// elsewhere. They add each rounded product at 128 bits in a fixed order
-// (the library builds with -ffp-contract=off), so an x86 build returns the
-// same floats whatever its -march. tier() reports the runtime-picked tier
-// of the dispatched table.
+// The kernels live in one table, compiled once per instruction-set tier
+// and picked once, at first use, for the running host:
 //
-// Every kernel also has an always-compiled *_scalar twin. The scalar
-// versions are the semantic reference: tests pin the vector paths against
-// them (bounded relative error for the reductions, bit for bit for the
-// element-wise epilogues), and they are reachable on every platform
-// regardless of tier.
+//   tier           compiled with                      needs
+//   base           the build's own flags (SSE2 on a   nothing beyond the
+//                  default x86-64 build; native under  build itself
+//                  MLQR_NATIVE; NEON / scalar else)
+//   avx2           -mavx2                             AVX2
+//   avx512-vnni    -mavx512f/bw/dq/vl/vnni            AVX-512 F+BW+DQ+VL+
+//                                                      VNNI
+//
+// The avx2 and avx512-vnni tiers exist only in default x86 builds; non-x86
+// and MLQR_NATIVE builds carry the base tier alone. Each tier lives in its
+// own translation unit (common/simd_tier_*.cpp, all sharing the kernel
+// bodies in common/simd_tier_kernels.inc) under its own namespace, and
+// defines no shared-linkage symbol outside it — so the linker can never
+// hand a wider tier's copy of an inline function to a baseline caller.
+// This header holds no instruction-set code.
+//
+// Every tier returns bit-identical results, so labels do not depend on the
+// host. The integer kernels sum exactly; each float kernel computes the one
+// evaluation order its scalar reference spells out, with every product
+// rounded before its add (the library builds with -ffp-contract=off, so no
+// compiler fuses them into an FMA); the requant kernels round as their
+// scalar references do (the double-domain ones under the default
+// round-to-nearest mode). The *_scalar functions below are the references.
 //
 // Integer contract — the part the fixed-point requantization relies on:
 // the int16 kernels accumulate exact int64 sums of int16 x int16
@@ -28,303 +43,231 @@
 // QuantizedMlp::quantize additionally assert it. The `b` operand (trace /
 // activation codes) may use the full int16 range including -32768.
 //
-// fused_dot_i16_strip additionally lets the caller certify that `strip`
-// consecutive madd blocks can accumulate in an int32 lane before the
-// int64 flush: strip * 2 * max|a| * 2^15 <= 2^31 - 1, with max|a| the
-// largest kernel-code magnitude. Narrow kernel grids (the common case)
-// thus amortize the widening over many blocks; strip <= 1 widens every
-// block. Every sum is exact, so all variants and tiers are bit-identical.
+// Callers fetch the table once per call (kernels()) and make one indirect
+// call per filter row, head output row (four rows for dot4_f32), GEMM row
+// update or shot's feature requant, never per sample.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-
-#include "common/fixed_point.h"
-#include "common/simd_dispatch.h"
-
-#if defined(__SSE2__) || defined(_M_X64) || \
-    (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define MLQR_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-#define MLQR_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define MLQR_SIMD_SCALAR 1
-#endif
+#include <span>
 
 namespace mlqr::simd {
 
-// ------------------------------------------------------------------ scalar --
+/// CPU features a tier needs beyond the build's baseline (Kernels::needs).
+enum TierNeeds : unsigned {
+  kNeedsAvx2 = 1u << 0,
+  kNeedsAvx512Vnni = 1u << 1,  ///< AVX-512 F, BW, DQ, VL and VNNI.
+};
 
-inline float dot_f32_scalar(const float* a, const float* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
+/// Shot lanes of the head's transposed activation block: the row stride of
+/// lane_dot_*'s `act` operand and its largest shot count.
+inline constexpr std::size_t kLaneShots = 128;
 
-/// y += a * x.
-inline void axpy_f32_scalar(std::size_t n, float a, const float* x, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
+/// One tier's kernels. Contracts (shared by every tier):
+///  - dot_f32 / dot4_f32 / axpy_f32 / axpy4_f32 / add_bias_f32 /
+///    add_bias_relu_f32: the float head and training kernels, each bit for
+///    bit its *_scalar reference. dot4_f32's out[r] is dot_f32(shared,
+///    b_r, n). The reductions run at 128 bits on every tier; the
+///    element-wise kernels at the tier's own width.
+///  - fused_dot_f32: sum_t kr[t]*xi[t] - ki[t]*xq[t] in this float order:
+///    1. while t + 16 <= n: pr[t % 16] += kr[t]*xi[t] and
+///       pi[t % 16] += ki[t]*xq[t] (16 partials per stream, from zero);
+///    2. ar[j] = (pr[j] + pr[4+j]) + (pr[8+j] + pr[12+j]) for j < 4, ai
+///       likewise;
+///    3. while t + 4 <= n: ar[t % 4] += kr[t]*xi[t], ai[t % 4] likewise;
+///    4. d = ar - ai; s = (d[0] + d[2]) + (d[1] + d[3]);
+///    5. for the remaining t: s += kr[t]*xi[t] - ki[t]*xq[t].
+///    fused_dot_f32_scalar is this order written out.
+///  - fused_dot_f32_x4: out[s] = fused_dot_f32(kr, ki, xi[s], xq[s], n).
+///  - dot_i16 / fused_dot_i16_strip / fused_dot_i16_strip_x4 return exact
+///    int64 sums of int16 products. The madd pairing needs the first
+///    (kernel / weight) operand free of -32768; the second may use the full
+///    range. `strip` certifies strip * 2 * max|kernel code| * 2^15 <=
+///    2^31 - 1 (int32 lanes may then sum `strip` madd blocks before
+///    widening); strip <= 1 widens every block.
+///  - dot_u8i8: sum_i u[i] * w[i], exact in int32 for n <= 65807.
+///  - quantize_codes_i16: clamp(round_half_even(x * scale), lo, hi) under
+///    the default round-to-nearest FP environment (callers guard it and
+///    fall back to quantize_codes_i16_scalar otherwise).
+///  - lane_dot_i16 / lane_dot_u8i8: for one head output row, acc[s] =
+///    sum_i w[i] * act[i * kLaneShots + s] for every shot s < nb <=
+///    kLaneShots, exact in int64. `strip` certifies that `strip`
+///    consecutive products sum exactly in int32; 1 widens every product.
+///    Weights must not hold the type minimum (the madd pairing again).
+///    Every act row is read kLaneShots entries wide; acc is written only
+///    below nb.
+///  - requant_features: the integer front-end's per-filter requant, for
+///    f < n: z = clamp(double(acc[f]) * scale[f] + offset[f], -z_bound,
+///    z_bound) with the product rounded before the add, then out[f] =
+///    clamp(round_half_even(z * code_scale), lo, hi) — to_code(z, fmt) for
+///    code_scale = 2^fmt.frac_bits, lo / hi = fmt's code bounds. Scales,
+///    offsets and z_bound must be finite and lo <= hi; the conversion
+///    of acc is correctly rounded for every int64 (exact below 2^53).
+///    Bit-identical only under the default round-to-nearest FP
+///    environment: callers guard it and fall back to
+///    requant_features_scalar otherwise.
+///  - requant_lanes_i16 / requant_lanes_u8: a head layer's epilogue for
+///    one output row across nb <= kLaneShots shots, from the lane kernel's
+///    sums: a = saturate(init + acc[s], accum_bits). On the last layer
+///    (logit non-null) logit[s] = a. Otherwise act[s] =
+///    saturate(shift_round_half_even(max(a, 0), shift), act_bits) +
+///    kActBias (0 at int16, 128 into uint8). Needs 2 <= accum_bits <= 63,
+///    -63 < shift < 63, and 2 <= act_bits <= 16 (int16) or 8 (uint8);
+///    logits need accum_bits <= 32 at int32. Writes only below nb.
+struct Kernels {
+  const char* name;  ///< "sse2", "avx2", "avx512-vnni", "neon", ...
+  unsigned needs;    ///< TierNeeds bits the host must have.
+  float (*dot_f32)(const float* a, const float* b, std::size_t n);
+  /// Four rows sharing one operand: out[r] = dot_f32(shared, b_r, n).
+  void (*dot4_f32)(const float* shared, const float* b0, const float* b1,
+                   const float* b2, const float* b3, std::size_t n,
+                   float* out);
+  void (*axpy_f32)(std::size_t n, float a, const float* x, float* y);
+  void (*axpy4_f32)(std::size_t n, const float* a, const float* x0,
+                    const float* x1, const float* x2, const float* x3,
+                    float* y);
+  void (*add_bias_f32)(float* z, const float* b, std::size_t n);
+  void (*add_bias_relu_f32)(float* z, const float* b, std::size_t n);
+  float (*fused_dot_f32)(const float* kr, const float* ki, const float* xi,
+                         const float* xq, std::size_t n);
+  /// Four trace streams against one kernel row: out[s] for xi[s], xq[s].
+  void (*fused_dot_f32_x4)(const float* kr, const float* ki,
+                           const float* const* xi, const float* const* xq,
+                           std::size_t n, float* out);
+  std::int64_t (*dot_i16)(const std::int16_t* a, const std::int16_t* b,
+                          std::size_t n);
+  std::int64_t (*fused_dot_i16_strip)(const std::int16_t* kr,
+                                      const std::int16_t* ki,
+                                      const std::int16_t* xi,
+                                      const std::int16_t* xq, std::size_t n,
+                                      std::size_t strip);
+  /// Four trace streams against one kernel row: out[s] for xi[s], xq[s].
+  void (*fused_dot_i16_strip_x4)(const std::int16_t* kr,
+                                 const std::int16_t* ki,
+                                 const std::int16_t* const* xi,
+                                 const std::int16_t* const* xq, std::size_t n,
+                                 std::size_t strip, std::int64_t* out);
+  std::int32_t (*dot_u8i8)(const std::uint8_t* u, const std::int8_t* w,
+                           std::size_t n);
+  void (*quantize_codes_i16)(const float* x, std::size_t n, double scale,
+                             std::int32_t lo, std::int32_t hi,
+                             std::int16_t* out);
+  void (*lane_dot_i16)(const std::int16_t* w, std::size_t in,
+                       const std::int16_t* act, std::size_t nb,
+                       std::size_t strip, std::int64_t* acc);
+  void (*lane_dot_u8i8)(const std::int8_t* w, std::size_t in,
+                        const std::uint8_t* act, std::size_t nb,
+                        std::size_t strip, std::int64_t* acc);
+  void (*requant_features)(const std::int64_t* acc, std::size_t n,
+                           const double* scale, const double* offset,
+                           double z_bound, double code_scale, std::int32_t lo,
+                           std::int32_t hi, std::int32_t* out);
+  /// The int16 heads: int16 activations, int64 logits.
+  void (*requant_lanes_i16)(const std::int64_t* acc, std::size_t nb,
+                            std::int64_t init, int accum_bits, int shift,
+                            int act_bits, std::int16_t* act,
+                            std::int64_t* logit);
+  /// The int8 heads: biased uint8 activations, int32 logits.
+  void (*requant_lanes_u8)(const std::int64_t* acc, std::size_t nb,
+                           std::int64_t init, int accum_bits, int shift,
+                           int act_bits, std::uint8_t* act,
+                           std::int32_t* logit);
+};
 
-/// y += a0*x0 + a1*x1 + a2*x2 + a3*x3 (4-way register-blocked update).
-inline void axpy4_f32_scalar(std::size_t n, const float* a, const float* x0,
-                             const float* x1, const float* x2, const float* x3,
-                             float* y) {
-  for (std::size_t i = 0; i < n; ++i)
-    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
-}
+/// The kernels every dispatched call uses: the widest compiled tier the
+/// host runs, picked on first use (or the tier a live ScopedTier pinned).
+const Kernels& kernels();
 
-/// out[r] = dot(shared, b_r) for four rows sharing one operand.
-inline void dot4_f32_scalar(const float* shared, const float* b0,
-                            const float* b1, const float* b2, const float* b3,
-                            std::size_t n, float* out) {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float s = shared[i];
-    s0 += s * b0[i];
-    s1 += s * b1[i];
-    s2 += s * b2[i];
-    s3 += s * b3[i];
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
-}
+/// kernels().name — the tier bench reports record.
+const char* tier();
 
+/// Every tier compiled into this build, base tier first.
+std::span<const Kernels* const> compiled_tiers();
+
+/// Whether the running CPU (and OS register state) can execute `k`.
+bool host_runs(const Kernels& k);
+
+/// Test and measurement hook: pins kernels() to `k` for this object's
+/// lifetime, so tests can compare tiers through the full datapath. Throws
+/// when the host cannot run `k`. Not for concurrent use with inference on
+/// other threads.
+class ScopedTier {
+ public:
+  explicit ScopedTier(const Kernels& k);
+  ~ScopedTier();
+  ScopedTier(const ScopedTier&) = delete;
+  ScopedTier& operator=(const ScopedTier&) = delete;
+
+ private:
+  const Kernels* prev_;
+};
+
+// Scalar references (defined out of line so the tier translation units can
+// call them without emitting copies).
+
+/// Four lanes from zero, lane j += a[i]*b[i] for i % 4 == j over the whole
+/// 4-blocks, combined as (l0 + l2) + (l1 + l3); then the remaining n % 4
+/// products added one by one.
+float dot_f32_scalar(const float* a, const float* b, std::size_t n);
+/// out[r] = dot_f32_scalar(shared, b_r, n).
+void dot4_f32_scalar(const float* shared, const float* b0, const float* b1,
+                     const float* b2, const float* b3, std::size_t n,
+                     float* out);
+/// y[i] += a * x[i].
+void axpy_f32_scalar(std::size_t n, float a, const float* x, float* y);
+/// y += a0*x0 + a1*x1 + a2*x2 + a3*x3 (the 4-way register-blocked GEMM
+/// update): (((y + a0*x0) + a1*x1) + a2*x2) + a3*x3 over the whole
+/// 4-blocks, y + (((a0*x0 + a1*x1) + a2*x2) + a3*x3) on the last n % 4
+/// elements.
+void axpy4_f32_scalar(std::size_t n, const float* a, const float* x0,
+                      const float* x1, const float* x2, const float* x3,
+                      float* y);
 /// z[i] += b[i] — the bias half of the batched-MLP epilogue.
-inline void add_bias_f32_scalar(float* z, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] += b[i];
-}
-
-/// z[i] = max(z[i] + b[i], 0) — the fused bias+ReLU epilogue of the
-/// batched MLP paths. Per-lane add then max, no reassociation, so the
-/// vector tiers match this twin bit for bit on every input except the sign
-/// of a zero result (vector max(+-0, +0) may return the other zero than
-/// std::max) — which no consumer can observe through argmax.
-inline void add_bias_relu_f32_scalar(float* z, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
-}
-
-// -------------------------------------------------------------------- SSE2 --
-
-#if defined(MLQR_SIMD_SSE2)
-
-namespace detail {
-
-inline float hsum_f32(__m128 v) {
-  __m128 sh = _mm_movehl_ps(v, v);
-  v = _mm_add_ps(v, sh);
-  sh = _mm_shuffle_ps(v, v, 0x55);
-  v = _mm_add_ss(v, sh);
-  return _mm_cvtss_f32(v);
-}
-
-}  // namespace detail
-
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  __m128 acc = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm_add_ps(acc, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-  float sum = detail::hsum_f32(acc);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
-  const __m128 va = _mm_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm_storeu_ps(y + i, _mm_add_ps(_mm_loadu_ps(y + i),
-                                    _mm_mul_ps(va, _mm_loadu_ps(x + i))));
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-inline void axpy4_f32(std::size_t n, const float* a, const float* x0,
-                      const float* x1, const float* x2, const float* x3,
-                      float* y) {
-  const __m128 a0 = _mm_set1_ps(a[0]);
-  const __m128 a1 = _mm_set1_ps(a[1]);
-  const __m128 a2 = _mm_set1_ps(a[2]);
-  const __m128 a3 = _mm_set1_ps(a[3]);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 acc = _mm_loadu_ps(y + i);
-    acc = _mm_add_ps(acc, _mm_mul_ps(a0, _mm_loadu_ps(x0 + i)));
-    acc = _mm_add_ps(acc, _mm_mul_ps(a1, _mm_loadu_ps(x1 + i)));
-    acc = _mm_add_ps(acc, _mm_mul_ps(a2, _mm_loadu_ps(x2 + i)));
-    acc = _mm_add_ps(acc, _mm_mul_ps(a3, _mm_loadu_ps(x3 + i)));
-    _mm_storeu_ps(y + i, acc);
-  }
-  for (; i < n; ++i)
-    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
-}
-
-inline void dot4_f32(const float* shared, const float* b0, const float* b1,
-                     const float* b2, const float* b3, std::size_t n,
-                     float* out) {
-  __m128 s0 = _mm_setzero_ps(), s1 = _mm_setzero_ps();
-  __m128 s2 = _mm_setzero_ps(), s3 = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 s = _mm_loadu_ps(shared + i);
-    s0 = _mm_add_ps(s0, _mm_mul_ps(s, _mm_loadu_ps(b0 + i)));
-    s1 = _mm_add_ps(s1, _mm_mul_ps(s, _mm_loadu_ps(b1 + i)));
-    s2 = _mm_add_ps(s2, _mm_mul_ps(s, _mm_loadu_ps(b2 + i)));
-    s3 = _mm_add_ps(s3, _mm_mul_ps(s, _mm_loadu_ps(b3 + i)));
-  }
-  out[0] = detail::hsum_f32(s0);
-  out[1] = detail::hsum_f32(s1);
-  out[2] = detail::hsum_f32(s2);
-  out[3] = detail::hsum_f32(s3);
-  for (; i < n; ++i) {
-    const float s = shared[i];
-    out[0] += s * b0[i];
-    out[1] += s * b1[i];
-    out[2] += s * b2[i];
-    out[3] += s * b3[i];
-  }
-}
-
-inline void add_bias_f32(float* z, const float* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm_storeu_ps(z + i, _mm_add_ps(_mm_loadu_ps(z + i), _mm_loadu_ps(b + i)));
-  for (; i < n; ++i) z[i] += b[i];
-}
-
-inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
-  const __m128 zero = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm_storeu_ps(
-        z + i,
-        _mm_max_ps(_mm_add_ps(_mm_loadu_ps(z + i), _mm_loadu_ps(b + i)),
-                   zero));
-  for (; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
-}
-
-#elif defined(MLQR_SIMD_NEON)
-
-namespace detail {
-
-inline float hsum_f32(float32x4_t v) {
-#if defined(__aarch64__)
-  return vaddvq_f32(v);
-#else
-  float32x2_t lo = vadd_f32(vget_low_f32(v), vget_high_f32(v));
-  lo = vpadd_f32(lo, lo);
-  return vget_lane_f32(lo, 0);
-#endif
-}
-
-}  // namespace detail
-
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = vmlaq_f32(acc, vld1q_f32(a + i), vld1q_f32(b + i));
-  float sum = detail::hsum_f32(acc);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
-  const float32x4_t va = vdupq_n_f32(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    vst1q_f32(y + i, vmlaq_f32(vld1q_f32(y + i), va, vld1q_f32(x + i)));
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-inline void axpy4_f32(std::size_t n, const float* a, const float* x0,
-                      const float* x1, const float* x2, const float* x3,
-                      float* y) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t acc = vld1q_f32(y + i);
-    acc = vmlaq_n_f32(acc, vld1q_f32(x0 + i), a[0]);
-    acc = vmlaq_n_f32(acc, vld1q_f32(x1 + i), a[1]);
-    acc = vmlaq_n_f32(acc, vld1q_f32(x2 + i), a[2]);
-    acc = vmlaq_n_f32(acc, vld1q_f32(x3 + i), a[3]);
-    vst1q_f32(y + i, acc);
-  }
-  for (; i < n; ++i)
-    y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
-}
-
-inline void dot4_f32(const float* shared, const float* b0, const float* b1,
-                     const float* b2, const float* b3, std::size_t n,
-                     float* out) {
-  float32x4_t s0 = vdupq_n_f32(0.0f), s1 = vdupq_n_f32(0.0f);
-  float32x4_t s2 = vdupq_n_f32(0.0f), s3 = vdupq_n_f32(0.0f);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t s = vld1q_f32(shared + i);
-    s0 = vmlaq_f32(s0, s, vld1q_f32(b0 + i));
-    s1 = vmlaq_f32(s1, s, vld1q_f32(b1 + i));
-    s2 = vmlaq_f32(s2, s, vld1q_f32(b2 + i));
-    s3 = vmlaq_f32(s3, s, vld1q_f32(b3 + i));
-  }
-  out[0] = detail::hsum_f32(s0);
-  out[1] = detail::hsum_f32(s1);
-  out[2] = detail::hsum_f32(s2);
-  out[3] = detail::hsum_f32(s3);
-  for (; i < n; ++i) {
-    const float s = shared[i];
-    out[0] += s * b0[i];
-    out[1] += s * b1[i];
-    out[2] += s * b2[i];
-    out[3] += s * b3[i];
-  }
-}
-
-inline void add_bias_f32(float* z, const float* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    vst1q_f32(z + i, vaddq_f32(vld1q_f32(z + i), vld1q_f32(b + i)));
-  for (; i < n; ++i) z[i] += b[i];
-}
-
-inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
-  const float32x4_t zero = vdupq_n_f32(0.0f);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    vst1q_f32(z + i,
-              vmaxq_f32(vaddq_f32(vld1q_f32(z + i), vld1q_f32(b + i)), zero));
-  for (; i < n; ++i) z[i] = std::max(z[i] + b[i], 0.0f);
-}
-
-#else  // scalar tier
-
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  return dot_f32_scalar(a, b, n);
-}
-inline void axpy_f32(std::size_t n, float a, const float* x, float* y) {
-  axpy_f32_scalar(n, a, x, y);
-}
-inline void axpy4_f32(std::size_t n, const float* a, const float* x0,
-                      const float* x1, const float* x2, const float* x3,
-                      float* y) {
-  axpy4_f32_scalar(n, a, x0, x1, x2, x3, y);
-}
-inline void dot4_f32(const float* shared, const float* b0, const float* b1,
-                     const float* b2, const float* b3, std::size_t n,
-                     float* out) {
-  dot4_f32_scalar(shared, b0, b1, b2, b3, n, out);
-}
-inline void add_bias_f32(float* z, const float* b, std::size_t n) {
-  add_bias_f32_scalar(z, b, n);
-}
-inline void add_bias_relu_f32(float* z, const float* b, std::size_t n) {
-  add_bias_relu_f32_scalar(z, b, n);
-}
-
-#endif
+void add_bias_f32_scalar(float* z, const float* b, std::size_t n);
+/// z[i] = s > 0 ? s : +0 for s = z[i] + b[i] — the fused bias+ReLU
+/// epilogue of the batched MLP paths, with the vector max's result on a
+/// zero or NaN sum.
+void add_bias_relu_f32_scalar(float* z, const float* b, std::size_t n);
+/// Kernels::fused_dot_f32's evaluation order in plain float arithmetic —
+/// what every tier returns, bit for bit.
+float fused_dot_f32_scalar(const float* kr, const float* ki, const float* xi,
+                           const float* xq, std::size_t n);
+std::int64_t dot_i16_scalar(const std::int16_t* a, const std::int16_t* b,
+                            std::size_t n);
+/// sum_t kr[t]*xi[t] - ki[t]*xq[t] with an exact int64 accumulator.
+std::int64_t fused_dot_i16_scalar(const std::int16_t* kr,
+                                  const std::int16_t* ki,
+                                  const std::int16_t* xi,
+                                  const std::int16_t* xq, std::size_t n);
+/// sum_i u[i]*w[i] with u unsigned 8-bit and w signed 8-bit — the vpdpbusd
+/// operand convention of the int8 MLP (activations carry a +128 bias that
+/// the caller corrects with a per-row constant).
+std::int32_t dot_u8i8_scalar(const std::uint8_t* u, const std::int8_t* w,
+                             std::size_t n);
+/// Pass 0 of the integer front-end: out[i] = clamp(round_half_even(x[i] *
+/// scale), lo, hi), with mlqr::round_half_even as the semantic definition —
+/// independent of the runtime FP rounding mode.
+void quantize_codes_i16_scalar(const float* x, std::size_t n, double scale,
+                               std::int32_t lo, std::int32_t hi,
+                               std::int16_t* out);
+/// Kernels::requant_features with round_half_even as the code rounding, so
+/// only the affine step (as in any double arithmetic) follows the runtime
+/// FP rounding mode.
+void requant_features_scalar(const std::int64_t* acc, std::size_t n,
+                             const double* scale, const double* offset,
+                             double z_bound, double code_scale,
+                             std::int32_t lo, std::int32_t hi,
+                             std::int32_t* out);
+/// Kernels::requant_lanes_* as the per-shot chain of
+/// QuantizedMlpOf::logits_into (saturate_to_bits, shift_round_half_even).
+void requant_lanes_i16_scalar(const std::int64_t* acc, std::size_t nb,
+                              std::int64_t init, int accum_bits, int shift,
+                              int act_bits, std::int16_t* act,
+                              std::int64_t* logit);
+void requant_lanes_u8_scalar(const std::int64_t* acc, std::size_t nb,
+                             std::int64_t init, int accum_bits, int shift,
+                             int act_bits, std::uint8_t* act,
+                             std::int32_t* logit);
 
 }  // namespace mlqr::simd

@@ -8,9 +8,8 @@ namespace mlqr {
 
 namespace {
 
-std::vector<double> extract(const BasebandTrace& trace, bool split_window) {
-  return split_window ? split_window_features(trace) : mtv_features(trace);
-}
+/// Features per qubit: the MTV point.
+constexpr std::size_t kFeatureDim = 2;
 
 }  // namespace
 
@@ -27,21 +26,20 @@ GaussianShotDiscriminator GaussianShotDiscriminator::train(
   d.demod_ = Demodulator(chip);
   d.samples_used_ = chip.n_samples;
 
-  const std::size_t feat_dim = cfg.split_window ? 4 : 2;
   for (std::size_t q = 0; q < shots.n_qubits; ++q) {
     const std::vector<BasebandTrace> baseband =
         demodulate_subset(shots, train_idx, d.demod_, q, d.samples_used_);
     std::vector<double> features;
-    features.reserve(train_idx.size() * feat_dim);
+    features.reserve(train_idx.size() * kFeatureDim);
     std::vector<int> labels;
     labels.reserve(train_idx.size());
     for (std::size_t i = 0; i < train_idx.size(); ++i) {
-      const std::vector<double> f = extract(baseband[i], cfg.split_window);
+      const std::vector<double> f = mtv_features(baseband[i]);
       features.insert(features.end(), f.begin(), f.end());
       labels.push_back(labels_flat[train_idx[i] * shots.n_qubits + q]);
     }
-    d.per_qubit_.push_back(GaussianClassifier::fit(features, feat_dim, labels,
-                                                   kNumLevels, cfg.kind));
+    d.per_qubit_.push_back(GaussianClassifier::fit(
+        features, kFeatureDim, labels, kNumLevels, cfg.kind));
   }
   return d;
 }
@@ -54,7 +52,7 @@ void GaussianShotDiscriminator::classify_into(const IqTrace& trace,
   BasebandTrace& baseband = scratch.baseband.front();
   for (std::size_t q = 0; q < per_qubit_.size(); ++q) {
     demod_.demodulate_into(trace, q, samples_used_, baseband);
-    out[q] = per_qubit_[q].predict(extract(baseband, cfg_.split_window));
+    out[q] = per_qubit_[q].predict(mtv_features(baseband));
   }
 }
 
@@ -64,7 +62,8 @@ std::string GaussianShotDiscriminator::name() const {
 
 void GaussianShotDiscriminator::save(std::ostream& os) const {
   io::write_u8(os, cfg_.kind == GaussianKind::kQda ? 1 : 0);
-  io::write_bool(os, cfg_.split_window);
+  // The retired early/late split flag keeps its wire byte, always false.
+  io::write_bool(os, false);
   io::write_u64(os, samples_used_);
   demod_.save(os);
   io::write_u64(os, per_qubit_.size());
@@ -77,7 +76,9 @@ GaussianShotDiscriminator GaussianShotDiscriminator::load(std::istream& is) {
   MLQR_CHECK_MSG(kind <= 1, "corrupt Gaussian discriminator kind "
                                 << static_cast<int>(kind));
   d.cfg_.kind = kind == 1 ? GaussianKind::kQda : GaussianKind::kLda;
-  d.cfg_.split_window = io::read_bool(is);
+  MLQR_CHECK_MSG(!io::read_bool(is),
+                 "Gaussian discriminator snapshot asks for the retired "
+                 "split-window features");
   d.samples_used_ = io::read_count(is);
   MLQR_CHECK_MSG(d.samples_used_ > 0, "corrupt Gaussian discriminator window");
   d.demod_ = Demodulator::load(is);
@@ -86,13 +87,12 @@ GaussianShotDiscriminator GaussianShotDiscriminator::load(std::istream& is) {
                  "Gaussian discriminator qubit counts disagree (payload "
                      << n_qubits << ", demod " << d.demod_.num_qubits()
                      << ')');
-  const std::size_t feat_dim = d.cfg_.split_window ? 4 : 2;
   d.per_qubit_.reserve(n_qubits);
   for (std::size_t q = 0; q < n_qubits; ++q) {
     GaussianClassifier g = GaussianClassifier::load(is);
     // Every per-qubit classifier must share the discriminator's kind and
     // consume exactly the feature layout classify_into extracts.
-    MLQR_CHECK_MSG(g.kind() == d.cfg_.kind && g.dim() == feat_dim,
+    MLQR_CHECK_MSG(g.kind() == d.cfg_.kind && g.dim() == kFeatureDim,
                    "Gaussian discriminator classifier " << q
                        << " does not match the discriminator's kind/layout");
     d.per_qubit_.push_back(std::move(g));

@@ -23,8 +23,6 @@ namespace mlqr {
 
 struct GaussianDiscriminatorConfig {
   GaussianKind kind = GaussianKind::kLda;
-  /// Use the 4-D early/late features instead of the 2-D MTV.
-  bool split_window = false;
 };
 
 /// Whole-register discriminator built from per-qubit Gaussian classifiers.
@@ -40,7 +38,7 @@ class GaussianShotDiscriminator {
                                          const GaussianDiscriminatorConfig& cfg);
 
   /// Classify reusing the scratch's baseband buffer (the per-shot heap
-  /// traffic that matters; the 2-4-dim MTV features stay on the stack-ish
+  /// traffic that matters; the 2-D MTV features stay on the stack-ish
   /// small-vector path). `out` must hold one entry per qubit.
   void classify_into(const IqTrace& trace, InferenceScratch& scratch,
                      std::span<int> out) const;

@@ -1,6 +1,5 @@
 #include "discrim/iq_features.h"
 
-#include "common/error.h"
 #include "dsp/filters.h"
 
 namespace mlqr {
@@ -8,18 +7,6 @@ namespace mlqr {
 std::vector<double> mtv_features(const BasebandTrace& trace) {
   const Complexd m = mean_trace_value(trace);
   return {m.real(), m.imag()};
-}
-
-std::vector<double> split_window_features(const BasebandTrace& trace,
-                                          double split_fraction) {
-  MLQR_CHECK(split_fraction > 0.0 && split_fraction < 1.0);
-  const std::size_t n = trace.size();
-  MLQR_CHECK(n >= 2);
-  const std::size_t cut = std::max<std::size_t>(
-      1, static_cast<std::size_t>(split_fraction * static_cast<double>(n)));
-  const Complexd early = window_mean(trace, 0, cut);
-  const Complexd late = window_mean(trace, cut, n);
-  return {early.real(), early.imag(), late.real(), late.imag()};
 }
 
 }  // namespace mlqr

@@ -1,13 +1,10 @@
 // Condensed IQ-plane features for classical (non-NN) discriminators.
 //
 // The standard single-qubit pipeline condenses a demodulated trace to its
-// Mean Trace Value — one point in the IQ plane (2 real features). The
-// optional early/late split (4 features) gives Gaussian discriminators a
-// crude handle on mid-trace transitions; the paper's LDA/QDA baselines use
-// the plain 2-D form.
+// Mean Trace Value — one point in the IQ plane (2 real features), the
+// form the paper's LDA/QDA baselines use.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "sim/iq.h"
@@ -16,10 +13,5 @@ namespace mlqr {
 
 /// MTV as a 2-vector {Re, Im}.
 std::vector<double> mtv_features(const BasebandTrace& trace);
-
-/// Early-window and late-window means as a 4-vector
-/// {Re_early, Im_early, Re_late, Im_late}.
-std::vector<double> split_window_features(const BasebandTrace& trace,
-                                          double split_fraction = 0.5);
 
 }  // namespace mlqr

@@ -10,7 +10,7 @@
 //   QuantizedProposedDiscriminator  — int16 heads, `OURS-INT<W>`, snapshot
 //                                     kind 1;
 //   Quantized8ProposedDiscriminator — int8 heads on the u8 x s8 kernels
-//                                     of common/simd_dispatch.h, `OURS-INT8`,
+//                                     of common/simd.h, `OURS-INT8`,
 //                                     snapshot kind 5: the W=8 point of the
 //                                     paper's quantization ablation (Fig 6)
 //                                     as a serving datapath.

@@ -18,13 +18,13 @@ inline float elem(const float* p, std::size_t ld, bool trans, std::size_t r,
 
 // Non-transposed-B case: C[i,:] accumulates alpha * a_ik * B[k,:]. The k
 // loop is blocked by four so each sweep over the C row performs four
-// vector FMAs per load/store of the accumulator (simd::axpy4_f32) instead
-// of one — the classic register-blocked update that turns the kernel from
+// vector FMAs per load/store of the accumulator (axpy4_f32) instead of
+// one — the classic register-blocked update that turns the kernel from
 // store-bound into FMA-bound.
-void gemm_rows_b(bool trans_a, std::size_t row_lo, std::size_t row_hi,
-                 std::size_t n, std::size_t k, float alpha, const float* a,
-                 std::size_t lda, const float* b, std::size_t ldb, float beta,
-                 float* c, std::size_t ldc) {
+void gemm_rows_b(const simd::Kernels& kern, bool trans_a, std::size_t row_lo,
+                 std::size_t row_hi, std::size_t n, std::size_t k, float alpha,
+                 const float* a, std::size_t lda, const float* b,
+                 std::size_t ldb, float beta, float* c, std::size_t ldc) {
   for (std::size_t i = row_lo; i < row_hi; ++i) {
     float* crow = c + i * ldc;
     if (beta == 0.0f) {
@@ -41,27 +41,27 @@ void gemm_rows_b(bool trans_a, std::size_t row_lo, std::size_t row_hi,
       if (aik[0] == 0.0f && aik[1] == 0.0f && aik[2] == 0.0f &&
           aik[3] == 0.0f)
         continue;
-      simd::axpy4_f32(n, aik, b + kk * ldb, b + (kk + 1) * ldb,
-                      b + (kk + 2) * ldb, b + (kk + 3) * ldb, crow);
+      kern.axpy4_f32(n, aik, b + kk * ldb, b + (kk + 1) * ldb,
+                     b + (kk + 2) * ldb, b + (kk + 3) * ldb, crow);
     }
     for (; kk < k; ++kk) {
       const float aik = alpha * elem(a, lda, trans_a, i, kk);
       if (aik == 0.0f) continue;
-      simd::axpy_f32(n, aik, b + kk * ldb, crow);
+      kern.axpy_f32(n, aik, b + kk * ldb, crow);
     }
   }
 }
 
 // Transposed-B case: op(B)[kk, j] = B[j, kk], so C[i, j] is a dot product
 // of op(A) row i against B row j. Rows of B are blocked by four so the
-// shared A row streams from registers/L1 once per block (simd::dot4_f32).
+// shared A row streams from registers/L1 once per block (dot4_f32).
 // When A is transposed its row is strided — it is packed once per i into
 // `arow_scratch` so the inner dots stay unit-stride.
-void gemm_rows_bt(bool trans_a, std::size_t row_lo, std::size_t row_hi,
-                  std::size_t n, std::size_t k, float alpha, const float* a,
-                  std::size_t lda, const float* b, std::size_t ldb, float beta,
-                  float* c, std::size_t ldc,
-                  std::vector<float>& arow_scratch) {
+void gemm_rows_bt(const simd::Kernels& kern, bool trans_a,
+                  std::size_t row_lo, std::size_t row_hi, std::size_t n,
+                  std::size_t k, float alpha, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, float beta, float* c,
+                  std::size_t ldc, std::vector<float>& arow_scratch) {
   if (trans_a) arow_scratch.resize(k);
   for (std::size_t i = row_lo; i < row_hi; ++i) {
     const float* arow;
@@ -78,30 +78,31 @@ void gemm_rows_bt(bool trans_a, std::size_t row_lo, std::size_t row_hi,
     std::size_t j = 0;
     for (; j + 4 <= n; j += 4) {
       float dots[4];
-      simd::dot4_f32(arow, b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
-                     b + (j + 3) * ldb, k, dots);
+      kern.dot4_f32(arow, b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
+                    b + (j + 3) * ldb, k, dots);
       for (std::size_t r = 0; r < 4; ++r)
         crow[j + r] = alpha * dots[r] +
                       (beta == 0.0f ? 0.0f : beta * crow[j + r]);
     }
     for (; j < n; ++j) {
-      const float dot = simd::dot_f32(arow, b + j * ldb, k);
+      const float dot = kern.dot_f32(arow, b + j * ldb, k);
       crow[j] = alpha * dot + (beta == 0.0f ? 0.0f : beta * crow[j]);
     }
   }
 }
 
-void gemm_rows(bool trans_a, bool trans_b, std::size_t row_lo,
-               std::size_t row_hi, std::size_t n, std::size_t k, float alpha,
-               const float* a, std::size_t lda, const float* b,
-               std::size_t ldb, float beta, float* c, std::size_t ldc) {
+void gemm_rows(const simd::Kernels& kern, bool trans_a, bool trans_b,
+               std::size_t row_lo, std::size_t row_hi, std::size_t n,
+               std::size_t k, float alpha, const float* a, std::size_t lda,
+               const float* b, std::size_t ldb, float beta, float* c,
+               std::size_t ldc) {
   if (!trans_b) {
-    gemm_rows_b(trans_a, row_lo, row_hi, n, k, alpha, a, lda, b, ldb, beta, c,
-                ldc);
+    gemm_rows_b(kern, trans_a, row_lo, row_hi, n, k, alpha, a, lda, b, ldb,
+                beta, c, ldc);
   } else {
     std::vector<float> scratch;
-    gemm_rows_bt(trans_a, row_lo, row_hi, n, k, alpha, a, lda, b, ldb, beta,
-                 c, ldc, scratch);
+    gemm_rows_bt(kern, trans_a, row_lo, row_hi, n, k, alpha, a, lda, b, ldb,
+                 beta, c, ldc, scratch);
   }
 }
 
@@ -112,8 +113,8 @@ void sgemm_serial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                   const float* b, std::size_t ldb, float beta, float* c,
                   std::size_t ldc) {
   if (m == 0 || n == 0) return;
-  gemm_rows(trans_a, trans_b, 0, m, n, k, alpha, a, lda, b, ldb, beta, c,
-            ldc);
+  gemm_rows(simd::kernels(), trans_a, trans_b, 0, m, n, k, alpha, a, lda, b,
+            ldb, beta, c, ldc);
 }
 
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
@@ -121,33 +122,35 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc) {
   if (m == 0 || n == 0) return;
+  const simd::Kernels& kern = simd::kernels();
   // Parallelize when there is enough arithmetic to amortize thread fork.
   const std::size_t flops = 2 * m * n * k;
   if (flops < (1u << 20) || m < 4) {
-    gemm_rows(trans_a, trans_b, 0, m, n, k, alpha, a, lda, b, ldb, beta, c,
-              ldc);
+    gemm_rows(kern, trans_a, trans_b, 0, m, n, k, alpha, a, lda, b, ldb, beta,
+              c, ldc);
     return;
   }
   parallel_for_chunked(0, m, [&](std::size_t lo, std::size_t hi) {
-    gemm_rows(trans_a, trans_b, lo, hi, n, k, alpha, a, lda, b, ldb, beta, c,
-              ldc);
+    gemm_rows(kern, trans_a, trans_b, lo, hi, n, k, alpha, a, lda, b, ldb,
+              beta, c, ldc);
   });
 }
 
 void sgemv(std::size_t m, std::size_t n, const float* a, std::size_t lda,
            const float* x, const float* bias_or_null, float* y) {
-  // Four rows per pass share every load of x (simd::dot4_f32).
+  // Four rows per pass share every load of x (dot4_f32).
+  const simd::Kernels& kern = simd::kernels();
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     float dots[4];
-    simd::dot4_f32(x, a + i * lda, a + (i + 1) * lda, a + (i + 2) * lda,
-                   a + (i + 3) * lda, n, dots);
+    kern.dot4_f32(x, a + i * lda, a + (i + 1) * lda, a + (i + 2) * lda,
+                  a + (i + 3) * lda, n, dots);
     for (std::size_t r = 0; r < 4; ++r)
       y[i + r] = dots[r] + (bias_or_null != nullptr ? bias_or_null[i + r] : 0.0f);
   }
   for (; i < m; ++i) {
     const float bias = bias_or_null != nullptr ? bias_or_null[i] : 0.0f;
-    y[i] = bias + simd::dot_f32(a + i * lda, x, n);
+    y[i] = bias + kern.dot_f32(a + i * lda, x, n);
   }
 }
 

@@ -2,13 +2,15 @@
 //
 // BLAS-style row-major sgemm with optional transposition of either operand.
 // The kernel uses an i-k-j loop order (unit-stride accumulation into C),
-// register-blocked SIMD inner kernels from common/simd.h (4-way axpy for
-// the streaming-B case, 4-way shared-operand dots for transposed B), and
+// register-blocked inner kernels from the runtime-picked SIMD table
+// (common/simd.h: 4-way axpy for the streaming-B case, 4-way
+// shared-operand dots for transposed B), fetched once per call, and
 // parallelizes over blocks of rows of C — enough to train the
 // 686 k-parameter FNN baseline in seconds-per-epoch without an external
-// BLAS. Vector reassociation means results can differ from a scalar loop
-// by normal float rounding (tests compare against a naive reference with a
-// relative tolerance).
+// BLAS. Each kernel sums in its scalar reference's fixed order on every
+// tier, so results are bit-identical across hosts; that order differs
+// from a naive i-j-k loop by normal float rounding (tests compare against
+// one with a relative tolerance).
 #pragma once
 
 #include <cstddef>

@@ -93,6 +93,7 @@ void Mlp::classify_batch_into(std::size_t batch, const float* features,
                               std::vector<float>& act_b, int* labels,
                               std::size_t label_stride) const {
   if (batch == 0) return;
+  const simd::Kernels& kern = simd::kernels();
   const float* cur = features;
   std::size_t cur_dim = input_size();
   std::vector<float>* next = &act_a;
@@ -110,9 +111,9 @@ void Mlp::classify_batch_into(std::size_t batch, const float* features,
     for (std::size_t r = 0; r < batch; ++r) {
       float* zrow = next->data() + r * layer.out;
       if (last)
-        simd::add_bias_f32(zrow, layer.b.data(), layer.out);
+        kern.add_bias_f32(zrow, layer.b.data(), layer.out);
       else
-        simd::add_bias_relu_f32(zrow, layer.b.data(), layer.out);
+        kern.add_bias_relu_f32(zrow, layer.b.data(), layer.out);
     }
     cur = next->data();
     cur_dim = layer.out;

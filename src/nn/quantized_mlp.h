@@ -12,7 +12,7 @@
 //
 // Two code widths run that one chain (QuantizedCodeTraits):
 //   int16 — int16 weight and activation codes on the dot_i16 /
-//           lane_dot_i16 kernels (common/simd_dispatch.h's Kernels table),
+//           lane_dot_i16 kernels (common/simd.h's Kernels table),
 //           exact int64 accumulators and logits;
 //   int8  — the W=8 point of the paper's quantization ablation: int8
 //           weights on the dot_u8i8 / lane_dot_u8i8 kernels and int32

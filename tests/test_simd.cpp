@@ -1,14 +1,13 @@
-// SIMD-vs-scalar parity for common/simd.h and common/simd_dispatch.h —
-// the contract the inference rewrite rests on. On every compiled tier the
-// host can run: integer kernels are bit-exact against the scalar twins
-// (exact int64 accumulators survive any vector reassociation), the float
-// front-end kernels return the base tier's and the scalar reference's
-// float bit for bit (one fixed evaluation order), the trace-code
-// quantizer and the feature requant match to_code()'s round-half-even
-// semantics bit for bit, and the heads' requant epilogue matches its
-// scalar reference.
-// The compile-time float head kernels stay within a small relative error
-// of a double-precision reference. The scalar twins are compiled on every
+// SIMD-vs-scalar parity for common/simd.h — the contract the inference
+// and training paths rest on. On every compiled tier the host can run:
+// integer kernels are bit-exact against the scalar references (exact int64
+// accumulators survive any vector reassociation), the float front-end,
+// head and training kernels return the scalar reference's float bit for
+// bit (one fixed evaluation order per kernel), the trace-code quantizer
+// and the feature requant match to_code()'s round-half-even semantics bit
+// for bit, and the heads' requant epilogue matches its scalar reference.
+// The float references themselves stay within a small relative error of a
+// double-precision sum. The scalar references are compiled on every
 // platform, so this suite exercises both sides of the dispatch regardless
 // of the build's tier; tiers the host cannot run are skipped, not failed.
 #include "common/simd.h"
@@ -21,10 +20,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/fixed_point.h"
 #include "common/rng.h"
 #include "nn/normalizer.h"
 
@@ -499,29 +500,6 @@ TEST_P(SimdTier, LaneDotExtremeOperandsBitExact) {
     ASSERT_EQ(acc[s], static_cast<std::int64_t>(in) * (255 * -127));
 }
 
-TEST(Simd, AddBiasVariantsMatchScalar) {
-  Rng rng(16);
-  for (std::size_t n : kLengths) {
-    const std::vector<float> z0 = random_floats(rng, n);
-    const std::vector<float> b = random_floats(rng, n);
-    std::vector<float> simd_z = z0, scalar_z = z0;
-    simd::add_bias_f32(simd_z.data(), b.data(), n);
-    simd::add_bias_f32_scalar(scalar_z.data(), b.data(), n);
-    // z + b is a single rounding in both paths: bit-identical.
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(simd_z[i], scalar_z[i]) << "add_bias n=" << n << " i=" << i;
-    simd_z = z0;
-    scalar_z = z0;
-    simd::add_bias_relu_f32(simd_z.data(), b.data(), n);
-    simd::add_bias_relu_f32_scalar(scalar_z.data(), b.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(simd_z[i], scalar_z[i])
-          << "add_bias_relu n=" << n << " i=" << i;
-      EXPECT_GE(simd_z[i], 0.0f);
-    }
-  }
-}
-
 TEST(Simd, DotF32WithinRelativeError) {
   Rng rng(13);
   for (std::size_t n : kLengths) {
@@ -533,9 +511,9 @@ TEST(Simd, DotF32WithinRelativeError) {
       ref += static_cast<double>(a[i]) * b[i];
       abs_sum += std::abs(static_cast<double>(a[i]) * b[i]);
     }
-    const double tol = 1e-5 * abs_sum;
-    EXPECT_NEAR(simd::dot_f32(a.data(), b.data(), n), ref, tol) << "n=" << n;
-    EXPECT_NEAR(simd::dot_f32_scalar(a.data(), b.data(), n), ref, tol)
+    // The reference is the float every tier returns (Dot4MatchesSingleDots).
+    EXPECT_NEAR(simd::dot_f32_scalar(a.data(), b.data(), n), ref,
+                1e-5 * abs_sum)
         << "n=" << n;
   }
 }
@@ -567,51 +545,88 @@ TEST(Simd, FusedDotF32WithinRelativeError) {
   }
 }
 
-TEST(Simd, AxpyVariantsMatchScalar) {
-  Rng rng(15);
-  for (std::size_t n : kLengths) {
-    const std::vector<float> x0 = random_floats(rng, n);
-    const std::vector<float> x1 = random_floats(rng, n);
-    const std::vector<float> x2 = random_floats(rng, n);
-    const std::vector<float> x3 = random_floats(rng, n);
-    const std::vector<float> y0 = random_floats(rng, n);
-    const float a[4] = {0.5f, -1.25f, 2.0f, 0.0f};
-
-    std::vector<float> y_simd = y0, y_scalar = y0;
-    simd::axpy_f32(n, a[0], x0.data(), y_simd.data());
-    simd::axpy_f32_scalar(n, a[0], x0.data(), y_scalar.data());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(y_simd[i], y_scalar[i], 1e-6f) << "axpy n=" << n;
-
-    y_simd = y0;
-    y_scalar = y0;
-    simd::axpy4_f32(n, a, x0.data(), x1.data(), x2.data(), x3.data(),
-                    y_simd.data());
-    simd::axpy4_f32_scalar(n, a, x0.data(), x1.data(), x2.data(), x3.data(),
-                           y_scalar.data());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(y_simd[i], y_scalar[i], 1e-5f) << "axpy4 n=" << n;
+TEST_P(SimdTier, Dot4MatchesSingleDots) {
+  // dot4_f32 is four dot_f32 calls sharing one operand, and both return
+  // the reference's float bit for bit: inputs of mixed magnitude make any
+  // regrouping of the sum visible.
+  Rng rng(16);
+  for (const std::size_t n : kLengths) {
+    const std::vector<float> s = mixed_floats(rng, n, 1.0);
+    std::vector<float> b[4];
+    for (std::vector<float>& row : b) row = mixed_floats(rng, n, 1.0);
+    float out[4];
+    k().dot4_f32(s.data(), b[0].data(), b[1].data(), b[2].data(), b[3].data(),
+                 n, out);
+    float ref[4];
+    simd::dot4_f32_scalar(s.data(), b[0].data(), b[1].data(), b[2].data(),
+                          b[3].data(), n, ref);
+    for (int r = 0; r < 4; ++r) {
+      const float single = k().dot_f32(s.data(), b[r].data(), n);
+      EXPECT_EQ(float_bits(single),
+                float_bits(simd::dot_f32_scalar(s.data(), b[r].data(), n)))
+          << "dot n=" << n << " r=" << r;
+      EXPECT_EQ(float_bits(out[r]), float_bits(single))
+          << "dot4 n=" << n << " r=" << r;
+      EXPECT_EQ(float_bits(ref[r]), float_bits(single))
+          << "dot4 reference n=" << n << " r=" << r;
+    }
   }
 }
 
-TEST(Simd, Dot4MatchesSingleDots) {
+TEST_P(SimdTier, AxpyVariantsMatchScalar) {
+  // The GEMM row updates, bit for bit, with a zero coefficient among the
+  // four: axpy4's whole 4-blocks and its n % 4 tail sum in different
+  // orders, so a tier that moves the boundary shows.
+  Rng rng(15);
+  for (const std::size_t n : kLengths) {
+    const std::vector<float> x[4] = {
+        mixed_floats(rng, n, 1.0), mixed_floats(rng, n, 1.0),
+        mixed_floats(rng, n, 1.0), mixed_floats(rng, n, 1.0)};
+    const std::vector<float> y0 = mixed_floats(rng, n, 1.0);
+    const float a[4] = {0.5f, -1.25f, 2.0f, 0.0f};
+    std::vector<float> got = y0, want = y0;
+    k().axpy_f32(n, a[1], x[0].data(), got.data());
+    simd::axpy_f32_scalar(n, a[1], x[0].data(), want.data());
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(float_bits(got[i]), float_bits(want[i]))
+          << "axpy n=" << n << " i=" << i;
+    got = y0;
+    want = y0;
+    k().axpy4_f32(n, a, x[0].data(), x[1].data(), x[2].data(), x[3].data(),
+                  got.data());
+    simd::axpy4_f32_scalar(n, a, x[0].data(), x[1].data(), x[2].data(),
+                           x[3].data(), want.data());
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(float_bits(got[i]), float_bits(want[i]))
+          << "axpy4 n=" << n << " i=" << i;
+  }
+}
+
+TEST_P(SimdTier, AddBiasVariantsMatchScalar) {
+  // The batched-MLP epilogues, bit for bit, including the sums whose sign
+  // the ReLU decides: -0 and NaN both become +0.
   Rng rng(16);
-  for (std::size_t n : kLengths) {
-    const std::vector<float> s = random_floats(rng, n);
-    const std::vector<float> b0 = random_floats(rng, n);
-    const std::vector<float> b1 = random_floats(rng, n);
-    const std::vector<float> b2 = random_floats(rng, n);
-    const std::vector<float> b3 = random_floats(rng, n);
-    float out[4];
-    simd::dot4_f32(s.data(), b0.data(), b1.data(), b2.data(), b3.data(), n,
-                   out);
-    const float singles[4] = {simd::dot_f32(s.data(), b0.data(), n),
-                              simd::dot_f32(s.data(), b1.data(), n),
-                              simd::dot_f32(s.data(), b2.data(), n),
-                              simd::dot_f32(s.data(), b3.data(), n)};
-    for (int r = 0; r < 4; ++r)
-      EXPECT_NEAR(out[r], singles[r], 1e-4f * (std::abs(singles[r]) + 1.0f))
-          << "n=" << n << " r=" << r;
+  for (const std::size_t n : kLengths) {
+    std::vector<float> z0 = random_floats(rng, n);
+    std::vector<float> b = random_floats(rng, n);
+    for (std::size_t i = 0; i < n; i += 5) z0[i] = b[i] = -0.0f;
+    std::vector<float> got = z0, want = z0;
+    k().add_bias_f32(got.data(), b.data(), n);
+    simd::add_bias_f32_scalar(want.data(), b.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(float_bits(got[i]), float_bits(want[i]))
+          << "add_bias n=" << n << " i=" << i;
+    for (std::size_t i = 3; i < n; i += 7)
+      z0[i] = std::numeric_limits<float>::quiet_NaN();
+    got = z0;
+    want = z0;
+    k().add_bias_relu_f32(got.data(), b.data(), n);
+    simd::add_bias_relu_f32_scalar(want.data(), b.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(float_bits(got[i]), float_bits(want[i]))
+          << "add_bias_relu n=" << n << " i=" << i;
+      EXPECT_FALSE(std::signbit(got[i])) << "n=" << n << " i=" << i;
+    }
   }
 }
 

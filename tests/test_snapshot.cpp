@@ -283,6 +283,35 @@ TEST(Snapshot, CheckedInCorpusResavesByteIdentically) {
   }
 }
 
+TEST(Snapshot, GaussianLoadRejectsTheRetiredSplitWindowFlag) {
+  // LDA/QDA payloads keep the byte of the retired early/late feature split:
+  // save writes false, and load refuses true rather than misreading the
+  // classifiers. Snapshots carry no checksum, so the flipped byte reaches
+  // that check.
+  const std::string path = std::string(MLQR_CORPUS_DIR) + "/lda.snap";
+  std::ifstream file(path, std::ios::binary);
+  ASSERT_TRUE(file.good()) << path;
+  std::string bytes((std::istreambuf_iterator<char>(file)),
+                    std::istreambuf_iterator<char>());
+  // Header: magic 8, version 4, kind 1, n_qubits 8, n_samples 8, then the
+  // name "LDA" with its u64 length; the payload opens with the classifier
+  // kind byte and the flag.
+  constexpr std::size_t kFlag = 8 + 4 + 1 + 8 + 8 + 8 + 3 + 1;
+  ASSERT_EQ(bytes.substr(kFlag - 4, 3), "LDA") << "layout drifted";
+  ASSERT_EQ(bytes[kFlag], 0);
+  std::stringstream untouched(bytes);
+  EXPECT_NO_THROW(load_backend(untouched));
+  bytes[kFlag] = 1;
+  std::stringstream tampered(bytes);
+  try {
+    load_backend(tampered);
+    ADD_FAILURE() << "a split-window LDA snapshot loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("split-window"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Snapshot, SwapShardServesReloadedCalibrationWithoutStopping) {
   // Drift-recalibration flow: a float engine serves traffic, a snapshot of
   // a quantized recalibration is loaded, and swap_shard installs it on

@@ -30,15 +30,17 @@ Eight checks, all cheap enough for every CI run and every pre-commit:
      (Mutex, MutexLock, CondVar, std::mutex, std::condition_variable), or
      draw from an Rng.
 
-  5. isa-dispatch: CPU-feature probes (`__builtin_cpu_supports`),
-     per-function ISA overrides (`__attribute__((target...` /
-     `[[gnu::target...`) and the AVX umbrella headers (`<immintrin.h>`,
-     `<x86intrin.h>`) appear only in src/common/simd* — the compile-time
-     head kernels and the runtime-dispatched tiers (src/common/simd_tier_*),
-     whose objects are checked to export nothing outside their own
-     namespace. Anywhere else, wider instructions would reach code no
-     dispatch guards, and an inline function compiled with them could be
-     handed by the linker to a baseline caller.
+  5. isa-dispatch: intrinsics headers (`<emmintrin.h>`, `<xmmintrin.h>`,
+     `<immintrin.h>`, `<x86intrin.h>`, any other `<*intrin.h>`,
+     `<arm_neon.h>`) and per-function ISA overrides
+     (`__attribute__((target...` / `[[gnu::target...`) appear only in the
+     runtime-dispatched tiers, src/common/simd_tier_*, whose objects are
+     checked to export nothing outside their own namespace; the CPU-feature
+     probe (`__builtin_cpu_supports`) appears only in src/common/simd.cpp,
+     which picks the tier. Anywhere else, instruction-set code would reach
+     callers no dispatch guards (or, at the baseline ISA, grow a second
+     kernel system beside the table), and an inline function compiled with
+     wider flags could be handed by the linker to a baseline caller.
 
   6. no-test-only-module: every header under src/ is included by something
      that ships — another file in src/ (not the header's own .cpp), or a
@@ -304,28 +306,40 @@ def check_pure_parts(root: pathlib.Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Check 5: ISA selection stays inside the SIMD layer.
+# Check 5: instruction-set code stays inside the dispatched SIMD tiers.
 # ---------------------------------------------------------------------------
 
-# Every C++ source tree of the repository; src/common/simd* is the one
-# place allowed to probe the CPU or compile for wider instruction sets.
+# Every C++ source tree of the repository.
 ISA_SCAN_DIRS = ("src", "tests", "bench", "examples", "fuzz", "perfbench")
 ISA_SUFFIXES = {".h", ".hpp", ".cpp", ".cc", ".inc"}
+
+
+def in_tier(rel: pathlib.Path) -> bool:
+    """src/common/simd_tier_*: the tier objects and their shared body."""
+    return rel.parent == pathlib.Path("src/common") and rel.name.startswith(
+        "simd_tier_"
+    )
+
+
+def in_picker(rel: pathlib.Path) -> bool:
+    return rel == pathlib.Path("src/common/simd.cpp")
+
+
+# (what, pattern, where it may appear, that place in words)
 ISA_PATTERNS = [
     ("a CPU-feature probe (__builtin_cpu_supports)",
-     re.compile(r"\b__builtin_cpu_supports\b")),
+     re.compile(r"\b__builtin_cpu_supports\b"), in_picker,
+     "src/common/simd.cpp — tier selection lives there"),
     ("a per-function ISA override (target attribute)",
      re.compile(r"__attribute__\s*\(\(\s*(?:__)?target(?:_clones)?\b|"
-                r"\[\[\s*gnu::target(?:_clones)?\b")),
-    ("an AVX intrinsics header (<immintrin.h> / <x86intrin.h>)",
-     re.compile(r"#\s*include\s*<(?:imm|x86)intrin\.h>")),
+                r"\[\[\s*gnu::target(?:_clones)?\b"), in_tier,
+     "src/common/simd_tier_* — put the kernel in a dispatched tier "
+     "(src/common/simd_tier_kernels.inc)"),
+    ("an intrinsics header (<*intrin.h> / <arm_neon.h>)",
+     re.compile(r"#\s*include\s*<(?:\w*intrin|arm_neon)\.h>"), in_tier,
+     "src/common/simd_tier_* — put the kernel in a dispatched tier "
+     "(src/common/simd_tier_kernels.inc)"),
 ]
-
-
-def isa_exempt(rel: pathlib.Path) -> bool:
-    return rel.parent == pathlib.Path("src/common") and rel.name.startswith(
-        "simd"
-    )
 
 
 def check_isa_dispatch(root: pathlib.Path) -> list[str]:
@@ -335,17 +349,12 @@ def check_isa_dispatch(root: pathlib.Path) -> list[str]:
             if path.suffix not in ISA_SUFFIXES or not path.is_file():
                 continue
             rel = path.relative_to(root)
-            if isa_exempt(rel):
-                continue
             code = strip_comments(path.read_text(encoding="utf-8"))
             for lineno, line in enumerate(code.splitlines(), 1):
-                for label, pattern in ISA_PATTERNS:
-                    if pattern.search(line):
+                for label, pattern, allowed, home in ISA_PATTERNS:
+                    if pattern.search(line) and not allowed(rel):
                         errors.append(
-                            f"{rel}:{lineno}: {label} outside "
-                            f"src/common/simd* — put wide-ISA code in a "
-                            f"dispatched tier "
-                            f"(src/common/simd_tier_kernels.inc)"
+                            f"{rel}:{lineno}: {label} outside {home}"
                         )
     return errors
 
@@ -498,9 +507,6 @@ SETTABLE_FIELD_ALLOWLIST = {
     "ErrorMinerConfig::margin": "on the MF-bank snapshot wire",
     "QuantizationConfig::max_calibration_shots":
         "on the quantized designs' snapshot wire",
-    "GaussianDiscriminatorConfig::split_window":
-        "on the LDA/QDA snapshot wire; nothing sets it true, so the 4-D "
-        "features are a follow-up to retire (ROADMAP item 5)",
 }
 
 
@@ -734,20 +740,27 @@ def self_test() -> int:
             failures.append("false positive: comment mentioning now()")
         pure_probe.unlink()
 
-        # Check 5: ISA selection outside src/common/simd* must be caught in
-        # any source tree...
+        # Check 5: instruction-set code outside the dispatched tiers must
+        # be caught in any source tree, the SIMD header and the tier picker
+        # included...
+        probe_snippet = (
+            "bool f() { return __builtin_cpu_supports(\"avx2\"); }\n")
         isa_snippets = {
-            "__builtin_cpu_supports":
-                "bool f() { return __builtin_cpu_supports(\"avx2\"); }\n",
             "__attribute__((target))":
                 "__attribute__((target(\"avx2\"))) int f() { return 1; }\n",
             "[[gnu::target]]": "[[gnu::target(\"avx512f\")]] int f();\n",
+            "<emmintrin.h>": "#include <emmintrin.h>\n",
+            "<xmmintrin.h>": "#include <xmmintrin.h>\n",
             "<immintrin.h>": "#include <immintrin.h>\n",
             "<x86intrin.h>": "#  include <x86intrin.h>\n",
+            "<arm_neon.h>": "#include <arm_neon.h>\n",
         }
         for where in ("src/dsp/selftest_probe.cpp",
+                      "src/nn/selftest_probe.cpp",
                       "tests/selftest_probe.cpp",
-                      "src/common/selftest_probe.h"):
+                      "src/common/selftest_probe.h",
+                      "src/common/simd.h",
+                      "src/common/simd.cpp"):
             isa_probe = root / where
             isa_probe.parent.mkdir(parents=True, exist_ok=True)
             for label, snippet in isa_snippets.items():
@@ -756,24 +769,30 @@ def self_test() -> int:
                     failures.append(f"isa-dispatch {label} in {where} "
                                     f"not caught")
             isa_probe.unlink()
-        # ...while the SIMD layer itself, comments naming the probe, and
-        # the SSE2-only header stay legal.
-        for name in ("simd_tier_avx2.cpp", "simd.cpp", "simd.h",
-                     "simd_tier_kernels.inc"):
+        for where in ("src/dsp/selftest_probe.cpp", "src/common/simd.h",
+                      "src/common/simd_tier_avx2.cpp"):
+            isa_probe = root / where
+            isa_probe.write_text(probe_snippet, encoding="utf-8")
+            if not check_isa_dispatch(root):
+                failures.append(f"isa-dispatch __builtin_cpu_supports in "
+                                f"{where} not caught")
+            isa_probe.unlink()
+        # ...while the tiers, the picker's probe and comments naming both
+        # stay legal.
+        for name in ("simd_tier_avx2.cpp", "simd_tier_kernels.inc"):
             (src_common / name).write_text(
                 "".join(isa_snippets.values()), encoding="utf-8"
             )
+        (src_common / "simd.cpp").write_text(probe_snippet, encoding="utf-8")
         benign = root / "src" / "nn" / "selftest_probe.cpp"
-        benign.parent.mkdir(parents=True, exist_ok=True)
         benign.write_text(
-            "// __builtin_cpu_supports and <immintrin.h> live in simd*.\n"
-            "#include <emmintrin.h>\n"
+            "// __builtin_cpu_supports and <emmintrin.h> live in simd*.\n"
             "int retarget_count = 0;\n",
             encoding="utf-8",
         )
         if check_isa_dispatch(root):
-            failures.append("false positive: simd* files, comments or "
-                            "<emmintrin.h>")
+            failures.append("false positive: the tiers, the picker's probe "
+                            "or comments")
         benign.unlink()
 
     # Check 6 gets a tree of its own: a header only its .cpp and a test
