@@ -17,7 +17,8 @@ int main() {
 
   Table table("Fig 1(c) — classification inaccuracy (1 - F) per qubit");
   std::vector<std::string> header{"Design"};
-  for (int q = 1; q <= 5; ++q) header.push_back("Q" + std::to_string(q));
+  for (int q = 1; q <= 5; ++q)
+    header.push_back(std::string("Q").append(std::to_string(q)));
   table.set_header(header);
 
   CsvWriter csv("fig1c_inaccuracy.csv");

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   const FidelityReport& report = *result.proposed_report;
   for (std::size_t q = 0; q < report.per_qubit.size(); ++q) {
     const QubitConfusion& c = report.per_qubit[q];
-    table.add_row({"Q" + std::to_string(q + 1),
+    table.add_row({std::string("Q").append(std::to_string(q + 1)),
                    Table::num(c.macro_fidelity()),
                    Table::num(c.per_level_accuracy(0)),
                    Table::num(c.per_level_accuracy(1)),

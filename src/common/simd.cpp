@@ -124,14 +124,19 @@ void axpy4_f32_scalar(std::size_t n, const float* a, const float* x0,
     y[i] += a[0] * x0[i] + a[1] * x1[i] + a[2] * x2[i] + a[3] * x3[i];
 }
 
-void add_bias_f32_scalar(float* z, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] += b[i];
-}
-
-void add_bias_relu_f32_scalar(float* z, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float s = z[i] + b[i];
-    z[i] = s > 0.0f ? s : 0.0f;
+void lane_dot_f32_scalar(const float* w, std::size_t in, float bias,
+                         const float* act, std::size_t nb, bool relu,
+                         float* out) {
+  for (std::size_t s = 0; s < nb; ++s) {
+    float lane[4] = {};
+    std::size_t i = 0;
+    for (; i + 4 <= in; i += 4)
+      for (std::size_t j = 0; j < 4; ++j)
+        lane[j] += w[i + j] * act[(i + j) * kLaneShots + s];
+    float sum = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+    for (; i < in; ++i) sum += w[i] * act[i * kLaneShots + s];
+    const float z = sum + bias;
+    out[s] = !relu ? z : z > 0.0f ? z : 0.0f;
   }
 }
 

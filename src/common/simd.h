@@ -1,7 +1,8 @@
 // The runtime-dispatched SIMD kernels: every hot float and integer loop
-// of the library — the float front-end's fused dot products, the float
-// head and training kernels under sgemm / sgemv, and every integer kernel,
-// requantization included.
+// of the library — the float front-end's fused dot products, the training
+// kernels under sgemm and the per-shot head's under sgemv, the batched
+// heads' shot-lane kernels, and every integer kernel, requantization
+// included.
 //
 // The kernels live in one table, compiled once per instruction-set tier
 // and picked once, at first use, for the running host:
@@ -44,8 +45,9 @@
 // activation codes) may use the full int16 range including -32768.
 //
 // Callers fetch the table once per call (kernels()) and make one indirect
-// call per filter row, head output row (four rows for dot4_f32), GEMM row
-// update or shot's feature requant, never per sample.
+// call per filter row, per-shot head output row (four rows for dot4_f32),
+// batched head output row across a block of shots, GEMM row update or
+// shot's feature requant, never per sample.
 #pragma once
 
 #include <cstddef>
@@ -61,15 +63,23 @@ enum TierNeeds : unsigned {
 };
 
 /// Shot lanes of the head's transposed activation block: the row stride of
-/// lane_dot_*'s `act` operand and its largest shot count.
+/// lane_dot_*'s `act` operand (and of lane_dot_f32's `out`) and its largest
+/// shot count.
 inline constexpr std::size_t kLaneShots = 128;
 
 /// One tier's kernels. Contracts (shared by every tier):
-///  - dot_f32 / dot4_f32 / axpy_f32 / axpy4_f32 / add_bias_f32 /
-///    add_bias_relu_f32: the float head and training kernels, each bit for
-///    bit its *_scalar reference. dot4_f32's out[r] is dot_f32(shared,
-///    b_r, n). The reductions run at 128 bits on every tier; the
-///    element-wise kernels at the tier's own width.
+///  - dot_f32 / dot4_f32 / axpy_f32 / axpy4_f32: the per-shot head and
+///    training kernels, each bit for bit its *_scalar reference. dot4_f32's
+///    out[r] is dot_f32(shared, b_r, n). The reductions run at 128 bits on
+///    every tier; the element-wise kernels at the tier's own width.
+///  - lane_dot_f32: one float head layer's output row across a transposed
+///    block of nb <= kLaneShots shots: out[s] = relu ? (z > 0 ? z : +0) : z
+///    for z = dot_f32(w, act column s, in) + bias — in dot_f32_scalar's
+///    order per shot lane (four partials by i % 4 over the whole 4-blocks,
+///    then (p0 + p2) + (p1 + p3), then the tail in i order), which no lane
+///    width changes, then the bias add. So its z is sgemv's y bit for bit,
+///    and a NaN z becomes +0 under relu. Every act row is read up to the
+///    vector holding lane nb - 1; out is written only below nb.
 ///  - fused_dot_f32: sum_t kr[t]*xi[t] - ki[t]*xq[t] in this float order:
 ///    1. while t + 16 <= n: pr[t % 16] += kr[t]*xi[t] and
 ///       pi[t % 16] += ki[t]*xq[t] (16 partials per stream, from zero);
@@ -127,8 +137,10 @@ struct Kernels {
   void (*axpy4_f32)(std::size_t n, const float* a, const float* x0,
                     const float* x1, const float* x2, const float* x3,
                     float* y);
-  void (*add_bias_f32)(float* z, const float* b, std::size_t n);
-  void (*add_bias_relu_f32)(float* z, const float* b, std::size_t n);
+  /// Reads act[i * kLaneShots + s] for i < in; writes out[s] for s < nb.
+  void (*lane_dot_f32)(const float* w, std::size_t in, float bias,
+                       const float* act, std::size_t nb, bool relu,
+                       float* out);
   float (*fused_dot_f32)(const float* kr, const float* ki, const float* xi,
                          const float* xq, std::size_t n);
   /// Four trace streams against one kernel row: out[s] for xi[s], xq[s].
@@ -223,12 +235,11 @@ void axpy_f32_scalar(std::size_t n, float a, const float* x, float* y);
 void axpy4_f32_scalar(std::size_t n, const float* a, const float* x0,
                       const float* x1, const float* x2, const float* x3,
                       float* y);
-/// z[i] += b[i] — the bias half of the batched-MLP epilogue.
-void add_bias_f32_scalar(float* z, const float* b, std::size_t n);
-/// z[i] = s > 0 ? s : +0 for s = z[i] + b[i] — the fused bias+ReLU
-/// epilogue of the batched MLP paths, with the vector max's result on a
-/// zero or NaN sum.
-void add_bias_relu_f32_scalar(float* z, const float* b, std::size_t n);
+/// Kernels::lane_dot_f32 shot by shot: out[s] = dot_f32_scalar over act's
+/// column s plus bias, then relu ? (z > 0 ? z : +0) : z.
+void lane_dot_f32_scalar(const float* w, std::size_t in, float bias,
+                         const float* act, std::size_t nb, bool relu,
+                         float* out);
 /// Kernels::fused_dot_f32's evaluation order in plain float arithmetic —
 /// what every tier returns, bit for bit.
 float fused_dot_f32_scalar(const float* kr, const float* ki, const float* xi,

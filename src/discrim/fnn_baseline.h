@@ -62,10 +62,11 @@ class FnnDiscriminator {
   /// Batched classify over shots [lo, hi): raw I/Q feature rows gathered
   /// into a tile in `scratch`, the whole tile standardized in one
   /// normalizer pass (per-row affine, so identical to the per-shot path),
-  /// the joint head run as one GEMM per layer (Mlp::classify_batch_into,
-  /// bit-identical argmax), then each joint class base-k decoded into
-  /// `labels_at(s)`. Recalibrated FNN shards serve at batched speed like
-  /// the Proposed family. Thread-safe for distinct scratches.
+  /// the joint head run over the tile in shot lanes
+  /// (Mlp::classify_batch_into, bit-identical logits), then each joint
+  /// class base-k decoded into `labels_at(s)`. Recalibrated FNN shards
+  /// serve at batched speed like the Proposed family. Thread-safe for
+  /// distinct scratches.
   void classify_batch_into(std::size_t lo, std::size_t hi,
                            const ShotFrameAt& frame_at,
                            InferenceScratch& scratch,

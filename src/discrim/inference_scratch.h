@@ -56,13 +56,15 @@ struct InferenceScratch {
   std::vector<std::uint8_t> u8_act_b;
   std::vector<std::int32_t> i32_logits;
 
-  /// Batched-GEMM buffers (classify_batch_into): row-major tile matrices
-  /// gathering per-shot feature vectors so the MLP stage runs as one GEMM
-  /// (or weight-row-outer integer sweep) per layer instead of one GEMV per
-  /// shot. Labels are staged in batch_labels (tile x n_qubits) and then
-  /// scattered to the caller's slots, which need not be contiguous.
+  /// Batched-head buffers (classify_batch_into): a row-major tile matrix
+  /// gathering per-shot feature vectors, then each datapath's transposed
+  /// [dim][shot] activation blocks (simd::kLaneShots shots wide), so every
+  /// head layer runs as one shot-lane kernel call per output row instead
+  /// of one GEMV per shot. Labels are staged in batch_labels (tile x
+  /// n_qubits) and then scattered to the caller's slots, which need not be
+  /// contiguous.
   std::vector<float> batch_features;      ///< tile x feat_dim (float path).
-  std::vector<float> batch_act_a;         ///< GEMM activation ping-pong.
+  std::vector<float> batch_act_a;         ///< float lane-block ping-pong.
   std::vector<float> batch_act_b;
   std::vector<std::int32_t> batch_int_features;  ///< tile x feat_dim codes.
   std::vector<std::int16_t> batch_i16_act_a;     ///< int16 batch ping-pong.

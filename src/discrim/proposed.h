@@ -69,12 +69,12 @@ class ProposedDiscriminator {
 
   /// Batched classify over shots [lo, hi): per-shot front-end feature
   /// vectors are gathered into a row-major tile in `scratch`, each head's
-  /// MLP runs as one serial GEMM per layer over the whole tile, and the
-  /// argmax labels are scattered back through `labels_at(s)` (a
+  /// MLP runs serially over the whole tile in shot lanes, and the argmax
+  /// labels are scattered back through `labels_at(s)` (a
   /// num_qubits()-wide span per shot). Labels are bit-identical to
-  /// classify_into on every shot — the batched and per-shot float kernels
-  /// share dot-product blocking and accumulation order (see
-  /// Mlp::classify_batch_into). Thread-safe for distinct scratches.
+  /// classify_into on every shot — each shot lane sums in the per-shot
+  /// path's order (see Mlp::classify_batch_into). Thread-safe for distinct
+  /// scratches.
   void classify_batch_into(std::size_t lo, std::size_t hi,
                            const ShotFrameAt& frame_at,
                            InferenceScratch& scratch,

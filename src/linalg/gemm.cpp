@@ -108,15 +108,6 @@ void gemm_rows(const simd::Kernels& kern, bool trans_a, bool trans_b,
 
 }  // namespace
 
-void sgemm_serial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-                  std::size_t k, float alpha, const float* a, std::size_t lda,
-                  const float* b, std::size_t ldb, float beta, float* c,
-                  std::size_t ldc) {
-  if (m == 0 || n == 0) return;
-  gemm_rows(simd::kernels(), trans_a, trans_b, 0, m, n, k, alpha, a, lda, b,
-            ldb, beta, c, ldc);
-}
-
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,
@@ -138,19 +129,21 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 
 void sgemv(std::size_t m, std::size_t n, const float* a, std::size_t lda,
            const float* x, const float* bias_or_null, float* y) {
-  // Four rows per pass share every load of x (dot4_f32).
+  // Four rows per pass share every load of x (dot4_f32). The m % 4
+  // leftover rows take one more call that repeats the last row in the
+  // unused slots and drops their outputs: each out[r] is dot_f32 bit for
+  // bit, so padding costs no accuracy and saves an indirect call per row.
   const simd::Kernels& kern = simd::kernels();
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    float dots[4];
-    kern.dot4_f32(x, a + i * lda, a + (i + 1) * lda, a + (i + 2) * lda,
-                  a + (i + 3) * lda, n, dots);
+  for (std::size_t i = 0; i < m; i += 4) {
+    const std::size_t rows = std::min<std::size_t>(4, m - i);
+    const float* row[4];
     for (std::size_t r = 0; r < 4; ++r)
-      y[i + r] = dots[r] + (bias_or_null != nullptr ? bias_or_null[i + r] : 0.0f);
-  }
-  for (; i < m; ++i) {
-    const float bias = bias_or_null != nullptr ? bias_or_null[i] : 0.0f;
-    y[i] = bias + kern.dot_f32(a + i * lda, x, n);
+      row[r] = a + (i + std::min(r, rows - 1)) * lda;
+    float dots[4];
+    kern.dot4_f32(x, row[0], row[1], row[2], row[3], n, dots);
+    for (std::size_t r = 0; r < rows; ++r)
+      y[i + r] =
+          dots[r] + (bias_or_null != nullptr ? bias_or_null[i + r] : 0.0f);
   }
 }
 

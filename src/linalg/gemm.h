@@ -1,4 +1,8 @@
-// Single-precision GEMM for the neural-network training path.
+// Single-precision GEMM for the neural-network training path, and the
+// GEMV of the per-shot inference path (Mlp::logits_into). The batched
+// inference heads do not come through here: Mlp::classify_batch_into runs
+// the shot-lane kernel (simd::Kernels::lane_dot_f32), which sums in
+// sgemv's order.
 //
 // BLAS-style row-major sgemm with optional transposition of either operand.
 // The kernel uses an i-k-j loop order (unit-stride accumulation into C),
@@ -25,19 +29,10 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc);
 
-/// sgemm without the internal parallel_for: always runs on the calling
-/// thread, whatever the problem size. The batched inference path calls
-/// this from inside EngineCore worker slots, where nesting another
-/// thread-pool fan-out would deadlock-prone-ly re-enter the shared pool.
-/// Same kernels as sgemm, so results are bit-identical to the serial
-/// branch of sgemm.
-void sgemm_serial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-                  std::size_t k, float alpha, const float* a, std::size_t lda,
-                  const float* b, std::size_t ldb, float beta, float* c,
-                  std::size_t ldc);
-
 /// y = A * x (+ bias) for row-major A (m x n). Used on the inference path
-/// where batch size is 1 and GEMM overhead would dominate.
+/// where batch size is 1 and GEMM overhead would dominate. Every y[i] is
+/// dot_f32(A row i, x) + bias[i], computed four rows per dot4_f32 call
+/// (one padded call for the m % 4 leftover rows).
 void sgemv(std::size_t m, std::size_t n, const float* a, std::size_t lda,
            const float* x, const float* bias_or_null, float* y);
 

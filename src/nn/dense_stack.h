@@ -79,4 +79,19 @@ int argmax_tie_low(std::span<const T> scores) {
   return static_cast<int>(best);
 }
 
+/// argmax_tie_low down each shot column of a transposed logit block (class
+/// j of shot s at logits[j * stride + s]), the batched heads' layout:
+/// labels[s * label_stride] for s < nb.
+template <typename T>
+void argmax_lanes_tie_low(const T* logits, std::size_t classes,
+                          std::size_t stride, std::size_t nb, int* labels,
+                          std::size_t label_stride) {
+  for (std::size_t s = 0; s < nb; ++s) {
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < classes; ++j)
+      if (logits[j * stride + s] > logits[best * stride + s]) best = j;
+    labels[s * label_stride] = static_cast<int>(best);
+  }
+}
+
 }  // namespace mlqr

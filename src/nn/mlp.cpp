@@ -59,8 +59,11 @@ void Mlp::logits_into(std::span<const float> x, std::vector<float>& out,
     next->assign(layer.out, 0.0f);
     sgemv(layer.out, layer.in, layer.w.data(), layer.in, cur->data(),
           layer.b.data(), next->data());
+    // ReLU as z > 0 ? z : +0, the batched lane kernel's rule: NaN maps to
+    // +0 on both paths. A finite sum's sign of zero cannot move the next
+    // layer's dots, whose partial sums start at +0 and so never become -0.
     if (l + 1 < layers_.size())
-      for (float& v : *next) v = std::max(v, 0.0f);
+      for (float& v : *next) v = v > 0.0f ? v : 0.0f;
     std::swap(cur, next);
   }
   if (cur != &out) std::swap(out, scratch);
@@ -93,36 +96,44 @@ void Mlp::classify_batch_into(std::size_t batch, const float* features,
                               std::vector<float>& act_b, int* labels,
                               std::size_t label_stride) const {
   if (batch == 0) return;
-  const simd::Kernels& kern = simd::kernels();
-  const float* cur = features;
-  std::size_t cur_dim = input_size();
-  std::vector<float>* next = &act_a;
-  std::vector<float>* other = &act_b;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const DenseLayer& layer = layers_[l];
-    next->resize(batch * layer.out);
-    // Z = A * W^T, one GEMM for the whole micro-batch: the weight matrix
-    // streams through cache once per batch instead of once per shot.
-    // Serial on purpose — this runs inside EngineCore worker slots, and
-    // sgemm's own parallel_for would re-enter the shared pool.
-    sgemm_serial(false, true, batch, layer.out, layer.in, 1.0f, cur, cur_dim,
-                 layer.w.data(), layer.in, 0.0f, next->data(), layer.out);
-    const bool last = l + 1 == layers_.size();
-    for (std::size_t r = 0; r < batch; ++r) {
-      float* zrow = next->data() + r * layer.out;
-      if (last)
-        kern.add_bias_f32(zrow, layer.b.data(), layer.out);
-      else
-        kern.add_bias_relu_f32(zrow, layer.b.data(), layer.out);
-    }
-    cur = next->data();
-    cur_dim = layer.out;
-    std::swap(next, other);
-  }
+  const std::size_t in_dim = input_size();
   const std::size_t out_dim = output_size();
-  for (std::size_t r = 0; r < batch; ++r)
-    labels[r * label_stride] =
-        argmax_tie_low(std::span<const float>(cur + r * out_dim, out_dim));
+
+  // Shot-lane schedule, as the integer heads run it: within a block of up
+  // to kShotBlock shots, activations live transposed ([dim][shot]), so the
+  // lane kernel broadcasts each weight and runs contiguously across shots
+  // with every lane full however narrow the layer. Each lane sums in
+  // dot_f32's order, so the logits are logits_into's bit for bit.
+  constexpr std::size_t kShotBlock = simd::kLaneShots;
+
+  std::size_t max_dim = in_dim;
+  for (const DenseLayer& layer : layers_)
+    max_dim = std::max(max_dim, layer.out);
+  act_a.resize(max_dim * kShotBlock);
+  act_b.resize(max_dim * kShotBlock);
+  const simd::Kernels& k = simd::kernels();
+
+  for (std::size_t s0 = 0; s0 < batch; s0 += kShotBlock) {
+    const std::size_t nb = std::min(kShotBlock, batch - s0);
+    for (std::size_t s = 0; s < nb; ++s) {
+      const float* row = features + (s0 + s) * in_dim;
+      for (std::size_t i = 0; i < in_dim; ++i)
+        act_a[i * kShotBlock + s] = row[i];
+    }
+    std::vector<float>* cur = &act_a;
+    std::vector<float>* next = &act_b;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const DenseLayer& layer = layers_[l];
+      const bool hidden = l + 1 < layers_.size();
+      for (std::size_t j = 0; j < layer.out; ++j)
+        k.lane_dot_f32(layer.w.data() + j * layer.in, layer.in, layer.b[j],
+                       cur->data(), nb, hidden,
+                       next->data() + j * kShotBlock);
+      std::swap(cur, next);
+    }
+    argmax_lanes_tie_low(cur->data(), out_dim, kShotBlock, nb,
+                         labels + s0 * label_stride, label_stride);
+  }
 }
 
 void Mlp::save(std::ostream& os) const {

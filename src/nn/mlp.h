@@ -62,15 +62,16 @@ class Mlp {
   int predict_scored_reusing(std::span<const float> x, std::vector<float>& out,
                              std::vector<float>& scratch, float& p_max) const;
 
-  /// Batched argmax classify: one serial GEMM per layer over `batch`
-  /// feature rows (row-major, batch x input_size()) with a shared
-  /// vectorized bias(+ReLU) epilogue, then per-row argmax into
-  /// labels[r * label_stride]. act_a/act_b are row-major ping-pong
-  /// activation matrices that reuse their capacity call-to-call (the
-  /// per-worker scratch path). Labels are bit-identical to
-  /// predict_reusing on every row — the GEMM evaluates the same dot
-  /// kernels with the same output blocking as sgemv, and a +-0.0
-  /// difference from the split bias add cannot flip an argmax.
+  /// Batched argmax classify of `batch` feature rows (row-major, batch x
+  /// input_size()) into labels[r * label_stride]. Blocks of up to
+  /// simd::kLaneShots shots are staged transposed ([input][shot]) and run
+  /// serially through one lane_dot_f32 call per layer output row, which
+  /// fuses the bias and the hidden layers' ReLU. act_a/act_b are the
+  /// transposed ping-pong blocks (max layer width x kLaneShots floats);
+  /// they reuse their capacity call-to-call (the per-worker scratch path).
+  /// Every lane sums in sgemv's order and applies logits_into's ReLU, so
+  /// the logits — and the labels — equal predict_reusing's bit for bit on
+  /// every row, NaN inputs included.
   void classify_batch_into(std::size_t batch, const float* features,
                            std::vector<float>& act_a,
                            std::vector<float>& act_b, int* labels,

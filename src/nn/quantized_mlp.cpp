@@ -426,15 +426,8 @@ void QuantizedMlpOf<Code>::classify_batch_into(
       }
       std::swap(cur, next);
     }
-    // Strided argmax over the transposed logits — same strictly-greater
-    // tie-low rule as argmax_tie_low.
-    for (std::size_t s = 0; s < nb; ++s) {
-      std::size_t best = 0;
-      for (std::size_t j = 1; j < out_dim; ++j)
-        if (logits[j * kShotBlock + s] > logits[best * kShotBlock + s])
-          best = j;
-      labels[(s0 + s) * label_stride] = static_cast<int>(best);
-    }
+    argmax_lanes_tie_low(logits.data(), out_dim, kShotBlock, nb,
+                         labels + s0 * label_stride, label_stride);
   }
 }
 

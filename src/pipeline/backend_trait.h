@@ -39,12 +39,12 @@ concept ReadoutBackend =
 
 /// A ReadoutBackend that can additionally classify a contiguous shot range
 /// as one batch: per-shot feature extraction gathered into a tile, the MLP
-/// stage run as one GEMM (or weight-row-outer integer sweep) per layer,
-/// labels scattered back through labels_at. The contract is strict
-/// bit-identity with classify_into on every shot — batching is a pure
-/// execution-schedule change, which is what lets EngineCore pick the path
-/// per group without affecting results. Designs without a batch
-/// formulation (FNN, HERQULES, LDA/QDA) simply don't satisfy this and are
+/// stage run over the whole tile in shot lanes (one kernel call per layer
+/// output row), labels scattered back through labels_at. The contract is
+/// strict bit-identity with classify_into on every shot — batching is a
+/// pure execution-schedule change, which is what lets EngineCore pick the
+/// path per group without affecting results. Designs without a batch
+/// formulation (HERQULES, LDA/QDA) simply don't satisfy this and are
 /// served per-shot.
 template <typename D>
 concept BatchedReadoutBackend =

@@ -97,7 +97,7 @@ class EngineBackend {
   const std::string& name() const { return name_; }
   std::size_t num_qubits() const { return n_qubits_; }
   bool valid() const { return static_cast<bool>(fn_); }
-  /// True when the wrapped design exposes the batched-GEMM path
+  /// True when the wrapped design exposes the batched path
   /// (BatchedReadoutBackend). EngineCore falls back to per-shot serving
   /// otherwise — same labels, different schedule.
   bool supports_batch() const { return static_cast<bool>(batch_fn_); }
@@ -206,7 +206,7 @@ class EngineCore {
   ///
   /// Contiguous runs of shots sharing one batch-capable backend (same
   /// EngineBackend address) inside a worker's range classify through the
-  /// batched-GEMM path instead of shot-by-shot; groups under
+  /// batched path instead of shot-by-shot; groups under
   /// kMinGroupForGemm and backends without a batch path stay per-shot.
   /// Labels are bit-identical either way (the BatchedReadoutBackend
   /// contract).

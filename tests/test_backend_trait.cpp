@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -36,7 +37,7 @@ static_assert(ReadoutBackend<GaussianShotDiscriminator>);
 // be composed (a shard is just another backend).
 static_assert(ReadoutBackend<EngineBackend>);
 
-// The three OURS designs and the FNN baseline expose the batched-GEMM
+// The three OURS designs and the FNN baseline expose the batched
 // entry point (the FNN gained it so recalibrated FNN shards serve at
 // batched speed); HERQULES and the Gaussians stay per-shot and the engine
 // must treat them so.
@@ -153,7 +154,7 @@ std::vector<int> reference_labels(const D& d,
 /// Labels through ReadoutEngine with an explicit worker budget, assembled
 /// from sub-batches of at most `batch` shots. Sub-batches under
 /// EngineCore::kMinGroupForGemm run the engine's per-shot schedule, larger
-/// ones its batched-GEMM schedule — the labels must not depend on which.
+/// ones its batched schedule — the labels must not depend on which.
 std::vector<int> engine_labels(const EngineBackend& backend,
                                const std::vector<IqTrace>& traces,
                                std::size_t batch, std::size_t threads) {
@@ -224,6 +225,27 @@ TEST(BackendTrait, Int8BitIdenticalAcrossBatchThreadShardGrid) {
 
 TEST(BackendTrait, FnnBitIdenticalAcrossBatchThreadShardGrid) {
   expect_bit_identical_across_knobs(Fixture::get().fnn, "fnn");
+}
+
+/// A frame with one NaN sample must take the same labels through the
+/// engine's per-shot arm (groups of 1) and its batch arm (one group of 16):
+/// the per-shot and batched float heads share one ReLU, z > 0 ? z : +0, so
+/// a NaN pre-activation becomes +0 on both.
+template <ReadoutBackend D>
+void expect_nan_frame_labels_agree(const D& d, const char* what) {
+  const std::vector<IqTrace>& all = Fixture::get().ds.shots.traces;
+  std::vector<IqTrace> traces(all.begin(), all.begin() + 16);
+  static_assert(EngineCore::kMinGroupForGemm <= 16);
+  IqTrace& hit = traces[5];
+  hit.i[hit.i.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(engine_labels(make_backend(d), traces, 1, 1),
+            engine_labels(make_backend(d), traces, traces.size(), 1))
+      << what;
+}
+
+TEST(BackendTrait, NanSampleLabelsAgreeAcrossEngineArms) {
+  expect_nan_frame_labels_agree(Fixture::get().proposed, "float");
+  expect_nan_frame_labels_agree(Fixture::get().fnn, "fnn");
 }
 
 // ---- the scored contract: same labels, confidence in (0, 1] -------------

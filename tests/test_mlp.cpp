@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -61,25 +62,37 @@ TEST(Mlp, ForwardMatchesManualComputation) {
 
 TEST(Mlp, BatchForwardMatchesSingle) {
   // The batched head the engines serve must give predict_reusing's label
-  // on every row, written at the requested stride.
-  Mlp m({16, 12, 6, 5});
-  Rng rng(71);
-  m.init_weights(rng);
-  constexpr std::size_t kRows = 37;
+  // on every row, written at the requested stride: a narrow net within one
+  // shot block, and the FNN's 1000 -> 500 -> 250 -> 243 shape over a full
+  // block plus a partial second one. A row with a NaN input takes the
+  // same label on both paths (their ReLU maps NaN to +0).
+  const struct {
+    std::vector<std::size_t> sizes;
+    std::size_t rows;
+  } kCases[] = {{{16, 12, 6, 5}, 37}, {{1000, 500, 250, 243}, 150}};
   constexpr std::size_t kStride = 2;
-  std::vector<float> batch(kRows * m.input_size());
-  for (auto& v : batch) v = static_cast<float>(rng.normal());
-  std::vector<float> act_a, act_b;
-  std::vector<int> labels(kRows * kStride, -1);
-  m.classify_batch_into(kRows, batch.data(), act_a, act_b, labels.data(),
-                        kStride);
-  std::vector<float> out, scratch;
-  for (std::size_t r = 0; r < kRows; ++r) {
-    const std::span<const float> row(batch.data() + r * m.input_size(),
-                                     m.input_size());
-    EXPECT_EQ(labels[r * kStride], m.predict_reusing(row, out, scratch))
-        << "row " << r;
-    EXPECT_EQ(labels[r * kStride + 1], -1) << "stride gap written, row " << r;
+  for (const auto& c : kCases) {
+    Mlp m(c.sizes);
+    Rng rng(71);
+    m.init_weights(rng);
+    // Non-zero biases, so the NaN row's label depends on the ReLU rule.
+    for (DenseLayer& layer : m.mutable_layers())
+      for (float& b : layer.b) b = static_cast<float>(rng.normal(0.0, 0.5));
+    std::vector<float> batch(c.rows * m.input_size());
+    for (auto& v : batch) v = static_cast<float>(rng.normal());
+    batch[5 * m.input_size() + 3] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> act_a, act_b;
+    std::vector<int> labels(c.rows * kStride, -1);
+    m.classify_batch_into(c.rows, batch.data(), act_a, act_b, labels.data(),
+                          kStride);
+    std::vector<float> out, scratch;
+    for (std::size_t r = 0; r < c.rows; ++r) {
+      const std::span<const float> row(batch.data() + r * m.input_size(),
+                                       m.input_size());
+      EXPECT_EQ(labels[r * kStride], m.predict_reusing(row, out, scratch))
+          << m.input_size() << "-input net, row " << r;
+      EXPECT_EQ(labels[r * kStride + 1], -1) << "stride gap written, row " << r;
+    }
   }
 }
 

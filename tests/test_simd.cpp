@@ -602,30 +602,71 @@ TEST_P(SimdTier, AxpyVariantsMatchScalar) {
   }
 }
 
-TEST_P(SimdTier, AddBiasVariantsMatchScalar) {
-  // The batched-MLP epilogues, bit for bit, including the sums whose sign
-  // the ReLU decides: -0 and NaN both become +0.
-  Rng rng(16);
-  for (const std::size_t n : kLengths) {
-    std::vector<float> z0 = random_floats(rng, n);
-    std::vector<float> b = random_floats(rng, n);
-    for (std::size_t i = 0; i < n; i += 5) z0[i] = b[i] = -0.0f;
-    std::vector<float> got = z0, want = z0;
-    k().add_bias_f32(got.data(), b.data(), n);
-    simd::add_bias_f32_scalar(want.data(), b.data(), n);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(float_bits(got[i]), float_bits(want[i]))
-          << "add_bias n=" << n << " i=" << i;
-    for (std::size_t i = 3; i < n; i += 7)
-      z0[i] = std::numeric_limits<float>::quiet_NaN();
-    got = z0;
-    want = z0;
-    k().add_bias_relu_f32(got.data(), b.data(), n);
-    simd::add_bias_relu_f32_scalar(want.data(), b.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(float_bits(got[i]), float_bits(want[i]))
-          << "add_bias_relu n=" << n << " i=" << i;
-      EXPECT_FALSE(std::signbit(got[i])) << "n=" << n << " i=" << i;
+/// Equal bits, or both NaN: which NaN payload a sum with two NaN operands
+/// keeps depends on the operand order a compiler picks.
+bool same_float(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) || float_bits(a) == float_bits(b);
+}
+
+TEST_P(SimdTier, LaneDotF32MatchesScalar) {
+  // One float head layer's output row across a transposed shot block, bit
+  // for bit against the reference: shot counts around every tier's vector
+  // and two-vector pass widths, layer widths on both sides of the 4-block,
+  // mixed magnitudes so any regrouping of a lane's sum shows, and -0, NaN
+  // and +-inf operands. The reference is dot_f32_scalar per shot plus the
+  // bias, and logits_into's ReLU on hidden layers.
+  const std::size_t S = simd::kLaneShots;
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kUnwritten = 7.0f;
+  Rng rng(24);
+  for (const std::size_t in : {1, 2, 3, 4, 5, 11, 22, 45}) {
+    for (const std::size_t nb : {1, 15, 16, 17, 31, 32, 33, 127, 128}) {
+      std::vector<float> w = mixed_floats(rng, in, 1.0);
+      std::vector<float> act = mixed_floats(rng, in * S, 1.0);
+      w[in / 2] = -0.0f;
+      for (std::size_t s = 0; s < S; ++s) {
+        const std::size_t i = s % in;
+        switch (s % 9) {
+          case 3: act[i * S + s] = -0.0f; break;
+          case 4: act[i * S + s] = kNaN; break;
+          case 5: act[i * S + s] = kInf; break;
+          case 6: act[i * S + s] = -kInf; break;
+          case 7:  // inf - inf: a NaN the lane makes itself.
+            act[i * S + s] = kInf;
+            act[((i + 1) % in) * S + s] = in > 1 ? -kInf : kInf;
+            break;
+          default: break;
+        }
+      }
+      for (const float bias : {static_cast<float>(rng.normal()), -0.0f}) {
+        for (const bool relu : {false, true}) {
+          std::vector<float> got(S, kUnwritten), want(S, kUnwritten);
+          k().lane_dot_f32(w.data(), in, bias, act.data(), nb, relu,
+                           got.data());
+          simd::lane_dot_f32_scalar(w.data(), in, bias, act.data(), nb, relu,
+                                    want.data());
+          std::vector<float> column(in);
+          for (std::size_t s = 0; s < S; ++s) {
+            if (s >= nb) {
+              ASSERT_EQ(float_bits(got[s]), float_bits(kUnwritten))
+                  << "wrote lane " << s << " in=" << in << " nb=" << nb;
+              continue;
+            }
+            ASSERT_TRUE(same_float(got[s], want[s]))
+                << "in=" << in << " nb=" << nb << " s=" << s << " relu "
+                << relu << ": " << got[s] << " vs " << want[s];
+            for (std::size_t i = 0; i < in; ++i) column[i] = act[i * S + s];
+            const float z =
+                simd::dot_f32_scalar(w.data(), column.data(), in) + bias;
+            ASSERT_TRUE(same_float(want[s], !relu ? z : z > 0.0f ? z : 0.0f))
+                << "reference in=" << in << " nb=" << nb << " s=" << s;
+            if (relu) {
+              ASSERT_FALSE(std::signbit(got[s]) || std::isnan(got[s]));
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -326,8 +326,11 @@ std::uint64_t hash_run(std::uint64_t h, const Mlp& m, const TrainHistory& t) {
 // defaults on unequal, overlapping classes, so it holds out a 15%
 // validation split, selects by balanced accuracy and restores an earlier
 // best epoch; run two adds inverse-frequency class weights and weight
-// decay. Both runs repeat on every SIMD tier the host runs: the GEMM and
-// head kernels sum in one order on every tier, so each gives the pin.
+// decay. A third run, pinned on its own, trains a wider net whose GEMM
+// rows reach 48 floats, so the element-wise training kernels run their
+// widest (16-lane) loops, not only their 4-wide blocks and tails. Every
+// run repeats on every SIMD tier the host runs: the GEMM and head kernels
+// sum in one order on every tier, so each gives the pins.
 TEST(Trainer, ChecksumMatchesTheParent) {
 #if !defined(__x86_64__) && !defined(_M_X64)
   // The kernels agree everywhere, but the loss and Adam steps call libm's
@@ -370,6 +373,15 @@ TEST(Trainer, ChecksumMatchesTheParent) {
     h = hash_run(h, m2, train_classifier(m2, x, y, weighted));
     EXPECT_EQ(h, 0x78af8fbb77357ef5ull)
         << std::hex << "checksum 0x" << h << " on tier " << tier->name;
+
+    Mlp m3({2, 48, 24, 3});
+    Rng r3(23);
+    m3.init_weights(r3);
+    const std::uint64_t h3 = hash_run(0xcbf29ce484222325ull, m3,
+                                      train_classifier(m3, x, y, defaults));
+    EXPECT_EQ(h3, 0xf997679e27b1d96dull)
+        << std::hex << "wide-run checksum 0x" << h3 << " on tier "
+        << tier->name;
   }
 }
 
