@@ -70,8 +70,8 @@ class Mlp {
   /// transposed ping-pong blocks (max layer width x kLaneShots floats);
   /// they reuse their capacity call-to-call (the per-worker scratch path).
   /// Every lane sums in sgemv's order and applies logits_into's ReLU, so
-  /// the logits — and the labels — equal predict_reusing's bit for bit on
-  /// every row, NaN inputs included.
+  /// the logits equal logits_into's bit for bit (NaN payloads aside) and
+  /// the labels predict_reusing's on every row, NaN inputs included.
   void classify_batch_into(std::size_t batch, const float* features,
                            std::vector<float>& act_a,
                            std::vector<float>& act_b, int* labels,
