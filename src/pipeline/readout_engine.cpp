@@ -71,7 +71,7 @@ void EngineCore::classify(std::size_t n, FrameAt frame_at,
           const EngineBackend& be = backend_at(s);
           std::size_t e = s + 1;
           while (e < hi && &backend_at(e) == &be) ++e;
-          if (be.supports_batch() && e - s >= kMinGroupForGemm) {
+          if (be.supports_batch() && e - s >= kMinBatchGroup) {
             try {
               // A FunctionRef is two pointers, so these std::function
               // wrappers fit its small buffer and allocate nothing.

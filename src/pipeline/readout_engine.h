@@ -186,9 +186,10 @@ class EngineCore {
   const EngineConfig& config() const { return cfg_; }
 
   /// Groups smaller than this classify per-shot even on a batch-capable
-  /// backend — tile setup (gathers, matrix resizes) costs more than it
-  /// saves under a handful of shots.
-  static constexpr std::size_t kMinGroupForGemm = 8;
+  /// backend — tile setup (gathering the frame pointers, sizing the
+  /// feature/label blocks, staging each head's input transposed into shot
+  /// lanes) costs more than it saves under a handful of shots.
+  static constexpr std::size_t kMinBatchGroup = 8;
 
   /// Non-owning accessors, valid for the duration of one classify() call.
   using FrameAt = FunctionRef<const IqTrace&(std::size_t)>;
@@ -206,10 +207,12 @@ class EngineCore {
   ///
   /// Contiguous runs of shots sharing one batch-capable backend (same
   /// EngineBackend address) inside a worker's range classify through the
-  /// batched path instead of shot-by-shot; groups under
-  /// kMinGroupForGemm and backends without a batch path stay per-shot.
-  /// Labels are bit-identical either way (the BatchedReadoutBackend
-  /// contract).
+  /// batched path instead of shot-by-shot; groups under kMinBatchGroup
+  /// and backends without a batch path stay per-shot. Only contiguous
+  /// runs count, so a caller mixing backends orders its shots by backend
+  /// first: the StreamingEngine dispatcher groups each micro-batch by
+  /// serving shard before it calls in. Labels are bit-identical either
+  /// way (the BatchedReadoutBackend contract).
   ///
   /// When `errors` is non-null it must point at n entries; a backend that
   /// throws classifying shot s fails only that shot — the exception lands

@@ -1,6 +1,7 @@
 #include "pipeline/streaming_engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -59,12 +60,16 @@ void StreamingEngine::EpochCondVar::notify_all(Mutex& /*mu*/) {
 bool StreamingEngine::EpochCondVar::spin(Mutex& mu, TimePoint until) {
   const std::uint64_t seen = epoch_.load(std::memory_order_relaxed);
   mu.unlock();
-  while (epoch_.load(std::memory_order_relaxed) == seen &&
-         Clock::now() < until) {
+  while (epoch_.load(std::memory_order_relaxed) == seen) {
+    const TimePoint now = Clock::now();
+    if (now >= until) break;
     cpu_pause();
     // Yield too: with more runnable threads than CPUs, a spinner that
-    // only pauses holds the CPU the notifying thread needs.
-    std::this_thread::yield();
+    // only pauses holds the CPU the notifying thread needs. But on such a
+    // host a yield can cost a whole scheduler slice (milliseconds), so the
+    // last kYieldMargin of the poll only pauses: a short timed wait then
+    // ends at its deadline instead of a slice past it.
+    if (until - now > kYieldMargin) std::this_thread::yield();
   }
   mu.lock();
   return epoch_.load(std::memory_order_relaxed) != seen;
@@ -80,6 +85,9 @@ std::cv_status StreamingEngine::EpochCondVar::wait_until(Mutex& mu,
   if (now >= deadline) return std::cv_status::timeout;
   if (spin(mu, std::min(now + kSpinWindow, deadline)))
     return std::cv_status::no_timeout;
+  // A poll that ran to the deadline does not park: the futex call alone
+  // is a point where a busy host can take the CPU away.
+  if (Clock::now() >= deadline) return std::cv_status::timeout;
   return cv_.wait_until(mu, deadline);
 }
 
@@ -108,6 +116,8 @@ StreamingEngine::StreamingEngine(std::vector<EngineBackend> shards,
   score_counter_.assign(shards_.size(), 0);
   drift_labels_.assign(n_qubits_, 0);
   batch_tickets_.reserve(cfg_.batch_max);
+  grouped_tickets_.reserve(cfg_.batch_max);
+  group_start_.assign(shards_.size() + 2, 0);
   batch_errors_.reserve(cfg_.batch_max);
   batch_conf_.reserve(cfg_.batch_max);
   dispatcher_ = std::jthread([this] { dispatch_loop(); });
@@ -185,6 +195,24 @@ void StreamingEngine::extend_queued_run() {
   }
 }
 
+void StreamingEngine::group_by_route() {
+  // Stable counting sort on the serving target: shard s is bucket s, the
+  // fallback bucket shards_count_. group_start_[k + 1] counts bucket k,
+  // then the prefix sum turns it into bucket k + 1's first index.
+  const auto bucket = [this](Ticket t) {
+    const std::size_t by = slot_of(t).route.shard;
+    return by == ShardBreaker::kFallback ? shards_count_ : by;
+  };
+  std::fill(group_start_.begin(), group_start_.end(), 0);
+  for (const Ticket t : batch_tickets_) ++group_start_[bucket(t) + 1];
+  std::partial_sum(group_start_.begin(), group_start_.end(),
+                   group_start_.begin());
+  grouped_tickets_.resize(batch_tickets_.size());
+  for (const Ticket t : batch_tickets_)
+    grouped_tickets_[group_start_[bucket(t)]++] = t;
+  batch_tickets_.swap(grouped_tickets_);
+}
+
 void StreamingEngine::check_shard(std::size_t shard, const char* what) const {
   MLQR_CHECK_MSG(shard < shards_count_,
                  what << " index " << shard << " out of range (engine has "
@@ -251,6 +279,11 @@ void StreamingEngine::dispatch_loop() {
     if (any_shed) done_cv_.notify_all(mutex_);
     const std::size_t b = batch_tickets_.size();
     if (b == 0) continue;  // Everything shed: nothing to classify.
+    // EngineCore batches only contiguous same-backend runs, and keyed
+    // multi-feedline traffic arrives interleaved: make each target's shots
+    // one run. Per-target order is kept, so each shard's drift sampling,
+    // breaker records and drift observations see the same sequence.
+    group_by_route();
     batch_errors_.assign(b, std::exception_ptr{});
     batch_conf_.assign(b, std::nullopt);
     dispatching_ = true;

@@ -22,11 +22,14 @@
 //   * A resident dispatcher thread micro-batches ingest: it launches a
 //     classification batch once batch_max frames are pending or
 //     deadline_us has elapsed since the oldest pending frame arrived,
-//     whichever comes first. Classification runs through the same
-//     EngineCore machinery (persistent thread pool + per-worker-slot
-//     InferenceScratch) as process_batch, so labels are bit-identical to
-//     the synchronous path for the same frames, regardless of shard count,
-//     thread count, or micro-batch boundaries.
+//     whichever comes first. It groups each claimed batch by serving
+//     target (each shard, then the fallback; ticket order kept within a
+//     target), so interleaved keyed feedlines still reach a batch-capable
+//     backend as runs long enough for its batched path. Classification
+//     runs through the same EngineCore machinery (persistent thread pool +
+//     per-worker-slot InferenceScratch) as process_batch, so labels are
+//     bit-identical to the synchronous path for the same frames,
+//     regardless of shard count, thread count, or micro-batch boundaries.
 //   * Load shedding: with shot_deadline_us set, the dispatcher never
 //     wastes classifier time on a frame that is already too stale to
 //     matter (a QEC label after the cycle deadline is as useless as a
@@ -78,14 +81,17 @@
 // timeout <= 0 does not poll at all. The cost is CPU: an idle dispatcher,
 // and every waiter, burns up to one spin window of CPU per wait before it
 // parks. The yield keeps that safe on an oversubscribed host — a pure
-// spinner there starves the very thread it waits for.
+// spinner there starves the very thread it waits for — except in a poll's
+// last 20 us, which only pause: there a yield can cost a whole scheduler
+// slice, far past a short timed wait's deadline.
 //
 // Allocations: once every ring slot has held a frame of the served length
 // (slots reuse their frame/label capacity), a micro-batch that classifies
 // on one worker allocates nothing — scratch lives per worker slot, the
-// dispatcher reuses its per-batch ticket/error buffers, and the classify
-// callbacks are non-owning references (tests/test_allocations.cpp pins
-// this). A micro-batch fanned out over the pool allocates the one Job
+// dispatcher reuses its per-batch ticket/grouping/error buffers, and the
+// classify callbacks are non-owning references (tests/test_allocations.cpp
+// pins this, for one shard and for two shards with interleaved keys). A
+// micro-batch fanned out over the pool allocates the one Job
 // ThreadPool::run shares with its workers.
 //
 // Locking contract (compile-time checked on Clang, see
@@ -345,6 +351,9 @@ class StreamingEngine {
     /// re-locks; true when the epoch moved since the call began.
     bool spin(Mutex& mu, TimePoint until) MLQR_REQUIRES(mu);
 
+    /// The final stretch of a poll that pauses without yielding.
+    static constexpr std::chrono::microseconds kYieldMargin{20};
+
     std::atomic<std::uint64_t> epoch_{0};
     CondVar cv_;
   };
@@ -401,6 +410,10 @@ class StreamingEngine {
   std::size_t ready_run() const MLQR_REQUIRES(mutex_);
   /// Extends queued_run_ past newly queued slots (amortized O(1)/shot).
   void extend_queued_run() MLQR_REQUIRES(mutex_);
+  /// Reorders batch_tickets_ so the shots of each serving target (each
+  /// shard, then the fallback) are contiguous, keeping ticket order within
+  /// a target. A stable counting pass: O(batch), no allocation.
+  void group_by_route() MLQR_REQUIRES(mutex_);
   /// Throws Error unless `shard` indexes a shard; `what` names the call.
   void check_shard(std::size_t shard, const char* what) const;
   Slot& slot_of(Ticket t) MLQR_REQUIRES(mutex_) {
@@ -425,10 +438,16 @@ class StreamingEngine {
   ShardBreaker breaker_ MLQR_GUARDED_BY(mutex_);
   /// Parallel to shards_ (swap_shard resets the swapped shard's entry).
   std::vector<DriftMonitor> drift_ MLQR_GUARDED_BY(mutex_);
-  /// Tickets of the micro-batch being classified (shed slots excluded);
-  /// dispatcher-only, reused across batches, read outside the lock via a
-  /// pointer snapshotted under it (same custody as ring_).
+  /// Tickets of the micro-batch being classified (shed slots excluded),
+  /// grouped by serving target; dispatcher-only, reused across batches,
+  /// read outside the lock via a pointer snapshotted under it (same
+  /// custody as ring_).
   std::vector<Ticket> batch_tickets_ MLQR_GUARDED_BY(mutex_);
+  /// group_by_route's scatter target (swapped with batch_tickets_) and its
+  /// per-target bucket starts (shards + 2 entries); both sized at
+  /// construction.
+  std::vector<Ticket> grouped_tickets_ MLQR_GUARDED_BY(mutex_);
+  std::vector<std::size_t> group_start_ MLQR_GUARDED_BY(mutex_);
   /// Per-shot failure capture for the batch in flight, index-parallel to
   /// batch_tickets_. Workers write disjoint slots outside the lock (same
   /// custody as Slot::labels); the dispatcher reads them back under it.

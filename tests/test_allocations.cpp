@@ -1,7 +1,8 @@
 // Heap allocations on the serving hot paths, counted by a replacement
-// global operator new: once warm, a single-shot StreamingEngine micro-batch
-// and an inline EngineCore batch allocate nothing, and a ReadoutEngine
-// batch allocates only the label buffer it returns.
+// global operator new: once warm, a single-shot StreamingEngine micro-batch,
+// a one-worker micro-batch regrouped across two shards and an inline
+// EngineCore batch allocate nothing, and a ReadoutEngine batch allocates
+// only the label buffer it returns.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -123,15 +124,50 @@ TEST(Allocations, StreamingSingleShotBatchesAllocateNothingOnceWarm) {
   EXPECT_EQ(eng.stats().batches, 2 * cfg.queue_capacity + 100);
 }
 
+TEST(Allocations, StreamingGroupedShardBatchesAllocateNothingOnceWarm) {
+  // Each round submits one full micro-batch whose keys alternate between
+  // two shards, then waits every ticket: the dispatcher regroups the batch
+  // into one batched-path run per shard. One worker, since a pool fan-out
+  // allocates its Job (see pipeline/streaming_engine.h).
+  const Fixture& fx = Fixture::get();
+  StreamingConfig cfg;
+  cfg.queue_capacity = 32;
+  cfg.batch_max = 2 * EngineCore::kMinBatchGroup;
+  cfg.deadline_us = 1000000;  // Only a full batch (or a wait) dispatches.
+  cfg.engine.threads = 1;
+  StreamingEngine eng(make_backend(fx.proposed), 2, cfg);
+  std::vector<int> out(eng.num_qubits());
+  std::vector<StreamingEngine::Ticket> tickets(cfg.batch_max);
+  const auto& traces = fx.ds.shots.traces;
+  std::size_t next = 0;
+  std::size_t not_done = 0;
+  const auto one_batch = [&] {
+    for (std::size_t i = 0; i < tickets.size(); ++i)
+      tickets[i] = *eng.submit(traces[next++ % traces.size()], {.key = i});
+    for (const StreamingEngine::Ticket t : tickets)
+      not_done += eng.wait_result(t, out) != ShotStatus::kDone;
+  };
+  // Two laps warm every ring slot, the worker scratch and the dispatcher.
+  const std::size_t warm = 2 * cfg.queue_capacity / cfg.batch_max;
+  for (std::size_t i = 0; i < warm; ++i) one_batch();
+
+  const std::size_t n = allocations_during([&] {
+    for (std::size_t i = 0; i < 20; ++i) one_batch();
+  });
+  EXPECT_EQ(not_done, 0u);
+  EXPECT_EQ(n, 0u) << "allocations over 20 grouped two-shard micro-batches";
+  EXPECT_EQ(eng.stats().batches, warm + 20);
+}
+
 TEST(Allocations, InlineEngineCoreBatchAllocatesNothingOnceWarm) {
   // One worker: the batch classifies inline, through the batched path
-  // (8 shots reach kMinGroupForGemm) and the per-shot path (3 shots).
+  // (8 shots reach kMinBatchGroup) and the per-shot path (3 shots).
   const Fixture& fx = Fixture::get();
   const EngineBackend backend = make_backend(fx.proposed);
   const std::size_t nq = backend.num_qubits();
   const auto& traces = fx.ds.shots.traces;
   EngineCore core(EngineConfig{.threads = 1});
-  std::vector<int> labels(EngineCore::kMinGroupForGemm * nq);
+  std::vector<int> labels(EngineCore::kMinBatchGroup * nq);
   const auto run = [&](std::size_t n) {
     core.classify(
         n, [&](std::size_t s) -> const IqTrace& { return traces[s]; },
@@ -140,9 +176,9 @@ TEST(Allocations, InlineEngineCoreBatchAllocatesNothingOnceWarm) {
           return {labels.data() + s * nq, nq};
         });
   };
-  run(EngineCore::kMinGroupForGemm);
+  run(EngineCore::kMinBatchGroup);
   run(3);
-  EXPECT_EQ(allocations_during([&] { run(EngineCore::kMinGroupForGemm); }),
+  EXPECT_EQ(allocations_during([&] { run(EngineCore::kMinBatchGroup); }),
             0u);
   EXPECT_EQ(allocations_during([&] { run(3); }), 0u);
 }

@@ -153,7 +153,7 @@ std::vector<int> reference_labels(const D& d,
 
 /// Labels through ReadoutEngine with an explicit worker budget, assembled
 /// from sub-batches of at most `batch` shots. Sub-batches under
-/// EngineCore::kMinGroupForGemm run the engine's per-shot schedule, larger
+/// EngineCore::kMinBatchGroup run the engine's per-shot schedule, larger
 /// ones its batched schedule — the labels must not depend on which.
 std::vector<int> engine_labels(const EngineBackend& backend,
                                const std::vector<IqTrace>& traces,
@@ -197,10 +197,10 @@ template <ReadoutBackend D>
 void expect_bit_identical_across_knobs(const D& d, const char* what) {
   const std::vector<IqTrace>& traces = Fixture::get().ds.shots.traces;
   const std::vector<int> ref = reference_labels(d, traces);
-  // Batches of 1 and 7 stay under kMinGroupForGemm (the per-shot arm); 64
+  // Batches of 1 and 7 stay under kMinBatchGroup (the per-shot arm); 64
   // and the full set reach the batch arm at every worker count here.
-  static_assert(EngineCore::kMinGroupForGemm > 7 &&
-                EngineCore::kMinGroupForGemm <= 64 / 4);
+  static_assert(EngineCore::kMinBatchGroup > 7 &&
+                EngineCore::kMinBatchGroup <= 64 / 4);
   for (std::size_t batch :
        {std::size_t{1}, std::size_t{7}, std::size_t{64}, traces.size()})
     for (std::size_t threads : {1u, 2u, 4u})
@@ -235,7 +235,7 @@ template <ReadoutBackend D>
 void expect_nan_frame_labels_agree(const D& d, const char* what) {
   const std::vector<IqTrace>& all = Fixture::get().ds.shots.traces;
   std::vector<IqTrace> traces(all.begin(), all.begin() + 16);
-  static_assert(EngineCore::kMinGroupForGemm <= 16);
+  static_assert(EngineCore::kMinBatchGroup <= 16);
   IqTrace& hit = traces[5];
   hit.i[hit.i.size() / 2] = std::numeric_limits<float>::quiet_NaN();
   EXPECT_EQ(engine_labels(make_backend(d), traces, 1, 1),

@@ -440,6 +440,82 @@ EngineBackend controllable_backend(std::shared_ptr<std::atomic<bool>> fail,
       });
 }
 
+/// Shots each classify arm of a spy_backend served.
+struct ArmCounts {
+  std::atomic<std::size_t> batch{0};
+  std::atomic<std::size_t> per_shot{0};
+  std::atomic<bool> held{false};  ///< The gate has held one call.
+};
+
+/// Batch-capable spy over a trained design: both arms forward to `p` and
+/// count their shots in `counts`. The first per-shot call holds on `gate`
+/// (see Gate), so a test can queue a micro-batch behind it.
+EngineBackend spy_backend(const ProposedDiscriminator& p,
+                          std::shared_ptr<ArmCounts> counts,
+                          std::shared_ptr<Gate> gate) {
+  return EngineBackend(
+      "spy", p.num_qubits(),
+      [&p, counts, gate](const IqTrace& t, InferenceScratch& s,
+                         std::span<int> out) {
+        if (!counts->held.exchange(true)) {
+          gate->started.release();
+          gate->go.acquire();
+        }
+        ++counts->per_shot;
+        p.classify_into(t, s, out);
+      },
+      [&p, counts](std::size_t lo, std::size_t hi, const ShotFrameAt& frame_at,
+                   InferenceScratch& s, const ShotLabelsAt& labels_at) {
+        counts->batch += hi - lo;
+        p.classify_batch_into(lo, hi, frame_at, s, labels_at);
+      });
+}
+
+TEST(Streaming, InterleavedKeysTakeTheBatchedPathPerShard) {
+  // Two keyed feedlines arrive interleaved, so no two neighbouring shots
+  // of the micro-batch share a shard. The dispatcher must still hand each
+  // shard its shots as one run, or every shot takes the per-shot arm.
+  const Fixture& fx = Fixture::get();
+  auto counts = std::make_shared<ArmCounts>();
+  auto gate = std::make_shared<Gate>();
+  constexpr std::size_t kBatch = 64;
+  StreamingConfig cfg;
+  cfg.queue_capacity = 2 * kBatch;
+  cfg.batch_max = kBatch;
+  cfg.deadline_us = 0;
+  cfg.engine.threads = 1;
+  const EngineBackend spy = spy_backend(fx.proposed, counts, gate);
+  StreamingEngine eng(spy, 2, cfg);
+  const std::vector<IqTrace>& traces = fx.ds.shots.traces;
+  // The held shot keeps the dispatcher busy while the batch queues up.
+  const auto held = *eng.submit(traces[0], {.key = 0});
+  ASSERT_TRUE(gate->started.try_acquire_for(std::chrono::seconds(30)));
+  // A swap racing the held batch: the dispatcher yields to it between
+  // batches, and the swapped-in copy serves (and counts) the same way.
+  std::jthread swapper([&] { eng.swap_shard(1, spy); });
+  std::vector<StreamingEngine::Ticket> tickets;
+  std::vector<std::size_t> frame_of;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    // A stride through the dataset mixes the prepared states.
+    frame_of.push_back((i * 37 + 1) % traces.size());
+    tickets.push_back(*eng.submit(traces[frame_of.back()], {.key = i}));
+  }
+  gate->go.release();
+  swapper.join();
+  InferenceScratch scratch;
+  std::vector<int> want(eng.num_qubits());
+  fx.proposed.classify_into(traces[0], scratch, want);
+  EXPECT_EQ(done_labels(eng, held), want) << "held ticket";
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    fx.proposed.classify_into(traces[frame_of[i]], scratch, want);
+    EXPECT_EQ(done_labels(eng, tickets[i]), want) << "ticket " << i;
+  }
+  // The held shot was a batch of one; the queued shots formed one more.
+  EXPECT_EQ(eng.stats().batches, 2u);
+  EXPECT_EQ(counts->batch.load(), kBatch);
+  EXPECT_EQ(counts->per_shot.load(), 1u);
+}
+
 TEST(Streaming, TimedSubmitRejectsWhileRingStaysFull) {
   StreamingConfig cfg;
   cfg.queue_capacity = 2;
