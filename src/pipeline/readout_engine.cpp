@@ -29,62 +29,44 @@ LatencyStats summarize_latency(std::vector<double> micros) {
   return stats;
 }
 
-void EngineCore::classify(std::size_t n, FrameAt frame_at,
-                          BackendAt backend_at, LabelsAt labels_at,
+void EngineCore::classify(const EngineBackend& backend, std::size_t n,
+                          FrameAt frame_at, LabelsAt labels_at,
                           std::exception_ptr* errors) {
   if (n == 0) return;
   // Worker budget: the configured cap, shrunk so every worker has at least
-  // min_shots_per_thread shots (waking a pool worker for two shots loses).
+  // kMinShotsPerThread shots.
   std::size_t workers = cfg_.threads ? cfg_.threads : parallel_thread_count();
-  const std::size_t per_thread =
-      std::max<std::size_t>(cfg_.min_shots_per_thread, 1);
-  workers = std::clamp<std::size_t>(workers, 1,
-                                    std::max<std::size_t>(n / per_thread, 1));
+  workers = std::clamp<std::size_t>(
+      workers, 1, std::max<std::size_t>(n / kMinShotsPerThread, 1));
   if (scratch_.size() < workers) scratch_.resize(workers);
 
   parallel_for_slots(
       0, n, workers, [&](std::size_t slot, std::size_t lo, std::size_t hi) {
         InferenceScratch& scratch = scratch_[slot];
-        const auto run_per_shot = [&](std::size_t b, std::size_t e) {
-          for (std::size_t s = b; s < e; ++s) {
-            if (errors) {
-              try {
-                backend_at(s).classify_into(frame_at(s), scratch,
-                                            labels_at(s));
-              } catch (...) {
-                errors[s] = std::current_exception();
-              }
-            } else {
-              backend_at(s).classify_into(frame_at(s), scratch, labels_at(s));
-            }
-          }
-        };
-
-        // Group contiguous runs served by the same backend instance (the
-        // BackendAt contract returns stable references, so the address
-        // identifies the shard) and push each large-enough group through
-        // the batched path. A throwing batch re-runs per-shot so the
+        // A throwing batch falls through to the per-shot loop so the
         // failure lands on the exact shots: per-shot classify is pure and
         // rewrites every label the batch may have partially written.
-        std::size_t s = lo;
-        while (s < hi) {
-          const EngineBackend& be = backend_at(s);
-          std::size_t e = s + 1;
-          while (e < hi && &backend_at(e) == &be) ++e;
-          if (be.supports_batch() && e - s >= kMinBatchGroup) {
+        if (backend.supports_batch() && hi - lo >= kMinBatchGroup) {
+          try {
+            // A FunctionRef is two pointers, so these std::function
+            // wrappers fit its small buffer and allocate nothing.
+            backend.classify_batch_into(lo, hi, ShotFrameAt(frame_at),
+                                        scratch, ShotLabelsAt(labels_at));
+            return;
+          } catch (...) {
+            if (!errors) throw;
+          }
+        }
+        for (std::size_t s = lo; s < hi; ++s) {
+          if (errors) {
             try {
-              // A FunctionRef is two pointers, so these std::function
-              // wrappers fit its small buffer and allocate nothing.
-              be.classify_batch_into(s, e, ShotFrameAt(frame_at), scratch,
-                                     ShotLabelsAt(labels_at));
+              backend.classify_into(frame_at(s), scratch, labels_at(s));
             } catch (...) {
-              if (!errors) throw;
-              run_per_shot(s, e);
+              errors[s] = std::current_exception();
             }
           } else {
-            run_per_shot(s, e);
+            backend.classify_into(frame_at(s), scratch, labels_at(s));
           }
-          s = e;
         }
       });
 }
@@ -106,12 +88,10 @@ EngineBatch ReadoutEngine::run(std::size_t n, EngineCore::FrameAt frame_at) {
 
   int* labels = batch.labels.data();
   Timer wall;
-  core_.classify(
-      n, frame_at,
-      [this](std::size_t) -> const EngineBackend& { return backend_; },
-      [labels, n_qubits](std::size_t s) -> std::span<int> {
-        return {labels + s * n_qubits, n_qubits};
-      });
+  core_.classify(backend_, n, frame_at,
+                 [labels, n_qubits](std::size_t s) -> std::span<int> {
+                   return {labels + s * n_qubits, n_qubits};
+                 });
   batch.wall_seconds = wall.seconds();
   return batch;
 }

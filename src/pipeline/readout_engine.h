@@ -49,9 +49,6 @@ struct EngineConfig {
   /// Worker budget per batch; 0 means parallel_thread_count() (which
   /// honours MLQR_THREADS). The effective count never exceeds the batch.
   std::size_t threads = 0;
-  /// Batches smaller than threads * min_shots_per_thread stay on fewer
-  /// workers — thread spawn overhead dominates tiny batches.
-  std::size_t min_shots_per_thread = 8;
 };
 
 /// One processed batch: per-qubit level assignments for every frame, flat
@@ -177,54 +174,59 @@ EngineBackend make_backend(const D& d) {
 /// and the asynchronous StreamingEngine: a worker budget, the per-slot
 /// InferenceScratch pool, and the parallel_for_slots fan-out over the
 /// persistent thread pool. Both engines are thin wrappers: ReadoutEngine
-/// binds one backend and a contiguous label buffer, StreamingEngine binds
-/// its shard-routing table and ring-slot label spans.
+/// binds one backend and a contiguous label buffer, StreamingEngine calls
+/// once per serving target of a micro-batch with that target's ring-slot
+/// frames and label spans.
 class EngineCore {
  public:
   explicit EngineCore(EngineConfig cfg = {}) : cfg_(cfg) {}
 
-  const EngineConfig& config() const { return cfg_; }
+  /// Calls smaller than threads * kMinShotsPerThread stay on fewer
+  /// workers: waking a pool worker for a couple of shots costs more than
+  /// it saves.
+  static constexpr std::size_t kMinShotsPerThread = 8;
 
-  /// Groups smaller than this classify per-shot even on a batch-capable
-  /// backend — tile setup (gathering the frame pointers, sizing the
-  /// feature/label blocks, staging each head's input transposed into shot
-  /// lanes) costs more than it saves under a handful of shots.
+  /// Worker ranges smaller than this classify per-shot even on a
+  /// batch-capable backend: tile setup (gathering the frame pointers,
+  /// sizing the feature/label blocks, staging each head's input transposed
+  /// into shot lanes) outweighs the batched kernels below it. Measured on
+  /// the perfbench 5-qubit design, one thread, avx512-vnni tier on a
+  /// 4-vCPU Xeon: batched over per-shot time is 1.48 / 3.30 / 3.00
+  /// (float / int16 / int8) at one shot and 0.52 / 0.80 / 0.70 at eight,
+  /// so the batched arm starts to win at about 3 shots for float, 5 for
+  /// int8 and 6 for int16. 8 clears all three.
   static constexpr std::size_t kMinBatchGroup = 8;
 
   /// Non-owning accessors, valid for the duration of one classify() call.
   using FrameAt = FunctionRef<const IqTrace&(std::size_t)>;
-  using BackendAt = FunctionRef<const EngineBackend&(std::size_t)>;
   using LabelsAt = FunctionRef<std::span<int>(std::size_t)>;
 
-  /// Classifies shots 0..n-1: backend_at(s) picks the (shard) backend for
-  /// shot s, frame_at(s) its trace, labels_at(s) the destination span.
-  /// Shots fan out over at most the configured worker budget, shrunk so
-  /// every worker gets >= min_shots_per_thread shots; each worker slot
-  /// reuses its own scratch. Once that scratch has grown, a call served by
-  /// one worker allocates nothing (tests/test_allocations.cpp pins it); a
-  /// call fanned out over the pool allocates the one Job ThreadPool::run
-  /// shares with its workers.
+  /// Classifies shots 0..n-1 on `backend`: frame_at(s) gives shot s's
+  /// trace, labels_at(s) its destination span. A caller serving several
+  /// backends makes one call per backend. Shots fan out over at most the
+  /// configured worker budget, shrunk so every worker gets >=
+  /// kMinShotsPerThread shots; each worker slot reuses its own scratch.
+  /// Once that scratch has grown, a call served by one worker allocates
+  /// nothing (tests/test_allocations.cpp pins it); a call fanned out over
+  /// the pool allocates the one Job ThreadPool::run shares with its
+  /// workers.
   ///
-  /// Contiguous runs of shots sharing one batch-capable backend (same
-  /// EngineBackend address) inside a worker's range classify through the
-  /// batched path instead of shot-by-shot; groups under kMinBatchGroup
-  /// and backends without a batch path stay per-shot. Only contiguous
-  /// runs count, so a caller mixing backends orders its shots by backend
-  /// first: the StreamingEngine dispatcher groups each micro-batch by
-  /// serving shard before it calls in. Labels are bit-identical either
-  /// way (the BatchedReadoutBackend contract).
+  /// A worker range of at least kMinBatchGroup shots on a batch-capable
+  /// backend classifies through the batched path; shorter ranges and
+  /// backends without a batch path classify shot by shot. Labels are
+  /// bit-identical either way (the BatchedReadoutBackend contract).
   ///
   /// When `errors` is non-null it must point at n entries; a backend that
   /// throws classifying shot s fails only that shot — the exception lands
   /// in errors[s] (workers write disjoint indices, so no synchronization)
-  /// and the remaining shots still classify (a throwing batch group is
+  /// and the remaining shots still classify (a throwing batched range is
   /// re-run per-shot to attribute the failure to the exact shots; per-shot
   /// classify is pure, so the overwrite is safe). When null, the first
   /// escaping exception propagates out of classify() as before — the
   /// synchronous ReadoutEngine keeps that contract; the StreamingEngine
   /// dispatcher passes a sink so one faulty shard shot poisons one ticket,
   /// not its whole micro-batch.
-  void classify(std::size_t n, FrameAt frame_at, BackendAt backend_at,
+  void classify(const EngineBackend& backend, std::size_t n, FrameAt frame_at,
                 LabelsAt labels_at, std::exception_ptr* errors = nullptr);
 
  private:
@@ -240,7 +242,6 @@ class ReadoutEngine {
   explicit ReadoutEngine(EngineBackend backend, EngineConfig cfg = {});
 
   const EngineBackend& backend() const { return backend_; }
-  const EngineConfig& config() const { return core_.config(); }
   std::size_t num_qubits() const { return backend_.num_qubits(); }
 
   /// Hot path: classify a contiguous batch of multiplexed frames.

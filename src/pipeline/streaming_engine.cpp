@@ -279,16 +279,16 @@ void StreamingEngine::dispatch_loop() {
     if (any_shed) done_cv_.notify_all(mutex_);
     const std::size_t b = batch_tickets_.size();
     if (b == 0) continue;  // Everything shed: nothing to classify.
-    // EngineCore batches only contiguous same-backend runs, and keyed
-    // multi-feedline traffic arrives interleaved: make each target's shots
-    // one run. Per-target order is kept, so each shard's drift sampling,
-    // breaker records and drift observations see the same sequence.
+    // EngineCore classifies one backend per call, and keyed multi-feedline
+    // traffic arrives interleaved: make each target's shots one group.
+    // Per-target order is kept, so each shard's drift sampling, breaker
+    // records and drift observations see the same sequence.
     group_by_route();
     batch_errors_.assign(b, std::exception_ptr{});
     batch_conf_.assign(b, std::nullopt);
     dispatching_ = true;
-    // Custody hand-off: snapshot the (never-resized) ring, shard, ticket
-    // and error tables under the lock, then classify through the
+    // Custody hand-off: snapshot the (never-resized) ring, shard, ticket,
+    // group and error tables under the lock, then classify through the
     // snapshots outside it. The claimed slots are exclusively ours until
     // marked kDone, so reading frames and writing labels/errors unlocked
     // is race-free (the producer's frame writes happened-before its
@@ -299,6 +299,7 @@ void StreamingEngine::dispatch_loop() {
     const EngineBackend* const shards = shards_.data();
     const EngineBackend* const fallback = &cfg_.fallback;
     const Ticket* const tickets = batch_tickets_.data();
+    const std::size_t* const group_end = group_start_.data();
     std::exception_ptr* const errors = batch_errors_.data();
     lock.unlock();
 
@@ -310,21 +311,25 @@ void StreamingEngine::dispatch_loop() {
     // batch rather than killing the engine.
     std::exception_ptr batch_error;
     try {
-      core_.classify(
-          b,
-          [ring, cap, tickets](std::size_t s) -> const IqTrace& {
-            return ring[tickets[s] % cap].frame;
-          },
-          [ring, cap, shards, fallback,
-           tickets](std::size_t s) -> const EngineBackend& {
-            const std::size_t by = ring[tickets[s] % cap].route.shard;
-            return by == ShardBreaker::kFallback ? *fallback : shards[by];
-          },
-          [ring, cap, tickets](std::size_t s) -> std::span<int> {
-            Slot& slot = ring[tickets[s] % cap];
-            return {slot.labels.data(), slot.labels.size()};
-          },
-          errors);
+      // One call per non-empty group: group_by_route left each target's
+      // end in group_end, shards first, then the fallback.
+      std::size_t begin = 0;
+      for (std::size_t g = 0; g <= shards_count_; ++g) {
+        const std::size_t end = group_end[g];
+        if (end == begin) continue;
+        const Ticket* const group = tickets + begin;
+        core_.classify(
+            g < shards_count_ ? shards[g] : *fallback, end - begin,
+            [ring, cap, group](std::size_t s) -> const IqTrace& {
+              return ring[group[s] % cap].frame;
+            },
+            [ring, cap, group](std::size_t s) -> std::span<int> {
+              Slot& slot = ring[group[s] % cap];
+              return {slot.labels.data(), slot.labels.size()};
+            },
+            errors + begin);
+        begin = end;
+      }
     } catch (...) {
       batch_error = std::current_exception();
     }

@@ -24,10 +24,11 @@
 //     deadline_us has elapsed since the oldest pending frame arrived,
 //     whichever comes first. It groups each claimed batch by serving
 //     target (each shard, then the fallback; ticket order kept within a
-//     target), so interleaved keyed feedlines still reach a batch-capable
-//     backend as runs long enough for its batched path. Classification
-//     runs through the same EngineCore machinery (persistent thread pool +
-//     per-worker-slot InferenceScratch) as process_batch, so labels are
+//     target) and classifies each group with one EngineCore call on that
+//     target's backend, so interleaved keyed feedlines still reach a
+//     batch-capable backend as groups long enough for its batched path.
+//     process_batch uses the same EngineCore machinery (persistent thread
+//     pool + per-worker-slot InferenceScratch), so labels are
 //     bit-identical to the synchronous path for the same frames,
 //     regardless of shard count, thread count, or micro-batch boundaries.
 //   * Load shedding: with shot_deadline_us set, the dispatcher never
@@ -90,8 +91,8 @@
 // on one worker allocates nothing — scratch lives per worker slot, the
 // dispatcher reuses its per-batch ticket/grouping/error buffers, and the
 // classify callbacks are non-owning references (tests/test_allocations.cpp
-// pins this, for one shard and for two shards with interleaved keys). A
-// micro-batch fanned out over the pool allocates the one Job
+// pins this, for one shard and for two shards with interleaved keys). Each
+// group of a micro-batch fanned out over the pool allocates the one Job
 // ThreadPool::run shares with its workers.
 //
 // Locking contract (compile-time checked on Clang, see
@@ -252,7 +253,6 @@ class StreamingEngine {
 
   std::size_t num_shards() const { return shards_count_; }
   std::size_t num_qubits() const { return n_qubits_; }
-  const StreamingConfig& config() const { return cfg_; }
 
   /// Enqueues a copy of `frame` (slot buffers reuse their capacity) and
   /// returns its ticket, or nullopt when opts.timeout expired with the
@@ -412,7 +412,8 @@ class StreamingEngine {
   void extend_queued_run() MLQR_REQUIRES(mutex_);
   /// Reorders batch_tickets_ so the shots of each serving target (each
   /// shard, then the fallback) are contiguous, keeping ticket order within
-  /// a target. A stable counting pass: O(batch), no allocation.
+  /// a target, and leaves target k's group end in group_start_[k]. A
+  /// stable counting pass: O(batch), no allocation.
   void group_by_route() MLQR_REQUIRES(mutex_);
   /// Throws Error unless `shard` indexes a shard; `what` names the call.
   void check_shard(std::size_t shard, const char* what) const;
@@ -444,8 +445,8 @@ class StreamingEngine {
   /// custody as ring_).
   std::vector<Ticket> batch_tickets_ MLQR_GUARDED_BY(mutex_);
   /// group_by_route's scatter target (swapped with batch_tickets_) and its
-  /// per-target bucket starts (shards + 2 entries); both sized at
-  /// construction.
+  /// per-target bucket bounds (shards + 2 entries; once it returns, entry k
+  /// is the end of target k's group); both sized at construction.
   std::vector<Ticket> grouped_tickets_ MLQR_GUARDED_BY(mutex_);
   std::vector<std::size_t> group_start_ MLQR_GUARDED_BY(mutex_);
   /// Per-shot failure capture for the batch in flight, index-parallel to

@@ -170,8 +170,7 @@ TEST(Allocations, InlineEngineCoreBatchAllocatesNothingOnceWarm) {
   std::vector<int> labels(EngineCore::kMinBatchGroup * nq);
   const auto run = [&](std::size_t n) {
     core.classify(
-        n, [&](std::size_t s) -> const IqTrace& { return traces[s]; },
-        [&](std::size_t) -> const EngineBackend& { return backend; },
+        backend, n, [&](std::size_t s) -> const IqTrace& { return traces[s]; },
         [&](std::size_t s) -> std::span<int> {
           return {labels.data() + s * nq, nq};
         });

@@ -160,7 +160,6 @@ std::vector<int> engine_labels(const EngineBackend& backend,
                                std::size_t batch, std::size_t threads) {
   EngineConfig cfg;
   cfg.threads = threads;
-  cfg.min_shots_per_thread = 1;
   ReadoutEngine engine(backend, cfg);
   std::vector<int> labels;
   for (std::size_t start = 0; start < traces.size(); start += batch) {

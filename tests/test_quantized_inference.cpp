@@ -107,7 +107,6 @@ TEST(QuantizedInference, BitIdenticalAcrossThreadCounts) {
 
   EngineConfig parallel;
   parallel.threads = 4;
-  parallel.min_shots_per_thread = 1;  // Force a real fan-out.
   ReadoutEngine many(make_backend(fx.quantized), parallel);
 
   const EngineBatch a = one.process_batch(fx.ds.shots.traces);

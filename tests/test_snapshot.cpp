@@ -64,7 +64,6 @@ std::vector<int> classify_all(const EngineBackend& backend,
                               std::size_t threads) {
   EngineConfig cfg;
   cfg.threads = threads;
-  cfg.min_shots_per_thread = 1;
   ReadoutEngine engine(backend, cfg);
   return engine.process_batch(Fixture::get().ds.shots.traces).labels;
 }

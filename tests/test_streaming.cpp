@@ -100,7 +100,6 @@ TEST(Streaming, MatchesSyncAcrossWorkerAndBatchKnobs) {
       cfg.batch_max = batch_max;
       cfg.deadline_us = batch_max == 1 ? 0 : 200;  // Also cover "no wait".
       cfg.engine.threads = threads;
-      cfg.engine.min_shots_per_thread = 1;
       StreamingEngine eng(make_backend(fx.proposed), 2, cfg);
       EXPECT_EQ(stream_all(eng, fx.ds.shots.traces), fx.sync_labels)
           << threads << " threads, batch_max " << batch_max;
@@ -514,6 +513,85 @@ TEST(Streaming, InterleavedKeysTakeTheBatchedPathPerShard) {
   EXPECT_EQ(eng.stats().batches, 2u);
   EXPECT_EQ(counts->batch.load(), kBatch);
   EXPECT_EQ(counts->per_shot.load(), 1u);
+}
+
+/// Batch-capable backend over a trained design that throws on a poisoned
+/// frame (kPoison in its first I sample) in both arms; `batch_throws`
+/// counts the batched calls that threw.
+EngineBackend poison_aware_backend(
+    const ProposedDiscriminator& p,
+    std::shared_ptr<std::atomic<std::size_t>> batch_throws) {
+  return EngineBackend(
+      "poison-aware", p.num_qubits(),
+      [&p](const IqTrace& t, InferenceScratch& s, std::span<int> out) {
+        MLQR_CHECK_MSG(t.i[0] != kPoison, "poisoned frame");
+        p.classify_into(t, s, out);
+      },
+      [&p, batch_throws](std::size_t lo, std::size_t hi,
+                         const ShotFrameAt& frame_at, InferenceScratch& s,
+                         const ShotLabelsAt& labels_at) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (frame_at(i).i[0] == kPoison) {
+            ++*batch_throws;
+            throw Error("poisoned frame in a batch");
+          }
+        }
+        p.classify_batch_into(lo, hi, frame_at, s, labels_at);
+      });
+}
+
+TEST(Streaming, ThrowingShardFailsOnlyItsOwnGroup) {
+  // One micro-batch of interleaved keys splits into two shard groups, each
+  // classified by its own EngineCore call. A poisoned shot on one shard
+  // must fail exactly its own ticket: its group's batched call throws, the
+  // per-shot re-run attributes the failure, and the error lands at the
+  // group's offset in the micro-batch. The other group serves normally.
+  // Poisoning either shard pins both group offsets; 16 shots per group
+  // split over two workers at two threads.
+  const Fixture& fx = Fixture::get();
+  constexpr std::size_t kBatch = 4 * EngineCore::kMinBatchGroup;
+  static_assert(kBatch / 4 >= EngineCore::kMinShotsPerThread);
+  const std::vector<IqTrace>& traces = fx.ds.shots.traces;
+  for (std::size_t bad_shard : {0u, 1u}) {
+    for (std::size_t threads : {1u, 2u}) {
+      auto batch_throws = std::make_shared<std::atomic<std::size_t>>(0);
+      std::vector<EngineBackend> shards(2, make_backend(fx.proposed));
+      shards[bad_shard] = poison_aware_backend(fx.proposed, batch_throws);
+      StreamingConfig cfg;
+      cfg.queue_capacity = kBatch;
+      cfg.batch_max = kBatch;
+      cfg.deadline_us = 1000000;  // Only the full batch dispatches.
+      cfg.engine.threads = threads;
+      StreamingEngine eng(std::move(shards), cfg);
+      // Key i serves shard i % 2; the poisoned shot is the 12th of its
+      // group, in the second worker's range at two threads.
+      const std::size_t poisoned = 2 * 11 + bad_shard;
+      std::vector<IqTrace> frames;
+      std::vector<StreamingEngine::Ticket> tickets;
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        frames.push_back(traces[(i * 37 + 1) % traces.size()]);
+        if (i == poisoned) frames.back().i[0] = kPoison;
+        tickets.push_back(*eng.submit(frames.back(), {.key = i}));
+      }
+      InferenceScratch scratch;
+      std::vector<int> want(eng.num_qubits());
+      std::vector<int> out(eng.num_qubits());
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        if (i == poisoned) {
+          EXPECT_EQ(eng.wait_result(tickets[i], out), ShotStatus::kFailed)
+              << "bad shard " << bad_shard << ", " << threads << " threads";
+          continue;
+        }
+        fx.proposed.classify_into(frames[i], scratch, want);
+        EXPECT_EQ(done_labels(eng, tickets[i]), want)
+            << "ticket " << i << ", bad shard " << bad_shard << ", "
+            << threads << " threads";
+      }
+      EXPECT_EQ(eng.stats().failed, 1u);
+      EXPECT_EQ(eng.stats().batches, 1u);
+      EXPECT_EQ(batch_throws->load(), 1u);
+    }
+  }
 }
 
 TEST(Streaming, TimedSubmitRejectsWhileRingStaysFull) {

@@ -496,8 +496,6 @@ SETTABLE_FIELD_ALLOWLIST = {
         "the same weighting study, on the HERQULES baseline",
     "HerqulesConfig::class_weight_cap":
         "the same weighting study varies the cap",
-    "EngineConfig::min_shots_per_thread":
-        "tests lower it to force the worker fan-out on small fixtures",
     # Snapshot wire fields: each is written and read back by a calibration
     # payload, and the checked-in fuzz/corpus is pinned byte-identical.
     "MfBankConfig::min_error_traces": "on the MF-bank snapshot wire",
