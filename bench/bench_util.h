@@ -1,6 +1,5 @@
-// Shared helpers for the table/figure benches: standard dataset sizing,
-// per-qubit fidelity rows, paper-vs-measured table assembly, and the
-// machine-readable BENCH_*.json records the streaming soaks write.
+// The machine-readable BENCH_*.json records the benches write: the paper
+// reproduction driver (BENCH_paper.json) and the streaming soaks.
 // Performance itself is measured by perfbench/, not here.
 #pragma once
 
@@ -8,9 +7,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
-#include <iostream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -20,9 +17,6 @@
 #include "common/env.h"
 #include "common/error.h"
 #include "common/simd.h"
-#include "common/table.h"
-#include "discrim/metrics.h"
-#include "readout/experiment.h"
 
 namespace mlqr::bench {
 
@@ -121,38 +115,5 @@ class BenchReport {
   Fields context_;
   std::vector<Fields> rows_;
 };
-
-/// Standard dataset sizing for the table benches. Full runs use 400 shots
-/// per basis state (12.8k shots); MLQR_FAST shrinks via
-/// SuiteConfig::apply_fast_mode, and MLQR_SHOTS overrides explicitly.
-inline std::size_t default_shots_per_state() {
-  return static_cast<std::size_t>(env_int("MLQR_SHOTS", 400));
-}
-
-/// Adds a per-qubit fidelity row: name, F1..F5, F5Q.
-inline void add_fidelity_row(Table& table, const std::string& name,
-                             const FidelityReport& report) {
-  std::vector<std::string> row{name};
-  for (std::size_t q = 0; q < report.per_qubit.size(); ++q)
-    row.push_back(Table::num(report.qubit_fidelity(q)));
-  row.push_back(Table::num(report.geometric_mean_fidelity()));
-  table.add_row(std::move(row));
-}
-
-/// Adds a reference row quoting the paper's published numbers.
-inline void add_paper_row(Table& table, const std::string& name,
-                          const std::vector<double>& values) {
-  std::vector<std::string> row{name + " (paper)"};
-  for (double v : values) row.push_back(Table::num(v));
-  table.add_row(std::move(row));
-}
-
-inline std::vector<std::string> fidelity_header(std::size_t n_qubits) {
-  std::vector<std::string> h{"Design"};
-  for (std::size_t q = 1; q <= n_qubits; ++q)
-    h.push_back("Qubit " + std::to_string(q));
-  h.push_back("F5Q");
-  return h;
-}
 
 }  // namespace mlqr::bench

@@ -51,7 +51,9 @@
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/table.h"
 #include "common/timer.h"
+#include "discrim/proposed.h"
 #include "pipeline/fault_injection.h"
 #include "pipeline/recalibration.h"
 #include "pipeline/snapshot.h"

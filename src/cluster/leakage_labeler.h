@@ -8,7 +8,7 @@
 // calibration.
 //
 // The paper identifies the leaked cluster with spectral clustering
-// (reproduced in bench/fig3_clusters via cluster/spectral.h); the
+// (reproduced in bench/reproduce's Fig 3 via cluster/spectral.h); the
 // production labeler here uses a robust geometric equivalent (median
 // centroids, scaled-outlier gating, chord rejection) that stays reliable
 // when the leakage prevalence drops to ~0.1% — the regime where a generic

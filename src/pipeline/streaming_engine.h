@@ -141,7 +141,7 @@ struct StreamingConfig {
   /// completes immediately with ShotStatus::kShed instead of occupying
   /// classifier time it can no longer repay. Derive it from the real-time
   /// budget the labels feed — for QEC decoding that is the cycle-time
-  /// analysis in bench/sec7b_qec_cycle_time (a label past the cycle
+  /// analysis in bench/reproduce's SSVII-B table (a label past the cycle
   /// deadline is as useless as a wrong one). 0 disables shedding; shots
   /// then wait as long as backpressure allows.
   std::size_t shot_deadline_us = 0;

@@ -39,72 +39,60 @@ std::pair<double, double> leak_detection_rates(const FidelityReport& report) {
   return {detect / static_cast<double>(n), false_pos / static_cast<double>(n)};
 }
 
-SuiteResult run_suite(const SuiteConfig& cfg_in) {
-  SuiteConfig cfg = cfg_in;
-  cfg.apply_fast_mode();
-
-  SuiteResult result;
+ExperimentSuite::ExperimentSuite(SuiteConfig cfg) : cfg_(std::move(cfg)) {
+  cfg_.apply_fast_mode();
   Timer timer;
   std::cout << "[suite] generating dataset: "
-              << cfg.dataset.shots_per_basis_state << " shots x "
-              << (std::size_t{1} << cfg.dataset.chip.num_qubits())
-              << " basis states...\n";
-  result.dataset = generate_dataset(cfg.dataset);
-  const ReadoutDataset& ds = result.dataset;
+            << cfg_.dataset.shots_per_basis_state << " shots x "
+            << (std::size_t{1} << cfg_.dataset.chip.num_qubits())
+            << " basis states...\n";
+  dataset_ = generate_dataset(cfg_.dataset);
   std::cout << "[suite] dataset ready in " << timer.seconds() << " s ("
-            << ds.shots.size() << " shots); mined |2> traces per qubit:";
-  for (std::size_t c : ds.mined_leakage_per_qubit) std::cout << ' ' << c;
+            << dataset_.shots.size() << " shots); mined |2> traces per qubit:";
+  for (std::size_t c : dataset_.mined_leakage_per_qubit) std::cout << ' ' << c;
   std::cout << '\n';
+}
 
-  const ChipProfile& chip = ds.chip;
-  const std::vector<int>& labels = ds.training_labels;
+template <class D, class Cfg>
+Trained<D> ExperimentSuite::train(const std::string& name,
+                                  const Cfg& cfg) const {
+  const ReadoutDataset& ds = dataset_;
+  Timer timer;
+  D model = D::train(ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg);
+  const double seconds = timer.seconds();
+  FidelityReport report = evaluate_on_test(make_backend(model), ds);
+  std::cout << "[suite] " << name << " trained in " << seconds
+            << " s, F5Q = " << report.geometric_mean_fidelity() << '\n';
+  return {std::move(model), std::move(report), seconds};
+}
 
-  if (cfg.train_proposed) {
-    timer.reset();
-    result.proposed = ProposedDiscriminator::train(ds.shots, labels,
-                                                   ds.train_idx, chip,
-                                                   cfg.proposed);
-    result.train_seconds_proposed = timer.seconds();
-    result.proposed_report = evaluate_on_test(make_backend(*result.proposed), ds);
-    std::cout << "[suite] proposed trained in "
-                << result.train_seconds_proposed << " s, F5Q = "
-                << result.proposed_report->geometric_mean_fidelity() << '\n';
-  }
-  if (cfg.train_fnn) {
-    timer.reset();
-    result.fnn =
-        FnnDiscriminator::train(ds.shots, labels, ds.train_idx, chip, cfg.fnn);
-    result.train_seconds_fnn = timer.seconds();
-    result.fnn_report = evaluate_on_test(make_backend(*result.fnn), ds);
-    std::cout << "[suite] FNN trained in " << result.train_seconds_fnn
-                << " s, F5Q = "
-                << result.fnn_report->geometric_mean_fidelity() << '\n';
-  }
-  if (cfg.train_herqules) {
-    timer.reset();
-    result.herqules = HerqulesDiscriminator::train(ds.shots, labels,
-                                                   ds.train_idx, chip,
-                                                   cfg.herqules);
-    result.train_seconds_herqules = timer.seconds();
-    result.herqules_report =
-        evaluate_on_test(make_backend(*result.herqules), ds);
-    std::cout << "[suite] HERQULES trained in "
-                << result.train_seconds_herqules << " s, F5Q = "
-                << result.herqules_report->geometric_mean_fidelity() << '\n';
-  }
-  if (cfg.train_gaussian) {
-    result.lda = GaussianShotDiscriminator::train(ds.shots, labels,
-                                                  ds.train_idx, chip, cfg.lda);
-    result.lda_report = evaluate_on_test(make_backend(*result.lda), ds);
-    result.qda = GaussianShotDiscriminator::train(ds.shots, labels,
-                                                  ds.train_idx, chip, cfg.qda);
-    result.qda_report = evaluate_on_test(make_backend(*result.qda), ds);
-    std::cout << "[suite] LDA F5Q = "
-                << result.lda_report->geometric_mean_fidelity()
-                << ", QDA F5Q = "
-                << result.qda_report->geometric_mean_fidelity() << '\n';
-  }
-  return result;
+Trained<ProposedDiscriminator> ExperimentSuite::train_proposed(
+    const std::string& name, const ProposedConfig& cfg) const {
+  return train<ProposedDiscriminator>(name, cfg);
+}
+
+template <class D, class Cfg>
+const Trained<D>& ExperimentSuite::once(std::optional<Trained<D>>& slot,
+                                        const std::string& name,
+                                        const Cfg& cfg) {
+  if (!slot) slot.emplace(train<D>(name, cfg));
+  return *slot;
+}
+
+const Trained<ProposedDiscriminator>& ExperimentSuite::proposed() {
+  return once(proposed_, "proposed", cfg_.proposed);
+}
+const Trained<FnnDiscriminator>& ExperimentSuite::fnn() {
+  return once(fnn_, "FNN", cfg_.fnn);
+}
+const Trained<HerqulesDiscriminator>& ExperimentSuite::herqules() {
+  return once(herqules_, "HERQULES", cfg_.herqules);
+}
+const Trained<GaussianShotDiscriminator>& ExperimentSuite::lda() {
+  return once(lda_, "LDA", cfg_.lda);
+}
+const Trained<GaussianShotDiscriminator>& ExperimentSuite::qda() {
+  return once(qda_, "QDA", cfg_.qda);
 }
 
 }  // namespace mlqr

@@ -1,12 +1,12 @@
-// End-to-end experiment harness shared by benches and examples: generate
-// (or accept) a dataset, train any subset of the discriminator designs,
-// evaluate every trained design on the held-out test set against ground
-// truth, and expose model metadata for the FPGA/power models.
+// End-to-end experiment harness shared by the reproduction driver, the
+// examples and the tests: one generated dataset, each discriminator design
+// trained on it at most once (the first time a caller asks), every trained
+// design evaluated on the held-out test set against ground truth.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
@@ -26,11 +26,6 @@ struct SuiteConfig {
   GaussianDiscriminatorConfig lda;
   GaussianDiscriminatorConfig qda;
 
-  bool train_proposed = true;
-  bool train_fnn = true;
-  bool train_herqules = true;
-  bool train_gaussian = true;
-
   SuiteConfig() {
     lda.kind = GaussianKind::kLda;
     qda.kind = GaussianKind::kQda;
@@ -40,33 +35,58 @@ struct SuiteConfig {
   void apply_fast_mode();
 };
 
-/// Everything a bench needs to print a paper table.
-struct SuiteResult {
-  ReadoutDataset dataset;
-
-  std::optional<ProposedDiscriminator> proposed;
-  std::optional<FnnDiscriminator> fnn;
-  std::optional<HerqulesDiscriminator> herqules;
-  std::optional<GaussianShotDiscriminator> lda;
-  std::optional<GaussianShotDiscriminator> qda;
-
-  std::optional<FidelityReport> proposed_report;
-  std::optional<FidelityReport> fnn_report;
-  std::optional<FidelityReport> herqules_report;
-  std::optional<FidelityReport> lda_report;
-  std::optional<FidelityReport> qda_report;
-
-  double train_seconds_proposed = 0.0;
-  double train_seconds_fnn = 0.0;
-  double train_seconds_herqules = 0.0;
+/// A trained design with its test-split report and its training time.
+template <class D>
+struct Trained {
+  D model;
+  FidelityReport report;
+  double train_seconds = 0.0;
 };
 
-/// Runs the full pipeline. Heavy: seconds to minutes depending on config.
-SuiteResult run_suite(const SuiteConfig& cfg);
+/// Owns one dataset, generated at construction from the fast-adjusted
+/// config, and trains each design the first time it is asked for; later
+/// calls return the same object. Heavy: seconds to minutes per design.
+class ExperimentSuite {
+ public:
+  explicit ExperimentSuite(SuiteConfig cfg);
+  ExperimentSuite(const ExperimentSuite&) = delete;
+  ExperimentSuite& operator=(const ExperimentSuite&) = delete;
+
+  /// The config after SuiteConfig::apply_fast_mode.
+  const SuiteConfig& config() const { return cfg_; }
+  const ReadoutDataset& dataset() const { return dataset_; }
+
+  const Trained<ProposedDiscriminator>& proposed();
+  const Trained<FnnDiscriminator>& fnn();
+  const Trained<HerqulesDiscriminator>& herqules();
+  const Trained<GaussianShotDiscriminator>& lda();
+  const Trained<GaussianShotDiscriminator>& qda();
+
+  /// Trains a variant of the proposed design on the suite's dataset. The
+  /// suite does not keep it: a caller that needs it twice holds on to it.
+  Trained<ProposedDiscriminator> train_proposed(const std::string& name,
+                                                const ProposedConfig& cfg) const;
+
+ private:
+  template <class D, class Cfg>
+  Trained<D> train(const std::string& name, const Cfg& cfg) const;
+  /// Trains into `slot` unless it already holds the design.
+  template <class D, class Cfg>
+  const Trained<D>& once(std::optional<Trained<D>>& slot,
+                         const std::string& name, const Cfg& cfg);
+
+  SuiteConfig cfg_;
+  ReadoutDataset dataset_;
+  std::optional<Trained<ProposedDiscriminator>> proposed_;
+  std::optional<Trained<FnnDiscriminator>> fnn_;
+  std::optional<Trained<HerqulesDiscriminator>> herqules_;
+  std::optional<Trained<GaussianShotDiscriminator>> lda_;
+  std::optional<Trained<GaussianShotDiscriminator>> qda_;
+};
 
 /// Evaluates one already-trained backend on a dataset's test split, batched
-/// through ReadoutEngine — the single evaluation code path (run_suite, the
-/// benches, and the tests all land here).
+/// through ReadoutEngine — the single evaluation code path (the suite, the
+/// driver, and the tests all land here).
 FidelityReport evaluate_on_test(const EngineBackend& backend,
                                 const ReadoutDataset& ds);
 
