@@ -320,7 +320,9 @@ void table1(BenchReport& json) {
 
   auto lrc = [&](const std::string& name, const SpeculationStats& s) {
     return put(json, "table1", name, "LRC applications per trial",
-               static_cast<double>(s.lrc_applications / trials), kCount);
+               static_cast<double>(s.lrc_applications) /
+                   static_cast<double>(trials),
+               Shown{1});
   };
   std::cout << "\nLP improvement: "
             << put(json, "table1", "ERASER+M", "LP improvement",

@@ -351,7 +351,7 @@ int run_soak(const EngineBackend& clean, const std::vector<IqTrace>& frames,
 /// Closed-loop drift recalibration soak (--drift): simulate a chip whose
 /// resonator responses rotate mid-run, stream every shot as a reference
 /// shot with ground-truth labels, and let the drift monitors +
-/// RecalibrationController detect, retrain (warm-start, data-parallel),
+/// RecalibrationController detect, retrain (cold, data-parallel),
 /// and hot-swap live. Exit nonzero unless the loop demonstrably closes:
 /// fidelity dips during the ramp and recovers to within 0.5% of the
 /// pre-drift baseline, with every ticket accounted for.

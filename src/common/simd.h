@@ -1,8 +1,8 @@
 // The runtime-dispatched SIMD kernels: every hot float and integer loop
-// of the library — the float front-end's fused dot products, the training
-// kernels under sgemm and the per-shot head's under sgemv, the batched
-// heads' shot-lane kernels, and every integer kernel, requantization
-// included.
+// of the library — the float front-end's fused dot products, the
+// training products' and the per-shot head's kernels (linalg/gemm.h), the
+// batched heads' shot-lane kernels, and every integer kernel,
+// requantization included.
 //
 // The kernels live in one table, compiled once per instruction-set tier
 // and picked once, at first use, for the running host:
@@ -68,13 +68,13 @@ enum TierNeeds : unsigned {
 inline constexpr std::size_t kLaneShots = 128;
 
 /// One tier's kernels. Contracts (shared by every tier):
-///  - dot_f32 / dot4_f32 / axpy_f32 / axpy4_f32: the per-shot head and
-///    training kernels, each bit for bit its *_scalar reference. dot4_f32's
-///    out[r] is dot_f32(shared, b_r, n). The reductions run at 128 bits on
+///  - dot4_f32 / axpy_f32 / axpy4_f32: the per-shot head and training
+///    kernels, each bit for bit its *_scalar reference. dot4_f32's out[r]
+///    is dot_f32_scalar(shared, b_r, n). The reduction runs at 128 bits on
 ///    every tier; the element-wise kernels at the tier's own width.
 ///  - lane_dot_f32: one float head layer's output row across a transposed
 ///    block of nb <= kLaneShots shots: out[s] = relu ? (z > 0 ? z : +0) : z
-///    for z = dot_f32(w, act column s, in) + bias — in dot_f32_scalar's
+///    for z = dot_f32_scalar(w, act column s, in) + bias — in dot_f32_scalar's
 ///    order per shot lane (four partials by i % 4 over the whole 4-blocks,
 ///    then (p0 + p2) + (p1 + p3), then the tail in i order), which no lane
 ///    width changes, then the bias add. So its z is sgemv's y bit for bit,
@@ -128,8 +128,8 @@ inline constexpr std::size_t kLaneShots = 128;
 struct Kernels {
   const char* name;  ///< "sse2", "avx2", "avx512-vnni", "neon", ...
   unsigned needs;    ///< TierNeeds bits the host must have.
-  float (*dot_f32)(const float* a, const float* b, std::size_t n);
-  /// Four rows sharing one operand: out[r] = dot_f32(shared, b_r, n).
+  /// Four rows sharing one operand: out[r] = dot_f32_scalar(shared, b_r,
+  /// n).
   void (*dot4_f32)(const float* shared, const float* b0, const float* b1,
                    const float* b2, const float* b3, std::size_t n,
                    float* out);

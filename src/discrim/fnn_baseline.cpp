@@ -25,35 +25,21 @@ FnnDiscriminator FnnDiscriminator::train(const ShotSet& shots,
   shots.validate();
   MLQR_CHECK(labels_flat.size() == shots.size() * shots.n_qubits);
   MLQR_CHECK(!train_idx.empty());
-  MLQR_CHECK(cfg.n_levels >= 2 && cfg.n_levels <= kNumLevels);
 
   FnnDiscriminator d;
-  d.cfg_ = cfg;
   d.n_qubits_ = shots.n_qubits;
   d.samples_used_ = chip.n_samples;
 
-  // Two-level mode cannot represent leaked shots; drop them from training
-  // (that is exactly what a two-level-era pipeline would do).
-  std::vector<std::size_t> usable;
-  usable.reserve(train_idx.size());
-  for (std::size_t s : train_idx) {
-    bool ok = true;
-    for (std::size_t q = 0; q < shots.n_qubits && ok; ++q)
-      ok = labels_flat[s * shots.n_qubits + q] < cfg.n_levels;
-    if (ok) usable.push_back(s);
-  }
-  MLQR_CHECK_MSG(!usable.empty(), "no usable training shots for FNN");
-
   const std::size_t in_dim = 2 * d.samples_used_;
-  std::vector<float> features(usable.size() * in_dim);
-  std::vector<int> joint(usable.size());
+  std::vector<float> features(train_idx.size() * in_dim);
+  std::vector<int> joint(train_idx.size());
   std::vector<float> x;
-  for (std::size_t i = 0; i < usable.size(); ++i) {
-    d.raw_features_into(shots.traces[usable[i]], x);
+  for (std::size_t i = 0; i < train_idx.size(); ++i) {
+    d.raw_features_into(shots.traces[train_idx[i]], x);
     std::copy(x.begin(), x.end(), features.begin() + i * in_dim);
     joint[i] = static_cast<int>(encode_joint(
-        labels_flat.subspan(usable[i] * shots.n_qubits, shots.n_qubits),
-        cfg.n_levels));
+        labels_flat.subspan(train_idx[i] * shots.n_qubits, shots.n_qubits),
+        kNumLevels));
   }
 
   d.normalizer_ = FeatureNormalizer::fit(features, in_dim);
@@ -61,8 +47,7 @@ FnnDiscriminator FnnDiscriminator::train(const ShotSet& shots,
 
   std::vector<std::size_t> sizes{in_dim};
   sizes.insert(sizes.end(), cfg.hidden.begin(), cfg.hidden.end());
-  const std::size_t n_classes =
-      joint_class_count(shots.n_qubits, cfg.n_levels);
+  const std::size_t n_classes = joint_class_count(shots.n_qubits, kNumLevels);
   sizes.push_back(n_classes);
 
   Rng init_rng(cfg.trainer.seed);
@@ -87,7 +72,7 @@ void FnnDiscriminator::classify_into(const IqTrace& trace,
   normalizer_.apply(x);
   const int joint =
       model_.predict_reusing(x, scratch.logits, scratch.activations);
-  decode_joint_into(static_cast<std::size_t>(joint), cfg_.n_levels, out);
+  decode_joint_into(static_cast<std::size_t>(joint), kNumLevels, out);
 }
 
 void FnnDiscriminator::classify_batch_into(
@@ -119,7 +104,7 @@ void FnnDiscriminator::classify_batch_into(
       const std::span<int> out = labels_at(base + s);
       MLQR_CHECK(out.size() == n_qubits_);
       decode_joint_into(static_cast<std::size_t>(scratch.batch_labels[s]),
-                        cfg_.n_levels, out);
+                        kNumLevels, out);
     }
   }
 }
@@ -134,12 +119,12 @@ float FnnDiscriminator::classify_scored_into(const IqTrace& trace,
   float p_max = 0.0f;
   const int joint = model_.predict_scored_reusing(x, scratch.logits,
                                                   scratch.activations, p_max);
-  decode_joint_into(static_cast<std::size_t>(joint), cfg_.n_levels, out);
+  decode_joint_into(static_cast<std::size_t>(joint), kNumLevels, out);
   return p_max;
 }
 
 void FnnDiscriminator::save(std::ostream& os) const {
-  io::write_u32(os, static_cast<std::uint32_t>(cfg_.n_levels));
+  io::write_u32(os, static_cast<std::uint32_t>(kNumLevels));
   io::write_u64(os, n_qubits_);
   io::write_u64(os, samples_used_);
   normalizer_.save(os);
@@ -149,10 +134,8 @@ void FnnDiscriminator::save(std::ostream& os) const {
 FnnDiscriminator FnnDiscriminator::load(std::istream& is) {
   FnnDiscriminator d;
   const std::uint32_t n_levels = io::read_u32(is);
-  MLQR_CHECK_MSG(
-      n_levels >= 2 && n_levels <= static_cast<std::uint32_t>(kNumLevels),
-      "corrupt FNN snapshot: " << n_levels << " levels");
-  d.cfg_.n_levels = static_cast<int>(n_levels);
+  MLQR_CHECK_MSG(n_levels == static_cast<std::uint32_t>(kNumLevels),
+                 "corrupt FNN snapshot: " << n_levels << " levels");
   d.n_qubits_ = io::read_count(is, 4096);
   d.samples_used_ = io::read_count(is);
   MLQR_CHECK_MSG(d.n_qubits_ > 0 && d.samples_used_ > 0,
@@ -170,7 +153,7 @@ FnnDiscriminator FnnDiscriminator::load(std::istream& is) {
           << ", normalizer " << d.normalizer_.dim() << ", network "
           << d.model_.input_size() << ')');
   MLQR_CHECK_MSG(d.model_.output_size() ==
-                     joint_class_count(d.n_qubits_, d.cfg_.n_levels),
+                     joint_class_count(d.n_qubits_, kNumLevels),
                  "FNN snapshot head does not match its qubit/level counts");
   return d;
 }

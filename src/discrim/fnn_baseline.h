@@ -34,9 +34,6 @@ struct FnnConfig {
     return t;
   }
   TrainerConfig trainer = default_trainer();
-  /// Levels per qubit: 3 for the paper's study; 2 reproduces the original
-  /// two-level FNN (training then drops shots containing leaked qubits).
-  int n_levels = 3;
   /// Inverse-frequency weighting of the joint classes (capped). The paper
   /// trains on 1.6M traces where leakage-bearing joint classes have
   /// thousands of examples; at this repo's ~100x smaller dataset the same
@@ -87,8 +84,9 @@ class FnnDiscriminator {
 
   /// Binary little-endian persistence of the inference state (level count,
   /// dims, normalizer, network) — the FNN's calibration snapshot payload.
-  /// Training-only config does not travel. load throws mlqr::Error on any
-  /// corrupt or inconsistent stream.
+  /// The level count is always kNumLevels; load rejects any other. Training
+  /// config does not travel. load throws mlqr::Error on any corrupt or
+  /// inconsistent stream.
   void save(std::ostream& os) const;
   static FnnDiscriminator load(std::istream& is);
 
@@ -98,7 +96,6 @@ class FnnDiscriminator {
   /// scratch inference path.
   void raw_features_into(const IqTrace& trace, std::vector<float>& x) const;
 
-  FnnConfig cfg_;
   std::size_t n_qubits_ = 0;
   std::size_t samples_used_ = 0;
   FeatureNormalizer normalizer_;

@@ -38,7 +38,6 @@ struct HerqulesConfig {
   /// Hidden widths of the joint head (published design uses a compact
   /// pyramid; 30 -> 60 -> 120 -> 243 at three levels).
   std::vector<std::size_t> hidden{60, 120};
-  int n_levels = 3;
   /// Capped inverse-frequency joint-class weighting (same scale
   /// compensation as FnnConfig::balance_classes).
   bool balance_classes = true;
@@ -68,13 +67,13 @@ class HerqulesDiscriminator {
 
   /// Binary little-endian persistence of the inference state (level count,
   /// dims, demodulator, filter bank, normalizer, joint head) — the
-  /// HERQULES calibration snapshot payload. load throws mlqr::Error on any
+  /// HERQULES calibration snapshot payload. The level count is always
+  /// kNumLevels; load rejects any other. load throws mlqr::Error on any
   /// corrupt or cross-component-inconsistent stream.
   void save(std::ostream& os) const;
   static HerqulesDiscriminator load(std::istream& is);
 
  private:
-  HerqulesConfig cfg_;
   std::size_t n_qubits_ = 0;
   std::size_t samples_used_ = 0;
   Demodulator demod_;

@@ -57,8 +57,8 @@ void Mlp::logits_into(std::span<const float> x, std::vector<float>& out,
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const DenseLayer& layer = layers_[l];
     next->assign(layer.out, 0.0f);
-    sgemv(layer.out, layer.in, layer.w.data(), layer.in, cur->data(),
-          layer.b.data(), next->data());
+    sgemv(layer.out, layer.in, layer.w.data(), cur->data(), layer.b.data(),
+          next->data());
     // ReLU as z > 0 ? z : +0, the batched lane kernel's rule: NaN maps to
     // +0 on both paths. A finite sum's sign of zero cannot move the next
     // layer's dots, whose partial sums start at +0 and so never become -0.
@@ -103,7 +103,7 @@ void Mlp::classify_batch_into(std::size_t batch, const float* features,
   // to kShotBlock shots, activations live transposed ([dim][shot]), so the
   // lane kernel broadcasts each weight and runs contiguously across shots
   // with every lane full however narrow the layer. Each lane sums in
-  // dot_f32's order, so the logits are logits_into's bit for bit.
+  // sgemv's order, so the logits are logits_into's bit for bit.
   constexpr std::size_t kShotBlock = simd::kLaneShots;
 
   std::size_t max_dim = in_dim;

@@ -41,12 +41,13 @@ struct ShardResult {
 };
 
 /// Forward + backward over rows [r0, r0+rows) of the gathered minibatch.
-/// Writes this shard's gradient partials into `grads` (overwritten, not
-/// accumulated) and returns its loss/weight contribution.
+/// Writes this shard's gradient into `grad` (overwritten, not accumulated),
+/// one flat vector in the layer order [w0, b0, w1, b1, ...] of
+/// Mlp::parameter_count() floats, and returns its loss/weight contribution.
 ShardResult run_gradient_shard(const Mlp& model, const float* bx,
                                const int* by, const float* sample_w,
                                float batch_w, std::size_t r0, std::size_t rows,
-                               ShardScratch& ss, GradientBuffers& grads) {
+                               ShardScratch& ss, std::span<float> grad) {
   const auto& layers = model.layers();
   const std::size_t in_dim = model.input_size();
   const std::size_t out_dim = model.output_size();
@@ -55,22 +56,17 @@ ShardResult run_gradient_shard(const Mlp& model, const float* bx,
 
   // ---- Forward pass, caching pre- and post-activations per layer. ----
   const float* prev = bx + r0 * in_dim;
-  std::size_t prev_dim = in_dim;
   for (std::size_t l = 0; l < layers.size(); ++l) {
     const DenseLayer& layer = layers[l];
     std::vector<float>& z = ss.zs[l];
-    z.assign(rows * layer.out, 0.0f);
-    sgemm(false, true, rows, layer.out, layer.in, 1.0f, prev, prev_dim,
-          layer.w.data(), layer.in, 0.0f, z.data(), layer.out);
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < layer.out; ++c)
-        z[r * layer.out + c] += layer.b[c];
+    z.resize(rows * layer.out);
+    sgemm_abt_bias(rows, layer.out, layer.in, prev, layer.w.data(),
+                   layer.b.data(), z.data());
     std::vector<float>& a = ss.acts[l];
     a = z;
     if (l + 1 < layers.size())
       for (float& v : a) v = std::max(v, 0.0f);
     prev = a.data();
-    prev_dim = layer.out;
   }
 
   // ---- Loss and output gradient (softmax CE, weighted). ----
@@ -95,28 +91,30 @@ ShardResult run_gradient_shard(const Mlp& model, const float* bx,
     row[y] -= scale;
   }
 
-  // ---- Backward pass: gradient partials only, no parameter updates. ----
+  // ---- Backward pass: gradient only, no parameter updates. ----
+  // The last layer comes first, so the flat layout fills from its end.
+  std::size_t off = grad.size();
   for (std::size_t li = layers.size(); li > 0; --li) {
     const std::size_t l = li - 1;
     const DenseLayer& layer = layers[l];
     const float* a_prev = l == 0 ? bx + r0 * in_dim : ss.acts[l - 1].data();
-    const std::size_t a_dim = layer.in;
 
-    // dW partial = delta^T * A_prev  (out x in).
-    sgemm(true, false, layer.out, a_dim, rows, 1.0f, ss.delta.data(),
-          layer.out, a_prev, a_dim, 0.0f, grads.dw[l].data(), a_dim);
-    std::vector<float>& db = grads.db[l];
-    std::fill(db.begin(), db.end(), 0.0f);
+    off -= layer.b.size();
+    float* db = grad.data() + off;
+    std::fill_n(db, layer.out, 0.0f);
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < layer.out; ++c)
         db[c] += ss.delta[r * layer.out + c];
+    off -= layer.w.size();
+    // dW = delta^T * A_prev  (out x in).
+    sgemm_atb(layer.out, layer.in, rows, ss.delta.data(), a_prev,
+              grad.data() + off);
 
     if (l > 0) {
       // dA_prev = delta * W (rows x in), then ReLU mask via z of layer l-1.
-      ss.next_delta.assign(rows * a_dim, 0.0f);
-      sgemm(false, false, rows, a_dim, layer.out, 1.0f, ss.delta.data(),
-            layer.out, layer.w.data(), layer.in, 0.0f, ss.next_delta.data(),
-            a_dim);
+      ss.next_delta.resize(rows * layer.in);
+      sgemm_ab(rows, layer.in, layer.out, ss.delta.data(), layer.w.data(),
+               ss.next_delta.data());
       const std::vector<float>& z_prev = ss.zs[l - 1];
       for (std::size_t i = 0; i < ss.next_delta.size(); ++i)
         if (z_prev[i] <= 0.0f) ss.next_delta[i] = 0.0f;
@@ -125,6 +123,46 @@ ShardResult run_gradient_shard(const Mlp& model, const float* bx,
   }
   return res;
 }
+
+/// AdamW over flat moment vectors laid out like the shard gradients. beta1
+/// 0.9, beta2 0.999 and eps 1e-8 are fixed; the weight decay is decoupled,
+/// acting on the weights directly instead of through the adaptive
+/// normalization, so its strength does not depend on the gradient scale.
+class AdamW {
+ public:
+  explicit AdamW(std::size_t n_params)
+      : m_(n_params, 0.0f), v_(n_params, 0.0f) {}
+
+  /// One update of `model` from the reduced gradient `grad`. Bias
+  /// correction uses the post-increment step count.
+  void step(Mlp& model, std::span<const float> grad, float learning_rate,
+            float weight_decay) {
+    ++step_;
+    const float bias1 = 1.0f - std::pow(kBeta1, static_cast<float>(step_));
+    const float bias2 = 1.0f - std::pow(kBeta2, static_cast<float>(step_));
+    const float decay = learning_rate * weight_decay;
+    std::size_t i = 0;
+    for (DenseLayer& layer : model.mutable_layers())
+      for (std::vector<float>* param : {&layer.w, &layer.b})
+        for (float& p : *param) {
+          const float g = grad[i];
+          m_[i] = kBeta1 * m_[i] + (1.0f - kBeta1) * g;
+          v_[i] = kBeta2 * v_[i] + (1.0f - kBeta2) * g * g;
+          const float mhat = m_[i] / bias1;
+          const float vhat = v_[i] / bias2;
+          p -= learning_rate * mhat / (std::sqrt(vhat) + kEps) + decay * p;
+          ++i;
+        }
+  }
+
+ private:
+  static constexpr float kBeta1 = 0.9f;
+  static constexpr float kBeta2 = 0.999f;
+  static constexpr float kEps = 1e-8f;
+
+  long step_ = 0;
+  std::vector<float> m_, v_;
+};
 
 }  // namespace
 
@@ -192,8 +230,7 @@ double evaluate_balanced_accuracy(const Mlp& model,
 
 TrainHistory train_classifier(Mlp& model, std::span<const float> features,
                               std::span<const int> labels,
-                              const TrainerConfig& cfg,
-                              AdamWOptimizer* optimizer) {
+                              const TrainerConfig& cfg) {
   const std::size_t in_dim = model.input_size();
   const std::size_t out_dim = model.output_size();
   MLQR_CHECK(!labels.empty());
@@ -205,17 +242,6 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
     MLQR_CHECK_MSG(l >= 0 && static_cast<std::size_t>(l) < out_dim,
                    "label " << l << " out of range for " << out_dim
                             << " classes");
-
-  // The warm-start seam: a caller-provided optimizer resumes from its
-  // saved moments/step count; an empty one is initialized here and can be
-  // saved afterwards for the next retrain.
-  AdamWOptimizer local_opt;
-  AdamWOptimizer& opt = optimizer != nullptr ? *optimizer : local_opt;
-  if (!opt.initialized())
-    opt.reset(model);
-  else
-    MLQR_CHECK_MSG(opt.matches(model),
-                   "resumed optimizer state does not match the model");
 
   Rng rng(cfg.seed);
 
@@ -248,18 +274,17 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
   const std::size_t max_shards = (batch + kGradShardRows - 1) / kGradShardRows;
   const std::size_t workers = resolve_workers(cfg.threads);
 
-  // Reusable buffers: the gathered minibatch, one gradient buffer per
-  // shard (filled in parallel, reduced in shard order), per-worker
-  // forward/backward scratch, and the reduced total.
+  // Reusable buffers: the gathered minibatch, one flat gradient per shard
+  // (filled in parallel, reduced in shard order into shard 0's) and
+  // per-worker forward/backward scratch.
   std::vector<float> bx(batch * in_dim);
   std::vector<int> by(batch);
   std::vector<float> sample_w(batch);
-  std::vector<GradientBuffers> shard_grads(max_shards);
-  for (GradientBuffers& g : shard_grads) g.match(model);
+  const std::size_t n_params = model.parameter_count();
+  std::vector<float> shard_grads(max_shards * n_params);
   std::vector<ShardResult> shard_res(max_shards);
   std::vector<ShardScratch> scratch(workers);
-  GradientBuffers total;
-  total.match(model);
+  AdamW opt(n_params);
 
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
     // Shuffle training order each epoch.
@@ -296,22 +321,19 @@ TrainHistory train_classifier(Mlp& model, std::span<const float> features,
               const std::size_t rows = std::min(kGradShardRows, b - r0);
               shard_res[si] = run_gradient_shard(
                   model, bx.data(), by.data(), sample_w.data(), batch_w, r0,
-                  rows, scratch[slot], shard_grads[si]);
+                  rows, scratch[slot],
+                  std::span<float>(shard_grads).subspan(si * n_params,
+                                                         n_params));
             }
           });
 
-      // Fixed shard-order reduction, then one AdamW step on the total.
+      // Fixed shard-order reduction into shard 0's gradient, then one
+      // AdamW step on the total.
+      const std::span<float> total(shard_grads.data(), n_params);
       for (std::size_t si = 0; si < n_shards; ++si) {
-        if (si == 0) {
-          for (std::size_t l = 0; l < total.dw.size(); ++l) {
-            std::copy(shard_grads[0].dw[l].begin(), shard_grads[0].dw[l].end(),
-                      total.dw[l].begin());
-            std::copy(shard_grads[0].db[l].begin(), shard_grads[0].db[l].end(),
-                      total.db[l].begin());
-          }
-        } else {
-          total.add(shard_grads[si]);
-        }
+        const float* g = shard_grads.data() + si * n_params;
+        if (si > 0)
+          for (std::size_t i = 0; i < n_params; ++i) total[i] += g[i];
         epoch_loss += shard_res[si].loss;
         epoch_weight += shard_res[si].weight;
       }

@@ -7,9 +7,12 @@
 // training data at all — a key scalability failure mode the paper reports.
 //
 // Gradient accumulation is data-parallel on the process-wide thread pool:
-// each minibatch is cut into fixed kGradShardRows-row gradient shards, the
-// per-shard partial gradients are reduced in shard order, and one AdamW
-// step applies the total. Because the shard partition depends only on the
+// each minibatch is cut into fixed kGradShardRows-row gradient shards, each
+// shard writes one flat gradient vector in layer order [w0, b0, w1, b1,
+// ...], the shard gradients are reduced in shard order, and one AdamW step
+// over two flat moment vectors of the same layout applies the total. The
+// moments live and die with one train_classifier call: every retrain
+// starts the optimizer cold. Because the shard partition depends only on the
 // minibatch size, training is bit-identical across thread counts
 // (MLQR_THREADS or TrainerConfig::threads) — the retrain half of the
 // closed recalibration loop stays reproducible no matter where it runs.
@@ -20,7 +23,6 @@
 #include <vector>
 
 #include "nn/mlp.h"
-#include "nn/optimizer.h"
 
 namespace mlqr {
 
@@ -54,16 +56,9 @@ struct TrainHistory {
 
 /// Trains the model in place on row-major `features` (n x input) with
 /// integer `labels` in [0, output_size). Returns the loss/accuracy history.
-///
-/// `optimizer` (optional) is the warm-start seam: pass a default-constructed
-/// AdamWOptimizer to capture the moment state for a later resume, or a
-/// previously captured one to continue from its moments and step count (it
-/// must match the model's layout). nullptr trains with throwaway state,
-/// exactly as before.
 TrainHistory train_classifier(Mlp& model, std::span<const float> features,
                               std::span<const int> labels,
-                              const TrainerConfig& cfg,
-                              AdamWOptimizer* optimizer = nullptr);
+                              const TrainerConfig& cfg);
 
 /// Macro-averaged per-class recall (classes absent from `labels` are
 /// skipped). Evaluated data-parallel on the thread pool; the per-slot hit

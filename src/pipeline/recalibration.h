@@ -13,8 +13,8 @@
 // (hysteresis — one noisy EWMA excursion never triggers a retrain) is
 // handed to the caller-supplied Retrainer together with the report and a
 // bounded reservoir of recent labeled shots. The retrainer returns a
-// BackendSnapshot (typically a warm-start retrain of the serving
-// discriminator); the controller optionally persists it (PR-5 snapshot
+// BackendSnapshot (typically a retrain of the serving design on the
+// reservoir); the controller optionally persists it (pipeline/snapshot.h
 // format) and swap_shard's it in — ingest never pauses, no ticket is
 // dropped, and the swapped shard's monitor restarts with fresh baselines.
 // A cooldown then suppresses further retrains of that shard so the new

@@ -11,7 +11,6 @@ void SuiteConfig::apply_fast_mode() {
   if (!fast_mode()) return;
   dataset.shots_per_basis_state =
       fast_scaled(dataset.shots_per_basis_state, 6, 60);
-  proposed.trainer.epochs = std::max(8, proposed.trainer.epochs / 4);
   fnn.trainer.epochs = std::max(2, fnn.trainer.epochs / 3);
   herqules.trainer.epochs = std::max(4, herqules.trainer.epochs / 4);
 }

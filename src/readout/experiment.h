@@ -31,7 +31,8 @@ struct SuiteConfig {
     qda.kind = GaussianKind::kQda;
   }
 
-  /// Shrinks shot counts / epochs under MLQR_FAST=1 (CI mode).
+  /// Shrinks shot counts and the baselines' epochs under MLQR_FAST=1 (CI
+  /// mode). The proposed design keeps its full epoch count.
   void apply_fast_mode();
 };
 

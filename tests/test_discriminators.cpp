@@ -99,21 +99,6 @@ TEST(Discriminators, HerqulesTrainsJointHead) {
   EXPECT_GT(r.per_qubit[0].per_level_accuracy(0), 0.7);
 }
 
-TEST(Discriminators, HerqulesTwoLevelModeUsesReducedLayout) {
-  const ReadoutDataset& ds = shared_dataset();
-  HerqulesConfig cfg;
-  cfg.n_levels = 2;
-  cfg.trainer.epochs = 8;
-  const HerqulesDiscriminator h = HerqulesDiscriminator::train(
-      ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg);
-  EXPECT_EQ(h.model().input_size(), 10u);  // 2 filters x 5 qubits.
-  EXPECT_EQ(h.model().output_size(), 32u);
-  InferenceScratch scratch;
-  std::vector<int> out(h.num_qubits());
-  h.classify_into(ds.shots.traces[0], scratch, out);
-  for (int l : out) EXPECT_LT(l, 2);
-}
-
 TEST(Discriminators, LeakDetectionRatesComeFromConfusion) {
   FidelityReport r;
   r.per_qubit.resize(1);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -13,100 +15,95 @@
 namespace mlqr {
 namespace {
 
-// Naive reference implementation.
-void ref_gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k,
-              float alpha, const std::vector<float>& a, std::size_t lda,
-              const std::vector<float>& b, std::size_t ldb, float beta,
-              std::vector<float>& c, std::size_t ldc) {
+/// The three training products: Z = A·Wᵀ + b, C = Aᵀ·B and C = A·B.
+enum class Product { kAbtBias, kAtb, kAb };
+
+const char* product_name(Product p) {
+  switch (p) {
+    case Product::kAbtBias: return "abt_bias";
+    case Product::kAtb: return "atb";
+    case Product::kAb: return "ab";
+  }
+  return "?";
+}
+
+using Dims = std::array<std::size_t, 3>;  // m, n, k.
+using Shape = std::tuple<Product, Dims>;
+
+class GemmShapes : public ::testing::TestWithParam<Shape> {};
+
+// Every output starts as NaN garbage, which each product must overwrite
+// (0 * NaN would propagate it), and is checked against a naive i-j-k loop.
+TEST_P(GemmShapes, MatchesReference) {
+  const auto [product, dims] = GetParam();
+  const auto [m, n, k] = dims;
+  Rng rng(m * 1000 + n * 100 + k);
+  const bool bt = product == Product::kAbtBias;
+  std::vector<float> a(m * k), b(n * k), bias(bt ? n : 0);
+  for (auto& v : a) v = static_cast<float>(rng.normal());
+  for (auto& v : b) v = static_cast<float>(rng.normal());
+  for (auto& v : bias) v = static_cast<float>(rng.normal());
+  std::vector<float> c(m * n, std::numeric_limits<float>::quiet_NaN());
+
+  // Stored operand element accessors per product.
+  auto a_at = [&](std::size_t i, std::size_t kk) {
+    return product == Product::kAtb ? a[kk * m + i] : a[i * k + kk];
+  };
+  auto b_at = [&](std::size_t kk, std::size_t j) {
+    return bt ? b[j * k + kk] : b[kk * n + j];
+  };
+  switch (product) {
+    case Product::kAbtBias:
+      sgemm_abt_bias(m, n, k, a.data(), b.data(), bias.data(), c.data());
+      break;
+    case Product::kAtb:
+      sgemm_atb(m, n, k, a.data(), b.data(), c.data());
+      break;
+    case Product::kAb:
+      sgemm_ab(m, n, k, a.data(), b.data(), c.data());
+      break;
+  }
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = ta ? a[kk * lda + i] : a[i * lda + kk];
-        const float bv = tb ? b[j * ldb + kk] : b[kk * ldb + j];
-        acc += av * bv;
-      }
-      c[i * ldc + j] = alpha * acc + beta * c[i * ldc + j];
+      float ref = bt ? bias[j] : 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) ref += a_at(i, kk) * b_at(kk, j);
+      EXPECT_NEAR(c[i * n + j], ref, 1e-3f * (std::abs(ref) + 1.0f))
+          << product_name(product) << " i=" << i << " j=" << j;
+    }
+  }
+
+  // The forward product's rows are sgemv's outputs bit for bit.
+  if (bt) {
+    std::vector<float> y(n);
+    for (std::size_t i = 0; i < m; ++i) {
+      sgemv(n, k, b.data(), a.data() + i * k, bias.data(), y.data());
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(c[i * n + j]),
+                  std::bit_cast<std::uint32_t>(y[j]))
+            << "i=" << i << " j=" << j;
     }
   }
 }
 
-using Dims = std::array<std::size_t, 3>;  // m, n, k.
-using Shape = std::tuple<bool, bool, Dims, float, float>;
+const auto kProducts =
+    ::testing::Values(Product::kAbtBias, Product::kAtb, Product::kAb);
 
-class GemmShapes : public ::testing::TestWithParam<Shape> {};
-
-TEST_P(GemmShapes, MatchesReference) {
-  const auto [ta, tb, dims, alpha, beta] = GetParam();
-  const auto [m, n, k] = dims;
-  Rng rng(m * 1000 + n * 100 + k);
-  const std::size_t lda = ta ? m : k;
-  const std::size_t ldb = tb ? k : n;
-  std::vector<float> a((ta ? k : m) * lda);
-  std::vector<float> b((tb ? n : k) * ldb);
-  for (auto& v : a) v = static_cast<float>(rng.normal());
-  for (auto& v : b) v = static_cast<float>(rng.normal());
-  std::vector<float> c(m * n), c_ref;
-  for (auto& v : c) v = static_cast<float>(rng.normal());
-  c_ref = c;
-
-  sgemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta, c.data(),
-        n);
-  ref_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c_ref, n);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    EXPECT_NEAR(c[i], c_ref[i], 1e-3f * (std::abs(c_ref[i]) + 1.0f));
-}
-
-// Every transpose combination crossed with alpha/beta special cases
-// (0 skips work, 1 skips a multiply, generic exercises the full affine)
-// and dimensions straddling the SIMD vector widths: 1/7/17/33 never hit a
-// 4-, 8- or 16-lane boundary, so every kernel's tail path runs.
+// Dimensions straddling the SIMD vector widths: 1/7/17/33 never hit a 4-,
+// 8- or 16-lane boundary, so every kernel's tail path runs.
 INSTANTIATE_TEST_SUITE_P(
-    TailAndAffineGrid, GemmShapes,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+    TailDimensions, GemmShapes,
+    ::testing::Combine(kProducts,
                        ::testing::Values(Dims{1, 1, 1}, Dims{1, 7, 17},
                                          Dims{7, 17, 33}, Dims{17, 33, 7},
-                                         Dims{33, 1, 7}, Dims{5, 5, 5}),
-                       ::testing::Values(0.0f, 1.0f, 1.3f),
-                       ::testing::Values(0.0f, 1.0f, 0.7f)));
+                                         Dims{33, 1, 7}, Dims{5, 5, 5})));
 
-// Larger shapes from the training path, including the parallel fan-out
-// threshold, at the default alpha/beta the trainer uses plus one generic
-// affine combination.
+// Larger shapes from the training path; 128 x 96 x 64 passes the
+// row-parallel fan-out threshold (2·m·n·k >= 2^20 and m >= 4).
 INSTANTIATE_TEST_SUITE_P(
     TrainingShapes, GemmShapes,
-    ::testing::Combine(::testing::Values(false, true),
-                       ::testing::Values(false, true),
+    ::testing::Combine(kProducts,
                        ::testing::Values(Dims{64, 32, 128}, Dims{33, 65, 17},
-                                         Dims{128, 96, 64}, Dims{1, 3, 500}),
-                       ::testing::Values(1.0f, 1.3f),
-                       ::testing::Values(0.0f, 0.7f)));
-
-TEST(Gemm, BetaZeroOverwritesGarbage) {
-  std::vector<float> a{1.0f, 2.0f};
-  std::vector<float> b{3.0f, 4.0f};
-  std::vector<float> c{std::numeric_limits<float>::quiet_NaN()};
-  sgemm(false, false, 1, 1, 2, 1.0f, a.data(), 2, b.data(), 1, 0.0f, c.data(),
-        1);
-  EXPECT_FLOAT_EQ(c[0], 11.0f);
-}
-
-TEST(Gemm, BetaZeroOverwritesGarbageTransposedB) {
-  // The transposed-B branch takes a different code path (dot kernels with
-  // a trailing affine) — NaN garbage must still be overwritten, in both
-  // the 4-wide block and the tail.
-  std::vector<float> a{1.0f, 2.0f, 3.0f};
-  std::vector<float> b(5 * 3);
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(i);
-  std::vector<float> c(5, std::numeric_limits<float>::quiet_NaN());
-  sgemm(false, true, 1, 5, 3, 1.0f, a.data(), 3, b.data(), 3, 0.0f, c.data(),
-        5);
-  for (std::size_t j = 0; j < 5; ++j) {
-    float ref = 0.0f;
-    for (std::size_t kk = 0; kk < 3; ++kk) ref += a[kk] * b[j * 3 + kk];
-    EXPECT_FLOAT_EQ(c[j], ref) << j;
-  }
-}
+                                         Dims{128, 96, 64}, Dims{1, 3, 500})));
 
 TEST(Gemv, MatchesManual) {
   // 2x3 matrix times vector plus bias.
@@ -114,18 +111,9 @@ TEST(Gemv, MatchesManual) {
   std::vector<float> x{1, 0, -1};
   std::vector<float> bias{10, 20};
   std::vector<float> y(2);
-  sgemv(2, 3, a.data(), 3, x.data(), bias.data(), y.data());
+  sgemv(2, 3, a.data(), x.data(), bias.data(), y.data());
   EXPECT_FLOAT_EQ(y[0], 10 + 1 - 3);
   EXPECT_FLOAT_EQ(y[1], 20 + 4 - 6);
-}
-
-TEST(Gemv, NullBiasMeansZero) {
-  std::vector<float> a{2, 0, 0, 2};
-  std::vector<float> x{3, 4};
-  std::vector<float> y(2);
-  sgemv(2, 2, a.data(), 2, x.data(), nullptr, y.data());
-  EXPECT_FLOAT_EQ(y[0], 6);
-  EXPECT_FLOAT_EQ(y[1], 8);
 }
 
 TEST(Gemv, TailDimensionsMatchReference) {
@@ -137,7 +125,7 @@ TEST(Gemv, TailDimensionsMatchReference) {
       for (auto& v : a) v = static_cast<float>(rng.normal());
       for (auto& v : x) v = static_cast<float>(rng.normal());
       for (auto& v : bias) v = static_cast<float>(rng.normal());
-      sgemv(m, n, a.data(), n, x.data(), bias.data(), y.data());
+      sgemv(m, n, a.data(), x.data(), bias.data(), y.data());
       for (std::size_t i = 0; i < m; ++i) {
         float ref = bias[i];
         for (std::size_t j = 0; j < n; ++j) ref += a[i * n + j] * x[j];

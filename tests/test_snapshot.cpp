@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -308,6 +309,39 @@ TEST(Snapshot, GaussianLoadRejectsTheRetiredSplitWindowFlag) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("split-window"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Snapshot, JointHeadLoadRejectsOtherLevelCounts) {
+  // FNN and HERQULES payloads open with a u32 level count that save always
+  // writes as kNumLevels; load refuses any other count, the two-level
+  // layout included.
+  const std::pair<std::string, std::string> kinds[] = {
+      {"fnn", "FNN"}, {"herqules", "HERQULES"}};
+  for (const auto& [stem, name] : kinds) {
+    const std::string path =
+        std::string(MLQR_CORPUS_DIR) + "/" + stem + ".snap";
+    std::ifstream file(path, std::ios::binary);
+    ASSERT_TRUE(file.good()) << path;
+    std::string bytes((std::istreambuf_iterator<char>(file)),
+                      std::istreambuf_iterator<char>());
+    // Header: magic 8, version 4, kind 1, n_qubits 8, n_samples 8, then the
+    // name with its u64 length.
+    const std::size_t levels_at = 8 + 4 + 1 + 8 + 8 + 8 + name.size();
+    ASSERT_EQ(bytes.substr(levels_at - name.size(), name.size()), name)
+        << "layout drifted";
+    ASSERT_EQ(bytes[levels_at], static_cast<char>(kNumLevels));
+    for (const char levels : {2, 4}) {
+      bytes[levels_at] = levels;
+      std::stringstream tampered(bytes);
+      try {
+        load_backend(tampered);
+        ADD_FAILURE() << name << " loaded with " << int{levels} << " levels";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("levels"), std::string::npos)
+            << e.what();
+      }
+    }
   }
 }
 

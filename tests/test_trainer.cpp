@@ -242,66 +242,6 @@ TEST(Trainer, ThreadCountBitIdentity) {
   }
 }
 
-// Warm-start seam: a saved optimizer + model resumed from a checkpoint
-// must continue bit-identically with the uninterrupted run — same
-// moments, same bias-correction schedule.
-TEST(Trainer, OptimizerCheckpointResume) {
-  std::vector<float> x;
-  std::vector<int> y;
-  make_blobs(x, y, 150, 59);
-  TrainerConfig cfg;
-  cfg.epochs = 4;
-  cfg.validation_fraction = 0.0f;
-  cfg.seed = 7;
-
-  Mlp m1({2, 12, 3});
-  Rng rng(13);
-  m1.init_weights(rng);
-  AdamWOptimizer opt1;
-  train_classifier(m1, x, y, cfg, &opt1);
-  EXPECT_TRUE(opt1.initialized());
-  EXPECT_TRUE(opt1.matches(m1));
-  EXPECT_GT(opt1.step_count(), 0);
-
-  // Checkpoint: model + optimizer round-trip through their streams.
-  std::stringstream model_ckpt, opt_ckpt;
-  m1.save(model_ckpt);
-  opt1.save(opt_ckpt);
-  Mlp m2 = Mlp::load(model_ckpt);
-  AdamWOptimizer opt2 = AdamWOptimizer::load(opt_ckpt);
-  EXPECT_EQ(opt2.step_count(), opt1.step_count());
-
-  // Continue both for another leg; the resumed run must track exactly.
-  cfg.seed = 11;  // Fresh shuffle order for the second leg (both runs).
-  train_classifier(m1, x, y, cfg, &opt1);
-  train_classifier(m2, x, y, cfg, &opt2);
-  EXPECT_EQ(weight_bits(m1), weight_bits(m2));
-  EXPECT_EQ(opt1.step_count(), opt2.step_count());
-}
-
-// A warm-started continuation differs from a cold restart: the moments
-// and step count carry across, so the second leg takes different steps.
-TEST(Trainer, WarmStartDiffersFromColdRestart) {
-  std::vector<float> x;
-  std::vector<int> y;
-  make_blobs(x, y, 150, 61);
-  TrainerConfig cfg;
-  cfg.epochs = 3;
-  cfg.validation_fraction = 0.0f;
-
-  Mlp warm({2, 12, 3});
-  Rng rng(17);
-  warm.init_weights(rng);
-  AdamWOptimizer opt;
-  train_classifier(warm, x, y, cfg, &opt);
-  Mlp cold = warm;  // Same weights; cold drops the optimizer state.
-  const long steps_after_leg1 = opt.step_count();
-  train_classifier(warm, x, y, cfg, &opt);
-  train_classifier(cold, x, y, cfg, nullptr);
-  EXPECT_EQ(opt.step_count(), 2 * steps_after_leg1);
-  EXPECT_NE(weight_bits(warm), weight_bits(cold));
-}
-
 /// 64-bit FNV-1a over `bytes`, folded into `h`.
 std::uint64_t fnv1a(std::uint64_t h, const void* bytes, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(bytes);
