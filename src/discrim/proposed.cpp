@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 
 namespace mlqr {
@@ -29,7 +30,12 @@ ProposedDiscriminator ProposedDiscriminator::train(
   const std::size_t n_train = train_idx.size();
 
   // Train banks and fill the feature matrix qubit-by-qubit: qubit q's bank
-  // only needs qubit q's baseband traces, so peak memory is one channel.
+  // only needs qubit q's baseband traces, so peak memory is one channel's
+  // baseband (the cross-fit folds read it in place rather than copying).
+  // Within a qubit the work fans out on the shared pool: the full bank and
+  // both fold banks train side by side, then the full-bank scoring splits
+  // over shots. Every task writes its own outputs, so the result does not
+  // depend on the pool size.
   // NN training features are *cross-fitted* (kernels from the other fold)
   // so rare-|2> kernel overfit cannot leak into the classifier thresholds;
   // inference uses the bank trained on all data.
@@ -38,7 +44,6 @@ ProposedDiscriminator ProposedDiscriminator::train(
   std::vector<std::vector<int>> labels_per_qubit(n_qubits);
   std::vector<QubitMfBank> banks;
   banks.reserve(n_qubits);
-  std::vector<float> scratch;
   for (std::size_t q = 0; q < n_qubits; ++q) {
     const std::vector<BasebandTrace> baseband =
         demodulate_subset(shots, train_idx, d.demod_, q, d.samples_used_);
@@ -47,19 +52,25 @@ ProposedDiscriminator ProposedDiscriminator::train(
     for (std::size_t i = 0; i < n_train; ++i)
       labels.push_back(labels_flat[train_idx[i] * n_qubits + q]);
 
-    banks.push_back(
-        QubitMfBank::train(baseband, labels, d.samples_used_, cfg.mf));
-
-    const std::vector<float> xfit =
-        cross_fit_features(baseband, labels, d.samples_used_, cfg.mf);
-    for (std::size_t i = 0; i < n_train; ++i) {
-      std::copy(xfit.begin() + i * per_q, xfit.begin() + (i + 1) * per_q,
-                features.begin() + i * feat_dim + q * per_q);
-      scratch.clear();
-      banks.back().features(baseband[i], scratch);
-      std::copy(scratch.begin(), scratch.end(),
-                full_features.begin() + i * feat_dim + q * per_q);
-    }
+    std::vector<float> xfit;
+    QubitMfBank& bank = banks.emplace_back();
+    parallel_for(0, 2, [&](std::size_t task) {
+      if (task == 0)
+        bank = QubitMfBank::train(baseband, labels, d.samples_used_, cfg.mf);
+      else
+        xfit = cross_fit_features(baseband, labels, d.samples_used_, cfg.mf);
+    });
+    parallel_for_chunked(0, n_train, [&](std::size_t lo, std::size_t hi) {
+      std::vector<float> scratch;
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::copy(xfit.begin() + i * per_q, xfit.begin() + (i + 1) * per_q,
+                  features.begin() + i * feat_dim + q * per_q);
+        scratch.clear();
+        bank.features(baseband[i], scratch);
+        std::copy(scratch.begin(), scratch.end(),
+                  full_features.begin() + i * feat_dim + q * per_q);
+      }
+    });
   }
   d.bank_.adopt(cfg.mf, std::move(banks));
 
@@ -82,17 +93,25 @@ ProposedDiscriminator ProposedDiscriminator::train(
   }
   sizes.push_back(static_cast<std::size_t>(kNumLevels));
 
+  // Every head draws its initial weights from init_rng in qubit order, so
+  // the draws stay serial; the heads then train side by side within the
+  // trainer's worker budget (each head's own gradient fan-out nests inside
+  // it). Training is bit-identical for every budget, so the heads are too.
   Rng init_rng(cfg.trainer.seed);
-  for (std::size_t q = 0; q < n_qubits; ++q) {
-    Mlp model(sizes);
-    model.init_weights(init_rng);
-    TrainerConfig tcfg = cfg.trainer;
-    tcfg.seed = cfg.trainer.seed + 1000 * (q + 1);
-    tcfg.class_weights =
-        inverse_frequency_weights(labels_per_qubit[q], kNumLevels);
-    train_classifier(model, features, labels_per_qubit[q], tcfg);
-    d.models_.push_back(std::move(model));
-  }
+  d.models_.reserve(n_qubits);
+  for (std::size_t q = 0; q < n_qubits; ++q)
+    d.models_.emplace_back(sizes).init_weights(init_rng);
+  parallel_for_slots(
+      0, n_qubits, cfg.trainer.threads,
+      [&](std::size_t, std::size_t lo, std::size_t hi) {
+        for (std::size_t q = lo; q < hi; ++q) {
+          TrainerConfig tcfg = cfg.trainer;
+          tcfg.seed = cfg.trainer.seed + 1000 * (q + 1);
+          tcfg.class_weights =
+              inverse_frequency_weights(labels_per_qubit[q], kNumLevels);
+          train_classifier(d.models_[q], features, labels_per_qubit[q], tcfg);
+        }
+      });
 
   // The inference front-end: every kernel pre-rotated by its qubit's LO so
   // classify_into touches the raw trace exactly once.

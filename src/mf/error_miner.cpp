@@ -1,6 +1,7 @@
 #include "mf/error_miner.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "common/error.h"
 #include "dsp/filters.h"
@@ -10,12 +11,22 @@ namespace mlqr {
 MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
                                    std::span<const int> labels,
                                    const ErrorMinerConfig& cfg) {
+  std::vector<std::size_t> rows(traces.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return mine_error_traces(traces, labels, rows, cfg);
+}
+
+MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
+                                   std::span<const int> labels,
+                                   std::span<const std::size_t> rows,
+                                   const ErrorMinerConfig& cfg) {
   MLQR_CHECK(traces.size() == labels.size());
-  MLQR_CHECK(!traces.empty());
+  MLQR_CHECK(!rows.empty());
   MLQR_CHECK(cfg.early_fraction > 0.0 && cfg.late_fraction > 0.0 &&
              cfg.early_fraction + cfg.late_fraction <= 1.0);
 
-  const std::size_t n_samples = traces[0].size();
+  for (std::size_t s : rows) MLQR_CHECK(s < traces.size());
+  const std::size_t n_samples = traces[rows[0]].size();
   const std::size_t early_end = std::max<std::size_t>(
       1, static_cast<std::size_t>(cfg.early_fraction * n_samples));
   const std::size_t late_begin = n_samples - std::max<std::size_t>(
@@ -27,7 +38,7 @@ MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
   // cluster identification" of the paper.
   std::array<Complexd, kNumLevels> centroid{};
   std::array<std::size_t, kNumLevels> count{};
-  for (std::size_t s = 0; s < traces.size(); ++s) {
+  for (std::size_t s : rows) {
     const int lab = labels[s];
     MLQR_CHECK(lab >= 0 && lab < kNumLevels);
     centroid[lab] += window_mean(traces[s], late_begin, n_samples);
@@ -37,7 +48,7 @@ MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
     if (count[l] > 0) centroid[l] /= static_cast<double>(count[l]);
 
   MinedErrorTraces mined;
-  for (std::size_t s = 0; s < traces.size(); ++s) {
+  for (std::size_t s : rows) {
     const int lab = labels[s];
     if (count[lab] == 0) continue;
     const Complexd late = window_mean(traces[s], late_begin, n_samples);

@@ -53,4 +53,13 @@ MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
                                    std::span<const int> labels,
                                    const ErrorMinerConfig& cfg = {});
 
+/// Mines only the listed rows of `traces` (labels[s] belongs to traces[s]),
+/// walked in `rows` order; the mined sets hold row numbers s of `traces`.
+/// The sets equal those mined from a copy of the listed traces, with every
+/// copy-relative index j mapped to rows[j].
+MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
+                                   std::span<const int> labels,
+                                   std::span<const std::size_t> rows,
+                                   const ErrorMinerConfig& cfg = {});
+
 }  // namespace mlqr

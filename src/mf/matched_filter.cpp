@@ -8,14 +8,6 @@
 
 namespace mlqr {
 
-namespace {
-
-/// Per-time-bin complex mean and total (real+imag) variance over a class.
-struct BinStats {
-  std::vector<Complexd> mean;
-  std::vector<double> var;
-};
-
 BinStats bin_stats(std::span<const BasebandTrace> traces,
                    std::span<const std::size_t> members,
                    std::size_t n_samples) {
@@ -43,45 +35,54 @@ BinStats bin_stats(std::span<const BasebandTrace> traces,
   return out;
 }
 
-}  // namespace
-
 MatchedFilter MatchedFilter::build(std::span<const BasebandTrace> traces,
                                    std::span<const std::size_t> class_a,
                                    std::span<const std::size_t> class_b,
                                    std::size_t n_samples,
                                    std::size_t smooth_window) {
-  MLQR_CHECK(n_samples > 0);
-  BinStats a = bin_stats(traces, class_a, n_samples);
-  BinStats b = bin_stats(traces, class_b, n_samples);
+  return build(traces, class_a, bin_stats(traces, class_a, n_samples), class_b,
+               bin_stats(traces, class_b, n_samples), smooth_window);
+}
 
-  if (smooth_window > 1) {
-    auto smooth = [&](std::vector<Complexd>& xs) {
-      std::vector<Complexd> out(xs.size());
-      for (std::size_t t = 0; t < xs.size(); ++t) {
-        const std::size_t lo = t >= smooth_window / 2 ? t - smooth_window / 2 : 0;
-        const std::size_t hi = std::min(xs.size(), lo + smooth_window);
-        Complexd acc{0.0, 0.0};
-        for (std::size_t s = lo; s < hi; ++s) acc += xs[s];
-        out[t] = acc / static_cast<double>(hi - lo);
-      }
-      xs = std::move(out);
-    };
-    smooth(a.mean);
-    smooth(b.mean);
-  }
+MatchedFilter MatchedFilter::build(std::span<const BasebandTrace> traces,
+                                   std::span<const std::size_t> class_a,
+                                   const BinStats& stats_a,
+                                   std::span<const std::size_t> class_b,
+                                   const BinStats& stats_b,
+                                   std::size_t smooth_window) {
+  const std::size_t n_samples = stats_a.mean.size();
+  MLQR_CHECK(n_samples > 0 && stats_b.mean.size() == n_samples);
+  // Smoothing yields new means, so the shared statistics stay untouched for
+  // the bank's other filters.
+  auto smoothed = [smooth_window](const std::vector<Complexd>& xs) {
+    if (smooth_window <= 1) return xs;
+    std::vector<Complexd> out(xs.size());
+    for (std::size_t t = 0; t < xs.size(); ++t) {
+      const std::size_t lo = t >= smooth_window / 2 ? t - smooth_window / 2 : 0;
+      const std::size_t hi = std::min(xs.size(), lo + smooth_window);
+      Complexd acc{0.0, 0.0};
+      for (std::size_t s = lo; s < hi; ++s) acc += xs[s];
+      out[t] = acc / static_cast<double>(hi - lo);
+    }
+    return out;
+  };
+  const std::vector<Complexd> mean_a = smoothed(stats_a.mean);
+  const std::vector<Complexd> mean_b = smoothed(stats_b.mean);
+  const std::vector<double>& var_a = stats_a.var;
+  const std::vector<double>& var_b = stats_b.var;
 
   // Regularize the denominator with the median-scale variance so bins with
   // tiny sample variance (small classes) cannot dominate the kernel.
   double var_scale = 0.0;
-  for (std::size_t t = 0; t < n_samples; ++t) var_scale += a.var[t] + b.var[t];
+  for (std::size_t t = 0; t < n_samples; ++t) var_scale += var_a[t] + var_b[t];
   var_scale /= static_cast<double>(2 * n_samples);
   const double eps = std::max(1e-12, 0.05 * var_scale);
 
   MatchedFilter mf;
   mf.kernel_.resize(n_samples);
   for (std::size_t t = 0; t < n_samples; ++t) {
-    const Complexd diff = b.mean[t] - a.mean[t];
-    mf.kernel_[t] = std::conj(diff) / (a.var[t] + b.var[t] + eps);
+    const Complexd diff = mean_b[t] - mean_a[t];
+    mf.kernel_[t] = std::conj(diff) / (var_a[t] + var_b[t] + eps);
   }
 
   // Project both centroids through the raw kernel to derive the affine
@@ -98,8 +99,8 @@ MatchedFilter MatchedFilter::build(std::span<const BasebandTrace> traces,
       acc += (mf.kernel_[t] * tr[t]).real();
     return acc;
   };
-  const double pa = project(a.mean);
-  const double pb = project(b.mean);
+  const double pa = project(mean_a);
+  const double pb = project(mean_b);
   mf.separation_ = pb - pa;
   MLQR_CHECK_MSG(std::abs(mf.separation_) > 1e-12,
                  "matched filter classes are indistinguishable");

@@ -24,6 +24,19 @@
 
 namespace mlqr {
 
+/// Per-time-bin complex mean and total (real+imag) variance over one class
+/// of traces. A bank computes each distinct class's statistics once and
+/// shares them among every filter that class takes part in.
+struct BinStats {
+  std::vector<Complexd> mean;
+  std::vector<double> var;
+};
+
+/// Statistics of the first `n_samples` bins over traces[members] (walked in
+/// `members` order). Throws when `members` is empty or a trace is short.
+BinStats bin_stats(std::span<const BasebandTrace> traces,
+                   std::span<const std::size_t> members, std::size_t n_samples);
+
 /// A trained two-class matched filter over complex baseband traces.
 class MatchedFilter {
  public:
@@ -43,6 +56,17 @@ class MatchedFilter {
                              std::span<const std::size_t> class_a,
                              std::span<const std::size_t> class_b,
                              std::size_t n_samples,
+                             std::size_t smooth_window = 16);
+
+  /// The same filter from precomputed class statistics: `stats_a` must be
+  /// bin_stats(traces, class_a, n) and `stats_b` likewise, and the result is
+  /// then bit-identical to the stand-alone build above. The class spans are
+  /// still read once, for the within-class spread of the projections.
+  static MatchedFilter build(std::span<const BasebandTrace> traces,
+                             std::span<const std::size_t> class_a,
+                             const BinStats& stats_a,
+                             std::span<const std::size_t> class_b,
+                             const BinStats& stats_b,
                              std::size_t smooth_window = 16);
 
   /// Decision score for one trace (uses the first kernel-length samples).

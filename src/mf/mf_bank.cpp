@@ -1,8 +1,10 @@
 #include "mf/mf_bank.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 
 namespace mlqr {
@@ -10,16 +12,24 @@ namespace mlqr {
 QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
                                std::span<const int> labels,
                                std::size_t n_samples, const MfBankConfig& cfg) {
+  std::vector<std::size_t> rows(traces.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return train(traces, labels, rows, n_samples, cfg);
+}
+
+QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
+                               std::span<const int> labels,
+                               std::span<const std::size_t> rows,
+                               std::size_t n_samples, const MfBankConfig& cfg) {
   MLQR_CHECK(traces.size() == labels.size());
   QubitMfBank bank;
   bank.cfg_ = cfg;
-  bank.mined_ = mine_error_traces(traces, labels, cfg.miner);
+  bank.mined_ = mine_error_traces(traces, labels, rows, cfg.miner);
 
   // Clean per-level index sets; every level must be represented so that
   // kernel shapes are well-defined.
   std::array<std::vector<std::size_t>, kNumLevels> by_level;
-  for (std::size_t s = 0; s < labels.size(); ++s)
-    by_level[labels[s]].push_back(s);
+  for (std::size_t s : rows) by_level[labels[s]].push_back(s);
   // A single trace still defines a (noisy) kernel mean — RunningStats
   // reports zero variance and the denominator floor regularizes it — so CI
   // datasets where clustering mines one |2> trace for a qubit stay
@@ -29,53 +39,47 @@ QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
                    "need >=1 trace for level " << l << ", got none");
 
   // Prefer transition-free traces for state kernels; fall back to all
-  // traces of the level when the clean subset is too small.
-  auto state_set = [&](int level) -> const std::vector<std::size_t>& {
-    return bank.mined_.clean[level].size() >= 2 ? bank.mined_.clean[level]
-                                                : by_level[level];
+  // traces of the level when the clean subset is too small. Each state
+  // set's per-bin statistics are computed once and shared by every filter
+  // that reads the state.
+  std::array<std::span<const std::size_t>, kNumLevels> state;
+  std::array<BinStats, kNumLevels> state_stats;
+  for (int l = 0; l < kNumLevels; ++l) {
+    state[l] = bank.mined_.clean[l].size() >= 2 ? bank.mined_.clean[l]
+                                                : by_level[l];
+    state_stats[l] = bin_stats(traces, state[l], n_samples);
+  }
+  auto add_filter = [&](int from, std::span<const std::size_t> to_set,
+                        const BinStats& to_stats) {
+    bank.filters_.push_back(MatchedFilter::build(
+        traces, state[from], state_stats[from], to_set, to_stats,
+        cfg.kernel_smooth_window));
   };
+  // Error kernels: clean `from` traces vs the mined from->to traces. Below
+  // min_error_traces the state-pair kernel stands in (scarce-data
+  // fallback): it still reacts to the destination state's signature
+  // appearing inside the trace.
+  auto add_error_filters =
+      [&](const std::array<std::pair<int, int>, 3>& pairs,
+          const std::array<std::vector<std::size_t>, 3>& mined) {
+        for (std::size_t p = 0; p < pairs.size(); ++p) {
+          const auto [from, to] = pairs[p];
+          if (mined[p].size() >= cfg.min_error_traces)
+            add_filter(from, mined[p], bin_stats(traces, mined[p], n_samples));
+          else
+            add_filter(from, state[to], state_stats[to]);
+        }
+      };
 
   if (cfg.use_qmf) {
     static constexpr std::array<std::pair<int, int>, 3> kPairs{
         {{0, 1}, {0, 2}, {1, 2}}};
-    for (const auto& [a, b] : kPairs)
-      bank.filters_.push_back(
-          MatchedFilter::build(traces, state_set(a), state_set(b), n_samples,
-                               cfg.kernel_smooth_window));
+    for (const auto& [a, b] : kPairs) add_filter(a, state[b], state_stats[b]);
   }
-  if (cfg.use_rmf) {
-    for (std::size_t p = 0; p < MinedErrorTraces::kRelaxPairs.size(); ++p) {
-      const auto [from, to] = MinedErrorTraces::kRelaxPairs[p];
-      const auto& errs = bank.mined_.relaxation[p];
-      if (errs.size() >= cfg.min_error_traces) {
-        // Clean `from` traces vs relaxed from->to traces.
-        bank.filters_.push_back(
-            MatchedFilter::build(traces, state_set(from), errs, n_samples,
-                                 cfg.kernel_smooth_window));
-      } else {
-        // Scarce-data fallback: the state-pair kernel still reacts to the
-        // destination state's signature appearing inside the trace.
-        bank.filters_.push_back(
-            MatchedFilter::build(traces, state_set(from), state_set(to),
-                                 n_samples, cfg.kernel_smooth_window));
-      }
-    }
-  }
-  if (cfg.use_emf) {
-    for (std::size_t p = 0; p < MinedErrorTraces::kExcitePairs.size(); ++p) {
-      const auto [from, to] = MinedErrorTraces::kExcitePairs[p];
-      const auto& errs = bank.mined_.excitation[p];
-      if (errs.size() >= cfg.min_error_traces) {
-        bank.filters_.push_back(
-            MatchedFilter::build(traces, state_set(from), errs, n_samples,
-                                 cfg.kernel_smooth_window));
-      } else {
-        bank.filters_.push_back(
-            MatchedFilter::build(traces, state_set(from), state_set(to),
-                                 n_samples, cfg.kernel_smooth_window));
-      }
-    }
-  }
+  if (cfg.use_rmf)
+    add_error_filters(MinedErrorTraces::kRelaxPairs, bank.mined_.relaxation);
+  if (cfg.use_emf)
+    add_error_filters(MinedErrorTraces::kExcitePairs, bank.mined_.excitation);
   MLQR_CHECK(bank.filters_.size() == cfg.filters_per_qubit());
   return bank;
 }
@@ -149,17 +153,15 @@ void QubitMfBank::features(const BasebandTrace& trace,
 std::vector<float> cross_fit_features(std::span<const BasebandTrace> traces,
                                       std::span<const int> labels,
                                       std::size_t n_samples,
-                                      const MfBankConfig& cfg,
-                                      std::size_t n_folds) {
+                                      const MfBankConfig& cfg) {
   MLQR_CHECK(traces.size() == labels.size());
-  MLQR_CHECK(n_folds >= 2);
   const std::size_t per_q = cfg.filters_per_qubit();
   std::vector<float> features(traces.size() * per_q, 0.0f);
 
   // Stratified fold assignment: alternate within each level so every
   // fold's complement keeps >= 2 traces of every level. Levels with fewer
-  // than 2*n_folds traces are not stratified: splitting them would leave
-  // some fold complement with 0-1 traces of the level — a missing or
+  // than 2*kCrossFitFolds traces are not stratified: splitting them would
+  // leave some fold complement with 0-1 traces of the level — a missing or
   // degenerate single-trace kernel — so their traces are pinned into every
   // fold's fit set and scored by the fold-0 bank. The self-scoring
   // inflation this function exists to avoid is unavoidable for them, but at
@@ -174,23 +176,22 @@ std::vector<float> cross_fit_features(std::span<const BasebandTrace> traces,
   }
   std::vector<std::size_t> fold(traces.size(), kNoFold);
   std::array<std::size_t, kNumLevels> counter{};
+  std::array<std::vector<std::size_t>, kCrossFitFolds> fit_rows;
   for (std::size_t s = 0; s < traces.size(); ++s) {
     const int l = labels[s];
-    if (level_count[l] >= 2 * n_folds) fold[s] = counter[l]++ % n_folds;
+    if (level_count[l] >= 2 * kCrossFitFolds)
+      fold[s] = counter[l]++ % kCrossFitFolds;
+    for (std::size_t f = 0; f < kCrossFitFolds; ++f)
+      if (fold[s] != f) fit_rows[f].push_back(s);
   }
 
-  std::vector<float> scratch;
-  for (std::size_t f = 0; f < n_folds; ++f) {
-    // Complement subset for kernel training.
-    std::vector<BasebandTrace> fit_traces;
-    std::vector<int> fit_labels;
-    for (std::size_t s = 0; s < traces.size(); ++s) {
-      if (fold[s] == f) continue;
-      fit_traces.push_back(traces[s]);  // Copy: bank API owns spans only
-      fit_labels.push_back(labels[s]);  // during train; traces are small.
-    }
+  // Each fold's bank trains in place on its complement rows (ascending, so
+  // it equals a bank trained on a copy of them) and scores its own fold;
+  // the folds write disjoint feature rows and run side by side.
+  parallel_for(0, kCrossFitFolds, [&](std::size_t f) {
     const QubitMfBank bank =
-        QubitMfBank::train(fit_traces, fit_labels, n_samples, cfg);
+        QubitMfBank::train(traces, labels, fit_rows[f], n_samples, cfg);
+    std::vector<float> scratch;
     for (std::size_t s = 0; s < traces.size(); ++s) {
       if (fold[s] != f && !(f == 0 && fold[s] == kNoFold)) continue;
       scratch.clear();
@@ -198,7 +199,7 @@ std::vector<float> cross_fit_features(std::span<const BasebandTrace> traces,
       std::copy(scratch.begin(), scratch.end(),
                 features.begin() + s * per_q);
     }
-  }
+  });
   return features;
 }
 

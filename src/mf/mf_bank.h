@@ -50,6 +50,16 @@ class QubitMfBank {
                            std::span<const int> labels,
                            std::size_t n_samples, const MfBankConfig& cfg);
 
+  /// Trains on the listed rows of `traces` only (labels[s] belongs to
+  /// traces[s]), reading them in place. With ascending `rows` the filters
+  /// are bit-identical to a bank trained on a copy of those traces: every
+  /// class is walked in the same order. mined() then names rows of
+  /// `traces`.
+  static QubitMfBank train(std::span<const BasebandTrace> traces,
+                           std::span<const int> labels,
+                           std::span<const std::size_t> rows,
+                           std::size_t n_samples, const MfBankConfig& cfg);
+
   /// Applies every enabled filter; output size = cfg.filters_per_qubit().
   void features(const BasebandTrace& trace, std::vector<float>& out) const;
 
@@ -76,18 +86,23 @@ class QubitMfBank {
   MinedErrorTraces mined_;
 };
 
+/// Folds cross_fit_features splits each level into.
+inline constexpr std::size_t kCrossFitFolds = 2;
+
 /// Cross-fitted feature extraction: every trace's filter scores are
 /// computed with a bank trained on the *other* folds, so a trace's own
 /// noise never appears inside the kernels that score it. Without this, the
 /// handful of mined |2> traces both define the rare-state kernels and get
 /// scored by them — their scores inflate by ~|noise|^2/n and a downstream
 /// classifier learns thresholds fresh traces never reach.
+/// Each fold's bank reads its fit rows of `traces` in place (no copies),
+/// and the folds train concurrently on the shared thread pool; the result
+/// is independent of the pool size.
 /// Returns row-major (traces.size() x cfg.filters_per_qubit()).
 std::vector<float> cross_fit_features(std::span<const BasebandTrace> traces,
                                       std::span<const int> labels,
                                       std::size_t n_samples,
-                                      const MfBankConfig& cfg,
-                                      std::size_t n_folds = 2);
+                                      const MfBankConfig& cfg);
 
 /// All qubits' banks + shot-level feature assembly ("MF Data (9x5)" ->
 /// "Merged Data (45x1)" in Fig 4).

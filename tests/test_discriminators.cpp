@@ -2,6 +2,9 @@
 // shared small five-qubit dataset, scored against ground truth.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
 #include "discrim/herqules_baseline.h"
@@ -59,6 +62,25 @@ TEST(Discriminators, QmfOnlyAblationHasFewerFeatures) {
   const ProposedDiscriminator d = ProposedDiscriminator::train(
       ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg);
   EXPECT_EQ(d.feature_dim(), 15u);
+}
+
+TEST(Discriminators, ProposedTrainIsIdenticalAcrossThreadBudgets) {
+  // The fold banks, the feature scoring and the five heads train side by
+  // side; the saved bytes must not depend on the trainer's worker budget.
+  const ReadoutDataset& ds = shared_dataset();
+  std::string first;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ProposedConfig cfg;
+    cfg.trainer.threads = threads;
+    std::ostringstream os;
+    ProposedDiscriminator::train(ds.shots, ds.training_labels, ds.train_idx,
+                                 ds.chip, cfg)
+        .save(os);
+    if (first.empty())
+      first = os.str();
+    else
+      EXPECT_TRUE(os.str() == first) << "trainer.threads = " << threads;
+  }
 }
 
 TEST(Discriminators, GaussianDiscriminatorsTrainAndClassify) {

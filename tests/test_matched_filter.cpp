@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -130,6 +132,34 @@ TEST(MatchedFilter, IndistinguishableClassesHaveBoundedScale) {
   const MatchedFilter mf = MatchedFilter::build(traces, a, b, 64);
   for (std::size_t s = 0; s < traces.size(); ++s)
     EXPECT_LT(std::abs(mf.apply(traces[s])), 50.0);
+}
+
+/// A filter's persisted bytes: kernel, bias and separation as f64 bits.
+std::string filter_bytes(const MatchedFilter& mf) {
+  std::ostringstream os;
+  mf.save(os);
+  return os.str();
+}
+
+TEST(MatchedFilter, SharedStatsBuildMatchesStandAloneBuild) {
+  // A bank computes each class's statistics once and builds several filters
+  // from them: every such filter must equal its stand-alone build bit for
+  // bit, and building must leave the shared statistics untouched.
+  std::vector<std::size_t> a, b;
+  const auto traces =
+      make_traces({0.8, -0.2}, {-0.4, 0.6}, 40, 128, 1.5, a, b, 11);
+  const std::vector<std::size_t> c{1, 5, 44, 70, 79};  // A small third class.
+  const BinStats sa = bin_stats(traces, a, 128);
+  const BinStats sb = bin_stats(traces, b, 128);
+  const BinStats sc = bin_stats(traces, c, 128);
+  for (std::size_t smooth : {1u, 16u}) {
+    EXPECT_EQ(filter_bytes(MatchedFilter::build(traces, a, sa, b, sb, smooth)),
+              filter_bytes(MatchedFilter::build(traces, a, b, 128, smooth)));
+    EXPECT_EQ(filter_bytes(MatchedFilter::build(traces, a, sa, c, sc, smooth)),
+              filter_bytes(MatchedFilter::build(traces, a, c, 128, smooth)));
+    EXPECT_EQ(filter_bytes(MatchedFilter::build(traces, b, sb, c, sc, smooth)),
+              filter_bytes(MatchedFilter::build(traces, b, c, 128, smooth)));
+  }
 }
 
 }  // namespace

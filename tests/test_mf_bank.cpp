@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+#include <string>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "sim/resonator.h"
@@ -15,14 +19,14 @@ struct BankFixture {
   std::vector<int> labels;
   Rng rng{23};
 
-  BankFixture() {
+  explicit BankFixture(int n_leaked = 40) {
     qubit.alpha[0] = {1.0, 0.0};
     qubit.alpha[1] = {-0.5, 0.9};
     qubit.alpha[2] = {-0.5, -0.9};
     qubit.resonator_tau_ns = 60.0;
     add(0, 300);
     add(1, 300);
-    add(2, 40);
+    add(2, n_leaked);
   }
 
   void add(int level, int count) {
@@ -149,6 +153,104 @@ TEST(MfBank, CrossFitScoresAgreeWithFullBankOnAverage) {
     ++n;
   }
   EXPECT_NEAR(full0 / n, xf0 / n, 0.1);
+}
+
+TEST(MfBank, RowViewTrainMatchesCopiedRows) {
+  // A bank trained in place on listed rows equals one trained on a copy of
+  // those traces: the same filters bit for bit, and mined sets that name the
+  // same traces (rows of the full set instead of positions in the copy).
+  const BankFixture fx;
+  std::vector<std::size_t> rows;
+  std::vector<BasebandTrace> copy;
+  std::vector<int> copy_labels;
+  for (std::size_t s = 0; s < fx.traces.size(); ++s)
+    if (s % 3 != 1) {
+      rows.push_back(s);
+      copy.push_back(fx.traces[s]);
+      copy_labels.push_back(fx.labels[s]);
+    }
+  const MfBankConfig cfg;
+  const QubitMfBank view =
+      QubitMfBank::train(fx.traces, fx.labels, rows, 300, cfg);
+  const QubitMfBank copied = QubitMfBank::train(copy, copy_labels, 300, cfg);
+  ASSERT_EQ(view.feature_count(), copied.feature_count());
+  auto bytes = [](const MatchedFilter& f) {
+    std::ostringstream os;
+    f.save(os);
+    return os.str();
+  };
+  for (std::size_t i = 0; i < view.feature_count(); ++i)
+    EXPECT_EQ(bytes(view.filter(i)), bytes(copied.filter(i))) << "filter " << i;
+  auto as_rows = [&](const std::vector<std::size_t>& positions) {
+    std::vector<std::size_t> out;
+    for (std::size_t j : positions) out.push_back(rows[j]);
+    return out;
+  };
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(view.mined().relaxation[p], as_rows(copied.mined().relaxation[p]));
+    EXPECT_EQ(view.mined().excitation[p], as_rows(copied.mined().excitation[p]));
+  }
+  for (int l = 0; l < kNumLevels; ++l)
+    EXPECT_EQ(view.mined().clean[l], as_rows(copied.mined().clean[l]));
+}
+
+/// cross_fit_features as it was written before the folds read their fit
+/// rows in place: each fold's complement is copied out and a bank is trained
+/// on the copy.
+std::vector<float> copied_fold_features(std::span<const BasebandTrace> traces,
+                                        std::span<const int> labels,
+                                        std::size_t n_samples,
+                                        const MfBankConfig& cfg) {
+  constexpr std::size_t kNoFold = static_cast<std::size_t>(-1);
+  const std::size_t per_q = cfg.filters_per_qubit();
+  std::array<std::size_t, kNumLevels> level_count{};
+  for (int l : labels) ++level_count[l];
+  std::vector<std::size_t> fold(traces.size(), kNoFold);
+  std::array<std::size_t, kNumLevels> counter{};
+  for (std::size_t s = 0; s < traces.size(); ++s)
+    if (level_count[labels[s]] >= 2 * kCrossFitFolds)
+      fold[s] = counter[labels[s]]++ % kCrossFitFolds;
+
+  std::vector<float> features(traces.size() * per_q, 0.0f);
+  std::vector<float> row;
+  for (std::size_t f = 0; f < kCrossFitFolds; ++f) {
+    std::vector<BasebandTrace> fit_traces;
+    std::vector<int> fit_labels;
+    for (std::size_t s = 0; s < traces.size(); ++s) {
+      if (fold[s] == f) continue;
+      fit_traces.push_back(traces[s]);
+      fit_labels.push_back(labels[s]);
+    }
+    const QubitMfBank bank =
+        QubitMfBank::train(fit_traces, fit_labels, n_samples, cfg);
+    for (std::size_t s = 0; s < traces.size(); ++s) {
+      if (fold[s] != f && !(f == 0 && fold[s] == kNoFold)) continue;
+      row.clear();
+      bank.features(traces[s], row);
+      std::copy(row.begin(), row.end(), features.begin() + s * per_q);
+    }
+  }
+  return features;
+}
+
+TEST(MfBank, CrossFitMatchesCopiedFolds) {
+  // Abundant |2> (every level split into folds), then |2> below
+  // 2 * kCrossFitFolds traces, whose traces are pinned into every fold's fit
+  // set and scored by the fold-0 bank.
+  const BankFixture abundant;
+  const BankFixture scarce(2 * kCrossFitFolds - 1);
+  MfBankConfig no_emf;
+  no_emf.use_emf = false;
+  for (const BankFixture* fx : {&abundant, &scarce})
+    for (const MfBankConfig& cfg : {MfBankConfig{}, no_emf}) {
+      const std::vector<float> got =
+          cross_fit_features(fx->traces, fx->labels, 300, cfg);
+      const std::vector<float> want =
+          copied_fold_features(fx->traces, fx->labels, 300, cfg);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+                0);
+    }
 }
 
 }  // namespace
