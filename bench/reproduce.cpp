@@ -34,6 +34,7 @@
 #include "common/timer.h"
 #include "discrim/joint_label.h"
 #include "discrim/quantized_proposed.h"
+#include "discrim/training.h"
 #include "dsp/demodulator.h"
 #include "dsp/filters.h"
 #include "fpga/latency.h"
@@ -805,26 +806,19 @@ void ablation_modularity(ExperimentSuite& suite, BenchReport& json) {
   const std::size_t nq = ds.shots.n_qubits;
   const Trained<ProposedDiscriminator>& modular = suite.proposed();
 
-  // Joint head on the *same* feature extractor: 45 -> 60 -> 120 -> 243.
+  // Joint head on the *same* feature extractor: 45 -> 60 -> 120 -> 243,
+  // initialised from seed 11, class weights capped at 64 as the baselines'.
   Timer timer;
-  const std::size_t n_classes = joint_class_count(nq, kNumLevels);
   std::vector<float> features;
-  std::vector<int> joint_labels;
   for (std::size_t s : ds.train_idx) {
     const std::vector<float> f = modular.model.features(ds.shots.traces[s]);
     features.insert(features.end(), f.begin(), f.end());
-    joint_labels.push_back(static_cast<int>(encode_joint(
-        std::span<const int>(ds.training_labels).subspan(s * nq, nq),
-        kNumLevels)));
   }
-  Mlp joint({modular.model.feature_dim(), 60, 120, n_classes});
-  Rng init(11);
-  joint.init_weights(init);
   TrainerConfig tcfg = ProposedConfig::default_trainer();
   tcfg.epochs = 30;
-  tcfg.class_weights = inverse_frequency_weights(joint_labels, n_classes);
-  for (float& w : tcfg.class_weights) w = std::min(w, 64.0f);
-  train_classifier(joint, features, joint_labels, tcfg);
+  const Mlp joint = train_joint_head(features, ds.training_labels,
+                                     ds.train_idx, nq, {60, 120}, tcfg, 11,
+                                     64.0f);
   std::cout << "[reproduce] joint head trained in " << timer.seconds()
             << " s\n";
 
@@ -859,7 +853,9 @@ void ablation_modularity(ExperimentSuite& suite, BenchReport& json) {
                    static_cast<double>(joint.parameter_count()), kCount)
             << "; the joint head's output layer alone is "
             << put(json, id, "Joint (243 outputs)", "output-layer params",
-                   static_cast<double>(120 * n_classes + n_classes), kCount)
+                   static_cast<double>(joint.layers().back().w.size() +
+                                       joint.layers().back().b.size()),
+                   kCount)
             << " parameters and grows k^n.\n";
 }
 

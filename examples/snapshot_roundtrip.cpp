@@ -13,7 +13,9 @@
 // MLQR_CORPUS_DIR=<dir> switches to seed-corpus mode: train every
 // registered snapshot kind on a tiny two-qubit dataset, write one valid
 // <dir>/<kind>.snap per design, and exit. The checked-in fuzz/corpus/
-// seeds for the load_backend fuzzer are generated this way.
+// seeds for the load_backend fuzzer were last generated this way at
+// c8c4461; they pin the load/re-save wire format only, and training has
+// moved the float, int16, fnn and herqules bytes since.
 #include <cstdlib>
 #include <iostream>
 #include <string>

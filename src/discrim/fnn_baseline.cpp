@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/serialize.h"
 #include "discrim/joint_label.h"
+#include "discrim/training.h"
 
 namespace mlqr {
 
@@ -32,34 +33,18 @@ FnnDiscriminator FnnDiscriminator::train(const ShotSet& shots,
 
   const std::size_t in_dim = 2 * d.samples_used_;
   std::vector<float> features(train_idx.size() * in_dim);
-  std::vector<int> joint(train_idx.size());
   std::vector<float> x;
   for (std::size_t i = 0; i < train_idx.size(); ++i) {
     d.raw_features_into(shots.traces[train_idx[i]], x);
     std::copy(x.begin(), x.end(), features.begin() + i * in_dim);
-    joint[i] = static_cast<int>(encode_joint(
-        labels_flat.subspan(train_idx[i] * shots.n_qubits, shots.n_qubits),
-        kNumLevels));
   }
 
   d.normalizer_ = FeatureNormalizer::fit(features, in_dim);
   d.normalizer_.apply(features);
-
-  std::vector<std::size_t> sizes{in_dim};
-  sizes.insert(sizes.end(), cfg.hidden.begin(), cfg.hidden.end());
-  const std::size_t n_classes = joint_class_count(shots.n_qubits, kNumLevels);
-  sizes.push_back(n_classes);
-
-  Rng init_rng(cfg.trainer.seed);
-  d.model_ = Mlp(sizes);
-  d.model_.init_weights(init_rng);
-  TrainerConfig tcfg = cfg.trainer;
-  if (cfg.balance_classes) {
-    tcfg.class_weights = inverse_frequency_weights(joint, n_classes);
-    for (float& w : tcfg.class_weights)
-      w = std::min(w, cfg.class_weight_cap);
-  }
-  train_classifier(d.model_, features, joint, tcfg);
+  d.model_ = train_joint_head(
+      features, labels_flat, train_idx, d.n_qubits_, cfg.hidden, cfg.trainer,
+      cfg.trainer.seed,
+      cfg.balance_classes ? std::optional(cfg.class_weight_cap) : std::nullopt);
   return d;
 }
 

@@ -1,10 +1,9 @@
 #include "discrim/herqules_baseline.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/serialize.h"
 #include "discrim/joint_label.h"
+#include "discrim/training.h"
 
 namespace mlqr {
 
@@ -20,10 +19,6 @@ HerqulesDiscriminator HerqulesDiscriminator::train(
     const ShotSet& shots, std::span<const int> labels_flat,
     std::span<const std::size_t> train_idx, const ChipProfile& chip,
     const HerqulesConfig& cfg) {
-  shots.validate();
-  MLQR_CHECK(labels_flat.size() == shots.size() * shots.n_qubits);
-  MLQR_CHECK(!train_idx.empty());
-
   HerqulesDiscriminator d;
   d.n_qubits_ = shots.n_qubits;
   d.demod_ = Demodulator(chip);
@@ -33,69 +28,15 @@ HerqulesDiscriminator HerqulesDiscriminator::train(
   bank_cfg.use_qmf = true;
   bank_cfg.use_rmf = true;
   bank_cfg.use_emf = false;  // HERQULES has no excitation filters.
-
-  const std::size_t per_q = bank_cfg.filters_per_qubit();
-  MLQR_CHECK(per_q == kFeaturesPerQubit);
-  const std::size_t feat_dim = per_q * shots.n_qubits;
-  const std::size_t n_train = train_idx.size();
-
-  std::vector<float> features(n_train * feat_dim, 0.0f);
-  std::vector<float> full_features(n_train * feat_dim, 0.0f);
-  std::vector<QubitMfBank> banks;
-  banks.reserve(shots.n_qubits);
-  for (std::size_t q = 0; q < shots.n_qubits; ++q) {
-    const std::vector<BasebandTrace> baseband =
-        demodulate_subset(shots, train_idx, d.demod_, q, d.samples_used_);
-    std::vector<int> labels(n_train);
-    for (std::size_t i = 0; i < n_train; ++i)
-      labels[i] = labels_flat[train_idx[i] * shots.n_qubits + q];
-    // Training features are cross-fitted (see cross_fit_features).
-    banks.push_back(
-        QubitMfBank::train(baseband, labels, d.samples_used_, bank_cfg));
-
-    const std::vector<float> xfit =
-        cross_fit_features(baseband, labels, d.samples_used_, bank_cfg);
-    std::vector<float> scratch;
-    for (std::size_t u = 0; u < n_train; ++u) {
-      const float* row = xfit.data() + u * per_q;
-      scratch.clear();
-      banks.back().features(baseband[u], scratch);
-      for (std::size_t f = 0; f < per_q; ++f) {
-        features[u * feat_dim + q * per_q + f] = row[f];
-        full_features[u * feat_dim + q * per_q + f] = scratch[f];
-      }
-    }
-  }
-  d.bank_.adopt(bank_cfg, std::move(banks));
-
-  std::vector<int> joint(n_train);
-  for (std::size_t u = 0; u < n_train; ++u) {
-    const std::size_t s = train_idx[u];
-    joint[u] = static_cast<int>(encode_joint(
-        labels_flat.subspan(s * shots.n_qubits, shots.n_qubits), kNumLevels));
-  }
-
-  // Separate normalizers for the cross-fitted training features and the
-  // full-bank inference features (see ProposedDiscriminator::train).
-  FeatureNormalizer train_norm = FeatureNormalizer::fit(features, feat_dim);
-  train_norm.apply(features);
-  d.normalizer_ = FeatureNormalizer::fit(full_features, feat_dim);
-
-  std::vector<std::size_t> sizes{feat_dim};
-  sizes.insert(sizes.end(), cfg.hidden.begin(), cfg.hidden.end());
-  const std::size_t n_classes = joint_class_count(shots.n_qubits, kNumLevels);
-  sizes.push_back(n_classes);
-
-  Rng init_rng(cfg.trainer.seed);
-  d.model_ = Mlp(sizes);
-  d.model_.init_weights(init_rng);
-  TrainerConfig tcfg = cfg.trainer;
-  if (cfg.balance_classes) {
-    tcfg.class_weights = inverse_frequency_weights(joint, n_classes);
-    for (float& w : tcfg.class_weights)
-      w = std::min(w, cfg.class_weight_cap);
-  }
-  train_classifier(d.model_, features, joint, tcfg);
+  MLQR_CHECK(bank_cfg.filters_per_qubit() == kFeaturesPerQubit);
+  FilterFeatures ff = train_filter_features(
+      shots, labels_flat, train_idx, d.demod_, d.samples_used_, bank_cfg);
+  d.bank_ = std::move(ff.bank);
+  d.normalizer_ = std::move(ff.normalizer);
+  d.model_ = train_joint_head(
+      ff.train, labels_flat, train_idx, d.n_qubits_, cfg.hidden, cfg.trainer,
+      cfg.trainer.seed,
+      cfg.balance_classes ? std::optional(cfg.class_weight_cap) : std::nullopt);
   return d;
 }
 

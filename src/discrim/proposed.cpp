@@ -1,97 +1,36 @@
 #include "discrim/proposed.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/serialize.h"
+#include "discrim/training.h"
 
 namespace mlqr {
+
+std::vector<std::size_t> proposed_head_sizes(std::size_t features,
+                                             std::size_t levels) {
+  return {features, std::max<std::size_t>(features / 2, 4),
+          std::max<std::size_t>(features / 4, 4), levels};
+}
 
 ProposedDiscriminator ProposedDiscriminator::train(
     const ShotSet& shots, std::span<const int> labels_flat,
     std::span<const std::size_t> train_idx, const ChipProfile& chip,
     const ProposedConfig& cfg) {
-  shots.validate();
-  MLQR_CHECK(labels_flat.size() == shots.size() * shots.n_qubits);
-  MLQR_CHECK(!train_idx.empty());
-  MLQR_CHECK(shots.n_qubits == chip.num_qubits());
-
   ProposedDiscriminator d;
-  d.cfg_ = cfg;
   d.demod_ = Demodulator(chip);
   d.samples_used_ = chip.window_samples(cfg.duration_ns);
-
-  const std::size_t n_qubits = shots.n_qubits;
-  const std::size_t per_q = cfg.mf.filters_per_qubit();
-  MLQR_CHECK_MSG(per_q > 0, "at least one filter group must be enabled");
-  const std::size_t feat_dim = per_q * n_qubits;
-  const std::size_t n_train = train_idx.size();
-
-  // Train banks and fill the feature matrix qubit-by-qubit: qubit q's bank
-  // only needs qubit q's baseband traces, so peak memory is one channel's
-  // baseband (the cross-fit folds read it in place rather than copying).
-  // Within a qubit the work fans out on the shared pool: the full bank and
-  // both fold banks train side by side, then the full-bank scoring splits
-  // over shots. Every task writes its own outputs, so the result does not
-  // depend on the pool size.
-  // NN training features are *cross-fitted* (kernels from the other fold)
-  // so rare-|2> kernel overfit cannot leak into the classifier thresholds;
-  // inference uses the bank trained on all data.
-  std::vector<float> features(n_train * feat_dim, 0.0f);
-  std::vector<float> full_features(n_train * feat_dim, 0.0f);
-  std::vector<std::vector<int>> labels_per_qubit(n_qubits);
-  std::vector<QubitMfBank> banks;
-  banks.reserve(n_qubits);
-  for (std::size_t q = 0; q < n_qubits; ++q) {
-    const std::vector<BasebandTrace> baseband =
-        demodulate_subset(shots, train_idx, d.demod_, q, d.samples_used_);
-    std::vector<int>& labels = labels_per_qubit[q];
-    labels.reserve(n_train);
-    for (std::size_t i = 0; i < n_train; ++i)
-      labels.push_back(labels_flat[train_idx[i] * n_qubits + q]);
-
-    std::vector<float> xfit;
-    QubitMfBank& bank = banks.emplace_back();
-    parallel_for(0, 2, [&](std::size_t task) {
-      if (task == 0)
-        bank = QubitMfBank::train(baseband, labels, d.samples_used_, cfg.mf);
-      else
-        xfit = cross_fit_features(baseband, labels, d.samples_used_, cfg.mf);
-    });
-    parallel_for_chunked(0, n_train, [&](std::size_t lo, std::size_t hi) {
-      std::vector<float> scratch;
-      for (std::size_t i = lo; i < hi; ++i) {
-        std::copy(xfit.begin() + i * per_q, xfit.begin() + (i + 1) * per_q,
-                  features.begin() + i * feat_dim + q * per_q);
-        scratch.clear();
-        bank.features(baseband[i], scratch);
-        std::copy(scratch.begin(), scratch.end(),
-                  full_features.begin() + i * feat_dim + q * per_q);
-      }
-    });
-  }
-  d.bank_.adopt(cfg.mf, std::move(banks));
-
-  // Two normalizers: the NN trains on cross-fitted features standardized
-  // by their own statistics; inference standardizes the full-bank features
-  // by *theirs*. Z-scoring each version separately absorbs the affine
-  // calibration drift between fold banks and the full bank (noticeable for
-  // kernels fit on a handful of mined |2> traces).
-  FeatureNormalizer train_norm = FeatureNormalizer::fit(features, feat_dim);
-  train_norm.apply(features);
-  d.normalizer_ = FeatureNormalizer::fit(full_features, feat_dim);
+  FilterFeatures ff = train_filter_features(
+      shots, labels_flat, train_idx, d.demod_, d.samples_used_, cfg.mf);
+  d.bank_ = std::move(ff.bank);
+  d.normalizer_ = std::move(ff.normalizer);
 
   // One small head per qubit, every head reading the merged features.
-  std::vector<std::size_t> sizes{feat_dim};
-  if (cfg.hidden.empty()) {
-    sizes.push_back(std::max<std::size_t>(feat_dim / 2, 4));
-    sizes.push_back(std::max<std::size_t>(feat_dim / 4, 4));
-  } else {
-    sizes.insert(sizes.end(), cfg.hidden.begin(), cfg.hidden.end());
-  }
-  sizes.push_back(static_cast<std::size_t>(kNumLevels));
+  const std::size_t n_qubits = shots.n_qubits;
+  const std::vector<std::size_t> sizes =
+      proposed_head_sizes(d.bank_.total_features(), kNumLevels);
 
   // Every head draws its initial weights from init_rng in qubit order, so
   // the draws stay serial; the heads then train side by side within the
@@ -108,8 +47,8 @@ ProposedDiscriminator ProposedDiscriminator::train(
           TrainerConfig tcfg = cfg.trainer;
           tcfg.seed = cfg.trainer.seed + 1000 * (q + 1);
           tcfg.class_weights =
-              inverse_frequency_weights(labels_per_qubit[q], kNumLevels);
-          train_classifier(d.models_[q], features, labels_per_qubit[q], tcfg);
+              inverse_frequency_weights(ff.labels[q], kNumLevels);
+          train_classifier(d.models_[q], ff.train, ff.labels[q], tcfg);
         }
       });
 
@@ -174,7 +113,6 @@ ProposedDiscriminator ProposedDiscriminator::load(std::istream& is) {
                    "snapshot kernels cover "
                        << d.bank_.bank(q).filter(0).length()
                        << " samples, window is " << d.samples_used_);
-  d.cfg_.mf = d.bank_.config();
   return d;
 }
 

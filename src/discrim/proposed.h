@@ -45,11 +45,14 @@ struct ProposedConfig {
     return t;
   }
   TrainerConfig trainer = default_trainer();
-  /// Hidden sizes; empty -> the paper's {P/2, P/4}.
-  std::vector<std::size_t> hidden;
   /// Readout duration (0 = full trace) — Fig 5(b) sweeps this.
   double duration_ns = 0.0;
 };
+
+/// Layer widths of one per-qubit head: P merged features -> max(P/2, 4)
+/// -> max(P/4, 4) -> k levels.
+std::vector<std::size_t> proposed_head_sizes(std::size_t features,
+                                             std::size_t levels);
 
 /// Trained instance of the proposed design.
 class ProposedDiscriminator {
@@ -128,7 +131,6 @@ class ProposedDiscriminator {
   static ProposedDiscriminator load(std::istream& is);
 
  private:
-  ProposedConfig cfg_;
   Demodulator demod_;
   std::size_t samples_used_ = 0;
   ChipMfBank bank_;

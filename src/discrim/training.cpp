@@ -1,0 +1,96 @@
+#include "discrim/training.h"
+
+#include <algorithm>
+
+#include "common/error.h"
+#include "common/parallel.h"
+#include "common/rng.h"
+#include "discrim/joint_label.h"
+
+namespace mlqr {
+
+FilterFeatures train_filter_features(const ShotSet& shots,
+                                     std::span<const int> labels_flat,
+                                     std::span<const std::size_t> train_idx,
+                                     const Demodulator& demod,
+                                     std::size_t n_samples,
+                                     const MfBankConfig& cfg) {
+  shots.validate();
+  MLQR_CHECK(labels_flat.size() == shots.size() * shots.n_qubits);
+  MLQR_CHECK(!train_idx.empty());
+  MLQR_CHECK(demod.num_qubits() == shots.n_qubits);
+  const std::size_t n_qubits = shots.n_qubits;
+  const std::size_t per_q = cfg.filters_per_qubit();
+  MLQR_CHECK_MSG(per_q > 0, "at least one filter group must be enabled");
+  const std::size_t feat_dim = per_q * n_qubits;
+  const std::size_t n_train = train_idx.size();
+
+  FilterFeatures out;
+  out.train.assign(n_train * feat_dim, 0.0f);
+  out.labels.resize(n_qubits);
+  std::vector<float> full(n_train * feat_dim, 0.0f);
+  std::vector<QubitMfBank> banks(n_qubits);
+  for (std::size_t q = 0; q < n_qubits; ++q) {
+    const std::vector<BasebandTrace> baseband =
+        demodulate_subset(shots, train_idx, demod, q, n_samples);
+    std::vector<int>& labels = out.labels[q];
+    labels.reserve(n_train);
+    for (std::size_t i = 0; i < n_train; ++i)
+      labels.push_back(labels_flat[train_idx[i] * n_qubits + q]);
+
+    std::vector<float> xfit;
+    parallel_for(0, 2, [&](std::size_t task) {
+      if (task == 0)
+        banks[q] = QubitMfBank::train(baseband, labels, n_samples, cfg);
+      else
+        xfit = cross_fit_features(baseband, labels, n_samples, cfg);
+    });
+    parallel_for_chunked(0, n_train, [&](std::size_t lo, std::size_t hi) {
+      std::vector<float> scratch;
+      for (std::size_t i = lo; i < hi; ++i) {
+        std::copy(xfit.begin() + i * per_q, xfit.begin() + (i + 1) * per_q,
+                  out.train.begin() + i * feat_dim + q * per_q);
+        scratch.clear();
+        banks[q].features(baseband[i], scratch);
+        std::copy(scratch.begin(), scratch.end(),
+                  full.begin() + i * feat_dim + q * per_q);
+      }
+    });
+  }
+  out.bank = ChipMfBank(cfg, std::move(banks));
+  FeatureNormalizer::fit(out.train, feat_dim).apply(out.train);
+  out.normalizer = FeatureNormalizer::fit(full, feat_dim);
+  return out;
+}
+
+Mlp train_joint_head(std::span<const float> features,
+                     std::span<const int> labels_flat,
+                     std::span<const std::size_t> train_idx,
+                     std::size_t n_qubits,
+                     const std::vector<std::size_t>& hidden,
+                     const TrainerConfig& trainer, std::uint64_t init_seed,
+                     std::optional<float> weight_cap) {
+  MLQR_CHECK(!train_idx.empty() && features.size() % train_idx.size() == 0);
+  std::vector<int> joint(train_idx.size());
+  for (std::size_t i = 0; i < train_idx.size(); ++i)
+    joint[i] = static_cast<int>(encode_joint(
+        labels_flat.subspan(train_idx[i] * n_qubits, n_qubits), kNumLevels));
+
+  std::vector<std::size_t> sizes{features.size() / train_idx.size()};
+  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
+  const std::size_t n_classes = joint_class_count(n_qubits, kNumLevels);
+  sizes.push_back(n_classes);
+  Mlp model(sizes);
+  Rng init_rng(init_seed);
+  model.init_weights(init_rng);
+
+  TrainerConfig tcfg = trainer;
+  if (weight_cap) {
+    tcfg.class_weights = inverse_frequency_weights(joint, n_classes);
+    for (float& w : tcfg.class_weights) w = std::min(w, *weight_cap);
+  }
+  train_classifier(model, features, joint, tcfg);
+  return model;
+}
+
+}  // namespace mlqr

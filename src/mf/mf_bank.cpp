@@ -203,32 +203,6 @@ std::vector<float> cross_fit_features(std::span<const BasebandTrace> traces,
   return features;
 }
 
-ChipMfBank ChipMfBank::train(
-    const std::vector<std::vector<BasebandTrace>>& per_qubit_traces,
-    const std::vector<std::vector<int>>& per_qubit_labels,
-    std::size_t n_samples, const MfBankConfig& cfg) {
-  MLQR_CHECK(!per_qubit_traces.empty());
-  MLQR_CHECK(per_qubit_traces.size() == per_qubit_labels.size());
-  ChipMfBank chip_bank;
-  chip_bank.cfg_ = cfg;
-  chip_bank.banks_.reserve(per_qubit_traces.size());
-  for (std::size_t q = 0; q < per_qubit_traces.size(); ++q) {
-    chip_bank.banks_.push_back(QubitMfBank::train(
-        per_qubit_traces[q], per_qubit_labels[q], n_samples, cfg));
-  }
-  return chip_bank;
-}
-
-void ChipMfBank::adopt(const MfBankConfig& cfg,
-                       std::vector<QubitMfBank> banks) {
-  MLQR_CHECK(!banks.empty());
-  for (const QubitMfBank& b : banks)
-    MLQR_CHECK_MSG(b.feature_count() == cfg.filters_per_qubit(),
-                   "adopted bank does not match the config's filter layout");
-  cfg_ = cfg;
-  banks_ = std::move(banks);
-}
-
 void ChipMfBank::save(std::ostream& os) const {
   save_bank_config(os, cfg_);
   io::write_u64(os, banks_.size());
@@ -241,11 +215,12 @@ ChipMfBank ChipMfBank::load(std::istream& is) {
   MLQR_CHECK_MSG(n_qubits > 0, "corrupt chip bank: zero qubits");
   std::vector<QubitMfBank> banks;
   banks.reserve(n_qubits);
-  for (std::size_t q = 0; q < n_qubits; ++q)
+  for (std::size_t q = 0; q < n_qubits; ++q) {
     banks.push_back(QubitMfBank::load(is));
-  ChipMfBank chip_bank;
-  chip_bank.adopt(cfg, std::move(banks));  // Re-validates the filter layout.
-  return chip_bank;
+    MLQR_CHECK_MSG(banks.back().feature_count() == cfg.filters_per_qubit(),
+                   "bank " << q << " does not match the chip's filter layout");
+  }
+  return ChipMfBank(cfg, std::move(banks));
 }
 
 void ChipMfBank::features(const std::vector<BasebandTrace>& per_qubit_baseband,

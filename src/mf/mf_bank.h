@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mf/error_miner.h"
@@ -108,12 +109,11 @@ std::vector<float> cross_fit_features(std::span<const BasebandTrace> traces,
 /// "Merged Data (45x1)" in Fig 4).
 class ChipMfBank {
  public:
-  /// per_qubit_traces[q][s] is qubit q's baseband trace for shot s;
-  /// per_qubit_labels[q][s] the matching 3-level label.
-  static ChipMfBank train(
-      const std::vector<std::vector<BasebandTrace>>& per_qubit_traces,
-      const std::vector<std::vector<int>>& per_qubit_labels,
-      std::size_t n_samples, const MfBankConfig& cfg);
+  ChipMfBank() = default;
+  /// Takes per-qubit banks that were each trained with `cfg` (load checks
+  /// that a stream's banks match its config).
+  ChipMfBank(const MfBankConfig& cfg, std::vector<QubitMfBank> banks)
+      : cfg_(cfg), banks_(std::move(banks)) {}
 
   std::size_t num_qubits() const { return banks_.size(); }
   std::size_t features_per_qubit() const { return cfg_.filters_per_qubit(); }
@@ -128,12 +128,8 @@ class ChipMfBank {
 
   const QubitMfBank& bank(std::size_t q) const { return banks_.at(q); }
 
-  /// Adopts pre-trained per-qubit banks (all must share `cfg`). Trainers
-  /// that demodulate qubit-by-qubit to bound memory use this instead of
-  /// train().
-  void adopt(const MfBankConfig& cfg, std::vector<QubitMfBank> banks);
-
-  /// Binary little-endian persistence of the whole chip-level bank.
+  /// Binary little-endian persistence of the whole chip-level bank. load
+  /// rejects a bank whose filter count disagrees with the chip's config.
   void save(std::ostream& os) const;
   static ChipMfBank load(std::istream& is);
 

@@ -4,15 +4,9 @@
 
 #include "common/error.h"
 #include "discrim/joint_label.h"
+#include "discrim/proposed.h"
 
 namespace mlqr {
-
-namespace {
-std::vector<std::size_t> head_sizes(std::size_t input, std::size_t output) {
-  return {input, std::max<std::size_t>(input / 2, 4),
-          std::max<std::size_t>(input / 4, 4), output};
-}
-}  // namespace
 
 DesignSpec proposed_design_spec(std::size_t n_qubits, int n_levels,
                                 std::size_t kernel_len) {
@@ -28,7 +22,8 @@ DesignSpec proposed_design_spec(std::size_t n_qubits, int n_levels,
   spec.mf_kernel_len = kernel_len;
   const std::size_t feat = spec.matched_filters;  // Merged features.
   for (std::size_t q = 0; q < n_qubits; ++q)
-    spec.nns.push_back(head_sizes(feat, static_cast<std::size_t>(n_levels)));
+    spec.nns.push_back(
+        proposed_head_sizes(feat, static_cast<std::size_t>(n_levels)));
   spec.hls.weight_bits = 8;
   spec.hls.reuse_factor = 1;
   return spec;

@@ -2,9 +2,11 @@
 // shared small five-qubit dataset, scored against ground truth.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
+#include "common/simd.h"
 #include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
 #include "discrim/herqules_baseline.h"
@@ -23,6 +25,17 @@ const ReadoutDataset& shared_dataset() {
     return generate_dataset(cfg);
   }();
   return ds;
+}
+
+/// 64-bit FNV-1a over a trained design's saved bytes.
+template <class Design>
+std::uint64_t saved_checksum(const Design& d) {
+  std::ostringstream os;
+  d.save(os);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : os.str())
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  return h;
 }
 
 TEST(Discriminators, ProposedReachesHighComputationalFidelity) {
@@ -119,6 +132,68 @@ TEST(Discriminators, HerqulesTrainsJointHead) {
 
   const FidelityReport r = evaluate_on_test(h, ds);
   EXPECT_GT(r.per_qubit[0].per_level_accuracy(0), 0.7);
+}
+
+TEST(Discriminators, HerqulesTrainIsIdenticalAcrossThreadBudgets) {
+  // HERQULES shares the proposed design's filter-feature path (full and fold
+  // banks side by side, scoring split over shots); its saved bytes must not
+  // depend on the trainer's worker budget either.
+  const ReadoutDataset& ds = shared_dataset();
+  std::string first;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    HerqulesConfig cfg;
+    cfg.trainer.epochs = 4;
+    cfg.trainer.threads = threads;
+    std::ostringstream os;
+    HerqulesDiscriminator::train(ds.shots, ds.training_labels, ds.train_idx,
+                                 ds.chip, cfg)
+        .save(os);
+    if (first.empty())
+      first = os.str();
+    else
+      EXPECT_TRUE(os.str() == first) << "trainer.threads = " << threads;
+  }
+}
+
+// The saved bytes of a small FNN and a small HERQULES, hashed and pinned on
+// every SIMD tier the host runs. The checked-in fuzz corpus pins only the
+// wire format; these fail on any change to the baselines' training (filter
+// features, joint labels, head sizes, initialisation or class weights).
+TEST(Discriminators, FnnChecksumMatchesTheParent) {
+#if !defined(__x86_64__) && !defined(_M_X64)
+  GTEST_SKIP() << "pinned to x86-64 libm";
+#endif
+  const ReadoutDataset& ds = shared_dataset();
+  FnnConfig cfg;
+  cfg.trainer.epochs = 2;
+  cfg.hidden = {16};
+  cfg.class_weight_cap = 4.0f;  // Low enough to bind, so the cap is pinned.
+  for (const simd::Kernels* tier : simd::compiled_tiers()) {
+    if (!simd::host_runs(*tier)) continue;
+    const simd::ScopedTier pin(*tier);
+    const std::uint64_t h = saved_checksum(FnnDiscriminator::train(
+        ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg));
+    EXPECT_EQ(h, 0xf08354e846074684ull)
+        << std::hex << "checksum 0x" << h << " on tier " << tier->name;
+  }
+}
+
+TEST(Discriminators, HerqulesChecksumMatchesTheParent) {
+#if !defined(__x86_64__) && !defined(_M_X64)
+  GTEST_SKIP() << "pinned to x86-64 libm";
+#endif
+  const ReadoutDataset& ds = shared_dataset();
+  HerqulesConfig cfg;
+  cfg.trainer.epochs = 4;
+  cfg.hidden = {16};
+  for (const simd::Kernels* tier : simd::compiled_tiers()) {
+    if (!simd::host_runs(*tier)) continue;
+    const simd::ScopedTier pin(*tier);
+    const std::uint64_t h = saved_checksum(HerqulesDiscriminator::train(
+        ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg));
+    EXPECT_EQ(h, 0xc88a77bfe4d6ad00ull)
+        << std::hex << "checksum 0x" << h << " on tier " << tier->name;
+  }
 }
 
 TEST(Discriminators, LeakDetectionRatesComeFromConfusion) {

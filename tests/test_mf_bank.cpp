@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "discrim/training.h"
+#include "readout/dataset.h"
 #include "sim/resonator.h"
 
 namespace mlqr {
@@ -99,28 +102,84 @@ TEST(MfBank, MissingLevelThrows) {
   EXPECT_THROW(QubitMfBank::train(fx.traces, fx.labels, 300, cfg), Error);
 }
 
-TEST(MfBank, ChipBankConcatenatesQubits) {
-  BankFixture fx0, fx1;
-  MfBankConfig cfg;
-  const ChipMfBank chip = ChipMfBank::train({fx0.traces, fx1.traces},
-                                            {fx0.labels, fx1.labels}, 300, cfg);
-  EXPECT_EQ(chip.num_qubits(), 2u);
-  EXPECT_EQ(chip.total_features(), 18u);
-
-  std::vector<float> feats;
-  chip.features({fx0.traces[0], fx1.traces[0]}, feats);
-  EXPECT_EQ(feats.size(), 18u);
+/// A small two-qubit dataset, generated once for the chip-bank tests.
+const ReadoutDataset& two_qubit_dataset() {
+  static const ReadoutDataset ds = [] {
+    DatasetConfig cfg;
+    cfg.chip = ChipProfile::test_two_qubit();
+    cfg.shots_per_basis_state = 120;
+    cfg.seed = 20260807;
+    return generate_dataset(cfg);
+  }();
+  return ds;
 }
 
-TEST(MfBank, AdoptValidatesLayout) {
-  BankFixture fx;
-  MfBankConfig cfg;
-  QubitMfBank bank = QubitMfBank::train(fx.traces, fx.labels, 300, cfg);
-  ChipMfBank chip;
-  MfBankConfig other;
-  other.use_emf = false;  // 6 filters expected, bank has 9.
-  std::vector<QubitMfBank> banks{bank};
-  EXPECT_THROW(chip.adopt(other, std::move(banks)), Error);
+FilterFeatures two_qubit_features(const MfBankConfig& cfg) {
+  const ReadoutDataset& ds = two_qubit_dataset();
+  return train_filter_features(ds.shots, ds.training_labels, ds.train_idx,
+                               Demodulator(ds.chip), ds.chip.n_samples, cfg);
+}
+
+template <class Saved>
+std::string saved_bytes(const Saved& s) {
+  std::ostringstream os;
+  s.save(os);
+  return os.str();
+}
+
+TEST(MfBank, ChipBankConcatenatesQubits) {
+  const ReadoutDataset& ds = two_qubit_dataset();
+  const FilterFeatures ff = two_qubit_features(MfBankConfig{});
+  const ChipMfBank& chip = ff.bank;
+  EXPECT_EQ(chip.num_qubits(), 2u);
+  EXPECT_EQ(chip.total_features(), 18u);
+  EXPECT_EQ(ff.normalizer.dim(), 18u);
+  EXPECT_EQ(ff.train.size(), ds.train_idx.size() * 18u);
+  ASSERT_EQ(ff.labels.size(), 2u);
+  EXPECT_EQ(ff.labels[1].back(),
+            ds.training_labels[ds.train_idx.back() * 2 + 1]);
+
+  // Each qubit's block of the merged vector is that qubit's own bank.
+  const Demodulator demod(ds.chip);
+  const IqTrace& trace = ds.shots.traces[ds.train_idx.front()];
+  const std::vector<BasebandTrace> baseband{
+      demod.demodulate(trace, 0, ds.chip.n_samples),
+      demod.demodulate(trace, 1, ds.chip.n_samples)};
+  std::vector<float> feats, second;
+  chip.features(baseband, feats);
+  chip.bank(1).features(baseband[1], second);
+  ASSERT_EQ(feats.size(), 18u);
+  EXPECT_TRUE(std::equal(second.begin(), second.end(), feats.begin() + 9));
+}
+
+TEST(MfBank, LoadRejectsBankOffTheChipLayout) {
+  // A chip bank whose config asks for 6 filters per qubit, with its first
+  // qubit's bank swapped for a 9-filter one that is valid on its own.
+  const ChipMfBank chip = two_qubit_features([] {
+    MfBankConfig no_emf;
+    no_emf.use_emf = false;
+    return no_emf;
+  }()).bank;
+  std::string wire = saved_bytes(chip);
+  {
+    std::istringstream is(wire);
+    EXPECT_EQ(ChipMfBank::load(is).total_features(), 12u);
+  }
+  const BankFixture fx;
+  const std::string six = saved_bytes(chip.bank(0));
+  const std::size_t at = wire.find(six);
+  ASSERT_NE(at, std::string::npos);
+  wire.replace(at, six.size(),
+               saved_bytes(QubitMfBank::train(fx.traces, fx.labels, 300,
+                                              MfBankConfig{})));
+  std::istringstream is(wire);
+  try {
+    ChipMfBank::load(is);
+    ADD_FAILURE() << "a 9-filter bank loaded under a 6-filter config";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("filter layout"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MfBank, CrossFitFeaturesMatchShape) {

@@ -67,6 +67,13 @@ Eight checks, all cheap enough for every CI run and every pre-commit:
      duration_ns) escapes it, and so does a field a caller assigns only
      its default value, sets only through positional aggregate
      initialization, or that a load restores through a local variable.
+     A name declared in two or more Config / Params structs (`hidden`,
+     `seed`, `threads`, ...) is matched by receiver, not by name: an
+     assignment `r.name =` counts for struct S only when `r` is declared
+     with type S (`S r`, `S& r`, `S* r`, `S a, r`) in the same file or as
+     a member in a src/ header (`cfg.trainer.seed` resolves `trainer`). An
+     assignment whose receiver cannot be named that way (`f().name =`,
+     `v[i].name =`, a designated initializer) counts for none of them.
 
 Exit status: 0 = all invariants hold, 1 = violation (details on stderr),
 2 = usage / environment error. `--self-test` proves the checks can fail by
@@ -76,6 +83,7 @@ running them against deliberately broken copies in a temp dir.
 from __future__ import annotations
 
 import argparse
+import functools
 import pathlib
 import re
 import sys
@@ -559,6 +567,27 @@ def config_fields(root: pathlib.Path) -> list[tuple[pathlib.Path, str, str]]:
     return [f for f in out if (f[1], f[2]) not in nested]
 
 
+# The identifier right before an assignment's `.` / `->` (empty when a
+# call, subscript or designated initializer precedes it).
+RECEIVER_RE = re.compile(r"(\w*)\s*\Z")
+
+
+def declared_names(code: str, struct: str, members: bool = False) -> set[str]:
+    """Names `code` declares with type `struct`, one or more declarators
+    each (`S a, b = x;`, `const S& r)`). With `members`, only declarations
+    that end in `;` or carry an initializer: no function parameters."""
+    names = set()
+    for m in re.finditer(
+            rf"\b{struct}\b\s*(?P<decls>[^;(){{}}]*)(?P<end>.?)", code):
+        for piece in m.group("decls").split(","):
+            d = re.fullmatch(r"[\s&*]*(\w+)\s*(?P<init>=.*)?", piece,
+                             re.DOTALL)
+            if d and (not members or m.group("end") in (";", "{") or
+                      d.group("init")):
+                names.add(d.group(1))
+    return names
+
+
 def check_settable_fields(root: pathlib.Path) -> list[str]:
     fields = config_fields(root)
     sources = []
@@ -568,6 +597,29 @@ def check_settable_fields(root: pathlib.Path) -> list[str]:
                 sources.append((path.relative_to(root),
                                 strip_comments(path.read_text(
                                     encoding="utf-8"))))
+    declarers: dict[str, set[str]] = {}
+    for _, struct, field in fields:
+        declarers.setdefault(field, set()).add(struct)
+    shared_structs = {s for ss in declarers.values() if len(ss) > 1
+                      for s in ss}
+    header_members = {
+        s: set().union(*(declared_names(code, s, members=True)
+                         for rel, code in sources
+                         if rel.parts[0] == "src" and rel.suffix == ".h"))
+        for s in shared_structs}
+    local_names = functools.cache(
+        lambda i, s: declared_names(sources[i][1], s))
+
+    def typed(struct: str, field: str, i: int, receiver: str) -> bool:
+        """Whether `receiver` in source i has type `struct`: by that file's
+        own declarations among the structs declaring `field`, else by a
+        member declaration in a src/ header."""
+        for names in (lambda s: local_names(i, s), header_members.get):
+            types = {s for s in declarers[field] if receiver in names(s)}
+            if types:
+                return struct in types
+        return False
+
     errors = []
     for header, struct, field in fields:
         if f"{struct}::{field}" in SETTABLE_FIELD_ALLOWLIST:
@@ -575,8 +627,12 @@ def check_settable_fields(root: pathlib.Path) -> list[str]:
         assign = re.compile(
             rf"(?:\.|->)\s*{field}\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)"
             r"(?!\s*(?:io::)?read_\w*\s*\()")
-        if any(rel != header and assign.search(code)
-               for rel, code in sources):
+        shared = len(declarers[field]) > 1
+        if any(rel != header and (not shared or typed(
+                   struct, field, i,
+                   RECEIVER_RE.search(code, 0, m.start()).group(1)))
+               for i, (rel, code) in enumerate(sources)
+               for m in assign.finditer(code)):
             continue
         errors.append(
             f"{header}: {struct}::{field} is set by no file in "
@@ -942,6 +998,32 @@ def self_test() -> int:
                 failures.append("settable-field allowlist not honoured")
         finally:
             del SETTABLE_FIELD_ALLOWLIST["FooConfig::b"]
+        # A name two structs declare is matched by receiver: bench's
+        # `f.a = 3` (a FooConfig) must not set TwinConfig::a, nor may a
+        # write through a receiver with no declared type...
+        (root / "src/y/use.cpp").write_text(
+            "void u(FooConfig& f) { f.b = {}; }\n", encoding="utf-8")
+        (root / "src/y/twin.h").write_text(
+            "struct TwinConfig {\n  int a = 0;\n};\n", encoding="utf-8")
+        for where, text in (
+                (None, ""),
+                ("examples/twin.cpp", "void w(TwinConfig* v) { v[0].a = 1; }\n"),
+        ):
+            if where:
+                (root / where).write_text(text, encoding="utf-8")
+            errors = check_settable_fields(root)
+            if len(errors) != 1 or "TwinConfig::a " not in errors[0]:
+                failures.append(f"shared field name set only through "
+                                f"another receiver not caught: {errors}")
+        # ...while a declared receiver, or a member one, sets it.
+        (root / "src/y/host.h").write_text(
+            "struct Host {\n  TwinConfig twin;\n};\n", encoding="utf-8")
+        for text in ("void w(TwinConfig& t, FooConfig& f) { t.a = 1; }\n",
+                     "void w(Host& h) { h.twin.a = 1; }\n"):
+            (root / "examples/twin.cpp").write_text(text, encoding="utf-8")
+            if check_settable_fields(root):
+                failures.append(f"false positive: shared field set by "
+                                f"{text.strip()}")
 
     for f in failures:
         print(f"lint_invariants --self-test: FAIL: {f}", file=sys.stderr)
