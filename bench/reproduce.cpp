@@ -31,10 +31,7 @@
 #include "common/fixed_point.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "common/timer.h"
-#include "discrim/joint_label.h"
 #include "discrim/quantized_proposed.h"
-#include "discrim/training.h"
 #include "dsp/demodulator.h"
 #include "dsp/filters.h"
 #include "fpga/latency.h"
@@ -42,7 +39,6 @@
 #include "fpga/resource_model.h"
 #include "mf/error_miner.h"
 #include "nn/mlp.h"
-#include "nn/trainer.h"
 #include "qec/cnot_leakage.h"
 #include "qec/cycle_time.h"
 #include "qec/eraser.h"
@@ -576,8 +572,9 @@ void table5(ExperimentSuite& suite, const FidelityReport& qmf_only,
 
 // Table VI: impact of multi-level readout *quality* on leakage speculation.
 // Each discriminator's measured |2>-detection statistics (from its test
-// confusion matrices, qubit 2 excluded per the paper's convention) feed the
-// ERASER+M simulation.
+// confusion matrices, averaged over every qubit with both |2> and
+// computational shots) feed the ERASER+M simulation. Only the Error(%)
+// column excludes qubit 2, per the paper's convention.
 // Paper: LDA err 10% -> 0.914; QDA 9% -> 0.921; FNN 5.5% -> 0.943 (slow);
 //        OURS 5% -> 0.947 (fast).
 void table6(ExperimentSuite& suite, BenchReport& json) {
@@ -690,7 +687,8 @@ void fig5b(ExperimentSuite& suite, BenchReport& json) {
         ds.chip.window_samples(base.duration_ns)) {
       ProposedConfig pcfg = base;
       pcfg.duration_ns = duration;
-      retrained = suite.train_proposed("proposed @ " + ns + " ns", pcfg);
+      retrained = suite.train<ProposedDiscriminator>(
+          "proposed @ " + ns + " ns", pcfg);
     }
     const FidelityReport& r =
         retrained ? retrained->report : suite.proposed().report;
@@ -784,7 +782,7 @@ void ablation_mf(ExperimentSuite& suite, const FidelityReport& qmf_only,
   ProposedConfig rmf_cfg = suite.config().proposed;
   rmf_cfg.mf.use_emf = false;
   const FidelityReport qmf_rmf =
-      suite.train_proposed("QMF+RMF", rmf_cfg).report;
+      suite.train<ProposedDiscriminator>("QMF+RMF", rmf_cfg).report;
 
   Sheet sheet(json, "ablation_mf",
               "Ablation — matched-filter groups (proposed architecture)",
@@ -801,46 +799,28 @@ void ablation_mf(ExperimentSuite& suite, const FidelityReport& qmf_only,
 // matched-filter features fixed (the full 45-feature bank). Isolates the
 // architectural choice the paper credits for polynomial scaling: k outputs
 // per qubit (class-balanceable, per-qubit calibrated) vs one k^n softmax.
+// Both train on the same cross-fitted filter features.
 void ablation_modularity(ExperimentSuite& suite, BenchReport& json) {
-  const ReadoutDataset& ds = suite.dataset();
-  const std::size_t nq = ds.shots.n_qubits;
   const Trained<ProposedDiscriminator>& modular = suite.proposed();
 
-  // Joint head on the *same* feature extractor: 45 -> 60 -> 120 -> 243,
-  // initialised from seed 11, class weights capped at 64 as the baselines'.
-  Timer timer;
-  std::vector<float> features;
-  for (std::size_t s : ds.train_idx) {
-    const std::vector<float> f = modular.model.features(ds.shots.traces[s]);
-    features.insert(features.end(), f.begin(), f.end());
-  }
-  TrainerConfig tcfg = ProposedConfig::default_trainer();
-  tcfg.epochs = 30;
-  const Mlp joint = train_joint_head(features, ds.training_labels,
-                                     ds.train_idx, nq, {60, 120}, tcfg, 11,
-                                     64.0f);
-  std::cout << "[reproduce] joint head trained in " << timer.seconds()
-            << " s\n";
-
-  // The joint-head variant is not one of the shipped designs, so wrap it as
-  // a custom scratch-aware EngineBackend: MF features via the modular
-  // extractor, then the 243-way head — still zero per-shot allocations.
-  const EngineBackend joint_backend(
-      "JOINT", nq,
-      [&](const IqTrace& t, InferenceScratch& s, std::span<int> out) {
-        modular.model.features_into(t, s);
-        const int cls =
-            joint.predict_reusing(s.features, s.logits, s.activations);
-        decode_joint_into(static_cast<std::size_t>(cls), kNumLevels, out);
-      });
-  const FidelityReport joint_report = evaluate_on_test(joint_backend, ds);
+  // Joint head on the same filter bank: 45 -> 60 -> 120 -> 243, on the
+  // proposed design's trainer at 30 epochs, class weights capped at 64 as
+  // the baselines'.
+  JointHeadConfig cfg;
+  cfg.filters = MfBankConfig{};
+  cfg.hidden = {60, 120};
+  cfg.trainer = ProposedConfig::default_trainer();
+  cfg.trainer.epochs = 30;
+  const Trained<JointHeadDiscriminator> joint =
+      suite.train<JointHeadDiscriminator>("joint head", cfg);
+  const Mlp& head = joint.model.model();
 
   Sheet sheet(json, "ablation_modularity",
               "Ablation — modular per-qubit heads vs joint k^n head "
               "(same 45 MF features)",
-              fidelity_header(nq));
+              fidelity_header(modular.model.num_qubits()));
   fidelity_row(sheet, "Modular (5 x k outputs)", modular.report);
-  fidelity_row(sheet, "Joint (243 outputs)", joint_report);
+  fidelity_row(sheet, "Joint (243 outputs)", joint.report);
   sheet.print();
 
   const std::string id = "ablation_modularity";
@@ -850,11 +830,11 @@ void ablation_modularity(ExperimentSuite& suite, BenchReport& json) {
                    kCount)
             << " vs joint "
             << put(json, id, "Joint (243 outputs)", "params",
-                   static_cast<double>(joint.parameter_count()), kCount)
+                   static_cast<double>(head.parameter_count()), kCount)
             << "; the joint head's output layer alone is "
             << put(json, id, "Joint (243 outputs)", "output-layer params",
-                   static_cast<double>(joint.layers().back().w.size() +
-                                       joint.layers().back().b.size()),
+                   static_cast<double>(head.layers().back().w.size() +
+                                       head.layers().back().b.size()),
                    kCount)
             << " parameters and grows k^n.\n";
 }
@@ -942,7 +922,7 @@ int main() {
   qmf_cfg.mf.use_rmf = false;
   qmf_cfg.mf.use_emf = false;
   const FidelityReport qmf_only =
-      suite.train_proposed("QMF-only", qmf_cfg).report;
+      suite.train<ProposedDiscriminator>("QMF-only", qmf_cfg).report;
   table5(suite, qmf_only, json);
   table6(suite, json);
   fig5a(json);

@@ -23,9 +23,8 @@
 
 #include "common/env.h"
 #include "common/table.h"
-#include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
-#include "discrim/herqules_baseline.h"
+#include "discrim/joint_head.h"
 #include "pipeline/snapshot.h"
 #include "pipeline/streaming_engine.h"
 #include "readout/dataset.h"
@@ -59,17 +58,18 @@ int write_corpus(const std::string& dir) {
   emit("int8", Quantized8ProposedDiscriminator::quantize(proposed, ds.shots,
                                                          ds.train_idx));
 
-  FnnConfig fcfg;
+  JointHeadConfig fcfg = JointHeadConfig::fnn();
   fcfg.trainer.epochs = 2;
   fcfg.hidden = {16};  // Seed inputs should be small; capacity is moot.
-  emit("fnn", FnnDiscriminator::train(ds.shots, ds.training_labels,
-                                      ds.train_idx, ds.chip, fcfg));
+  emit("fnn", JointHeadDiscriminator::train(ds.shots, ds.training_labels,
+                                            ds.train_idx, ds.chip, fcfg));
 
-  HerqulesConfig hcfg;
+  JointHeadConfig hcfg = JointHeadConfig::herqules();
   hcfg.trainer.epochs = 4;
   hcfg.hidden = {16};
-  emit("herqules", HerqulesDiscriminator::train(ds.shots, ds.training_labels,
-                                                ds.train_idx, ds.chip, hcfg));
+  emit("herqules",
+       JointHeadDiscriminator::train(ds.shots, ds.training_labels,
+                                     ds.train_idx, ds.chip, hcfg));
 
   GaussianDiscriminatorConfig gcfg;
   gcfg.kind = GaussianKind::kLda;

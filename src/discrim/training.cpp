@@ -4,8 +4,6 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
-#include "common/rng.h"
-#include "discrim/joint_label.h"
 
 namespace mlqr {
 
@@ -61,36 +59,6 @@ FilterFeatures train_filter_features(const ShotSet& shots,
   FeatureNormalizer::fit(out.train, feat_dim).apply(out.train);
   out.normalizer = FeatureNormalizer::fit(full, feat_dim);
   return out;
-}
-
-Mlp train_joint_head(std::span<const float> features,
-                     std::span<const int> labels_flat,
-                     std::span<const std::size_t> train_idx,
-                     std::size_t n_qubits,
-                     const std::vector<std::size_t>& hidden,
-                     const TrainerConfig& trainer, std::uint64_t init_seed,
-                     std::optional<float> weight_cap) {
-  MLQR_CHECK(!train_idx.empty() && features.size() % train_idx.size() == 0);
-  std::vector<int> joint(train_idx.size());
-  for (std::size_t i = 0; i < train_idx.size(); ++i)
-    joint[i] = static_cast<int>(encode_joint(
-        labels_flat.subspan(train_idx[i] * n_qubits, n_qubits), kNumLevels));
-
-  std::vector<std::size_t> sizes{features.size() / train_idx.size()};
-  sizes.insert(sizes.end(), hidden.begin(), hidden.end());
-  const std::size_t n_classes = joint_class_count(n_qubits, kNumLevels);
-  sizes.push_back(n_classes);
-  Mlp model(sizes);
-  Rng init_rng(init_seed);
-  model.init_weights(init_rng);
-
-  TrainerConfig tcfg = trainer;
-  if (weight_cap) {
-    tcfg.class_weights = inverse_frequency_weights(joint, n_classes);
-    for (float& w : tcfg.class_weights) w = std::min(w, *weight_cap);
-  }
-  train_classifier(model, features, joint, tcfg);
-  return model;
 }
 
 }  // namespace mlqr

@@ -1,20 +1,17 @@
-// The training stages the designs share. OURS and HERQULES put per-qubit
-// matched-filter banks in front of their NNs (paper SSIV-B, SSV); FNN and
-// HERQULES end in one k^n joint head. Each stage is trained here, once.
+// The training stage the designs share: OURS and the filter-fed
+// JointHeadDiscriminator (HERQULES, the modularity ablation) put per-qubit
+// matched-filter banks in front of their NNs (paper SSIV-B, SSV), and this
+// trains them, once. The k^n joint head itself trains in joint_head.cpp.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "discrim/shot_set.h"
 #include "dsp/demodulator.h"
 #include "mf/mf_bank.h"
-#include "nn/mlp.h"
 #include "nn/normalizer.h"
-#include "nn/trainer.h"
 
 namespace mlqr {
 
@@ -45,18 +42,5 @@ FilterFeatures train_filter_features(const ShotSet& shots,
                                      const Demodulator& demod,
                                      std::size_t n_samples,
                                      const MfBankConfig& cfg);
-
-/// Trains a {dim, hidden..., k^n} joint head on row-major `features` of
-/// train_idx's shots (dim = features.size() / train_idx.size()) against
-/// their joint labels. Weights are drawn from Rng(init_seed); with a
-/// weight_cap the loss weighs each joint class by its inverse frequency,
-/// capped there.
-Mlp train_joint_head(std::span<const float> features,
-                     std::span<const int> labels_flat,
-                     std::span<const std::size_t> train_idx,
-                     std::size_t n_qubits,
-                     const std::vector<std::size_t>& hidden,
-                     const TrainerConfig& trainer, std::uint64_t init_seed,
-                     std::optional<float> weight_cap);
 
 }  // namespace mlqr

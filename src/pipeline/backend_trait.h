@@ -44,8 +44,8 @@ concept ReadoutBackend =
 /// strict bit-identity with classify_into on every shot — batching is a
 /// pure execution-schedule change, which is what lets EngineCore pick the
 /// path per group without affecting results. Designs without a batch
-/// formulation (HERQULES, LDA/QDA) simply don't satisfy this and are
-/// served per-shot.
+/// formulation (LDA/QDA) simply don't satisfy this and are served
+/// per-shot.
 template <typename D>
 concept BatchedReadoutBackend =
     ReadoutBackend<D> &&
@@ -77,18 +77,19 @@ concept ScoredReadoutBackend =
     };
 
 /// A ReadoutBackend that also round-trips through the binary snapshot
-/// format: save(os) writes the payload the static load(is) reads back
+/// format: save(os) writes the payload its static load reads back
 /// bit-identically, and samples_used() reports the trace window so the
-/// snapshot header can carry it. Every shipped design satisfies this
-/// (static_asserted in tests/test_backend_trait.cpp), which is what lets
-/// save_backend/load_backend dispatch purely on the snapshot kind byte.
+/// snapshot header can carry it. load takes the stream plus whatever the
+/// snapshot kind fixes (JointHeadDiscriminator's source), so the codec
+/// registry row, not this concept, names the call. Every shipped design
+/// satisfies this (static_asserted in tests/test_backend_trait.cpp), which
+/// is what lets save_backend/load_backend dispatch purely on the snapshot
+/// kind byte.
 template <typename D>
 concept SnapshotableBackend =
-    ReadoutBackend<D> &&
-    requires(const D& d, std::ostream& os, std::istream& is) {
+    ReadoutBackend<D> && requires(const D& d, std::ostream& os) {
       { d.samples_used() } -> std::convertible_to<std::size_t>;
       { d.save(os) } -> std::same_as<void>;
-      { D::load(is) } -> std::same_as<D>;
     };
 
 }  // namespace mlqr

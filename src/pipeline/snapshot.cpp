@@ -42,22 +42,26 @@ Header read_header(std::istream& is) {
 
 // The codec registry: one row per SnapshotKind, indexed by the kind byte.
 // load_backend dispatches through here, so registering a design is one
-// SnapshotTraits specialization plus one row — no engine or call-site edits.
+// SnapshotTraits specialization plus one row per kind — no engine or
+// call-site edits. A row's `args` are what its kind fixes beyond the
+// stream (the joint head's source).
 struct Codec {
   SnapshotKind kind;
   BackendSnapshot (*load)(std::istream&);
 };
 
-template <RegisteredSnapshotBackend D>
+template <RegisteredSnapshotBackend D, auto... args>
 BackendSnapshot load_as(std::istream& is) {
-  return BackendSnapshot::wrap(D::load(is));
+  return BackendSnapshot::wrap(D::load(is, args...));
 }
 
 constexpr std::array<Codec, 6> kCodecs{{
     {SnapshotKind::kFloat, &load_as<ProposedDiscriminator>},
     {SnapshotKind::kInt16, &load_as<QuantizedProposedDiscriminator>},
-    {SnapshotKind::kFnn, &load_as<FnnDiscriminator>},
-    {SnapshotKind::kHerqules, &load_as<HerqulesDiscriminator>},
+    {SnapshotKind::kFnn,
+     &load_as<JointHeadDiscriminator, JointHeadSource::kRawIq>},
+    {SnapshotKind::kHerqules,
+     &load_as<JointHeadDiscriminator, JointHeadSource::kFilters>},
     {SnapshotKind::kGaussian, &load_as<GaussianShotDiscriminator>},
     {SnapshotKind::kInt8, &load_as<Quantized8ProposedDiscriminator>},
 }};

@@ -24,10 +24,13 @@
 //   payload          the discriminator's own save() stream
 //
 // Any SnapshotableBackend (pipeline/backend_trait.h) with a SnapshotTraits
-// specialization participates: save_backend<D> stamps the header from the
-// trait's kind, and load_backend dispatches the kind byte through the
-// codec registry (snapshot.cpp) to the matching D::load. Adding a design
-// = one trait specialization + one registry row; the engines never change.
+// specialization participates: save_backend<D> stamps the header with the
+// kind the trait reads off the instance, and load_backend dispatches the
+// kind byte through the codec registry (snapshot.cpp) to the matching
+// loader. One class may own several kinds: JointHeadDiscriminator is kFnn
+// over raw I/Q and kHerqules over filter scores, and each row loads it
+// with its source. Adding a design = one trait specialization + one
+// registry row per kind; the engines never change.
 //
 // Guarantees: floats travel as exact IEEE-754 bit patterns, so a loaded
 // backend classifies bit-identically to the instance that was saved
@@ -47,9 +50,8 @@
 #include <utility>
 
 #include "common/error.h"
-#include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
-#include "discrim/herqules_baseline.h"
+#include "discrim/joint_head.h"
 #include "discrim/proposed.h"
 #include "discrim/quantized_proposed.h"
 #include "pipeline/backend_trait.h"
@@ -65,8 +67,8 @@ namespace mlqr {
 enum class SnapshotKind : std::uint8_t {
   kFloat = 0,     ///< ProposedDiscriminator (fused float path).
   kInt16 = 1,     ///< QuantizedProposedDiscriminator (integer datapath).
-  kFnn = 2,       ///< FnnDiscriminator (raw-trace joint-head baseline).
-  kHerqules = 3,  ///< HerqulesDiscriminator (MF + joint-head baseline).
+  kFnn = 2,       ///< JointHeadDiscriminator over raw I/Q (FNN).
+  kHerqules = 3,  ///< JointHeadDiscriminator over filter scores (HERQULES).
   kGaussian = 4,  ///< GaussianShotDiscriminator (LDA/QDA baselines).
   kInt8 = 5,      ///< Quantized8ProposedDiscriminator (int8 datapath).
   // 6 is the next free value (see the manifest).
@@ -74,43 +76,45 @@ enum class SnapshotKind : std::uint8_t {
 
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-/// Maps a discriminator type to its on-disk kind byte. Specialize to
-/// register a new design with the snapshot layer (and add its row to the
-/// codec registry in snapshot.cpp so load_backend can dispatch to it).
+/// Maps a trained discriminator to its on-disk kind byte: a static
+/// kind(d). Specialize to register a new design with the snapshot layer
+/// (and add its rows to the codec registry in snapshot.cpp so load_backend
+/// can dispatch to it).
 template <typename D>
 struct SnapshotTraits;
 
-template <>
-struct SnapshotTraits<ProposedDiscriminator> {
-  static constexpr SnapshotKind kKind = SnapshotKind::kFloat;
+/// The trait of a design whose every instance has one kind.
+template <SnapshotKind K>
+struct FixedSnapshotKind {
+  static constexpr SnapshotKind kind(const auto&) { return K; }
 };
+
 template <>
-struct SnapshotTraits<QuantizedProposedDiscriminator> {
-  static constexpr SnapshotKind kKind = SnapshotKind::kInt16;
-};
+struct SnapshotTraits<ProposedDiscriminator>
+    : FixedSnapshotKind<SnapshotKind::kFloat> {};
 template <>
-struct SnapshotTraits<FnnDiscriminator> {
-  static constexpr SnapshotKind kKind = SnapshotKind::kFnn;
-};
+struct SnapshotTraits<QuantizedProposedDiscriminator>
+    : FixedSnapshotKind<SnapshotKind::kInt16> {};
 template <>
-struct SnapshotTraits<HerqulesDiscriminator> {
-  static constexpr SnapshotKind kKind = SnapshotKind::kHerqules;
-};
+struct SnapshotTraits<GaussianShotDiscriminator>
+    : FixedSnapshotKind<SnapshotKind::kGaussian> {};
 template <>
-struct SnapshotTraits<GaussianShotDiscriminator> {
-  static constexpr SnapshotKind kKind = SnapshotKind::kGaussian;
-};
+struct SnapshotTraits<Quantized8ProposedDiscriminator>
+    : FixedSnapshotKind<SnapshotKind::kInt8> {};
 template <>
-struct SnapshotTraits<Quantized8ProposedDiscriminator> {
-  static constexpr SnapshotKind kKind = SnapshotKind::kInt8;
+struct SnapshotTraits<JointHeadDiscriminator> {
+  static SnapshotKind kind(const JointHeadDiscriminator& d) {
+    return d.source() == JointHeadSource::kRawIq ? SnapshotKind::kFnn
+                                                 : SnapshotKind::kHerqules;
+  }
 };
 
 /// A SnapshotableBackend that is also registered with the kind registry —
 /// what save_backend and BackendSnapshot::wrap accept.
 template <typename D>
 concept RegisteredSnapshotBackend =
-    SnapshotableBackend<D> && requires {
-      { SnapshotTraits<D>::kKind } -> std::convertible_to<SnapshotKind>;
+    SnapshotableBackend<D> && requires(const D& d) {
+      { SnapshotTraits<D>::kind(d) } -> std::convertible_to<SnapshotKind>;
     };
 
 /// Serializes a trained discriminator with the snapshot header; the kind
@@ -132,7 +136,7 @@ class BackendSnapshot {
   static BackendSnapshot wrap(D d) {
     auto p = std::make_shared<const D>(std::move(d));
     BackendSnapshot snap;
-    snap.kind_ = SnapshotTraits<D>::kKind;
+    snap.kind_ = SnapshotTraits<D>::kind(*p);
     snap.name_ = p->name();
     snap.n_qubits_ = p->num_qubits();
     snap.n_samples_ = p->samples_used();
@@ -208,8 +212,8 @@ void write_snapshot_file(const std::string& path,
 
 template <RegisteredSnapshotBackend D>
 void save_backend(std::ostream& os, const D& d) {
-  detail::write_snapshot_header(os, SnapshotTraits<D>::kKind, d.num_qubits(),
-                                d.samples_used(), d.name());
+  detail::write_snapshot_header(os, SnapshotTraits<D>::kind(d),
+                                d.num_qubits(), d.samples_used(), d.name());
   d.save(os);
   detail::check_snapshot_stream(os);
 }

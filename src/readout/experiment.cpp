@@ -65,10 +65,13 @@ Trained<D> ExperimentSuite::train(const std::string& name,
   return {std::move(model), std::move(report), seconds};
 }
 
-Trained<ProposedDiscriminator> ExperimentSuite::train_proposed(
-    const std::string& name, const ProposedConfig& cfg) const {
-  return train<ProposedDiscriminator>(name, cfg);
-}
+// train is defined here, so it is instantiated here for its callers.
+template Trained<ProposedDiscriminator>
+ExperimentSuite::train<ProposedDiscriminator>(const std::string&,
+                                              const ProposedConfig&) const;
+template Trained<JointHeadDiscriminator>
+ExperimentSuite::train<JointHeadDiscriminator>(const std::string&,
+                                               const JointHeadConfig&) const;
 
 template <class D, class Cfg>
 const Trained<D>& ExperimentSuite::once(std::optional<Trained<D>>& slot,
@@ -81,10 +84,10 @@ const Trained<D>& ExperimentSuite::once(std::optional<Trained<D>>& slot,
 const Trained<ProposedDiscriminator>& ExperimentSuite::proposed() {
   return once(proposed_, "proposed", cfg_.proposed);
 }
-const Trained<FnnDiscriminator>& ExperimentSuite::fnn() {
+const Trained<JointHeadDiscriminator>& ExperimentSuite::fnn() {
   return once(fnn_, "FNN", cfg_.fnn);
 }
-const Trained<HerqulesDiscriminator>& ExperimentSuite::herqules() {
+const Trained<JointHeadDiscriminator>& ExperimentSuite::herqules() {
   return once(herqules_, "HERQULES", cfg_.herqules);
 }
 const Trained<GaussianShotDiscriminator>& ExperimentSuite::lda() {

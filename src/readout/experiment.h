@@ -8,9 +8,8 @@
 #include <string>
 #include <utility>
 
-#include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
-#include "discrim/herqules_baseline.h"
+#include "discrim/joint_head.h"
 #include "discrim/metrics.h"
 #include "discrim/proposed.h"
 #include "pipeline/readout_engine.h"
@@ -21,8 +20,8 @@ namespace mlqr {
 struct SuiteConfig {
   DatasetConfig dataset;
   ProposedConfig proposed;
-  FnnConfig fnn;
-  HerqulesConfig herqules;
+  JointHeadConfig fnn = JointHeadConfig::fnn();
+  JointHeadConfig herqules = JointHeadConfig::herqules();
   GaussianDiscriminatorConfig lda;
   GaussianDiscriminatorConfig qda;
 
@@ -58,19 +57,20 @@ class ExperimentSuite {
   const ReadoutDataset& dataset() const { return dataset_; }
 
   const Trained<ProposedDiscriminator>& proposed();
-  const Trained<FnnDiscriminator>& fnn();
-  const Trained<HerqulesDiscriminator>& herqules();
+  const Trained<JointHeadDiscriminator>& fnn();
+  const Trained<JointHeadDiscriminator>& herqules();
   const Trained<GaussianShotDiscriminator>& lda();
   const Trained<GaussianShotDiscriminator>& qda();
 
-  /// Trains a variant of the proposed design on the suite's dataset. The
-  /// suite does not keep it: a caller that needs it twice holds on to it.
-  Trained<ProposedDiscriminator> train_proposed(const std::string& name,
-                                                const ProposedConfig& cfg) const;
-
- private:
+  /// Trains a design (a variant of a suite design, or an ablation) on the
+  /// suite's dataset, evaluates it on the test split and logs it under
+  /// `name`. The suite does not keep it: a caller that needs it twice holds
+  /// on to it. D is ProposedDiscriminator or JointHeadDiscriminator, with
+  /// its config.
   template <class D, class Cfg>
   Trained<D> train(const std::string& name, const Cfg& cfg) const;
+
+ private:
   /// Trains into `slot` unless it already holds the design.
   template <class D, class Cfg>
   const Trained<D>& once(std::optional<Trained<D>>& slot,
@@ -79,8 +79,8 @@ class ExperimentSuite {
   SuiteConfig cfg_;
   ReadoutDataset dataset_;
   std::optional<Trained<ProposedDiscriminator>> proposed_;
-  std::optional<Trained<FnnDiscriminator>> fnn_;
-  std::optional<Trained<HerqulesDiscriminator>> herqules_;
+  std::optional<Trained<JointHeadDiscriminator>> fnn_;
+  std::optional<Trained<JointHeadDiscriminator>> herqules_;
   std::optional<Trained<GaussianShotDiscriminator>> lda_;
   std::optional<Trained<GaussianShotDiscriminator>> qda_;
 };
@@ -98,8 +98,10 @@ FidelityReport evaluate_on_test(const D& d, const ReadoutDataset& ds) {
   return evaluate_on_test(make_backend(d), ds);
 }
 
-/// |2>-detection statistics of a report's ancilla-relevant qubits, averaged:
-/// {P(read 2 | true 2), P(read 2 | true computational)} — feeds ERASER+M.
+/// |2>-detection statistics averaged over every qubit whose report holds
+/// both true-|2> and true-computational shots: {P(read 2 | true 2),
+/// P(read 2 | true computational)} — feeds ERASER+M. No qubit is excluded.
+/// With no such qubit, {1, 0}.
 std::pair<double, double> leak_detection_rates(const FidelityReport& report);
 
 }  // namespace mlqr

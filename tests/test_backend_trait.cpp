@@ -13,9 +13,8 @@
 #include <sstream>
 #include <vector>
 
-#include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
-#include "discrim/herqules_baseline.h"
+#include "discrim/joint_head.h"
 #include "discrim/proposed.h"
 #include "discrim/quantized_proposed.h"
 #include "pipeline/snapshot.h"
@@ -30,22 +29,19 @@ namespace {
 static_assert(ReadoutBackend<ProposedDiscriminator>);
 static_assert(ReadoutBackend<QuantizedProposedDiscriminator>);
 static_assert(ReadoutBackend<Quantized8ProposedDiscriminator>);
-static_assert(ReadoutBackend<FnnDiscriminator>);
-static_assert(ReadoutBackend<HerqulesDiscriminator>);
+static_assert(ReadoutBackend<JointHeadDiscriminator>);
 static_assert(ReadoutBackend<GaussianShotDiscriminator>);
 // The type-erased engine stage is itself a ReadoutBackend, so engines can
 // be composed (a shard is just another backend).
 static_assert(ReadoutBackend<EngineBackend>);
 
-// The three OURS designs and the FNN baseline expose the batched
-// entry point (the FNN gained it so recalibrated FNN shards serve at
-// batched speed); HERQULES and the Gaussians stay per-shot and the engine
-// must treat them so.
+// The three OURS designs and the joint-head baselines (FNN and HERQULES
+// are one class) expose the batched entry point; the Gaussians stay
+// per-shot and the engine must treat them so.
 static_assert(BatchedReadoutBackend<ProposedDiscriminator>);
 static_assert(BatchedReadoutBackend<QuantizedProposedDiscriminator>);
 static_assert(BatchedReadoutBackend<Quantized8ProposedDiscriminator>);
-static_assert(BatchedReadoutBackend<FnnDiscriminator>);
-static_assert(!BatchedReadoutBackend<HerqulesDiscriminator>);
+static_assert(BatchedReadoutBackend<JointHeadDiscriminator>);
 static_assert(!BatchedReadoutBackend<GaussianShotDiscriminator>);
 
 // Confidence scoring feeds the streaming drift monitors: the float designs
@@ -53,17 +49,15 @@ static_assert(!BatchedReadoutBackend<GaussianShotDiscriminator>);
 // fixed-point logits have no calibrated softmax) and the engine samples
 // confidence only on shards that support it.
 static_assert(ScoredReadoutBackend<ProposedDiscriminator>);
-static_assert(ScoredReadoutBackend<FnnDiscriminator>);
+static_assert(ScoredReadoutBackend<JointHeadDiscriminator>);
 static_assert(!ScoredReadoutBackend<QuantizedProposedDiscriminator>);
 static_assert(!ScoredReadoutBackend<Quantized8ProposedDiscriminator>);
-static_assert(!ScoredReadoutBackend<HerqulesDiscriminator>);
 static_assert(!ScoredReadoutBackend<GaussianShotDiscriminator>);
 
 static_assert(SnapshotableBackend<ProposedDiscriminator>);
 static_assert(SnapshotableBackend<QuantizedProposedDiscriminator>);
 static_assert(SnapshotableBackend<Quantized8ProposedDiscriminator>);
-static_assert(SnapshotableBackend<FnnDiscriminator>);
-static_assert(SnapshotableBackend<HerqulesDiscriminator>);
+static_assert(SnapshotableBackend<JointHeadDiscriminator>);
 static_assert(SnapshotableBackend<GaussianShotDiscriminator>);
 // Type erasure drops persistence: an EngineBackend cannot be snapshotted.
 static_assert(!SnapshotableBackend<EngineBackend>);
@@ -71,21 +65,8 @@ static_assert(!SnapshotableBackend<EngineBackend>);
 static_assert(RegisteredSnapshotBackend<ProposedDiscriminator>);
 static_assert(RegisteredSnapshotBackend<QuantizedProposedDiscriminator>);
 static_assert(RegisteredSnapshotBackend<Quantized8ProposedDiscriminator>);
-static_assert(RegisteredSnapshotBackend<FnnDiscriminator>);
-static_assert(RegisteredSnapshotBackend<HerqulesDiscriminator>);
+static_assert(RegisteredSnapshotBackend<JointHeadDiscriminator>);
 static_assert(RegisteredSnapshotBackend<GaussianShotDiscriminator>);
-
-static_assert(SnapshotTraits<ProposedDiscriminator>::kKind ==
-              SnapshotKind::kFloat);
-static_assert(SnapshotTraits<QuantizedProposedDiscriminator>::kKind ==
-              SnapshotKind::kInt16);
-static_assert(SnapshotTraits<Quantized8ProposedDiscriminator>::kKind ==
-              SnapshotKind::kInt8);
-static_assert(SnapshotTraits<FnnDiscriminator>::kKind == SnapshotKind::kFnn);
-static_assert(SnapshotTraits<HerqulesDiscriminator>::kKind ==
-              SnapshotKind::kHerqules);
-static_assert(SnapshotTraits<GaussianShotDiscriminator>::kKind ==
-              SnapshotKind::kGaussian);
 
 // ---- bit-identity across engine knobs -----------------------------------
 
@@ -96,8 +77,8 @@ struct Fixture {
   ProposedDiscriminator proposed;
   QuantizedProposedDiscriminator quantized;
   Quantized8ProposedDiscriminator quantized8;
-  FnnDiscriminator fnn;
-  HerqulesDiscriminator herqules;
+  JointHeadDiscriminator fnn;
+  JointHeadDiscriminator herqules;
   GaussianShotDiscriminator lda;
   GaussianShotDiscriminator qda;
 
@@ -116,13 +97,13 @@ struct Fixture {
           QuantizedProposedDiscriminator::quantize(p, ds.shots, ds.train_idx);
       Quantized8ProposedDiscriminator q8 =
           Quantized8ProposedDiscriminator::quantize(p, ds.shots, ds.train_idx);
-      FnnConfig fcfg;
+      JointHeadConfig fcfg = JointHeadConfig::fnn();
       fcfg.trainer.epochs = 2;
-      FnnDiscriminator f = FnnDiscriminator::train(
+      JointHeadDiscriminator f = JointHeadDiscriminator::train(
           ds.shots, ds.training_labels, ds.train_idx, ds.chip, fcfg);
-      HerqulesConfig hcfg;
+      JointHeadConfig hcfg = JointHeadConfig::herqules();
       hcfg.trainer.epochs = 4;
-      HerqulesDiscriminator h = HerqulesDiscriminator::train(
+      JointHeadDiscriminator h = JointHeadDiscriminator::train(
           ds.shots, ds.training_labels, ds.train_idx, ds.chip, hcfg);
       GaussianDiscriminatorConfig gcfg;
       gcfg.kind = GaussianKind::kLda;
@@ -226,6 +207,10 @@ TEST(BackendTrait, FnnBitIdenticalAcrossBatchThreadShardGrid) {
   expect_bit_identical_across_knobs(Fixture::get().fnn, "fnn");
 }
 
+TEST(BackendTrait, HerqulesBitIdenticalAcrossBatchThreadShardGrid) {
+  expect_bit_identical_across_knobs(Fixture::get().herqules, "herqules");
+}
+
 /// A frame with one NaN sample must take the same labels through the
 /// engine's per-shot arm (groups of 1) and its batch arm (one group of 16):
 /// the per-shot and batched float heads share one ReLU, z > 0 ? z : +0, so
@@ -245,6 +230,7 @@ void expect_nan_frame_labels_agree(const D& d, const char* what) {
 TEST(BackendTrait, NanSampleLabelsAgreeAcrossEngineArms) {
   expect_nan_frame_labels_agree(Fixture::get().proposed, "float");
   expect_nan_frame_labels_agree(Fixture::get().fnn, "fnn");
+  expect_nan_frame_labels_agree(Fixture::get().herqules, "herqules");
 }
 
 // ---- the scored contract: same labels, confidence in (0, 1] -------------
@@ -269,6 +255,10 @@ TEST(BackendTrait, ProposedScoredLabelsBitIdentical) {
 
 TEST(BackendTrait, FnnScoredLabelsBitIdentical) {
   expect_scored_matches_classify(Fixture::get().fnn, "fnn");
+}
+
+TEST(BackendTrait, HerqulesScoredLabelsBitIdentical) {
+  expect_scored_matches_classify(Fixture::get().herqules, "herqules");
 }
 
 TEST(BackendTrait, ScoredSupportPropagatesThroughErasure) {
@@ -373,6 +363,25 @@ void expect_roundtrip_bit_identical(const D& d, SnapshotKind kind) {
   std::stringstream orig;
   save_backend(orig, d);
   EXPECT_EQ(out.str(), orig.str());
+}
+
+TEST(BackendTrait, SnapshotKindComesFromTheInstance) {
+  const Fixture& fx = Fixture::get();
+  EXPECT_EQ(SnapshotTraits<ProposedDiscriminator>::kind(fx.proposed),
+            SnapshotKind::kFloat);
+  EXPECT_EQ(SnapshotTraits<QuantizedProposedDiscriminator>::kind(fx.quantized),
+            SnapshotKind::kInt16);
+  EXPECT_EQ(
+      SnapshotTraits<Quantized8ProposedDiscriminator>::kind(fx.quantized8),
+      SnapshotKind::kInt8);
+  EXPECT_EQ(SnapshotTraits<JointHeadDiscriminator>::kind(fx.fnn),
+            SnapshotKind::kFnn);
+  EXPECT_EQ(SnapshotTraits<JointHeadDiscriminator>::kind(fx.herqules),
+            SnapshotKind::kHerqules);
+  EXPECT_EQ(SnapshotTraits<GaussianShotDiscriminator>::kind(fx.lda),
+            SnapshotKind::kGaussian);
+  EXPECT_EQ(fx.fnn.name(), "FNN");
+  EXPECT_EQ(fx.herqules.name(), "HERQULES");
 }
 
 TEST(BackendTrait, Int8SnapshotRoundTrip) {

@@ -7,9 +7,8 @@
 #include <string>
 
 #include "common/simd.h"
-#include "discrim/fnn_baseline.h"
 #include "discrim/gaussian_discriminator.h"
-#include "discrim/herqules_baseline.h"
+#include "discrim/joint_head.h"
 #include "discrim/proposed.h"
 #include "readout/experiment.h"
 
@@ -108,9 +107,9 @@ TEST(Discriminators, GaussianDiscriminatorsTrainAndClassify) {
 
 TEST(Discriminators, FnnTrainsAndDecodesJointClasses) {
   const ReadoutDataset& ds = shared_dataset();
-  FnnConfig cfg;
+  JointHeadConfig cfg = JointHeadConfig::fnn();
   cfg.trainer.epochs = 6;  // Light training: integration smoke, not a bench.
-  const FnnDiscriminator fnn = FnnDiscriminator::train(
+  const JointHeadDiscriminator fnn = JointHeadDiscriminator::train(
       ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg);
   EXPECT_EQ(fnn.model().input_size(), 1000u);
   EXPECT_GT(fnn.parameter_count(), 600000u);
@@ -123,9 +122,9 @@ TEST(Discriminators, FnnTrainsAndDecodesJointClasses) {
 
 TEST(Discriminators, HerqulesTrainsJointHead) {
   const ReadoutDataset& ds = shared_dataset();
-  HerqulesConfig cfg;
+  JointHeadConfig cfg = JointHeadConfig::herqules();
   cfg.trainer.epochs = 10;
-  const HerqulesDiscriminator h = HerqulesDiscriminator::train(
+  const JointHeadDiscriminator h = JointHeadDiscriminator::train(
       ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg);
   EXPECT_EQ(h.model().input_size(), 30u);   // 6 filters x 5 qubits.
   EXPECT_EQ(h.model().output_size(), 243u);
@@ -141,12 +140,12 @@ TEST(Discriminators, HerqulesTrainIsIdenticalAcrossThreadBudgets) {
   const ReadoutDataset& ds = shared_dataset();
   std::string first;
   for (std::size_t threads : {1u, 2u, 4u}) {
-    HerqulesConfig cfg;
+    JointHeadConfig cfg = JointHeadConfig::herqules();
     cfg.trainer.epochs = 4;
     cfg.trainer.threads = threads;
     std::ostringstream os;
-    HerqulesDiscriminator::train(ds.shots, ds.training_labels, ds.train_idx,
-                                 ds.chip, cfg)
+    JointHeadDiscriminator::train(ds.shots, ds.training_labels, ds.train_idx,
+                                  ds.chip, cfg)
         .save(os);
     if (first.empty())
       first = os.str();
@@ -164,14 +163,14 @@ TEST(Discriminators, FnnChecksumMatchesTheParent) {
   GTEST_SKIP() << "pinned to x86-64 libm";
 #endif
   const ReadoutDataset& ds = shared_dataset();
-  FnnConfig cfg;
+  JointHeadConfig cfg = JointHeadConfig::fnn();
   cfg.trainer.epochs = 2;
   cfg.hidden = {16};
   cfg.class_weight_cap = 4.0f;  // Low enough to bind, so the cap is pinned.
   for (const simd::Kernels* tier : simd::compiled_tiers()) {
     if (!simd::host_runs(*tier)) continue;
     const simd::ScopedTier pin(*tier);
-    const std::uint64_t h = saved_checksum(FnnDiscriminator::train(
+    const std::uint64_t h = saved_checksum(JointHeadDiscriminator::train(
         ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg));
     EXPECT_EQ(h, 0xf08354e846074684ull)
         << std::hex << "checksum 0x" << h << " on tier " << tier->name;
@@ -183,13 +182,13 @@ TEST(Discriminators, HerqulesChecksumMatchesTheParent) {
   GTEST_SKIP() << "pinned to x86-64 libm";
 #endif
   const ReadoutDataset& ds = shared_dataset();
-  HerqulesConfig cfg;
+  JointHeadConfig cfg = JointHeadConfig::herqules();
   cfg.trainer.epochs = 4;
   cfg.hidden = {16};
   for (const simd::Kernels* tier : simd::compiled_tiers()) {
     if (!simd::host_runs(*tier)) continue;
     const simd::ScopedTier pin(*tier);
-    const std::uint64_t h = saved_checksum(HerqulesDiscriminator::train(
+    const std::uint64_t h = saved_checksum(JointHeadDiscriminator::train(
         ds.shots, ds.training_labels, ds.train_idx, ds.chip, cfg));
     EXPECT_EQ(h, 0xc88a77bfe4d6ad00ull)
         << std::hex << "checksum 0x" << h << " on tier " << tier->name;

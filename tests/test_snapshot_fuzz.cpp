@@ -56,17 +56,17 @@ struct Corpus {
                                                             ds.train_idx));
       add("int8", Quantized8ProposedDiscriminator::quantize(proposed, ds.shots,
                                                             ds.train_idx));
-      FnnConfig fcfg;
+      JointHeadConfig fcfg = JointHeadConfig::fnn();
       fcfg.trainer.epochs = 1;
       fcfg.hidden = {16};
-      add("fnn", FnnDiscriminator::train(ds.shots, ds.training_labels,
-                                         ds.train_idx, ds.chip, fcfg));
-      HerqulesConfig hcfg;
+      add("fnn", JointHeadDiscriminator::train(ds.shots, ds.training_labels,
+                                               ds.train_idx, ds.chip, fcfg));
+      JointHeadConfig hcfg = JointHeadConfig::herqules();
       hcfg.trainer.epochs = 1;
       hcfg.hidden = {16};
       add("herqules",
-          HerqulesDiscriminator::train(ds.shots, ds.training_labels,
-                                       ds.train_idx, ds.chip, hcfg));
+          JointHeadDiscriminator::train(ds.shots, ds.training_labels,
+                                        ds.train_idx, ds.chip, hcfg));
       GaussianDiscriminatorConfig gcfg;
       gcfg.kind = GaussianKind::kLda;
       add("lda",

@@ -495,17 +495,14 @@ NOT_A_MEMBER_RE = re.compile(
 
 # "Struct::field": why the field stays although no caller sets it.
 SETTABLE_FIELD_ALLOWLIST = {
-    "FnnConfig::balance_classes":
-        "the baseline joint-class weighting study (ROADMAP item 1) needs "
-        "the weighting off as its second value",
-    "FnnConfig::class_weight_cap":
-        "the same weighting study varies the cap",
-    "HerqulesConfig::balance_classes":
-        "the same weighting study, on the HERQULES baseline",
-    "HerqulesConfig::class_weight_cap":
+    "JointHeadConfig::balance_classes":
+        "the baseline joint-class weighting study (ROADMAP item 2) needs "
+        "the weighting off as its second value, on FNN and HERQULES",
+    "JointHeadConfig::class_weight_cap":
         "the same weighting study varies the cap",
     # Snapshot wire fields: each is written and read back by a calibration
     # payload, and the checked-in fuzz/corpus is pinned byte-identical.
+    "MfBankConfig::use_qmf": "on the MF-bank snapshot wire",
     "MfBankConfig::min_error_traces": "on the MF-bank snapshot wire",
     "MfBankConfig::kernel_smooth_window": "on the MF-bank snapshot wire",
     "ErrorMinerConfig::early_fraction": "on the MF-bank snapshot wire",
