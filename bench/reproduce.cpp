@@ -287,17 +287,17 @@ void table1(BenchReport& json) {
   const std::size_t cycles = 10;
   const std::size_t trials = fast_scaled(4000, 10, 200);
 
-  EraserConfig base_cfg;
   const SpeculationStats base = run_eraser(code, rates, MultiLevelReadout{},
-                                           base_cfg, cycles, trials, 2027);
+                                           cycles, trials, 2027);
 
-  EraserConfig ml_cfg;
-  ml_cfg.multi_level = true;
+  // Assumed three-level readout rates, taken from no trained design: the
+  // trained proposed design measures lower ones (ROADMAP item 1).
   MultiLevelReadout ml;
-  ml.p_detect_leaked = 0.93;  // Three-level readout of the proposed design.
+  ml.enabled = true;
+  ml.p_detect_leaked = 0.93;
   ml.p_false_leaked = 0.01;
   const SpeculationStats with_ml =
-      run_eraser(code, rates, ml, ml_cfg, cycles, trials, 2027);
+      run_eraser(code, rates, ml, cycles, trials, 2027);
 
   constexpr Shown kAcc{3};
   Sheet sheet(json, "table1",
@@ -603,13 +603,12 @@ void table6(ExperimentSuite& suite, BenchReport& json) {
   };
   for (const Row& r : rows) {
     const auto [detect, fp] = leak_detection_rates(*r.report);
-    EraserConfig ml_cfg;
-    ml_cfg.multi_level = true;
     MultiLevelReadout ml;
+    ml.enabled = true;
     ml.p_detect_leaked = detect;
     ml.p_false_leaked = fp;
     const SpeculationStats s =
-        run_eraser(code, rates, ml, ml_cfg, cycles, trials, 31337);
+        run_eraser(code, rates, ml, cycles, trials, 31337);
     sheet.row(r.name)
         .value(r.report->readout_error_excluding(exclude) * 100, {1},
                r.paper_error)

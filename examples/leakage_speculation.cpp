@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
 
   const SurfaceCode code(distance);
   const LeakageRates rates;
-  const EraserConfig eraser_cfg;
 
   std::cout << "Surface code d=" << distance << ": " << code.num_data()
             << " data qubits, " << code.num_stabilizers()
@@ -34,8 +33,8 @@ int main(int argc, char** argv) {
 
   // Syndrome-only baseline.
   {
-    SpeculationStats s = run_eraser(code, rates, MultiLevelReadout{},
-                                    eraser_cfg, cycles, trials, 11);
+    SpeculationStats s =
+        run_eraser(code, rates, MultiLevelReadout{}, cycles, trials, 11);
     table.add_row({"ERASER", "-", Table::num(s.speculation_accuracy()),
                    Table::num(s.recall()),
                    Table::num(s.final_leakage_population, 5),
@@ -50,10 +49,7 @@ int main(int argc, char** argv) {
     ml.enabled = true;
     ml.p_detect_leaked = detect;
     ml.p_false_leaked = 0.01;
-    EraserConfig cfg_m = eraser_cfg;
-    cfg_m.multi_level = true;
-    SpeculationStats s =
-        run_eraser(code, rates, ml, cfg_m, cycles, trials, 13);
+    SpeculationStats s = run_eraser(code, rates, ml, cycles, trials, 13);
     table.add_row({"ERASER+M", Table::num(detect, 2),
                    Table::num(s.speculation_accuracy()),
                    Table::num(s.recall()),

@@ -71,13 +71,12 @@ int write_corpus(const std::string& dir) {
        JointHeadDiscriminator::train(ds.shots, ds.training_labels,
                                      ds.train_idx, ds.chip, hcfg));
 
-  GaussianDiscriminatorConfig gcfg;
-  gcfg.kind = GaussianKind::kLda;
   emit("lda", GaussianShotDiscriminator::train(ds.shots, ds.training_labels,
-                                               ds.train_idx, ds.chip, gcfg));
-  gcfg.kind = GaussianKind::kQda;
+                                               ds.train_idx, ds.chip,
+                                               GaussianKind::kLda));
   emit("qda", GaussianShotDiscriminator::train(ds.shots, ds.training_labels,
-                                               ds.train_idx, ds.chip, gcfg));
+                                               ds.train_idx, ds.chip,
+                                               GaussianKind::kQda));
   return 0;
 }
 

@@ -115,7 +115,7 @@ void save_quantization_config(std::ostream& os, const QuantizationConfig& cfg) {
   io::write_i32(os, cfg.weight_bits);
   io::write_i32(os, cfg.activation_bits);
   io::write_i32(os, cfg.accum_bits);
-  io::write_u64(os, cfg.max_calibration_shots);
+  io::write_u64(os, kMaxCalibrationShots);
 }
 
 QuantizationConfig load_quantization_config(std::istream& is) {
@@ -123,7 +123,11 @@ QuantizationConfig load_quantization_config(std::istream& is) {
   cfg.weight_bits = io::read_i32(is);
   cfg.activation_bits = io::read_i32(is);
   cfg.accum_bits = io::read_i32(is);
-  cfg.max_calibration_shots = io::read_count(is);
+  const std::uint64_t max_calibration_shots = io::read_u64(is);
+  MLQR_CHECK_MSG(max_calibration_shots == kMaxCalibrationShots,
+                 "quantization snapshot sets the retired max_calibration_shots "
+                 "to " << max_calibration_shots << "; it is fixed at "
+                       << kMaxCalibrationShots);
   MLQR_CHECK_MSG(cfg.weight_bits >= 2 && cfg.weight_bits <= 16 &&
                      cfg.activation_bits >= 2 && cfg.activation_bits <= 16 &&
                      cfg.accum_bits >= 8 && cfg.accum_bits <= 63,

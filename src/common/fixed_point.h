@@ -30,15 +30,15 @@ struct FixedPointFormat {
 };
 
 /// Precision knobs shared by the integer inference backend: code widths for
-/// weights/kernels, inter-stage activations, and the MAC accumulator, plus
-/// how many shots the range calibration reads.
+/// weights/kernels, inter-stage activations, and the MAC accumulator.
 struct QuantizationConfig {
   int weight_bits = 16;      ///< NN weight and matched-filter kernel codes.
   int activation_bits = 16;  ///< Feature / inter-layer activation codes.
   int accum_bits = 32;       ///< Saturating MAC accumulator width.
-  /// Range calibration reads at most this many calibration shots.
-  std::size_t max_calibration_shots = 512;
 };
+
+/// Range calibration reads at most this many calibration shots.
+inline constexpr std::size_t kMaxCalibrationShots = 512;
 
 /// Rounds to the nearest integer, ties to even. Unlike std::nearbyint the
 /// result is independent of the runtime FP rounding mode (fesetround).
@@ -95,7 +95,9 @@ FixedPointFormat saturating_format(double lo, double hi, int total_bits);
 void save_format(std::ostream& os, const FixedPointFormat& fmt);
 FixedPointFormat load_format(std::istream& is);
 
-/// Same for the precision-knob bundle the quantized backends carry.
+/// Same for the precision-knob bundle the quantized backends carry. Its
+/// wire keeps the slot of the retired max_calibration_shots: save writes
+/// kMaxCalibrationShots, and load throws on any other value.
 void save_quantization_config(std::ostream& os, const QuantizationConfig& cfg);
 QuantizationConfig load_quantization_config(std::istream& is);
 

@@ -16,13 +16,13 @@ constexpr std::size_t kFeatureDim = 2;
 GaussianShotDiscriminator GaussianShotDiscriminator::train(
     const ShotSet& shots, std::span<const int> labels_flat,
     std::span<const std::size_t> train_idx, const ChipProfile& chip,
-    const GaussianDiscriminatorConfig& cfg) {
+    GaussianKind kind) {
   shots.validate();
   MLQR_CHECK(labels_flat.size() == shots.size() * shots.n_qubits);
   MLQR_CHECK(!train_idx.empty());
 
   GaussianShotDiscriminator d;
-  d.cfg_ = cfg;
+  d.kind_ = kind;
   d.demod_ = Demodulator(chip);
   d.samples_used_ = chip.n_samples;
 
@@ -39,7 +39,7 @@ GaussianShotDiscriminator GaussianShotDiscriminator::train(
       labels.push_back(labels_flat[train_idx[i] * shots.n_qubits + q]);
     }
     d.per_qubit_.push_back(GaussianClassifier::fit(
-        features, kFeatureDim, labels, kNumLevels, cfg.kind));
+        features, kFeatureDim, labels, kNumLevels, kind));
   }
   return d;
 }
@@ -57,11 +57,11 @@ void GaussianShotDiscriminator::classify_into(const IqTrace& trace,
 }
 
 std::string GaussianShotDiscriminator::name() const {
-  return cfg_.kind == GaussianKind::kLda ? "LDA" : "QDA";
+  return kind_ == GaussianKind::kLda ? "LDA" : "QDA";
 }
 
 void GaussianShotDiscriminator::save(std::ostream& os) const {
-  io::write_u8(os, cfg_.kind == GaussianKind::kQda ? 1 : 0);
+  io::write_u8(os, kind_ == GaussianKind::kQda ? 1 : 0);
   // The retired early/late split flag keeps its wire byte, always false.
   io::write_bool(os, false);
   io::write_u64(os, samples_used_);
@@ -75,7 +75,7 @@ GaussianShotDiscriminator GaussianShotDiscriminator::load(std::istream& is) {
   const std::uint8_t kind = io::read_u8(is);
   MLQR_CHECK_MSG(kind <= 1, "corrupt Gaussian discriminator kind "
                                 << static_cast<int>(kind));
-  d.cfg_.kind = kind == 1 ? GaussianKind::kQda : GaussianKind::kLda;
+  d.kind_ = kind == 1 ? GaussianKind::kQda : GaussianKind::kLda;
   MLQR_CHECK_MSG(!io::read_bool(is),
                  "Gaussian discriminator snapshot asks for the retired "
                  "split-window features");
@@ -92,7 +92,7 @@ GaussianShotDiscriminator GaussianShotDiscriminator::load(std::istream& is) {
     GaussianClassifier g = GaussianClassifier::load(is);
     // Every per-qubit classifier must share the discriminator's kind and
     // consume exactly the feature layout classify_into extracts.
-    MLQR_CHECK_MSG(g.kind() == d.cfg_.kind && g.dim() == kFeatureDim,
+    MLQR_CHECK_MSG(g.kind() == d.kind_ && g.dim() == kFeatureDim,
                    "Gaussian discriminator classifier " << q
                        << " does not match the discriminator's kind/layout");
     d.per_qubit_.push_back(std::move(g));

@@ -21,21 +21,17 @@
 
 namespace mlqr {
 
-struct GaussianDiscriminatorConfig {
-  GaussianKind kind = GaussianKind::kLda;
-};
-
 /// Whole-register discriminator built from per-qubit Gaussian classifiers.
 class GaussianShotDiscriminator {
  public:
-  /// Trains per-qubit classifiers on the selected shots using
-  /// `labels_flat` (shot-major, n_qubits stride — typically the
+  /// Trains per-qubit classifiers of `kind` (LDA or QDA) on the selected
+  /// shots using `labels_flat` (shot-major, n_qubits stride — typically the
   /// clustering-estimated labels).
   static GaussianShotDiscriminator train(const ShotSet& shots,
                                          std::span<const int> labels_flat,
                                          std::span<const std::size_t> train_idx,
                                          const ChipProfile& chip,
-                                         const GaussianDiscriminatorConfig& cfg);
+                                         GaussianKind kind);
 
   /// Classify reusing the scratch's baseband buffer (the per-shot heap
   /// traffic that matters; the 2-D MTV features stay on the stack-ish
@@ -55,7 +51,7 @@ class GaussianShotDiscriminator {
   static GaussianShotDiscriminator load(std::istream& is);
 
  private:
-  GaussianDiscriminatorConfig cfg_;
+  GaussianKind kind_ = GaussianKind::kLda;
   Demodulator demod_;
   std::size_t samples_used_ = 0;
   std::vector<GaussianClassifier> per_qubit_;

@@ -28,9 +28,9 @@
 namespace mlqr {
 
 struct ProposedConfig {
-  MfBankConfig mf;          ///< Which filter groups to use (all three
-                            ///  for the full design; QMF-only reproduces
-                            ///  the Table V "NN" ablation).
+  MfBankConfig mf;          ///< Which error-filter groups join QMF
+                            ///  (both for the full design; neither
+                            ///  reproduces the Table V "NN" ablation).
   static TrainerConfig default_trainer() {
     TrainerConfig t;
     t.epochs = 40;

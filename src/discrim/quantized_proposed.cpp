@@ -53,9 +53,7 @@ QuantizedProposedOf<Code> QuantizedProposedOf<Code>::quantize(
     std::span<const std::size_t> calib_idx, const QuantizationConfig& cfg) {
   MLQR_CHECK(d.num_qubits() > 0);
   MLQR_CHECK(!calib_idx.empty());
-  MLQR_CHECK(cfg.max_calibration_shots > 0);
-  const std::size_t n_use =
-      std::min(calib_idx.size(), cfg.max_calibration_shots);
+  const std::size_t n_use = std::min(calib_idx.size(), kMaxCalibrationShots);
   const std::size_t feat_dim = d.feature_dim();
   const std::size_t n_samples = d.samples_used();
 
@@ -210,7 +208,7 @@ DesignSpec QuantizedProposedOf<Code>::design_spec() const {
     for (const typename Head::Layer& l : head.layers()) sizes.push_back(l.out);
     spec.nns.push_back(std::move(sizes));
   }
-  spec.hls = hls_config_from_formats(cfg_.weight_bits, cfg_.accum_bits);
+  spec.hls.weight_bits = cfg_.weight_bits;
   return spec;
 }
 

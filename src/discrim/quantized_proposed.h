@@ -20,8 +20,8 @@
 // Built by *calibrated* quantization of a trained float
 // ProposedDiscriminator: fixed-point formats for the trace, features,
 // kernels, weights and activations are fitted from training data
-// (fit_format / saturating_format), not assumed — the resource model reads
-// these calibrated widths via design_spec().
+// (fit_format / saturating_format), not assumed. Of these widths the
+// resource model reads only the weight width, via design_spec().
 #pragma once
 
 #include <cstddef>
@@ -56,7 +56,7 @@ class QuantizedProposedOf {
 
   /// Quantizes a trained float discriminator. `calib`/`calib_idx` supply
   /// the range-calibration shots (use the training split; capped at
-  /// cfg.max_calibration_shots). cfg must fit the head width (see
+  /// kMaxCalibrationShots). cfg must fit the head width (see
   /// QuantizedMlpOf::quantize).
   static QuantizedProposedOf quantize(
       const ProposedDiscriminator& d, const ShotSet& calib,
@@ -91,9 +91,9 @@ class QuantizedProposedOf {
   const Head& head(std::size_t q) const { return heads_.at(q); }
   const QuantizationConfig& config() const { return cfg_; }
 
-  /// DesignSpec of this exact instance — topology from the trained heads,
-  /// HLS precision knobs from the configured code widths (see
-  /// hls_config_from_formats) rather than assumed deployment widths.
+  /// DesignSpec of this exact instance: topology from the trained heads,
+  /// and the configured weight width (cfg.weight_bits), the one precision
+  /// input of the resource model, rather than an assumed deployment width.
   DesignSpec design_spec() const;
 
   /// Binary little-endian persistence of the complete integer datapath

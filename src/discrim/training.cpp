@@ -19,7 +19,6 @@ FilterFeatures train_filter_features(const ShotSet& shots,
   MLQR_CHECK(demod.num_qubits() == shots.n_qubits);
   const std::size_t n_qubits = shots.n_qubits;
   const std::size_t per_q = cfg.filters_per_qubit();
-  MLQR_CHECK_MSG(per_q > 0, "at least one filter group must be enabled");
   const std::size_t feat_dim = per_q * n_qubits;
   const std::size_t n_train = train_idx.size();
 

@@ -35,19 +35,6 @@ ResourceEstimate& ResourceEstimate::operator+=(const ResourceEstimate& other) {
   return *this;
 }
 
-HlsConfig hls_config_from_formats(int weight_bits, int accum_bits,
-                                  int reuse_factor) {
-  MLQR_CHECK(weight_bits >= 2 && weight_bits <= 32);
-  MLQR_CHECK(accum_bits >= weight_bits && accum_bits <= 64);
-  MLQR_CHECK(reuse_factor >= 1);
-  HlsConfig cfg;
-  cfg.weight_bits = weight_bits;
-  cfg.accum_bits = accum_bits;
-  cfg.reuse_factor = reuse_factor;
-  cfg.weights_in_bram = reuse_factor > 1;
-  return cfg;
-}
-
 ResourceEstimate estimate_dense_layer(std::size_t in, std::size_t out,
                                       const HlsConfig& cfg) {
   MLQR_CHECK(in > 0 && out > 0);
@@ -57,19 +44,19 @@ ResourceEstimate estimate_dense_layer(std::size_t in, std::size_t out,
   const double neurons = static_cast<double>(out);
 
   ResourceEstimate r;
-  if (cfg.reuse_factor == 1 && !cfg.weights_in_bram) {
-    // Fully unrolled: constant multipliers in fabric, no DSP/BRAM.
-    r.luts = params * cfg.weight_bits * kLutPerParamBit +
-             neurons * kLutPerNeuron + kLutPerLayer;
-    r.ffs = params * cfg.weight_bits * kFfPerParamBit +
-            neurons * kFfPerNeuron + kFfPerLayer;
-  } else {
+  if (cfg.reuse_factor > 1) {
     // Time-multiplexed MAC array on DSP slices, weights streamed from BRAM.
     const double macs = static_cast<double>(in) * static_cast<double>(out);
     r.dsps = std::ceil(macs / static_cast<double>(cfg.reuse_factor));
     r.luts = r.dsps * 12.0 + neurons * kLutPerNeuron + kLutPerLayer;
     r.ffs = r.dsps * 40.0 + neurons * kFfPerNeuron + kFfPerLayer;
     r.bram36 = std::ceil(params * cfg.weight_bits / kBramBitsPer36k);
+  } else {
+    // Fully unrolled: constant multipliers in fabric, no DSP/BRAM.
+    r.luts = params * cfg.weight_bits * kLutPerParamBit +
+             neurons * kLutPerNeuron + kLutPerLayer;
+    r.ffs = params * cfg.weight_bits * kFfPerParamBit +
+            neurons * kFfPerNeuron + kFfPerLayer;
   }
   return r;
 }

@@ -31,10 +31,10 @@ struct FpgaDevice {
 
 /// HLS implementation knobs (mirrors the hls4ml precision / reuse options).
 struct HlsConfig {
-  int weight_bits = 8;       ///< Fixed-point weight width.
-  int accum_bits = 16;       ///< Accumulator width.
-  int reuse_factor = 1;      ///< 1 = fully unrolled multiplies.
-  bool weights_in_bram = false;  ///< reuse>1 streams weights from BRAM.
+  int weight_bits = 8;   ///< Fixed-point weight width.
+  /// 1 = fully unrolled multiplies; > 1 time-multiplexes the MACs on DSP
+  /// slices and streams the weights from BRAM.
+  int reuse_factor = 1;
 };
 
 /// Absolute resource counts for a block or a whole design.
@@ -58,13 +58,6 @@ struct Utilization {
     return lut <= 1.0 && ff <= 1.0 && bram <= 1.0 && dsp <= 1.0;
   }
 };
-
-/// HLS precision knobs derived from a design's actually-calibrated
-/// fixed-point widths (e.g. QuantizedProposedDiscriminator's weight and
-/// accumulator code widths) instead of the assumed deployment defaults —
-/// resource-vs-fidelity sweeps stay honest to the datapath that ran.
-HlsConfig hls_config_from_formats(int weight_bits, int accum_bits,
-                                  int reuse_factor = 1);
 
 /// One dense layer (in x out MACs + bias + activation).
 ResourceEstimate estimate_dense_layer(std::size_t in, std::size_t out,

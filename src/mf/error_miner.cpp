@@ -9,28 +9,26 @@
 namespace mlqr {
 
 MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
-                                   std::span<const int> labels,
-                                   const ErrorMinerConfig& cfg) {
+                                   std::span<const int> labels) {
   std::vector<std::size_t> rows(traces.size());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
-  return mine_error_traces(traces, labels, rows, cfg);
+  return mine_error_traces(traces, labels, rows);
 }
 
 MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
                                    std::span<const int> labels,
-                                   std::span<const std::size_t> rows,
-                                   const ErrorMinerConfig& cfg) {
+                                   std::span<const std::size_t> rows) {
+  static_assert(kMinerEarlyFraction > 0.0 && kMinerLateFraction > 0.0 &&
+                kMinerEarlyFraction + kMinerLateFraction <= 1.0);
   MLQR_CHECK(traces.size() == labels.size());
   MLQR_CHECK(!rows.empty());
-  MLQR_CHECK(cfg.early_fraction > 0.0 && cfg.late_fraction > 0.0 &&
-             cfg.early_fraction + cfg.late_fraction <= 1.0);
 
   for (std::size_t s : rows) MLQR_CHECK(s < traces.size());
   const std::size_t n_samples = traces[rows[0]].size();
   const std::size_t early_end = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.early_fraction * n_samples));
+      1, static_cast<std::size_t>(kMinerEarlyFraction * n_samples));
   const std::size_t late_begin = n_samples - std::max<std::size_t>(
-      1, static_cast<std::size_t>(cfg.late_fraction * n_samples));
+      1, static_cast<std::size_t>(kMinerLateFraction * n_samples));
 
   // Steady-state centroids per level from the *late* window of each class;
   // the late window is past the resonator ring-up, so non-error traces sit
@@ -59,7 +57,7 @@ MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
     for (int l = 0; l < kNumLevels; ++l) {
       if (l == lab || count[l] == 0) continue;
       const double d = std::abs(late - centroid[l]);
-      if (d * cfg.margin < best) {
+      if (d * kMinerMargin < best) {
         best = d;
         dest = l;
       }

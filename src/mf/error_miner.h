@@ -35,23 +35,19 @@ struct MinedErrorTraces {
       {{0, 1}, {0, 2}, {1, 2}}};
 };
 
-/// Configuration for the miner's early/late windows.
-struct ErrorMinerConfig {
-  /// Fraction of the trace treated as the "early" window (state prior) and
-  /// the tail treated as "late" (destination evidence).
-  double early_fraction = 0.35;
-  double late_fraction = 0.35;
-  /// A trace is tagged as an error only when the late window is closer to
-  /// the foreign centroid by at least this margin factor (robustness to
-  /// noise at low SNR).
-  double margin = 1.0;
-};
+/// The miner's fixed windows: the first kMinerEarlyFraction of a trace is
+/// the "early" window (state prior), the last kMinerLateFraction the "late"
+/// one (destination evidence). A trace is tagged as an error only when its
+/// late window is closer to the foreign centroid by the factor kMinerMargin
+/// (robustness to noise at low SNR).
+inline constexpr double kMinerEarlyFraction = 0.35;
+inline constexpr double kMinerLateFraction = 0.35;
+inline constexpr double kMinerMargin = 1.0;
 
 /// Mines error traces for one qubit from its baseband traces and 3-level
 /// labels (labels = state at readout start, e.g. from spectral clustering).
 MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
-                                   std::span<const int> labels,
-                                   const ErrorMinerConfig& cfg = {});
+                                   std::span<const int> labels);
 
 /// Mines only the listed rows of `traces` (labels[s] belongs to traces[s]),
 /// walked in `rows` order; the mined sets hold row numbers s of `traces`.
@@ -59,7 +55,6 @@ MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
 /// copy-relative index j mapped to rows[j].
 MinedErrorTraces mine_error_traces(std::span<const BasebandTrace> traces,
                                    std::span<const int> labels,
-                                   std::span<const std::size_t> rows,
-                                   const ErrorMinerConfig& cfg = {});
+                                   std::span<const std::size_t> rows);
 
 }  // namespace mlqr

@@ -9,6 +9,17 @@
 
 namespace mlqr {
 
+namespace {
+
+/// Minimum mined traces to fit a dedicated error kernel; below this the
+/// bank falls back to the corresponding state-pair QMF kernel shape so the
+/// feature layout stays fixed (scarce natural leakage, paper SSVI).
+constexpr std::size_t kMinErrorTraces = 8;
+/// Temporal kernel smoothing (see MatchedFilter::build).
+constexpr std::size_t kKernelSmoothWindow = 16;
+
+}  // namespace
+
 QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
                                std::span<const int> labels,
                                std::size_t n_samples, const MfBankConfig& cfg) {
@@ -24,7 +35,7 @@ QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
   MLQR_CHECK(traces.size() == labels.size());
   QubitMfBank bank;
   bank.cfg_ = cfg;
-  bank.mined_ = mine_error_traces(traces, labels, rows, cfg.miner);
+  bank.mined_ = mine_error_traces(traces, labels, rows);
 
   // Clean per-level index sets; every level must be represented so that
   // kernel shapes are well-defined.
@@ -53,10 +64,10 @@ QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
                         const BinStats& to_stats) {
     bank.filters_.push_back(MatchedFilter::build(
         traces, state[from], state_stats[from], to_set, to_stats,
-        cfg.kernel_smooth_window));
+        kKernelSmoothWindow));
   };
   // Error kernels: clean `from` traces vs the mined from->to traces. Below
-  // min_error_traces the state-pair kernel stands in (scarce-data
+  // kMinErrorTraces the state-pair kernel stands in (scarce-data
   // fallback): it still reacts to the destination state's signature
   // appearing inside the trace.
   auto add_error_filters =
@@ -64,18 +75,16 @@ QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
           const std::array<std::vector<std::size_t>, 3>& mined) {
         for (std::size_t p = 0; p < pairs.size(); ++p) {
           const auto [from, to] = pairs[p];
-          if (mined[p].size() >= cfg.min_error_traces)
+          if (mined[p].size() >= kMinErrorTraces)
             add_filter(from, mined[p], bin_stats(traces, mined[p], n_samples));
           else
             add_filter(from, state[to], state_stats[to]);
         }
       };
 
-  if (cfg.use_qmf) {
-    static constexpr std::array<std::pair<int, int>, 3> kPairs{
-        {{0, 1}, {0, 2}, {1, 2}}};
-    for (const auto& [a, b] : kPairs) add_filter(a, state[b], state_stats[b]);
-  }
+  static constexpr std::array<std::pair<int, int>, 3> kQmfPairs{
+      {{0, 1}, {0, 2}, {1, 2}}};
+  for (const auto& [a, b] : kQmfPairs) add_filter(a, state[b], state_stats[b]);
   if (cfg.use_rmf)
     add_error_filters(MinedErrorTraces::kRelaxPairs, bank.mined_.relaxation);
   if (cfg.use_emf)
@@ -86,29 +95,39 @@ QubitMfBank QubitMfBank::train(std::span<const BasebandTrace> traces,
 
 namespace {
 
+// The retired training fields keep their wire slots: save writes each one's
+// constant, and load refuses any other value, which would name a bank this
+// code cannot have trained.
+template <class T>
+void expect_retired(T value, T constant, const char* field) {
+  MLQR_CHECK_MSG(value == constant, "MF-bank snapshot sets the retired "
+                                        << field << " to " << value
+                                        << "; it is fixed at " << constant);
+}
+
 void save_bank_config(std::ostream& os, const MfBankConfig& cfg) {
-  io::write_bool(os, cfg.use_qmf);
+  io::write_bool(os, true);  // use_qmf
   io::write_bool(os, cfg.use_rmf);
   io::write_bool(os, cfg.use_emf);
-  io::write_f64(os, cfg.miner.early_fraction);
-  io::write_f64(os, cfg.miner.late_fraction);
-  io::write_f64(os, cfg.miner.margin);
-  io::write_u64(os, cfg.min_error_traces);
-  io::write_u64(os, cfg.kernel_smooth_window);
+  io::write_f64(os, kMinerEarlyFraction);
+  io::write_f64(os, kMinerLateFraction);
+  io::write_f64(os, kMinerMargin);
+  io::write_u64(os, kMinErrorTraces);
+  io::write_u64(os, kKernelSmoothWindow);
 }
 
 MfBankConfig load_bank_config(std::istream& is) {
   MfBankConfig cfg;
-  cfg.use_qmf = io::read_bool(is);
+  expect_retired(io::read_bool(is), true, "use_qmf");
   cfg.use_rmf = io::read_bool(is);
   cfg.use_emf = io::read_bool(is);
-  cfg.miner.early_fraction = io::read_f64(is);
-  cfg.miner.late_fraction = io::read_f64(is);
-  cfg.miner.margin = io::read_f64(is);
-  cfg.min_error_traces = io::read_count(is);
-  cfg.kernel_smooth_window = io::read_count(is);
-  MLQR_CHECK_MSG(cfg.filters_per_qubit() > 0,
-                 "corrupt bank config: every filter group disabled");
+  expect_retired(io::read_f64(is), kMinerEarlyFraction, "early_fraction");
+  expect_retired(io::read_f64(is), kMinerLateFraction, "late_fraction");
+  expect_retired(io::read_f64(is), kMinerMargin, "margin");
+  expect_retired(io::read_u64(is), std::uint64_t{kMinErrorTraces},
+                 "min_error_traces");
+  expect_retired(io::read_u64(is), std::uint64_t{kKernelSmoothWindow},
+                 "kernel_smooth_window");
   return cfg;
 }
 

@@ -6,8 +6,9 @@
 //   QMF  0:|0>vs|1>   1:|0>vs|2>   2:|1>vs|2>
 //   RMF  3:1->0       4:2->0       5:2->1
 //   EMF  6:0->1       7:0->2       8:1->2
-// Groups can be disabled (HERQULES uses QMF+RMF; the Table V "NN" ablation
-// uses QMF only), which shrinks the feature vector accordingly.
+// The QMF group is always on; RMF and EMF can be disabled (HERQULES uses
+// QMF+RMF; the Table V "NN" ablation uses QMF only), which shrinks the
+// feature vector accordingly.
 #pragma once
 
 #include <array>
@@ -23,21 +24,13 @@
 
 namespace mlqr {
 
-/// Which filter groups a bank trains/applies.
+/// Which error-filter groups a bank trains/applies next to the QMF group.
 struct MfBankConfig {
-  bool use_qmf = true;
   bool use_rmf = true;
   bool use_emf = true;
-  ErrorMinerConfig miner;
-  /// Minimum mined traces to fit a dedicated error kernel; below this the
-  /// bank falls back to the corresponding state-pair QMF kernel shape so
-  /// the feature layout stays fixed (scarce natural leakage, paper SSVI).
-  std::size_t min_error_traces = 8;
-  /// Temporal kernel smoothing (see MatchedFilter::build).
-  std::size_t kernel_smooth_window = 16;
 
   std::size_t filters_per_qubit() const {
-    return (use_qmf ? 3u : 0u) + (use_rmf ? 3u : 0u) + (use_emf ? 3u : 0u);
+    return 3u + (use_rmf ? 3u : 0u) + (use_emf ? 3u : 0u);
   }
 };
 
@@ -77,7 +70,9 @@ class QubitMfBank {
 
   /// Binary little-endian persistence (calibration snapshot leaf): config,
   /// every trained filter, and the mined-trace diagnostics round-trip;
-  /// features() on a reloaded bank is bit-identical to the original.
+  /// features() on a reloaded bank is bit-identical to the original. The
+  /// config keeps slots for the retired use_qmf, miner and kernel fields:
+  /// save writes their constants, and load throws on any other value.
   void save(std::ostream& os) const;
   static QubitMfBank load(std::istream& is);
 

@@ -43,11 +43,8 @@ constexpr double kLrcInduce = 0.008;
 
 /// One independent trial; returns partial stats.
 SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
-                           const MultiLevelReadout& ml_in,
-                           const EraserConfig& cfg, std::size_t n_cycles,
+                           const MultiLevelReadout& ml, std::size_t n_cycles,
                            std::uint64_t seed) {
-  MultiLevelReadout ml = ml_in;
-  ml.enabled = cfg.multi_level;
   LeakageSimulator sim(code, rates, ml, seed);
 
   const std::size_t n_data = code.num_data();
@@ -110,7 +107,7 @@ SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
       }
     }
 
-    if (cfg.multi_level) {
+    if (ml.enabled) {
       // Ancilla: direct |2> detection from three-level readout.
       for (std::size_t a = 0; a < n_anc; ++a)
         spec_anc[a] = obs.ancilla_reads_two[a];
@@ -212,13 +209,12 @@ SpeculationStats run_trial(const SurfaceCode& code, const LeakageRates& rates,
 }  // namespace
 
 SpeculationStats run_eraser(const SurfaceCode& code, const LeakageRates& rates,
-                            const MultiLevelReadout& ml,
-                            const EraserConfig& cfg, std::size_t n_cycles,
+                            const MultiLevelReadout& ml, std::size_t n_cycles,
                             std::size_t n_trials, std::uint64_t seed) {
   MLQR_CHECK(n_cycles > 0 && n_trials > 0);
   std::vector<SpeculationStats> trials(n_trials);
   parallel_for(0, n_trials, [&](std::size_t t) {
-    trials[t] = run_trial(code, rates, ml, cfg, n_cycles,
+    trials[t] = run_trial(code, rates, ml, n_cycles,
                           seed ^ (0xa0761d6478bd642fULL * (t + 1)));
   });
 

@@ -24,10 +24,6 @@
 
 namespace mlqr {
 
-struct EraserConfig {
-  bool multi_level = false;  ///< false = ERASER, true = ERASER+M.
-};
-
 /// Aggregate results of a speculation run.
 ///
 /// Positives are scored per leakage *episode* (a contiguous run of cycles
@@ -53,11 +49,10 @@ struct SpeculationStats {
 };
 
 /// Runs `n_trials` independent simulations of `n_cycles` each and pools
-/// the statistics. The MultiLevelReadout parameters are only consulted in
-/// ERASER+M mode.
+/// the statistics. `ml.enabled` picks the policy: false = ERASER, true =
+/// ERASER+M. The detection rates are only consulted in ERASER+M mode.
 SpeculationStats run_eraser(const SurfaceCode& code, const LeakageRates& rates,
-                            const MultiLevelReadout& ml,
-                            const EraserConfig& cfg, std::size_t n_cycles,
+                            const MultiLevelReadout& ml, std::size_t n_cycles,
                             std::size_t n_trials, std::uint64_t seed);
 
 }  // namespace mlqr

@@ -76,7 +76,6 @@ DesignSpec fnn_folded_design_spec(std::size_t n_qubits, int n_levels,
   spec.hls.reuse_factor = static_cast<int>(
       std::ceil(static_cast<double>(total_macs) /
                 static_cast<double>(device.dsps)));
-  spec.hls.weights_in_bram = true;
   // Per-layer ceil() rounding can spill a couple of DSPs past the budget;
   // bump the reuse factor until the folded design truly fits.
   while (estimate_design(spec).dsps > static_cast<double>(device.dsps))

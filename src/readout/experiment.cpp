@@ -91,10 +91,10 @@ const Trained<JointHeadDiscriminator>& ExperimentSuite::herqules() {
   return once(herqules_, "HERQULES", cfg_.herqules);
 }
 const Trained<GaussianShotDiscriminator>& ExperimentSuite::lda() {
-  return once(lda_, "LDA", cfg_.lda);
+  return once(lda_, "LDA", GaussianKind::kLda);
 }
 const Trained<GaussianShotDiscriminator>& ExperimentSuite::qda() {
-  return once(qda_, "QDA", cfg_.qda);
+  return once(qda_, "QDA", GaussianKind::kQda);
 }
 
 }  // namespace mlqr

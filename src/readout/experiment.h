@@ -22,13 +22,6 @@ struct SuiteConfig {
   ProposedConfig proposed;
   JointHeadConfig fnn = JointHeadConfig::fnn();
   JointHeadConfig herqules = JointHeadConfig::herqules();
-  GaussianDiscriminatorConfig lda;
-  GaussianDiscriminatorConfig qda;
-
-  SuiteConfig() {
-    lda.kind = GaussianKind::kLda;
-    qda.kind = GaussianKind::kQda;
-  }
 
   /// Shrinks shot counts and the baselines' epochs under MLQR_FAST=1 (CI
   /// mode). The proposed design keeps its full epoch count.

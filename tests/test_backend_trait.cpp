@@ -105,13 +105,12 @@ struct Fixture {
       hcfg.trainer.epochs = 4;
       JointHeadDiscriminator h = JointHeadDiscriminator::train(
           ds.shots, ds.training_labels, ds.train_idx, ds.chip, hcfg);
-      GaussianDiscriminatorConfig gcfg;
-      gcfg.kind = GaussianKind::kLda;
       GaussianShotDiscriminator lda = GaussianShotDiscriminator::train(
-          ds.shots, ds.training_labels, ds.train_idx, ds.chip, gcfg);
-      gcfg.kind = GaussianKind::kQda;
+          ds.shots, ds.training_labels, ds.train_idx, ds.chip,
+          GaussianKind::kLda);
       GaussianShotDiscriminator qda = GaussianShotDiscriminator::train(
-          ds.shots, ds.training_labels, ds.train_idx, ds.chip, gcfg);
+          ds.shots, ds.training_labels, ds.train_idx, ds.chip,
+          GaussianKind::kQda);
       return Fixture{std::move(ds),  std::move(p),   std::move(q),
                      std::move(q8),  std::move(f),   std::move(h),
                      std::move(lda), std::move(qda)};

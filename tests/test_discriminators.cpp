@@ -97,9 +97,8 @@ TEST(Discriminators, ProposedTrainIsIdenticalAcrossThreadBudgets) {
 
 TEST(Discriminators, GaussianDiscriminatorsTrainAndClassify) {
   const ReadoutDataset& ds = shared_dataset();
-  GaussianDiscriminatorConfig lda_cfg;
   const GaussianShotDiscriminator lda = GaussianShotDiscriminator::train(
-      ds.shots, ds.training_labels, ds.train_idx, ds.chip, lda_cfg);
+      ds.shots, ds.training_labels, ds.train_idx, ds.chip, GaussianKind::kLda);
   const FidelityReport r = evaluate_on_test(lda, ds);
   EXPECT_GT(r.geometric_mean_fidelity(), 0.6);
   EXPECT_EQ(lda.name(), "LDA");

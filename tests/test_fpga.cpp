@@ -36,7 +36,6 @@ TEST(Fpga, PrecisionScalesLogic) {
 TEST(Fpga, ReuseMovesWorkToDspAndBram) {
   HlsConfig folded;
   folded.reuse_factor = 16;
-  folded.weights_in_bram = true;
   const auto r = estimate_dense_layer(128, 128, folded);
   EXPECT_GT(r.dsps, 0.0);
   EXPECT_GT(r.bram36, 0.0);

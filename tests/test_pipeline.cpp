@@ -30,9 +30,9 @@ struct Fixture {
       pcfg.trainer.epochs = 8;
       ProposedDiscriminator p = ProposedDiscriminator::train(
           ds.shots, ds.training_labels, ds.train_idx, ds.chip, pcfg);
-      GaussianDiscriminatorConfig gcfg;
       GaussianShotDiscriminator g = GaussianShotDiscriminator::train(
-          ds.shots, ds.training_labels, ds.train_idx, ds.chip, gcfg);
+          ds.shots, ds.training_labels, ds.train_idx, ds.chip,
+          GaussianKind::kLda);
       return Fixture{std::move(ds), std::move(p), std::move(g)};
     }();
     return fx;

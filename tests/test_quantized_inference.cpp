@@ -571,7 +571,6 @@ TEST(QuantizedInference, CalibratedFormatsFeedResourceModel) {
 
   const DesignSpec spec = fx.quantized.design_spec();
   EXPECT_EQ(spec.hls.weight_bits, 16);
-  EXPECT_EQ(spec.hls.accum_bits, 32);
   EXPECT_EQ(spec.demod_channels, fx.quantized.num_qubits());
   EXPECT_EQ(spec.nns.size(), fx.quantized.num_qubits());
   // Estimating the spec must work and scale with the calibrated width:

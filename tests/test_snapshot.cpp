@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -342,6 +343,84 @@ TEST(Snapshot, JointHeadLoadRejectsOtherLevelCounts) {
             << e.what();
       }
     }
+  }
+}
+
+TEST(Snapshot, LoadRejectsRetiredTrainingFields) {
+  // The MF-bank config keeps wire slots for the retired use_qmf, miner
+  // fractions and margin, min_error_traces and kernel_smooth_window, and the
+  // quantization config one for max_calibration_shots. save writes each
+  // one's fixed value; load refuses any other value and names the field.
+  auto read_corpus = [](const std::string& stem) {
+    const std::string path =
+        std::string(MLQR_CORPUS_DIR) + "/" + stem + ".snap";
+    std::ifstream file(path, std::ios::binary);
+    EXPECT_TRUE(file.good()) << path;
+    return std::string((std::istreambuf_iterator<char>(file)),
+                       std::istreambuf_iterator<char>());
+  };
+  // Writes `value` over the bytes at `at` and expects the load to throw an
+  // Error that names `field`.
+  auto expect_rejected = [](std::string bytes, std::size_t at,
+                            const std::string& value, const char* field) {
+    bytes.replace(at, value.size(), value);
+    std::stringstream tampered(bytes);
+    try {
+      load_backend(tampered);
+      ADD_FAILURE() << "a snapshot with another " << field << " loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  auto encoded = [](auto write) {
+    std::ostringstream os;
+    write(os);
+    return os.str();
+  };
+  auto f64 = [&](double x) {
+    return encoded([x](std::ostream& os) { io::write_f64(os, x); });
+  };
+  auto u64 = [&](std::uint64_t x) {
+    return encoded([x](std::ostream& os) { io::write_u64(os, x); });
+  };
+
+  // MF-bank config: use_qmf, use_rmf, use_emf, early and late fraction,
+  // margin, min_error_traces, kernel_smooth_window.
+  {
+    const std::string bytes = read_corpus("float");
+    const std::string bank = encoded([](std::ostream& os) {
+      for (int i = 0; i < 3; ++i) io::write_bool(os, true);
+      for (double x : {0.35, 0.35, 1.0}) io::write_f64(os, x);
+      io::write_u64(os, 8);
+      io::write_u64(os, 16);
+    });
+    const std::size_t at = bytes.find(bank);
+    ASSERT_NE(at, std::string::npos) << "no MF-bank config in float.snap";
+    std::stringstream untouched(bytes);
+    EXPECT_NO_THROW(load_backend(untouched));
+    expect_rejected(bytes, at, std::string(1, '\0'), "use_qmf");
+    expect_rejected(bytes, at + 3, f64(0.5), "early_fraction");
+    expect_rejected(bytes, at + 19, f64(2.0), "margin");
+    expect_rejected(bytes, at + 27, u64(9), "min_error_traces");
+    expect_rejected(bytes, at + 35, u64(17), "kernel_smooth_window");
+  }
+
+  // Quantization config: weight, activation and accumulator widths, then
+  // max_calibration_shots.
+  const std::pair<std::string, std::array<std::int32_t, 3>> quantized[] = {
+      {"int16", {16, 16, 32}}, {"int8", {8, 8, 24}}};
+  for (const auto& [stem, widths] : quantized) {
+    const std::string bytes = read_corpus(stem);
+    const std::string qcfg = encoded([&](std::ostream& os) {
+      for (std::int32_t w : widths) io::write_i32(os, w);
+      io::write_u64(os, 512);
+    });
+    const std::size_t at = bytes.find(qcfg);
+    ASSERT_NE(at, std::string::npos) << "no quantization config in " << stem;
+    std::stringstream untouched(bytes);
+    EXPECT_NO_THROW(load_backend(untouched)) << stem;
+    expect_rejected(bytes, at + 12, u64(513), "max_calibration_shots");
   }
 }
 

@@ -67,15 +67,12 @@ struct Corpus {
       add("herqules",
           JointHeadDiscriminator::train(ds.shots, ds.training_labels,
                                         ds.train_idx, ds.chip, hcfg));
-      GaussianDiscriminatorConfig gcfg;
-      gcfg.kind = GaussianKind::kLda;
-      add("lda",
-          GaussianShotDiscriminator::train(ds.shots, ds.training_labels,
-                                           ds.train_idx, ds.chip, gcfg));
-      gcfg.kind = GaussianKind::kQda;
-      add("qda",
-          GaussianShotDiscriminator::train(ds.shots, ds.training_labels,
-                                           ds.train_idx, ds.chip, gcfg));
+      add("lda", GaussianShotDiscriminator::train(
+                     ds.shots, ds.training_labels, ds.train_idx, ds.chip,
+                     GaussianKind::kLda));
+      add("qda", GaussianShotDiscriminator::train(
+                     ds.shots, ds.training_labels, ds.train_idx, ds.chip,
+                     GaussianKind::kQda));
       return c;
     }();
     return corpus;

@@ -61,12 +61,14 @@ Eight checks, all cheap enough for every CI run and every pre-commit:
      its point of use. A snapshot load restoring the field
      (`x.name = io::read_*(...)`) is no setter: it replays what a caller
      once set. SETTABLE_FIELD_ALLOWLIST names the fields kept on purpose,
-     each with its reason. Known blind spots: the check matches names, so
-     a field that shares its name with a field some caller does assign
-     (e.g. ProposedConfig::duration_ns covers the baselines' old
-     duration_ns) escapes it, and so does a field a caller assigns only
-     its default value, sets only through positional aggregate
-     initialization, or that a load restores through a local variable.
+     each with its reason: only JointHeadConfig's class-weighting pair,
+     which ROADMAP item 2's weighting study turns. Known blind spots: the
+     check matches names, so a field that shares its name with a field
+     some caller does assign (e.g. ProposedConfig::duration_ns covers the
+     baselines' old duration_ns) escapes it, and so does a field a
+     caller assigns only its default value, sets only through positional
+     aggregate initialization, or that a load restores through a local
+     variable.
      A name declared in two or more Config / Params structs (`hidden`,
      `seed`, `threads`, ...) is matched by receiver, not by name: an
      assignment `r.name =` counts for struct S only when `r` is declared
@@ -500,16 +502,6 @@ SETTABLE_FIELD_ALLOWLIST = {
         "the weighting off as its second value, on FNN and HERQULES",
     "JointHeadConfig::class_weight_cap":
         "the same weighting study varies the cap",
-    # Snapshot wire fields: each is written and read back by a calibration
-    # payload, and the checked-in fuzz/corpus is pinned byte-identical.
-    "MfBankConfig::use_qmf": "on the MF-bank snapshot wire",
-    "MfBankConfig::min_error_traces": "on the MF-bank snapshot wire",
-    "MfBankConfig::kernel_smooth_window": "on the MF-bank snapshot wire",
-    "ErrorMinerConfig::early_fraction": "on the MF-bank snapshot wire",
-    "ErrorMinerConfig::late_fraction": "on the MF-bank snapshot wire",
-    "ErrorMinerConfig::margin": "on the MF-bank snapshot wire",
-    "QuantizationConfig::max_calibration_shots":
-        "on the quantized designs' snapshot wire",
 }
 
 
